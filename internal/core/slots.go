@@ -40,8 +40,10 @@ func (NopCharger) Charge(simtime.Time) {}
 // §4.1: "slots are distributed among the nodes according to some
 // user-defined distribution pattern").
 type Distribution interface {
-	// Owns reports whether node owns slot initially, in a p-node cluster.
-	Owns(slot, node, p int) bool
+	// Mark sets in bm the bit of every slot node owns initially, in a
+	// p-node cluster. It touches only those slots, so building one
+	// node's bitmap costs O(owned slots), not O(SlotCount).
+	Mark(bm *bitmap.Bitmap, node, p int)
 	// Name identifies the distribution in stats and benchmarks.
 	Name() string
 }
@@ -52,8 +54,12 @@ type Distribution interface {
 // negotiates.
 type RoundRobin struct{}
 
-// Owns implements Distribution.
-func (RoundRobin) Owns(slot, node, p int) bool { return slot%p == node }
+// Mark implements Distribution.
+func (RoundRobin) Mark(bm *bitmap.Bitmap, node, p int) {
+	for i := node; i < layout.SlotCount; i += p {
+		bm.Set(i)
+	}
+}
 
 // Name implements Distribution.
 func (RoundRobin) Name() string { return "round-robin" }
@@ -63,26 +69,34 @@ func (RoundRobin) Name() string { return "round-robin" }
 // local.
 type BlockCyclic struct{ K int }
 
-// Owns implements Distribution.
-func (d BlockCyclic) Owns(slot, node, p int) bool { return (slot/d.K)%p == node }
+// Mark implements Distribution.
+func (d BlockCyclic) Mark(bm *bitmap.Bitmap, node, p int) {
+	// A block wider than the area is the whole area, owned by node 0;
+	// clamping K keeps the stride arithmetic from overflowing.
+	k := min(d.K, layout.SlotCount)
+	for i := node * k; i < layout.SlotCount; i += p * k {
+		bm.SetRun(i, min(k, layout.SlotCount-i))
+	}
+}
 
 // Name implements Distribution.
 func (d BlockCyclic) Name() string { return fmt.Sprintf("block-cyclic(%d)", d.K) }
 
 // Partition splits the iso-address area into p contiguous sub-areas, one per
 // node ("an extreme choice ... not advisable if the heap of the container
-// process needs to grow in unpredictable ways").
+// process needs to grow in unpredictable ways"). The last node also takes
+// the SlotCount mod p remainder.
 type Partition struct{}
 
-// Owns implements Distribution.
-func (Partition) Owns(slot, node, p int) bool {
+// Mark implements Distribution.
+func (Partition) Mark(bm *bitmap.Bitmap, node, p int) {
 	per := layout.SlotCount / p
 	lo := node * per
 	hi := lo + per
 	if node == p-1 {
 		hi = layout.SlotCount
 	}
-	return slot >= lo && slot < hi
+	bm.SetRun(lo, hi-lo)
 }
 
 // Name implements Distribution.
@@ -158,11 +172,7 @@ func NewNodeSlots(space *vmem.Space, ch Charger, cfg NodeConfig) *NodeSlots {
 		bm:     bitmap.New(layout.SlotCount),
 		cached: make(map[int]bool),
 	}
-	for i := 0; i < layout.SlotCount; i++ {
-		if cfg.Dist.Owns(i, cfg.NodeID, cfg.NumNodes) {
-			ns.bm.Set(i)
-		}
-	}
+	cfg.Dist.Mark(ns.bm, cfg.NodeID, cfg.NumNodes)
 	return ns
 }
 

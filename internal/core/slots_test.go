@@ -18,40 +18,41 @@ func newSlots(t *testing.T, node, p int, dist Distribution, cache int) *NodeSlot
 	})
 }
 
+// TestDistributions: for every distribution and every cluster size
+// p = 1..33, the bitmaps Mark builds partition the iso-address area —
+// every slot is owned by exactly one node — and each slot goes to the
+// node the distribution's definition names.
 func TestDistributions(t *testing.T) {
 	cases := []struct {
-		dist Distribution
-		p    int
+		dist  Distribution
+		owner func(slot, p int) int
 	}{
-		{RoundRobin{}, 4},
-		{BlockCyclic{K: 8}, 4},
-		{Partition{}, 4},
-		{Partition{}, 3}, // SlotCount not divisible by 3
+		{RoundRobin{}, func(slot, p int) int { return slot % p }},
+		{BlockCyclic{K: 8}, func(slot, p int) int { return (slot / 8) % p }},
+		{BlockCyclic{K: 3}, func(slot, p int) int { return (slot / 3) % p }}, // K does not divide SlotCount
+		{BlockCyclic{K: 1 << 62}, func(slot, p int) int { return 0 }},        // one block covers the area
+		{Partition{}, func(slot, p int) int { return min(slot/(layout.SlotCount/p), p-1) }},
 	}
 	for _, c := range cases {
 		t.Run(c.dist.Name(), func(t *testing.T) {
-			for _, slot := range []int{0, 1, 7, 8, 100, layout.SlotCount - 1} {
-				owners := 0
-				for node := 0; node < c.p; node++ {
-					if c.dist.Owns(slot, node, c.p) {
-						owners++
+			for p := 1; p <= 33; p++ {
+				union := bitmap.New(layout.SlotCount)
+				for node := 0; node < p; node++ {
+					bm := bitmap.New(layout.SlotCount)
+					c.dist.Mark(bm, node, p)
+					if union.Intersects(bm) {
+						t.Fatalf("p=%d: node %d marks a slot another node owns", p, node)
+					}
+					union.Or(bm)
+					for slot := bm.FirstSet(0); slot >= 0; slot = bm.FirstSet(slot + 1) {
+						if want := c.owner(slot, p); want != node {
+							t.Fatalf("p=%d: slot %d marked by node %d, owner is %d", p, slot, node, want)
+						}
 					}
 				}
-				if owners != 1 {
-					t.Fatalf("slot %d has %d owners", slot, owners)
+				if got := union.Count(); got != layout.SlotCount {
+					t.Fatalf("p=%d: %d of %d slots owned", p, got, layout.SlotCount)
 				}
-			}
-			// Exhaustive single-ownership check.
-			total := 0
-			for node := 0; node < c.p; node++ {
-				for slot := 0; slot < layout.SlotCount; slot++ {
-					if c.dist.Owns(slot, node, c.p) {
-						total++
-					}
-				}
-			}
-			if total != layout.SlotCount {
-				t.Fatalf("total owned = %d, want %d", total, layout.SlotCount)
 			}
 		})
 	}

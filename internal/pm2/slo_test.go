@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bitmap"
+	"repro/internal/layout"
 	"repro/internal/progs"
 	"repro/internal/simtime"
 )
@@ -147,8 +149,12 @@ func TestSpawnCohortCompletesAcrossMigration(t *testing.T) {
 // any thread creation there must buy a slot through the §4.4 protocol.
 type allToNode1 struct{}
 
-func (allToNode1) Owns(slot, node, p int) bool { return node == 1 }
-func (allToNode1) Name() string                { return "all-to-node1" }
+func (allToNode1) Mark(bm *bitmap.Bitmap, node, p int) {
+	if node == 1 {
+		bm.SetRun(0, layout.SlotCount)
+	}
+}
+func (allToNode1) Name() string { return "all-to-node1" }
 
 // TestSpawnCohortNegotiatedPlacement forces the placement through the
 // §4.4 negotiation path: node 0 owns zero slots, so the cohort spawn

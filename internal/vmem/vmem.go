@@ -68,12 +68,19 @@ func IsSegfault(err error) bool {
 
 type page [layout.PageSize]byte
 
+// zeroPage stands in for every mapped page that has not been written yet.
+// It is shared by all spaces and must never be written: ReadAliases hands
+// it out, which is why its fragments are read-only.
+var zeroPage page
+
 // Space is one node's simulated virtual address space. It has no
 // locking: a Space belongs to exactly one node, every access happens
 // inside that node's event lane, and the parallel kernel never runs
 // two events of one lane concurrently (see internal/simtime) — the
 // space is lane-affine state, like the scheduler and the slot table.
 type Space struct {
+	// pages holds every mapped page; a nil value is a mapped page that
+	// has never been written and reads as zeros.
 	pages map[uint32]*page
 	// mappedBytes counts currently mapped memory, for accounting tests.
 	mappedBytes uint64
@@ -103,7 +110,8 @@ func checkRange(addr Addr, n int, op FaultOp) error {
 	return nil
 }
 
-// Mmap maps the page-aligned range [addr, addr+n) with zero-filled pages.
+// Mmap maps the page-aligned range [addr, addr+n) with demand-zero pages:
+// the range reads as zeros and takes no host memory until it is written.
 // It fails (without mapping anything) if the range is misaligned, wraps, or
 // overlaps an existing mapping — the iso-address discipline guarantees the
 // runtime never legitimately double-maps a slot.
@@ -122,7 +130,7 @@ func (s *Space) Mmap(addr Addr, n int) error {
 		}
 	}
 	for i := 0; i < npages; i++ {
-		s.pages[first+uint32(i)] = new(page)
+		s.pages[first+uint32(i)] = nil
 	}
 	s.mappedBytes += uint64(n)
 	return nil
@@ -167,6 +175,19 @@ func (s *Space) IsMapped(addr Addr, n int) bool {
 	return true
 }
 
+// readPage returns the page holding a for reading: the shared zero page
+// if it is mapped but untouched.
+func (s *Space) readPage(a Addr) (*page, error) {
+	pg, ok := s.pages[pageIndex(a)]
+	if !ok {
+		return nil, &Fault{Addr: a, Op: OpRead, Why: "unmapped page"}
+	}
+	if pg == nil {
+		return &zeroPage, nil
+	}
+	return pg, nil
+}
+
 // Read copies len(p) bytes from [addr, ...) into p, faulting if any byte is
 // unmapped.
 func (s *Space) Read(addr Addr, p []byte) error {
@@ -175,9 +196,9 @@ func (s *Space) Read(addr Addr, p []byte) error {
 	}
 	off := 0
 	for off < len(p) {
-		pg, ok := s.pages[pageIndex(addr+Addr(off))]
-		if !ok {
-			return &Fault{Addr: addr + Addr(off), Op: OpRead, Why: "unmapped page"}
+		pg, err := s.readPage(addr + Addr(off))
+		if err != nil {
+			return err
 		}
 		in := int(addr+Addr(off)) & (layout.PageSize - 1)
 		n := copy(p[off:], pg[in:])
@@ -187,7 +208,7 @@ func (s *Space) Read(addr Addr, p []byte) error {
 }
 
 // Write copies p into simulated memory at addr, faulting if any byte is
-// unmapped.
+// unmapped. The first write to a page allocates its host memory.
 func (s *Space) Write(addr Addr, p []byte) error {
 	if err := checkRange(addr, len(p), OpWrite); err != nil {
 		return err
@@ -208,7 +229,12 @@ func (s *Space) Write(addr Addr, p []byte) error {
 	}
 	off := 0
 	for off < len(p) {
-		pg := s.pages[pageIndex(addr+Addr(off))]
+		pi := pageIndex(addr + Addr(off))
+		pg := s.pages[pi]
+		if pg == nil {
+			pg = new(page)
+			s.pages[pi] = pg
+		}
 		in := int(addr+Addr(off)) & (layout.PageSize - 1)
 		n := copy(pg[in:], p[off:])
 		off += n
@@ -258,8 +284,10 @@ func (s *Space) ReadBytes(addr Addr, n int) ([]byte, error) {
 // ReadAliases returns [addr, addr+n) as a list of page-fragment slices
 // that alias the simulated pages directly — no copy. The zero-copy
 // migration packer hands these to the NIC's gather list. The fragments
-// are only valid until the range is written or unmapped; callers must
-// consume them (or copy) before releasing the pages.
+// are read-only: an untouched page surfaces as the shared zero page,
+// which every space aliases. They are only valid until the range is
+// written or unmapped; callers must consume them (or copy) before
+// releasing the pages.
 func (s *Space) ReadAliases(addr Addr, n int) ([][]byte, error) {
 	if err := checkRange(addr, n, OpRead); err != nil {
 		return nil, err
@@ -267,9 +295,9 @@ func (s *Space) ReadAliases(addr Addr, n int) ([][]byte, error) {
 	var out [][]byte
 	off := 0
 	for off < n {
-		pg, ok := s.pages[pageIndex(addr+Addr(off))]
-		if !ok {
-			return nil, &Fault{Addr: addr + Addr(off), Op: OpRead, Why: "unmapped page"}
+		pg, err := s.readPage(addr + Addr(off))
+		if err != nil {
+			return nil, err
 		}
 		in := int(addr+Addr(off)) & (layout.PageSize - 1)
 		frag := pg[in:]
@@ -280,11 +308,6 @@ func (s *Space) ReadAliases(addr Addr, n int) ([][]byte, error) {
 		off += len(frag)
 	}
 	return out, nil
-}
-
-// Zero writes n zero bytes at addr.
-func (s *Space) Zero(addr Addr, n int) error {
-	return s.Write(addr, make([]byte, n))
 }
 
 // ReadCString reads a NUL-terminated string of at most max bytes from addr.

@@ -277,24 +277,6 @@ func TestLoad8Store8AndCString(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	s := NewSpace()
-	base := Addr(layout.HeapBase)
-	if err := s.Mmap(base, layout.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(base, []byte{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Zero(base+1, 3); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.ReadBytes(base, 5)
-	if !bytes.Equal(got, []byte{1, 0, 0, 0, 5}) {
-		t.Fatalf("Zero result = %v", got)
-	}
-}
-
 func TestFaultErrorText(t *testing.T) {
 	f := &Fault{Addr: 0xeeff0020, Op: OpRead, Why: "unmapped page"}
 	want := "segmentation fault: read at 0xeeff0020 (unmapped page)"
@@ -303,5 +285,174 @@ func TestFaultErrorText(t *testing.T) {
 	}
 	if IsSegfault(&Fault{Op: OpMap}) {
 		t.Fatal("mapping errors are not segfaults")
+	}
+}
+
+func TestMmapAllocatesNoPage(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	// Warm the map so its buckets exist before measuring.
+	if err := s.Mmap(base, layout.SlotSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Munmap(base, layout.SlotSize); err != nil {
+		t.Fatal(err)
+	}
+	mapAllocs := testing.AllocsPerRun(20, func() {
+		if err := s.Mmap(base, layout.SlotSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Munmap(base, layout.SlotSize); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mapAllocs != 0 {
+		t.Fatalf("Mmap+Munmap of a %d-byte slot made %.0f allocations, want 0", layout.SlotSize, mapAllocs)
+	}
+	firstWrite := testing.AllocsPerRun(20, func() {
+		if err := s.Mmap(base, layout.SlotSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Store32(base+8, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Munmap(base, layout.SlotSize); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if firstWrite != 1 {
+		t.Fatalf("first Store32 into a fresh slot made %.0f allocations, want exactly 1 page", firstWrite)
+	}
+}
+
+func TestUntouchedPagesReadZero(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	const n = 3 * layout.PageSize
+	if err := s.Mmap(base, n); err != nil {
+		t.Fatal(err)
+	}
+	// Touch only the middle page, so the range mixes backed and
+	// demand-zero pages.
+	if err := s.Store8(base+layout.PageSize+7, 0x5A); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, n)
+	want[layout.PageSize+7] = 0x5A
+
+	got, err := s.ReadBytes(base, n)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadBytes over untouched pages: err=%v, nonzero outside the write", err)
+	}
+	if v, err := s.Load32(base + 2*layout.PageSize - 2); err != nil || v != 0 {
+		t.Fatalf("cross-page Load32 into untouched page = %#x, %v", v, err)
+	}
+	if b, err := s.Load8(base + n - 1); err != nil || b != 0 {
+		t.Fatalf("Load8 of untouched page = %#x, %v", b, err)
+	}
+	if str, err := s.ReadCString(base, 16); err != nil || str != "" {
+		t.Fatalf("ReadCString of untouched page = %q, %v", str, err)
+	}
+	frags, err := s.ReadAliases(base+100, n-200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frags) != 3 {
+		t.Fatalf("ReadAliases gave %d fragments, want one per page", len(frags))
+	}
+	if got := bytes.Join(frags, nil); !bytes.Equal(got, want[100:n-100]) {
+		t.Fatal("ReadAliases over untouched pages not zero")
+	}
+	if s.MappedPages() != 3 || s.MappedBytes() != n {
+		t.Fatalf("mapped %d pages / %d bytes, want 3 / %d", s.MappedPages(), s.MappedBytes(), n)
+	}
+}
+
+func TestUntouchedUnmapAndRemap(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	if err := s.Mmap(base, layout.SlotSize); err != nil {
+		t.Fatal(err)
+	}
+	// A range that was never touched unmaps like any other.
+	if err := s.Munmap(base, layout.SlotSize); err != nil {
+		t.Fatal(err)
+	}
+	if s.IsMapped(base, 1) || s.MappedPages() != 0 || s.MappedBytes() != 0 {
+		t.Fatal("untouched range still mapped after munmap")
+	}
+	if _, err := s.Load32(base); !IsSegfault(err) {
+		t.Fatalf("read of unmapped untouched range: %v, want segfault", err)
+	}
+	if err := s.Mmap(base, layout.SlotSize); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Load32(base + layout.SlotSize - 4); err != nil || v != 0 {
+		t.Fatalf("remap after unmap = %#x, %v, want zero", v, err)
+	}
+}
+
+func TestDemandZeroFaults(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	if err := s.Mmap(base, layout.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	end := base + layout.PageSize
+	if _, err := s.ReadBytes(end-2, 4); !IsSegfault(err) {
+		t.Fatalf("read past untouched page: %v, want segfault", err)
+	}
+	if _, err := s.ReadAliases(end-2, 4); !IsSegfault(err) {
+		t.Fatalf("alias past untouched page: %v, want segfault", err)
+	}
+	if _, err := s.Load8(end); !IsSegfault(err) {
+		t.Fatalf("Load8 just past untouched page: %v, want segfault", err)
+	}
+	if err := s.Write(end-2, []byte{1, 2, 3, 4}); !IsSegfault(err) {
+		t.Fatalf("write past untouched page: %v, want segfault", err)
+	}
+	// The faulting write materialized nothing and left zeros behind.
+	if got, _ := s.ReadBytes(end-2, 2); !bytes.Equal(got, []byte{0, 0}) {
+		t.Fatalf("faulting write had partial effect: %v", got)
+	}
+	if err := s.Mmap(base, layout.PageSize); err == nil {
+		t.Fatal("double mmap of an untouched page must fail")
+	}
+	if err := s.Munmap(base, 2*layout.PageSize); err == nil {
+		t.Fatal("munmap over a hole must fail")
+	}
+	if !s.IsMapped(base, layout.PageSize) {
+		t.Fatal("failed munmap removed the untouched page")
+	}
+}
+
+// TestWriteNeverReachesZeroPage: an untouched page aliases the shared
+// zero page, and the first write to it must allocate a private page
+// rather than write through the alias.
+func TestWriteNeverReachesZeroPage(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	if err := s.Mmap(base, layout.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.ReadAliases(base, layout.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &before[0][0] != &zeroPage[0] {
+		t.Fatal("untouched page does not alias the shared zero page")
+	}
+	if err := s.Write(base, bytes.Repeat([]byte{0xEE}, layout.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if zeroPage != (page{}) {
+		t.Fatal("a write reached the shared zero page")
+	}
+	after, err := s.ReadAliases(base, layout.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &after[0][0] == &zeroPage[0] || after[0][0] != 0xEE {
+		t.Fatal("written page still aliases the zero page")
 	}
 }
