@@ -59,7 +59,7 @@ func main() {
 	pol := flag.String("policy", "", "restrict -fig scenarios to one placement policy")
 	seed := flag.Uint64("seed", 1, "workload seed for -fig scenarios")
 	nodes := flag.Int("nodes", 4, "cluster size for -fig scenarios (e.g. 4, 16, 64); when set explicitly it also overrides the -fig scale sweep to that one size")
-	gather := flag.String("gather", "", "gather strategy for -fig scenarios/contention, or restrict the -fig scale burst columns to one: "+strings.Join(pm2pub.GatherNames(), " | "))
+	gather := flag.String("gather", "", "gather strategy for -fig scenarios, or restrict the -fig scale burst columns to one: "+strings.Join(pm2pub.GatherNames(), " | "))
 	arbiter := flag.String("arbiter", "", "negotiation arbiter for -fig scenarios, or restrict -fig contention to one: "+strings.Join(pm2pub.ArbiterNames(), " | "))
 	jsonOut := flag.Bool("json", false, "with -fig negotiation/migration, also write the machine-readable report to -out")
 	out := flag.String("out", "", "path of the -json report (default BENCH_<figure>.json)")
@@ -353,59 +353,35 @@ func negotiation(jsonPath string) {
 
 	header("Extension: gather strategy vs cluster size (same negotiation, cold)")
 	counts := []int{4, 8, 16, 32, 64}
-	modes := []pm2.GatherMode{pm2.GatherSequential, pm2.GatherBatched, pm2.GatherTree, pm2.GatherDelta}
+	modes := []pm2.GatherMode{pm2.GatherSequential, pm2.GatherTree, pm2.GatherDelta}
 	costs := make(map[pm2.GatherMode][]bench.NegotiationRow, len(modes))
 	for _, m := range modes {
 		costs[m] = bench.NegotiationScalingGather(counts, m)
 	}
-	fmt.Printf("%8s %16s %16s %16s %16s\n", "nodes", "sequential (µs)", "batched (µs)", "tree (µs)", "delta (µs)")
-	for i, p := range counts {
-		fmt.Printf("%8d %16.1f %16.1f %16.1f %16.1f\n", p,
-			costs[pm2.GatherSequential][i].Micros,
-			costs[pm2.GatherBatched][i].Micros,
-			costs[pm2.GatherTree][i].Micros,
-			costs[pm2.GatherDelta][i].Micros)
-	}
-	fmt.Printf("\n%-12s", "slope µs/node:")
-	for _, m := range modes {
-		fmt.Printf("  %s %.1f", m, bench.SlopeMicrosPerNode(costs[m]))
-	}
-	fmt.Println()
-	fmt.Println("(batched overlaps the reply wire time; the tree also cuts the messages the")
+	printGatherTable(counts, modes, costs)
+	fmt.Println("(delta overlaps the reply wire time; the tree also cuts the messages the")
 	fmt.Println(" initiator handles to O(log n) at the price of a range-style purchase; a cold")
-	fmt.Println(" delta gather is first contact everywhere, so it ships full maps like batched)")
+	fmt.Println(" delta gather is first contact everywhere, so it ships full maps)")
 
 	header("Extension: steady state — second negotiation by the same initiator")
 	warm := make(map[pm2.GatherMode][]bench.NegotiationRow, len(modes))
 	for _, m := range modes {
 		warm[m] = bench.NegotiationScalingGatherWarm(counts, m)
 	}
-	fmt.Printf("%8s %16s %16s %16s %16s\n", "nodes", "sequential (µs)", "batched (µs)", "tree (µs)", "delta (µs)")
-	for i, p := range counts {
-		fmt.Printf("%8d %16.1f %16.1f %16.1f %16.1f\n", p,
-			warm[pm2.GatherSequential][i].Micros,
-			warm[pm2.GatherBatched][i].Micros,
-			warm[pm2.GatherTree][i].Micros,
-			warm[pm2.GatherDelta][i].Micros)
-	}
-	fmt.Printf("\n%-12s", "slope µs/node:")
-	for _, m := range modes {
-		fmt.Printf("  %s %.1f", m, bench.SlopeMicrosPerNode(warm[m]))
-	}
-	fmt.Println()
+	printGatherTable(counts, modes, warm)
 	last := len(counts) - 1
-	batBytes := warm[pm2.GatherBatched][last].MergedBytes
+	seqBytes := warm[pm2.GatherSequential][last].MergedBytes
 	delBytes := warm[pm2.GatherDelta][last].MergedBytes
 	// The first delta negotiation is first contact everywhere: exactly one
 	// full map per peer. Everything beyond that is what the warm round cost.
 	delWarm := delBytes - uint64((counts[last]-1)*layout.BitmapBytes)
-	fmt.Printf("merged bytes over both negotiations at %d nodes: batched %d, delta %d (%.1f%% less)\n",
-		counts[last], batBytes, delBytes, 100*(1-float64(delBytes)/float64(batBytes)))
-	fmt.Printf("warm round alone at %d nodes: batched %d bytes, delta %d bytes\n",
-		counts[last], batBytes/2, delWarm)
+	fmt.Printf("merged bytes over both negotiations at %d nodes: sequential %d, delta %d (%.1f%% less)\n",
+		counts[last], seqBytes, delBytes, 100*(1-float64(delBytes)/float64(seqBytes)))
+	fmt.Printf("warm round alone at %d nodes: sequential %d bytes, delta %d bytes\n",
+		counts[last], seqBytes/2, delWarm)
 	fmt.Println("(the delta gather caches each peer's map + version and the global OR between")
 	fmt.Println(" rounds; warm rounds ship only the words that changed, so the merge term — a")
-	fmt.Println(" full 7 KB per peer per round under batched — drops to the delta bytes)")
+	fmt.Println(" full 7 KB per peer per round under sequential and tree — drops to the delta bytes)")
 
 	if jsonPath != "" {
 		report := bench.NegotiationReport{Figure: "negotiation", Nodes: counts, Gathers: map[string]bench.GatherReport{}}
@@ -421,10 +397,32 @@ func negotiation(jsonPath string) {
 	}
 }
 
+// printGatherTable prints one negotiation-cost row per cluster size with
+// a column per gather strategy, then each strategy's per-node slope.
+func printGatherTable(counts []int, modes []pm2.GatherMode, rows map[pm2.GatherMode][]bench.NegotiationRow) {
+	fmt.Printf("%8s", "nodes")
+	for _, m := range modes {
+		fmt.Printf(" %16s", m.String()+" (µs)")
+	}
+	fmt.Println()
+	for i, p := range counts {
+		fmt.Printf("%8d", p)
+		for _, m := range modes {
+			fmt.Printf(" %16.1f", rows[m][i].Micros)
+		}
+		fmt.Println()
+	}
+	fmt.Printf("\n%-12s", "slope µs/node:")
+	for _, m := range modes {
+		fmt.Printf("  %s %.1f", m, bench.SlopeMicrosPerNode(rows[m]))
+	}
+	fmt.Println()
+}
+
 // contention prints the concurrent-initiator comparison: M nodes start
 // a multi-slot negotiation in the same instant under each arbiter. The
-// batched gather keeps the gather term identical across arbiters, so
-// the spread between the rows is purely the concurrency scheme.
+// delta gather keeps the gather term identical across arbiters, so the
+// spread between the rows is purely the concurrency scheme.
 func contention(only string) {
 	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded, pm2.ArbiterOptimistic}
 	if only != "" {
@@ -435,11 +433,11 @@ func contention(only string) {
 		}
 		arbs = []pm2.ArbiterMode{a}
 	}
-	header("Extension: concurrent initiators × negotiation arbiter (3-slot allocs, batched gather)")
+	header("Extension: concurrent initiators × negotiation arbiter (3-slot allocs, delta gather)")
 	fmt.Printf("%6s %6s %-12s %4s %8s %8s %14s %10s %10s %10s %10s\n",
 		"nodes", "inits", "arbiter", "ok", "retries", "vdecl", "makespan µs", "negos/ms", "p50 µs", "p95 µs", "p99 µs")
 	for _, nm := range []struct{ nodes, inits int }{{4, 4}, {16, 4}, {16, 8}, {16, 16}, {64, 16}, {64, 32}} {
-		for _, r := range bench.Contention(nm.nodes, nm.inits, arbs, pm2.GatherBatched) {
+		for _, r := range bench.Contention(nm.nodes, nm.inits, arbs, pm2.GatherDelta) {
 			fmt.Printf("%6d %6d %-12s %4d %8d %8d %14.1f %10.2f %10.1f %10.1f %10.1f\n",
 				r.Nodes, r.Initiators, r.Arbiter, r.Succeeded, r.Retries, r.VersionDeclines,
 				r.MakespanMicros, r.ThroughputPerMs, r.P50, r.P95, r.P99)

@@ -26,7 +26,7 @@
 // -policy selects the placement policy (negotiation | round-robin |
 // work-stealing); -mech selects the migration mechanism (iso |
 // relocate); -gather the §4.4 bitmap-gather strategy (sequential |
-// batched | tree | delta); -arbiter the negotiation concurrency scheme
+// tree | delta); -arbiter the negotiation concurrency scheme
 // (global | sharded | optimistic). For compatibility, -policy also
 // accepts the legacy values "iso" and "relocate" and treats them as
 // -mech.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/pm2"
 )
 
@@ -88,23 +89,30 @@ func TestNegotiationScalingBench(t *testing.T) {
 
 // TestWarmDeltaSlopeBelowBatched pins the delta gather's headline: on
 // the steady-state measurement (second negotiation by the same
-// initiator) its per-node slope must sit strictly below the batched
-// gather's, and its warm rounds must merge only delta bytes instead of
-// a full map per peer.
+// initiator) its per-node slope must sit strictly below the full-map
+// gathers' — sequential and tree, and so also below the batched round a
+// cold delta gather reproduces — and its warm rounds must merge only
+// delta bytes instead of a full map per peer.
 func TestWarmDeltaSlopeBelowBatched(t *testing.T) {
 	counts := []int{4, 8, 16}
-	bat := NegotiationScalingGatherWarm(counts, pm2.GatherBatched)
 	del := NegotiationScalingGatherWarm(counts, pm2.GatherDelta)
-	batSlope, delSlope := SlopeMicrosPerNode(bat), SlopeMicrosPerNode(del)
-	if delSlope <= 0 || delSlope >= batSlope {
-		t.Fatalf("warm delta slope %.1f µs/node not strictly below batched %.1f", delSlope, batSlope)
-	}
-	// Both negotiations under batched merge full maps; delta pays full
-	// maps once (first contact) and words after that.
+	delSlope := SlopeMicrosPerNode(del)
 	last := len(counts) - 1
-	if del[last].MergedBytes >= bat[last].MergedBytes*3/4 {
-		t.Fatalf("delta merged %d bytes, not well below batched's %d",
-			del[last].MergedBytes, bat[last].MergedBytes)
+	for _, g := range []pm2.GatherMode{pm2.GatherSequential, pm2.GatherTree} {
+		full := NegotiationScalingGatherWarm(counts, g)
+		if slope := SlopeMicrosPerNode(full); delSlope <= 0 || delSlope >= slope {
+			t.Fatalf("warm delta slope %.1f µs/node not strictly below %s %.1f", delSlope, g, slope)
+		}
+		// Both negotiations under a full-map gather merge a full map per
+		// peer; delta pays full maps once (first contact) and words
+		// after that.
+		if want := uint64(2 * (counts[last] - 1) * layout.BitmapBytes); full[last].MergedBytes != want {
+			t.Fatalf("%s merged %d bytes, want %d", g, full[last].MergedBytes, want)
+		}
+		if del[last].MergedBytes >= full[last].MergedBytes*3/4 {
+			t.Fatalf("delta merged %d bytes, not well below %s's %d",
+				del[last].MergedBytes, g, full[last].MergedBytes)
+		}
 	}
 }
 
@@ -187,7 +195,7 @@ func TestRegisteredPointerAblation(t *testing.T) {
 func TestContentionDecentralizedArbitersWin(t *testing.T) {
 	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded, pm2.ArbiterOptimistic}
 	for _, m := range []int{4, 8} {
-		rows := Contention(16, m, arbs, pm2.GatherBatched)
+		rows := Contention(16, m, arbs, pm2.GatherDelta)
 		byName := map[string]ContentionRow{}
 		for _, r := range rows {
 			if r.Succeeded != m {

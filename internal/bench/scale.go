@@ -18,9 +18,8 @@ import (
 // private work between cross-lane messages and the conservative windows
 // have real width. Each cluster size also runs a negotiation burst per
 // gather strategy (the per-gather columns): ring-hop threads never
-// negotiate, so the burst is what exercises the §4.4 protocol — and,
-// since the lane-affine hint protocol, every gather runs under the
-// parallel kernel too. Virtual quantities (events, migrations,
+// negotiate, so the burst is what exercises the §4.4 protocol — and
+// every gather runs under the parallel kernel too. Virtual quantities (events, migrations,
 // negotiations, merged bytes, virtual time) are exact and identical at
 // any worker count; they are what benchcheck gates. Wall-clock figures
 // are the machine-dependent payoff and stay informational.

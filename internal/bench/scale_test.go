@@ -13,7 +13,7 @@ import (
 // here we additionally require the workloads to exercise the kernel and
 // the event count to scale linearly with the cluster.
 func TestScaleDeterministic(t *testing.T) {
-	gathers := []pm2.GatherMode{pm2.GatherSequential, pm2.GatherBatched, pm2.GatherTree, pm2.GatherDelta}
+	gathers := []pm2.GatherMode{pm2.GatherSequential, pm2.GatherTree, pm2.GatherDelta}
 	rep := Scale([]int{8, 16}, []int{1, 2, 4}, 4, 200, gathers)
 	if rep.MaxProcs < 1 {
 		t.Errorf("MaxProcs = %d, want >= 1", rep.MaxProcs)

@@ -149,9 +149,8 @@ func (b *Bitmap) FindRunFrom(from, n int) int {
 }
 
 // LongestRun returns the length of the longest run of consecutive set
-// bits — the free-run summary a node publishes as a negotiation hint: a
-// node whose longest run is zero owns no free slots and cannot contribute
-// to any purchase.
+// bits: a node whose longest run is zero owns no free slots and cannot
+// contribute to any purchase.
 func (b *Bitmap) LongestRun() int {
 	best, run := 0, 0
 	for wi, w := range b.words {

@@ -38,7 +38,7 @@ type Purchase struct {
 // PlanPurchase computes a global OR of the gathered per-node bitmaps,
 // first-fit searches it for n contiguous free slots, and splits the chosen
 // run into per-owner shares. maps[i] must be node i's bitmap, or nil for a
-// node that was not gathered (a hint-skipped peer known to own nothing);
+// node that was not gathered (a peer that is down or did not answer);
 // requester identifies the initiating node. ok is false when no run exists
 // anywhere — the allocation fails (out of iso-address memory).
 func PlanPurchase(maps []*bitmap.Bitmap, n, requester int) (Purchase, bool) {

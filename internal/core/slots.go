@@ -146,10 +146,8 @@ type NodeSlots struct {
 	stats      SlotStats
 	// onChange, when set, runs after every mutation of the ownership
 	// bitmap with the bit range [start, start+n) that changed. The
-	// runtime uses it to fan emptiness-hint invalidations out to peers
-	// that were told this node owned nothing (the lane-affine hints of
-	// the batched/tree gathers) and to feed the delta-gather
-	// dirty-word journal.
+	// runtime uses it to feed the bitmap-version journal that the delta
+	// gather and the optimistic arbiter read.
 	onChange func(start, n int)
 }
 
@@ -457,7 +455,7 @@ func (ns *NodeSlots) ReplaceBitmap(bm *bitmap.Bitmap) error {
 // RestoreBitmap reinstates an ownership bitmap from a checkpoint image.
 // Unlike ReplaceBitmap it is a pure state write — no charges, no
 // on-change hook, no cache interaction — because the restore path
-// rebuilds caches, hints and journals itself from the captured ground
+// rebuilds caches and journals itself from the captured ground
 // truth.
 func (ns *NodeSlots) RestoreBitmap(bm *bitmap.Bitmap) error {
 	if bm.Len() != layout.SlotCount {

@@ -281,7 +281,7 @@ func TestLocalNegotiationQueue(t *testing.T) {
 // with every arbiter — concurrent initiators drain, invariants hold,
 // ownership is conserved.
 func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
-	for _, gather := range []GatherMode{GatherSequential, GatherBatched, GatherTree, GatherDelta} {
+	for _, gather := range []GatherMode{GatherSequential, GatherTree, GatherDelta} {
 		for _, arb := range []ArbiterMode{ArbiterSharded, ArbiterOptimistic} {
 			name := fmt.Sprintf("%s/%s", gather, arb)
 			c := New(Config{Nodes: 8, Gather: gather, Arbiter: arb}, progs.NewImage())

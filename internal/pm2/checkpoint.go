@@ -41,7 +41,7 @@ import (
 //
 // Both continuations must observe the same derived state, so capture
 // normalizes what it cannot serialize on the live cluster too: the
-// mmapped free-slot cache is dropped, the gather hint tables and
+// mmapped free-slot cache is dropped, the gathered versions and
 // delta-gather caches are cleared, and each bitmap journal is
 // truncated at its captured version. The re-enqueue order of parked
 // threads (TID order per node, nodes in rank order) is recorded and
@@ -255,7 +255,6 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		// Derived gather state is rebuilt, not serialized: clear it on
 		// the live cluster so the in-process continuation re-learns it
 		// exactly like a restored one.
-		d.hintEmpty, d.emptyTold, d.emptyToldAny = nil, nil, false
 		d.gatherVersions = nil
 		d.deltaPeers, d.deltaOr = nil, nil
 		if d.journal != nil {

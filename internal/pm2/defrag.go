@@ -83,12 +83,6 @@ func (n *Node) defragment(done func()) {
 					panic(fmt.Sprintf("pm2: bad surrendered bitmap from %d: %v", peer, err))
 				}
 				maps[peer] = bm
-				// A surrendered peer owns nothing until the scatter
-				// hands it a share back (the peer recorded that we were
-				// told — see onSurrenderCall).
-				if n.c.hintsOn() {
-					n.noteBelief(peer, true)
-				}
 				n.actor.Charge(model.BitmapScan(layout.BitmapBytes))
 				gather(i + 1)
 			})
@@ -127,27 +121,15 @@ func (n *Node) defragScatter(maps []*bitmap.Bitmap, done func()) {
 		n.ep.Call(peer, chInstall, func(b *madeleine.Buffer) {
 			b.PackBytes(raw)
 		}, func(*madeleine.Buffer) {
-			// The restructured distribution is known exactly: a node
-			// handed no slots stays believed-empty (and so skippable by
-			// post-defrag gathers) without waiting for a load report.
-			if n.c.hintsOn() {
-				n.noteBelief(peer, newMaps[peer].Count() == 0)
-			}
 			scatter(i + 1)
 		})
 	}
 	scatter(0)
 }
 
-// onSurrenderCall hands all free slots to a defrag coordinator. Like the
-// chBitmap serve path, surrendering tells the coordinator we are empty:
-// record it so a later slot-gaining mutation (normally the coordinator's
-// own install) invalidates the belief.
+// onSurrenderCall hands all free slots to a defrag coordinator.
 func (n *Node) onSurrenderCall(src int, req *madeleine.Call) {
 	given := n.slots.SurrenderAll()
-	if n.c.hintsOn() {
-		n.noteEmptyTold(src)
-	}
 	raw := given.Bytes()
 	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
 	req.Reply(func(b *madeleine.Buffer) { b.PackBytes(raw) })
@@ -162,12 +144,6 @@ func (n *Node) onInstallCall(src int, req *madeleine.Call) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	if err := n.slots.ReplaceBitmap(bm); err != nil {
 		panic(err)
-	}
-	// A node handed no slots is still empty: the coordinator keeps
-	// believing so, and the told-set must stay armed for the mutation
-	// that eventually gives this node slots again.
-	if n.c.hintsOn() && bm.Count() == 0 {
-		n.noteEmptyTold(src)
 	}
 	// Threads that blocked on an empty bitmap can be retried now; they
 	// are woken by their negotiation callbacks, which serialize behind

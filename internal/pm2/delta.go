@@ -8,15 +8,17 @@ import (
 	"repro/internal/madeleine"
 )
 
-// The delta gather (Config.Gather == GatherDelta): incremental,
-// version-stamped bitmap exchange. PR 2's batched and tree gathers cut
-// the wire term of the §4.4 negotiation, but the initiator still merges
-// a full 7 KB map per peer per round. Here every node version-stamps its
-// slot bitmap and journals the 64-bit words each ownership mutation
-// dirtied (bitmap.Journal, fed from NodeSlots.SetOnChange); a
-// negotiation initiator caches each peer's last-seen map plus version
-// and asks only for the changes since then over chBitmapDelta. A peer
-// replies:
+// The delta gather (Config.Gather == GatherDelta, and the tree gather's
+// post-failover fallback): incremental, version-stamped bitmap exchange,
+// and the only flat concurrent gather. One round of Calls overlaps the
+// replies' wire time, so the round costs roughly the slowest peer plus
+// the initiator's merge work instead of the sum of all round trips. A
+// plain concurrent round would still merge a full 7 KB map per peer per
+// round; here every node version-stamps its slot bitmap and journals the
+// 64-bit words each ownership mutation dirtied (bitmap.Journal, fed from
+// NodeSlots.SetOnChange); a negotiation initiator caches each peer's
+// last-seen map plus version and asks only for the changes since then
+// over chBitmapDelta. A peer replies:
 //
 //   - "unchanged" — the cached view is current; nothing shipped, nothing
 //     merged;
@@ -25,14 +27,14 @@ import (
 //     place, charging merge cost on the delta bytes only;
 //   - a full map — first contact, or the bounded journal truncated; the
 //     cached view is replaced and the global OR rebuilt, at the same
-//     cost a batched gather pays every round.
+//     cost a full-map gather pays every round.
 //
 // Because every ownership mutation — local allocation, purchase,
 // give-back, defragmentation install — bumps the owner's version, a
 // cached view can never silently claim a slot the owner no longer has
 // free: the next request's version mismatch ships the correction. The
 // delta gather deliberately contacts every peer each round instead of
-// hint-skipping: the "unchanged" reply is the pruning (a skipped peer's
+// skipping any: the "unchanged" reply is the pruning (a skipped peer's
 // view would go stale and could plan doomed purchases forever), and it
 // keeps every cached view coherent.
 
@@ -188,8 +190,8 @@ func (n *Node) rebuildGlobalOr() {
 
 // planAndBuyDelta plans the purchase on the cached global view — own
 // bitmap merged fresh, it is local and always current — and executes it
-// through the same per-owner purchase path as the sequential and batched
-// gathers, so declines and give-backs retry identically (and the retry's
+// through the same per-owner purchase path as the sequential gather, so
+// declines and give-backs retry identically (and the retry's
 // re-gather ships only the deltas the failed round caused).
 func (n *Node) planAndBuyDelta(k, round int, done func(bool)) {
 	// First-fit search over the global map (step 2d).
@@ -252,7 +254,7 @@ func (n *Node) onBitmapDeltaCall(src int, req *madeleine.Call) {
 		}
 	}
 	// First contact, or the journal truncated past the caller's version:
-	// fall back to the full map, exactly as a batched gather ships it.
+	// fall back to the full map, exactly as a sequential gather ships it.
 	raw := n.slots.Bitmap().Bytes()
 	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
 	req.Reply(func(b *madeleine.Buffer) {

@@ -9,10 +9,11 @@ import (
 )
 
 // TestDeltaGatherWarmRoundsShipDeltas is the point of the delta gather:
-// the first negotiation pays the batched price (full maps, first
-// contact), but from the second on the same initiator merges only the
-// words that changed — orders of magnitude fewer bytes, and measurably
-// less virtual time than a batched gather spends on the same workload.
+// the first negotiation pays the full-map price (first contact), but
+// from the second on the same initiator merges only the words that
+// changed — orders of magnitude fewer bytes, and measurably less virtual
+// time than the sequential and tree gathers, which ship full maps every
+// round, spend on the same workload.
 func TestDeltaGatherWarmRoundsShipDeltas(t *testing.T) {
 	run := func(gather GatherMode) (second simtime.Time, merged uint64) {
 		c := New(Config{Nodes: 8, Gather: gather}, progs.NewImage())
@@ -31,22 +32,24 @@ func TestDeltaGatherWarmRoundsShipDeltas(t *testing.T) {
 		}
 		return st.NegotiationLatencies[1], st.GatherMergedBytes
 	}
-	batSecond, batMerged := run(GatherBatched)
 	delSecond, delMerged := run(GatherDelta)
-
-	// Both negotiations under batched merge a full map per peer: 2×7×7 KB.
-	if want := uint64(2 * 7 * layout.BitmapBytes); batMerged != want {
-		t.Fatalf("batched merged %d bytes, want %d", batMerged, want)
-	}
 	// Delta pays full maps once (first contact), then only dirty words.
-	if delMerged >= batMerged*3/4 {
-		t.Fatalf("delta merged %d bytes, not well below batched's %d", delMerged, batMerged)
-	}
 	if warmDelta := delMerged - 7*uint64(layout.BitmapBytes); warmDelta > 7*4*deltaWordWireBytes {
 		t.Fatalf("warm delta round merged %d bytes — views are not incremental", warmDelta)
 	}
-	if delSecond >= batSecond {
-		t.Fatalf("warm delta negotiation (%v) not cheaper than batched (%v)", delSecond, batSecond)
+	for _, g := range []GatherMode{GatherSequential, GatherTree} {
+		second, merged := run(g)
+		// Both negotiations under a full-map gather merge a full map per
+		// peer: 2×7×7 KB.
+		if want := uint64(2 * 7 * layout.BitmapBytes); merged != want {
+			t.Fatalf("%s merged %d bytes, want %d", g, merged, want)
+		}
+		if delMerged >= merged*3/4 {
+			t.Fatalf("delta merged %d bytes, not well below %s's %d", delMerged, g, merged)
+		}
+		if delSecond >= second {
+			t.Fatalf("warm delta negotiation (%v) not cheaper than %s (%v)", delSecond, g, second)
+		}
 	}
 }
 

@@ -36,7 +36,10 @@ func tickHeartbeats(c *Cluster, period simtime.Time, rounds int) {
 // node is evacuated with zero TID loss, the dead rank's slots are
 // reclaimed by the survivors, and a post-failover negotiation that must
 // cross the reclaimed range succeeds — under all three arbiters, with
-// traces byte-identical between the serial and parallel kernels.
+// traces byte-identical between the serial and parallel kernels. The
+// tree gather runs the post-failover negotiation through its flat delta
+// fallback, which under the optimistic arbiter must stamp purchases from
+// the delta views.
 func TestFailoverKillOneOf16(t *testing.T) {
 	const (
 		nodes   = 16
@@ -44,97 +47,108 @@ func TestFailoverKillOneOf16(t *testing.T) {
 		crashUs = 3000
 		tick    = simtime.Millisecond
 	)
+	gathers := []GatherMode{GatherSequential, GatherTree}
 	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic} {
-		traces := map[int]string{}
+		traces := map[GatherMode]map[int]string{}
+		for _, gather := range gathers {
+			traces[gather] = map[int]string{}
+		}
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("arbiter=%v/workers=%d", arb, workers)
 			t.Run(name, func(t *testing.T) {
-				cfg := Config{
-					Nodes:   nodes,
-					Arbiter: arb,
-					Workers: workers,
-					Faults:  mustPlan(t, fmt.Sprintf("crash:3@%d", crashUs)),
-				}
-				c := New(cfg, progs.NewImage())
-				for i := 0; i < threads; i++ {
-					c.Spawn(i%nodes, "worker", 20_000)
-				}
-				tickHeartbeats(c, tick, 40)
-
-				// Census of the doomed node just before the crash.
-				var doomed []uint32
-				c.Engine().At(crashUs*simtime.Microsecond-1, func() {
-					for _, th := range c.Node(3).Scheduler().Snapshot() {
-						doomed = append(doomed, th.TID)
-					}
-				})
-				c.Run(0)
-
-				if len(doomed) == 0 {
-					t.Fatal("workload finished before the crash; nothing was evacuated")
-				}
-				if !c.NodeDown(3) {
-					t.Fatal("node 3 never declared dead")
-				}
-				s := c.Stats()
-				if s.Evacuations != 1 || s.EvacuatedThreads != len(doomed) {
-					t.Fatalf("evacuations = %d, evacuated threads = %d, want 1 and %d",
-						s.Evacuations, s.EvacuatedThreads, len(doomed))
-				}
-				if len(s.EvacuationLatencies) != len(doomed) {
-					t.Fatalf("evacuation latencies = %d, want %d", len(s.EvacuationLatencies), len(doomed))
-				}
-				// Crash at 3 ms, ticks every 1 ms: miss one at 3 ms, miss
-				// two — the declaration — at 4 ms.
-				if len(s.DetectionLatencies) != 1 || s.DetectionLatencies[0] != tick {
-					t.Fatalf("detection latencies = %v, want [%v]", s.DetectionLatencies, tick)
-				}
-				if s.ReclaimedSlots == 0 {
-					t.Fatal("no slots reclaimed from the dead rank")
-				}
-				if got := c.Node(3).Slots().Bitmap().Count(); got != 0 {
-					t.Fatalf("dead node still owns %d free slots", got)
-				}
-				// Zero lost TIDs: every worker ran to completion somewhere.
-				finished := 0
-				for _, line := range c.Trace().Lines() {
-					if strings.Contains(line, "finished on node") {
-						finished++
-						if strings.HasSuffix(line, "node 3") {
-							// Finishing on node 3 before the crash is fine;
-							// nothing may run there after it.
-							continue
+				for _, gather := range gathers {
+					t.Run(fmt.Sprintf("gather=%v", gather), func(t *testing.T) {
+						cfg := Config{
+							Nodes:   nodes,
+							Gather:  gather,
+							Arbiter: arb,
+							Workers: workers,
+							Faults:  mustPlan(t, fmt.Sprintf("crash:3@%d", crashUs)),
 						}
-					}
-				}
-				if finished != threads {
-					t.Fatalf("%d workers finished, want %d:\n%s", finished, threads, c.Trace().String())
-				}
-				if err := c.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
+						c := New(cfg, progs.NewImage())
+						for i := 0; i < threads; i++ {
+							c.Spawn(i%nodes, "worker", 20_000)
+						}
+						tickHeartbeats(c, tick, 40)
 
-				// A negotiation crossing the reclaimed range: round-robin
-				// distribution interleaves ranks slot by slot, so any
-				// contiguous run of 16+ free slots includes former node-3
-				// words — now version-bumped property of the survivors.
-				ok := false
-				c.At(0, func(n *Node) { n.Negotiate(24, func(r bool) { ok = r }) })
-				c.Run(0)
-				if !ok {
-					t.Fatal("post-failover negotiation across the reclaimed range failed")
+						// Census of the doomed node just before the crash.
+						var doomed []uint32
+						c.Engine().At(crashUs*simtime.Microsecond-1, func() {
+							for _, th := range c.Node(3).Scheduler().Snapshot() {
+								doomed = append(doomed, th.TID)
+							}
+						})
+						c.Run(0)
+
+						if len(doomed) == 0 {
+							t.Fatal("workload finished before the crash; nothing was evacuated")
+						}
+						if !c.NodeDown(3) {
+							t.Fatal("node 3 never declared dead")
+						}
+						s := c.Stats()
+						if s.Evacuations != 1 || s.EvacuatedThreads != len(doomed) {
+							t.Fatalf("evacuations = %d, evacuated threads = %d, want 1 and %d",
+								s.Evacuations, s.EvacuatedThreads, len(doomed))
+						}
+						if len(s.EvacuationLatencies) != len(doomed) {
+							t.Fatalf("evacuation latencies = %d, want %d", len(s.EvacuationLatencies), len(doomed))
+						}
+						// Crash at 3 ms, ticks every 1 ms: miss one at 3 ms, miss
+						// two — the declaration — at 4 ms.
+						if len(s.DetectionLatencies) != 1 || s.DetectionLatencies[0] != tick {
+							t.Fatalf("detection latencies = %v, want [%v]", s.DetectionLatencies, tick)
+						}
+						if s.ReclaimedSlots == 0 {
+							t.Fatal("no slots reclaimed from the dead rank")
+						}
+						if got := c.Node(3).Slots().Bitmap().Count(); got != 0 {
+							t.Fatalf("dead node still owns %d free slots", got)
+						}
+						// Zero lost TIDs: every worker ran to completion somewhere.
+						finished := 0
+						for _, line := range c.Trace().Lines() {
+							if strings.Contains(line, "finished on node") {
+								finished++
+								if strings.HasSuffix(line, "node 3") {
+									// Finishing on node 3 before the crash is fine;
+									// nothing may run there after it.
+									continue
+								}
+							}
+						}
+						if finished != threads {
+							t.Fatalf("%d workers finished, want %d:\n%s", finished, threads, c.Trace().String())
+						}
+						if err := c.CheckInvariants(); err != nil {
+							t.Fatal(err)
+						}
+
+						// A negotiation crossing the reclaimed range: round-robin
+						// distribution interleaves ranks slot by slot, so any
+						// contiguous run of 16+ free slots includes former node-3
+						// words — now version-bumped property of the survivors.
+						ok := false
+						c.At(0, func(n *Node) { n.Negotiate(24, func(r bool) { ok = r }) })
+						c.Run(0)
+						if !ok {
+							t.Fatal("post-failover negotiation across the reclaimed range failed")
+						}
+						if err := c.CheckInvariants(); err != nil {
+							t.Fatalf("after reclaimed-range purchase: %v", err)
+						}
+						traces[gather][workers] = c.Trace().String()
+					})
 				}
-				if err := c.CheckInvariants(); err != nil {
-					t.Fatalf("after reclaimed-range purchase: %v", err)
-				}
-				traces[workers] = c.Trace().String()
 			})
 			if t.Failed() {
 				return
 			}
 		}
-		if traces[1] != traces[4] {
-			t.Fatalf("arbiter %v: failover trace differs between workers 1 and 4", arb)
+		for _, gather := range gathers {
+			if traces[gather][1] != traces[gather][4] {
+				t.Fatalf("arbiter %v, gather %v: failover trace differs between workers 1 and 4", arb, gather)
+			}
 		}
 	}
 }

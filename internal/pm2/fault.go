@@ -51,8 +51,8 @@ import (
 //     it may still be alive and owning its threads and slots.
 //   - a suspected node that answers again (the partition healed) rejoins:
 //     suspicion is cleared and every cached cross-node belief about it —
-//     gather hints, delta views, gathered versions, in both directions —
-//     is dropped, so the next negotiation resyncs from ground truth via
+//     delta views and gathered versions, in both directions — is
+//     dropped, so the next negotiation resyncs from ground truth via
 //     the existing full-map first-contact fallback.
 //   - only a suspected node that stays silent through a second full
 //     confirmation window *and* has actually crashed is declared dead
@@ -147,7 +147,7 @@ func (c *Cluster) nodeAlive(i int) bool {
 }
 
 // anyDown reports whether any rank is declared dead or suspected. The
-// tree gather falls back to the batched topology then — a combining tree
+// tree gather falls back to the flat delta round then — a combining tree
 // through an unreachable interior node would stall (or time out) its
 // whole subtree.
 func (c *Cluster) anyDown() bool { return c.nDown > 0 || c.nSuspected > 0 }
@@ -255,12 +255,11 @@ func (c *Cluster) suspect(i int, now simtime.Time) {
 
 // rejoin clears node i's suspicion after it answered a heartbeat again
 // (the partition healed). Every cached cross-node belief involving it is
-// dropped, in both directions: the survivors' gather hints, delta views
-// and gathered versions of i went stale while it was unreachable, and
-// i's own view of the whole cluster went stale behind the partition. The
-// next gather resyncs from ground truth — the delta gather through its
-// full-map first-contact fallback, the hinted gathers by simply not
-// skipping anyone until fresh beliefs form. Runs as an ambient barrier.
+// dropped, in both directions: the survivors' delta views and gathered
+// versions of i went stale while it was unreachable, and i's own view of
+// the whole cluster went stale behind the partition. The next gather
+// resyncs from ground truth — the delta gather through its full-map
+// first-contact fallback. Runs as an ambient barrier.
 func (c *Cluster) rejoin(i int, now simtime.Time) {
 	c.suspected[i] = false
 	c.nSuspected--
@@ -273,12 +272,6 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 		if j == i || c.down[j] {
 			continue
 		}
-		if n.hintEmpty != nil {
-			n.hintEmpty[i] = false
-		}
-		if n.emptyTold != nil {
-			n.emptyTold[i] = false
-		}
 		if n.deltaPeers != nil && n.deltaPeers[i].bm != nil {
 			n.deltaPeers[i] = deltaPeerView{}
 			n.rebuildGlobalOr()
@@ -286,17 +279,6 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 		if n.gatherVersions != nil {
 			n.gatherVersions[i] = 0
 		}
-	}
-	if r.hintEmpty != nil {
-		for p := range r.hintEmpty {
-			r.hintEmpty[p] = false
-		}
-	}
-	if r.emptyTold != nil {
-		for p := range r.emptyTold {
-			r.emptyTold[p] = false
-		}
-		r.emptyToldAny = false
 	}
 	if r.deltaPeers != nil {
 		r.deltaPeers = make([]deltaPeerView, c.Nodes())
@@ -451,7 +433,7 @@ func (n *Node) recoverConvoy(body []byte, declared simtime.Time, zeroCopy bool) 
 // reclaim surrenders the dead rank's owned-free slots and deals the
 // maximal free runs round-robin to the survivors. Each share lands
 // through a posted, charged BuyRun on its new owner, so the on-change
-// hook fires: journal version bump, hint invalidation — every cached
+// hook fires: the journal version bumps, so every cached
 // remote view of the reclaimed words goes stale, which is what makes
 // lock-free reclaim safe under optimistic arbitration. The survivors'
 // cached delta views of the dead rank are dropped here too: it will

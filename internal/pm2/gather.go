@@ -1,16 +1,11 @@
 package pm2
 
-import (
-	"fmt"
-
-	"repro/internal/simtime"
-)
+import "fmt"
 
 // The §4.4 bitmap gather is the dominant term of the negotiation cost:
 // the paper's sequential one-peer-at-a-time protocol is what produces the
 // "+165 µs per extra node" slope. This file holds the pluggable gather
-// strategies (Config.Gather) and the lane-affine free-run hints that let
-// an initiator skip peers believed to own nothing.
+// strategies (Config.Gather) and the combining-tree topology.
 
 // GatherMode selects how a negotiation initiator collects the other
 // nodes' slot bitmaps (paper §4.4, step 2b).
@@ -21,21 +16,20 @@ const (
 	// per peer, each waiting for the previous reply. Cost grows with
 	// the sum of the per-peer round trips.
 	GatherSequential GatherMode = iota
-	// GatherBatched fires one round of concurrent bitmap Calls: the
-	// wire time of the replies overlaps, so the latency is dominated by
-	// the slowest peer plus the initiator's per-reply merge work.
-	GatherBatched
 	// GatherTree routes the gather through a binomial combining tree
 	// rooted at the initiator: interior nodes OR their children's
 	// bitmaps into their own before forwarding one merged map up, so
 	// the initiator receives O(log n) messages. The merged map loses
 	// per-slot ownership, so the purchase becomes a range buy: every
-	// peer is asked to sell its intersection with the chosen run.
+	// peer is asked to sell its intersection with the chosen run. While
+	// any rank is down or suspected the round degrades to GatherDelta.
 	GatherTree
-	// GatherDelta is the incremental gather: every node version-stamps
-	// its bitmap and journals the words each mutation dirtied; the
-	// initiator caches each peer's last-seen map plus version and asks
-	// only for the changes since then. Peers reply "unchanged", a
+	// GatherDelta is the incremental gather, and the only flat
+	// concurrent one: a single round of concurrent Calls whose reply
+	// wire time overlaps. Every node version-stamps its bitmap and
+	// journals the words each mutation dirtied; the initiator caches
+	// each peer's last-seen map plus version and asks only for the
+	// changes since then. Peers reply "unchanged", a
 	// word-indexed delta, or a full map (first contact, or the bounded
 	// journal truncated), and the initiator patches its cached global
 	// OR in place — so the per-peer merge is charged on delta bytes,
@@ -45,8 +39,6 @@ const (
 
 func (g GatherMode) String() string {
 	switch g {
-	case GatherBatched:
-		return "batched"
 	case GatherTree:
 		return "tree"
 	case GatherDelta:
@@ -61,8 +53,6 @@ func ParseGatherMode(s string) (GatherMode, error) {
 	switch s {
 	case "", "sequential", "seq":
 		return GatherSequential, nil
-	case "batched", "batch":
-		return GatherBatched, nil
 	case "tree":
 		return GatherTree, nil
 	case "delta", "incremental":
@@ -72,7 +62,7 @@ func ParseGatherMode(s string) (GatherMode, error) {
 }
 
 // GatherModeNames lists the canonical gather strategy names.
-func GatherModeNames() []string { return []string{"sequential", "batched", "tree", "delta"} }
+func GatherModeNames() []string { return []string{"sequential", "tree", "delta"} }
 
 // treeChildren returns the ranks node self fans out to in the binomial
 // combining tree rooted at root, in an n-node cluster. Ranks are
@@ -110,131 +100,4 @@ func subtreeRanks(self, root, n int) []int {
 		out = append(out, (rel+i+root)%n)
 	}
 	return out
-}
-
-// Lane-affine free-run hints (batched and tree gathers only — the
-// sequential gather is paper-faithful and the delta gather prunes with
-// "unchanged" replies instead).
-//
-// Each hint is split across two lane-owned tables:
-//
-//   - hintEmpty is the initiator half: node R's belief, per peer S,
-//     that S owns no free slots at all. Owned by R's lane, read only by
-//     R's own gather handlers. Emptiness is the only skippable state —
-//     a peer with any free slot could still contribute to a multi-owner
-//     run.
-//   - emptyTold is the server half: node S's record of which peers it
-//     has told "I am empty". Owned by S's lane, written only by S's own
-//     serve handlers and ReportLoads.
-//
-// Truth moves between the halves in three ways, none of which touches
-// another lane's state from a handler:
-//
-//   - Cluster.ReportLoads is an ambient event — a barrier under the
-//     parallel executor — so it may refresh every table directly.
-//   - A served gather implies emptiness: when S serves a bitmap (or
-//     surrenders, or installs a defrag share) while owning nothing, it
-//     marks emptyTold[initiator] on its own lane, and the initiator
-//     derives believesEmpty(S) from the reply content on its own lane.
-//     The tree gather's interior servers reply to their parent, not the
-//     root, so an empty server instead posts the root a zero-charge
-//     control event carrying the fact.
-//   - Invalidation is a message: when a mutation gives a told-empty
-//     node slots again, its bitmap on-change hook fans a zero-charge
-//     control event to every peer in emptyTold, one wire latency out —
-//     which also keeps it beyond the parallel executor's window bound.
-//
-// Beliefs are therefore stale for at most a wire latency. A stale
-// "empty" can make an initiator skip a peer that just gained slots; the
-// gathers compensate by re-running with hints disabled before reporting
-// plan failure (see gatherBatchedFrom / planAndBuyRange), so a skip can
-// never turn "the cluster still has space" into a failed negotiation.
-// Control events charge no virtual time and are not network messages,
-// so message counts, charges and the serial golden traces are all
-// byte-identical to the pre-hint protocol.
-
-// hintsOn reports whether the lane-affine hint machinery is active.
-// Under the other gather modes the whole mechanism stays off: no
-// host-side bitmap scans on the load-report or serve paths.
-func (c *Cluster) hintsOn() bool {
-	return c.cfg.Gather == GatherBatched || c.cfg.Gather == GatherTree
-}
-
-// believesEmpty reports this node's belief that peer p owns no free
-// slots. Initiator-lane state: callable only from this node's handlers
-// (or an ambient barrier).
-func (n *Node) believesEmpty(p int) bool {
-	return n.hintEmpty != nil && n.hintEmpty[p]
-}
-
-// noteBelief records this node's belief about peer p's emptiness.
-func (n *Node) noteBelief(p int, empty bool) {
-	if n.hintEmpty == nil {
-		if !empty {
-			return
-		}
-		n.hintEmpty = make([]bool, len(n.c.nodes))
-	}
-	n.hintEmpty[p] = empty
-}
-
-// noteEmptyTold records that peer p has been told this node is empty,
-// arming the invalidation fan-out for the next slot-gaining mutation.
-// Server-lane state: callable only from this node's handlers (or an
-// ambient barrier).
-func (n *Node) noteEmptyTold(p int) {
-	if n.emptyTold == nil {
-		n.emptyTold = make([]bool, len(n.c.nodes))
-	}
-	n.emptyTold[p] = true
-	n.emptyToldAny = true
-}
-
-// hintInvalidate clears every outstanding "I am empty" claim after this
-// node gained free slots: each told peer receives a zero-charge control
-// event one wire latency out that flips its belief back to unknown.
-// The delay keeps the cross-lane write ordered after any reply the
-// mutating handler is about to send (the busy clock serializes both),
-// and at or beyond the parallel executor's window bound.
-func (n *Node) hintInvalidate() {
-	at := n.actor.Now() + simtime.Time(n.c.cfg.Model.WireLatencyNs)
-	self := n.id
-	for p, told := range n.emptyTold {
-		if !told {
-			continue
-		}
-		n.emptyTold[p] = false
-		peer := n.c.nodes[p]
-		n.actor.PostTo(peer.actor, at, func() {
-			peer.noteBelief(self, false)
-		})
-	}
-	n.emptyToldAny = false
-}
-
-// refreshHintsBarrier rewrites every node's hint tables to ground
-// truth. Ambient contexts only (ReportLoads): under the parallel
-// executor these run as barriers, which is what licenses the direct
-// cross-lane writes below.
-func (c *Cluster) refreshHintsBarrier() {
-	for i, src := range c.nodes {
-		if !c.nodeAlive(i) {
-			continue
-		}
-		empty := src.slots.Bitmap().Count() == 0
-		for j, dst := range c.nodes {
-			if j == i || !c.nodeAlive(j) {
-				continue
-			}
-			dst.noteBelief(i, empty)
-			if empty {
-				src.noteEmptyTold(j)
-			} else if src.emptyTold != nil {
-				src.emptyTold[j] = false
-			}
-		}
-		if !empty {
-			src.emptyToldAny = false
-		}
-	}
 }

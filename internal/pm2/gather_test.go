@@ -1,47 +1,9 @@
 package pm2
 
 import (
+	"strings"
 	"testing"
-
-	"repro/internal/progs"
 )
-
-// TestDefragPublishesHints is the post-defragmentation hint regression:
-// gathering surrenders and scattering replacement bitmaps must leave the
-// coordinator's emptiness beliefs at ground truth, so a batched gather
-// running right after DefragmentSync skips the peers the restructuring
-// emptied instead of paying a round trip for an all-zero map.
-func TestDefragPublishesHints(t *testing.T) {
-	run := func(defrag bool) (msgs uint64, ok bool) {
-		c := New(Config{Nodes: 4, Gather: GatherBatched}, progs.NewImage())
-		// Node 3 surrenders everything up front: it brings no slots to
-		// the defragmentation pool, so the restructuring hands it none.
-		c.Node(3).Slots().SurrenderAll()
-		if defrag {
-			c.DefragmentSync(0)
-			if !c.Node(0).believesEmpty(3) {
-				t.Fatal("coordinator does not believe the emptied node empty right after defragmentation")
-			}
-			for _, full := range []int{1, 2} {
-				if c.Node(0).believesEmpty(full) {
-					t.Fatalf("coordinator believes node %d empty after the scatter handed it slots", full)
-				}
-			}
-		}
-		before := c.Stats().Net.Messages
-		ok = negotiateSync(t, c, 0, 2)
-		return c.Stats().Net.Messages - before, ok
-	}
-	withDefrag, ok1 := run(true)
-	withoutDefrag, ok2 := run(false)
-	if !ok1 || !ok2 {
-		t.Fatal("negotiation failed")
-	}
-	if withDefrag >= withoutDefrag {
-		t.Fatalf("post-defrag gather used %d messages, undefragged %d — the emptied peer was not skipped",
-			withDefrag, withoutDefrag)
-	}
-}
 
 // TestTreePartitionProperty is the exhaustive topology property: for
 // every cluster size 1..33 and every root, the root's child subtrees
@@ -76,6 +38,24 @@ func TestTreePartitionProperty(t *testing.T) {
 					t.Fatalf("n=%d root=%d: rank %d covered %d times — subtrees do not partition", n, root, r, k)
 				}
 			}
+		}
+	}
+}
+
+// TestParseGatherMode: every canonical name round-trips, and the names
+// of the removed batched gather are unknown strategies, not aliases.
+func TestParseGatherMode(t *testing.T) {
+	for _, name := range GatherModeNames() {
+		g, err := ParseGatherMode(name)
+		if err != nil || g.String() != name {
+			t.Errorf("ParseGatherMode(%q) = %v, %v", name, g, err)
+		}
+	}
+	for _, name := range []string{"batched", "batch"} {
+		_, err := ParseGatherMode(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown gather strategy") ||
+			!strings.Contains(err.Error(), "[sequential tree delta]") {
+			t.Errorf("ParseGatherMode(%q): error = %v, want the unknown-strategy error listing sequential, tree, delta", name, err)
 		}
 	}
 }

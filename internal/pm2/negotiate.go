@@ -8,7 +8,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/madeleine"
 	"repro/internal/policy"
-	"repro/internal/simtime"
 )
 
 // The negotiation protocol (paper §4.4, step 2). When a node cannot satisfy
@@ -25,9 +24,10 @@ import (
 // The per-node gather of the 7 KB bitmap dominates the cost, which is how
 // the paper's "+165 µs per extra node" arises: the paper performs step (b)
 // one peer at a time. Config.Gather makes the gather topology pluggable —
-// sequential (paper-faithful), batched (one round of concurrent Calls), or
-// a binomial combining tree (interior nodes OR their children's maps
-// before forwarding one merged map up) — see gather.go.
+// sequential (paper-faithful), a binomial combining tree (interior nodes
+// OR their children's maps before forwarding one merged map up), or the
+// incremental delta gather (one round of concurrent Calls answered with
+// only the changed words) — see gather.go and delta.go.
 //
 // Because other nodes keep allocating slots locally while the section is
 // held (the paper permits block allocation; we also allow slot allocation
@@ -100,14 +100,12 @@ func (n *Node) negotiateRound(k, round int, done func(bool)) {
 		return
 	}
 	switch n.c.cfg.Gather {
-	case GatherBatched:
-		n.gatherBatched(k, round, done)
 	case GatherTree:
 		if n.c.anyDown() {
 			// A combining tree routed through a declared-dead interior
 			// node would lose its whole subtree; after a failover the
-			// gather degrades to the flat batched round.
-			n.gatherBatched(k, round, done)
+			// gather degrades to the flat delta round.
+			n.gatherDelta(k, round, done)
 			return
 		}
 		n.gatherTree(k, round, done)
@@ -119,8 +117,8 @@ func (n *Node) negotiateRound(k, round int, done func(bool)) {
 }
 
 // gatherSequential is the paper's step 2b verbatim: one bitmap Call per
-// peer, each waiting for the previous reply. No hint is consulted, so the
-// event sequence (and every golden trace) is byte-identical to the seed.
+// peer, each waiting for the previous reply. Every golden trace pins its
+// event sequence.
 func (n *Node) gatherSequential(k, round int, done func(bool)) {
 	maps := make([]*bitmap.Bitmap, n.c.Nodes())
 	maps[n.id] = n.slots.Bitmap().Clone()
@@ -152,112 +150,19 @@ func (n *Node) gatherSequential(k, round int, done func(bool)) {
 	gatherNext(0)
 }
 
-// gatherBatched fires the whole gather as one round of concurrent Calls:
-// the replies' wire time overlaps, so the round costs roughly the slowest
-// peer plus the initiator's per-reply merge work, instead of the sum of
-// all round trips. Peers this node believes own nothing are skipped
-// outright; a belief can be stale for up to a wire latency, so a failed
-// plan after any skip re-runs the round with hints disabled before
-// giving up.
-func (n *Node) gatherBatched(k, round int, done func(bool)) {
-	n.gatherBatchedFrom(k, round, true, done)
-}
-
-func (n *Node) gatherBatchedFrom(k, round int, useHints bool, done func(bool)) {
-	maps := make([]*bitmap.Bitmap, n.c.Nodes())
-	maps[n.id] = n.slots.Bitmap().Clone()
-
-	skipped := false
-	peers := make([]int, 0, n.c.Nodes()-1)
-	for i := 0; i < n.c.Nodes(); i++ {
-		if i == n.id || !n.c.nodeAlive(i) {
-			continue
-		}
-		if useHints && n.believesEmpty(i) {
-			skipped = true
-			continue
-		}
-		peers = append(peers, i)
-	}
-	planFail := func() {
-		if skipped {
-			// A skipped peer may have gained slots after the belief
-			// formed (its invalidation is at most a wire latency
-			// behind): re-gather everything before concluding the
-			// cluster is out of contiguous space.
-			n.gatherBatchedFrom(k, round, false, done)
-			return
-		}
-		done(false)
-	}
-	if len(peers) == 0 {
-		n.planAndBuyOr(k, round, maps, done, planFail)
-		return
-	}
-	outstanding := len(peers)
-	for _, peer := range peers {
-		p := peer
-		n.gatherCall(p, chBitmap, nil, func(reply *madeleine.Buffer) {
-			maps[p] = n.unpackGathered(p, reply)
-			// The reply content is ground truth about the peer's
-			// emptiness; the peer recorded who it told (emptyTold).
-			n.noteBelief(p, maps[p].Count() == 0)
-			n.mergeCharge(layout.BitmapBytes)
-			outstanding--
-			if outstanding == 0 {
-				n.planAndBuyOr(k, round, maps, done, planFail)
-			}
-		}, func() {
-			// Retries exhausted: plan without this peer's slots.
-			outstanding--
-			if outstanding == 0 {
-				n.planAndBuyOr(k, round, maps, done, planFail)
-			}
-		})
-	}
-}
-
 // gatherTree routes the gather through the binomial combining tree rooted
 // at this node: each child returns the OR of its whole subtree, so the
-// initiator receives O(log n) messages. Subtrees in which every member is
-// believed to own nothing are pruned; a failed plan after any pruning
-// re-runs the round with hints disabled before giving up. The merged map
-// has no per-slot ownership, so the purchase proceeds as a range buy
-// (planAndBuyRange).
+// initiator receives O(log n) messages. The merged map has no per-slot
+// ownership, so the purchase proceeds as a range buy (planAndBuyRange).
 func (n *Node) gatherTree(k, round int, done func(bool)) {
-	n.gatherTreeFrom(k, round, true, done)
-}
-
-func (n *Node) gatherTreeFrom(k, round int, useHints bool, done func(bool)) {
 	global := n.slots.Bitmap().Clone()
 	children := treeChildren(n.id, n.id, n.c.Nodes())
-
-	// Prune children whose entire subtree is believed empty.
-	pruned := false
-	live := children
-	if useHints {
-		live = children[:0]
-		for _, child := range children {
-			empty := true
-			for _, r := range subtreeRanks(child, n.id, n.c.Nodes()) {
-				if !n.believesEmpty(r) {
-					empty = false
-					break
-				}
-			}
-			if !empty {
-				live = append(live, child)
-			} else {
-				pruned = true
-			}
-		}
-	}
-	if len(live) == 0 {
-		n.planAndBuyRange(k, round, global, useHints, pruned, done)
+	if len(children) == 0 {
+		n.planAndBuyRange(k, round, global, done)
 		return
 	}
-	outstanding := len(live)
-	for _, child := range live {
+	outstanding := len(children)
+	for _, child := range children {
 		n.gatherCallScaled(child, chGatherTree, treeDeadlineScale(child, n.id, n.c.Nodes()), func(b *madeleine.Buffer) {
 			b.PackU32(uint32(n.id)) // tree root
 		}, func(reply *madeleine.Buffer) {
@@ -267,14 +172,14 @@ func (n *Node) gatherTreeFrom(k, round int, useHints bool, done func(bool)) {
 			n.mergeCharge(layout.BitmapBytes)
 			outstanding--
 			if outstanding == 0 {
-				n.planAndBuyRange(k, round, global, useHints, pruned, done)
+				n.planAndBuyRange(k, round, global, done)
 			}
 		}, func() {
 			// Retries exhausted: the whole subtree contributes nothing
 			// to this round's view.
 			outstanding--
 			if outstanding == 0 {
-				n.planAndBuyRange(k, round, global, useHints, pruned, done)
+				n.planAndBuyRange(k, round, global, done)
 			}
 		})
 	}
@@ -308,17 +213,6 @@ func (n *Node) onGatherTreeCall(src int, req *madeleine.Call) {
 		panic("pm2: corrupt tree-gather request")
 	}
 	merged := n.slots.Bitmap().Clone()
-	// An empty server publishes the fact to the gather's root: tree
-	// replies travel to the parent, not the root, so the claim rides a
-	// separate zero-charge control event. emptyTold arms the
-	// invalidation fan-out for the next slot-gaining mutation.
-	if root != n.id && merged.Count() == 0 {
-		n.noteEmptyTold(root)
-		rootNode := n.c.nodes[root]
-		self := n.id
-		n.actor.PostTo(rootNode.actor, n.actor.Now()+simtime.Time(n.c.cfg.Model.WireLatencyNs),
-			func() { rootNode.noteBelief(self, true) })
-	}
 	reply := func() {
 		raw := merged.Bytes()
 		n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
@@ -385,10 +279,12 @@ func (n *Node) unpackGathered(peer int, reply *madeleine.Buffer) *bitmap.Bitmap 
 }
 
 // sellerVersion returns the bitmap-journal version of peer that the
-// current plan's view corresponds to: the delta gather's cached view
-// version, or the version the last full-map gather shipped.
+// current plan's view corresponds to: the version the last sequential
+// gather shipped, or otherwise the delta gather's cached view version —
+// a tree gather that stamps a per-owner plan is running its post-failover
+// delta fallback.
 func (n *Node) sellerVersion(peer int) uint64 {
-	if n.c.cfg.Gather == GatherDelta {
+	if n.c.cfg.Gather != GatherSequential {
 		return n.deltaPeers[peer].version
 	}
 	if n.gatherVersions == nil {
@@ -405,18 +301,11 @@ const purchaseCandidates = 4
 // With PreBuySlots configured, a larger run is tried first, "to pre-buy
 // slots in prevision of foreseeable large allocation requests" (§4.4).
 func (n *Node) planAndBuy(k, round int, maps []*bitmap.Bitmap, done func(bool)) {
-	n.planAndBuyOr(k, round, maps, done, func() { done(false) })
-}
-
-// planAndBuyOr is planAndBuy with an explicit plan-failure continuation,
-// so gathers that skipped believed-empty peers can retry hint-free
-// instead of reporting the cluster out of contiguous space.
-func (n *Node) planAndBuyOr(k, round int, maps []*bitmap.Bitmap, done func(bool), planFail func()) {
 	// First-fit search over the global map (step 2d).
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	plan, ok := n.planOn(core.GlobalOr(maps), maps, k)
 	if !ok {
-		planFail()
+		done(false)
 		return
 	}
 	n.withRunLocks(plan.Start, plan.N, func() {
@@ -465,7 +354,7 @@ func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (cor
 // executePurchase carries out a planned purchase (paper step 2e): one
 // atomic purchase message per seller, the initiator-side race check, and
 // the give-back/retry path on any decline. Shared by the per-peer-map
-// gathers (sequential, batched, delta).
+// gathers (sequential, delta).
 func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)) {
 	// Group the shares by owner: one purchase message per seller node
 	// (paper 2e sends one updated bitmap back to each owner, not one
@@ -614,10 +503,8 @@ func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done fun
 // map names the run but not its owners, so every peer that may own slots
 // is asked to sell its intersection with the chosen run. If the sold
 // pieces plus our own free slots cover the run, the purchase stands;
-// otherwise everything sold is given back and the round retries. When no
-// run exists but the gather pruned believed-empty subtrees, the round
-// re-runs hint-free instead of failing.
-func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, useHints, pruned bool, done func(bool)) {
+// otherwise everything sold is given back and the round retries.
+func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, done func(bool)) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	// The merged map has no per-slot ownership, so fewest-owners ranking
 	// is impossible here; the decentralized arbiters still search from
@@ -645,21 +532,13 @@ func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, useHints, pr
 		}
 	}
 	if start < 0 {
-		if pruned {
-			// A pruned subtree may have gained slots after the beliefs
-			// formed (invalidations are at most a wire latency behind):
-			// re-gather everything before concluding the cluster is out
-			// of contiguous space.
-			n.gatherTreeFrom(k, round, false, done)
-			return
-		}
 		done(false)
 		return
 	}
 
 	peers := make([]int, 0, n.c.Nodes()-1)
 	for i := 0; i < n.c.Nodes(); i++ {
-		if i == n.id || !n.c.nodeAlive(i) || (useHints && n.believesEmpty(i)) {
+		if i == n.id || !n.c.nodeAlive(i) {
 			continue
 		}
 		peers = append(peers, i)
@@ -793,14 +672,7 @@ func (n *Node) returnSlots(seller int, shares []core.SellerShare, done func()) {
 // version the map corresponds to, so the caller can stamp any purchase
 // it plans on this view.
 func (n *Node) onBitmapCall(src int, req *madeleine.Call) {
-	bm := n.slots.Bitmap()
-	// Serving a gather while owning nothing tells the initiator we are
-	// empty (it derives the belief from the reply content); record who
-	// was told so a later slot-gaining mutation can invalidate.
-	if n.c.hintsOn() && bm.Count() == 0 {
-		n.noteEmptyTold(src)
-	}
-	raw := bm.Bytes()
+	raw := n.slots.Bitmap().Bytes()
 	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
 	req.Reply(func(b *madeleine.Buffer) {
 		if n.c.cfg.Arbiter == ArbiterOptimistic {

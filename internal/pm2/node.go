@@ -77,16 +77,6 @@ type Node struct {
 	negBusy    bool
 	negQueue   []func()
 
-	// Lane-affine gather-hint state (batched/tree gathers; see
-	// gather.go). hintEmpty is the initiator half: this node's belief,
-	// per peer, that the peer owns no free slots. emptyTold is the
-	// server half: the peers this node has told "I am empty", with
-	// emptyToldAny as its fast-path summary for the bitmap on-change
-	// hook. Both allocated lazily.
-	hintEmpty    []bool
-	emptyTold    []bool
-	emptyToldAny bool
-
 	// gatherVersions records, per peer, the bitmap-journal version the
 	// last full-map gather observed — what the optimistic arbiter
 	// stamps into purchase messages (the delta gather tracks versions
@@ -98,7 +88,8 @@ type Node struct {
 	// to zero (see negotiateRound).
 	pendingGiveBacks int
 
-	// Delta-gather state (Config.Gather == GatherDelta; see delta.go).
+	// Delta-gather state (GatherDelta, and GatherTree's post-failover
+	// fallback; see delta.go).
 	// journal is the server half: the version stamp and bounded
 	// dirty-word journal of this node's own bitmap. deltaPeers and
 	// deltaOr are the initiator half: the cached last-seen map+version
@@ -160,27 +151,16 @@ func newNode(c *Cluster, id int) *Node {
 		Migrate: n.migrateOut,
 	})
 	n.heap = heap.New(n.space, n.actor, c.cfg.Model)
-	// Any ownership change — under the delta gather or the optimistic
-	// arbiter — bumps the bitmap version and journals the dirtied
-	// words, so purchases, give-backs and defrag installs all
-	// invalidate cached remote views and stale optimistic plans. Under
-	// the batched/tree gathers, a change that gives a told-empty node
-	// slots again fans invalidation control events to the peers that
-	// still believe it empty (gather.go). The paper-faithful sequential
-	// gather under a locking arbiter never reads hints or versions, so
-	// it skips the bookkeeping entirely.
-	if c.cfg.Gather == GatherDelta || c.cfg.Arbiter == ArbiterOptimistic {
+	// Any ownership change — under the delta gather (or the tree
+	// gather, whose post-failover fallback is a delta round) or the
+	// optimistic arbiter — bumps the bitmap version and journals the
+	// dirtied words, so purchases, give-backs and defrag installs all
+	// invalidate cached remote views and stale optimistic plans. The
+	// paper-faithful sequential gather under a locking arbiter never
+	// reads versions, so it skips the bookkeeping entirely.
+	if c.cfg.Gather != GatherSequential || c.cfg.Arbiter == ArbiterOptimistic {
 		n.journal = bitmap.NewJournal(deltaJournalWords)
-	}
-	if c.hintsOn() || n.journal != nil {
-		n.slots.SetOnChange(func(start, count int) {
-			if n.journal != nil {
-				n.journal.NoteBits(start, count)
-			}
-			if n.emptyToldAny && n.slots.Bitmap().Count() > 0 {
-				n.hintInvalidate()
-			}
-		})
+		n.slots.SetOnChange(n.journal.NoteBits)
 	}
 
 	// Map the replicated static data segment at the same address on

@@ -54,12 +54,10 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 
 // TestParallelGatherMatrix runs the workload across the full gather ×
 // arbiter × workers matrix and pins byte-identical traces and identical
-// stats at every worker count. This is the tentpole's composition
-// property: since the lane-affine hint protocol, no gather strategy
-// reads another lane's state, so every one of them runs under the
-// windowed parallel executor.
+// stats at every worker count. No gather strategy reads another lane's
+// state, so every one of them runs under the windowed parallel executor.
 func TestParallelGatherMatrix(t *testing.T) {
-	gathers := []GatherMode{GatherSequential, GatherBatched, GatherTree, GatherDelta}
+	gathers := []GatherMode{GatherSequential, GatherTree, GatherDelta}
 	arbiters := []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic}
 	for _, gather := range gathers {
 		for _, arbiter := range arbiters {
@@ -92,8 +90,7 @@ func TestParallelGatherMatrix(t *testing.T) {
 
 // TestConfigValidate pins the construction-time validation contract:
 // structural errors are reported by NewChecked (and Validate) instead of
-// a panic, and the historical Workers-vs-batched/tree rejection is gone —
-// every gather builds and runs with a parallel kernel.
+// a panic, and every gather builds and runs with a parallel kernel.
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Nodes: 0},
@@ -110,7 +107,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("NewChecked(%+v): expected an error", cfg)
 		}
 	}
-	for _, gather := range []GatherMode{GatherBatched, GatherTree} {
+	for _, gather := range []GatherMode{GatherTree, GatherDelta} {
 		c, err := NewChecked(Config{Nodes: 4, Workers: 4, Gather: gather}, progs.NewImage())
 		if err != nil {
 			t.Fatalf("Workers=4 with %v gather: %v", gather, err)

@@ -106,7 +106,7 @@ func TestGatherTimeoutAcrossPartition(t *testing.T) {
 		}
 	}
 	spec := strings.Join(evs, ";")
-	for _, gather := range []GatherMode{GatherSequential, GatherBatched, GatherTree, GatherDelta} {
+	for _, gather := range []GatherMode{GatherSequential, GatherTree, GatherDelta} {
 		t.Run(fmt.Sprintf("gather=%v", gather), func(t *testing.T) {
 			cfg := Config{
 				Nodes:      nodes,

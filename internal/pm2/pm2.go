@@ -94,10 +94,10 @@ type Config struct {
 	// exact request when no larger run exists.
 	PreBuySlots int
 	// Gather selects the §4.4 bitmap-gather strategy: GatherSequential
-	// (the paper's one-peer-at-a-time default), GatherBatched (one round
-	// of concurrent Calls), GatherTree (binomial combining tree) or
-	// GatherDelta (version-stamped incremental exchange: peers ship only
-	// the bitmap words changed since the initiator's cached view).
+	// (the paper's one-peer-at-a-time default), GatherTree (binomial
+	// combining tree) or GatherDelta (one round of concurrent,
+	// version-stamped incremental Calls: peers ship only the bitmap
+	// words changed since the initiator's cached view).
 	Gather GatherMode
 	// Arbiter selects the negotiation concurrency scheme:
 	// ArbiterGlobal (the paper's node-0 system-wide lock, the default),
@@ -149,9 +149,7 @@ type Config struct {
 	// pool under the conservative time-window scheme, with all traces,
 	// stats and goldens bit-identical to the serial run (the window
 	// horizon is Model.WireLatencyNs, the cross-node latency floor).
-	// Every gather strategy composes with Workers > 1: the free-run
-	// hints the batched and tree gathers consult are lane-affine,
-	// exchanged by message instead of read from peers (see gather.go).
+	// Every gather strategy composes with Workers > 1.
 	Workers int
 }
 
@@ -210,7 +208,7 @@ type Stats struct {
 	// GatherMergedBytes totals the bitmap payload bytes gather
 	// participants folded into global views — the merge term the delta
 	// gather attacks: a full 7 KB per peer per round under the
-	// sequential/batched/tree gathers, only the shipped delta words
+	// sequential/tree gathers, only the shipped delta words
 	// under GatherDelta.
 	GatherMergedBytes uint64
 	// Defragmentations counts completed global restructurings (§4.4).
@@ -344,8 +342,7 @@ func New(cfg Config, im *isa.Image) *Cluster {
 
 // NewChecked builds a cluster over the (sealed) program image. Any
 // configuration that passes Validate builds and runs: in particular,
-// every gather strategy composes with every worker count — the
-// historical Workers-vs-batched/tree restriction is gone.
+// every gather strategy composes with every worker count.
 func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -419,12 +416,6 @@ func (c *Cluster) ReportLoads() {
 			VersionDeclines: c.versionDeclines[i],
 			Time:            now,
 		})
-	}
-	// Load reports run on the ambient lane — a barrier under the parallel
-	// executor — which is what lets them piggyback a full refresh of the
-	// lane-affine gather-hint tables (batched/tree gathers only).
-	if c.hintsOn() {
-		c.refreshHintsBarrier()
 	}
 }
 

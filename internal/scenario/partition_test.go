@@ -19,7 +19,7 @@ import (
 // its wire pattern legitimately differs between those.
 func TestPartitionTraceIdentity(t *testing.T) {
 	for _, arb := range []string{"", "sharded", "optimistic"} {
-		for _, gather := range []string{"", "delta"} {
+		for _, gather := range []string{"", "tree", "delta"} {
 			want := ""
 			for _, workers := range []int{1, 2, 4} {
 				name := fmt.Sprintf("arb=%q gather=%q workers=%d", arb, gather, workers)
@@ -52,20 +52,6 @@ func TestPartitionTraceIdentity(t *testing.T) {
 			if !strings.Contains(want, "[suspect]") || !strings.Contains(want, "[rejoin]") {
 				t.Fatalf("arb=%q gather=%q: no suspicion lifecycle in the trace:\n%s", arb, gather, want)
 			}
-		}
-	}
-	// The batched and tree gathers are serial-kernel only; they must
-	// still complete the partition workload without hanging.
-	for _, gather := range []string{"batched", "tree"} {
-		res, err := Run(Spec{Scenario: "partition", Nodes: 8, Gather: gather})
-		if err != nil {
-			t.Fatalf("gather=%s: %v", gather, err)
-		}
-		if err := res.Verify(); err != nil {
-			t.Fatalf("gather=%s: %v", gather, err)
-		}
-		if res.Stats.Evacuations != 0 {
-			t.Fatalf("gather=%s: %d evacuations of a live partitioned node", gather, res.Stats.Evacuations)
 		}
 	}
 }

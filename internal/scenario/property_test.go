@@ -66,7 +66,7 @@ func TestScenariosScaleWithClusterSize(t *testing.T) {
 // under real contention.
 func TestContendAcrossArbiters(t *testing.T) {
 	for _, arb := range []string{"sharded", "optimistic"} {
-		for _, gather := range []string{"sequential", "batched", "tree", "delta"} {
+		for _, gather := range []string{"sequential", "tree", "delta"} {
 			for _, p := range policy.Names() {
 				name := fmt.Sprintf("%s/%s/%s", arb, gather, p)
 				spec := Spec{Scenario: "contend", Policy: p, Nodes: 8, Gather: gather, Arbiter: arb}
@@ -100,11 +100,11 @@ func TestContendAcrossArbiters(t *testing.T) {
 // TestNegoStressAcrossGatherStrategies runs the negotiation-heavy
 // workload under every gather strategy at 4, 16 and 64 nodes and every
 // policy: each run must drain, keep the iso-address invariants, prove
-// pointer integrity, and be byte-identically reproducible. The batched
-// and tree gathers must not change *what* the protocol achieves — only
-// what it costs.
+// pointer integrity, and be byte-identically reproducible. The tree and
+// delta gathers must not change *what* the protocol achieves — only what
+// it costs.
 func TestNegoStressAcrossGatherStrategies(t *testing.T) {
-	for _, gather := range []string{"batched", "tree", "delta"} {
+	for _, gather := range []string{"tree", "delta"} {
 		for _, nodes := range []int{4, 16, 64} {
 			for _, p := range policy.Names() {
 				name := fmt.Sprintf("%s/%d/%s", gather, nodes, p)

@@ -52,7 +52,7 @@ type Spec struct {
 	// 0 or 1 is the exact serial executor, >1 runs node lanes on a worker
 	// pool. Traces and stats are bit-identical at any worker count, so
 	// Workers is not part of the trace header — the same golden pins every
-	// setting. Incompatible with the batched/tree gathers.
+	// setting. Composes with every gather strategy and arbiter.
 	Workers int
 	// RPCTimeoutMicros overrides the partial-failure deadline layer
 	// (pm2.Config.RPCTimeout): > 0 is a deadline in virtual µs, < 0

@@ -64,9 +64,8 @@ func TestWorkersIdentity(t *testing.T) {
 }
 
 // TestWorkersGatherMatrix extends the identity guarantee to the full
-// gather matrix at the harness level: since the lane-affine hint
-// protocol, every gather strategy composes with the parallel kernel, so
-// negostress — the workload built to hammer §4.4 negotiations — must
+// gather matrix at the harness level: every gather strategy composes
+// with the parallel kernel, so negostress — the workload built to hammer §4.4 negotiations — must
 // produce byte-identical traces and identical stats at workers 1, 2 and
 // 4 under every gather and a representative arbiter spread. The new
 // combinations have no committed goldens; self-consistency against the
@@ -75,10 +74,9 @@ func TestWorkersIdentity(t *testing.T) {
 func TestWorkersGatherMatrix(t *testing.T) {
 	cases := []struct{ gather, arbiter string }{
 		{"sequential", "global"},
-		{"batched", "global"},
-		{"batched", "sharded"},
 		{"tree", "global"},
 		{"tree", "optimistic"},
+		{"delta", "sharded"},
 		{"delta", "optimistic"},
 	}
 	for _, tc := range cases {
@@ -120,7 +118,7 @@ func TestWorkersGatherMatrix(t *testing.T) {
 
 // TestWorkersInvalidSpec pins that a structurally invalid configuration
 // surfaces as an error from the harness (via pm2.Config.Validate), not a
-// panic — the batched/tree gathers are no longer rejected, so a negative
+// panic — every gather composes with every worker count, so a negative
 // worker count is the representative invalid input.
 func TestWorkersInvalidSpec(t *testing.T) {
 	if _, err := Run(Spec{Scenario: "negostress", Workers: -2}); err == nil {

@@ -39,8 +39,8 @@
 // # Negotiation tuning
 //
 // The §4.4 slot negotiation has two orthogonal knobs. Config.Gather
-// picks how the initiator collects peer bitmaps ("sequential",
-// "batched", "tree", "delta"); Config.Arbiter picks the concurrency
+// picks how the initiator collects peer bitmaps ("sequential", "tree",
+// "delta"); Config.Arbiter picks the concurrency
 // scheme — "global" (the paper's single node-0 lock), "sharded"
 // (per-shard locks taken in canonical order, so disjoint negotiations
 // run in parallel) or "optimistic" (no lock; version-stamped purchases
@@ -143,11 +143,11 @@ type Config struct {
 	Policy string
 	// Gather selects the §4.4 bitmap-gather strategy used by slot
 	// negotiations: "sequential" (default — the paper's one-peer-at-a-
-	// time gather), "batched" (one round of concurrent bitmap calls),
-	// "tree" (binomial combining tree; the initiator receives O(log n)
-	// merged maps) or "delta" (version-stamped incremental exchange:
-	// peers ship only the bitmap words changed since the initiator's
-	// cached view). See ParseGather for the accepted aliases.
+	// time gather), "tree" (binomial combining tree; the initiator
+	// receives O(log n) merged maps) or "delta" (one round of concurrent,
+	// version-stamped incremental calls: peers ship only the bitmap words
+	// changed since the initiator's cached view). See ParseGather for the
+	// accepted aliases.
 	Gather string
 	// Arbiter selects the negotiation concurrency scheme: "global"
 	// (default — the paper's system-wide critical section on node 0),
@@ -266,8 +266,8 @@ func ParseArbiter(s string) (string, error) {
 func ArbiterNames() []string { return ipm2.ArbiterModeNames() }
 
 // ParseGather validates a gather-strategy name and returns its canonical
-// form. Accepted: "sequential" ("seq", ""), "batched" ("batch"), "tree",
-// "delta" ("incremental").
+// form. Accepted: "sequential" ("seq", ""), "tree", "delta"
+// ("incremental").
 func ParseGather(s string) (string, error) {
 	g, err := ipm2.ParseGatherMode(s)
 	if err != nil {

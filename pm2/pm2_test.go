@@ -3,6 +3,8 @@ package pm2
 import (
 	"strings"
 	"testing"
+
+	ipm2 "repro/internal/pm2"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -217,6 +219,42 @@ func TestPublicCheckpointRestore(t *testing.T) {
 	}
 	if err := rc.Validate(); err != nil {
 		t.Fatalf("restored cluster invariants: %v", err)
+	}
+}
+
+// TestRestoreRejectsUnknownConfig: a correctly sealed pm2ckpt whose
+// config line names a strategy this build does not know — including the
+// removed "batched" gather — is refused with an error, never a panic.
+func TestRestoreRejectsUnknownConfig(t *testing.T) {
+	sys := NewSystem()
+	sys.RegisterExamples()
+	cl := sys.Boot(Config{Nodes: 4})
+	cl.Spawn(0, "p4", 1000)
+	cl.RunForMicros(500)
+	data, err := cl.CheckpointBytes()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	cases := []struct {
+		name string
+		edit func(*ipm2.Checkpoint)
+		want string
+	}{
+		{"gather=batched", func(ck *ipm2.Checkpoint) { ck.Gather = "batched" }, `unknown gather strategy "batched" (have [sequential tree delta])`},
+		{"arbiter=bogus", func(ck *ipm2.Checkpoint) { ck.Arbiter = "bogus" }, "unknown arbiter"},
+		{"dist=bogus", func(ck *ipm2.Checkpoint) { ck.Dist = "bogus" }, "unknown distribution"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := ipm2.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(ck)
+			if _, err := sys.Restore(ck.Encode()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
