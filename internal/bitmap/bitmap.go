@@ -148,38 +148,6 @@ func (b *Bitmap) FindRunFrom(from, n int) int {
 	}
 }
 
-// LongestRun returns the length of the longest run of consecutive set
-// bits: a node whose longest run is zero owns no free slots and cannot
-// contribute to any purchase.
-func (b *Bitmap) LongestRun() int {
-	best, run := 0, 0
-	for wi, w := range b.words {
-		if w == 0 {
-			run = 0
-			continue
-		}
-		if w == ^uint64(0) {
-			run += wordBits
-			if run > best {
-				best = run
-			}
-			continue
-		}
-		base := wi * wordBits
-		for i := 0; i < wordBits && base+i < b.n; i++ {
-			if w&(1<<uint(i)) != 0 {
-				run++
-				if run > best {
-					best = run
-				}
-			} else {
-				run = 0
-			}
-		}
-	}
-	return best
-}
-
 // Words returns the number of 64-bit words backing the map.
 func (b *Bitmap) Words() int { return len(b.words) }
 

@@ -264,30 +264,6 @@ func TestStringForms(t *testing.T) {
 	}
 }
 
-func TestLongestRun(t *testing.T) {
-	cases := []struct {
-		n    int
-		runs [][2]int // (start, len) runs to set
-		want int
-	}{
-		{50, nil, 0},
-		{50, [][2]int{{0, 1}}, 1},
-		{50, [][2]int{{3, 7}, {20, 4}}, 7},
-		{200, [][2]int{{60, 10}}, 10},            // straddles a word boundary
-		{200, [][2]int{{0, 200}}, 200},           // everything set
-		{200, [][2]int{{0, 64}, {65, 100}}, 100}, // full word then longer run
-	}
-	for _, c := range cases {
-		b := New(c.n)
-		for _, r := range c.runs {
-			b.SetRun(r[0], r[1])
-		}
-		if got := b.LongestRun(); got != c.want {
-			t.Errorf("LongestRun(%v over %d bits) = %d, want %d", c.runs, c.n, got, c.want)
-		}
-	}
-}
-
 func TestOrBytes(t *testing.T) {
 	a := New(200)
 	a.SetRun(3, 5)

@@ -24,31 +24,37 @@ type RegFile struct {
 	PC     uint32
 }
 
-// Get reads general register r (including SP/FP).
+// Get reads general register r (including SP/FP). The r < 16 case is
+// kept small enough to inline into the interpreter loop.
 func (rf *RegFile) Get(r isa.Reg) uint32 {
-	switch {
-	case r < 16:
+	if r < 16 {
 		return rf.R[r]
-	case r == isa.SP:
-		return rf.SP
-	case r == isa.FP:
-		return rf.FP
 	}
-	panic(fmt.Sprintf("vm: bad register %d", r))
+	return *rf.special(r)
 }
 
 // Set writes general register r (including SP/FP).
 func (rf *RegFile) Set(r isa.Reg, v uint32) {
-	switch {
-	case r < 16:
+	if r < 16 {
 		rf.R[r] = v
-	case r == isa.SP:
-		rf.SP = v
-	case r == isa.FP:
-		rf.FP = v
-	default:
-		panic(fmt.Sprintf("vm: bad register %d", r))
+		return
 	}
+	*rf.special(r) = v
+}
+
+// special returns SP or FP for r, and panics on any other register
+// above the general ones. It stays out of line so that Get and Set
+// inline.
+//
+//go:noinline
+func (rf *RegFile) special(r isa.Reg) *uint32 {
+	switch r {
+	case isa.SP:
+		return &rf.SP
+	case isa.FP:
+		return &rf.FP
+	}
+	panic(fmt.Sprintf("vm: bad register %d", r))
 }
 
 // StatusKind classifies why Run returned.

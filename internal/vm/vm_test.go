@@ -469,3 +469,41 @@ func TestRegFileGetSet(t *testing.T) {
 		t.Fatal("SP/FP fields not aliased")
 	}
 }
+
+// TestRunAllocatesNothing pins the interpreter's memory path — load,
+// store, their byte forms, push and pop on backed pages — at zero host
+// allocations per Run.
+func TestRunAllocatesNothing(t *testing.T) {
+	im, sp, th, env := harness(t, `
+.program memloop
+main:
+    loadi r1, 0
+    loadi r3, 200
+    mov   r5, sp
+    addi  r5, r5, -64
+top:
+    bge   r1, r3, done
+    store [r5+4], r1
+    load  r2, [r5+4]
+    storeb [r5+9], r1
+    loadb r4, [r5+9]
+    push  r2
+    pop   r6
+    addi  r1, r1, 1
+    br    top
+done:
+    halt
+`)
+	start := *th.Regs
+	var st Status
+	allocs := testing.AllocsPerRun(20, func() {
+		*th.Regs = start
+		st = Run(im, sp, th, env, 1_000_000)
+	})
+	if st.Kind != Exited || th.Regs.R[6] != 199 {
+		t.Fatalf("st = %v (%v), r6 = %d", st.Kind, st.Fault, th.Regs.R[6])
+	}
+	if allocs != 0 {
+		t.Fatalf("Run over a load/store/push/pop loop made %.0f allocations, want 0", allocs)
+	}
+}

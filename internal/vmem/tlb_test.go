@@ -1,0 +1,360 @@
+package vmem
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"repro/internal/layout"
+)
+
+// TestMunmapInvalidatesTLB: a page cached by a store, unmapped and mapped
+// again at the same address must read as zeros, and the next store must
+// back it with a fresh page rather than write into the unmapped one.
+func TestMunmapInvalidatesTLB(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	if err := s.Mmap(base, layout.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Store32(base+8, 0xCAFEF00D); err != nil {
+		t.Fatal(err)
+	}
+	// The first store backs the page; this load caches it.
+	if v, err := s.Load32(base + 8); err != nil || v != 0xCAFEF00D {
+		t.Fatalf("Load32 = %#x, %v", v, err)
+	}
+	old, err := s.ReadAliases(base, layout.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Munmap(base, layout.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Mmap(base, layout.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Load32(base + 8); err != nil || v != 0 {
+		t.Fatalf("Load32 after munmap+mmap = %#x, %v, want 0", v, err)
+	}
+	if b, err := s.Load8(base + 8); err != nil || b != 0 {
+		t.Fatalf("Load8 after munmap+mmap = %#x, %v, want 0", b, err)
+	}
+	if err := s.Store32(base+8, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(old[0][8:]); got != 0xCAFEF00D {
+		t.Fatalf("store after remap wrote into the unmapped page (it now holds %#x)", got)
+	}
+	now, err := s.ReadAliases(base, layout.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &now[0][0] == &old[0][0] {
+		t.Fatal("remapped page reuses the unmapped page")
+	}
+	if v, err := s.Load32(base + 8); err != nil || v != 7 {
+		t.Fatalf("Load32 after remap and store = %#x, %v, want 7", v, err)
+	}
+}
+
+// refSpace is a byte-granular reference model of Space: a set of mapped
+// page indices and the bytes written into them.
+type refSpace struct {
+	mapped map[uint32]bool
+	mem    map[uint32]byte
+}
+
+func (r *refSpace) checkRange(addr Addr, n int, op FaultOp) error {
+	if uint64(addr)+uint64(n) > 1<<32 {
+		return &Fault{Addr: addr, Op: op, Why: "range wraps address space"}
+	}
+	return nil
+}
+
+// hole returns the fault for the first unmapped page of [addr, addr+n),
+// addressed at its first byte inside the range, or nil.
+func (r *refSpace) hole(addr Addr, n int, op FaultOp) error {
+	for a := uint64(addr); a < uint64(addr)+uint64(n); a = (a>>layout.PageShift + 1) << layout.PageShift {
+		if !r.mapped[uint32(a>>layout.PageShift)] {
+			return &Fault{Addr: Addr(a), Op: op, Why: "unmapped page"}
+		}
+	}
+	return nil
+}
+
+func (r *refSpace) read(addr Addr, n int) ([]byte, error) {
+	if err := r.checkRange(addr, n, OpRead); err != nil {
+		return nil, err
+	}
+	if err := r.hole(addr, n, OpRead); err != nil {
+		return nil, err
+	}
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = r.mem[uint32(addr)+uint32(i)]
+	}
+	return p, nil
+}
+
+func (r *refSpace) write(addr Addr, p []byte) error {
+	if err := r.checkRange(addr, len(p), OpWrite); err != nil {
+		return err
+	}
+	if err := r.hole(addr, len(p), OpWrite); err != nil {
+		return err
+	}
+	for i, b := range p {
+		r.mem[uint32(addr)+uint32(i)] = b
+	}
+	return nil
+}
+
+func (r *refSpace) mapping(addr Addr, n int, op FaultOp) error {
+	if err := r.checkRange(addr, n, op); err != nil {
+		return err
+	}
+	verb := "mapping"
+	if op == OpUnmap {
+		verb = "unmapping"
+	}
+	if !layout.PageAligned(addr) || n%layout.PageSize != 0 {
+		return &Fault{Addr: addr, Op: op, Why: fmt.Sprintf("misaligned %s of %d bytes", verb, n)}
+	}
+	first := uint32(addr) >> layout.PageShift
+	for i := 0; i < n/layout.PageSize; i++ {
+		if r.mapped[first+uint32(i)] == (op == OpMap) {
+			why := "page already mapped"
+			if op == OpUnmap {
+				why = "page not mapped"
+			}
+			return &Fault{Addr: addr + Addr(i*layout.PageSize), Op: op, Why: why}
+		}
+	}
+	for i := 0; i < n/layout.PageSize; i++ {
+		r.mapped[first+uint32(i)] = op == OpMap
+	}
+	for a := range r.mem {
+		if a>>layout.PageShift-first < uint32(n/layout.PageSize) {
+			delete(r.mem, a)
+		}
+	}
+	return nil
+}
+
+// TestTLBDifferential drives a Space and the reference model through the
+// same seeded mix of mappings and accesses — aligned, unaligned,
+// page-crossing, unmapped and wrapping, over more pages than the TLB has
+// entries — and requires identical values and faults.
+func TestTLBDifferential(t *testing.T) {
+	// Sixteen pages from the iso-address area, so several collide in
+	// every TLB entry, plus the first and the last page of the space.
+	var pool []uint32
+	for i := uint32(0); i < 4*tlbSize; i++ {
+		pool = append(pool, layout.IsoBase>>layout.PageShift+i)
+	}
+	pool = append(pool, 0, 1<<(32-layout.PageShift)-1)
+
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		s := NewSpace()
+		ref := &refSpace{mapped: map[uint32]bool{}, mem: map[uint32]byte{}}
+		addr := func() Addr {
+			pi := pool[rng.IntN(len(pool))]
+			var in uint32
+			switch rng.IntN(3) {
+			case 0: // near the start of the page
+				in = uint32(rng.IntN(8))
+			case 1: // near its end, so words cross or wrap
+				in = layout.PageSize - 1 - uint32(rng.IntN(8))
+			default:
+				in = uint32(rng.IntN(layout.PageSize))
+			}
+			return Addr(pi<<layout.PageShift + in)
+		}
+		span := func() (Addr, int) {
+			pi := pool[rng.IntN(len(pool))]
+			n := (1 + rng.IntN(3)) * layout.PageSize
+			if rng.IntN(10) == 0 {
+				n += 1 + rng.IntN(layout.PageSize-1)
+			}
+			return Addr(pi << layout.PageShift), n
+		}
+		// length is short, sometimes empty, and now and then spans
+		// up to two pages.
+		length := func() int {
+			if rng.IntN(8) == 0 {
+				return rng.IntN(2 * layout.PageSize)
+			}
+			return rng.IntN(16)
+		}
+		for step := 0; step < 20000; step++ {
+			var got, want any
+			var gotErr, wantErr error
+			op := rng.IntN(10)
+			switch op {
+			case 0:
+				a, n := span()
+				gotErr, wantErr = s.Mmap(a, n), ref.mapping(a, n, OpMap)
+			case 1:
+				a, n := span()
+				gotErr, wantErr = s.Munmap(a, n), ref.mapping(a, n, OpUnmap)
+			case 2:
+				a := addr()
+				var v uint32
+				v, gotErr = s.Load32(a)
+				p, err := ref.read(a, 4)
+				got, wantErr = v, err
+				if err == nil {
+					want = binary.LittleEndian.Uint32(p)
+				} else {
+					want = uint32(0)
+				}
+			case 3:
+				a, v := addr(), rng.Uint32()
+				gotErr = s.Store32(a, v)
+				wantErr = ref.write(a, binary.LittleEndian.AppendUint32(nil, v))
+			case 4:
+				a := addr()
+				var b byte
+				b, gotErr = s.Load8(a)
+				p, err := ref.read(a, 1)
+				got, wantErr = b, err
+				if err == nil {
+					want = p[0]
+				} else {
+					want = byte(0)
+				}
+			case 5:
+				a, v := addr(), byte(rng.Uint32())
+				gotErr, wantErr = s.Store8(a, v), ref.write(a, []byte{v})
+			case 6, 7:
+				a, n := addr(), length()
+				p := make([]byte, n)
+				gotErr = s.Read(a, p)
+				q, err := ref.read(a, n)
+				wantErr = err
+				if err == nil {
+					got, want = p, q
+				}
+			default:
+				a := addr()
+				p := make([]byte, length())
+				for i := range p {
+					p[i] = byte(rng.Uint32())
+				}
+				gotErr, wantErr = s.Write(a, p), ref.write(a, p)
+			}
+			if !reflect.DeepEqual(gotErr, wantErr) {
+				t.Fatalf("seed %d step %d op %d: error %v, want %v", seed, step, op, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d op %d: value %v, want %v", seed, step, op, got, want)
+			}
+		}
+		// The whole pool must agree at the end, byte for byte.
+		for _, pi := range pool {
+			a := Addr(pi << layout.PageShift)
+			if s.IsMapped(a, layout.PageSize) != ref.mapped[pi] {
+				t.Fatalf("seed %d: page %#x mapped=%v, want %v", seed, pi, !ref.mapped[pi], ref.mapped[pi])
+			}
+			if !ref.mapped[pi] {
+				continue
+			}
+			got, err := s.ReadBytes(a, layout.PageSize)
+			want, _ := ref.read(a, layout.PageSize)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: page %#x differs from the model (%v)", seed, pi, err)
+			}
+		}
+	}
+}
+
+// TestAccessorsAllocateNothing pins the word and byte accessors at zero
+// host allocations on a backed page.
+func TestAccessorsAllocateNothing(t *testing.T) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	if err := s.Mmap(base, layout.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Store32(base, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func() error{
+		"Load32":  func() error { _, err := s.Load32(base + 16); return err },
+		"Store32": func() error { return s.Store32(base+16, 2) },
+		"Load8":   func() error { _, err := s.Load8(base + 17); return err },
+		"Store8":  func() error { return s.Store8(base+17, 3) },
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s on a backed page made %.0f allocations, want 0", name, allocs)
+		}
+	}
+}
+
+// accessCase is an address pattern a word benchmark cycles through.
+type accessCase struct {
+	name  string
+	addrs []Addr
+}
+
+// accessCases returns a space with backed pages and the patterns to
+// benchmark on it: one page for "hit", and two pages that share a TLB
+// entry for "miss", so every access misses and then fills the entry.
+func accessCases(b *testing.B) (*Space, []accessCase) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	if err := s.Mmap(base, (tlbSize+1)*layout.PageSize); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i <= tlbSize; i++ {
+		if err := s.Store8(base+Addr(i*layout.PageSize), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, []accessCase{
+		{"hit", []Addr{base + 64}},
+		{"miss", []Addr{base + 64, base + tlbSize*layout.PageSize + 64}},
+	}
+}
+
+var sink uint32
+
+func BenchmarkLoad32(b *testing.B) {
+	s, cases := accessCases(b)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var sum uint32
+			for i := 0; b.Loop(); i++ {
+				v, err := s.Load32(c.addrs[i%len(c.addrs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum += v
+			}
+			sink = sum
+		})
+	}
+}
+
+func BenchmarkStore32(b *testing.B) {
+	s, cases := accessCases(b)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				if err := s.Store32(c.addrs[i%len(c.addrs)], uint32(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -73,15 +73,37 @@ type page [layout.PageSize]byte
 // it out, which is why its fragments are read-only.
 var zeroPage page
 
+// tlbSize is the number of entries in a Space's software TLB, a power
+// of two. Four entries hold a thread's stack page and the data pages it
+// walks; more measured no faster and cost heap on thousand-node clusters.
+const tlbSize = 4
+
+// tlbEntry caches the host page behind page index pi. A nil pg is an
+// empty entry.
+type tlbEntry struct {
+	pi uint32
+	pg *page
+}
+
 // Space is one node's simulated virtual address space. It has no
 // locking: a Space belongs to exactly one node, every access happens
 // inside that node's event lane, and the parallel kernel never runs
 // two events of one lane concurrently (see internal/simtime) — the
 // space is lane-affine state, like the scheduler and the slot table.
+// That includes reads: Load32 and Load8 fill the TLB.
+//
+// The TLB is a direct-mapped cache in front of pages for the word and
+// byte accessors. It holds only host-backed pages, never an untouched
+// one, so the first write to a page still allocates and ReadAliases
+// still hands out the shared zero page. It stays coherent because a
+// backed page is never replaced while it is mapped — Mmap refuses
+// overlap and Write only fills a nil page — so the one thing that can
+// stale an entry is Munmap, which clears every entry in its range.
 type Space struct {
 	// pages holds every mapped page; a nil value is a mapped page that
 	// has never been written and reads as zeros.
 	pages map[uint32]*page
+	tlb   [tlbSize]tlbEntry
 	// mappedBytes counts currently mapped memory, for accounting tests.
 	mappedBytes uint64
 }
@@ -154,6 +176,11 @@ func (s *Space) Munmap(addr Addr, n int) error {
 	}
 	for i := 0; i < npages; i++ {
 		delete(s.pages, first+uint32(i))
+	}
+	for i := range s.tlb {
+		if s.tlb[i].pi-first < uint32(npages) {
+			s.tlb[i] = tlbEntry{}
+		}
 	}
 	s.mappedBytes -= uint64(n)
 	return nil
@@ -242,8 +269,27 @@ func (s *Space) Write(addr Addr, p []byte) error {
 	return nil
 }
 
+// backedPage returns the host page behind page index pi through the
+// TLB, or nil if pi is unmapped or untouched.
+func (s *Space) backedPage(pi uint32) *page {
+	e := &s.tlb[pi&(tlbSize-1)]
+	if e.pi == pi && e.pg != nil {
+		return e.pg
+	}
+	pg := s.pages[pi]
+	if pg != nil {
+		*e = tlbEntry{pi: pi, pg: pg}
+	}
+	return pg
+}
+
 // Load32 reads a little-endian 32-bit word at addr.
 func (s *Space) Load32(addr Addr) (uint32, error) {
+	if in := int(addr) & (layout.PageSize - 1); in <= layout.PageSize-4 {
+		if pg := s.backedPage(pageIndex(addr)); pg != nil {
+			return binary.LittleEndian.Uint32(pg[in:]), nil
+		}
+	}
 	var buf [4]byte
 	if err := s.Read(addr, buf[:]); err != nil {
 		return 0, err
@@ -253,6 +299,12 @@ func (s *Space) Load32(addr Addr) (uint32, error) {
 
 // Store32 writes a little-endian 32-bit word at addr.
 func (s *Space) Store32(addr Addr, v uint32) error {
+	if in := int(addr) & (layout.PageSize - 1); in <= layout.PageSize-4 {
+		if pg := s.backedPage(pageIndex(addr)); pg != nil {
+			binary.LittleEndian.PutUint32(pg[in:], v)
+			return nil
+		}
+	}
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
 	return s.Write(addr, buf[:])
@@ -260,6 +312,9 @@ func (s *Space) Store32(addr Addr, v uint32) error {
 
 // Load8 reads one byte at addr.
 func (s *Space) Load8(addr Addr) (byte, error) {
+	if pg := s.backedPage(pageIndex(addr)); pg != nil {
+		return pg[int(addr)&(layout.PageSize-1)], nil
+	}
 	var buf [1]byte
 	if err := s.Read(addr, buf[:]); err != nil {
 		return 0, err
@@ -269,6 +324,10 @@ func (s *Space) Load8(addr Addr) (byte, error) {
 
 // Store8 writes one byte at addr.
 func (s *Space) Store8(addr Addr, v byte) error {
+	if pg := s.backedPage(pageIndex(addr)); pg != nil {
+		pg[int(addr)&(layout.PageSize-1)] = v
+		return nil
+	}
 	return s.Write(addr, []byte{v})
 }
 
