@@ -424,7 +424,7 @@ func printGatherTable(counts []int, modes []pm2.GatherMode, rows map[pm2.GatherM
 // delta gather keeps the gather term identical across arbiters, so the
 // spread between the rows is purely the concurrency scheme.
 func contention(only string) {
-	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded, pm2.ArbiterOptimistic}
+	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded}
 	if only != "" {
 		a, err := pm2.ParseArbiterMode(only)
 		if err != nil {
@@ -434,19 +434,18 @@ func contention(only string) {
 		arbs = []pm2.ArbiterMode{a}
 	}
 	header("Extension: concurrent initiators × negotiation arbiter (3-slot allocs, delta gather)")
-	fmt.Printf("%6s %6s %-12s %4s %8s %8s %14s %10s %10s %10s %10s\n",
-		"nodes", "inits", "arbiter", "ok", "retries", "vdecl", "makespan µs", "negos/ms", "p50 µs", "p95 µs", "p99 µs")
+	fmt.Printf("%6s %6s %-12s %4s %8s %14s %10s %10s %10s %10s\n",
+		"nodes", "inits", "arbiter", "ok", "retries", "makespan µs", "negos/ms", "p50 µs", "p95 µs", "p99 µs")
 	for _, nm := range []struct{ nodes, inits int }{{4, 4}, {16, 4}, {16, 8}, {16, 16}, {64, 16}, {64, 32}} {
 		for _, r := range bench.Contention(nm.nodes, nm.inits, arbs, pm2.GatherDelta) {
-			fmt.Printf("%6d %6d %-12s %4d %8d %8d %14.1f %10.2f %10.1f %10.1f %10.1f\n",
-				r.Nodes, r.Initiators, r.Arbiter, r.Succeeded, r.Retries, r.VersionDeclines,
+			fmt.Printf("%6d %6d %-12s %4d %8d %14.1f %10.2f %10.1f %10.1f %10.1f\n",
+				r.Nodes, r.Initiators, r.Arbiter, r.Succeeded, r.Retries,
 				r.MakespanMicros, r.ThroughputPerMs, r.P50, r.P95, r.P99)
 		}
 	}
 	fmt.Println("\n(the global arbiter serializes every negotiation through node 0's lock, so its")
 	fmt.Println(" makespan grows with the initiator count; the sharded arbiter locks only the")
-	fmt.Println(" shards a planned run touches, and the optimistic arbiter replaces locking with")
-	fmt.Println(" version-validated purchases — disjoint negotiations overlap under both)")
+	fmt.Println(" shards a planned run touches, so disjoint negotiations overlap)")
 }
 
 // failover prints the fail-stop recovery figure: one node of four dies

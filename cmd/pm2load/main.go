@@ -27,7 +27,7 @@
 // work-stealing); -mech selects the migration mechanism (iso |
 // relocate); -gather the §4.4 bitmap-gather strategy (sequential |
 // tree | delta); -arbiter the negotiation concurrency scheme
-// (global | sharded | optimistic). For compatibility, -policy also
+// (global | sharded). For compatibility, -policy also
 // accepts the legacy values "iso" and "relocate" and treats them as
 // -mech.
 //

@@ -431,13 +431,12 @@ type ContentionRow struct {
 	Arbiter    string
 	Nodes      int
 	Initiators int
-	// Succeeded / Retries / VersionDeclines describe the protocol work;
-	// MakespanMicros is the virtual time until the last negotiation
-	// completed, and ThroughputPerMs the successful negotiations per
-	// virtual millisecond of that makespan.
+	// Succeeded / Retries describe the protocol work; MakespanMicros is
+	// the virtual time until the last negotiation completed, and
+	// ThroughputPerMs the successful negotiations per virtual millisecond
+	// of that makespan.
 	Succeeded       int
 	Retries         int
-	VersionDeclines int
 	MakespanMicros  float64
 	ThroughputPerMs float64
 	// P50/P95/P99 are nearest-rank percentiles over the successful
@@ -449,9 +448,8 @@ type ContentionRow struct {
 // initiators: m nodes (evenly spread over the cluster) each start a
 // 3-slot negotiation in the same instant, once per arbiter scheme. The
 // global arbiter serializes all of them through the node-0 lock, so its
-// makespan grows with m; the sharded and optimistic arbiters let
-// disjoint negotiations overlap — the figure the decentralized
-// arbiters exist for.
+// makespan grows with m; the sharded arbiter lets disjoint
+// negotiations overlap — the figure it exists for.
 func Contention(nodes, m int, arbiters []pm2.ArbiterMode, gather pm2.GatherMode) []ContentionRow {
 	if m > nodes {
 		m = nodes
@@ -475,13 +473,12 @@ func Contention(nodes, m int, arbiters []pm2.ArbiterMode, gather pm2.GatherMode)
 		c.Run(0)
 		st := c.Stats()
 		row := ContentionRow{
-			Arbiter:         arb.String(),
-			Nodes:           nodes,
-			Initiators:      m,
-			Succeeded:       succeeded,
-			Retries:         st.NegotiationRetries,
-			VersionDeclines: st.VersionDeclines,
-			MakespanMicros:  c.Now().Micros(),
+			Arbiter:        arb.String(),
+			Nodes:          nodes,
+			Initiators:     m,
+			Succeeded:      succeeded,
+			Retries:        st.NegotiationRetries,
+			MakespanMicros: c.Now().Micros(),
 		}
 		if row.MakespanMicros > 0 {
 			row.ThroughputPerMs = float64(succeeded) / (row.MakespanMicros / 1000)

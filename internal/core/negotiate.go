@@ -17,12 +17,6 @@ type SellerShare struct {
 	Node  int
 	Start int
 	N     int
-	// Version is the seller's bitmap-journal version the plan was
-	// computed against. The optimistic arbiter stamps it into the
-	// purchase message so the seller can decline a plan based on a view
-	// that is no longer current; zero under the locking arbiters, whose
-	// critical section makes the check unnecessary.
-	Version uint64
 }
 
 // Purchase is the outcome of planning a multi-slot acquisition.
@@ -73,11 +67,11 @@ func PlanPurchaseOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, n, requester i
 // PlanCandidatesOn enumerates up to max candidate purchases of n
 // contiguous slots, scanning the global map from slot origin and
 // wrapping past the end — one candidate per maximal free region, in
-// scan order. The decentralized arbiters use it to pick among runs by
+// scan order. The sharded arbiter uses it to pick among runs by
 // seller count (fewest-owners-first) instead of committing to the
 // first fit, and the per-node origin spreads concurrent initiators
-// over disjoint regions of the slot space so their shard sets (and
-// optimistic version checks) rarely collide.
+// over disjoint regions of the slot space so their shard sets rarely
+// collide.
 //
 // Unlike PlanPurchaseOn, the maps here were gathered without any lock,
 // so the snapshots may be mutually torn: a slot sold mid-gather can

@@ -147,7 +147,7 @@ type NodeSlots struct {
 	// onChange, when set, runs after every mutation of the ownership
 	// bitmap with the bit range [start, start+n) that changed. The
 	// runtime uses it to feed the bitmap-version journal that the delta
-	// gather and the optimistic arbiter read.
+	// gather reads.
 	onChange func(start, n int)
 }
 

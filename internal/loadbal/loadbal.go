@@ -216,11 +216,10 @@ func (b *Balancer) round() {
 			continue
 		}
 		b.eng.Report(policy.LoadReport{
-			Node:            i,
-			Resident:        resident,
-			Runnable:        sched.Runnable(),
-			VersionDeclines: b.c.VersionDeclinesOf(i),
-			Time:            now,
+			Node:     i,
+			Resident: resident,
+			Runnable: sched.Runnable(),
+			Time:     now,
 		})
 	}
 	if totalThreads == 0 {

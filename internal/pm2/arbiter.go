@@ -12,27 +12,24 @@ import (
 // the §4.4 protocol's step 2a. The paper funnels every negotiation
 // through one system-wide critical section hosted on node 0; with the
 // gather payload already cut (Config.Gather), that single lock is the
-// remaining serialization point. Two decentralized schemes relax it:
+// remaining serialization point. The sharded arbiter relaxes it: the
+// slot space is partitioned into contiguous shards (core.ShardMap),
+// shard s arbitrated by rank s mod n. A negotiation gathers and plans
+// without any lock, then takes only the shards its planned run touches
+// — in ascending shard order, so no cycle of waiters can form — buys,
+// and releases. Disjoint negotiations hold disjoint shard sets and
+// proceed in parallel.
 //
-//   - sharded: the slot space is partitioned into contiguous shards
-//     (core.ShardMap), shard s arbitrated by rank s mod n. A
-//     negotiation gathers and plans without any lock, then takes only
-//     the shards its planned run touches — in ascending shard order, so
-//     no cycle of waiters can form — buys, and releases. Disjoint
-//     negotiations hold disjoint shard sets and proceed in parallel.
+// A sharded negotiation that exhausts its rounds does not give up: it
+// escalates once, taking every shard in the same ascending order, and
+// re-runs its round budget on a view no other negotiation can change —
+// the global lock's guarantee, reached only when contention demands it
+// (see escalate).
 //
-//   - optimistic: no lock at all. Initiators plan against their
-//     gathered (or delta-cached) view and stamp each purchase with the
-//     seller's bitmap-journal version that view corresponds to; a
-//     seller whose version moved since then declines the stale plan.
-//     The initiator gives secured shares back and re-plans after a
-//     deterministic per-attempt backoff, within the usual round bound;
-//     exhaustion feeds Stats.NegotiationFailures.
-//
-// Under both schemes a node still runs its *own* negotiations one at a
-// time (a local queue replaces the global one), which keeps the
-// give-back accounting and retry invariants intact; the parallelism is
-// across initiators, which is where the contention was.
+// A node still runs its *own* negotiations one at a time (a local queue
+// replaces the global one), which keeps the give-back accounting and
+// retry invariants intact; the parallelism is across initiators, which
+// is where the contention was.
 
 // ArbiterMode selects the negotiation concurrency scheme.
 type ArbiterMode int
@@ -45,17 +42,11 @@ const (
 	// by rank shard mod n; a negotiation locks only the shards its
 	// planned purchase touches, in canonical ascending order.
 	ArbiterSharded
-	// ArbiterOptimistic takes no lock: purchases are version-stamped
-	// and sellers decline plans computed against a stale bitmap view.
-	ArbiterOptimistic
 )
 
 func (a ArbiterMode) String() string {
-	switch a {
-	case ArbiterSharded:
+	if a == ArbiterSharded {
 		return "sharded"
-	case ArbiterOptimistic:
-		return "optimistic"
 	}
 	return "global"
 }
@@ -68,14 +59,12 @@ func ParseArbiterMode(s string) (ArbiterMode, error) {
 		return ArbiterGlobal, nil
 	case "sharded", "shard":
 		return ArbiterSharded, nil
-	case "optimistic", "opt", "occ":
-		return ArbiterOptimistic, nil
 	}
 	return ArbiterGlobal, fmt.Errorf("pm2: unknown arbiter %q (have %v)", s, ArbiterModeNames())
 }
 
 // ArbiterModeNames lists the canonical arbiter names.
-func ArbiterModeNames() []string { return []string{"global", "sharded", "optimistic"} }
+func ArbiterModeNames() []string { return []string{"global", "sharded"} }
 
 // defaultArbiterShards partitions the 57344-slot space into 3584-slot
 // shards: fine enough that initiators planning in distinct home regions
@@ -84,10 +73,9 @@ func ArbiterModeNames() []string { return []string{"global", "sharded", "optimis
 const defaultArbiterShards = 16
 
 // negotiationBackoffBase is the first retry's deterministic delay; each
-// further attempt doubles it. The backoff breaks optimistic livelock —
-// two initiators declining each other's purchases re-plan at different
-// virtual times instead of re-colliding forever — and makes attempt
-// counts reproducible run to run.
+// further attempt doubles it. Two sharded initiators whose runs
+// collided re-plan at different virtual times instead of re-colliding
+// in lockstep, and attempt counts stay reproducible run to run.
 const negotiationBackoffBase = 25 * simtime.Microsecond
 
 // negotiationBackoff returns the deterministic delay before re-running
@@ -97,10 +85,10 @@ func negotiationBackoff(round int) simtime.Time {
 }
 
 // startLocalNegotiation runs fn now, or queues it behind this node's
-// negotiation in flight. The decentralized arbiters drop the global
-// queue on node 0; this local queue preserves the invariant the retry
-// path relies on — one negotiation per node at a time, so give-backs of
-// one round can never interleave with another round's gather.
+// negotiation in flight. The sharded arbiter drops the global queue on
+// node 0; this local queue preserves the invariant the retry path
+// relies on — one negotiation per node at a time, so give-backs of one
+// round can never interleave with another round's gather.
 func (n *Node) startLocalNegotiation(fn func()) {
 	if n.negBusy {
 		n.negQueue = append(n.negQueue, fn)
@@ -123,21 +111,35 @@ func (n *Node) finishLocalNegotiation() {
 }
 
 // homeOrigin returns where this node starts its run search under the
-// decentralized arbiters: the slot space divided into per-rank home
-// regions. Concurrent initiators therefore plan in disjoint regions —
-// disjoint shard sets under the sharded arbiter, non-colliding version
-// checks under the optimistic one — while the wrap-around keeps every
-// slot reachable when a home region is exhausted.
+// sharded arbiter: the slot space divided into per-rank home regions.
+// Concurrent initiators therefore plan in disjoint regions, and so lock
+// disjoint shard sets, while the wrap-around keeps every slot reachable
+// when a home region is exhausted.
 func (n *Node) homeOrigin() int {
 	return n.id * (layout.SlotCount / n.c.Nodes())
 }
 
+// escalate is a sharded negotiation's answer to round exhaustion: it
+// takes every shard, in the ascending order withRunLocks always uses,
+// and re-runs the round budget holding them. No other negotiation can
+// buy a slot meanwhile, so the escalated rounds race only local
+// allocations, as under the global lock. While escalated, withRunLocks
+// is a pass-through and releaseRunLocks keeps the shards; negotiate
+// releases them once, when the negotiation finishes.
+func (n *Node) escalate(k int, done func(bool)) {
+	n.withRunLocks(0, layout.SlotCount, func() {
+		n.escalated = true
+		n.negotiateRound(k, 0, done)
+	}, func() { done(false) })
+}
+
 // withRunLocks acquires the shard locks covering the planned run and
-// then calls then. Under any arbiter but the sharded one it is a
-// pass-through. Shards are acquired strictly one at a time in ascending
-// order — the canonical order every initiator uses, which is the
-// deadlock-freedom argument: the holder of the highest contended shard
-// never waits on a lower one, so it completes and unblocks the rest.
+// then calls then. Under the global arbiter, or while this node's
+// negotiation holds every shard (escalate), it is a pass-through.
+// Shards are acquired strictly one at a time in ascending order — the
+// canonical order every initiator uses, which is the deadlock-freedom
+// argument: the holder of the highest contended shard never waits on a
+// lower one, so it completes and unblocks the rest.
 //
 // With a timeout configured, an unreachable shard manager fails the
 // acquisition instead of hanging the negotiation: the shards already
@@ -146,7 +148,7 @@ func (n *Node) homeOrigin() int {
 // arrives — a manager's lock must never be parked with a waiter that
 // walked away.
 func (n *Node) withRunLocks(start, count int, then, fail func()) {
-	if n.c.cfg.Arbiter != ArbiterSharded {
+	if n.c.cfg.Arbiter != ArbiterSharded || n.escalated {
 		then()
 		return
 	}
@@ -177,8 +179,13 @@ func (n *Node) withRunLocks(start, count int, then, fail func()) {
 }
 
 // releaseRunLocks releases every shard lock this node's negotiation
-// holds (one-way, like the global unlock). No-op when none are held.
+// holds (one-way, like the global unlock). No-op when none are held,
+// and while escalated: an escalated negotiation keeps every shard until
+// it finishes.
 func (n *Node) releaseRunLocks() {
+	if n.escalated {
+		return
+	}
 	for _, s := range n.heldShards {
 		shard := s
 		n.ep.Send(n.c.shardManager(shard), chShardUnlock, func(b *madeleine.Buffer) {

@@ -2,6 +2,8 @@ package pm2
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/layout"
@@ -27,16 +29,59 @@ func freeSlotTotal(c *Cluster) int {
 	return total
 }
 
+// shardsIdle reports an error unless every shard manager ended idle and
+// no node's negotiation still holds (or is escalated over) any shard.
+func shardsIdle(c *Cluster) error {
+	for i := 0; i < c.Nodes(); i++ {
+		n := c.Node(i)
+		if len(n.heldShards) != 0 || n.escalated {
+			return fmt.Errorf("node %d still holds shards %v (escalated=%v)", i, n.heldShards, n.escalated)
+		}
+		for s, held := range n.shardHeld {
+			if held {
+				return fmt.Errorf("manager %d still marks shard %d held", i, s)
+			}
+		}
+		for s, q := range n.shardQueue {
+			if len(q) != 0 {
+				return fmt.Errorf("manager %d still queues %d waiter(s) on shard %d", i, len(q), s)
+			}
+		}
+	}
+	return nil
+}
+
+// TestParseArbiterMode: the two arbiters parse under their names and
+// aliases; the removed optimistic arbiter's names are unknown.
+func TestParseArbiterMode(t *testing.T) {
+	if got := ArbiterModeNames(); !reflect.DeepEqual(got, []string{"global", "sharded"}) {
+		t.Fatalf("ArbiterModeNames() = %v", got)
+	}
+	for name, want := range map[string]ArbiterMode{
+		"": ArbiterGlobal, "global": ArbiterGlobal, "lock": ArbiterGlobal,
+		"sharded": ArbiterSharded, "shard": ArbiterSharded,
+	} {
+		if got, err := ParseArbiterMode(name); err != nil || got != want {
+			t.Errorf("ParseArbiterMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"optimistic", "opt", "occ"} {
+		if _, err := ParseArbiterMode(name); err == nil || !strings.Contains(err.Error(), "unknown arbiter") {
+			t.Errorf("ParseArbiterMode(%q): error = %v, want unknown arbiter", name, err)
+		}
+	}
+}
+
 // TestArbitersAgreeOnSingleInitiatorOutcome: with a single initiator and
-// a quiet cluster there is nothing to arbitrate, so the sharded and
-// optimistic schemes must reach byte-identical final slot ownership to
-// the paper's global lock — the arbiter changes who may negotiate
-// concurrently, never what a lone negotiation buys.
+// a quiet cluster there is nothing to arbitrate, so the sharded scheme
+// must reach byte-identical final slot ownership to the paper's global
+// lock — the arbiter changes who may negotiate concurrently, never what
+// a lone negotiation buys.
 func TestArbitersAgreeOnSingleInitiatorOutcome(t *testing.T) {
 	for _, nodes := range []int{2, 4, 8} {
 		for _, k := range []int{1, 2, 3, 5} {
 			var want []string
-			for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic} {
+			for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
 				name := fmt.Sprintf("n%d/k%d/%s", nodes, k, arb)
 				c := New(Config{Nodes: nodes, Arbiter: arb}, progs.NewImage())
 				if !negotiateSync(t, c, 0, k) {
@@ -67,7 +112,7 @@ func TestArbitersAgreeOnSingleInitiatorOutcome(t *testing.T) {
 // ownership, it never mints or leaks slots). Two identical runs must
 // agree byte-for-byte — the deterministic-backoff guarantee.
 func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
-	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic} {
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
 		for _, nodes := range []int{4, 16} {
 			name := fmt.Sprintf("%s/n%d", arb, nodes)
 			run := func() ([]string, Stats) {
@@ -102,9 +147,9 @@ func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
 					t.Fatalf("%s: two identical concurrent runs diverged at node %d", name, i)
 				}
 			}
-			if sa.NegotiationRetries != sb.NegotiationRetries || sa.VersionDeclines != sb.VersionDeclines {
-				t.Fatalf("%s: attempt counts not reproducible: %d/%d vs %d/%d retries/declines",
-					name, sa.NegotiationRetries, sa.VersionDeclines, sb.NegotiationRetries, sb.VersionDeclines)
+			if sa.NegotiationRetries != sb.NegotiationRetries {
+				t.Fatalf("%s: attempt counts not reproducible: %d vs %d retries",
+					name, sa.NegotiationRetries, sb.NegotiationRetries)
 			}
 		}
 	}
@@ -141,16 +186,8 @@ func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 	if len(order) != 4 {
 		t.Fatalf("grants = %v, want all four negotiations granted", order)
 	}
-	for i := 0; i < c.Nodes(); i++ {
-		n := c.Node(i)
-		if len(n.heldShards) != 0 {
-			t.Fatalf("node %d still holds shards %v", i, n.heldShards)
-		}
-		for s, held := range n.shardHeld {
-			if held {
-				t.Fatalf("manager %d still marks shard %d held", i, s)
-			}
-		}
+	if err := shardsIdle(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -182,130 +219,161 @@ func TestShardLockSpanningRuns(t *testing.T) {
 	}
 }
 
-// TestOptimisticVersionDecline: a seller whose bitmap mutated near the
-// requested run between the gather and the purchase declines the stale,
-// version-stamped plan; the initiator backs off, re-plans on a fresh
-// view and succeeds. A mutation in a far-away bitmap word must NOT
-// decline — the journal's dirty words scope the validation. The
-// conflict is visible in Stats.VersionDeclines and the attempt count is
-// identical across reruns.
-func TestOptimisticVersionDecline(t *testing.T) {
-	// Initiator 0 plans run [0,3): node 1 sells slot 1, which lives in
-	// bitmap word 0. raceSlot 5 (also word 0, owned free by node 1 under
-	// 4-node round-robin) collides; a slot in the last word does not.
-	run := func(raceSlot int) Stats {
-		c := New(Config{Nodes: 4, Arbiter: ArbiterOptimistic}, progs.NewImage())
-		fired := false
-		n1 := c.Node(1)
-		n1.buyHook = func(src int, giveBack bool) bool {
-			if !giveBack && !fired {
-				fired = true
-				// A local allocation lands after the gather: the journal
-				// version moves before the purchase is served.
-				if err := n1.slots.AcquireAt(raceSlot, 1); err != nil {
-					t.Errorf("racing allocation: %v", err)
-				}
-			}
-			return false
-		}
-		if !negotiateSync(t, c, 0, 3) {
-			t.Fatal("negotiation failed after the version decline")
-		}
-		if !fired {
-			t.Fatal("the racing allocation never ran")
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return c.Stats()
-	}
-	st := run(5)
-	if st.VersionDeclines == 0 {
-		t.Fatal("stale plan overlapping the mutated word was not declined")
-	}
-	if st.NegotiationRetries == 0 {
-		t.Fatal("version decline did not register a retry")
-	}
-	st2 := run(5)
-	if st.NegotiationRetries != st2.NegotiationRetries || st.VersionDeclines != st2.VersionDeclines {
-		t.Fatalf("attempt counts not reproducible: %d/%d vs %d/%d",
-			st.NegotiationRetries, st.VersionDeclines, st2.NegotiationRetries, st2.VersionDeclines)
-	}
-	// A mutation in the last bitmap word is disjoint from the plan: the
-	// version moved, but the purchase must still be honored.
-	far := run(layout.SlotCount - 3) // owned by node 1: (57344-3) % 4 == 1
-	if far.VersionDeclines != 0 {
-		t.Fatalf("disjoint mutation declined %d purchase(s) — validation not word-scoped", far.VersionDeclines)
-	}
-	if far.NegotiationRetries != 0 {
-		t.Fatalf("disjoint mutation caused %d retries", far.NegotiationRetries)
-	}
-}
-
 // TestLocalNegotiationQueue: without the global lock, one node's own
 // negotiations must still run one at a time — the second completes
 // after the first, and both succeed.
 func TestLocalNegotiationQueue(t *testing.T) {
-	for _, arb := range []ArbiterMode{ArbiterSharded, ArbiterOptimistic} {
-		c := New(Config{Nodes: 4, Arbiter: arb}, progs.NewImage())
-		var done []int
-		c.At(0, func(n *Node) {
-			n.negotiate(2, func(ok bool) {
-				if !ok {
-					t.Errorf("%s: first negotiation failed", arb)
-				}
-				done = append(done, 1)
-			})
-			n.negotiate(3, func(ok bool) {
-				if !ok {
-					t.Errorf("%s: second negotiation failed", arb)
-				}
-				done = append(done, 2)
-			})
+	c := New(Config{Nodes: 4, Arbiter: ArbiterSharded}, progs.NewImage())
+	var done []int
+	c.At(0, func(n *Node) {
+		n.negotiate(2, func(ok bool) {
+			if !ok {
+				t.Error("first negotiation failed")
+			}
+			done = append(done, 1)
 		})
-		c.Run(0)
-		if len(done) != 2 || done[0] != 1 || done[1] != 2 {
-			t.Fatalf("%s: completion order %v, want [1 2]", arb, done)
-		}
-		n0 := c.Node(0)
-		if n0.negBusy || len(n0.negQueue) != 0 {
-			t.Fatalf("%s: local queue not drained: busy=%v queue=%d", arb, n0.negBusy, len(n0.negQueue))
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", arb, err)
-		}
+		n.negotiate(3, func(ok bool) {
+			if !ok {
+				t.Error("second negotiation failed")
+			}
+			done = append(done, 2)
+		})
+	})
+	c.Run(0)
+	if len(done) != 2 || done[0] != 1 || done[1] != 2 {
+		t.Fatalf("completion order %v, want [1 2]", done)
+	}
+	n0 := c.Node(0)
+	if n0.negBusy || len(n0.negQueue) != 0 {
+		t.Fatalf("local queue not drained: busy=%v queue=%d", n0.negBusy, len(n0.negQueue))
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestDecentralizedArbitersAcrossGathers: every gather strategy composes
-// with every arbiter — concurrent initiators drain, invariants hold,
-// ownership is conserved.
+// with the sharded arbiter — concurrent initiators drain, invariants
+// hold, ownership is conserved.
 func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
 	for _, gather := range []GatherMode{GatherSequential, GatherTree, GatherDelta} {
-		for _, arb := range []ArbiterMode{ArbiterSharded, ArbiterOptimistic} {
-			name := fmt.Sprintf("%s/%s", gather, arb)
-			c := New(Config{Nodes: 8, Gather: gather, Arbiter: arb}, progs.NewImage())
-			succeeded := 0
-			for i := 0; i < 8; i++ {
-				id := i
-				c.At(id, func(n *Node) {
-					n.negotiate(2, func(ok bool) {
-						if ok {
-							succeeded++
-						}
-					})
+		c := New(Config{Nodes: 8, Gather: gather, Arbiter: ArbiterSharded}, progs.NewImage())
+		succeeded := 0
+		for i := 0; i < 8; i++ {
+			id := i
+			c.At(id, func(n *Node) {
+				n.negotiate(2, func(ok bool) {
+					if ok {
+						succeeded++
+					}
 				})
+			})
+		}
+		c.Run(0)
+		if succeeded != 8 {
+			t.Fatalf("%s: %d of 8 negotiations succeeded", gather, succeeded)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", gather, err)
+		}
+		if got := freeSlotTotal(c); got != layout.SlotCount {
+			t.Fatalf("%s: owned-free total %d, want %d", gather, got, layout.SlotCount)
+		}
+	}
+}
+
+// TestShardedEscalationSucceedsWhereGlobalGivesUp: a seller declines
+// exactly maxNegotiationRounds purchases and then accepts. The global
+// arbiter has spent its budget and gives up; the sharded arbiter
+// escalates, and its escalated round — holding every shard, in
+// ascending order — buys the run. Every shard is released afterwards.
+func TestShardedEscalationSucceedsWhereGlobalGivesUp(t *testing.T) {
+	const shards = 8
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
+		c := New(Config{Nodes: 2, Arbiter: arb, ArbiterShards: shards}, progs.NewImage())
+		n0 := c.Node(0)
+		declines := 0
+		var heldAtAccept []int
+		c.Node(1).buyHook = func(src int, giveBack bool) bool {
+			if giveBack {
+				return false
 			}
-			c.Run(0)
-			if succeeded != 8 {
-				t.Fatalf("%s: %d of 8 negotiations succeeded", name, succeeded)
+			if declines < maxNegotiationRounds {
+				declines++
+				return true
 			}
-			if err := c.CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			heldAtAccept = append([]int(nil), n0.heldShards...)
+			return false
+		}
+		ok := negotiateSync(t, c, 0, 2)
+		if arb == ArbiterGlobal {
+			if ok {
+				t.Fatal("global: negotiation succeeded past its round budget")
 			}
-			if got := freeSlotTotal(c); got != layout.SlotCount {
-				t.Fatalf("%s: owned-free total %d, want %d", name, got, layout.SlotCount)
+			continue
+		}
+		if !ok {
+			t.Fatal("sharded: escalated negotiation failed")
+		}
+		want := make([]int, shards)
+		for i := range want {
+			want[i] = i
+		}
+		if !reflect.DeepEqual(heldAtAccept, want) {
+			t.Fatalf("sharded: shards held during the escalated round = %v, want %v", heldAtAccept, want)
+		}
+		if st := c.Stats(); st.NegotiationFailures != 0 || st.NegotiationRetries != maxNegotiationRounds {
+			t.Fatalf("sharded: failures=%d retries=%d, want 0/%d", st.NegotiationFailures, st.NegotiationRetries, maxNegotiationRounds)
+		}
+		if err := shardsIdle(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentEscalations: every node negotiates at once, and every
+// purchase is declined until its initiator has escalated, so all of them
+// exhaust their budget and contend for every shard at about the same
+// time. The ascending acquisition order keeps that deadlock-free: every
+// negotiation completes, no slot is minted or lost, and every shard
+// ends released.
+func TestConcurrentEscalations(t *testing.T) {
+	const nodes = 8
+	for _, gather := range []GatherMode{GatherSequential, GatherTree, GatherDelta} {
+		c := New(Config{Nodes: nodes, Gather: gather, Arbiter: ArbiterSharded}, progs.NewImage())
+		for i := 0; i < nodes; i++ {
+			c.Node(i).buyHook = func(src int, giveBack bool) bool {
+				return !giveBack && !c.Node(src).escalated
 			}
+		}
+		succeeded := 0
+		for i := 0; i < nodes; i++ {
+			c.At(i, func(n *Node) {
+				n.negotiate(3, func(ok bool) {
+					if ok {
+						succeeded++
+					}
+				})
+			})
+		}
+		c.Run(0)
+		if succeeded != nodes {
+			t.Fatalf("%s: %d of %d escalating negotiations succeeded", gather, succeeded, nodes)
+		}
+		if st := c.Stats(); st.NegotiationRetries < nodes*maxNegotiationRounds {
+			t.Fatalf("%s: %d retries, want every initiator to exhaust its %d rounds", gather, st.NegotiationRetries, maxNegotiationRounds)
+		}
+		if got := freeSlotTotal(c); got != layout.SlotCount {
+			t.Fatalf("%s: owned-free total %d, want %d", gather, got, layout.SlotCount)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", gather, err)
+		}
+		if err := shardsIdle(c); err != nil {
+			t.Fatalf("%s: %v", gather, err)
 		}
 	}
 }

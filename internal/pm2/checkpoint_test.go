@@ -222,7 +222,7 @@ func TestCheckpointRefusals(t *testing.T) {
 		if _, err := RestoreCluster(Config{Nodes: 4}, progs.NewImage(), ck); err == nil || !strings.Contains(err.Error(), "mismatch") {
 			t.Fatalf("node-count mismatch: error = %v", err)
 		}
-		if _, err := RestoreCluster(Config{Nodes: 2, Arbiter: ArbiterOptimistic}, progs.NewImage(), ck); err == nil || !strings.Contains(err.Error(), "mismatch") {
+		if _, err := RestoreCluster(Config{Nodes: 2, Arbiter: ArbiterSharded}, progs.NewImage(), ck); err == nil || !strings.Contains(err.Error(), "mismatch") {
 			t.Fatalf("arbiter mismatch: error = %v", err)
 		}
 	})

@@ -35,11 +35,10 @@ func tickHeartbeats(c *Cluster, period simtime.Time, rounds int) {
 // expires after two missed heartbeats, every thread resident on the dead
 // node is evacuated with zero TID loss, the dead rank's slots are
 // reclaimed by the survivors, and a post-failover negotiation that must
-// cross the reclaimed range succeeds — under all three arbiters, with
-// traces byte-identical between the serial and parallel kernels. The
-// tree gather runs the post-failover negotiation through its flat delta
-// fallback, which under the optimistic arbiter must stamp purchases from
-// the delta views.
+// cross the reclaimed range succeeds — under both arbiters, with traces
+// byte-identical between the serial and parallel kernels. The tree
+// gather runs the post-failover negotiation through its flat delta
+// fallback.
 func TestFailoverKillOneOf16(t *testing.T) {
 	const (
 		nodes   = 16
@@ -48,7 +47,7 @@ func TestFailoverKillOneOf16(t *testing.T) {
 		tick    = simtime.Millisecond
 	)
 	gathers := []GatherMode{GatherSequential, GatherTree}
-	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic} {
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
 		traces := map[GatherMode]map[int]string{}
 		for _, gather := range gathers {
 			traces[gather] = map[int]string{}

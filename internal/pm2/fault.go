@@ -35,10 +35,9 @@ import (
 //     the survivors round-robin, and thawed there; the dead rank's
 //     owned-free slots are surrendered and re-dealt to the survivors.
 //     Every reclaimed run lands through NodeSlots.BuyRun on its new
-//     owner, firing the owner's bitmap on-change hook — the journal
-//     version bumps, so an optimistic purchase stamped with a
-//     pre-reclaim view of those words is version-declined by the
-//     seller's validation. Reclaim needs no lock to be safe.
+//     owner. Reclaim needs no lock to be safe: a seller validates every
+//     purchase against its own bitmap (TestRun) when serving it, so a
+//     plan made on a pre-reclaim view is declined, never double-sold.
 //
 // With Config.RPCTimeout set, detection additionally distinguishes
 // *suspected* from *declared dead* (the partial-failure model):
@@ -255,9 +254,9 @@ func (c *Cluster) suspect(i int, now simtime.Time) {
 
 // rejoin clears node i's suspicion after it answered a heartbeat again
 // (the partition healed). Every cached cross-node belief involving it is
-// dropped, in both directions: the survivors' delta views and gathered
-// versions of i went stale while it was unreachable, and i's own view of
-// the whole cluster went stale behind the partition. The next gather
+// dropped, in both directions: the survivors' delta views of i went
+// stale while it was unreachable, and i's own view of the whole cluster
+// went stale behind the partition. The next gather
 // resyncs from ground truth — the delta gather through its full-map
 // first-contact fallback. Runs as an ambient barrier.
 func (c *Cluster) rejoin(i int, now simtime.Time) {
@@ -276,18 +275,10 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 			n.deltaPeers[i] = deltaPeerView{}
 			n.rebuildGlobalOr()
 		}
-		if n.gatherVersions != nil {
-			n.gatherVersions[i] = 0
-		}
 	}
 	if r.deltaPeers != nil {
 		r.deltaPeers = make([]deltaPeerView, c.Nodes())
 		r.deltaOr = bitmap.New(layout.SlotCount)
-	}
-	if r.gatherVersions != nil {
-		for p := range r.gatherVersions {
-			r.gatherVersions[p] = 0
-		}
 	}
 	c.log.Raw(fmt.Sprintf("[rejoin] node %d rejoined at t=%dus (suspicion cleared)",
 		i, now/simtime.Microsecond))
@@ -433,12 +424,11 @@ func (n *Node) recoverConvoy(body []byte, declared simtime.Time, zeroCopy bool) 
 // reclaim surrenders the dead rank's owned-free slots and deals the
 // maximal free runs round-robin to the survivors. Each share lands
 // through a posted, charged BuyRun on its new owner, so the on-change
-// hook fires: the journal version bumps, so every cached
-// remote view of the reclaimed words goes stale, which is what makes
-// lock-free reclaim safe under optimistic arbitration. The survivors'
-// cached delta views of the dead rank are dropped here too: it will
-// never answer a delta request again, and its surrendered bits must not
-// linger in any cached global OR. Returns the slots reclaimed.
+// hook fires and every cached remote view of the reclaimed words goes
+// stale. The survivors' cached delta views of the dead rank are dropped
+// here too: it will never answer a delta request again, and its
+// surrendered bits must not linger in any cached global OR. Returns the
+// slots reclaimed.
 func (c *Cluster) reclaim(d *Node, live []int) int {
 	var given *bitmap.Bitmap
 	d.actor.Mute(func() { given = d.slots.SurrenderAll() })
@@ -448,9 +438,6 @@ func (c *Cluster) reclaim(d *Node, live []int) int {
 		if n.deltaPeers != nil && n.deltaPeers[d.id].bm != nil {
 			n.deltaPeers[d.id] = deltaPeerView{}
 			n.rebuildGlobalOr()
-		}
-		if n.gatherVersions != nil {
-			n.gatherVersions[d.id] = 0
 		}
 	}
 

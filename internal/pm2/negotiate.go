@@ -75,12 +75,16 @@ func (n *Node) negotiate(k int, done func(bool)) {
 		}, func() { finish(false) })
 		return
 	}
-	// Decentralized arbiters: no system-wide section. The node's own
+	// Sharded arbiter: no system-wide section. The node's own
 	// negotiations still run one at a time through the local queue;
-	// locking (sharded) or validation (optimistic) happens per round,
-	// after planning — see arbiter.go.
+	// shard locking happens per round, after planning, and an escalated
+	// negotiation releases every shard here — see arbiter.go.
 	n.startLocalNegotiation(func() {
 		n.negotiateRound(k, 0, func(ok bool) {
+			if n.escalated {
+				n.escalated = false
+				n.releaseRunLocks()
+			}
 			n.finishLocalNegotiation()
 			finish(ok)
 		})
@@ -96,6 +100,10 @@ func (n *Node) negotiateRound(k, round int, done func(bool)) {
 		panic(fmt.Sprintf("pm2: node %d started a negotiation round with %d give-backs in flight", n.id, n.pendingGiveBacks))
 	}
 	if round >= maxNegotiationRounds {
+		if n.c.cfg.Arbiter == ArbiterSharded && !n.escalated {
+			n.escalate(k, done)
+			return
+		}
 		done(false)
 		return
 	}
@@ -137,7 +145,7 @@ func (n *Node) gatherSequential(k, round int, done func(bool)) {
 		}
 		peer := order[i]
 		n.gatherCall(peer, chBitmap, nil, func(reply *madeleine.Buffer) {
-			maps[peer] = n.unpackGathered(peer, reply)
+			maps[peer] = n.unpackBitmap(peer, reply)
 			// Merging this bitmap into the global OR (step 2c is
 			// incremental).
 			n.mergeCharge(layout.BitmapBytes)
@@ -264,37 +272,8 @@ func (n *Node) unpackBitmap(peer int, reply *madeleine.Buffer) *bitmap.Bitmap {
 	return bm
 }
 
-// unpackGathered decodes a chBitmap reply. Under the optimistic arbiter
-// the reply leads with the peer's bitmap-journal version, recorded for
-// stamping any purchase planned on this view. (The delta gather carries
-// versions in its own envelope — see applyDeltaReply.)
-func (n *Node) unpackGathered(peer int, reply *madeleine.Buffer) *bitmap.Bitmap {
-	if n.c.cfg.Arbiter == ArbiterOptimistic {
-		if n.gatherVersions == nil {
-			n.gatherVersions = make([]uint64, n.c.Nodes())
-		}
-		n.gatherVersions[peer] = reply.U64()
-	}
-	return n.unpackBitmap(peer, reply)
-}
-
-// sellerVersion returns the bitmap-journal version of peer that the
-// current plan's view corresponds to: the version the last sequential
-// gather shipped, or otherwise the delta gather's cached view version —
-// a tree gather that stamps a per-owner plan is running its post-failover
-// delta fallback.
-func (n *Node) sellerVersion(peer int) uint64 {
-	if n.c.cfg.Gather != GatherSequential {
-		return n.deltaPeers[peer].version
-	}
-	if n.gatherVersions == nil {
-		panic(fmt.Sprintf("pm2: node %d stamping a purchase with no gathered versions", n.id))
-	}
-	return n.gatherVersions[peer]
-}
-
-// purchaseCandidates bounds how many runs the decentralized planners
-// enumerate before ranking them fewest-owners-first.
+// purchaseCandidates bounds how many runs the sharded planner
+// enumerates before ranking them fewest-owners-first.
 const purchaseCandidates = 4
 
 // planAndBuy computes the purchase and executes it (paper steps 2c–2e).
@@ -329,11 +308,9 @@ func (n *Node) planOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (core
 }
 
 // planRun plans one purchase of k slots. The global arbiter keeps the
-// paper's first fit verbatim; the decentralized arbiters search from
-// this node's home origin and rank a handful of candidate runs
-// fewest-owners-first through the cost model (internal/policy), then
-// stamp each seller share with the bitmap version the plan saw when
-// running optimistically.
+// paper's first fit verbatim; the sharded arbiter searches from this
+// node's home origin and ranks a handful of candidate runs
+// fewest-owners-first through the cost model (internal/policy).
 func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (core.Purchase, bool) {
 	if n.c.cfg.Arbiter == ArbiterGlobal {
 		return core.PlanPurchaseOn(global, maps, k, n.id)
@@ -342,13 +319,7 @@ func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (cor
 	if len(cands) == 0 {
 		return core.Purchase{}, false
 	}
-	plan := cands[policy.CheapestPurchase(cands, n.c.cfg.Model)]
-	if n.c.cfg.Arbiter == ArbiterOptimistic {
-		for i := range plan.Sellers {
-			plan.Sellers[i].Version = n.sellerVersion(plan.Sellers[i].Node)
-		}
-	}
-	return plan, true
+	return cands[policy.CheapestPurchase(cands, n.c.cfg.Model)], true
 }
 
 // executePurchase carries out a planned purchase (paper step 2e): one
@@ -412,11 +383,6 @@ func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)
 		}
 		n.callRPC(seller, chBuy, func(b *madeleine.Buffer) {
 			b.PackU32(opPurchase)
-			if n.c.cfg.Arbiter == ArbiterOptimistic {
-				// One version per message: every share bought from this
-				// seller was planned on the same gathered view.
-				b.PackU64(shares[0].Version)
-			}
 			packShares(b, shares)
 		}, func(reply *madeleine.Buffer) {
 			if reply.U32() == 1 {
@@ -465,10 +431,10 @@ type pendingReturn struct {
 // only after all give-back replies arrived (the §4.4 retry/give-back
 // ordering fix). Any shard locks the failed plan held are released
 // first — the retry re-plans and may touch different shards — and the
-// re-run waits out a deterministic per-attempt backoff, so two
-// optimistic initiators declining each other's purchases re-plan at
-// different virtual times instead of re-colliding forever, and the
-// attempt count of any race is reproducible run to run.
+// re-run waits out a deterministic per-attempt backoff, so two sharded
+// initiators whose runs collided re-plan at different virtual times
+// instead of re-colliding in lockstep, and the attempt count of any
+// race is reproducible run to run.
 func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done func(bool)) {
 	n.actor.Commit(func() { n.c.stats.NegotiationRetries++ })
 	n.releaseRunLocks()
@@ -507,8 +473,8 @@ func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done fun
 func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, done func(bool)) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	// The merged map has no per-slot ownership, so fewest-owners ranking
-	// is impossible here; the decentralized arbiters still search from
-	// the node's home origin (wrapping) to keep concurrent initiators in
+	// is impossible here; the sharded arbiter still searches from the
+	// node's home origin (wrapping) to keep concurrent initiators in
 	// disjoint regions.
 	find := func(size int) int {
 		if n.c.cfg.Arbiter == ArbiterGlobal {
@@ -668,18 +634,10 @@ func (n *Node) returnSlots(seller int, shares []core.SellerShare, done func()) {
 }
 
 // onBitmapCall serves a gather request: serialize and return our bitmap.
-// Under the optimistic arbiter the reply leads with the bitmap-journal
-// version the map corresponds to, so the caller can stamp any purchase
-// it plans on this view.
 func (n *Node) onBitmapCall(src int, req *madeleine.Call) {
 	raw := n.slots.Bitmap().Bytes()
 	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
-	req.Reply(func(b *madeleine.Buffer) {
-		if n.c.cfg.Arbiter == ArbiterOptimistic {
-			b.PackU64(n.journal.Version())
-		}
-		b.PackBytes(raw)
-	})
+	req.Reply(func(b *madeleine.Buffer) { b.PackBytes(raw) })
 }
 
 // onBuyCall serves a purchase, give-back, or range purchase of slot runs.
@@ -717,10 +675,6 @@ func (n *Node) onBuyCall(src int, req *madeleine.Call) {
 		return
 	}
 	giveBack := op == opGiveBack
-	planVersion, versioned := uint64(0), false
-	if op == opPurchase && n.c.cfg.Arbiter == ArbiterOptimistic {
-		planVersion, versioned = req.Msg.U64(), true
-	}
 	count := int(req.Msg.U32())
 	type run struct{ start, k int }
 	runs := make([]run, count)
@@ -736,32 +690,6 @@ func (n *Node) onBuyCall(src int, req *madeleine.Call) {
 	// Updating the bitmap for the batch costs one scan, like installing
 	// the returned bitmap of the paper's step 2e.
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
-	if versioned && planVersion != n.journal.Version() {
-		// The optimistic validation: the plan was computed against a
-		// view of our bitmap that is no longer current. The journal
-		// knows *which* words moved since the plan's version, so only a
-		// mutation overlapping the requested runs makes the plan stale —
-		// concurrent purchases in disjoint regions sail through. If the
-		// bounded journal can no longer answer for that version, the
-		// safe reading is "stale". A declined buyer gives secured shares
-		// back and re-plans on a fresh view after its backoff.
-		stale := true
-		if words, ok := n.journal.WordsSince(planVersion); ok {
-			stale = false
-			for _, w := range words {
-				for _, r := range runs {
-					if r.start/64 <= w && w <= (r.start+r.k-1)/64 {
-						stale = true
-					}
-				}
-			}
-		}
-		if stale {
-			n.actor.Commit(func() { n.c.noteVersionDecline(src) })
-			decline()
-			return
-		}
-	}
 	if giveBack {
 		for _, r := range runs {
 			if !n.slots.CanBuyRun(r.start, r.k) {

@@ -294,54 +294,63 @@ func TestLockManagerFIFO(t *testing.T) {
 }
 
 // TestNegotiationRoundsExhausted: when every round's purchase is declined,
-// the negotiation gives up after maxNegotiationRounds with done(false),
-// the lock is released for the next contender, and the attempt still
-// lands in the stats.
+// the negotiation gives up with done(false) and the attempt still lands
+// in the stats. The global arbiter gives up after maxNegotiationRounds
+// and releases its lock for the next contender; the sharded arbiter
+// first escalates to every shard and re-runs its round budget, then
+// gives up with every shard released.
 func TestNegotiationRoundsExhausted(t *testing.T) {
-	c := New(Config{Nodes: 2}, progs.NewImage())
-	declines := 0
-	c.Node(1).buyHook = func(src int, giveBack bool) bool {
-		if !giveBack {
-			declines++
-			return true
-		}
-		return false
-	}
-	if negotiateSync(t, c, 0, 2) {
-		t.Fatal("negotiation succeeded against an always-declining seller")
-	}
-	if declines != maxNegotiationRounds {
-		t.Fatalf("declines = %d, want %d", declines, maxNegotiationRounds)
-	}
-	st := c.Stats()
-	if st.Negotiations != 1 || st.NegotiationFailures != 1 {
-		t.Fatalf("stats not recorded: %+v", st)
-	}
-	// A failed attempt must not enter the latency series: the p50/p95/p99
-	// percentiles describe successful protocol runs only.
-	if len(st.NegotiationLatencies) != 0 {
-		t.Fatalf("failed negotiation leaked %d latencies into the percentile series", len(st.NegotiationLatencies))
-	}
-	if st.NegotiationRetries != maxNegotiationRounds {
-		t.Fatalf("retries = %d, want %d", st.NegotiationRetries, maxNegotiationRounds)
-	}
-	mgr := c.Node(0)
-	if mgr.lockHeld || len(mgr.lockQueue) != 0 {
-		t.Fatalf("lock not released after exhaustion: held=%v queue=%d", mgr.lockHeld, len(mgr.lockQueue))
-	}
-	// The lock is actually re-acquirable.
-	granted := false
-	c.At(1, func(n *Node) {
-		n.acquireLock(func() {
-			granted = true
-			n.releaseLock()
+	for _, tc := range []struct {
+		arb    ArbiterMode
+		rounds int
+	}{
+		{ArbiterGlobal, maxNegotiationRounds},
+		{ArbiterSharded, 2 * maxNegotiationRounds},
+	} {
+		t.Run(tc.arb.String(), func(t *testing.T) {
+			c := New(Config{Nodes: 2, Arbiter: tc.arb}, progs.NewImage())
+			declines := 0
+			c.Node(1).buyHook = func(src int, giveBack bool) bool {
+				if !giveBack {
+					declines++
+					return true
+				}
+				return false
+			}
+			if negotiateSync(t, c, 0, 2) {
+				t.Fatal("negotiation succeeded against an always-declining seller")
+			}
+			if declines != tc.rounds {
+				t.Fatalf("declines = %d, want %d", declines, tc.rounds)
+			}
+			st := c.Stats()
+			if st.Negotiations != 1 || st.NegotiationFailures != 1 {
+				t.Fatalf("stats not recorded: %+v", st)
+			}
+			// A failed attempt must not enter the latency series: the
+			// p50/p95/p99 percentiles describe successful protocol runs only.
+			if len(st.NegotiationLatencies) != 0 {
+				t.Fatalf("failed negotiation leaked %d latencies into the percentile series", len(st.NegotiationLatencies))
+			}
+			if st.NegotiationRetries != tc.rounds {
+				t.Fatalf("retries = %d, want %d", st.NegotiationRetries, tc.rounds)
+			}
+			mgr := c.Node(0)
+			if mgr.lockHeld || len(mgr.lockQueue) != 0 {
+				t.Fatalf("lock not released after exhaustion: held=%v queue=%d", mgr.lockHeld, len(mgr.lockQueue))
+			}
+			if err := shardsIdle(c); err != nil {
+				t.Fatalf("after exhaustion: %v", err)
+			}
+			// The arbiter is actually re-acquirable: a fresh negotiation
+			// against a seller that accepts succeeds.
+			c.Node(1).buyHook = nil
+			if !negotiateSync(t, c, 0, 2) {
+				t.Fatal("negotiation failed after an exhausted one")
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		})
-	})
-	c.Run(0)
-	if !granted {
-		t.Fatal("lock could not be re-acquired after an exhausted negotiation")
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -68,20 +68,16 @@ type Node struct {
 	// Sharded-arbiter state. shardHeld/shardQueue are the manager half
 	// for shards with shard mod n == id (allocated lazily on first
 	// lock); heldShards lists the shards this node's own in-flight
-	// negotiation has locked. negBusy/negQueue serialize this node's
-	// own negotiations under the decentralized arbiters, replacing the
-	// global queue on node 0 (see arbiter.go).
+	// negotiation has locked, and escalated marks that negotiation as
+	// holding every shard until it finishes. negBusy/negQueue serialize
+	// this node's own negotiations, replacing the global queue on node 0
+	// (see arbiter.go).
 	shardHeld  map[int]bool
 	shardQueue map[int][]*madeleine.Call
 	heldShards []int
+	escalated  bool
 	negBusy    bool
 	negQueue   []func()
-
-	// gatherVersions records, per peer, the bitmap-journal version the
-	// last full-map gather observed — what the optimistic arbiter
-	// stamps into purchase messages (the delta gather tracks versions
-	// in deltaPeers instead). Allocated lazily on first gather.
-	gatherVersions []uint64
 
 	// pendingGiveBacks counts give-back Calls whose reply has not yet
 	// arrived; a new negotiation round must never start before it drops
@@ -151,14 +147,13 @@ func newNode(c *Cluster, id int) *Node {
 		Migrate: n.migrateOut,
 	})
 	n.heap = heap.New(n.space, n.actor, c.cfg.Model)
-	// Any ownership change — under the delta gather (or the tree
-	// gather, whose post-failover fallback is a delta round) or the
-	// optimistic arbiter — bumps the bitmap version and journals the
-	// dirtied words, so purchases, give-backs and defrag installs all
-	// invalidate cached remote views and stale optimistic plans. The
-	// paper-faithful sequential gather under a locking arbiter never
-	// reads versions, so it skips the bookkeeping entirely.
-	if c.cfg.Gather != GatherSequential || c.cfg.Arbiter == ArbiterOptimistic {
+	// Any ownership change under the delta gather (or the tree gather,
+	// whose post-failover fallback is a delta round) bumps the bitmap
+	// version and journals the dirtied words, so purchases, give-backs
+	// and defrag installs all invalidate cached remote views. The
+	// paper-faithful sequential gather never reads versions, so it skips
+	// the bookkeeping entirely.
+	if c.cfg.Gather != GatherSequential {
 		n.journal = bitmap.NewJournal(deltaJournalWords)
 		n.slots.SetOnChange(n.journal.NoteBits)
 	}

@@ -58,7 +58,7 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 // state, so every one of them runs under the windowed parallel executor.
 func TestParallelGatherMatrix(t *testing.T) {
 	gathers := []GatherMode{GatherSequential, GatherTree, GatherDelta}
-	arbiters := []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic}
+	arbiters := []ArbiterMode{ArbiterGlobal, ArbiterSharded}
 	for _, gather := range gathers {
 		for _, arbiter := range arbiters {
 			gather, arbiter := gather, arbiter

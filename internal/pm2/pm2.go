@@ -100,11 +100,10 @@ type Config struct {
 	// words changed since the initiator's cached view).
 	Gather GatherMode
 	// Arbiter selects the negotiation concurrency scheme:
-	// ArbiterGlobal (the paper's node-0 system-wide lock, the default),
-	// ArbiterSharded (per-shard locks spread over the ranks, taken in
-	// canonical order for only the shards a planned purchase touches)
-	// or ArbiterOptimistic (no lock; version-stamped purchases that
-	// sellers validate against their bitmap journal). See arbiter.go.
+	// ArbiterGlobal (the paper's node-0 system-wide lock, the default)
+	// or ArbiterSharded (per-shard locks spread over the ranks, taken in
+	// canonical order for only the shards a planned purchase touches,
+	// escalating to every shard rather than giving up). See arbiter.go.
 	Arbiter ArbiterMode
 	// ArbiterShards overrides the shard count of the sharded arbiter
 	// (default 16).
@@ -195,10 +194,9 @@ type Stats struct {
 	// NegotiationRetries counts declined purchase rounds: the initiator
 	// gave secured shares back and re-gathered with fresh bitmaps.
 	NegotiationRetries int
-	// VersionDeclines counts purchases a seller declined because the
-	// plan was stamped with a stale bitmap-journal version — the
-	// optimistic arbiter's conflict signal (a subset of the declines
-	// that feed NegotiationRetries).
+	// VersionDeclines is always 0: no arbiter stamps purchases with a
+	// bitmap version any more. It stays because the benchmark's
+	// pm2.version_declines probe reads it.
 	VersionDeclines int
 	// NegotiationFailures counts negotiations that gave up — round
 	// exhaustion or cluster out of contiguous space. Failed attempts are
@@ -273,11 +271,6 @@ type Cluster struct {
 	// cluster's endpoints and the migration packers. Per-cluster (not
 	// global) so reuse statistics are deterministic per run.
 	bufPool *madeleine.Pool
-	// versionDeclines attributes each optimistic-arbiter version decline
-	// to the *initiator* whose plan was declined, so load reports can
-	// tell the placement policy which nodes are fighting over contended
-	// slot regions.
-	versionDeclines []int
 	// cohortByTID maps a live tagged thread to its CohortSample index so
 	// the exit hook can stamp its completion (see slo.go). Lazily
 	// allocated on the first SpawnCohort.
@@ -387,7 +380,6 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	c.pol = policy.NewEngine(cfg.Placement, cfg.Nodes)
 	c.shardMap = core.NewShardMap(layout.SlotCount, cfg.ArbiterShards)
 	c.bufPool = madeleine.NewPool()
-	c.versionDeclines = make([]int, cfg.Nodes)
 	c.nw = bip.NewNetwork(c.eng, cfg.Model, cfg.Nodes)
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -410,11 +402,10 @@ func (c *Cluster) ReportLoads() {
 	now := c.eng.Now()
 	for i, n := range c.nodes {
 		c.pol.Report(policy.LoadReport{
-			Node:            i,
-			Resident:        n.sched.Threads(),
-			Runnable:        n.sched.Runnable(),
-			VersionDeclines: c.versionDeclines[i],
-			Time:            now,
+			Node:     i,
+			Resident: n.sched.Threads(),
+			Runnable: n.sched.Runnable(),
+			Time:     now,
 		})
 	}
 }
@@ -426,20 +417,6 @@ func (c *Cluster) Engine() *simtime.Engine { return c.eng }
 // is on (Config.Convoy). The load balancer consults it to decide whether
 // a multi-thread move can travel as one message.
 func (c *Cluster) ConvoyEnabled() bool { return c.cfg.Convoy }
-
-// VersionDeclinesOf returns the cumulative count of optimistic-arbiter
-// version declines node i has suffered as a negotiation initiator — the
-// per-node contention signal load reports carry to the placement policy.
-func (c *Cluster) VersionDeclinesOf(i int) int { return c.versionDeclines[i] }
-
-// noteVersionDecline records one declined version-stamped purchase,
-// attributed to the initiator whose plan was stale.
-func (c *Cluster) noteVersionDecline(initiator int) {
-	c.stats.VersionDeclines++
-	if initiator >= 0 && initiator < len(c.versionDeclines) {
-		c.versionDeclines[initiator]++
-	}
-}
 
 // BufferPoolStats reports the cluster-wide Madeleine buffer pool's reuse
 // counters (gets served, gets that reused a pooled buffer).

@@ -41,7 +41,7 @@ const (
 	// send plus retries, each preceded by a doubling backoff.
 	rpcMaxAttempts = 3
 	// rpcBackoffBase and rpcBackoffCap shape the retry backoff, the
-	// same 25 µs-doubling style the optimistic arbiter uses.
+	// same 25 µs-doubling style as negotiationBackoff.
 	rpcBackoffBase = 25 * simtime.Microsecond
 	rpcBackoffCap  = 400 * simtime.Microsecond
 )

@@ -12,20 +12,6 @@ type Negotiation struct {
 	Threshold int
 	// MaxMoves bounds migrations per round (default 1).
 	MaxMoves int
-	// ContentionBackoff makes the policy avoid placing threads onto
-	// nodes whose negotiations are actively losing version races
-	// (LoadReport.VersionDeclines growing between reports): landing
-	// more allocation pressure on a node already fighting for contended
-	// slot regions only feeds the conflict. A contended node is skipped
-	// as a migration destination while an uncontended candidate exists.
-	// Off by default — the paper's scheme ignores contention, and the
-	// existing golden traces pin that behavior.
-	ContentionBackoff bool
-
-	// lastDeclines/contended track the per-node decline delta between
-	// consecutive reports (only maintained under ContentionBackoff).
-	lastDeclines map[int]int
-	contended    map[int]bool
 }
 
 // NewNegotiation returns the default-tuned threshold policy.
@@ -34,22 +20,8 @@ func NewNegotiation() *Negotiation { return &Negotiation{Threshold: 2, MaxMoves:
 // Name implements Policy.
 func (p *Negotiation) Name() string { return "negotiation" }
 
-// OnLoadReport implements Policy. The threshold scheme itself is
-// memoryless; under ContentionBackoff the report's cumulative version
-// declines are differenced here so decision time can see which nodes are
-// *currently* contended, not which ever were.
-func (p *Negotiation) OnLoadReport(r LoadReport) {
-	if !p.ContentionBackoff {
-		return
-	}
-	if p.lastDeclines == nil {
-		p.lastDeclines = make(map[int]int)
-		p.contended = make(map[int]bool)
-	}
-	prev, seen := p.lastDeclines[r.Node]
-	p.contended[r.Node] = seen && r.VersionDeclines > prev
-	p.lastDeclines[r.Node] = r.VersionDeclines
-}
+// OnLoadReport implements Policy; the threshold scheme is memoryless.
+func (p *Negotiation) OnLoadReport(LoadReport) {}
 
 // extremes finds the first busiest and first idlest fresh nodes, in node
 // order (ties break low, as in the seed balancer).
@@ -77,25 +49,11 @@ func (p *Negotiation) ShouldMigrate(v View) bool {
 }
 
 // PickTarget implements Policy: one busiest-to-idlest batch, halving the
-// imbalance but never exceeding MaxMoves. Under ContentionBackoff the
-// destination is the idlest *uncontended* node when one exists — a node
-// losing version races for slot regions is not handed extra threads (and
-// the allocation pressure they bring) while a calmer peer can take them.
+// imbalance but never exceeding MaxMoves.
 func (p *Negotiation) PickTarget(v View) []Move {
 	busiest, idlest, max, min := extremes(v)
 	if busiest < 0 || idlest < 0 || busiest == idlest || max-min < p.threshold() {
 		return nil
-	}
-	if p.ContentionBackoff && p.contended[idlest] {
-		if alt, altLoad := p.idlestUncontended(v, busiest); alt >= 0 && alt != idlest {
-			// Re-apply the threshold against the substitute: backing
-			// off must not create moves the imbalance does not justify.
-			if max-altLoad >= p.threshold() {
-				idlest, min = alt, altLoad
-			} else {
-				return nil
-			}
-		}
 	}
 	count := p.maxMoves()
 	if d := (max - min) / 2; d < count {
@@ -105,23 +63,6 @@ func (p *Negotiation) PickTarget(v View) []Move {
 		count = 1
 	}
 	return []Move{{Src: busiest, Dst: idlest, Count: count}}
-}
-
-// idlestUncontended returns the least-loaded fresh node (ties break low)
-// that is not currently contended and is not src, or -1 when every
-// candidate is contended — in which case the caller keeps the unfiltered
-// choice rather than suppressing balancing entirely.
-func (p *Negotiation) idlestUncontended(v View, src int) (node, load int) {
-	node, load = -1, 1<<30
-	for _, r := range v.Reports {
-		if r.Stale || r.Node == src || p.contended[r.Node] {
-			continue
-		}
-		if r.Resident < load {
-			node, load = r.Node, r.Resident
-		}
-	}
-	return node, load
 }
 
 // PickSpawn implements Policy: spawns are not rerouted.

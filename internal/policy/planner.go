@@ -6,22 +6,21 @@ import (
 	"repro/internal/simtime"
 )
 
-// Purchase-plan ranking for the decentralized negotiation arbiters.
+// Purchase-plan ranking for the sharded negotiation arbiter.
 //
 // The paper's protocol commits to the first-fit run of the global OR,
 // which under a shared lock is harmless: nobody else is negotiating, so
 // the only cost dimension is the run itself. Once negotiations run
-// concurrently (sharded or optimistic arbiter), the *shape* of the plan
-// matters: every distinct seller is one more purchase round trip, one
-// more bitmap whose version can move underneath an optimistic plan, and
-// one more node whose shard may be contended. The planner therefore
+// concurrently (sharded arbiter), the *shape* of the plan matters:
+// every distinct seller is one more purchase round trip and one more
+// bitmap a racing allocation can invalidate. The planner therefore
 // ranks candidate runs fewest-owners-first, priced through the cost
 // model, and keeps scan order (locality: the candidate nearest the
 // initiator's home region) as the tie-break.
 
 // purchaseWireBytes approximates the purchase message footprint per
-// seller: the op word, version stamp, share count and one packed share.
-const purchaseWireBytes = 4 + 8 + 4 + 8
+// seller: the op word, share count and one packed share.
+const purchaseWireBytes = 4 + 4 + 8
 
 // PurchasePlanCost estimates the protocol cost of executing plan p: one
 // request/reply round trip per distinct seller.

@@ -38,13 +38,6 @@ type LoadReport struct {
 	Resident int
 	// Runnable is the number of resident threads that are not blocked.
 	Runnable int
-	// VersionDeclines is the cumulative count of optimistic-arbiter
-	// version declines this node has suffered as a negotiation
-	// initiator. A count that grows between two reports marks the node
-	// as actively losing races for contended slot regions — a signal
-	// contention-aware policies use to back off placing more allocation
-	// pressure there.
-	VersionDeclines int
 	// Time is the virtual time the sample was taken.
 	Time simtime.Time
 	// Stale marks a report older than the engine's StaleAfter window.

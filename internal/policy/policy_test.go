@@ -220,77 +220,3 @@ func (s *scriptedPolicy) OnLoadReport(LoadReport)        {}
 func (s *scriptedPolicy) ShouldMigrate(View) bool        { return true }
 func (s *scriptedPolicy) PickTarget(View) []Move         { return s.moves }
 func (s *scriptedPolicy) PickSpawn(pref int, _ View) int { return s.spawn }
-
-// TestNegotiationContentionBackoff: with ContentionBackoff on, the idlest
-// node is skipped as a migration destination while its cumulative version
-// declines are growing between reports — the balancer must not feed
-// threads (and their allocation pressure) to a node already losing races
-// for contended slot regions. Once the declines stop growing, the node is
-// eligible again; with every candidate contended the unfiltered choice
-// stands; with the feature off behavior is byte-identical to the seed.
-func TestNegotiationContentionBackoff(t *testing.T) {
-	report := func(p *Negotiation, declines ...int) View {
-		v := view(0, 6, 1, 0) // node 2 idlest, node 1 next
-		for i := range v.Reports {
-			v.Reports[i].VersionDeclines = declines[i]
-			p.OnLoadReport(v.Reports[i])
-		}
-		return v
-	}
-
-	p := NewNegotiation()
-	p.ContentionBackoff = true
-
-	// First report: no delta is computable yet, nothing is contended.
-	v := report(p, 0, 0, 4)
-	if got := p.PickTarget(v); !reflect.DeepEqual(got, []Move{{Src: 0, Dst: 2, Count: 1}}) {
-		t.Fatalf("first round PickTarget = %v, want move to idlest node 2", got)
-	}
-
-	// Node 2's declines grew since the last report: it is contended, so
-	// the move goes to the idlest uncontended node instead.
-	v = report(p, 0, 0, 9)
-	if got := p.PickTarget(v); !reflect.DeepEqual(got, []Move{{Src: 0, Dst: 1, Count: 1}}) {
-		t.Fatalf("contended round PickTarget = %v, want backoff to node 1", got)
-	}
-
-	// Declines stopped growing: node 2 is calm again.
-	v = report(p, 0, 0, 9)
-	if got := p.PickTarget(v); !reflect.DeepEqual(got, []Move{{Src: 0, Dst: 2, Count: 1}}) {
-		t.Fatalf("calm round PickTarget = %v, want node 2 back", got)
-	}
-
-	// Every candidate contended: keep the unfiltered choice rather than
-	// stalling the balancer.
-	v = report(p, 5, 3, 12)
-	if got := p.PickTarget(v); !reflect.DeepEqual(got, []Move{{Src: 0, Dst: 2, Count: 1}}) {
-		t.Fatalf("all-contended PickTarget = %v, want unfiltered node 2", got)
-	}
-
-	// The substitute destination must still satisfy the threshold: if
-	// backing off would move work onto a node nearly as loaded as the
-	// source, no move happens this round.
-	q := NewNegotiation()
-	q.ContentionBackoff = true
-	w := view(0, 3, 2, 0)
-	for _, declines := range [][]int{{0, 0, 0}, {0, 0, 7}} {
-		for i := range w.Reports {
-			w.Reports[i].VersionDeclines = declines[i]
-			q.OnLoadReport(w.Reports[i])
-		}
-	}
-	if got := q.PickTarget(w); got != nil {
-		t.Fatalf("threshold-violating backoff produced %v, want no move", got)
-	}
-
-	// Feature off: identical to the seed scheme even with declines set.
-	off := NewNegotiation()
-	v = view(0, 6, 1, 0)
-	for i := range v.Reports {
-		v.Reports[i].VersionDeclines = 100 * (i + 1)
-		off.OnLoadReport(v.Reports[i])
-	}
-	if got := off.PickTarget(v); !reflect.DeepEqual(got, []Move{{Src: 0, Dst: 2, Count: 1}}) {
-		t.Fatalf("backoff-off PickTarget = %v", got)
-	}
-}

@@ -11,12 +11,12 @@ import (
 // TestFailoverTraceIdentity pins the failover acceptance property at the
 // harness level: on a 16-node cluster losing one node mid-run, the
 // canonical trace is byte-identical across worker counts 1, 2 and 4 and
-// across all three negotiation arbiters — node death, lease-expiry
+// across both negotiation arbiters — node death, lease-expiry
 // detection, convoy evacuation and slot reclaim are all deterministic,
 // and none of them consults the arbiter (the workload never negotiates).
 func TestFailoverTraceIdentity(t *testing.T) {
 	var want string
-	for _, arb := range []string{"", "sharded", "optimistic"} {
+	for _, arb := range []string{"", "sharded"} {
 		for _, workers := range []int{1, 2, 4} {
 			name := fmt.Sprintf("arb=%q workers=%d", arb, workers)
 			res, err := Run(Spec{Scenario: "failover", Nodes: 16, Arbiter: arb, Workers: workers})

@@ -120,41 +120,38 @@ func TestGoldenTracesDeltaGather(t *testing.T) {
 }
 
 // TestGoldenTracesArbiters pins the contention-heavy workload under the
-// decentralized negotiation arbiters at 16 nodes: the sharded lock
-// order, the optimistic version declines and the deterministic retry
-// backoff must all be byte-identically reproducible under every
-// policy. (The global-arbiter goldens above are untouched by the
-// arbiter machinery — it is fully off under the paper-faithful
+// sharded negotiation arbiter at 16 nodes: the shard lock order and the
+// deterministic retry backoff must be byte-identically reproducible
+// under every policy. (The global-arbiter goldens above are untouched by
+// the arbiter machinery — it is fully off under the paper-faithful
 // default.)
 func TestGoldenTracesArbiters(t *testing.T) {
-	for _, arb := range []string{"sharded", "optimistic"} {
-		for _, p := range policy.Names() {
-			name := fmt.Sprintf("contend_%s_%s_n16", p, arb)
-			t.Run(name, func(t *testing.T) {
-				res, err := Run(Spec{Scenario: "contend", Policy: p, Nodes: 16, Arbiter: arb})
-				if err != nil {
+	for _, p := range policy.Names() {
+		name := fmt.Sprintf("contend_%s_sharded_n16", p)
+		t.Run(name, func(t *testing.T) {
+			res, err := Run(Spec{Scenario: "contend", Policy: p, Nodes: 16, Arbiter: "sharded"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			got := res.TraceString()
+			path := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if err := res.Verify(); err != nil {
-					t.Fatal(err)
-				}
-				got := res.TraceString()
-				path := filepath.Join("testdata", name+".golden")
-				if *update {
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden trace (run with -update): %v", err)
-				}
-				if got != string(want) {
-					t.Fatalf("trace deviates from %s.golden — arbiter behavior changed.\nGot:\n%s", name, got)
-				}
-			})
-		}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden trace (run with -update): %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("trace deviates from %s.golden — arbiter behavior changed.\nGot:\n%s", name, got)
+			}
+		})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // arbiter and per gather mode, since a negotiation runs mid-window and
 // its wire pattern legitimately differs between those.
 func TestPartitionTraceIdentity(t *testing.T) {
-	for _, arb := range []string{"", "sharded", "optimistic"} {
+	for _, arb := range []string{"", "sharded"} {
 		for _, gather := range []string{"", "tree", "delta"} {
 			want := ""
 			for _, workers := range []int{1, 2, 4} {

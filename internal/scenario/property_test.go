@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -58,41 +59,51 @@ func TestScenariosScaleWithClusterSize(t *testing.T) {
 }
 
 // TestContendAcrossArbiters runs the contention workload — every node
-// negotiating at once — under each arbiter × gather × policy: the run
-// must drain with no thread stranded, keep the iso-address invariants
-// (no slot double-owned; resident counts conserved down to zero), prove
-// pointer integrity through the generator's output expectations, and be
-// byte-identically reproducible — the deterministic-backoff guarantee
-// under real contention.
+// negotiating at once — under the sharded arbiter with every gather and
+// policy: the run must drain with no thread stranded, keep the
+// iso-address invariants (no slot double-owned; resident counts
+// conserved down to zero), prove pointer integrity through the
+// generator's output expectations, and be byte-identically reproducible
+// — the deterministic-backoff guarantee under real contention.
 func TestContendAcrossArbiters(t *testing.T) {
-	for _, arb := range []string{"sharded", "optimistic"} {
-		for _, gather := range []string{"sequential", "tree", "delta"} {
-			for _, p := range policy.Names() {
-				name := fmt.Sprintf("%s/%s/%s", arb, gather, p)
-				spec := Spec{Scenario: "contend", Policy: p, Nodes: 8, Gather: gather, Arbiter: arb}
-				a, err := Run(spec)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := a.Verify(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if a.Stats.Negotiations == 0 {
-					t.Fatalf("%s: the contention workload negotiated zero times", name)
-				}
-				for i, left := range a.ThreadsLeft {
-					if left != 0 {
-						t.Fatalf("%s: %d thread(s) stranded on node %d", name, left, i)
-					}
-				}
-				b, err := Run(spec)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if a.TraceString() != b.TraceString() {
-					t.Fatalf("%s: two identical runs produced different traces", name)
+	for _, gather := range []string{"sequential", "tree", "delta"} {
+		for _, p := range policy.Names() {
+			name := fmt.Sprintf("%s/%s", gather, p)
+			spec := Spec{Scenario: "contend", Policy: p, Nodes: 8, Gather: gather, Arbiter: "sharded"}
+			a, err := Run(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := a.Verify(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if a.Stats.Negotiations == 0 {
+				t.Fatalf("%s: the contention workload negotiated zero times", name)
+			}
+			for i, left := range a.ThreadsLeft {
+				if left != 0 {
+					t.Fatalf("%s: %d thread(s) stranded on node %d", name, left, i)
 				}
 			}
+			b, err := Run(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if a.TraceString() != b.TraceString() {
+				t.Fatalf("%s: two identical runs produced different traces", name)
+			}
+		}
+	}
+}
+
+// TestSpecRejectsRemovedArbiter: a spec naming the removed optimistic
+// arbiter (or one of its aliases) is refused with an error, not run
+// under some other arbiter and not a panic.
+func TestSpecRejectsRemovedArbiter(t *testing.T) {
+	for _, arb := range []string{"optimistic", "opt", "occ"} {
+		_, err := Run(Spec{Scenario: "contend", Nodes: 4, Arbiter: arb})
+		if err == nil || !strings.Contains(err.Error(), "unknown arbiter") {
+			t.Fatalf("arbiter %q: error = %v, want an unknown-arbiter error", arb, err)
 		}
 	}
 }

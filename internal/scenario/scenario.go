@@ -309,8 +309,7 @@ var negoStressGen = Generator{
 // multi-slot allocation in the same instant (and again half a
 // millisecond later), so the maximum number of initiators negotiate
 // concurrently. Under the global arbiter they all queue on node 0's
-// lock; the sharded and optimistic arbiters let the disjoint
-// negotiations overlap — the workload the contention figure and the
+// lock; the sharded arbiter lets the disjoint negotiations overlap — the workload the contention figure and the
 // per-arbiter goldens pin down.
 var contendGen = Generator{
 	Name: "contend",

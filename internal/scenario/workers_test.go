@@ -75,9 +75,8 @@ func TestWorkersGatherMatrix(t *testing.T) {
 	cases := []struct{ gather, arbiter string }{
 		{"sequential", "global"},
 		{"tree", "global"},
-		{"tree", "optimistic"},
+		{"tree", "sharded"},
 		{"delta", "sharded"},
-		{"delta", "optimistic"},
 	}
 	for _, tc := range cases {
 		tc := tc

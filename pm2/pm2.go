@@ -41,11 +41,10 @@
 // The §4.4 slot negotiation has two orthogonal knobs. Config.Gather
 // picks how the initiator collects peer bitmaps ("sequential", "tree",
 // "delta"); Config.Arbiter picks the concurrency
-// scheme — "global" (the paper's single node-0 lock), "sharded"
+// scheme — "global" (the paper's single node-0 lock) or "sharded"
 // (per-shard locks taken in canonical order, so disjoint negotiations
-// run in parallel) or "optimistic" (no lock; version-stamped purchases
-// that sellers validate against their bitmap journal, with
-// deterministic backoff on decline):
+// run in parallel; a negotiation that exhausts its rounds escalates to
+// every shard instead of giving up):
 //
 //	cl := sys.Boot(pm2.Config{Nodes: 16, Gather: "delta", Arbiter: "sharded"})
 //
@@ -150,12 +149,11 @@ type Config struct {
 	// accepted aliases.
 	Gather string
 	// Arbiter selects the negotiation concurrency scheme: "global"
-	// (default — the paper's system-wide critical section on node 0),
+	// (default — the paper's system-wide critical section on node 0) or
 	// "sharded" (the slot space is partitioned into shards arbitrated
 	// by rank shard mod n; a negotiation locks only the shards its
-	// planned purchase touches, in canonical order) or "optimistic"
-	// (no lock; purchases are version-stamped and sellers decline plans
-	// computed against a stale bitmap view). See ParseArbiter for the
+	// planned purchase touches, in canonical order, and escalates to
+	// every shard rather than give up). See ParseArbiter for the
 	// accepted aliases.
 	Arbiter string
 	// Convoy enables the zero-copy scatter-gather migration pipeline:
@@ -252,8 +250,8 @@ func (c Config) toInternal() ipm2.Config {
 }
 
 // ParseArbiter validates a negotiation-arbiter name and returns its
-// canonical form. Accepted: "global" ("lock", ""), "sharded" ("shard"),
-// "optimistic" ("opt", "occ").
+// canonical form. Accepted: "global" ("lock", "") and "sharded"
+// ("shard").
 func ParseArbiter(s string) (string, error) {
 	a, err := ipm2.ParseArbiterMode(s)
 	if err != nil {

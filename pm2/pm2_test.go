@@ -224,7 +224,8 @@ func TestPublicCheckpointRestore(t *testing.T) {
 
 // TestRestoreRejectsUnknownConfig: a correctly sealed pm2ckpt whose
 // config line names a strategy this build does not know — including the
-// removed "batched" gather — is refused with an error, never a panic.
+// removed "batched" gather and "optimistic" arbiter — is refused with an
+// error, never a panic.
 func TestRestoreRejectsUnknownConfig(t *testing.T) {
 	sys := NewSystem()
 	sys.RegisterExamples()
@@ -241,6 +242,7 @@ func TestRestoreRejectsUnknownConfig(t *testing.T) {
 		want string
 	}{
 		{"gather=batched", func(ck *ipm2.Checkpoint) { ck.Gather = "batched" }, `unknown gather strategy "batched" (have [sequential tree delta])`},
+		{"arbiter=optimistic", func(ck *ipm2.Checkpoint) { ck.Arbiter = "optimistic" }, `unknown arbiter "optimistic" (have [global sharded])`},
 		{"arbiter=bogus", func(ck *ipm2.Checkpoint) { ck.Arbiter = "bogus" }, "unknown arbiter"},
 		{"dist=bogus", func(ck *ipm2.Checkpoint) { ck.Dist = "bogus" }, "unknown distribution"},
 	}
