@@ -1,543 +1,38 @@
-// benchcheck is the CI perf-regression gate: it compares freshly
-// generated pm2bench -json reports against their committed baselines and
-// exits non-zero on a regression beyond tolerance (default 25%).
-//
-// Six reports are gated. BENCH_negotiation.json: any gather strategy's
-// cold or warm per-node slope. BENCH_migration.json: the ping-pong
-// migration µs/hop (legacy and zero-copy pipeline) and the convoy path's
-// per-thread µs and wire bytes/thread at each measured batch size.
-// BENCH_serve.json: each cluster size's saturation knee — gated as a
-// FLOOR, a knee that falls below baseline is lost serving capacity.
-// BENCH_failover.json: the crash-to-declaration detection latency and
-// the evacuation makespan at each measured victim batch size.
-// BENCH_partition.json: the live-partition figure — rejoin latency and
-// RPC-timeout counts gated exactly (deterministic protocol quantities),
-// negotiation makespans within tolerance.
-// BENCH_scale.json: the kernel-scaling figure's virtual quantities
-// (events, migrations, virtual time per cluster size) — gated EXACTLY,
-// no tolerance: they are deterministic event counts, so any drift is a
-// kernel behavior change, not measurement noise. Its wall-clock columns
-// measure the CI machine and are never gated.
+// benchcheck is the CI perf-regression gate: it holds every committed
+// baseline <baseline-dir>/BENCH_<figure>.baseline.txt against the fresh
+// report <current-dir>/BENCH_<figure>.txt that `pm2bench -report`
+// wrote, and exits 1 on any breach. Each row carries its own gate
+// (exact, ceiling, floor or info; see internal/bench/report.go), so
+// this command knows no figure. A missing current report, a baseline
+// row missing from it, or a gated current row the baseline lacks also
+// fails the gate; a malformed file exits 2.
 //
 // Usage:
 //
-//	benchcheck -baseline ci/BENCH_negotiation.baseline.json -current BENCH_negotiation.json \
-//	           -mig-baseline ci/BENCH_migration.baseline.json -mig-current BENCH_migration.json \
-//	           -serve-baseline ci/BENCH_serve.baseline.json -serve-current BENCH_serve.json \
-//	           -scale-baseline ci/BENCH_scale.baseline.json -scale-current BENCH_scale.json
-//	benchcheck -tolerance 0.10 ...   # tighten the gate to 10%
-//	benchcheck -mig-current ""       # skip the migration gate
-//	benchcheck -serve-current ""     # skip the serve gate
-//	benchcheck -failover-current ""  # skip the failover gate
-//	benchcheck -partition-current "" # skip the partition gate
-//	benchcheck -scale-current ""     # skip the scale gate
-//
-// Merged-byte counts are reported for context but not gated: they are
-// exact protocol quantities already pinned by unit tests, while the
-// slopes summarize the virtual-time cost model end to end. A small
-// absolute grace (0.5 µs/node for slopes, 1 µs for latencies) keeps
-// near-zero figures from tripping the relative gate on rounding noise.
+//	benchcheck <baseline-dir> <current-dir>
+//	benchcheck ci .
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/bench"
 )
 
-// slopeGraceMicros is the absolute slack added on top of the relative
-// tolerance, so slopes measured in single-digit µs/node are not failed
-// by sub-µs jitter in the cost accounting.
-const slopeGraceMicros = 0.5
-
-// latencyGraceMicros is the absolute slack of the migration latency gate.
-const latencyGraceMicros = 1.0
-
-func loadJSON(path string, v any) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(blob, v); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-func loadNegotiation(path string) (bench.NegotiationReport, error) {
-	var r bench.NegotiationReport
-	if err := loadJSON(path, &r); err != nil {
-		return r, err
-	}
-	if r.Figure != "negotiation" || len(r.Gathers) == 0 {
-		return r, fmt.Errorf("%s: not a negotiation report", path)
-	}
-	return r, nil
-}
-
-func loadMigration(path string) (bench.MigrationReport, error) {
-	var r bench.MigrationReport
-	if err := loadJSON(path, &r); err != nil {
-		return r, err
-	}
-	if r.Figure != "migration" || len(r.Convoy) == 0 {
-		return r, fmt.Errorf("%s: not a migration report", path)
-	}
-	return r, nil
-}
-
-// gate accumulates check results; check prints one line per figure and
-// records whether any figure exceeded its limit.
-type gate struct {
-	tolerance float64
-	failed    bool
-}
-
-func (g *gate) check(label, unit string, grace, baseVal, curVal float64) {
-	limit := baseVal*(1+g.tolerance) + grace
-	status := "ok"
-	if curVal > limit {
-		status = "REGRESSED"
-		g.failed = true
-	}
-	fmt.Printf("%-34s %10.1f %s (baseline %10.1f, limit %10.1f)  %s\n",
-		label, curVal, unit, baseVal, limit, status)
-}
-
-// checkFloor is check with the inequality flipped: the figure is a
-// capacity (higher is better), so falling below baseline minus
-// tolerance is the regression. Used for the serving knee.
-func (g *gate) checkFloor(label, unit string, grace, baseVal, curVal float64) {
-	limit := baseVal*(1-g.tolerance) - grace
-	if limit < 0 {
-		limit = 0
-	}
-	status := "ok"
-	if curVal < limit {
-		status = "REGRESSED"
-		g.failed = true
-	}
-	fmt.Printf("%-34s %10.1f %s (baseline %10.1f, floor %10.1f)  %s\n",
-		label, curVal, unit, baseVal, limit, status)
-}
-
-func loadServe(path string) (bench.ServeReport, error) {
-	var r bench.ServeReport
-	if err := loadJSON(path, &r); err != nil {
-		return r, err
-	}
-	if r.Figure != "serve" || len(r.Clusters) == 0 {
-		return r, fmt.Errorf("%s: not a serve report", path)
-	}
-	return r, nil
-}
-
-// checkServe gates the serving figure: per cluster size, the saturation
-// knee (rate scale and sustained throughput) must not fall below the
-// baseline floor. The per-cohort base-rate SLO percentiles are printed
-// for context but not gated — the knee already summarizes serving
-// capacity end to end, and the SLO bound itself is enforced inside the
-// knee criterion.
-func checkServe(g *gate, basePath, curPath string) {
-	base, err := loadServe(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadServe(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	curByNodes := make(map[int]bench.ServeClusterReport, len(cur.Clusters))
-	for _, c := range cur.Clusters {
-		curByNodes[c.Nodes] = c
-	}
-	// Drive from the baseline: a cluster size that vanishes from the
-	// current report must fail, not silently skip its checks.
-	for _, b := range base.Clusters {
-		c, ok := curByNodes[b.Nodes]
-		if !ok {
-			fmt.Printf("serve n=%d MISSING from current report\n", b.Nodes)
-			g.failed = true
-			continue
-		}
-		g.checkFloor(fmt.Sprintf("serve n=%d knee", b.Nodes), "×base rate", 0,
-			b.KneeRateScale, c.KneeRateScale)
-		g.checkFloor(fmt.Sprintf("serve n=%d knee throughput", b.Nodes), "req/ms", 0,
-			b.KneeThroughputPerMs, c.KneeThroughputPerMs)
-		for _, co := range c.Cohorts {
-			fmt.Printf("serve n=%d cohort %-6s e2e p50/p95/p99 %.1f/%.1f/%.1f µs (informational)\n",
-				c.Nodes, co.Cohort, co.EndToEndP50Us, co.EndToEndP95Us, co.EndToEndP99Us)
-		}
-	}
-}
-
-func loadFailover(path string) (bench.FailoverReport, error) {
-	var r bench.FailoverReport
-	if err := loadJSON(path, &r); err != nil {
-		return r, err
-	}
-	if r.Figure != "failover" || len(r.Rows) == 0 {
-		return r, fmt.Errorf("%s: not a failover report", path)
-	}
-	return r, nil
-}
-
-// checkFailover gates the fail-stop recovery figure: the detection
-// latency and the per-k evacuation makespans (both pipelines) must not
-// regress beyond tolerance. The reclaimed slot count is an exact
-// protocol quantity already pinned by unit tests, so it is printed for
-// context only.
-func checkFailover(g *gate, basePath, curPath string) {
-	base, err := loadFailover(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadFailover(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	g.check("failover detection", "µs", latencyGraceMicros, base.DetectionMicros, cur.DetectionMicros)
-	curByK := make(map[int]bench.FailoverRow, len(cur.Rows))
-	for _, r := range cur.Rows {
-		curByK[r.K] = r
-	}
-	// Drive the gate from the baseline: a batch size that vanishes from
-	// the current report must fail, not silently skip its checks.
-	for _, b := range base.Rows {
-		c, ok := curByK[b.K]
-		if !ok {
-			fmt.Printf("failover k=%d MISSING from current report\n", b.K)
-			g.failed = true
-			continue
-		}
-		g.check(fmt.Sprintf("failover k=%d evac legacy", b.K), "µs", latencyGraceMicros,
-			b.EvacLegacyMicros, c.EvacLegacyMicros)
-		g.check(fmt.Sprintf("failover k=%d evac convoy", b.K), "µs", latencyGraceMicros,
-			b.EvacConvoyMicros, c.EvacConvoyMicros)
-		fmt.Printf("failover k=%d reclaimed %d slots (baseline %d, informational)\n",
-			b.K, c.ReclaimedSlots, b.ReclaimedSlots)
-	}
-}
-
-func loadPartition(path string) (bench.PartitionReport, error) {
-	var r bench.PartitionReport
-	if err := loadJSON(path, &r); err != nil {
-		return r, err
-	}
-	if r.Figure != "partition" || len(r.Rows) == 0 {
-		return r, fmt.Errorf("%s: not a partition report", path)
-	}
-	return r, nil
-}
-
-// checkPartition gates the partial-failure figure. The rejoin latency
-// and the per-k RPC-timeout counts are deterministic protocol
-// quantities — lease arithmetic and deadline expiries — so they are
-// gated exactly; the negotiation makespans summarize the cost model
-// end to end and get the relative tolerance. Zero evacuations is
-// asserted inside the bench itself (it panics otherwise), so a report
-// that exists at all already carries that property.
-func checkPartition(g *gate, basePath, curPath string) {
-	base, err := loadPartition(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadPartition(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	g.checkExact("partition rejoin", "µs", base.RejoinMicros, cur.RejoinMicros)
-	curByK := make(map[int]bench.PartitionRow, len(cur.Rows))
-	for _, r := range cur.Rows {
-		curByK[r.K] = r
-	}
-	// Drive the gate from the baseline: a concurrency level that
-	// vanishes from the current report must fail, not silently skip.
-	for _, b := range base.Rows {
-		c, ok := curByK[b.K]
-		if !ok {
-			fmt.Printf("partition k=%d MISSING from current report\n", b.K)
-			g.failed = true
-			continue
-		}
-		g.checkExact(fmt.Sprintf("partition k=%d timeouts", b.K), "", float64(b.RPCTimeouts), float64(c.RPCTimeouts))
-		g.check(fmt.Sprintf("partition k=%d makespan", b.K), "µs", latencyGraceMicros,
-			b.NegotiationMicros, c.NegotiationMicros)
-	}
-	curByFactor := make(map[int]bench.PartitionSlowRow, len(cur.SlowRows))
-	for _, r := range cur.SlowRows {
-		curByFactor[r.Factor] = r
-	}
-	for _, b := range base.SlowRows {
-		c, ok := curByFactor[b.Factor]
-		if !ok {
-			fmt.Printf("partition slow x%d MISSING from current report\n", b.Factor)
-			g.failed = true
-			continue
-		}
-		g.checkExact(fmt.Sprintf("partition slow x%d timeouts", b.Factor), "", float64(b.RPCTimeouts), float64(c.RPCTimeouts))
-		g.check(fmt.Sprintf("partition slow x%d nego", b.Factor), "µs", latencyGraceMicros,
-			b.NegotiationMicros, c.NegotiationMicros)
-	}
-}
-
-func loadScale(path string) (bench.ScaleReport, error) {
-	var r bench.ScaleReport
-	if err := loadJSON(path, &r); err != nil {
-		return r, err
-	}
-	if r.Figure != "scale" || len(r.Clusters) == 0 {
-		return r, fmt.Errorf("%s: not a scale report", path)
-	}
-	return r, nil
-}
-
-// checkExact records an exact-equality check: the figure is a
-// deterministic virtual quantity, so the only acceptable current value
-// is the baseline itself.
-func (g *gate) checkExact(label, unit string, baseVal, curVal float64) {
-	status := "ok"
-	if curVal != baseVal {
-		status = "CHANGED"
-		g.failed = true
-	}
-	fmt.Printf("%-34s %12.1f %s (baseline %12.1f, exact)  %s\n", label, curVal, unit, baseVal, status)
-}
-
-// checkScale gates the kernel-scaling figure. Everything virtual is
-// exact: the workload parameters, and per cluster size the thread
-// count, total events, migrations and final virtual clock — plus, per
-// gather strategy, the negotiation burst's events, negotiation and
-// failure counts, merged bytes and virtual clock. pm2bench already
-// asserts every worker count reproduces the serial run, so one gated
-// row per workload covers all worker counts. Wall-clock and events/sec
-// are printed for context only, and how they are presented follows the
-// report's recorded GOMAXPROCS: on a single-core runner the pool cannot
-// physically run lanes concurrently, so speedups are suppressed there —
-// parity is carried entirely by the exact virtual rows.
-func checkScale(g *gate, basePath, curPath string) {
-	base, err := loadScale(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadScale(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	if base.Hops != cur.Hops || base.Spin != cur.Spin {
-		fmt.Fprintf(os.Stderr, "benchcheck: scale workload mismatch: baseline hops=%d spin=%d, current hops=%d spin=%d\n",
-			base.Hops, base.Spin, cur.Hops, cur.Spin)
-		os.Exit(2)
-	}
-	multicore := cur.MaxProcs > 1
-	if multicore {
-		fmt.Printf("scale GOMAXPROCS=%d: wall-clock speedups reported (informational, this host)\n", cur.MaxProcs)
-	} else {
-		fmt.Println("scale GOMAXPROCS=1: single-core runner — speedups suppressed, parity asserted by exact virtual counts")
-	}
-	// scaleRuns prints one workload's wall-clock rows, speedups only on a
-	// multicore runner.
-	scaleRuns := func(prefix string, runs []bench.ScaleWorkerRun) {
-		for _, r := range runs {
-			if multicore {
-				fmt.Printf("%s workers=%d wall %.1f ms, %.0f events/sec, %.2fx (informational)\n",
-					prefix, r.Workers, r.WallMs, r.EventsPerSec, r.Speedup)
-			} else {
-				fmt.Printf("%s workers=%d wall %.1f ms, %.0f events/sec (informational)\n",
-					prefix, r.Workers, r.WallMs, r.EventsPerSec)
-			}
-		}
-	}
-	curByNodes := make(map[int]bench.ScaleClusterReport, len(cur.Clusters))
-	for _, c := range cur.Clusters {
-		curByNodes[c.Nodes] = c
-	}
-	// Drive from the baseline: a cluster size (or a gather column) that
-	// vanishes from the current report must fail, not silently skip its
-	// checks.
-	for _, b := range base.Clusters {
-		c, ok := curByNodes[b.Nodes]
-		if !ok {
-			fmt.Printf("scale n=%d MISSING from current report\n", b.Nodes)
-			g.failed = true
-			continue
-		}
-		g.checkExact(fmt.Sprintf("scale n=%d threads", b.Nodes), "", float64(b.Threads), float64(c.Threads))
-		g.checkExact(fmt.Sprintf("scale n=%d events", b.Nodes), "", float64(b.Events), float64(c.Events))
-		g.checkExact(fmt.Sprintf("scale n=%d migrations", b.Nodes), "", float64(b.Migrations), float64(c.Migrations))
-		g.checkExact(fmt.Sprintf("scale n=%d virtual", b.Nodes), "µs", b.VirtualMicros, c.VirtualMicros)
-		scaleRuns(fmt.Sprintf("scale n=%d", c.Nodes), c.Runs)
-		curByGather := make(map[string]bench.ScaleGatherReport, len(c.Gathers))
-		for _, gr := range c.Gathers {
-			curByGather[gr.Gather] = gr
-		}
-		for _, bg := range b.Gathers {
-			cg, ok := curByGather[bg.Gather]
-			if !ok {
-				fmt.Printf("scale n=%d gather=%s MISSING from current report\n", b.Nodes, bg.Gather)
-				g.failed = true
-				continue
-			}
-			label := fmt.Sprintf("scale n=%d %s", b.Nodes, bg.Gather)
-			g.checkExact(label+" events", "", float64(bg.Events), float64(cg.Events))
-			g.checkExact(label+" negotiations", "", float64(bg.Negotiations), float64(cg.Negotiations))
-			g.checkExact(label+" failures", "", float64(bg.Failures), float64(cg.Failures))
-			g.checkExact(label+" merged", "B", float64(bg.MergedBytes), float64(cg.MergedBytes))
-			g.checkExact(label+" virtual", "µs", bg.VirtualMicros, cg.VirtualMicros)
-			scaleRuns(label, cg.Runs)
-		}
-	}
-}
-
-func checkNegotiation(g *gate, basePath, curPath string) {
-	base, err := loadNegotiation(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadNegotiation(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-
-	names := make([]string, 0, len(base.Gathers))
-	for name := range base.Gathers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		b := base.Gathers[name]
-		c, ok := cur.Gathers[name]
-		if !ok {
-			fmt.Printf("%-12s MISSING from current report\n", name)
-			g.failed = true
-			continue
-		}
-		g.check(name+" cold slope", "µs/node", slopeGraceMicros, b.ColdSlopeMicrosPerNode, c.ColdSlopeMicrosPerNode)
-		g.check(name+" warm slope", "µs/node", slopeGraceMicros, b.WarmSlopeMicrosPerNode, c.WarmSlopeMicrosPerNode)
-		fmt.Printf("%-12s merged bytes cold %d / warm %d (baseline %d / %d, informational)\n",
-			name, c.ColdMergedBytes, c.WarmMergedBytes, b.ColdMergedBytes, b.WarmMergedBytes)
-	}
-}
-
-func checkMigration(g *gate, basePath, curPath string) {
-	base, err := loadMigration(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadMigration(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	if base.PayloadBytes != cur.PayloadBytes {
-		fmt.Fprintf(os.Stderr, "benchcheck: payload mismatch: baseline %d B, current %d B\n",
-			base.PayloadBytes, cur.PayloadBytes)
-		os.Exit(2)
-	}
-	g.check("migration legacy ping-pong", "µs/hop", latencyGraceMicros, base.LegacyMicrosPerHop, cur.LegacyMicrosPerHop)
-	g.check("migration zero-copy ping-pong", "µs/hop", latencyGraceMicros, base.ZeroCopyMicrosPerHop, cur.ZeroCopyMicrosPerHop)
-	curByK := make(map[int]bench.ConvoyReport, len(cur.Convoy))
-	for _, c := range cur.Convoy {
-		curByK[c.K] = c
-	}
-	for _, c := range cur.Convoy {
-		found := false
-		for _, b := range base.Convoy {
-			found = found || b.K == c.K
-		}
-		if !found {
-			fmt.Printf("convoy k=%d MISSING from baseline report\n", c.K)
-			g.failed = true
-		}
-	}
-	// Drive the gate from the baseline: a batch size that vanishes from
-	// the current report must fail, not silently skip its checks.
-	for _, b := range base.Convoy {
-		c, ok := curByK[b.K]
-		if !ok {
-			fmt.Printf("convoy k=%d MISSING from current report\n", b.K)
-			g.failed = true
-			continue
-		}
-		g.check(fmt.Sprintf("convoy k=%d per-thread", b.K), "µs", latencyGraceMicros,
-			b.PerThreadConvoyMicros, c.PerThreadConvoyMicros)
-		g.check(fmt.Sprintf("convoy k=%d wire", b.K), "B/thread", 0,
-			float64(b.ConvoyBytesPerThread), float64(c.ConvoyBytesPerThread))
-	}
-}
-
 func main() {
-	baseline := flag.String("baseline", "ci/BENCH_negotiation.baseline.json", "committed negotiation baseline report")
-	current := flag.String("current", "BENCH_negotiation.json", "freshly generated negotiation report")
-	migBaseline := flag.String("mig-baseline", "ci/BENCH_migration.baseline.json", "committed migration baseline report")
-	migCurrent := flag.String("mig-current", "BENCH_migration.json", "freshly generated migration report (empty to skip the migration gate)")
-	serveBaseline := flag.String("serve-baseline", "ci/BENCH_serve.baseline.json", "committed serve baseline report")
-	serveCurrent := flag.String("serve-current", "BENCH_serve.json", "freshly generated serve report (empty to skip the serve gate)")
-	failoverBaseline := flag.String("failover-baseline", "ci/BENCH_failover.baseline.json", "committed failover baseline report")
-	failoverCurrent := flag.String("failover-current", "BENCH_failover.json", "freshly generated failover report (empty to skip the failover gate)")
-	partitionBaseline := flag.String("partition-baseline", "ci/BENCH_partition.baseline.json", "committed partition baseline report")
-	partitionCurrent := flag.String("partition-current", "BENCH_partition.json", "freshly generated partition report (empty to skip the partition gate)")
-	scaleBaseline := flag.String("scale-baseline", "ci/BENCH_scale.baseline.json", "committed kernel-scaling baseline report")
-	scaleCurrent := flag.String("scale-current", "BENCH_scale.json", "freshly generated kernel-scaling report (empty to skip the scale gate)")
-	tolerance := flag.Float64("tolerance", 0.25, "maximum allowed relative regression")
-	flag.Parse()
-
-	g := &gate{tolerance: *tolerance}
-	checkNegotiation(g, *baseline, *current)
-	if *migCurrent != "" {
-		if _, err := os.Stat(*migCurrent); err != nil && os.IsNotExist(err) {
-			fmt.Printf("%s not present; skipping the migration gate\n", *migCurrent)
-		} else {
-			checkMigration(g, *migBaseline, *migCurrent)
-		}
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck <baseline-dir> <current-dir>")
+		os.Exit(2)
 	}
-	if *serveCurrent != "" {
-		if _, err := os.Stat(*serveCurrent); err != nil && os.IsNotExist(err) {
-			fmt.Printf("%s not present; skipping the serve gate\n", *serveCurrent)
-		} else {
-			checkServe(g, *serveBaseline, *serveCurrent)
-		}
+	ok, err := bench.Check(os.Stdout, os.Args[1], os.Args[2])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+		os.Exit(2)
 	}
-	if *failoverCurrent != "" {
-		if _, err := os.Stat(*failoverCurrent); err != nil && os.IsNotExist(err) {
-			fmt.Printf("%s not present; skipping the failover gate\n", *failoverCurrent)
-		} else {
-			checkFailover(g, *failoverBaseline, *failoverCurrent)
-		}
-	}
-	if *partitionCurrent != "" {
-		if _, err := os.Stat(*partitionCurrent); err != nil && os.IsNotExist(err) {
-			fmt.Printf("%s not present; skipping the partition gate\n", *partitionCurrent)
-		} else {
-			checkPartition(g, *partitionBaseline, *partitionCurrent)
-		}
-	}
-	if *scaleCurrent != "" {
-		if _, err := os.Stat(*scaleCurrent); err != nil && os.IsNotExist(err) {
-			fmt.Printf("%s not present; skipping the scale gate\n", *scaleCurrent)
-		} else {
-			checkScale(g, *scaleBaseline, *scaleCurrent)
-		}
-	}
-	if g.failed {
-		fmt.Fprintln(os.Stderr, "benchcheck: regression beyond tolerance — see report above")
+	if !ok {
+		fmt.Fprintln(os.Stderr, "benchcheck: regression — see the rows above")
 		os.Exit(1)
 	}
-	fmt.Println("benchcheck: all figures within tolerance")
+	fmt.Println("benchcheck: every gated row holds")
 }

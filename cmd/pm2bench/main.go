@@ -10,12 +10,10 @@
 //	pm2bench -fig 11b          # Figure 11 bottom: 1–8 MB
 //	pm2bench -fig migration    # §5: ping-pong < 75 µs + payload sweep
 //	pm2bench -fig negotiation  # §5: 255 µs + 165 µs/node
-//	pm2bench -fig negotiation -json   # also write BENCH_negotiation.json
+//	pm2bench -fig negotiation -report .   # also write ./BENCH_negotiation.txt
 //	pm2bench -fig contention   # concurrent initiators × negotiation arbiter
 //	pm2bench -fig failover     # node death: detection, evacuation vs batch size
-//	pm2bench -fig failover -json      # also write BENCH_failover.json
 //	pm2bench -fig partition    # live partition & slow node: timeouts, suspicion, rejoin
-//	pm2bench -fig partition -json     # also write BENCH_partition.json
 //	pm2bench -fig 5            # Figure 5: the memory layout
 //	pm2bench -fig create       # thread creation cost
 //	pm2bench -fig ablations    # slot cache / pack mode / distribution / pointers
@@ -23,7 +21,6 @@
 //	pm2bench -fig scenarios -policy work-stealing
 //	pm2bench -fig scenarios -arbiter sharded
 //	pm2bench -fig serve        # serving workload: per-cohort SLO + saturation knee
-//	pm2bench -fig serve -json  # also write BENCH_serve.json
 //	pm2bench -fig scale        # kernel scaling: 64/256/1024/4096 nodes × worker pool × gather burst
 //	pm2bench -fig scale -workers 1,8 -cpuprofile scale.pprof
 //	pm2bench -fig scale -nodes 4096 -gather tree   # one size, one gather column
@@ -32,10 +29,15 @@
 // host machine; its virtual columns (events, migrations, virtual time)
 // are exact and are what CI gates. -cpuprofile/-memprofile write pprof
 // profiles of whatever figure runs.
+//
+// -report DIR writes DIR/BENCH_<figure>.txt for each gated figure that
+// runs (migration, negotiation, failover, partition, serve, scale);
+// `benchcheck ci DIR` holds them against the committed baselines. The
+// cluster flags are pm2.BindFlags's; of them only -nodes, -policy,
+// -gather and -arbiter configure a figure, and the rest are refused.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,24 +55,36 @@ import (
 	pm2pub "repro/pm2"
 )
 
+// gatherModes lists every §4.4 gather strategy, in figure column order.
+var gatherModes = []pm2.GatherMode{pm2.GatherSequential, pm2.GatherTree, pm2.GatherDelta}
+
 func main() {
+	clusterFlags := pm2pub.BindFlags(flag.CommandLine, pm2pub.Config{Nodes: 4})
 	fig := flag.String("fig", "all", "which experiment to regenerate")
 	trials := flag.Int("trials", 3, "trials per Figure 11 point")
-	pol := flag.String("policy", "", "restrict -fig scenarios to one placement policy")
 	seed := flag.Uint64("seed", 1, "workload seed for -fig scenarios")
-	nodes := flag.Int("nodes", 4, "cluster size for -fig scenarios (e.g. 4, 16, 64); when set explicitly it also overrides the -fig scale sweep to that one size")
-	gather := flag.String("gather", "", "gather strategy for -fig scenarios, or restrict the -fig scale burst columns to one: "+strings.Join(pm2pub.GatherNames(), " | "))
-	arbiter := flag.String("arbiter", "", "negotiation arbiter for -fig scenarios, or restrict -fig contention to one: "+strings.Join(pm2pub.ArbiterNames(), " | "))
-	jsonOut := flag.Bool("json", false, "with -fig negotiation/migration, also write the machine-readable report to -out")
-	out := flag.String("out", "", "path of the -json report (default BENCH_<figure>.json)")
+	reportDir := flag.String("report", "", "also write each gated figure's report to DIR/BENCH_<figure>.txt")
 	workers := flag.String("workers", "1,4,8", "comma-separated kernel worker counts for -fig scale (must start at 1, the serial reference)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
-	nodesSet := false
+	cfg, err := clusterFlags()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
+		os.Exit(2)
+	}
+	// -nodes sizes -fig scenarios and, when set, narrows the -fig scale
+	// sweep to one size; -policy, -gather and -arbiter pick the scenario
+	// configuration and, when set, restrict -fig serve, scale and
+	// contention to one column. The other cluster flags configure no
+	// figure.
+	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "nodes" {
-			nodesSet = true
+		set[f.Name] = true
+		switch f.Name {
+		case "dist", "fault", "rpc-timeout", "heartbeat-misses", "convoy":
+			fmt.Fprintf(os.Stderr, "pm2bench: -%s does not apply to the figures\n", f.Name)
+			os.Exit(2)
 		}
 	})
 
@@ -101,44 +115,38 @@ func main() {
 		}()
 	}
 
-	gatherName, err := pm2pub.ParseGather(*gather)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-		os.Exit(2)
-	}
-	arbiterName, err := pm2pub.ParseArbiter(*arbiter)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-		os.Exit(2)
-	}
-	// jsonPath resolves the report path for one figure: the explicit
-	// -out when given, the figure's canonical name otherwise. Under
-	// -fig all several reports are written, so -out (one path) is
-	// rejected rather than letting a later report overwrite an earlier
-	// one.
-	if *fig == "all" && *out != "" {
-		fmt.Fprintln(os.Stderr, "pm2bench: -out is ambiguous with -fig all (several reports); use the default names or run the figures separately")
-		os.Exit(2)
-	}
-	jsonPath := func(def string) string {
-		if !*jsonOut {
-			return ""
+	// report writes a gated figure's rows under -report, if given.
+	report := func(rows []bench.Row) {
+		if *reportDir == "" {
+			return
 		}
-		if *out != "" {
-			return *out
+		path, err := bench.WriteReport(*reportDir, rows)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
+			os.Exit(1)
 		}
-		return def
+		fmt.Printf("\nwrote %s\n", path)
 	}
-	// The scale figure's default sweep; an explicit -nodes narrows it to
-	// one size (e.g. a quick 4096-only smoke), and -gather restricts the
-	// negotiation-burst columns to one strategy.
+	pols := policy.Names()
+	servePolicy := "work-stealing" // absorbs open-loop load best
+	if set["policy"] {
+		pols, servePolicy = []string{cfg.Policy}, cfg.Policy
+	}
 	scaleNodes := []int{64, 256, 1024, 4096}
-	if nodesSet {
-		scaleNodes = []int{*nodes}
+	if set["nodes"] {
+		scaleNodes = []int{cfg.Nodes}
 	}
-	scaleGathers := pm2.GatherModeNames()
-	if *gather != "" {
-		scaleGathers = []string{gatherName}
+	var scaleGathers []pm2.GatherMode
+	for _, gm := range gatherModes {
+		if !set["gather"] || gm.String() == cfg.Gather {
+			scaleGathers = append(scaleGathers, gm)
+		}
+	}
+	var arbiters []pm2.ArbiterMode
+	for _, a := range []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded} {
+		if !set["arbiter"] || a.String() == cfg.Arbiter {
+			arbiters = append(arbiters, a)
+		}
 	}
 
 	switch *fig {
@@ -146,16 +154,16 @@ func main() {
 		layoutFig()
 		fig11a(*trials)
 		fig11b(*trials)
-		migration(jsonPath("BENCH_migration.json"))
-		negotiation(jsonPath("BENCH_negotiation.json"))
-		contention(*arbiter)
-		failover(jsonPath("BENCH_failover.json"))
-		partitionFig(jsonPath("BENCH_partition.json"))
+		report(migration())
+		report(negotiation())
+		contention(arbiters)
+		report(failover())
+		report(partitionFig())
 		create()
 		ablations()
-		scenarios(*pol, *seed, *nodes, gatherName, arbiterName)
-		serveFig(*pol, *seed, jsonPath("BENCH_serve.json"))
-		scaleFig(*workers, scaleNodes, scaleGathers, jsonPath("BENCH_scale.json"))
+		scenarios(pols, *seed, cfg)
+		report(serveFig(servePolicy, *seed))
+		report(scaleFig(*workers, scaleNodes, scaleGathers))
 	case "5":
 		layoutFig()
 	case "11a":
@@ -163,25 +171,25 @@ func main() {
 	case "11b":
 		fig11b(*trials)
 	case "migration":
-		migration(jsonPath("BENCH_migration.json"))
+		report(migration())
 	case "negotiation":
-		negotiation(jsonPath("BENCH_negotiation.json"))
+		report(negotiation())
 	case "contention":
-		contention(*arbiter)
+		contention(arbiters)
 	case "failover":
-		failover(jsonPath("BENCH_failover.json"))
+		report(failover())
 	case "partition":
-		partitionFig(jsonPath("BENCH_partition.json"))
+		report(partitionFig())
 	case "create":
 		create()
 	case "ablations":
 		ablations()
 	case "scenarios":
-		scenarios(*pol, *seed, *nodes, gatherName, arbiterName)
+		scenarios(pols, *seed, cfg)
 	case "serve":
-		serveFig(*pol, *seed, jsonPath("BENCH_serve.json"))
+		report(serveFig(servePolicy, *seed))
 	case "scale":
-		scaleFig(*workers, scaleNodes, scaleGathers, jsonPath("BENCH_scale.json"))
+		report(scaleFig(*workers, scaleNodes, scaleGathers))
 	default:
 		fmt.Fprintf(os.Stderr, "pm2bench: unknown figure %q\n", *fig)
 		os.Exit(2)
@@ -259,7 +267,7 @@ func fig11b(trials int) {
 	fmt.Println(" the approach scales well)")
 }
 
-func migration(jsonPath string) {
+func migration() []bench.Row {
 	header("§5: thread migration (ping-pong between two Myrinet nodes)")
 	r := bench.MigrationPingPong(100, pm2.Config{})
 	fmt.Printf("no static data : avg %6.1f µs   worst %6.1f µs   (paper: < 75 µs)\n", r.AvgMicros, r.WorstMicros)
@@ -289,9 +297,8 @@ func migration(jsonPath string) {
 	header("Extension: thread convoys — k threads to one destination per balancing decision")
 	fmt.Printf("%12s %4s %18s %18s %10s %14s %14s\n",
 		"payload (B)", "k", "legacy µs/thread", "convoy µs/thread", "saved", "msgs (L/C)", "convoy B/thread")
-	var convoyRows []bench.ConvoyRow
-	for _, row := range bench.MigrationConvoy(gatePayload, []int{1, 2, 4, 8}) {
-		convoyRows = append(convoyRows, row)
+	convoyRows := bench.MigrationConvoy(gatePayload, []int{1, 2, 4, 8})
+	for _, row := range convoyRows {
 		fmt.Printf("%12d %4d %18.1f %18.1f %9.1f%% %10d/%-3d %14d\n",
 			row.Payload, row.K, row.PerThreadLegacyMicros, row.PerThreadConvoyMicros,
 			100*(1-row.PerThreadConvoyMicros/row.PerThreadLegacyMicros),
@@ -304,40 +311,15 @@ func migration(jsonPath string) {
 	fmt.Printf("\nrelocation baseline (32 registered pointers): avg %.1f µs\n", rel.AvgMicros)
 	fmt.Println("(the paper cites 150 µs for a null-thread migration in Active Threads)")
 
-	if jsonPath != "" {
-		report := bench.MigrationReport{
-			Figure:               "migration",
-			PayloadBytes:         gatePayload,
-			LegacyMicrosPerHop:   gateLegacy,
-			ZeroCopyMicrosPerHop: gateZeroCopy,
-		}
-		for _, row := range convoyRows {
-			report.Convoy = append(report.Convoy, bench.ConvoyReport{
-				K:                     row.K,
-				PerThreadLegacyMicros: row.PerThreadLegacyMicros,
-				PerThreadConvoyMicros: row.PerThreadConvoyMicros,
-				ConvoyBytesPerThread:  row.ConvoyBytesPerThread,
-			})
-		}
-		writeJSON(jsonPath, report)
-	}
+	return bench.MigrationReport{
+		PayloadBytes:         gatePayload,
+		LegacyMicrosPerHop:   gateLegacy,
+		ZeroCopyMicrosPerHop: gateZeroCopy,
+		Convoy:               convoyRows,
+	}.Rows()
 }
 
-// writeJSON marshals a report and writes it, exiting on failure.
-func writeJSON(path string, v any) {
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s\n", path)
-}
-
-func negotiation(jsonPath string) {
+func negotiation() []bench.Row {
 	header("§5: negotiation cost vs cluster size (multi-slot alloc, round-robin)")
 	fmt.Printf("%8s %14s %18s\n", "nodes", "cost (µs)", "delta/node (µs)")
 	prev, prevNodes := 0.0, 0
@@ -353,22 +335,21 @@ func negotiation(jsonPath string) {
 
 	header("Extension: gather strategy vs cluster size (same negotiation, cold)")
 	counts := []int{4, 8, 16, 32, 64}
-	modes := []pm2.GatherMode{pm2.GatherSequential, pm2.GatherTree, pm2.GatherDelta}
-	costs := make(map[pm2.GatherMode][]bench.NegotiationRow, len(modes))
-	for _, m := range modes {
+	costs := make(map[pm2.GatherMode][]bench.NegotiationRow, len(gatherModes))
+	for _, m := range gatherModes {
 		costs[m] = bench.NegotiationScalingGather(counts, m)
 	}
-	printGatherTable(counts, modes, costs)
+	printGatherTable(counts, costs)
 	fmt.Println("(delta overlaps the reply wire time; the tree also cuts the messages the")
 	fmt.Println(" initiator handles to O(log n) at the price of a range-style purchase; a cold")
 	fmt.Println(" delta gather is first contact everywhere, so it ships full maps)")
 
 	header("Extension: steady state — second negotiation by the same initiator")
-	warm := make(map[pm2.GatherMode][]bench.NegotiationRow, len(modes))
-	for _, m := range modes {
+	warm := make(map[pm2.GatherMode][]bench.NegotiationRow, len(gatherModes))
+	for _, m := range gatherModes {
 		warm[m] = bench.NegotiationScalingGatherWarm(counts, m)
 	}
-	printGatherTable(counts, modes, warm)
+	printGatherTable(counts, warm)
 	last := len(counts) - 1
 	seqBytes := warm[pm2.GatherSequential][last].MergedBytes
 	delBytes := warm[pm2.GatherDelta][last].MergedBytes
@@ -383,37 +364,35 @@ func negotiation(jsonPath string) {
 	fmt.Println(" rounds; warm rounds ship only the words that changed, so the merge term — a")
 	fmt.Println(" full 7 KB per peer per round under sequential and tree — drops to the delta bytes)")
 
-	if jsonPath != "" {
-		report := bench.NegotiationReport{Figure: "negotiation", Nodes: counts, Gathers: map[string]bench.GatherReport{}}
-		for _, m := range modes {
-			report.Gathers[m.String()] = bench.GatherReport{
-				ColdSlopeMicrosPerNode: bench.SlopeMicrosPerNode(costs[m]),
-				WarmSlopeMicrosPerNode: bench.SlopeMicrosPerNode(warm[m]),
-				ColdMergedBytes:        costs[m][last].MergedBytes,
-				WarmMergedBytes:        warm[m][last].MergedBytes,
-			}
+	report := bench.NegotiationReport{}
+	for _, m := range gatherModes {
+		report[m.String()] = bench.GatherReport{
+			ColdSlopeMicrosPerNode: bench.SlopeMicrosPerNode(costs[m]),
+			WarmSlopeMicrosPerNode: bench.SlopeMicrosPerNode(warm[m]),
+			ColdMergedBytes:        costs[m][last].MergedBytes,
+			WarmMergedBytes:        warm[m][last].MergedBytes,
 		}
-		writeJSON(jsonPath, report)
 	}
+	return report.Rows()
 }
 
 // printGatherTable prints one negotiation-cost row per cluster size with
 // a column per gather strategy, then each strategy's per-node slope.
-func printGatherTable(counts []int, modes []pm2.GatherMode, rows map[pm2.GatherMode][]bench.NegotiationRow) {
+func printGatherTable(counts []int, rows map[pm2.GatherMode][]bench.NegotiationRow) {
 	fmt.Printf("%8s", "nodes")
-	for _, m := range modes {
+	for _, m := range gatherModes {
 		fmt.Printf(" %16s", m.String()+" (µs)")
 	}
 	fmt.Println()
 	for i, p := range counts {
 		fmt.Printf("%8d", p)
-		for _, m := range modes {
+		for _, m := range gatherModes {
 			fmt.Printf(" %16.1f", rows[m][i].Micros)
 		}
 		fmt.Println()
 	}
 	fmt.Printf("\n%-12s", "slope µs/node:")
-	for _, m := range modes {
+	for _, m := range gatherModes {
 		fmt.Printf("  %s %.1f", m, bench.SlopeMicrosPerNode(rows[m]))
 	}
 	fmt.Println()
@@ -423,16 +402,7 @@ func printGatherTable(counts []int, modes []pm2.GatherMode, rows map[pm2.GatherM
 // a multi-slot negotiation in the same instant under each arbiter. The
 // delta gather keeps the gather term identical across arbiters, so the
 // spread between the rows is purely the concurrency scheme.
-func contention(only string) {
-	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded}
-	if only != "" {
-		a, err := pm2.ParseArbiterMode(only)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-			os.Exit(2)
-		}
-		arbs = []pm2.ArbiterMode{a}
-	}
+func contention(arbs []pm2.ArbiterMode) {
 	header("Extension: concurrent initiators × negotiation arbiter (3-slot allocs, delta gather)")
 	fmt.Printf("%6s %6s %-12s %4s %8s %14s %10s %10s %10s %10s\n",
 		"nodes", "inits", "arbiter", "ok", "retries", "makespan µs", "negos/ms", "p50 µs", "p95 µs", "p99 µs")
@@ -452,12 +422,12 @@ func contention(only string) {
 // under k resident threads; the table reports the lease-expiry
 // detection latency and the evacuation makespan with the convoy
 // pipeline off and on.
-func failover(jsonPath string) {
+func failover() []bench.Row {
 	header("Extension: node death — detection, evacuation and reclaim (4 nodes, victim holds k threads)")
 	report := bench.Failover([]int{1, 2, 4, 8, 16})
 	fmt.Printf("detection latency: %.1f µs (2-miss lease, 1 ms heartbeats; the crash lands on a tick, so the lease expires one period later), independent of k\n\n", report.DetectionMicros)
 	fmt.Printf("%4s %18s %18s %10s %16s\n", "k", "evac legacy (µs)", "evac convoy (µs)", "saved", "reclaimed slots")
-	for _, r := range report.Rows {
+	for _, r := range report.Points {
 		fmt.Printf("%4d %18.1f %18.1f %9.1f%% %16d\n",
 			r.K, r.EvacLegacyMicros, r.EvacConvoyMicros,
 			100*(1-r.EvacConvoyMicros/r.EvacLegacyMicros), r.ReclaimedSlots)
@@ -465,35 +435,31 @@ func failover(jsonPath string) {
 	fmt.Println("\n(evacuation ships one recovery convoy per survivor — the makespan grows with the")
 	fmt.Println(" per-survivor share of k, not with k itself; the dead rank's owned-free slots are")
 	fmt.Println(" re-dealt through version-bumping purchases, so stale cached views self-invalidate)")
-	if jsonPath != "" {
-		writeJSON(jsonPath, report)
-	}
+	return report.Rows()
 }
 
 // partitionFig prints the partial-failure figure: one rank of eight is
 // partitioned away (alive, unreachable) while k concurrent negotiations
 // route around it on RPC deadlines; the slow table slows a rank instead
 // of cutting it off. Nothing is ever evacuated — the victim rejoins.
-func partitionFig(jsonPath string) {
+func partitionFig() []bench.Row {
 	header("Extension: live partition — RPC deadlines, suspicion and rejoin (8 nodes, victim cut off 1–9 ms)")
 	report := bench.Partition([]int{1, 2, 4, 6}, []int{2, 10, 50})
 	fmt.Printf("rejoin latency: %.1f µs (suspected at the 2-miss lease, cleared on the first round after the heal), independent of k; zero evacuations throughout\n\n", report.RejoinMicros)
 	fmt.Printf("%4s %14s %18s\n", "k", "rpc timeouts", "nego makespan (µs)")
-	for _, r := range report.Rows {
+	for _, r := range report.Points {
 		fmt.Printf("%4d %14d %18.1f\n", r.K, r.RPCTimeouts, r.NegotiationMicros)
 	}
 	fmt.Printf("\nslow node (4 nodes, one rank's wire time × factor, never suspected):\n")
 	fmt.Printf("%8s %14s %18s\n", "factor", "rpc timeouts", "negotiation (µs)")
-	for _, r := range report.SlowRows {
+	for _, r := range report.SlowPoints {
 		fmt.Printf("%8d %14d %18.1f\n", r.Factor, r.RPCTimeouts, r.NegotiationMicros)
 	}
 	fmt.Println("\n(a gather abandons the unreachable rank after its retry budget and plans around")
 	fmt.Println(" its slots; suspicion routes new work away but never evacuates a live node —")
 	fmt.Println(" declaration additionally requires the crash to be real. A slow rank blows the")
 	fmt.Println(" same deadlines yet stays a member: detection is reachability-based)")
-	if jsonPath != "" {
-		writeJSON(jsonPath, report)
-	}
+	return report.Rows()
 }
 
 func create() {
@@ -536,23 +502,20 @@ func ablations() {
 }
 
 // scenarios prints the placement-policy comparison: every deterministic
-// workload generator under every (or one) policy.
-func scenarios(only string, seed uint64, nodes int, gather, arbiter string) {
-	pols := policy.Names()
-	if only != "" {
-		canon, err := policy.Parse(only)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-			os.Exit(2)
-		}
-		pols = []string{canon.Name()}
+// workload generator under each of pols, on the cfg cluster size,
+// gather and arbiter.
+func scenarios(pols []string, seed uint64, cfg pm2pub.Config) {
+	if cfg.Nodes < 2 {
+		// The failover and partition generators fault a rank other than 0.
+		fmt.Fprintf(os.Stderr, "pm2bench: -fig scenarios needs at least 2 nodes, have %d\n", cfg.Nodes)
+		os.Exit(2)
 	}
-	header(fmt.Sprintf("Scenario harness: placement policy × workload (%d nodes, %s gather, %s arbiter, deterministic)", nodes, gather, arbiter))
+	header(fmt.Sprintf("Scenario harness: placement policy × workload (%d nodes, %s gather, %s arbiter, deterministic)", cfg.Nodes, cfg.Gather, cfg.Arbiter))
 	fmt.Printf("%-10s %-14s %12s %10s %8s %6s %10s %10s %10s %12s\n",
 		"scenario", "policy", "virtual µs", "migrations", "balmoves", "negos", "neg p50µs", "neg p95µs", "neg p99µs", "wire bytes")
 	for _, g := range scenario.GeneratorNames() {
 		for _, p := range pols {
-			res, err := scenario.Run(scenario.Spec{Scenario: g, Policy: p, Seed: seed, Nodes: nodes, Gather: gather, Arbiter: arbiter})
+			res, err := scenario.Run(scenario.Spec{Scenario: g, Policy: p, Seed: seed, Nodes: cfg.Nodes, Gather: cfg.Gather, Arbiter: cfg.Arbiter})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
 				os.Exit(1)
@@ -573,18 +536,7 @@ func scenarios(only string, seed uint64, nodes int, gather, arbiter string) {
 // serveFig prints the serving-workload figure: per-cohort SLO at the
 // base arrival rate, then the rate sweep to the throughput knee — at 16
 // and 64 nodes.
-func serveFig(only string, seed uint64, jsonPath string) {
-	// Serving placement defaults to work-stealing (the policy that
-	// absorbs open-loop load best); -policy overrides.
-	polName := "work-stealing"
-	if only != "" {
-		canon, err := policy.Parse(only)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-			os.Exit(2)
-		}
-		polName = canon.Name()
-	}
+func serveFig(polName string, seed uint64) []bench.Row {
 	report, err := bench.ServeSweep(polName, seed, []int{16, 64})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
@@ -599,7 +551,7 @@ func serveFig(only string, seed uint64, jsonPath string) {
 				c.Cohort, c.Requests, c.PlacementP50Us, c.PlacementP95Us, c.PlacementP99Us,
 				c.EndToEndP50Us, c.EndToEndP95Us, c.EndToEndP99Us)
 		}
-		fmt.Printf("\nsaturation sweep (SLO: worst cohort p99 e2e ≤ %.0f µs):\n", report.SLOBudgetUs)
+		fmt.Printf("\nsaturation sweep (SLO: worst cohort p99 e2e ≤ %.0f µs):\n", float64(bench.ServeSLOBudgetMicros))
 		fmt.Printf("%10s %9s %10s %10s %14s %12s\n",
 			"rate×", "requests", "completed", "saturated", "worst p99 µs", "sustainable")
 		for _, p := range cl.Sweep {
@@ -618,10 +570,7 @@ func serveFig(only string, seed uint64, jsonPath string) {
 	fmt.Println("\n(open-loop arrivals do not wait for completions: past the knee the backlog grows")
 	fmt.Println(" during the arrival window and p99 blows through the SLO; past-knee points are cut")
 	fmt.Println(" off by a tightened step budget — deterministically, virtual steps are exact)")
-
-	if jsonPath != "" {
-		writeJSON(jsonPath, report)
-	}
+	return report.Rows()
 }
 
 // scaleFig prints the kernel-scaling figure: the lane-decomposed event
@@ -630,7 +579,7 @@ func serveFig(only string, seed uint64, jsonPath string) {
 // strategy at every size. The virtual columns are exact (and asserted
 // identical at every worker count inside bench.Scale); wall-clock and
 // events/sec measure the host machine.
-func scaleFig(workerList string, nodeCounts []int, gatherNames []string, jsonPath string) {
+func scaleFig(workerList string, nodeCounts []int, gathers []pm2.GatherMode) []bench.Row {
 	var workerCounts []int
 	for _, part := range strings.Split(workerList, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(part))
@@ -643,15 +592,6 @@ func scaleFig(workerList string, nodeCounts []int, gatherNames []string, jsonPat
 	if len(workerCounts) == 0 || workerCounts[0] != 1 {
 		fmt.Fprintln(os.Stderr, "pm2bench: -workers must start at 1 (the serial reference run)")
 		os.Exit(2)
-	}
-	gathers := make([]pm2.GatherMode, len(gatherNames))
-	for i, name := range gatherNames {
-		gm, err := pm2.ParseGatherMode(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pm2bench: %v\n", err)
-			os.Exit(2)
-		}
-		gathers[i] = gm
 	}
 	header("Extension: kernel scaling — per-node event lanes × worker pool (ring-hop workload)")
 	report := bench.Scale(nodeCounts, workerCounts, 16, 2000, gathers)
@@ -699,8 +639,5 @@ func scaleFig(workerList string, nodeCounts []int, gatherNames []string, jsonPat
 	} else {
 		fmt.Printf("(GOMAXPROCS=%d: wall-clock speedups measure this host and stay informational)\n", report.MaxProcs)
 	}
-
-	if jsonPath != "" {
-		writeJSON(jsonPath, report)
-	}
+	return report.Rows()
 }

@@ -23,13 +23,15 @@
 //	pm2load -checkpoint run.ckpt -checkpoint-at 500 -balance 2000 p4 1000
 //	pm2load -restore run.ckpt
 //
-// -policy selects the placement policy (negotiation | round-robin |
-// work-stealing); -mech selects the migration mechanism (iso |
-// relocate); -gather the §4.4 bitmap-gather strategy (sequential |
-// tree | delta); -arbiter the negotiation concurrency scheme
-// (global | sharded). For compatibility, -policy also
-// accepts the legacy values "iso" and "relocate" and treats them as
-// -mech.
+// The cluster flags (-nodes, -dist, -policy, -gather, -arbiter, -fault,
+// -rpc-timeout, -heartbeat-misses, -convoy) are bound by pm2.BindFlags,
+// shared with pm2trace and pm2bench; a bad value exits 2 with a
+// one-line message. -policy selects the placement policy (negotiation |
+// round-robin | work-stealing); -mech selects the migration mechanism
+// (iso | relocate); -gather the §4.4 bitmap-gather strategy (sequential
+// | tree | delta); -arbiter the negotiation concurrency scheme (global |
+// sharded). For compatibility, -policy also accepts the legacy values
+// "iso" and "relocate" and treats them as -mech.
 //
 // -fault installs a fault plan: "crash:N@T" crashes node N at T µs of
 // virtual time, "partition:A-B@T1..T2" cuts the A↔B link for the window
@@ -54,27 +56,18 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/pm2"
 )
 
 func main() {
-	nodes := flag.Int("nodes", 2, "cluster size")
-	policy := flag.String("policy", "", "placement policy: "+strings.Join(pm2.PolicyNames(), " | "))
+	clusterFlags := pm2.BindFlags(flag.CommandLine, pm2.Config{Nodes: 2, Distribution: "round-robin"})
 	mech := flag.String("mech", "iso", `migration mechanism: "iso" or "relocate"`)
 	balance := flag.Int64("balance", 0, "attach a load balancer with this period in virtual µs (0 = off)")
-	gather := flag.String("gather", "", "negotiation bitmap-gather strategy: "+strings.Join(pm2.GatherNames(), " | "))
-	arbiter := flag.String("arbiter", "", "negotiation arbiter: "+strings.Join(pm2.ArbiterNames(), " | "))
-	dist := flag.String("dist", "round-robin", `slot distribution: round-robin | block-cyclic:K | partition`)
-	convoy := flag.Bool("convoy", false, "zero-copy scatter-gather migration pipeline with thread convoys")
 	node := flag.Int("node", 0, "node to start the program on")
 	srcFile := flag.String("src", "", "assemble and register an extra program from this file")
 	warmHeap := flag.Int("warm-heap", 0, "fill every other node's heap with N bytes of junk first (Figure 9)")
 	stats := flag.Bool("stats", true, "print run statistics after the trace")
-	faultSpec := flag.String("fault", "", `fault plan, e.g. "crash:1@3000", "partition:1-0@3000..9000;slow:2x4@0..5000"`)
-	hbMisses := flag.Int("heartbeat-misses", 0, "failure-detector lease: heartbeat rounds missed before a node is declared dead (0 = default 2)")
-	rpcTimeout := flag.String("rpc-timeout", "", `protocol deadline: "auto" = derive from the cost model, an integer = µs of virtual time, "" = off`)
 	ckptFile := flag.String("checkpoint", "", "write a pm2ckpt image of the run to this file at -checkpoint-at, then continue")
 	ckptAt := flag.Int64("checkpoint-at", 0, "µs of virtual time to run before -checkpoint captures the cluster")
 	restoreFile := flag.String("restore", "", "restore a pm2ckpt image and run it to completion (no program argument)")
@@ -95,64 +88,49 @@ func main() {
 		restoreRun(*restoreFile, *balance, *stats)
 		return
 	}
+
+	// Legacy spelling: -policy iso|relocate named the mechanism.
+	if policy := flag.Lookup("policy").Value.String(); policy == "iso" || policy == "relocate" {
+		mechSet := false
+		flag.Visit(func(f *flag.Flag) { mechSet = mechSet || f.Name == "mech" })
+		if mechSet && *mech != policy {
+			fmt.Fprintf(os.Stderr, "pm2load: -policy %s conflicts with -mech %s (use -mech for the mechanism, -policy for placement)\n", policy, *mech)
+			os.Exit(2)
+		}
+		*mech = policy
+		flag.Set("policy", "")
+	}
+	if *mech != "iso" && *mech != "relocate" {
+		fmt.Fprintf(os.Stderr, "pm2load: unknown mechanism %q (want iso or relocate)\n", *mech)
+		os.Exit(2)
+	}
+	cfg, err := clusterFlags()
+	if err == nil {
+		cfg.RelocationPolicy = *mech == "relocate"
+		err = cfg.Validate()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pm2load: %v\n", err)
+		os.Exit(2)
+	}
 	if *ckptFile != "" {
 		switch {
 		case *ckptAt <= 0:
 			fmt.Fprintln(os.Stderr, "pm2load: -checkpoint needs -checkpoint-at <µs> to know when to capture")
 			os.Exit(2)
-		case *faultSpec != "":
+		case cfg.Faults != "":
 			fmt.Fprintln(os.Stderr, "pm2load: -checkpoint does not compose with -fault (crash barriers are scheduled closures a checkpoint cannot carry)")
 			os.Exit(2)
 		}
 	}
 	// Failure detection rides the balancer's heartbeat rounds: a fault
 	// plan without a balancer would crash the node and then never notice.
-	if *faultSpec != "" && *balance == 0 {
+	if cfg.Faults != "" && *balance == 0 {
 		*balance = 2000
 	}
-
-	// Legacy spelling: -policy iso|relocate named the mechanism.
-	if *policy == "iso" || *policy == "relocate" {
-		mechSet := false
-		flag.Visit(func(f *flag.Flag) { mechSet = mechSet || f.Name == "mech" })
-		if mechSet && *mech != *policy {
-			fmt.Fprintf(os.Stderr, "pm2load: -policy %s conflicts with -mech %s (use -mech for the mechanism, -policy for placement)\n", *policy, *mech)
-			os.Exit(2)
-		}
-		*mech = *policy
-		*policy = ""
-	}
-	polName, err := pm2.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2load: %v\n", err)
+	if *node < 0 || *node >= cfg.Nodes {
+		fmt.Fprintf(os.Stderr, "pm2load: -node %d outside the %d-node cluster\n", *node, cfg.Nodes)
 		os.Exit(2)
-	}
-	if *mech != "iso" && *mech != "relocate" {
-		fmt.Fprintf(os.Stderr, "pm2load: unknown mechanism %q (want iso or relocate)\n", *mech)
-		os.Exit(2)
-	}
-	gatherName, err := pm2.ParseGather(*gather)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2load: %v\n", err)
-		os.Exit(2)
-	}
-	arbiterName, err := pm2.ParseArbiter(*arbiter)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2load: %v\n", err)
-		os.Exit(2)
-	}
-	var rpcTimeoutMicros int64
-	switch *rpcTimeout {
-	case "":
-	case "auto":
-		rpcTimeoutMicros = -1
-	default:
-		v, err := strconv.ParseInt(*rpcTimeout, 10, 64)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "pm2load: bad -rpc-timeout %q (want \"auto\" or a positive µs count)\n", *rpcTimeout)
-			os.Exit(2)
-		}
-		rpcTimeoutMicros = v
 	}
 
 	if flag.NArg() < 1 {
@@ -185,24 +163,17 @@ func main() {
 		}
 	}
 
-	cl := sys.Boot(pm2.Config{
-		Nodes:            *nodes,
-		Distribution:     *dist,
-		RelocationPolicy: *mech == "relocate",
-		Policy:           polName,
-		Gather:           gatherName,
-		Arbiter:          arbiterName,
-		Convoy:           *convoy,
-		Faults:           *faultSpec,
-		HeartbeatMisses:  *hbMisses,
-		RPCTimeoutMicros: rpcTimeoutMicros,
-	})
+	cl := sys.Boot(cfg)
+	if _, ok := cl.Internal().Image().EntryOf(prog); !ok {
+		fmt.Fprintf(os.Stderr, "pm2load: unknown program %q\n", prog)
+		os.Exit(2)
+	}
 	if *balance > 0 {
 		cl.AttachBalancer(*balance)
 	}
 
 	if *warmHeap > 0 {
-		for i := 0; i < *nodes; i++ {
+		for i := 0; i < cfg.Nodes; i++ {
 			if i != *node {
 				cl.Spawn(i, "heapjunk", uint32(*warmHeap))
 			}
@@ -235,7 +206,7 @@ func main() {
 	}
 	if *stats {
 		st := cl.Stats()
-		fmt.Fprintf(os.Stderr, "\n-- %d node(s), policy %s, mech %s, dist %s, gather %s, arbiter %s\n", *nodes, polName, *mech, *dist, gatherName, arbiterName)
+		fmt.Fprintf(os.Stderr, "\n-- %d node(s), policy %s, mech %s, dist %s, gather %s, arbiter %s\n", cfg.Nodes, cfg.Policy, *mech, cfg.Distribution, cfg.Gather, cfg.Arbiter)
 		fmt.Fprintf(os.Stderr, "-- virtual time %.1fµs, %d migration(s) (avg %.1fµs), %d negotiation(s)\n",
 			st.VirtualMicros, st.Migrations, st.AvgMigrationMicros, st.Negotiations)
 	}

@@ -14,10 +14,13 @@
 // -checkpoint with the same image and continues it from its captured
 // instant instead of a fresh boot.
 //
-// -fault installs a fault plan (crash / partition / slow events) and
-// drives millisecond heartbeat rounds past its horizon; -rpc-timeout
-// arms the partial-failure deadline layer ("auto" or µs). The summary
-// then reports RPC timeouts, suspicions, rejoins and evacuations.
+// The cluster flags (-nodes, -dist, -policy, -gather, -arbiter, -fault,
+// -rpc-timeout, -heartbeat-misses, -convoy) are the ones pm2.BindFlags
+// binds for every front end. -fault installs a fault plan (crash /
+// partition / slow events) and drives millisecond heartbeat rounds past
+// its horizon; -rpc-timeout arms the partial-failure deadline layer
+// ("auto" or µs). The summary then reports RPC timeouts, suspicions,
+// rejoins and evacuations.
 package main
 
 import (
@@ -26,9 +29,7 @@ import (
 	"os"
 	"strconv"
 
-	"repro/internal/fault"
 	ipm2 "repro/internal/pm2"
-	"repro/internal/progs"
 	"repro/internal/scenario"
 	"repro/internal/scenario/serve"
 	"repro/internal/simtime"
@@ -46,12 +47,9 @@ func main() {
 			return
 		}
 	}
-	nodes := flag.Int("nodes", 2, "cluster size")
+	clusterFlags := pm2.BindFlags(flag.CommandLine, pm2.Config{Nodes: 2, Distribution: "round-robin"})
 	node := flag.Int("node", 0, "starting node")
-	dist := flag.String("dist", "round-robin", "slot distribution")
 	live := flag.Bool("live", false, "print trace lines as they are produced")
-	faultSpec := flag.String("fault", "", `fault plan, e.g. "crash:1@3000", "partition:1-0@3000..9000;slow:1x4@0..5000"`)
-	rpcTimeout := flag.String("rpc-timeout", "", `protocol deadline: "auto" = derive from the cost model, an integer = µs of virtual time, "" = off`)
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: pm2trace [flags] <program> [arg]")
@@ -67,44 +65,33 @@ func main() {
 		}
 		arg = uint32(v)
 	}
-
-	d, err := pm2.ParseDistribution(*dist)
+	cfg, err := clusterFlags()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
 		os.Exit(2)
 	}
-	var timeout simtime.Time
-	switch *rpcTimeout {
-	case "":
-	case "auto":
-		timeout = -1
-	default:
-		v, err := strconv.ParseInt(*rpcTimeout, 10, 64)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "pm2trace: bad -rpc-timeout %q (want \"auto\" or a positive µs count)\n", *rpcTimeout)
-			os.Exit(2)
-		}
-		timeout = simtime.Time(v) * simtime.Microsecond
+	if *node < 0 || *node >= cfg.Nodes {
+		fmt.Fprintf(os.Stderr, "pm2trace: -node %d outside the %d-node cluster\n", *node, cfg.Nodes)
+		os.Exit(2)
 	}
-	var plan *fault.Plan
-	if *faultSpec != "" {
-		plan, err = fault.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
-			os.Exit(2)
-		}
+	cfg.RecordAllocations = true
+	sys := pm2.NewSystem()
+	sys.RegisterExamples()
+	c := sys.Boot(cfg).Internal()
+	if _, ok := c.Image().EntryOf(prog); !ok {
+		fmt.Fprintf(os.Stderr, "pm2trace: unknown program %q\n", prog)
+		os.Exit(2)
 	}
-	c := ipm2.New(ipm2.Config{Nodes: *nodes, Dist: d, RecordAllocs: true, Faults: plan, RPCTimeout: timeout}, progs.NewImage())
 	if *live {
 		c.Trace().SetWriter(os.Stdout)
 	}
-	if plan != nil {
+	if st := c.FaultState(); st != nil {
 		// Failure detection rides heartbeat rounds pm2trace has no
 		// balancer to drive: tick every millisecond until two rounds past
 		// the plan's last event, enough to declare any crash and clear
 		// any healed suspicion.
 		var horizon simtime.Time
-		for _, ev := range plan.Events {
+		for _, ev := range st.Plan().Events {
 			if ev.At > horizon {
 				horizon = ev.At
 			}
@@ -137,7 +124,7 @@ func main() {
 		fmt.Printf("  #%d: %v\n", i+1, l)
 	}
 	fmt.Printf("network:      %d messages, %d bytes\n", st.Net.Messages, st.Net.Bytes)
-	if *faultSpec != "" || *rpcTimeout != "" {
+	if cfg.Faults != "" || cfg.RPCTimeoutMicros != 0 {
 		fmt.Printf("faults:       %d rpc timeout(s), %d suspicion(s), %d rejoin(s), %d evacuation(s)\n",
 			st.RPCTimeouts, st.Suspicions, st.Rejoins, st.Evacuations)
 	}
@@ -210,12 +197,9 @@ func loadCheckpoint(path string) *ipm2.Checkpoint {
 // generator defaults change later.
 func recordCmd(args []string) {
 	fs := flag.NewFlagSet("pm2trace record", flag.ExitOnError)
+	clusterFlags := pm2.BindFlags(fs, pm2.Config{Nodes: 4})
 	out := fs.String("o", "", "output trace file (required)")
-	nodes := fs.Int("nodes", 4, "cluster size")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	pol := fs.String("policy", "", "placement policy (default negotiation)")
-	gather := fs.String("gather", "", "bitmap-gather strategy (default sequential)")
-	arbiter := fs.String("arbiter", "", "negotiation arbiter (default global)")
 	scale := fs.Float64("scale", 1, "arrival-rate multiplier")
 	ckpt := fs.String("checkpoint", "", "pm2ckpt file the trace continues from (binds its digest into the header)")
 	fs.Parse(args)
@@ -223,44 +207,41 @@ func recordCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: pm2trace record -o <file> [-nodes n] [-seed s] [-policy p] [-gather g] [-arbiter a] [-scale x] [-checkpoint f]")
 		os.Exit(2)
 	}
-
-	// Canonicalize the harness parameters exactly as a live run would,
-	// so the recorded header matches the replayed run's trace header.
-	polName, err := pm2.ParsePolicy(*pol)
+	// A trace header records only the cluster size, placement, gather
+	// and arbiter; the other cluster flags have nowhere to go.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "dist", "fault", "rpc-timeout", "heartbeat-misses", "convoy":
+			fmt.Fprintf(os.Stderr, "pm2trace: -%s does not apply to record\n", f.Name)
+			os.Exit(2)
+		}
+	})
+	// The binder canonicalizes the harness parameters exactly as a live
+	// run would, so the recorded header matches the replayed run's.
+	cfg, err := clusterFlags()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
 		os.Exit(2)
 	}
-	gatherName, err := pm2.ParseGather(*gather)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
-		os.Exit(2)
-	}
-	arbiterName, err := pm2.ParseArbiter(*arbiter)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
-		os.Exit(2)
-	}
-
-	sp := serve.DeriveSpec(*seed, *nodes)
+	sp := serve.DeriveSpec(*seed, cfg.Nodes)
 	sp.RateScale = *scale
-	reqs, err := sp.Synthesize(*nodes)
+	reqs, err := sp.Synthesize(cfg.Nodes)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
 		os.Exit(1)
 	}
 	tr := &serve.Trace{
-		Policy:   polName,
-		Nodes:    *nodes,
+		Policy:   cfg.Policy,
+		Nodes:    cfg.Nodes,
 		Seed:     sp.Seed,
-		Gather:   gatherName,
-		Arbiter:  arbiterName,
+		Gather:   cfg.Gather,
+		Arbiter:  cfg.Arbiter,
 		Requests: reqs,
 	}
 	if *ckpt != "" {
 		ck := loadCheckpoint(*ckpt)
-		if ck.Nodes != *nodes {
-			fmt.Fprintf(os.Stderr, "pm2trace: checkpoint has %d nodes, recording asks for %d\n", ck.Nodes, *nodes)
+		if ck.Nodes != cfg.Nodes {
+			fmt.Fprintf(os.Stderr, "pm2trace: checkpoint has %d nodes, recording asks for %d\n", ck.Nodes, cfg.Nodes)
 			os.Exit(2)
 		}
 		tr.CkptDigest = ck.Digest()

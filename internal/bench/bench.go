@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -278,31 +279,34 @@ func convoyBatchRun(payload uint32, k int, convoy bool) (perThreadMicros float64
 	return (makespan / simtime.Time(k)).Micros(), st.Net.Messages - pre.Net.Messages, st.Net.Bytes - pre.Net.Bytes
 }
 
-// ConvoyReport is one batch size's entry in the BENCH_migration.json
-// report (the CI-gated per-thread cost and wire bytes of the convoy
-// path, with the legacy figures for context).
-type ConvoyReport struct {
-	K                     int     `json:"k"`
-	PerThreadLegacyMicros float64 `json:"per_thread_legacy_us"`
-	PerThreadConvoyMicros float64 `json:"per_thread_convoy_us"`
-	ConvoyBytesPerThread  uint64  `json:"convoy_bytes_per_thread"`
+// MigrationReport is the gated side of the migration figure: the
+// ping-pong µs/hop at PayloadBytes under the copying and the zero-copy
+// pipeline, and the convoy rows at that payload.
+type MigrationReport struct {
+	PayloadBytes         uint32
+	LegacyMicrosPerHop   float64
+	ZeroCopyMicrosPerHop float64
+	Convoy               []ConvoyRow
 }
 
-// MigrationReport is the BENCH_migration.json schema. CI runs `pm2bench
-// -fig migration -json` and `benchcheck` compares the ping-pong µs/hop
-// and the convoy per-thread µs and bytes/thread against the committed
-// ci/BENCH_migration.baseline.json, failing the job on a regression
-// beyond tolerance. Shared by pm2bench (writer) and benchcheck (gate) so
-// a schema change is a compile-time event.
-type MigrationReport struct {
-	Figure       string `json:"figure"`
-	PayloadBytes uint32 `json:"payload_bytes"`
-	// LegacyMicrosPerHop / ZeroCopyMicrosPerHop is the ping-pong
-	// migration latency at PayloadBytes under the copying and the
-	// scatter-gather pipeline.
-	LegacyMicrosPerHop   float64        `json:"legacy_us_per_hop"`
-	ZeroCopyMicrosPerHop float64        `json:"zerocopy_us_per_hop"`
-	Convoy               []ConvoyReport `json:"convoy"`
+// Rows states the migration figure's gates: the ping-pong µs/hop and
+// the convoy per-thread µs and wire bytes are ceilings, and the payload
+// they were measured at is exact, so a baseline is never held against a
+// run at another size.
+func (r MigrationReport) Rows() []Row {
+	rows := []Row{
+		{"migration", "payload", float64(r.PayloadBytes), "B", Exact},
+		{"migration", "legacy_pingpong", r.LegacyMicrosPerHop, "us/hop", Ceiling},
+		{"migration", "zerocopy_pingpong", r.ZeroCopyMicrosPerHop, "us/hop", Ceiling},
+	}
+	for _, c := range r.Convoy {
+		k := fmt.Sprintf("convoy_k%d.", c.K)
+		rows = append(rows,
+			Row{"migration", k + "per_thread_legacy", c.PerThreadLegacyMicros, "us", Info},
+			Row{"migration", k + "per_thread", c.PerThreadConvoyMicros, "us", Ceiling},
+			Row{"migration", k + "wire", float64(c.ConvoyBytesPerThread), "B/thread", Ceiling})
+	}
+	return rows
 }
 
 // RelocationPingPong measures the §2 baseline with regPtrs registered user
@@ -403,27 +407,39 @@ func NegotiationScalingGatherWarm(nodeCounts []int, gather pm2.GatherMode) []Neg
 	return rows
 }
 
-// GatherReport is one gather strategy's entry in the
-// BENCH_negotiation.json report: the cold and warm per-node slopes
-// (the CI-gated figures) plus the merged bitmap bytes at the largest
-// measured cluster. Shared by pm2bench (writer) and benchcheck
-// (gate) so a schema change is a compile-time event, not a silently
-// neutralized gate.
+// GatherReport is one gather strategy's entry in the negotiation
+// report: the cold and warm per-node slopes plus the merged bitmap
+// bytes at the largest measured cluster.
 type GatherReport struct {
-	ColdSlopeMicrosPerNode float64 `json:"cold_slope_us_per_node"`
-	WarmSlopeMicrosPerNode float64 `json:"warm_slope_us_per_node"`
-	ColdMergedBytes        uint64  `json:"cold_merged_bytes"`
-	WarmMergedBytes        uint64  `json:"warm_merged_bytes"`
+	ColdSlopeMicrosPerNode float64
+	WarmSlopeMicrosPerNode float64
+	ColdMergedBytes        uint64
+	WarmMergedBytes        uint64
 }
 
-// NegotiationReport is the BENCH_negotiation.json schema. CI runs
-// `pm2bench -fig negotiation -json` and `benchcheck` compares the
-// slopes against the committed ci/BENCH_negotiation.baseline.json,
-// failing the job on a regression beyond tolerance.
-type NegotiationReport struct {
-	Figure  string                  `json:"figure"`
-	Nodes   []int                   `json:"nodes"`
-	Gathers map[string]GatherReport `json:"gathers"`
+// NegotiationReport is the gated side of the negotiation figure, keyed
+// by gather strategy.
+type NegotiationReport map[string]GatherReport
+
+// Rows states the negotiation figure's gates: every strategy's cold
+// and warm slope is a ceiling; the merged bytes are exact protocol
+// quantities pinned by unit tests and ride along as context.
+func (r NegotiationReport) Rows() []Row {
+	names := make([]string, 0, len(r))
+	for name := range r {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var rows []Row
+	for _, name := range names {
+		g := r[name]
+		rows = append(rows,
+			Row{"negotiation", name + ".cold_slope", g.ColdSlopeMicrosPerNode, "us/node", Ceiling},
+			Row{"negotiation", name + ".warm_slope", g.WarmSlopeMicrosPerNode, "us/node", Ceiling},
+			Row{"negotiation", name + ".cold_merged", float64(g.ColdMergedBytes), "B", Info},
+			Row{"negotiation", name + ".warm_merged", float64(g.WarmMergedBytes), "B", Info})
+	}
+	return rows
 }
 
 // ContentionRow is one point of the arbiter contention measurement.

@@ -14,31 +14,40 @@ import (
 // resident on the victim node at its crash instant, evacuated to the
 // survivors once the lease expires.
 type FailoverRow struct {
-	K int `json:"k"`
+	K int
 	// EvacLegacyMicros / EvacConvoyMicros is the evacuation makespan —
 	// lease expiry (declaration) to the last evacuated thread thawed on
 	// its survivor — under the paper-faithful copying charges versus the
 	// zero-copy convoy pipeline (Config.Convoy).
-	EvacLegacyMicros float64 `json:"evac_legacy_us"`
-	EvacConvoyMicros float64 `json:"evac_convoy_us"`
+	EvacLegacyMicros float64
+	EvacConvoyMicros float64
 	// ReclaimedSlots counts the dead rank's owned-free slots re-dealt to
 	// the survivors; an exact protocol quantity, reported for context.
-	ReclaimedSlots int `json:"reclaimed_slots"`
+	ReclaimedSlots int
 }
 
-// FailoverReport is the BENCH_failover.json schema. CI runs `pm2bench
-// -fig failover -json` and `benchcheck` compares the detection latency
-// and the per-k evacuation makespans against the committed
-// ci/BENCH_failover.baseline.json, failing the job on a regression
-// beyond tolerance. Shared by pm2bench (writer) and benchcheck (gate)
-// so a schema change is a compile-time event.
+// FailoverReport is the gated side of the failover figure.
 type FailoverReport struct {
-	Figure string `json:"figure"`
-	Nodes  int    `json:"nodes"`
 	// DetectionMicros is the crash-to-declaration latency: the lease
 	// period times Config.HeartbeatMisses, independent of k.
-	DetectionMicros float64       `json:"detection_us"`
-	Rows            []FailoverRow `json:"rows"`
+	DetectionMicros float64
+	Points          []FailoverRow
+}
+
+// Rows states the failover figure's gates: the detection latency and
+// both evacuation makespans are ceilings; the reclaimed slot count is
+// an exact protocol quantity pinned by unit tests and rides along as
+// context.
+func (r FailoverReport) Rows() []Row {
+	rows := []Row{{"failover", "detection", r.DetectionMicros, "us", Ceiling}}
+	for _, f := range r.Points {
+		k := fmt.Sprintf("k%d.", f.K)
+		rows = append(rows,
+			Row{"failover", k + "evac_legacy", f.EvacLegacyMicros, "us", Ceiling},
+			Row{"failover", k + "evac_convoy", f.EvacConvoyMicros, "us", Ceiling},
+			Row{"failover", k + "reclaimed_slots", float64(f.ReclaimedSlots), "slots", Info})
+	}
+	return rows
 }
 
 // failoverCrashMicros / failoverTickMicros shape every failover run: the
@@ -56,7 +65,7 @@ const (
 // worker must finish on a survivor — a lost thread panics the
 // measurement rather than skewing it.
 func Failover(ks []int) FailoverReport {
-	report := FailoverReport{Figure: "failover", Nodes: 4}
+	var report FailoverReport
 	for _, k := range ks {
 		row := FailoverRow{K: k}
 		for _, convoy := range []bool{false, true} {
@@ -73,7 +82,7 @@ func Failover(ks []int) FailoverReport {
 				row.ReclaimedSlots = reclaimed
 			}
 		}
-		report.Rows = append(report.Rows, row)
+		report.Points = append(report.Points, row)
 	}
 	return report
 }

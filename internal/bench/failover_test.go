@@ -18,7 +18,7 @@ func TestFailoverBench(t *testing.T) {
 			report.DetectionMicros, failoverTickMicros)
 	}
 	prev := 0.0
-	for _, row := range report.Rows {
+	for _, row := range report.Points {
 		if row.EvacLegacyMicros <= 0 || row.EvacConvoyMicros <= 0 {
 			t.Fatalf("k=%d: non-positive evacuation makespan %+v", row.K, row)
 		}

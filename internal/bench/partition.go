@@ -14,13 +14,13 @@ import (
 // each forced to abandon the unreachable peer at its RPC deadline and
 // plan around its slots.
 type PartitionRow struct {
-	K int `json:"k"`
+	K int
 	// RPCTimeouts counts the deadline expiries the k negotiations (and
 	// any ambient protocol traffic) burned routing around the victim.
-	RPCTimeouts int `json:"rpc_timeouts"`
+	RPCTimeouts int
 	// NegotiationMicros is the negotiation makespan: the slowest of the
 	// k concurrent negotiations, timeout and retry stalls included.
-	NegotiationMicros float64 `json:"negotiation_us"`
+	NegotiationMicros float64
 }
 
 // PartitionSlowRow is one point of the slow-node companion table: a
@@ -28,26 +28,41 @@ type PartitionRow struct {
 // wire time by Factor — slow enough to blow deadlines, but alive, so
 // nothing may be suspected or evacuated.
 type PartitionSlowRow struct {
-	Factor            int     `json:"factor"`
-	RPCTimeouts       int     `json:"rpc_timeouts"`
-	NegotiationMicros float64 `json:"negotiation_us"`
+	Factor            int
+	RPCTimeouts       int
+	NegotiationMicros float64
 }
 
-// PartitionReport is the BENCH_partition.json schema. CI runs
-// `pm2bench -fig partition -json` and `benchcheck` compares the rejoin
-// latency and the per-k timeout counts and makespans against the
-// committed ci/BENCH_partition.baseline.json. Shared by pm2bench
-// (writer) and benchcheck (gate) so a schema change is a compile-time
-// event.
+// PartitionReport is the gated side of the partition figure.
 type PartitionReport struct {
-	Figure string `json:"figure"`
-	Nodes  int    `json:"nodes"`
 	// RejoinMicros is the time the live victim spends suspected: from
 	// the lease expiry that routed around it to the first heartbeat
 	// round after the heal — a pure protocol quantity, independent of k.
-	RejoinMicros float64            `json:"rejoin_us"`
-	Rows         []PartitionRow     `json:"rows"`
-	SlowRows     []PartitionSlowRow `json:"slow_rows"`
+	RejoinMicros float64
+	Points       []PartitionRow
+	SlowPoints   []PartitionSlowRow
+}
+
+// Rows states the partition figure's gates: the rejoin latency and the
+// RPC-timeout counts are deterministic protocol quantities — lease
+// arithmetic and deadline expiries — so they are exact; the
+// negotiation makespans summarize the cost model end to end and are
+// ceilings. Zero evacuations is asserted inside Partition itself.
+func (r PartitionReport) Rows() []Row {
+	rows := []Row{{"partition", "rejoin", r.RejoinMicros, "us", Exact}}
+	for _, p := range r.Points {
+		k := fmt.Sprintf("k%d.", p.K)
+		rows = append(rows,
+			Row{"partition", k + "rpc_timeouts", float64(p.RPCTimeouts), "count", Exact},
+			Row{"partition", k + "negotiation", p.NegotiationMicros, "us", Ceiling})
+	}
+	for _, p := range r.SlowPoints {
+		x := fmt.Sprintf("slow_x%d.", p.Factor)
+		rows = append(rows,
+			Row{"partition", x + "rpc_timeouts", float64(p.RPCTimeouts), "count", Exact},
+			Row{"partition", x + "negotiation", p.NegotiationMicros, "us", Ceiling})
+	}
+	return rows
 }
 
 // Partition window and heartbeat cadence for every partition run: the
@@ -74,7 +89,7 @@ const (
 // negotiation panics the measurement rather than skewing it. The slow
 // table repeats the exercise against a slowed (not partitioned) rank.
 func Partition(ks, slowFactors []int) PartitionReport {
-	report := PartitionReport{Figure: "partition", Nodes: 8}
+	var report PartitionReport
 	for _, k := range ks {
 		timeouts, nego, rejoin := partitionRun(k)
 		if report.RejoinMicros == 0 {
@@ -82,11 +97,11 @@ func Partition(ks, slowFactors []int) PartitionReport {
 		} else if rejoin != report.RejoinMicros {
 			panic(fmt.Sprintf("bench: rejoin latency moved with k: %v vs %v µs", rejoin, report.RejoinMicros))
 		}
-		report.Rows = append(report.Rows, PartitionRow{K: k, RPCTimeouts: timeouts, NegotiationMicros: nego})
+		report.Points = append(report.Points, PartitionRow{K: k, RPCTimeouts: timeouts, NegotiationMicros: nego})
 	}
 	for _, f := range slowFactors {
 		timeouts, nego := slowRun(f)
-		report.SlowRows = append(report.SlowRows, PartitionSlowRow{Factor: f, RPCTimeouts: timeouts, NegotiationMicros: nego})
+		report.SlowPoints = append(report.SlowPoints, PartitionSlowRow{Factor: f, RPCTimeouts: timeouts, NegotiationMicros: nego})
 	}
 	return report
 }

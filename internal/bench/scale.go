@@ -62,11 +62,11 @@ done:
 // measure the machine); the virtual outcome is asserted identical to
 // the serial run before the row is emitted.
 type ScaleWorkerRun struct {
-	Workers      int     `json:"workers"`
-	WallMs       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Workers      int
+	WallMs       float64
+	EventsPerSec float64
 	// Speedup is serial wall-clock over this run's wall-clock.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // ScaleGatherReport is one gather strategy's negotiation burst on one
@@ -77,55 +77,91 @@ type ScaleWorkerRun struct {
 // every worker count — the gate that pins "every gather composes with
 // the parallel kernel" in CI; the per-worker runs are informational.
 type ScaleGatherReport struct {
-	Gather string `json:"gather"`
-	Events uint64 `json:"events"`
+	Gather string
+	Events uint64
 	// Negotiations/Failures are the cluster's own §4.4 counters; a
 	// burst that fails to negotiate would show up here, not silently
 	// shrink the merge volume.
-	Negotiations  int              `json:"negotiations"`
-	Failures      int              `json:"failures"`
-	MergedBytes   uint64           `json:"merged_bytes"`
-	VirtualMicros float64          `json:"virtual_us"`
-	Runs          []ScaleWorkerRun `json:"runs"`
+	Negotiations  int
+	Failures      int
+	MergedBytes   uint64
+	VirtualMicros float64
+	Runs          []ScaleWorkerRun
 }
 
 // ScaleClusterReport is one cluster size's entry: the exact virtual
 // quantities (CI-gated) and the per-worker wall-clock runs, plus one
 // negotiation-burst row per gather strategy.
 type ScaleClusterReport struct {
-	Nodes   int `json:"nodes"`
-	Threads int `json:"threads"`
+	Nodes   int
+	Threads int
 	// Events is the total kernel events executed draining the workload —
 	// an exact virtual quantity, identical at every worker count.
-	Events        uint64              `json:"events"`
-	Migrations    int                 `json:"migrations"`
-	VirtualMicros float64             `json:"virtual_us"`
-	Runs          []ScaleWorkerRun    `json:"runs"`
-	Gathers       []ScaleGatherReport `json:"gathers,omitempty"`
+	Events        uint64
+	Migrations    int
+	VirtualMicros float64
+	Runs          []ScaleWorkerRun
+	Gathers       []ScaleGatherReport
 }
 
-// ScaleReport is the BENCH_scale.json schema. CI runs `pm2bench -fig
-// scale -json` and benchcheck requires the virtual quantities to match
-// ci/BENCH_scale.baseline.json exactly — they are deterministic event
-// counts, not timings, so any drift is a kernel behavior change, not
-// noise. EventsSlopePerNode summarizes how total kernel work grows with
-// cluster size over the measured points.
+// ScaleReport is the kernel-scaling figure. EventsSlopePerNode
+// summarizes how total kernel work grows with cluster size over the
+// measured points.
 type ScaleReport struct {
-	Figure string `json:"figure"`
-	Hops   int    `json:"hops"`
-	Spin   int    `json:"spin"`
+	Hops int
+	Spin int
 	// MaxProcs records runtime.GOMAXPROCS at measurement time. On a
 	// single-core runner the worker pool cannot physically run lanes
 	// concurrently, so wall-clock speedups are meaningless there — the
 	// parity guarantee is carried entirely by the exact virtual
-	// quantities. benchcheck reads this to decide how to present the
-	// wall-clock columns; the virtual gate is unconditional.
-	MaxProcs int `json:"maxprocs"`
+	// quantities.
+	MaxProcs int
 	// EventsSlopePerNode is the least-squares slope of total events
-	// against cluster size — the events/sec slope divides this by the
-	// measured wall-clock, so the virtual slope is the gated part.
-	EventsSlopePerNode float64              `json:"events_slope_per_node"`
-	Clusters           []ScaleClusterReport `json:"clusters"`
+	// against cluster size.
+	EventsSlopePerNode float64
+	Clusters           []ScaleClusterReport
+}
+
+// Rows states the scaling figure's gates: every virtual quantity is
+// exact — the workload parameters, and per cluster size the thread
+// count, events, migrations and virtual clock, plus each gather burst's
+// events, negotiations, failures, merged bytes and virtual clock. They
+// are deterministic counts, so any drift is a kernel behavior change,
+// not noise. Scale already asserts every worker count reproduces the
+// serial run, so one exact row covers all worker counts; the wall-clock
+// columns measure the host and ride along as context.
+func (r ScaleReport) Rows() []Row {
+	rows := []Row{
+		{"scale", "hops", float64(r.Hops), "count", Exact},
+		{"scale", "spin", float64(r.Spin), "count", Exact},
+		{"scale", "maxprocs", float64(r.MaxProcs), "count", Info},
+		{"scale", "events_slope", r.EventsSlopePerNode, "events/node", Info},
+	}
+	runs := func(prefix string, runs []ScaleWorkerRun) {
+		for _, w := range runs {
+			rows = append(rows, Row{"scale", fmt.Sprintf("%sw%d.wall", prefix, w.Workers), w.WallMs, "ms", Info})
+		}
+	}
+	for _, cl := range r.Clusters {
+		n := fmt.Sprintf("n%d.", cl.Nodes)
+		rows = append(rows,
+			Row{"scale", n + "threads", float64(cl.Threads), "count", Exact},
+			Row{"scale", n + "events", float64(cl.Events), "count", Exact},
+			Row{"scale", n + "migrations", float64(cl.Migrations), "count", Exact},
+			Row{"scale", n + "virtual", cl.VirtualMicros, "us", Exact})
+		runs(n, cl.Runs)
+		for _, g := range cl.Gathers {
+			ng := n + g.Gather + "."
+			rows = append(rows,
+				Row{"scale", ng + "events", float64(g.Events), "count", Exact},
+				Row{"scale", ng + "negotiations", float64(g.Negotiations), "count", Exact},
+				Row{"scale", ng + "failures", float64(g.Failures), "count", Exact},
+				Row{"scale", ng + "merged", float64(g.MergedBytes), "B", Exact},
+				Row{"scale", ng + "virtual", g.VirtualMicros, "us", Exact})
+			runs(ng, g.Runs)
+		}
+	}
+	return rows
 }
 
 // scaleThreads is the thread count for a given cluster size: one ring
@@ -228,7 +264,7 @@ func scaleGatherRun(nodes, workers int, gather pm2.GatherMode) (events uint64, n
 // any worker count that produces different virtual quantities panics,
 // so the report can never show a speedup bought with divergence.
 func Scale(nodeCounts, workerCounts []int, hops, spin int, gathers []pm2.GatherMode) ScaleReport {
-	rep := ScaleReport{Figure: "scale", Hops: hops, Spin: spin, MaxProcs: runtime.GOMAXPROCS(0)}
+	rep := ScaleReport{Hops: hops, Spin: spin, MaxProcs: runtime.GOMAXPROCS(0)}
 	var sx, sy, sxx, sxy float64
 	for _, nodes := range nodeCounts {
 		cl := ScaleClusterReport{Nodes: nodes, Threads: scaleThreads(nodes)}

@@ -22,57 +22,72 @@ func ServeRateScales() []float64 {
 // ServeCohortReport is one cohort's SLO summary at the base arrival
 // rate — the per-tenant serving quality the CI report records.
 type ServeCohortReport struct {
-	Cohort         string  `json:"cohort"`
-	Requests       int     `json:"requests"`
-	PlacementP50Us float64 `json:"placement_p50_us"`
-	PlacementP95Us float64 `json:"placement_p95_us"`
-	PlacementP99Us float64 `json:"placement_p99_us"`
-	EndToEndP50Us  float64 `json:"e2e_p50_us"`
-	EndToEndP95Us  float64 `json:"e2e_p95_us"`
-	EndToEndP99Us  float64 `json:"e2e_p99_us"`
+	Cohort         string
+	Requests       int
+	PlacementP50Us float64
+	PlacementP95Us float64
+	PlacementP99Us float64
+	EndToEndP50Us  float64
+	EndToEndP95Us  float64
+	EndToEndP99Us  float64
 }
 
 // ServeSweepPoint is one rate point of the saturation sweep.
 type ServeSweepPoint struct {
-	RateScale float64 `json:"rate_scale"`
-	Requests  int     `json:"requests"`
-	Completed int     `json:"completed"`
+	RateScale float64
+	Requests  int
+	Completed int
 	// Saturated: the run was cut off by its step budget with work still
 	// pending (only past-knee points run under a tightened budget).
-	Saturated bool `json:"saturated"`
+	Saturated bool
 	// WorstP99Us is the worst per-cohort p99 end-to-end latency over
 	// the requests that completed.
-	WorstP99Us float64 `json:"worst_p99_us"`
+	WorstP99Us float64
 	// Sustainable: drained within budget and WorstP99Us within the SLO.
-	Sustainable bool `json:"sustainable"`
+	Sustainable bool
 }
 
 // ServeClusterReport is the serving figure for one cluster size: the
 // per-cohort SLO at base rate plus the saturation sweep and its knee.
 type ServeClusterReport struct {
-	Nodes   int                 `json:"nodes"`
-	Cohorts []ServeCohortReport `json:"cohorts"`
-	Sweep   []ServeSweepPoint   `json:"sweep"`
+	Nodes   int
+	Cohorts []ServeCohortReport
+	Sweep   []ServeSweepPoint
 	// KneeRateScale is the highest sustainable rate scale (0 when even
 	// the base rate misses the SLO) — the throughput knee the CI gate
 	// holds as a floor.
-	KneeRateScale float64 `json:"knee_rate_scale"`
+	KneeRateScale float64
 	// KneeThroughputPerMs is the completed requests per virtual
 	// millisecond at the knee point.
-	KneeThroughputPerMs float64 `json:"knee_throughput_per_ms"`
+	KneeThroughputPerMs float64
 }
 
-// ServeReport is the BENCH_serve.json schema. CI runs `pm2bench -fig
-// serve -json` and `benchcheck` holds each cluster's knee against the
-// committed ci/BENCH_serve.baseline.json as a floor — a knee that falls
-// is a serving-capacity regression. Shared by pm2bench (writer) and
-// benchcheck (gate) so a schema change is a compile-time event.
+// ServeReport is the serving figure over every measured cluster size.
 type ServeReport struct {
-	Figure      string               `json:"figure"`
-	Policy      string               `json:"policy"`
-	Seed        uint64               `json:"seed"`
-	SLOBudgetUs float64              `json:"slo_budget_us"`
-	Clusters    []ServeClusterReport `json:"clusters"`
+	Clusters []ServeClusterReport
+}
+
+// Rows states the serving figure's gates: each cluster size's knee and
+// knee throughput are floors — a knee that falls is lost serving
+// capacity. The per-cohort end-to-end percentiles at the base rate ride
+// along as context; the SLO they are held to is already part of the
+// knee criterion.
+func (r ServeReport) Rows() []Row {
+	var rows []Row
+	for _, cl := range r.Clusters {
+		n := fmt.Sprintf("n%d.", cl.Nodes)
+		rows = append(rows,
+			Row{"serve", n + "knee", cl.KneeRateScale, "x", Floor},
+			Row{"serve", n + "knee_throughput", cl.KneeThroughputPerMs, "req/ms", Floor})
+		for _, c := range cl.Cohorts {
+			e2e := n + c.Cohort + ".e2e_"
+			rows = append(rows,
+				Row{"serve", e2e + "p50", c.EndToEndP50Us, "us", Info},
+				Row{"serve", e2e + "p95", c.EndToEndP95Us, "us", Info},
+				Row{"serve", e2e + "p99", c.EndToEndP99Us, "us", Info})
+		}
+	}
+	return rows
 }
 
 // serveRun replays the derived serving workload at one rate scale.
@@ -177,15 +192,9 @@ func ServeFigure(policy string, seed uint64, nodes int, scales []float64) (Serve
 	return rep, nil
 }
 
-// ServeSweep runs ServeFigure for each cluster size and assembles the
-// BENCH_serve.json report.
+// ServeSweep runs ServeFigure for each cluster size.
 func ServeSweep(policy string, seed uint64, nodeCounts []int) (ServeReport, error) {
-	rep := ServeReport{
-		Figure:      "serve",
-		Policy:      policy,
-		Seed:        seed,
-		SLOBudgetUs: ServeSLOBudgetMicros,
-	}
+	var rep ServeReport
 	for _, nodes := range nodeCounts {
 		cl, err := ServeFigure(policy, seed, nodes, ServeRateScales())
 		if err != nil {

@@ -29,6 +29,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,18 +80,25 @@ type Event struct {
 	Factor int
 }
 
-// String renders the event in the Parse syntax.
+// String renders the event in the Parse syntax; Parse(ev.String())
+// yields ev again.
 func (ev Event) String() string {
 	switch ev.Kind {
 	case Crash:
-		return fmt.Sprintf("crash:%d@%dus", ev.Node, int64(ev.At)/int64(simtime.Microsecond))
+		return fmt.Sprintf("crash:%d@%s", ev.Node, formatTime(ev.At))
 	case Partition:
-		return fmt.Sprintf("partition:%d-%d@%dus..%dus", ev.Node, ev.Peer,
-			int64(ev.At)/int64(simtime.Microsecond), int64(ev.Until)/int64(simtime.Microsecond))
+		return fmt.Sprintf("partition:%d-%d@%s..%s", ev.Node, ev.Peer, formatTime(ev.At), formatTime(ev.Until))
 	default:
-		return fmt.Sprintf("slow:%dx%d@%dus..%dus", ev.Node, ev.Factor,
-			int64(ev.At)/int64(simtime.Microsecond), int64(ev.Until)/int64(simtime.Microsecond))
+		return fmt.Sprintf("slow:%dx%d@%s..%s", ev.Node, ev.Factor, formatTime(ev.At), formatTime(ev.Until))
 	}
+}
+
+// formatTime renders a time in whole µs, or in ns when it is not one.
+func formatTime(t simtime.Time) string {
+	if t%simtime.Microsecond != 0 {
+		return fmt.Sprintf("%dns", int64(t))
+	}
+	return fmt.Sprintf("%dus", int64(t/simtime.Microsecond))
 }
 
 // Plan is a deterministic failure schedule, sorted by (At, spec order).
@@ -241,6 +249,9 @@ func parseTime(s string) (simtime.Time, error) {
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("negative time %q", s)
+	}
+	if v > math.MaxInt64/int64(unit) {
+		return 0, fmt.Errorf("time %q overflows", s)
 	}
 	return simtime.Time(v) * unit, nil
 }

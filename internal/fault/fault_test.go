@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -257,3 +258,51 @@ func (r *testRNG) next() uint64 {
 }
 
 func (r *testRNG) intn(n int) int { return int(r.next() % uint64(n)) }
+
+// TestParseRejectsOverflowingTime: 9999999999999 s does not fit in an
+// int64 of nanoseconds; it used to wrap to a bogus crash instant.
+func TestParseRejectsOverflowingTime(t *testing.T) {
+	if p, err := Parse("crash:1@9999999999999s"); err == nil {
+		t.Fatalf("Parse accepted an overflowing time as %v", p)
+	}
+}
+
+// TestStringKeepsSubMicrosecondTimes: a window bounded by times that
+// are not whole µs used to render truncated to "@1us..1us", which
+// Parse then rejects as empty.
+func TestStringKeepsSubMicrosecondTimes(t *testing.T) {
+	p, err := Parse("partition:1-0@1500ns..1900ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.String(), "partition:1-0@1500ns..1900ns"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// FuzzParse: Parse never panics, and every plan it accepts renders to a
+// spec that parses back to the same plan.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"crash:1@3000",
+		"partition:1-0@3000..9000;partition:1-2@3000..9000;partition:1-3@3000..9000",
+		"slow:1x20@0..40000",
+		"partition:1-0@1500ns..1900ns",
+		"crash:1@9999999999999s",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) rendered %q, which does not parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("Parse(%q) = %v, but its rendering parses to %v", spec, p, again)
+		}
+	})
+}

@@ -66,11 +66,11 @@ func ParseArbiterMode(s string) (ArbiterMode, error) {
 // ArbiterModeNames lists the canonical arbiter names.
 func ArbiterModeNames() []string { return []string{"global", "sharded"} }
 
-// defaultArbiterShards partitions the 57344-slot space into 3584-slot
+// arbiterShards partitions the 57344-slot space into 3584-slot
 // shards: fine enough that initiators planning in distinct home regions
 // lock disjoint managers, coarse enough that a multi-slot run almost
 // always stays inside one shard.
-const defaultArbiterShards = 16
+const arbiterShards = 16
 
 // negotiationBackoffBase is the first retry's deterministic delay; each
 // further attempt doubles it. Two sharded initiators whose runs

@@ -163,7 +163,7 @@ func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
 // end idle.
 func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 	c := New(Config{Nodes: 4, Arbiter: ArbiterSharded}, progs.NewImage())
-	shardSize := (layout.SlotCount + defaultArbiterShards - 1) / defaultArbiterShards
+	shardSize := (layout.SlotCount + arbiterShards - 1) / arbiterShards
 	var order []int
 	// Nodes 1..3 lock runs that all touch shard 2; node 0 locks a run in
 	// shard 5. The shard-2 holders must serialize; shard 5 is independent.
@@ -197,7 +197,7 @@ func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 // deadlock-free even when lock sets overlap partially.
 func TestShardLockSpanningRuns(t *testing.T) {
 	c := New(Config{Nodes: 3, Arbiter: ArbiterSharded}, progs.NewImage())
-	shardSize := (layout.SlotCount + defaultArbiterShards - 1) / defaultArbiterShards
+	shardSize := (layout.SlotCount + arbiterShards - 1) / arbiterShards
 	var order []int
 	// Node 1 spans shards 3-4; node 2 spans shards 4-5: both need shard
 	// 4, so they serialize despite distinct shard sets.
@@ -288,9 +288,9 @@ func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
 // escalates, and its escalated round — holding every shard, in
 // ascending order — buys the run. Every shard is released afterwards.
 func TestShardedEscalationSucceedsWhereGlobalGivesUp(t *testing.T) {
-	const shards = 8
+	const shards = arbiterShards
 	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
-		c := New(Config{Nodes: 2, Arbiter: arb, ArbiterShards: shards}, progs.NewImage())
+		c := New(Config{Nodes: 2, Arbiter: arb}, progs.NewImage())
 		n0 := c.Node(0)
 		declines := 0
 		var heldAtAccept []int

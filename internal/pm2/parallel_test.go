@@ -96,7 +96,6 @@ func TestConfigValidate(t *testing.T) {
 		{Nodes: 0},
 		{Nodes: -3},
 		{Nodes: 4, Workers: -1},
-		{Nodes: 4, ArbiterShards: -2},
 		{Nodes: 4, PreBuySlots: -1},
 	}
 	for _, cfg := range bad {

@@ -105,9 +105,6 @@ type Config struct {
 	// canonical order for only the shards a planned purchase touches,
 	// escalating to every shard rather than giving up). See arbiter.go.
 	Arbiter ArbiterMode
-	// ArbiterShards overrides the shard count of the sharded arbiter
-	// (default 16).
-	ArbiterShards int
 	// Placement is the thread-placement policy: Spawn preferences route
 	// through it, and an attached load balancer (internal/loadbal)
 	// shares its state. Default policy.NewNegotiation(), which never
@@ -306,9 +303,6 @@ func (cfg Config) Validate() error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("pm2: negative kernel worker count %d", cfg.Workers)
 	}
-	if cfg.ArbiterShards < 0 {
-		return fmt.Errorf("pm2: negative arbiter shard count %d", cfg.ArbiterShards)
-	}
 	if cfg.PreBuySlots < 0 {
 		return fmt.Errorf("pm2: negative pre-buy slot count %d", cfg.PreBuySlots)
 	}
@@ -358,9 +352,6 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = policy.NewNegotiation()
 	}
-	if cfg.ArbiterShards == 0 {
-		cfg.ArbiterShards = defaultArbiterShards
-	}
 	if cfg.HeartbeatMisses == 0 {
 		cfg.HeartbeatMisses = 2
 	}
@@ -378,7 +369,7 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 		c.eng.SetParallel(cfg.Workers, simtime.Time(cfg.Model.WireLatencyNs))
 	}
 	c.pol = policy.NewEngine(cfg.Placement, cfg.Nodes)
-	c.shardMap = core.NewShardMap(layout.SlotCount, cfg.ArbiterShards)
+	c.shardMap = core.NewShardMap(layout.SlotCount, arbiterShards)
 	c.bufPool = madeleine.NewPool()
 	c.nw = bip.NewNetwork(c.eng, cfg.Model, cfg.Nodes)
 	c.nodes = make([]*Node, cfg.Nodes)

@@ -92,6 +92,7 @@
 package pm2
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -164,7 +165,7 @@ type Config struct {
 	// whole batch. Default off: the paper-faithful copying path.
 	Convoy bool
 	// Faults installs a fail-stop fault plan (internal/fault spec
-	// syntax: comma-separated events, e.g. "crash:1@3000" crashes node 1
+	// syntax: ';'-separated events, e.g. "crash:1@3000" crashes node 1
 	// at 3000 µs of virtual time). A crashed node's resident threads are
 	// evacuated to the survivors and its slot range reclaimed once the
 	// heartbeat lease expires — see the package comment. Default "":
@@ -191,12 +192,25 @@ type Config struct {
 	RPCTimeoutMicros int64
 }
 
-func (c Config) toInternal() ipm2.Config {
+// Validate reports whether Boot accepts the configuration: every name
+// parses, the fault plan parses and fits the cluster, and the runtime's
+// structural checks pass.
+func (c Config) Validate() error {
+	_, err := c.toInternal()
+	return err
+}
+
+// toInternal translates and validates the configuration; it is the one
+// validation path behind Validate, Boot and BindFlags.
+func (c Config) toInternal() (ipm2.Config, error) {
 	cfg := ipm2.Config{
-		Nodes:        c.Nodes,
-		Quantum:      int64(c.Quantum),
-		CacheCap:     c.SlotCache,
-		RecordAllocs: c.RecordAllocations,
+		Nodes:           c.Nodes,
+		Quantum:         int64(c.Quantum),
+		CacheCap:        c.SlotCache,
+		RecordAllocs:    c.RecordAllocations,
+		PreBuySlots:     c.PreBuySlots,
+		Convoy:          c.Convoy,
+		HeartbeatMisses: c.HeartbeatMisses,
 	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
@@ -211,42 +225,80 @@ func (c Config) toInternal() ipm2.Config {
 	if c.RelocationPolicy {
 		cfg.Policy = ipm2.PolicyRelocate
 	}
-	cfg.PreBuySlots = c.PreBuySlots
-	cfg.Convoy = c.Convoy
-	cfg.HeartbeatMisses = c.HeartbeatMisses
 	if c.RPCTimeoutMicros > 0 {
 		cfg.RPCTimeout = simtime.Time(c.RPCTimeoutMicros) * simtime.Microsecond
 	} else if c.RPCTimeoutMicros < 0 {
 		cfg.RPCTimeout = -1 // cost-model default, resolved by NewChecked
 	}
+	var err error
 	if c.Faults != "" {
-		plan, err := fault.Parse(c.Faults)
-		if err != nil {
-			panic(err)
+		if cfg.Faults, err = fault.Parse(c.Faults); err != nil {
+			return cfg, err
 		}
-		cfg.Faults = plan
 	}
-	dist, err := ParseDistribution(c.Distribution)
-	if err != nil {
-		panic(err)
+	if cfg.Dist, err = ParseDistribution(c.Distribution); err != nil {
+		return cfg, err
 	}
-	cfg.Dist = dist
-	pol, err := policy.Parse(c.Policy)
-	if err != nil {
-		panic(err)
+	if cfg.Placement, err = policy.Parse(c.Policy); err != nil {
+		return cfg, err
 	}
-	cfg.Placement = pol
-	gather, err := ipm2.ParseGatherMode(c.Gather)
-	if err != nil {
-		panic(err)
+	if cfg.Gather, err = ipm2.ParseGatherMode(c.Gather); err != nil {
+		return cfg, err
 	}
-	cfg.Gather = gather
-	arbiter, err := ipm2.ParseArbiterMode(c.Arbiter)
-	if err != nil {
-		panic(err)
+	if cfg.Arbiter, err = ipm2.ParseArbiterMode(c.Arbiter); err != nil {
+		return cfg, err
 	}
-	cfg.Arbiter = arbiter
-	return cfg
+	return cfg, cfg.Validate()
+}
+
+// BindFlags registers the cluster flags every command-line front end
+// shares on fs: -nodes, -dist, -policy, -gather, -arbiter, -fault,
+// -rpc-timeout ("auto", a µs count, or empty for off),
+// -heartbeat-misses and -convoy, each defaulting to the value in
+// defaults. Call the returned function after fs.Parse: it assembles the
+// Config and validates it as Boot would, so a bad value is an error, not
+// a panic. The policy, gather and arbiter names come back canonical.
+func BindFlags(fs *flag.FlagSet, defaults Config) func() (Config, error) {
+	cfg := defaults
+	fs.IntVar(&cfg.Nodes, "nodes", defaults.Nodes, "cluster size")
+	fs.StringVar(&cfg.Distribution, "dist", defaults.Distribution, "slot distribution: round-robin | block-cyclic:K | partition")
+	fs.StringVar(&cfg.Policy, "policy", defaults.Policy, "placement policy: "+strings.Join(PolicyNames(), " | "))
+	fs.StringVar(&cfg.Gather, "gather", defaults.Gather, "negotiation bitmap-gather strategy: "+strings.Join(GatherNames(), " | "))
+	fs.StringVar(&cfg.Arbiter, "arbiter", defaults.Arbiter, "negotiation arbiter: "+strings.Join(ArbiterNames(), " | "))
+	fs.StringVar(&cfg.Faults, "fault", defaults.Faults, `fault plan, e.g. "crash:1@3000", "partition:1-0@3000..9000;slow:2x4@0..5000"`)
+	rpcDefault := ""
+	if defaults.RPCTimeoutMicros < 0 {
+		rpcDefault = "auto"
+	} else if defaults.RPCTimeoutMicros > 0 {
+		rpcDefault = strconv.FormatInt(defaults.RPCTimeoutMicros, 10)
+	}
+	rpc := fs.String("rpc-timeout", rpcDefault, `protocol deadline: "auto" = derive from the cost model, an integer = µs of virtual time, "" = off`)
+	fs.IntVar(&cfg.HeartbeatMisses, "heartbeat-misses", defaults.HeartbeatMisses, "failure-detector lease: heartbeat rounds missed before a node is declared dead (0 = default 2)")
+	fs.BoolVar(&cfg.Convoy, "convoy", defaults.Convoy, "zero-copy scatter-gather migration pipeline with thread convoys")
+	return func() (Config, error) {
+		c := cfg
+		switch *rpc {
+		case "":
+			c.RPCTimeoutMicros = 0
+		case "auto":
+			c.RPCTimeoutMicros = -1
+		default:
+			v, err := strconv.ParseInt(*rpc, 10, 64)
+			if err != nil || v <= 0 {
+				return Config{}, fmt.Errorf("pm2: bad -rpc-timeout %q (want \"auto\" or a positive µs count)", *rpc)
+			}
+			c.RPCTimeoutMicros = v
+		}
+		if c.Nodes < 1 {
+			return Config{}, fmt.Errorf("pm2: bad -nodes %d (a cluster needs at least one node)", c.Nodes)
+		}
+		in, err := c.toInternal()
+		if err != nil {
+			return Config{}, err
+		}
+		c.Policy, c.Gather, c.Arbiter = in.Placement.Name(), in.Gather.String(), in.Arbiter.String()
+		return c, nil
+	}
 }
 
 // ParseArbiter validates a negotiation-arbiter name and returns its
@@ -336,9 +388,14 @@ func (s *System) MustRegister(src string) {
 func (s *System) RegisterExamples() { progs.All(s.im) }
 
 // Boot builds a cluster over the image; the image is sealed and must not be
-// modified afterwards (it is the same binary on every node).
+// modified afterwards (it is the same binary on every node). Boot panics
+// on a configuration Validate rejects.
 func (s *System) Boot(cfg Config) *Cluster {
-	return &Cluster{inner: ipm2.New(cfg.toInternal(), s.im)}
+	in, err := cfg.toInternal()
+	if err != nil {
+		panic(err)
+	}
+	return &Cluster{inner: ipm2.New(in, s.im)}
 }
 
 // Cluster is a running PM2 configuration in deterministic virtual time.

@@ -1,6 +1,7 @@
 package pm2
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -279,5 +280,53 @@ func TestFaultConfig(t *testing.T) {
 	}
 	if !strings.Contains(cl.OutputString(), "declared dead") {
 		t.Fatal("missing failover declaration line")
+	}
+}
+
+// TestBindFlagsRejectsBadValues: every bad cluster-flag value comes back
+// from the binder as an error — never a panic, never a silent default.
+func TestBindFlagsRejectsBadValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fault", "bogus"},
+		{"-dist", "bogus"},
+		{"-nodes", "-3"},
+		{"-nodes", "0"},
+		{"-nodes", "1", "-fault", "crash:1@3000"},
+		{"-nodes", "2", "-fault", "crash:5@3000"},
+		{"-fault", "crash:1@9999999999999s"},
+		{"-gather", "bogus"},
+		{"-arbiter", "bogus"},
+		{"-policy", "bogus"},
+		{"-rpc-timeout", "bogus"},
+		{"-rpc-timeout", "0"},
+		{"-rpc-timeout", "-5"},
+		{"-heartbeat-misses", "-1"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		bound := BindFlags(fs, Config{Nodes: 2})
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if cfg, err := bound(); err == nil {
+			t.Errorf("%v: accepted as %+v", args, cfg)
+		}
+	}
+}
+
+// TestBindFlagsDefaultsAndCanonicalNames: unset flags keep the caller's
+// defaults, and names come back canonical.
+func TestBindFlagsDefaultsAndCanonicalNames(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	bound := BindFlags(fs, Config{Nodes: 4, HeartbeatMisses: 3})
+	if err := fs.Parse([]string{"-policy", "rr", "-gather", "incremental", "-arbiter", "shard", "-rpc-timeout", "auto", "-convoy"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := bound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Nodes: 4, HeartbeatMisses: 3, Policy: "round-robin", Gather: "delta", Arbiter: "sharded", RPCTimeoutMicros: -1, Convoy: true}
+	if cfg != want {
+		t.Fatalf("bound %+v, want %+v", cfg, want)
 	}
 }
