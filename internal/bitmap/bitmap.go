@@ -8,8 +8,10 @@
 package bitmap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 const wordBits = 64
@@ -155,8 +157,8 @@ func (b *Bitmap) Words() int { return len(b.words) }
 // unit of the delta exchange: a dirty-word journal names changed words,
 // and a delta payload carries their absolute values.
 func (b *Bitmap) Word(i int) uint64 {
-	if i < 0 || i >= len(b.words) {
-		panic(fmt.Sprintf("bitmap: word %d out of range [0,%d)", i, len(b.words)))
+	if uint(i) >= uint(len(b.words)) {
+		b.wordOutOfRange(i)
 	}
 	return b.words[i]
 }
@@ -164,13 +166,21 @@ func (b *Bitmap) Word(i int) uint64 {
 // SetWord overwrites the i-th backing word. Bits beyond the map length
 // are masked off, so a delta can never set a bit outside the map.
 func (b *Bitmap) SetWord(i int, w uint64) {
-	if i < 0 || i >= len(b.words) {
-		panic(fmt.Sprintf("bitmap: word %d out of range [0,%d)", i, len(b.words)))
+	if uint(i) >= uint(len(b.words)) {
+		b.wordOutOfRange(i)
 	}
 	if tail := b.n - i*wordBits; tail < wordBits {
 		w &= (1 << uint(tail)) - 1
 	}
 	b.words[i] = w
+}
+
+// wordOutOfRange is kept out of line so Word and SetWord stay inlinable
+// on the per-peer loops of the delta gather.
+//
+//go:noinline
+func (b *Bitmap) wordOutOfRange(i int) {
+	panic(fmt.Sprintf("bitmap: word %d out of range [0,%d)", i, len(b.words)))
 }
 
 // Or sets b to the bitwise OR of b and other. The maps must have equal size.
@@ -229,38 +239,93 @@ func (b *Bitmap) Clone() *Bitmap {
 // Bytes serializes the bitmap into a little-endian byte slice of
 // ceil(n/8) bytes, as shipped over the wire during negotiation.
 func (b *Bitmap) Bytes() []byte {
-	out := make([]byte, (b.n+7)/8)
-	for i := range out {
-		out[i] = byte(b.words[i/8] >> (uint(i%8) * 8))
+	return b.AppendBytes(make([]byte, 0, (b.n+7)/8))
+}
+
+// AppendBytes appends the Bytes serialization to dst and returns the
+// extended slice; a caller that reuses dst serializes without
+// allocating. Whole words are stored eight bytes at a time.
+func (b *Bitmap) AppendBytes(dst []byte) []byte {
+	size := (b.n + 7) / 8
+	dst = slices.Grow(dst, size)
+	out := dst[len(dst) : len(dst)+size]
+	full := size / 8
+	for i, w := range b.words[:full] {
+		binary.LittleEndian.PutUint64(out[i*8:], w)
 	}
-	return out
+	for i := full * 8; i < size; i++ {
+		out[i] = byte(b.words[full] >> (uint(i%8) * 8))
+	}
+	return dst[:len(dst)+size]
+}
+
+// checkPayload validates a Bytes serialization of an n-bit map: it must
+// be exactly ceil(n/8) bytes and set no padding bit at or beyond n.
+func checkPayload(n int, data []byte) error {
+	want := (n + 7) / 8
+	if len(data) != want {
+		return fmt.Errorf("bitmap: payload is %d bytes, want %d for %d bits", len(data), want, n)
+	}
+	if r := n % 8; r != 0 && data[want-1]>>uint(r) != 0 {
+		return fmt.Errorf("bitmap: payload sets padding bits beyond bit %d", n)
+	}
+	return nil
+}
+
+// wordAt decodes backing word i of a validated payload.
+func wordAt(data []byte, i int) uint64 {
+	if off := i * 8; off+8 <= len(data) {
+		return binary.LittleEndian.Uint64(data[off:])
+	}
+	var w uint64
+	for k, by := range data[i*8:] {
+		w |= uint64(by) << (uint(k) * 8)
+	}
+	return w
 }
 
 // OrBytes merges the serialization produced by Bytes into b without
 // allocating an intermediate Bitmap — the combining step of a tree
 // gather, where interior nodes fold each child's map into their own. It
-// returns an error if the payload is the wrong length for b.
+// returns an error, leaving b untouched, if the payload is the wrong
+// length for b or sets bits beyond its length.
 func (b *Bitmap) OrBytes(data []byte) error {
-	want := (b.n + 7) / 8
-	if len(data) != want {
-		return fmt.Errorf("bitmap: payload is %d bytes, want %d for %d bits", len(data), want, b.n)
+	if err := checkPayload(b.n, data); err != nil {
+		return err
 	}
-	for i, by := range data {
-		b.words[i/8] |= uint64(by) << (uint(i%8) * 8)
+	for i := range b.words {
+		b.words[i] |= wordAt(data, i)
+	}
+	return nil
+}
+
+// Load overwrites b with the serialization produced by Bytes. When
+// changed is non-nil it is called, after the write, with the index of
+// every word whose value the load altered — what a cached view needs to
+// patch derived state instead of recomputing it. A rejected payload
+// (wrong length, padding bits set) leaves b untouched.
+func (b *Bitmap) Load(data []byte, changed func(word int)) error {
+	if err := checkPayload(b.n, data); err != nil {
+		return err
+	}
+	for i := range b.words {
+		if w := wordAt(data, i); w != b.words[i] {
+			b.words[i] = w
+			if changed != nil {
+				changed(i)
+			}
+		}
 	}
 	return nil
 }
 
 // FromBytes reconstructs an n-bit bitmap from the serialization produced by
-// Bytes. It returns an error if the payload is the wrong length.
+// Bytes. It returns an error if the payload is the wrong length or sets
+// bits beyond n.
 func FromBytes(n int, data []byte) (*Bitmap, error) {
-	want := (n + 7) / 8
-	if len(data) != want {
-		return nil, fmt.Errorf("bitmap: payload is %d bytes, want %d for %d bits", len(data), want, n)
-	}
 	b := New(n)
-	for i, by := range data {
-		b.words[i/8] |= uint64(by) << (uint(i%8) * 8)
+	if err := b.Load(data, nil); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

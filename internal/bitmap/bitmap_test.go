@@ -1,9 +1,12 @@
 package bitmap
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/layout"
 )
 
 func TestSetClearTest(t *testing.T) {
@@ -184,6 +187,76 @@ func TestFromBytesRejectsBadLength(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectPaddingBits: a payload that sets bits beyond the map
+// length is not a serialization of any map. Before the decoders checked,
+// FromBytes(10, {0xff, 0xff}) counted 16 bits and was not Equal to the
+// full 10-bit map.
+func TestDecodersRejectPaddingBits(t *testing.T) {
+	bad := []byte{0xff, 0xff}
+	if _, err := FromBytes(10, bad); err == nil {
+		t.Error("FromBytes accepted padding bits beyond n")
+	}
+	b := New(10)
+	if err := b.OrBytes(bad); err == nil {
+		t.Error("OrBytes accepted padding bits beyond n")
+	}
+	if err := b.Load(bad, nil); err == nil {
+		t.Error("Load accepted padding bits beyond n")
+	}
+	if b.Count() != 0 {
+		t.Fatalf("a rejected payload changed the map: %s", b)
+	}
+	full := New(10)
+	full.SetRun(0, 10)
+	got, err := FromBytes(10, []byte{0xff, 0x03})
+	if err != nil || !got.Equal(full) || got.Count() != 10 {
+		t.Fatalf("FromBytes(full 10-bit map) = %v, %v", got, err)
+	}
+}
+
+// TestAppendBytes: appending the serialization to a non-empty slice
+// keeps the prefix and equals Bytes, for word-aligned and ragged sizes.
+func TestAppendBytes(t *testing.T) {
+	for _, n := range []int{1, 9, 64, 70, 200} {
+		b := New(n)
+		for i := 0; i < n; i += 3 {
+			b.Set(i)
+		}
+		out := b.AppendBytes([]byte{0xaa})
+		if out[0] != 0xaa || !bytes.Equal(out[1:], b.Bytes()) {
+			t.Fatalf("n=%d: AppendBytes = %x, want aa%x", n, out, b.Bytes())
+		}
+	}
+}
+
+// TestLoadReportsChangedWords: Load overwrites the map and names exactly
+// the words whose value changed, in ascending order.
+func TestLoadReportsChangedWords(t *testing.T) {
+	src := New(300) // 5 words, the last ragged
+	src.SetRun(0, 300)
+	dst := src.Clone()
+	src.Clear(70)  // word 1
+	src.Clear(299) // word 4
+	var changed []int
+	if err := dst.Load(src.Bytes(), func(w int) {
+		if dst.Word(w) != src.Word(w) {
+			t.Errorf("word %d reported before it was written", w)
+		}
+		changed = append(changed, w)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(src) {
+		t.Fatal("Load did not reproduce the source map")
+	}
+	if len(changed) != 2 || changed[0] != 1 || changed[1] != 4 {
+		t.Fatalf("changed words = %v, want [1 4]", changed)
+	}
+	if err := dst.Load(make([]byte, 3), nil); err == nil {
+		t.Fatal("Load accepted a wrong-length payload")
+	}
+}
+
 func TestBytesRoundTripProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		n := len(raw) * 8
@@ -281,4 +354,49 @@ func TestOrBytes(t *testing.T) {
 	if err := merged.OrBytes(make([]byte, 3)); err == nil {
 		t.Fatal("OrBytes accepted a wrong-length payload")
 	}
+}
+
+// The per-layer benchmarks of the bitmap codec and the dirty-word
+// journal, over a full slot map (layout.SlotCount bits, 896 words). Each
+// reports ns/word, the unit the delta gather's merge work scales with.
+
+func fullSlotMap() *Bitmap {
+	b := New(layout.SlotCount)
+	b.SetRun(0, layout.SlotCount)
+	return b
+}
+
+func reportPerWord(b *testing.B, wordsPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*wordsPerOp), "ns/word")
+}
+
+var sinkBytes []byte
+
+func BenchmarkBytes(b *testing.B) {
+	m := fullSlotMap()
+	for b.Loop() {
+		sinkBytes = m.Bytes()
+	}
+	reportPerWord(b, m.Words())
+}
+
+func BenchmarkFromBytes(b *testing.B) {
+	data := fullSlotMap().Bytes()
+	for b.Loop() {
+		if _, err := FromBytes(layout.SlotCount, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerWord(b, layout.SlotCount/wordBits)
+}
+
+func BenchmarkOrBytes(b *testing.B) {
+	data := fullSlotMap().Bytes()
+	dst := New(layout.SlotCount)
+	for b.Loop() {
+		if err := dst.OrBytes(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerWord(b, dst.Words())
 }

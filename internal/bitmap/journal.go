@@ -1,6 +1,6 @@
 package bitmap
 
-import "sort"
+import "slices"
 
 // Journal is the version stamp and bounded dirty-word journal of one
 // node's slot bitmap, the server half of the delta gather (§4.4
@@ -19,9 +19,16 @@ type Journal struct {
 	// can still answer incrementally; queries for versions below it
 	// need a full map.
 	floor uint64
-	// dirty maps a word index to the version at which it last changed.
-	dirty map[int]uint64
+	// dirty holds every word dirtied since the floor, once, with the
+	// version at which it last changed, sorted by word index — the
+	// deterministic wire order, so answering a query needs no sort.
+	dirty []dirtyWord
 	cap   int
+}
+
+type dirtyWord struct {
+	word    int
+	version uint64
 }
 
 // NewJournal returns an empty journal bounded to capWords distinct
@@ -30,7 +37,7 @@ func NewJournal(capWords int) *Journal {
 	if capWords < 1 {
 		capWords = 1
 	}
-	return &Journal{dirty: make(map[int]uint64), cap: capWords}
+	return &Journal{cap: capWords}
 }
 
 // Version returns the current version stamp. Version 0 is the pristine
@@ -39,19 +46,28 @@ func (j *Journal) Version() uint64 { return j.version }
 
 // NoteBits records a mutation of bits [start, start+n) under a new
 // version. When the dirty set outgrows the bound, the journal truncates:
-// the map empties and the floor rises, so older cached views re-fetch
+// the set empties and the floor rises, so older cached views re-fetch
 // the full map once and resync.
 func (j *Journal) NoteBits(start, n int) {
 	if n <= 0 {
 		return
 	}
 	j.version++
-	for w := start / wordBits; w <= (start+n-1)/wordBits; w++ {
-		j.dirty[w] = j.version
-	}
-	if len(j.dirty) > j.cap {
-		j.dirty = make(map[int]uint64)
-		j.floor = j.version
+	first, last := start/wordBits, (start+n-1)/wordBits
+	i, _ := slices.BinarySearchFunc(j.dirty, first, func(d dirtyWord, w int) int { return d.word - w })
+	for w := first; w <= last; w, i = w+1, i+1 {
+		if i < len(j.dirty) && j.dirty[i].word == w {
+			j.dirty[i].version = j.version
+			continue
+		}
+		if len(j.dirty) == j.cap {
+			// One more word outgrows the bound, and the set only grows
+			// for the rest of the mutation: truncating now ends exactly
+			// where finishing it would.
+			j.Truncate()
+			return
+		}
+		j.dirty = slices.Insert(j.dirty, i, dirtyWord{word: w, version: j.version})
 	}
 }
 
@@ -61,7 +77,7 @@ func (j *Journal) NoteBits(start, n int) {
 // continuation answers gathers exactly like a freshly restored cluster
 // (whose journals start empty at the same version).
 func (j *Journal) Truncate() {
-	j.dirty = make(map[int]uint64)
+	j.dirty = nil
 	j.floor = j.version
 }
 
@@ -70,8 +86,7 @@ func (j *Journal) Truncate() {
 // mutations made after the restore.
 func (j *Journal) RestoreVersion(v uint64) {
 	j.version = v
-	j.dirty = make(map[int]uint64)
-	j.floor = v
+	j.Truncate()
 }
 
 // WordsSince returns the indices of every word dirtied after version
@@ -82,11 +97,10 @@ func (j *Journal) WordsSince(since uint64) (words []int, ok bool) {
 	if since < j.floor || since > j.version {
 		return nil, false
 	}
-	for w, v := range j.dirty {
-		if v > since {
-			words = append(words, w)
+	for _, d := range j.dirty {
+		if d.version > since {
+			words = append(words, d.word)
 		}
 	}
-	sort.Ints(words)
 	return words, true
 }

@@ -1,6 +1,9 @@
 package bitmap
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestWordAccessors(t *testing.T) {
 	b := New(130) // 3 words, 2 valid bits in the last
@@ -120,4 +123,122 @@ func TestJournalTruncation(t *testing.T) {
 	if !ok || len(words) != 1 || words[0] != 0 {
 		t.Fatalf("post-truncation WordsSince = %v ok=%v", words, ok)
 	}
+}
+
+// refJournal is the reference model FuzzJournal checks Journal against:
+// the same contract kept in the most direct form, a map from word index
+// to the version that last dirtied it, sorted on every query.
+type refJournal struct {
+	version, floor uint64
+	dirty          map[int]uint64
+	cap            int
+}
+
+func (r *refJournal) noteBits(start, n int) {
+	if n <= 0 {
+		return
+	}
+	r.version++
+	for w := start / wordBits; w <= (start+n-1)/wordBits; w++ {
+		r.dirty[w] = r.version
+	}
+	if len(r.dirty) > r.cap {
+		r.truncate()
+	}
+}
+
+func (r *refJournal) truncate() {
+	r.dirty = map[int]uint64{}
+	r.floor = r.version
+}
+
+func (r *refJournal) wordsSince(since uint64) ([]int, bool) {
+	if since < r.floor || since > r.version {
+		return nil, false
+	}
+	var words []int
+	for w, v := range r.dirty {
+		if v > since {
+			words = append(words, w)
+		}
+	}
+	slices.Sort(words)
+	return words, true
+}
+
+// FuzzJournal runs a fuzzer-chosen tape of NoteBits, Truncate,
+// RestoreVersion and WordsSince against refJournal, with a small
+// capacity so mutations spanning several words overflow it midway. After
+// every op the version and the answer to every query version (from 0 to
+// one past the current version) must agree.
+func FuzzJournal(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 10, 0, 200, 0, 0, 1, 5, 3, 0})
+	f.Add(uint8(1), []byte{0, 0, 1, 255, 1, 2, 7, 0, 2, 0, 3})
+	f.Add(uint8(7), []byte{0, 3, 10, 100, 0, 1, 200, 50, 2, 4, 0, 0, 5, 9})
+	f.Fuzz(func(t *testing.T, capacity uint8, tape []byte) {
+		capWords := 1 + int(capacity)%8
+		j := NewJournal(capWords)
+		ref := &refJournal{dirty: map[int]uint64{}, cap: capWords}
+		next := func(i *int) int {
+			if *i >= len(tape) {
+				return 0
+			}
+			*i++
+			return int(tape[*i-1])
+		}
+		for i := 0; i < len(tape); {
+			switch op := next(&i) % 4; op {
+			case 0:
+				// A mutation of up to 255 bits (at most 5 words) starting
+				// anywhere in the first 16 words.
+				start := (next(&i)<<8 | next(&i)) % (16 * wordBits)
+				n := next(&i)
+				j.NoteBits(start, n)
+				ref.noteBits(start, n)
+			case 1:
+				j.Truncate()
+				ref.truncate()
+			case 2:
+				v := uint64(next(&i))
+				j.RestoreVersion(v)
+				ref.version = v
+				ref.truncate()
+			case 3:
+				// A query op: the checks below run after every op.
+			}
+			if j.Version() != ref.version {
+				t.Fatalf("op %d: version %d, reference %d", i, j.Version(), ref.version)
+			}
+			for since := uint64(0); since <= ref.version+1; since++ {
+				got, ok := j.WordsSince(since)
+				want, wantOK := ref.wordsSince(since)
+				if ok != wantOK || !slices.Equal(got, want) {
+					t.Fatalf("op %d: WordsSince(%d) = %v %v, reference %v %v", i, since, got, ok, want, wantOK)
+				}
+			}
+		}
+	})
+}
+
+func BenchmarkJournalNoteBits(b *testing.B) {
+	j := NewJournal(64)
+	for i := 0; b.Loop(); i++ {
+		// One-slot mutations cycling through 32 words: the journal stays
+		// below capacity, as between two contacts of a warm gather.
+		j.NoteBits((i%32)*wordBits+i%wordBits, 1)
+	}
+	reportPerWord(b, 1)
+}
+
+func BenchmarkJournalWordsSince(b *testing.B) {
+	j := NewJournal(64)
+	for w := 0; w < 64; w++ {
+		j.NoteBits(w*wordBits, 1)
+	}
+	for b.Loop() {
+		if words, ok := j.WordsSince(0); !ok || len(words) != 64 {
+			b.Fatalf("WordsSince = %d words, ok=%v", len(words), ok)
+		}
+	}
+	reportPerWord(b, 64)
 }

@@ -9,10 +9,11 @@ import (
 // FuzzBufferRoundTrip drives the pack/unpack machinery with a fuzzer-chosen
 // op sequence and checks three properties on every input:
 //
-//  1. Round trip: whatever mix of copying (PackU32/PackU64/PackBytes) and
-//     borrowed (PackBytesRef/PackBytesVec) sections is packed unpacks to
-//     the same values, whether the message was materialized via Bytes()
-//     or gathered segment-by-segment the way bip.SendV does.
+//  1. Round trip: whatever mix of copying (PackU32/PackU64/PackBytes),
+//     appended (PackBytesAppend) and borrowed (PackBytesRef/PackBytesVec)
+//     sections is packed unpacks to the same values, whether the message
+//     was materialized via Bytes() or gathered segment-by-segment the way
+//     bip.SendV does.
 //  2. Convoy framing: the same message wrapped as a convoy-framed body
 //     (count word + length-prefixed records, the chConvoy shape) survives
 //     the wrap/unwrap.
@@ -54,7 +55,7 @@ func FuzzBufferRoundTrip(f *testing.F) {
 		var fields []field
 		b := NewBuffer()
 		for i := 0; i < len(tape) && len(fields) < 32; {
-			switch op := next(&i) % 5; op {
+			switch op := next(&i) % 6; op {
 			case 0:
 				v := uint32(next(&i))<<8 | uint32(next(&i))
 				b.PackU32(v)
@@ -77,6 +78,10 @@ func FuzzBufferRoundTrip(f *testing.F) {
 				p := chunk(&i)
 				mid := len(p) / 2
 				b.PackBytesVec([][]byte{p[:mid], p[mid:]})
+				fields = append(fields, field{kind: 2, b: p})
+			case 5:
+				p := chunk(&i)
+				b.PackBytesAppend(func(dst []byte) []byte { return append(dst, p...) })
 				fields = append(fields, field{kind: 2, b: p})
 			}
 		}

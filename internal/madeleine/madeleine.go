@@ -141,6 +141,18 @@ func (b *Buffer) PackBytes(p []byte) *Buffer {
 	return b
 }
 
+// PackBytesAppend appends a length-prefixed byte section whose payload
+// fill appends straight onto the message — a serializer of the
+// AppendX(dst []byte) []byte form — so the payload is never staged in an
+// intermediate slice. The wire format is identical to PackBytes.
+func (b *Buffer) PackBytesAppend(fill func(dst []byte) []byte) *Buffer {
+	at := len(b.data)
+	b.PackU32(0)
+	b.data = fill(b.data)
+	binary.LittleEndian.PutUint32(b.data[at:], uint32(len(b.data)-at-4))
+	return b
+}
+
 // PackString appends a length-prefixed string.
 func (b *Buffer) PackString(s string) *Buffer { return b.PackBytes([]byte(s)) }
 

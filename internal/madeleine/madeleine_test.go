@@ -32,6 +32,27 @@ func TestBufferRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackBytesAppendMatchesPackBytes: a section appended in place is
+// byte-identical on the wire to the same payload packed by copy, also
+// behind a borrowed section.
+func TestPackBytesAppendMatchesPackBytes(t *testing.T) {
+	payload := []byte("iso-address slot map")
+	borrowed := []byte{1, 2, 3}
+	want := NewBuffer()
+	want.PackU32(7).PackBytesRef(borrowed).PackBytes(payload).PackU32(9)
+	got := NewBuffer()
+	got.PackU32(7).PackBytesRef(borrowed).PackBytesAppend(func(dst []byte) []byte {
+		return append(dst, payload...)
+	}).PackU32(9)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("PackBytesAppend wire %v, PackBytes wire %v", got.Bytes(), want.Bytes())
+	}
+	empty := NewBuffer().PackBytesAppend(func(dst []byte) []byte { return dst })
+	if r := FromBytes(empty.Bytes()); len(r.BytesSection()) != 0 || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatal("empty appended section did not round-trip")
+	}
+}
+
 func TestBufferUnderflowIsSticky(t *testing.T) {
 	r := FromBytes([]byte{1, 2})
 	if got := r.U32(); got != 0 {

@@ -25,9 +25,12 @@ import (
 //   - a word-indexed delta — the dirty words' absolute values, applied
 //     onto the cached view and patched into the cached global OR in
 //     place, charging merge cost on the delta bytes only;
-//   - a full map — first contact, or the bounded journal truncated; the
-//     cached view is replaced and the global OR rebuilt, at the same
-//     cost a full-map gather pays every round.
+//   - a full map — first contact, or the bounded journal truncated. On
+//     first contact the map becomes the view and is ORed into the global
+//     view; after a truncation it is decoded over the cached view in
+//     place and only the words it changed are patched into the global
+//     OR. Either way merge cost is charged as a full-map gather pays it
+//     every round.
 //
 // Because every ownership mutation — local allocation, purchase,
 // give-back, defragmentation install — bumps the owner's version, a
@@ -139,13 +142,15 @@ func (n *Node) applyDeltaReply(p int, reply *madeleine.Buffer) {
 		}
 		n.mergeCharge(count * deltaWordWireBytes)
 	case deltaReplyFull:
-		bm := n.unpackBitmap(p, reply)
-		first := view.bm == nil
-		view.bm = bm
-		if first {
-			n.deltaOr.Or(bm)
+		if view.bm == nil {
+			view.bm = n.unpackBitmap(p, reply)
+			n.deltaOr.Or(view.bm)
 		} else {
-			n.rebuildGlobalOr()
+			// Journal truncation: decode over the cached view in place
+			// and patch only the words the map changed into the global OR.
+			if err := view.bm.Load(reply.BytesSection(), n.patchGlobalWord); err != nil {
+				panic(fmt.Sprintf("pm2: bad bitmap from node %d: %v", p, err))
+			}
 		}
 		n.mergeCharge(layout.BitmapBytes)
 	default:
@@ -156,6 +161,9 @@ func (n *Node) applyDeltaReply(p int, reply *madeleine.Buffer) {
 	}
 	view.known = true
 	view.version = ver
+	if n.deltaReplyHook != nil {
+		n.deltaReplyHook(p, status)
+	}
 }
 
 // patchGlobalWord recomputes one word of the cached global OR from the
@@ -173,17 +181,19 @@ func (n *Node) patchGlobalWord(w int) {
 	n.deltaOr.SetWord(w, or)
 }
 
-// rebuildGlobalOr recomputes the cached global OR from scratch, needed
-// only when a non-first-contact full map replaces a view (journal
-// truncation) and stale bits may have to disappear.
-func (n *Node) rebuildGlobalOr() {
-	n.deltaOr = bitmap.New(layout.SlotCount)
-	for q := range n.deltaPeers {
-		if q == n.id {
-			continue
-		}
-		if bm := n.deltaPeers[q].bm; bm != nil {
-			n.deltaOr.Or(bm)
+// forgetDeltaPeer drops the cached view of peer p — it was suspected,
+// rejoined or declared dead — and patches out of the global OR exactly
+// the words where that view had set bits, so none of its stale bits
+// linger.
+func (n *Node) forgetDeltaPeer(p int) {
+	if n.deltaPeers == nil || n.deltaPeers[p].bm == nil {
+		return
+	}
+	old := n.deltaPeers[p].bm
+	n.deltaPeers[p] = deltaPeerView{}
+	for w := 0; w < old.Words(); w++ {
+		if old.Word(w) != 0 {
+			n.patchGlobalWord(w)
 		}
 	}
 }
@@ -255,10 +265,9 @@ func (n *Node) onBitmapDeltaCall(src int, req *madeleine.Call) {
 	}
 	// First contact, or the journal truncated past the caller's version:
 	// fall back to the full map, exactly as a sequential gather ships it.
-	raw := n.slots.Bitmap().Bytes()
-	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
+	n.actor.Charge(n.c.cfg.Model.Memcpy(layout.BitmapBytes))
 	req.Reply(func(b *madeleine.Buffer) {
 		b.PackU32(deltaReplyFull).PackU64(ver)
-		b.PackBytes(raw)
+		b.PackBytesAppend(n.slots.Bitmap().AppendBytes)
 	})
 }

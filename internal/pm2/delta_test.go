@@ -3,6 +3,7 @@ package pm2
 import (
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/layout"
 	"repro/internal/progs"
 	"repro/internal/simtime"
@@ -112,33 +113,23 @@ func TestDeltaGatherJournalTruncationFallsBack(t *testing.T) {
 	}
 }
 
-func deltaTruncationWarmBytes(t *testing.T, workers int) uint64 {
+// overflowJournal overflows node 1's journal in a 4-node round-robin
+// cluster through real ownership mutations: it allocates one owned free
+// slot locally in more distinct bitmap words than the journal can track,
+// so every peer view cached before the call is stale in those words and
+// must resync with a full map.
+func overflowJournal(t *testing.T, c *Cluster) {
 	t.Helper()
-	c := New(Config{Nodes: 4, Gather: GatherDelta, Workers: workers}, progs.NewImage())
-	if !negotiateSync(t, c, 0, 2) {
-		t.Fatal("first negotiation failed")
-	}
-	merged0 := c.Stats().GatherMergedBytes
-
-	// Overflow node 1's journal: dirty more distinct words than it can
-	// track (one slot every 64*4 bits spreads across > deltaJournalWords
-	// words), through real ownership mutations.
 	n1 := c.Node(1)
 	done := false
 	c.At(1, func(n *Node) {
 		for w := 0; w < deltaJournalWords+8; w++ {
-			// Slot w*256+5 is ≡1 mod 4 (node 1's under round-robin),
-			// beyond the run the first negotiation bought, and each
-			// iteration lands in a distinct bitmap word.
-			slot := w*256 + 5
-			if !n.slots.Bitmap().Test(slot) {
-				t.Errorf("setup: node 1 does not own slot %d", slot)
-			}
-			if err := n.slots.SellRun(slot, 1); err != nil {
-				t.Errorf("selling slot %d: %v", slot, err)
-			}
-			if err := n.slots.BuyRun(slot, 1); err != nil {
-				t.Errorf("re-buying slot %d: %v", slot, err)
+			// Slot w*256+129 is ≡1 mod 4 (node 1's under round-robin),
+			// beyond the low runs the earlier negotiations bought, and
+			// each iteration lands in a distinct bitmap word.
+			slot := w*256 + 129
+			if err := n.slots.AcquireAt(slot, 1); err != nil {
+				t.Errorf("setup: allocating slot %d on node 1: %v", slot, err)
 			}
 		}
 		done = true
@@ -150,6 +141,17 @@ func deltaTruncationWarmBytes(t *testing.T, workers int) uint64 {
 	if _, ok := n1.journal.WordsSince(0); ok {
 		t.Fatal("journal did not truncate under overflow")
 	}
+}
+
+func deltaTruncationWarmBytes(t *testing.T, workers int) uint64 {
+	t.Helper()
+	c := New(Config{Nodes: 4, Gather: GatherDelta, Workers: workers}, progs.NewImage())
+	if !negotiateSync(t, c, 0, 2) {
+		t.Fatal("first negotiation failed")
+	}
+	merged0 := c.Stats().GatherMergedBytes
+
+	overflowJournal(t, c)
 
 	if !negotiateSync(t, c, 0, 2) {
 		t.Fatal("negotiation after truncation failed")
@@ -167,6 +169,115 @@ func deltaTruncationWarmBytes(t *testing.T, workers int) uint64 {
 		t.Fatal(err)
 	}
 	return warm
+}
+
+// TestDeltaGatherCachedOrCoherent: the cached global OR is patched word
+// by word, never rebuilt, so it must equal the from-scratch OR of the
+// cached peer views after every reply and every negotiation. Initiators
+// contend on the global lock around a journal overflow, so the run
+// covers all four reply kinds — first contact, word delta, unchanged and
+// the truncation full map decoded over a cached view — at workers 1 and
+// 2. Dropping a view (suspicion, rejoin, reclaim) must leave the OR
+// coherent too.
+func TestDeltaGatherCachedOrCoherent(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		c := New(Config{Nodes: 4, Gather: GatherDelta, Workers: workers}, progs.NewImage())
+		// kinds[i] tallies node i's replies by kind; each node's hook
+		// runs on its own lane, so the tallies need no lock.
+		const (
+			firstContact = iota
+			words
+			unchanged
+			truncation
+		)
+		kinds := make([][4]int, c.Nodes())
+		for i := 0; i < c.Nodes(); i++ {
+			n := c.Node(i)
+			fullSeen := make([]bool, c.Nodes())
+			n.deltaReplyHook = func(p int, status uint32) {
+				switch status {
+				case deltaReplyFull:
+					if fullSeen[p] {
+						kinds[n.id][truncation]++
+					} else {
+						kinds[n.id][firstContact]++
+					}
+					fullSeen[p] = true
+				case deltaReplyWords:
+					kinds[n.id][words]++
+				case deltaReplyUnchanged:
+					kinds[n.id][unchanged]++
+				}
+				checkDeltaOrCoherent(t, n)
+			}
+		}
+		contend := func(initiators ...int) {
+			t.Helper()
+			// One flag per initiator: the callbacks run on their own lanes.
+			completed := make([]bool, c.Nodes())
+			for _, id := range initiators {
+				c.At(id, func(n *Node) {
+					n.negotiate(2, func(ok bool) {
+						if !ok {
+							t.Errorf("workers=%d: node %d's negotiation failed", workers, n.id)
+						}
+						checkDeltaOrCoherent(t, n)
+						completed[n.id] = true
+					})
+				})
+			}
+			c.Run(0)
+			for _, id := range initiators {
+				if !completed[id] {
+					t.Fatalf("workers=%d: node %d's negotiation never completed", workers, id)
+				}
+			}
+		}
+		contend(0, 2, 3)
+		contend(0, 2, 3)
+		overflowJournal(t, c)
+		contend(0, 2, 3)
+		contend(0, 2, 3)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var total [4]int
+		for _, k := range kinds {
+			for i, x := range k {
+				total[i] += x
+			}
+		}
+		t.Logf("workers=%d: first-contact, word-delta, unchanged, truncation replies: %v", workers, total)
+		for i, name := range []string{"first-contact", "word-delta", "unchanged", "truncation"} {
+			if total[i] == 0 {
+				t.Errorf("workers=%d: no %s reply exercised (tallies %v)", workers, name, total)
+			}
+		}
+		for _, id := range []int{0, 2, 3} {
+			n := c.Node(id)
+			n.forgetDeltaPeer(1)
+			if n.deltaPeers[1].bm != nil {
+				t.Fatalf("node %d still caches node 1's view", id)
+			}
+			checkDeltaOrCoherent(t, n)
+		}
+	}
+}
+
+// checkDeltaOrCoherent compares node n's cached global OR with the OR of
+// its cached peer views computed from scratch.
+func checkDeltaOrCoherent(t *testing.T, n *Node) {
+	t.Helper()
+	want := bitmap.New(layout.SlotCount)
+	for q, v := range n.deltaPeers {
+		if q != n.id && v.bm != nil {
+			want.Or(v.bm)
+		}
+	}
+	if !n.deltaOr.Equal(want) {
+		t.Errorf("node %d: cached global OR (%d bits) != OR of its views (%d bits)",
+			n.id, n.deltaOr.Count(), want.Count())
+	}
 }
 
 // TestDeltaGatherSeesDefragInstalls: a defragmentation rewrites every

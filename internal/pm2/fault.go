@@ -243,10 +243,7 @@ func (c *Cluster) suspect(i int, now simtime.Time) {
 		if j == i || c.down[j] {
 			continue
 		}
-		if n.deltaPeers != nil && n.deltaPeers[i].bm != nil {
-			n.deltaPeers[i] = deltaPeerView{}
-			n.rebuildGlobalOr()
-		}
+		n.forgetDeltaPeer(i)
 	}
 	c.log.Raw(fmt.Sprintf("[suspect] node %d suspected at t=%dus (%d heartbeats missed)",
 		i, now/simtime.Microsecond, c.missedBeats[i]))
@@ -271,10 +268,7 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 		if j == i || c.down[j] {
 			continue
 		}
-		if n.deltaPeers != nil && n.deltaPeers[i].bm != nil {
-			n.deltaPeers[i] = deltaPeerView{}
-			n.rebuildGlobalOr()
-		}
+		n.forgetDeltaPeer(i)
 	}
 	if r.deltaPeers != nil {
 		r.deltaPeers = make([]deltaPeerView, c.Nodes())
@@ -435,10 +429,7 @@ func (c *Cluster) reclaim(d *Node, live []int) int {
 
 	for _, j := range live {
 		n := c.nodes[j]
-		if n.deltaPeers != nil && n.deltaPeers[d.id].bm != nil {
-			n.deltaPeers[d.id] = deltaPeerView{}
-			n.rebuildGlobalOr()
-		}
+		n.forgetDeltaPeer(d.id)
 	}
 
 	total := given.Count()

@@ -635,9 +635,8 @@ func (n *Node) returnSlots(seller int, shares []core.SellerShare, done func()) {
 
 // onBitmapCall serves a gather request: serialize and return our bitmap.
 func (n *Node) onBitmapCall(src int, req *madeleine.Call) {
-	raw := n.slots.Bitmap().Bytes()
-	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
-	req.Reply(func(b *madeleine.Buffer) { b.PackBytes(raw) })
+	n.actor.Charge(n.c.cfg.Model.Memcpy(layout.BitmapBytes))
+	req.Reply(func(b *madeleine.Buffer) { b.PackBytesAppend(n.slots.Bitmap().AppendBytes) })
 }
 
 // onBuyCall serves a purchase, give-back, or range purchase of slot runs.

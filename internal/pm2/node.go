@@ -101,6 +101,11 @@ type Node struct {
 	// negotiation retry path.
 	buyHook func(src int, giveBack bool) (decline bool)
 
+	// deltaReplyHook, when non-nil, runs after applyDeltaReply folded
+	// one peer's reply into the cached views. Test-only seam for checking
+	// the cached global OR against the views after every reply kind.
+	deltaReplyHook func(peer int, status uint32)
+
 	// Migration-install scratch state, reused across messages so the
 	// receive path stops allocating per group (see installGroups): the
 	// first-touch page set and the span list handed to RebuildFreeList.
