@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -247,4 +248,37 @@ func BenchmarkInterpreter(b *testing.B) {
 	_, _, _, _, instrs = c.Node(0).Scheduler().Stats()
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+}
+
+// BenchmarkQuantum measures the host cost of one scheduler quantum at
+// the default quantum of 64 instructions: 8 compute threads on one node,
+// so every quantum is a pump event, a context switch to another thread
+// and 64 interpreted instructions. One op is one quantum.
+// BenchmarkInterpreter runs 10,000-instruction quanta and so hides this
+// per-quantum cost.
+func BenchmarkQuantum(b *testing.B) {
+	c := pm2.New(pm2.Config{Nodes: 1}, progs.NewImage())
+	entry, _ := c.Image().EntryOf("worker")
+	c.At(0, func(n *pm2.Node) {
+		for i := 0; i < 8; i++ {
+			if _, err := n.Scheduler().Create(entry, 1<<30); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n.Kick()
+	})
+	c.Run(1024) // every thread started and the free lists warm
+	sched := c.Node(0).Scheduler()
+	_, _, _, d0, _ := sched.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	c.Run(uint64(b.N))
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if _, _, _, d1, _ := sched.Stats(); d1-d0 != uint64(b.N) {
+		b.Fatalf("%d events ran %d quanta", b.N, d1-d0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/quantum")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/quantum")
 }

@@ -61,7 +61,9 @@ func (im *Image) Top() Addr {
 // AddProgram appends a program's instructions to the image. code must
 // already be fully resolved (absolute addresses in branch/call immediates);
 // entry is the instruction index of the entry point; labels maps local label
-// names to instruction indices and is re-exported as "name.label".
+// names to instruction indices and is re-exported as "name.label". An
+// undefined opcode or a register operand outside the register file is
+// rejected here, so the interpreter never meets one.
 func (im *Image) AddProgram(name string, code []Instr, entry int, labels map[string]int) (*LoadedProgram, error) {
 	im.mustMutable()
 	if name == "" {
@@ -75,6 +77,14 @@ func (im *Image) AddProgram(name string, code []Instr, entry int, labels map[str
 	}
 	if entry < 0 || entry >= len(code) {
 		return nil, fmt.Errorf("isa: program %q entry %d out of range", name, entry)
+	}
+	for i, in := range code {
+		if !in.Op.Valid() {
+			return nil, fmt.Errorf("isa: program %q instruction %d: illegal opcode %v", name, i, in.Op)
+		}
+		if in.Rd >= NumRegs || in.Rs >= NumRegs || in.Rt >= NumRegs {
+			return nil, fmt.Errorf("isa: program %q instruction %d: bad register in %v", name, i, in)
+		}
 	}
 	base := im.Top()
 	if uint64(base)+uint64(len(code)*InstrBytes) > uint64(layout.CodeEnd) {
@@ -128,6 +138,11 @@ func (im *Image) InstrAt(addr Addr) (Instr, bool) {
 	}
 	return im.instrs[idx], true
 }
+
+// Code returns the loaded instructions; code address a holds
+// Code()[(a-layout.CodeBase)/InstrBytes]. The interpreter fetches from it
+// directly. The caller must not modify it.
+func (im *Image) Code() []Instr { return im.instrs }
 
 // ProgramAt returns the program containing code address addr, for
 // diagnostics.

@@ -144,6 +144,40 @@ func TestImageAddProgramErrors(t *testing.T) {
 	}
 }
 
+// TestAddProgramRejectsBadOperands pins the load-time checks the
+// interpreter relies on: an undefined opcode and a register operand
+// outside the register file are errors, and the image is left unchanged.
+func TestAddProgramRejectsBadOperands(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   Instr
+		want string
+	}{
+		{"opcode", Instr{Op: opMax}, "illegal opcode"},
+		{"opcode 99", Instr{Op: Op(99)}, "illegal opcode"},
+		{"rd", Instr{Op: OpLoadI, Rd: NumRegs}, "bad register"},
+		{"rs", Instr{Op: OpMov, Rd: R1, Rs: Reg(200)}, "bad register"},
+		{"rt", Instr{Op: OpAdd, Rd: R1, Rs: R2, Rt: NumRegs}, "bad register"},
+	} {
+		im := NewImage()
+		_, err := im.AddProgram("p", []Instr{{Op: OpNop}, c.in, {Op: OpHalt}}, 0, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "instruction 1") {
+			t.Errorf("%s: err = %v, want %q at instruction 1", c.name, err, c.want)
+		}
+		if im.CodeSize() != 0 {
+			t.Errorf("%s: rejected program left %d instructions in the image", c.name, im.CodeSize())
+		}
+		if _, ok := im.Program("p"); ok {
+			t.Errorf("%s: rejected program was registered", c.name)
+		}
+	}
+	// The highest valid register and opcode load.
+	im := NewImage()
+	if _, err := im.AddProgram("ok", []Instr{{Op: OpHalt - 1, Imm: BExit}, {Op: OpMov, Rd: FP, Rs: SP}, {Op: opMax - 1}}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInstrAt(t *testing.T) {
 	im := NewImage()
 	lp, _ := im.AddProgram("p", []Instr{{Op: OpNop}, {Op: OpHalt}}, 0, nil)
@@ -161,6 +195,9 @@ func TestInstrAt(t *testing.T) {
 	}
 	if _, ok := im.InstrAt(0); ok {
 		t.Fatal("fetch below code base should fail")
+	}
+	if code := im.Code(); len(code) != 2 || code[(lp.Base+InstrBytes-layout.CodeBase)/InstrBytes].Op != OpHalt {
+		t.Fatalf("Code() = %v", code)
 	}
 }
 

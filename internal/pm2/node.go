@@ -117,6 +117,10 @@ type Node struct {
 	// them, which is what keeps the two continuations byte-identical
 	// (see checkpoint.go).
 	parked []*marcel.Thread
+
+	// pumpFn is n.pump, bound once so that kick posts a quantum without
+	// allocating a closure.
+	pumpFn func()
 }
 
 func newNode(c *Cluster, id int) *Node {
@@ -127,6 +131,7 @@ func newNode(c *Cluster, id int) *Node {
 		space:   vmem.NewSpace(),
 		regPtrs: make(map[uint32]map[uint32]Addr),
 	}
+	n.pumpFn = n.pump
 	n.ep = madeleine.Attach(c.nw, id, n.actor)
 	n.ep.SetPool(c.bufPool)
 	n.slots = core.NewNodeSlots(n.space, n.actor, core.NodeConfig{
@@ -229,15 +234,19 @@ func (n *Node) kick() {
 		return
 	}
 	n.pumpPosted = true
-	n.actor.Post(n.actor.Now(), func() {
-		n.pumpPosted = false
-		if n.dead {
-			return // crashed while the pump event was in flight
-		}
-		if n.sched.RunOne() {
-			n.kick()
-		}
-	})
+	n.actor.Post(n.actor.Now(), n.pumpFn)
+}
+
+// pump is the scheduler-run event kick posts: one quantum, then another
+// kick while threads stay ready.
+func (n *Node) pump() {
+	n.pumpPosted = false
+	if n.dead {
+		return // crashed while the pump event was in flight
+	}
+	if n.sched.RunOne() {
+		n.kick()
+	}
 }
 
 // onFault reports a dying thread the way the paper's traces do. The

@@ -221,11 +221,11 @@ func (l *lane) siftDown(i int) {
 
 // calendar is the engine's merge structure over non-empty lane heads.
 type calendar struct {
-	// buckets[i] is a min-heap (by head-event key) of the tracked lanes
+	// buckets[i] is a min-heap (by cached key) of the tracked lanes
 	// whose head event falls in time slice i; len(buckets) is a power
 	// of two. Lanes carry their bucket index and heap position
 	// (lane.bkt, lane.bpos).
-	buckets [][]*lane
+	buckets [][]calEntry
 	shift   uint // bucket width is 1 << shift nanoseconds
 	mask    int  // len(buckets) - 1
 	count   int  // tracked (non-empty) lanes
@@ -242,19 +242,46 @@ type calendar struct {
 	ops int
 }
 
+// calEntry is one tracked lane in a bucket heap, with a copy of the
+// lane's head key so that sifts compare keys without dereferencing the
+// lane and its head event. The copy equals the head key whenever no
+// event is executing; Engine.Step lets it go stale for the executing
+// lane only, and refreshes it once when the event returns.
+type calEntry struct {
+	at  Time
+	seq uint64
+	l   *lane
+}
+
+func (x *calEntry) less(y *calEntry) bool { return keyLess(x.at, x.seq, y.at, y.seq) }
+
 func (c *calendar) bucketOf(at Time) int {
 	return int(at>>c.shift) & c.mask
 }
 
+// entry returns tracked lane l's bucket entry.
+func (c *calendar) entry(l *lane) *calEntry { return &c.buckets[l.bkt][l.bpos] }
+
 func (c *calendar) insert(l *lane) {
-	b := c.bucketOf(l.heap[0].at)
+	h := l.heap[0]
+	b := c.bucketOf(h.at)
 	l.bkt, l.bpos = b, len(c.buckets[b])
-	c.buckets[b] = append(c.buckets[b], l)
+	c.buckets[b] = append(c.buckets[b], calEntry{at: h.at, seq: h.seq, l: l})
 	c.siftUp(b, l.bpos)
 	c.count++
-	if c.min != nil && eventLess(l.heap[0], c.min.heap[0]) {
+	if c.beatsMin(h) {
 		c.min = l
 	}
+}
+
+// beatsMin reports whether head key h is below the cached minimum's key;
+// false while the minimum is unknown.
+func (c *calendar) beatsMin(h *event) bool {
+	if c.min == nil {
+		return false
+	}
+	m := c.entry(c.min)
+	return keyLess(h.at, h.seq, m.at, m.seq)
 }
 
 func (c *calendar) remove(l *lane) {
@@ -262,8 +289,8 @@ func (c *calendar) remove(l *lane) {
 	s := c.buckets[b]
 	last := len(s) - 1
 	s[i] = s[last]
-	s[i].bpos = i
-	s[last] = nil
+	s[i].l.bpos = i
+	s[last] = calEntry{}
 	c.buckets[b] = s[:last]
 	l.bkt = -1
 	c.count--
@@ -280,11 +307,11 @@ func (c *calendar) siftUp(b, i int) {
 	s := c.buckets[b]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventLess(s[i].heap[0], s[p].heap[0]) {
+		if !s[i].less(&s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
-		s[i].bpos, s[p].bpos = i, p
+		s[i].l.bpos, s[p].l.bpos = i, p
 		i = p
 	}
 }
@@ -294,24 +321,24 @@ func (c *calendar) siftDown(b, i int) {
 	n := len(s)
 	for {
 		least := i
-		if x := 2*i + 1; x < n && eventLess(s[x].heap[0], s[least].heap[0]) {
+		if x := 2*i + 1; x < n && s[x].less(&s[least]) {
 			least = x
 		}
-		if x := 2*i + 2; x < n && eventLess(s[x].heap[0], s[least].heap[0]) {
+		if x := 2*i + 2; x < n && s[x].less(&s[least]) {
 			least = x
 		}
 		if least == i {
 			return
 		}
 		s[i], s[least] = s[least], s[i]
-		s[i].bpos, s[least].bpos = i, least
+		s[i].l.bpos, s[least].l.bpos = i, least
 		i = least
 	}
 }
 
 // mergeFix restores lane l's calendar position after its head event
 // changed: inserted when it became non-empty, removed when it drained,
-// rebucketed otherwise. Amortized O(1).
+// re-keyed and rebucketed otherwise. Amortized O(1).
 func (e *Engine) mergeFix(l *lane) {
 	c := &e.cal
 	if len(l.heap) == 0 {
@@ -329,19 +356,26 @@ func (e *Engine) mergeFix(l *lane) {
 		c.insert(l)
 		return
 	}
-	if b := c.bucketOf(l.heap[0].at); b != l.bkt {
+	h := l.heap[0]
+	if b := c.bucketOf(h.at); b != l.bkt {
 		// remove clears the cached min if l held it; insert re-crowns l
 		// only by comparing against a still-valid cache.
 		c.remove(l)
 		c.insert(l)
 		return
 	}
-	c.siftUp(l.bkt, l.bpos)
-	c.siftDown(l.bkt, l.bpos)
+	x := c.entry(l)
+	up := keyLess(h.at, h.seq, x.at, x.seq)
+	x.at, x.seq = h.at, h.seq
+	if up {
+		c.siftUp(l.bkt, l.bpos)
+	} else {
+		c.siftDown(l.bkt, l.bpos)
+	}
 	if c.min == l {
 		// Head changed in place; it may no longer be the minimum.
 		c.min = nil
-	} else if c.min != nil && eventLess(l.heap[0], c.min.heap[0]) {
+	} else if c.beatsMin(h) {
 		c.min = l
 	}
 }
@@ -361,7 +395,7 @@ func (e *Engine) minLane() *lane {
 		e.calRebuild()
 	}
 	c.min = c.scan()
-	c.floor = c.min.heap[0].at
+	c.floor = c.entry(c.min).at
 	return c.min
 }
 
@@ -382,17 +416,17 @@ func (c *calendar) scan() *lane {
 		if len(s) == 0 {
 			continue
 		}
-		if end := Time(start+int64(t)+1) << c.shift; s[0].heap[0].at < end {
-			return s[0]
+		if end := Time(start+int64(t)+1) << c.shift; s[0].at < end {
+			return s[0].l
 		}
 	}
-	var best *lane
+	var best *calEntry
 	for _, s := range c.buckets {
-		if len(s) > 0 && (best == nil || eventLess(s[0].heap[0], best.heap[0])) {
-			best = s[0]
+		if len(s) > 0 && (best == nil || s[0].less(best)) {
+			best = &s[0]
 		}
 	}
-	return best
+	return best.l
 }
 
 // calRebuild re-sizes and re-tunes the calendar from the live lane set:
@@ -430,7 +464,7 @@ func (e *Engine) calRebuild() {
 		}
 	}
 	if size != len(c.buckets) {
-		c.buckets = make([][]*lane, size)
+		c.buckets = make([][]calEntry, size)
 	} else {
 		for i := range c.buckets {
 			c.buckets[i] = c.buckets[i][:0]

@@ -116,6 +116,7 @@ func TestLaneMergeMatchesReference(t *testing.T) {
 					trial, steps, gat, gseq, wat, wseq)
 			}
 			e.Step()
+			checkCalendar(t, e)
 			steps++
 		}
 		if len(ref.events) != 0 {
@@ -126,6 +127,139 @@ func TestLaneMergeMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d executed no events", trial)
 		}
 	}
+}
+
+// checkCalendar asserts the calendar index between steps: every
+// non-empty lane is tracked exactly once, in the bucket of its head
+// timestamp, under a cached key equal to its head key; empty lanes are
+// untracked; every bucket is a heap by cached key.
+func checkCalendar(t *testing.T, e *Engine) {
+	t.Helper()
+	c := &e.cal
+	tracked := 0
+	for _, l := range e.lanes {
+		if len(l.heap) == 0 {
+			if l.bkt >= 0 {
+				t.Fatalf("empty lane %d still tracked in bucket %d", l.id, l.bkt)
+			}
+			continue
+		}
+		tracked++
+		if l.bkt < 0 {
+			t.Fatalf("non-empty lane %d untracked", l.id)
+		}
+		x := c.buckets[l.bkt][l.bpos]
+		if h := l.heap[0]; x.l != l || x.at != h.at || x.seq != h.seq {
+			t.Fatalf("lane %d: bucket entry (%d,%d) lane %d, head (%d,%d)", l.id, x.at, x.seq, x.l.id, h.at, h.seq)
+		}
+		if b := c.bucketOf(x.at); b != l.bkt {
+			t.Fatalf("lane %d at %d sits in bucket %d, want %d", l.id, x.at, l.bkt, b)
+		}
+	}
+	if tracked != c.count {
+		t.Fatalf("calendar counts %d lanes, %d are non-empty", c.count, tracked)
+	}
+	for b, s := range c.buckets {
+		for i := 1; i < len(s); i++ {
+			if s[i].less(&s[(i-1)/2]) {
+				t.Fatalf("bucket %d breaks the heap order at %d", b, i)
+			}
+		}
+	}
+}
+
+// TestDeferredFixMatchesReference pins Step's single post-event calendar
+// fix: handlers post to their own lane (the next quantum), to other
+// lanes, and to lanes created mid-step — enough of those to force a
+// calendar rebuild while an event runs. The pop order must stay the
+// reference heap's, and after every step each cached key must equal its
+// lane's head.
+func TestDeferredFixMatchesReference(t *testing.T) {
+	r := rng.New(0xdef1)
+	rebuiltMidStep := 0
+	for trial := 0; trial < 40; trial++ {
+		e := NewEngine()
+		actors := []*Actor{NewActor(e, "n")}
+		ref := &refHeap{}
+
+		// post queues an event on lane k (0 ambient, k > 0 actors[k-1])
+		// and mirrors it into the reference heap.
+		var post func(k int, at Time, depth int)
+		post = func(k int, at Time, depth int) {
+			fn := func() {
+				if depth >= 4 {
+					return
+				}
+				now := e.Now()
+				// The next quantum on the executing lane.
+				if r.Intn(4) != 0 {
+					post(k, now+Time(r.Intn(8)), depth+1)
+				}
+				// A message to another existing lane.
+				if r.Intn(2) == 0 {
+					post(r.Intn(len(actors)+1), now-2+Time(r.Intn(16)), depth+1)
+				}
+				// A burst of fresh lanes.
+				if len(actors) < 96 && r.Intn(8) == 0 {
+					buckets := len(e.cal.buckets)
+					for i, n := 0, 8+r.Intn(24); i < n; i++ {
+						actors = append(actors, NewActor(e, "new"))
+						post(len(actors), now+Time(r.Intn(32)), depth+1)
+					}
+					if len(e.cal.buckets) != buckets {
+						rebuiltMidStep++
+					}
+				}
+			}
+			if k == 0 {
+				e.At(at, fn)
+			} else {
+				actors[k-1].Post(at, fn)
+			}
+			if at < e.Now() {
+				at = e.Now()
+			}
+			ref.push(at)
+		}
+		for i, n := 0, 4+r.Intn(16); i < n; i++ {
+			post(r.Intn(len(actors)+1), Time(r.Intn(32)), 0)
+		}
+
+		steps := 0
+		for e.Pending() > 0 {
+			wat, wseq := ref.pop()
+			gat, gseq := e.minLane().PeekNextEventTime()
+			if gat != wat || gseq != wseq {
+				t.Fatalf("trial %d step %d: engine at (%d,%d), reference heap at (%d,%d)",
+					trial, steps, gat, gseq, wat, wseq)
+			}
+			e.Step()
+			checkCalendar(t, e)
+			steps++
+		}
+		if len(ref.events) != 0 {
+			t.Fatalf("trial %d: reference heap kept %d events", trial, len(ref.events))
+		}
+	}
+	if rebuiltMidStep == 0 {
+		t.Fatal("no calendar rebuild happened inside a running event")
+	}
+}
+
+// TestStepInsideHandlerPanics: while an event runs its lane's calendar
+// entry is stale by design, so stepping the engine from a handler is
+// refused rather than popping out of order.
+func TestStepInsideHandlerPanics(t *testing.T) {
+	e := NewEngine()
+	a := NewActor(e, "a")
+	a.Post(5, func() {})
+	e.At(1, func() { e.Step() })
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("a nested Step did not panic")
+		}
+	}()
+	e.Run(0)
 }
 
 // TestStepPrimitives exercises the per-lane step interface directly:
@@ -187,6 +321,40 @@ func TestKernelStepAllocations(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("kernel steady state allocates %.2f allocs per 2 events, want 0", avg)
 	}
+}
+
+// BenchmarkEngineStep measures the serial kernel's host cost per event:
+// 64 actor lanes, each running a pump that charges some work and posts
+// its own next event, with every eighth event also messaging the next
+// lane — the shape of a cluster of nodes running quanta. One op is one
+// event.
+func BenchmarkEngineStep(b *testing.B) {
+	const lanes = 64
+	e := NewEngine()
+	actors := make([]*Actor, lanes)
+	for i := range actors {
+		actors[i] = NewActor(e, "n")
+	}
+	pumps := make([]func(), lanes)
+	msgs := make([]func(), lanes)
+	for i := range actors {
+		a, next := actors[i], actors[(i+1)%lanes]
+		n := 0
+		msgs[i] = func() { a.Charge(Microsecond) }
+		pumps[i] = func() {
+			a.Charge(Time(500 + 37*(n%11)))
+			if n++; n%8 == 0 {
+				a.PostTo(next, a.Now()+5*Microsecond, msgs[(i+1)%lanes])
+			}
+			a.Post(a.Now(), pumps[i])
+		}
+		a.Post(Time(i), pumps[i])
+	}
+	e.Run(4 * lanes) // warm the free lists and the calendar
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(uint64(b.N))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }
 
 const (

@@ -53,6 +53,9 @@ type Engine struct {
 	// cal is the calendar merge over non-empty lanes by head-event key
 	// (lane.go).
 	cal calendar
+	// stepping is the lane whose event Step is executing; its calendar
+	// position is fixed once, after the event returns.
+	stepping *lane
 
 	// Parallel execution configuration and window state (parallel.go).
 	workers       int
@@ -132,24 +135,38 @@ func (e *Engine) schedule(l *lane, t Time, fn func(), a *Actor) {
 	ev := l.alloc(t, e.seq, fn, a)
 	l.push(ev)
 	e.nPending++
-	if l.heap[0] == ev {
+	if l.heap[0] == ev && l != e.stepping {
 		e.mergeFix(l)
 	}
 }
 
 // Step executes the earliest pending event across all lanes, advancing
 // Now to its timestamp. It reports whether an event was executed.
+//
+// The popped lane's calendar position is fixed once, after the event
+// runs, instead of on the pop and again when the handler posts the
+// lane's next event (a quantum pump posts one per step). Meanwhile its
+// bucket entry keeps the popped key, which is <= every other key, and
+// the cached minimum is cleared, so nothing may read the merge while a
+// handler runs: a handler that steps the engine panics, and so does
+// every Step after a handler panicked.
 func (e *Engine) Step() bool {
+	if e.stepping != nil {
+		panic("simtime: Step from inside a running event")
+	}
 	l := e.minLane()
 	if l == nil {
 		return false
 	}
 	ev := l.pop()
 	e.nPending--
-	e.mergeFix(l)
 	e.now = ev.at
 	e.nSteps++
+	e.cal.min = nil
+	e.stepping = l
 	l.exec(ev)
+	e.stepping = nil
+	e.mergeFix(l)
 	l.recycle(ev)
 	return true
 }

@@ -13,48 +13,35 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/layout"
 	"repro/internal/vmem"
 )
 
-// RegFile is a thread's register state. It is cached in Go while the thread
-// runs and spilled into the in-memory thread descriptor on freeze.
+// RegFile is a thread's register state. While the thread runs, Run keeps
+// it in a local register array and spills it back around every builtin
+// call and on return; on freeze it is spilled into the in-memory thread
+// descriptor.
 type RegFile struct {
 	R      [16]uint32
 	SP, FP uint32
 	PC     uint32
 }
 
-// Get reads general register r (including SP/FP). The r < 16 case is
-// kept small enough to inline into the interpreter loop.
-func (rf *RegFile) Get(r isa.Reg) uint32 {
-	if r < 16 {
-		return rf.R[r]
-	}
-	return *rf.special(r)
+// regs is the interpreter's working copy of a register file, indexed by
+// isa.Reg: the general registers, then SP and FP.
+type regs [isa.NumRegs]uint32
+
+// load copies rf into r and returns the PC.
+func (r *regs) load(rf *RegFile) uint32 {
+	*(*[16]uint32)(r[:16]) = rf.R
+	r[isa.SP], r[isa.FP] = rf.SP, rf.FP
+	return rf.PC
 }
 
-// Set writes general register r (including SP/FP).
-func (rf *RegFile) Set(r isa.Reg, v uint32) {
-	if r < 16 {
-		rf.R[r] = v
-		return
-	}
-	*rf.special(r) = v
-}
-
-// special returns SP or FP for r, and panics on any other register
-// above the general ones. It stays out of line so that Get and Set
-// inline.
-//
-//go:noinline
-func (rf *RegFile) special(r isa.Reg) *uint32 {
-	switch r {
-	case isa.SP:
-		return &rf.SP
-	case isa.FP:
-		return &rf.FP
-	}
-	panic(fmt.Sprintf("vm: bad register %d", r))
+// spill writes r and pc back to rf.
+func (r *regs) spill(rf *RegFile, pc uint32) {
+	rf.R = *(*[16]uint32)(r[:16])
+	rf.SP, rf.FP, rf.PC = r[isa.SP], r[isa.FP], pc
 }
 
 // StatusKind classifies why Run returned.
@@ -159,228 +146,244 @@ func fault(format string, args ...any) error {
 // Run interprets up to max instructions of thread t against image im and
 // address space sp, dispatching builtins to env. It returns when the budget
 // is exhausted or the thread yields, blocks, exits, faults, or migrates.
+//
+// The registers and the PC live in locals for the whole run. t.Regs is
+// written before each builtin call (so the runtime sees the exact state
+// as of the callb, with the PC past it), re-read after it (so register
+// changes the runtime makes are visible), and written once more on
+// return. On a fault the PC is past the faulting instruction, except for
+// an instruction-fetch fault, where it is the address that failed.
 func Run(im *isa.Image, sp *vmem.Space, t *Thread, env Env, max int64) Status {
+	var r regs
 	rf := t.Regs
+	pc := r.load(rf)
+	code := im.Code()
+	limit := t.StackLimit
 	var st Status
-	for st.Instrs < max {
-		in, ok := im.InstrAt(rf.PC)
-		if !ok {
+	var n int64
+loop:
+	for n < max {
+		off := pc - layout.CodeBase
+		i := int(off / isa.InstrBytes)
+		if off%isa.InstrBytes != 0 || i >= len(code) {
 			st.Kind = Faulted
-			st.Fault = fault("instruction fetch from %#08x", rf.PC)
-			return st
+			st.Fault = fault("instruction fetch from %#08x", pc)
+			break loop
 		}
-		rf.PC += isa.InstrBytes
-		st.Instrs++
+		in := code[i]
+		pc += isa.InstrBytes
+		n++
 
 		switch in.Op {
 		case isa.OpNop:
 
 		case isa.OpLoadI:
-			rf.Set(in.Rd, in.Imm)
+			r[in.Rd] = in.Imm
 
 		case isa.OpMov:
-			rf.Set(in.Rd, rf.Get(in.Rs))
+			r[in.Rd] = r[in.Rs]
 
 		case isa.OpAdd:
-			rf.Set(in.Rd, rf.Get(in.Rs)+rf.Get(in.Rt))
+			r[in.Rd] = r[in.Rs] + r[in.Rt]
 		case isa.OpSub:
-			rf.Set(in.Rd, rf.Get(in.Rs)-rf.Get(in.Rt))
+			r[in.Rd] = r[in.Rs] - r[in.Rt]
 		case isa.OpMul:
-			rf.Set(in.Rd, rf.Get(in.Rs)*rf.Get(in.Rt))
+			r[in.Rd] = r[in.Rs] * r[in.Rt]
 		case isa.OpDiv, isa.OpMod:
-			d := rf.Get(in.Rt)
+			d := r[in.Rt]
 			if d == 0 {
 				st.Kind = Faulted
-				st.Fault = fault("division by zero at %#08x", rf.PC-isa.InstrBytes)
-				return st
+				st.Fault = fault("division by zero at %#08x", pc-isa.InstrBytes)
+				break loop
 			}
 			if in.Op == isa.OpDiv {
-				rf.Set(in.Rd, rf.Get(in.Rs)/d)
+				r[in.Rd] = r[in.Rs] / d
 			} else {
-				rf.Set(in.Rd, rf.Get(in.Rs)%d)
+				r[in.Rd] = r[in.Rs] % d
 			}
 		case isa.OpAnd:
-			rf.Set(in.Rd, rf.Get(in.Rs)&rf.Get(in.Rt))
+			r[in.Rd] = r[in.Rs] & r[in.Rt]
 		case isa.OpOr:
-			rf.Set(in.Rd, rf.Get(in.Rs)|rf.Get(in.Rt))
+			r[in.Rd] = r[in.Rs] | r[in.Rt]
 		case isa.OpXor:
-			rf.Set(in.Rd, rf.Get(in.Rs)^rf.Get(in.Rt))
+			r[in.Rd] = r[in.Rs] ^ r[in.Rt]
 		case isa.OpShl:
-			rf.Set(in.Rd, rf.Get(in.Rs)<<(rf.Get(in.Rt)&31))
+			r[in.Rd] = r[in.Rs] << (r[in.Rt] & 31)
 		case isa.OpShr:
-			rf.Set(in.Rd, rf.Get(in.Rs)>>(rf.Get(in.Rt)&31))
+			r[in.Rd] = r[in.Rs] >> (r[in.Rt] & 31)
 
 		case isa.OpAddI:
-			rf.Set(in.Rd, rf.Get(in.Rs)+in.Imm)
+			r[in.Rd] = r[in.Rs] + in.Imm
 
 		case isa.OpLoad:
-			v, err := sp.Load32(rf.Get(in.Rs) + in.Imm)
+			v, err := sp.Load32(r[in.Rs] + in.Imm)
 			if err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.Set(in.Rd, v)
+			r[in.Rd] = v
 		case isa.OpStore:
-			if err := sp.Store32(rf.Get(in.Rd)+in.Imm, rf.Get(in.Rs)); err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+			if err := sp.Store32(r[in.Rd]+in.Imm, r[in.Rs]); err != nil {
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
 		case isa.OpLoadB:
-			v, err := sp.Load8(rf.Get(in.Rs) + in.Imm)
+			v, err := sp.Load8(r[in.Rs] + in.Imm)
 			if err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.Set(in.Rd, uint32(v))
+			r[in.Rd] = uint32(v)
 		case isa.OpStoreB:
-			if err := sp.Store8(rf.Get(in.Rd)+in.Imm, byte(rf.Get(in.Rs))); err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+			if err := sp.Store8(r[in.Rd]+in.Imm, byte(r[in.Rs])); err != nil {
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
 
 		case isa.OpBr:
-			rf.PC = in.Imm
+			pc = in.Imm
 		case isa.OpBeq:
-			if rf.Get(in.Rs) == rf.Get(in.Rt) {
-				rf.PC = in.Imm
+			if r[in.Rs] == r[in.Rt] {
+				pc = in.Imm
 			}
 		case isa.OpBne:
-			if rf.Get(in.Rs) != rf.Get(in.Rt) {
-				rf.PC = in.Imm
+			if r[in.Rs] != r[in.Rt] {
+				pc = in.Imm
 			}
 		case isa.OpBlt:
-			if int32(rf.Get(in.Rs)) < int32(rf.Get(in.Rt)) {
-				rf.PC = in.Imm
+			if int32(r[in.Rs]) < int32(r[in.Rt]) {
+				pc = in.Imm
 			}
 		case isa.OpBge:
-			if int32(rf.Get(in.Rs)) >= int32(rf.Get(in.Rt)) {
-				rf.PC = in.Imm
+			if int32(r[in.Rs]) >= int32(r[in.Rt]) {
+				pc = in.Imm
 			}
 		case isa.OpBltU:
-			if rf.Get(in.Rs) < rf.Get(in.Rt) {
-				rf.PC = in.Imm
+			if r[in.Rs] < r[in.Rt] {
+				pc = in.Imm
 			}
 		case isa.OpBgeU:
-			if rf.Get(in.Rs) >= rf.Get(in.Rt) {
-				rf.PC = in.Imm
+			if r[in.Rs] >= r[in.Rt] {
+				pc = in.Imm
 			}
 
 		case isa.OpPush:
-			if err := push(sp, t, rf.Get(in.Rs)); err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+			if err := r.push(sp, limit, r[in.Rs]); err != nil {
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
 		case isa.OpPop:
-			v, err := pop(sp, rf)
+			v, err := r.pop(sp)
 			if err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.Set(in.Rd, v)
+			r[in.Rd] = v
 
 		case isa.OpCall:
-			if err := push(sp, t, rf.PC); err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+			if err := r.push(sp, limit, pc); err != nil {
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.PC = in.Imm
+			pc = in.Imm
 		case isa.OpRet:
-			v, err := pop(sp, rf)
+			v, err := r.pop(sp)
 			if err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.PC = v
+			pc = v
 
 		case isa.OpEnter:
 			// Push caller FP — the frame-chain pointer lives in
 			// simulated stack memory from here on.
-			if err := push(sp, t, rf.FP); err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+			if err := r.push(sp, limit, r[isa.FP]); err != nil {
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.FP = rf.SP
-			rf.SP -= in.Imm
-			if rf.SP < t.StackLimit || rf.SP > rf.FP {
-				st.Kind = Faulted
-				st.Fault = fault("stack overflow (sp=%#08x limit=%#08x)", rf.SP, t.StackLimit)
-				return st
+			r[isa.FP] = r[isa.SP]
+			r[isa.SP] -= in.Imm
+			if r[isa.SP] < limit || r[isa.SP] > r[isa.FP] {
+				st.Kind, st.Fault = Faulted, overflow(r[isa.SP], limit)
+				break loop
 			}
 		case isa.OpLeave:
-			rf.SP = rf.FP
-			v, err := pop(sp, rf)
+			r[isa.SP] = r[isa.FP]
+			v, err := r.pop(sp)
 			if err != nil {
-				st.Kind = Faulted
-				st.Fault = err
-				return st
+				st.Kind, st.Fault = Faulted, err
+				break loop
 			}
-			rf.FP = v
+			r[isa.FP] = v
 
 		case isa.OpCallB:
 			st.Builtins++
-			res := env.Builtin(in.Imm, [4]uint32{rf.R[1], rf.R[2], rf.R[3], rf.R[4]})
+			r.spill(rf, pc)
+			res := env.Builtin(in.Imm, [4]uint32{r[1], r[2], r[3], r[4]})
+			pc = r.load(rf)
 			switch res.Ctl {
 			case CtlReturn:
-				rf.R[0] = res.Ret
+				r[0] = res.Ret
 			case CtlYield:
-				rf.R[0] = res.Ret
+				r[0] = res.Ret
 				st.Kind = Yielded
-				return st
+				break loop
 			case CtlBlock:
 				st.Kind = Blocked
-				return st
+				break loop
 			case CtlExit:
 				st.Kind = Exited
-				return st
+				break loop
 			case CtlMigrate:
 				st.Kind = Migrating
 				st.Dest = res.Dest
-				return st
+				break loop
 			case CtlFault:
 				st.Kind = Faulted
 				st.Fault = res.Err
-				return st
+				break loop
 			default:
 				panic(fmt.Sprintf("vm: bad builtin control %d", res.Ctl))
 			}
 
 		case isa.OpHalt:
 			st.Kind = Exited
-			return st
+			break loop
 
 		default:
-			st.Kind = Faulted
-			st.Fault = fault("illegal instruction %v at %#08x", in.Op, rf.PC-isa.InstrBytes)
-			return st
+			// isa.Image.AddProgram rejects undefined opcodes.
+			panic(fmt.Sprintf("vm: illegal instruction %v at %#08x", in.Op, pc-isa.InstrBytes))
 		}
 	}
-	st.Kind = Running
+	r.spill(rf, pc)
+	st.Instrs = n
 	return st
 }
 
-func push(sp *vmem.Space, t *Thread, v uint32) error {
-	rf := t.Regs
-	rf.SP -= 4
-	if rf.SP < t.StackLimit {
-		return fault("stack overflow (sp=%#08x limit=%#08x)", rf.SP, t.StackLimit)
+// push is the one stack-push path (push, call, enter): sp -= 4, then
+// mem32[sp] = v. SP moves before the store, so a faulting push leaves it
+// lowered.
+func (r *regs) push(sp *vmem.Space, limit, v uint32) error {
+	s := r[isa.SP] - 4
+	r[isa.SP] = s
+	if s < limit {
+		return overflow(s, limit)
 	}
-	return sp.Store32(rf.SP, v)
+	return sp.Store32(s, v)
 }
 
-func pop(sp *vmem.Space, rf *RegFile) (uint32, error) {
-	v, err := sp.Load32(rf.SP)
+// pop is the one stack-pop path (pop, ret, leave): v = mem32[sp], then
+// sp += 4. A faulting pop leaves SP unchanged.
+func (r *regs) pop(sp *vmem.Space) (uint32, error) {
+	v, err := sp.Load32(r[isa.SP])
 	if err != nil {
 		return 0, err
 	}
-	rf.SP += 4
+	r[isa.SP] += 4
 	return v, nil
+}
+
+// overflow is the stack-overflow fault of push and enter.
+func overflow(sp, limit uint32) error {
+	return fault("stack overflow (sp=%#08x limit=%#08x)", sp, limit)
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,23 +96,6 @@ main:
 	})
 }
 
-func TestIllegalInstructionFaults(t *testing.T) {
-	im := isa.NewImage()
-	lp, err := im.AddProgram("ill", []isa.Instr{{Op: isa.Op(99)}}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := vmem.NewSpace()
-	if err := sp.Mmap(layout.IsoBase, layout.SlotSize); err != nil {
-		t.Fatal(err)
-	}
-	th := &Thread{Regs: &RegFile{PC: lp.Entry, SP: layout.IsoBase + layout.SlotSize}}
-	st := Run(im, sp, th, &testEnv{}, 10)
-	if st.Kind != Faulted || !strings.Contains(st.Fault.Error(), "illegal instruction") {
-		t.Fatalf("st = %v (%v)", st.Kind, st.Fault)
-	}
-}
-
 func TestBadBuiltinControlPanics(t *testing.T) {
 	im, sp, th, env := harness(t, `
 .program bad
@@ -158,19 +142,68 @@ func TestStatusKindStrings(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and fails unless it panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Errorf("expected a panic containing %q", want)
+			return
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want contains %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// corruptedRun loads a valid one-instruction program, overwrites that
+// instruction behind the loader's back with bad, and runs it.
+func corruptedRun(t *testing.T, bad isa.Instr) {
+	t.Helper()
+	im := isa.NewImage()
+	lp, err := im.AddProgram("p", []isa.Instr{{Op: isa.OpNop}, {Op: isa.OpHalt}}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.Code()[0] = bad
+	sp := vmem.NewSpace()
+	if err := sp.Mmap(layout.IsoBase, layout.SlotSize); err != nil {
+		t.Fatal(err)
+	}
+	th := &Thread{Regs: &RegFile{PC: uint32(lp.Entry), SP: layout.IsoBase + layout.SlotSize}}
+	Run(im, sp, th, &testEnv{}, 10)
+}
+
+// TestIllegalInstructionFaults: an undefined opcode never executes. The
+// loader refuses it, and an interpreter that meets one anyway stops.
+func TestIllegalInstructionFaults(t *testing.T) {
+	im := isa.NewImage()
+	_, err := im.AddProgram("ill", []isa.Instr{{Op: isa.Op(99)}}, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "illegal opcode") {
+		t.Fatalf("err = %v, want an illegal opcode error", err)
+	}
+	if _, ok := im.Program("ill"); ok || im.CodeSize() != 0 {
+		t.Fatal("rejected program was loaded")
+	}
+	mustPanic(t, "illegal instruction", func() { corruptedRun(t, isa.Instr{Op: isa.Op(99)}) })
+}
+
+// TestRegFilePanicsOnBogusRegister: a register operand outside the
+// register file never reaches memory beside it. The loader refuses it,
+// and an interpreter that meets one anyway panics.
 func TestRegFilePanicsOnBogusRegister(t *testing.T) {
-	rf := &RegFile{}
-	for _, f := range []func(){
-		func() { rf.Get(isa.Reg(30)) },
-		func() { rf.Set(isa.Reg(30), 1) },
+	for _, in := range []isa.Instr{
+		{Op: isa.OpLoadI, Rd: isa.Reg(30), Imm: 1},
+		{Op: isa.OpMov, Rd: isa.R1, Rs: isa.Reg(30)},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+		im := isa.NewImage()
+		if _, err := im.AddProgram("bad", []isa.Instr{in, {Op: isa.OpHalt}}, 0, nil); err == nil || !strings.Contains(err.Error(), "bad register") {
+			t.Errorf("%v: err = %v, want a bad register error", in, err)
+		}
+		mustPanic(t, "index out of range", func() { corruptedRun(t, in) })
 	}
 }

@@ -457,16 +457,134 @@ main:
 	}
 }
 
-func TestRegFileGetSet(t *testing.T) {
-	rf := &RegFile{}
-	rf.Set(isa.SP, 100)
-	rf.Set(isa.FP, 200)
-	rf.Set(isa.R7, 7)
-	if rf.Get(isa.SP) != 100 || rf.Get(isa.FP) != 200 || rf.Get(isa.R7) != 7 {
-		t.Fatal("Get/Set broken")
+// spyEnv is a builtin handler that reads and edits the running thread's
+// register file the way the runtime does (marcel freezes and wakes a
+// thread through its RegFile).
+type spyEnv struct {
+	th   *Thread
+	seen []RegFile
+	edit func(rf *RegFile)
+	ctl  Control
+}
+
+func (e *spyEnv) Builtin(id uint32, args [4]uint32) BuiltinResult {
+	e.seen = append(e.seen, *e.th.Regs)
+	if e.edit != nil {
+		e.edit(e.th.Regs)
 	}
-	if rf.SP != 100 || rf.FP != 200 {
-		t.Fatal("SP/FP fields not aliased")
+	return BuiltinResult{Ctl: e.ctl, Ret: 0x5150, Dest: 1}
+}
+
+// spillSrc sets every register to a distinct value and opens a frame,
+// then calls a builtin; after the call r8..r10 copy r7, sp and r0.
+const spillSrc = `
+.program spill
+main:
+    loadi r0, 100
+    loadi r1, 101
+    loadi r2, 102
+    loadi r3, 103
+    loadi r4, 104
+    loadi r5, 105
+    loadi r6, 106
+    loadi r7, 107
+    loadi r8, 108
+    loadi r9, 109
+    loadi r10, 110
+    loadi r11, 111
+    loadi r12, 112
+    loadi r13, 113
+    loadi r14, 114
+    loadi r15, 115
+    enter 8
+    callb yield
+after:
+    mov   r8, r7
+    mov   r9, sp
+    mov   r10, r0
+    halt
+`
+
+// spillHarness loads spillSrc with env as its builtin handler and
+// returns the register file the interpreter must write at the callb.
+func spillHarness(t *testing.T, env *spyEnv) (*isa.Image, *vmem.Space, *Thread, RegFile) {
+	t.Helper()
+	im, sp, th, _ := harness(t, spillSrc)
+	env.th = th
+	after, _ := im.Label("spill.after")
+	top := th.Regs.SP
+	want := RegFile{SP: top - 4 - 8, FP: top - 4, PC: after}
+	for i := range want.R {
+		want.R[i] = 100 + uint32(i)
+	}
+	return im, sp, th, want
+}
+
+// TestBuiltinSeesSpilledRegisters: the register file a builtin reads is
+// exactly the interpreter's state as of the callb, with the PC past it.
+func TestBuiltinSeesSpilledRegisters(t *testing.T) {
+	env := &spyEnv{ctl: CtlReturn}
+	im, sp, th, want := spillHarness(t, env)
+	st := Run(im, sp, th, env, 100)
+	if st.Kind != Exited || len(env.seen) != 1 {
+		t.Fatalf("st = %v (%v), %d builtin calls", st.Kind, st.Fault, len(env.seen))
+	}
+	if env.seen[0] != want {
+		t.Fatalf("builtin saw %+v\nwant        %+v", env.seen[0], want)
+	}
+	if th.Regs.R[10] != 0x5150 || th.Regs.R[8] != 107 || th.Regs.R[9] != want.SP {
+		t.Fatalf("after return: r8=%d r9=%#x r10=%#x", th.Regs.R[8], th.Regs.R[9], th.Regs.R[10])
+	}
+}
+
+// TestBuiltinRegisterEditsVisible: registers the builtin changes are
+// what the interpreter continues with; r0 still takes the result.
+func TestBuiltinRegisterEditsVisible(t *testing.T) {
+	env := &spyEnv{ctl: CtlReturn}
+	im, sp, th, want := spillHarness(t, env)
+	env.edit = func(rf *RegFile) {
+		rf.R[0] = 1
+		rf.R[7] = 0xabc
+		rf.SP -= 16
+	}
+	st := Run(im, sp, th, env, 100)
+	if st.Kind != Exited {
+		t.Fatalf("st = %v (%v)", st.Kind, st.Fault)
+	}
+	if th.Regs.R[8] != 0xabc || th.Regs.R[9] != want.SP-16 || th.Regs.R[10] != 0x5150 {
+		t.Fatalf("r8=%#x r9=%#x r10=%#x, want 0xabc %#x 0x5150",
+			th.Regs.R[8], th.Regs.R[9], th.Regs.R[10], want.SP-16)
+	}
+}
+
+// TestParkedThreadLeavesSpilledState: a builtin that blocks or migrates
+// the thread returns with its register file complete, as Freeze reads
+// it, and a resumed Run continues after the callb with the register
+// the runtime set on wake-up.
+func TestParkedThreadLeavesSpilledState(t *testing.T) {
+	for _, c := range []struct {
+		ctl  Control
+		want StatusKind
+	}{{CtlBlock, Blocked}, {CtlMigrate, Migrating}} {
+		env := &spyEnv{ctl: c.ctl}
+		im, sp, th, want := spillHarness(t, env)
+		env.edit = func(rf *RegFile) { rf.R[7] = 7 }
+		st := Run(im, sp, th, env, 100)
+		if st.Kind != c.want {
+			t.Fatalf("%v: st = %v (%v)", c.ctl, st.Kind, st.Fault)
+		}
+		want.R[7] = 7
+		if *th.Regs != want {
+			t.Fatalf("%v: parked with %+v\nwant           %+v", c.ctl, *th.Regs, want)
+		}
+		th.Regs.R[0] = 42
+		env.ctl = CtlReturn
+		if st := Run(im, sp, th, env, 100); st.Kind != Exited {
+			t.Fatalf("%v: resume st = %v (%v)", c.ctl, st.Kind, st.Fault)
+		}
+		if th.Regs.R[8] != 7 || th.Regs.R[10] != 42 || len(env.seen) != 1 {
+			t.Fatalf("%v: resume r8=%d r10=%d calls=%d", c.ctl, th.Regs.R[8], th.Regs.R[10], len(env.seen))
+		}
 	}
 }
 
