@@ -253,7 +253,8 @@ func BenchmarkInterpreter(b *testing.B) {
 // BenchmarkQuantum measures the host cost of one scheduler quantum at
 // the default quantum of 64 instructions: 8 compute threads on one node,
 // so every quantum is a pump event, a context switch to another thread
-// and 64 interpreted instructions. One op is one quantum.
+// and 64 interpreted instructions. One op is one quantum. It also
+// reports the misses of the threads' and the space's TLBs per quantum.
 // BenchmarkInterpreter runs 10,000-instruction quanta and so hides this
 // per-quantum cost.
 func BenchmarkQuantum(b *testing.B) {
@@ -268,8 +269,9 @@ func BenchmarkQuantum(b *testing.B) {
 		n.Kick()
 	})
 	c.Run(1024) // every thread started and the free lists warm
-	sched := c.Node(0).Scheduler()
+	sched, sp := c.Node(0).Scheduler(), c.Node(0).Space()
 	_, _, _, d0, _ := sched.Stats()
+	tlb0 := sched.TLBMisses() + sp.TLBMisses()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
@@ -281,4 +283,5 @@ func BenchmarkQuantum(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/quantum")
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/quantum")
+	b.ReportMetric(float64(sched.TLBMisses()+sp.TLBMisses()-tlb0)/float64(b.N), "tlb-misses/quantum")
 }

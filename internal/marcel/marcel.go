@@ -82,6 +82,10 @@ type Thread struct {
 	// MigrateTo is the pending preemptive-migration destination (-1 =
 	// none); checked at the next quantum boundary.
 	MigrateTo int
+	// TLB caches the pages the thread touches while it is runnable. It
+	// is reset whenever the thread leaves the run queue (block, exit,
+	// fault, detach), so a parked or departed thread pins no page.
+	TLB vmem.TLB
 
 	ready   bool
 	blocked bool
@@ -249,6 +253,15 @@ func (s *Scheduler) Stats() (created, finished, faulted, dispatches, instrs uint
 func (s *Scheduler) RestoreStats(created, finished, faulted, dispatches, instrs uint64) {
 	s.created, s.finished, s.faulted, s.dispatches, s.instrs =
 		created, finished, faulted, dispatches, instrs
+}
+
+// TLBMisses returns the TLB misses of the resident threads, summed.
+func (s *Scheduler) TLBMisses() uint64 {
+	var n uint64
+	for _, t := range s.threads {
+		n += t.TLB.Misses()
+	}
+	return n
 }
 
 // NextSeq returns the TID sequence counter for checkpointing.
@@ -426,6 +439,7 @@ func (s *Scheduler) Thaw(desc Addr) (*Thread, error) {
 // (see Wake).
 func (s *Scheduler) Detach(t *Thread) {
 	delete(s.threads, t.TID)
+	t.TLB.Reset()
 	if t.ready {
 		for i, q := range s.runq {
 			if q == t {
@@ -511,11 +525,14 @@ func (s *Scheduler) dispatch(t *Thread) {
 	s.current = t
 	s.dispatches++
 	s.ch.Charge(cost.Fixed(s.cfg.Model.CtxSwitchNs))
-	th := &vm.Thread{Regs: &t.Regs, StackLimit: t.StackLimit()}
+	th := &vm.Thread{Regs: &t.Regs, StackLimit: t.StackLimit(), TLB: &t.TLB}
 	st := vm.Run(s.im, s.sp, th, s.env, s.cfg.Quantum)
 	s.instrs += uint64(st.Instrs)
 	s.ch.Charge(s.cfg.Model.Instr(st.Instrs))
 	s.current = nil
+	if st.Kind != vm.Running && st.Kind != vm.Yielded {
+		t.TLB.Reset()
+	}
 
 	switch st.Kind {
 	case vm.Running, vm.Yielded:

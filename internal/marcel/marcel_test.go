@@ -415,3 +415,57 @@ func TestThawRejectsGarbage(t *testing.T) {
 		t.Fatal("thawing garbage must fail")
 	}
 }
+
+// TestTLBEmptyOffRunQueue: a runnable thread keeps its TLB between
+// quanta, and a thread that blocks, exits or is detached leaves with an
+// empty one, so it pins no page of the space.
+func TestTLBEmptyOffRunQueue(t *testing.T) {
+	f := newFixture(t, 64)
+	sleeper := f.program(t, `
+.program sleeper
+main:
+top:
+    push  r2
+    pop   r3
+    callb yield
+    br    top
+`)
+	blocker := f.program(t, `
+.program blocker
+main:
+    push  r2
+    pop   r3
+    callb join
+    halt
+`)
+	exiter := f.program(t, `
+.program exiter
+main:
+    push  r2
+    pop   r3
+    halt
+`)
+	s, _ := f.s.Create(sleeper, 0)
+	b, _ := f.s.Create(blocker, 0)
+	b.Regs.R[1] = s.TID
+	e, _ := f.s.Create(exiter, 0)
+	for i := 0; i < 6; i++ {
+		f.s.RunOne()
+	}
+	if s.TLB.Entries() == 0 {
+		t.Fatal("a runnable thread's TLB is empty between quanta")
+	}
+	if !b.Blocked() || b.TLB.Entries() != 0 {
+		t.Fatalf("blocked=%v with %d TLB entries, want blocked with none", b.Blocked(), b.TLB.Entries())
+	}
+	if _, resident := f.s.Lookup(e.TID); resident || e.TLB.Entries() != 0 {
+		t.Fatalf("resident=%v with %d TLB entries, want exited with none", resident, e.TLB.Entries())
+	}
+	if err := f.s.Freeze(s); err != nil {
+		t.Fatal(err)
+	}
+	f.s.Detach(s)
+	if s.TLB.Entries() != 0 {
+		t.Fatalf("a detached thread keeps %d TLB entries", s.TLB.Entries())
+	}
+}

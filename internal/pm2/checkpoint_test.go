@@ -227,3 +227,39 @@ func TestCheckpointRefusals(t *testing.T) {
 		}
 	})
 }
+
+// benchCheckpoint captures a 16-node cluster 3 ms into 64 worker
+// threads, every one of them parked with its stack and isomalloc cell.
+func benchCheckpoint(b *testing.B) *Checkpoint {
+	b.Helper()
+	c := New(Config{Nodes: 16}, progs.NewImage())
+	for i := 0; i < 64; i++ {
+		c.Spawn(i%16, "worker", 20_000)
+	}
+	c.Engine().RunUntil(3 * simtime.Millisecond)
+	ck, err := c.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ck
+}
+
+// BenchmarkCheckpointEncode measures pm2ckpt encoding in MB/s of image.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	ck := benchCheckpoint(b)
+	b.SetBytes(int64(len(ck.Encode())))
+	for b.Loop() {
+		ck.Encode()
+	}
+}
+
+// BenchmarkCheckpointDecode measures pm2ckpt decoding in MB/s of image.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	data := benchCheckpoint(b).Encode()
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		if _, err := DecodeCheckpoint(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -137,6 +137,11 @@ type Thread struct {
 	// the thread descriptor in its stack slot). Pushing below it is a
 	// stack-overflow fault.
 	StackLimit uint32
+	// TLB caches the thread's pages between runs. Run syncs it to the
+	// space at entry and after every builtin call, the only points
+	// where memory can be unmapped under a running thread. A nil TLB
+	// means a fresh one for this run.
+	TLB *vmem.TLB
 }
 
 func fault(format string, args ...any) error {
@@ -153,21 +158,31 @@ func fault(format string, args ...any) error {
 // changes the runtime makes are visible), and written once more on
 // return. On a fault the PC is past the faulting instruction, except for
 // an instruction-fetch fault, where it is the address that failed.
+//
+// Word loads and stores try the thread's TLB inline and take its miss
+// path (one page-map lookup, or a fault) only when that fails.
 func Run(im *isa.Image, sp *vmem.Space, t *Thread, env Env, max int64) Status {
 	var r regs
 	rf := t.Regs
 	pc := r.load(rf)
 	code := im.Code()
 	limit := t.StackLimit
+	tlb := t.TLB
+	if tlb == nil {
+		tlb = new(vmem.TLB)
+	}
+	tlb.Sync(sp)
 	var st Status
 	var n int64
+	// err is the fault that ends the run, if any; a builtin's
+	// CtlFault sets st directly.
+	var err error
 loop:
 	for n < max {
 		off := pc - layout.CodeBase
 		i := int(off / isa.InstrBytes)
 		if off%isa.InstrBytes != 0 || i >= len(code) {
-			st.Kind = Faulted
-			st.Fault = fault("instruction fetch from %#08x", pc)
+			err = fault("instruction fetch from %#08x", pc)
 			break loop
 		}
 		in := code[i]
@@ -192,8 +207,7 @@ loop:
 		case isa.OpDiv, isa.OpMod:
 			d := r[in.Rt]
 			if d == 0 {
-				st.Kind = Faulted
-				st.Fault = fault("division by zero at %#08x", pc-isa.InstrBytes)
+				err = fault("division by zero at %#08x", pc-isa.InstrBytes)
 				break loop
 			}
 			if in.Op == isa.OpDiv {
@@ -216,27 +230,29 @@ loop:
 			r[in.Rd] = r[in.Rs] + in.Imm
 
 		case isa.OpLoad:
-			v, err := sp.Load32(r[in.Rs] + in.Imm)
-			if err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			a := r[in.Rs] + in.Imm
+			v, ok := tlb.Word(a)
+			if !ok {
+				if v, err = tlb.Load32(a); err != nil {
+					break loop
+				}
 			}
 			r[in.Rd] = v
 		case isa.OpStore:
-			if err := sp.Store32(r[in.Rd]+in.Imm, r[in.Rs]); err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			a := r[in.Rd] + in.Imm
+			if !tlb.SetWord(a, r[in.Rs]) {
+				if err = tlb.Store32(a, r[in.Rs]); err != nil {
+					break loop
+				}
 			}
 		case isa.OpLoadB:
-			v, err := sp.Load8(r[in.Rs] + in.Imm)
-			if err != nil {
-				st.Kind, st.Fault = Faulted, err
+			var b byte
+			if b, err = tlb.Load8(r[in.Rs] + in.Imm); err != nil {
 				break loop
 			}
-			r[in.Rd] = uint32(v)
+			r[in.Rd] = uint32(b)
 		case isa.OpStoreB:
-			if err := sp.Store8(r[in.Rd]+in.Imm, byte(r[in.Rs])); err != nil {
-				st.Kind, st.Fault = Faulted, err
+			if err = tlb.Store8(r[in.Rd]+in.Imm, byte(r[in.Rs])); err != nil {
 				break loop
 			}
 
@@ -268,51 +284,57 @@ loop:
 			}
 
 		case isa.OpPush:
-			if err := r.push(sp, limit, r[in.Rs]); err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			if !r.push(tlb, limit, r[in.Rs]) {
+				if err = r.pushMiss(tlb, limit, r[in.Rs]); err != nil {
+					break loop
+				}
 			}
 		case isa.OpPop:
-			v, err := r.pop(sp)
-			if err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			v, ok := r.pop(tlb)
+			if !ok {
+				if v, err = r.popMiss(tlb); err != nil {
+					break loop
+				}
 			}
 			r[in.Rd] = v
 
 		case isa.OpCall:
-			if err := r.push(sp, limit, pc); err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			if !r.push(tlb, limit, pc) {
+				if err = r.pushMiss(tlb, limit, pc); err != nil {
+					break loop
+				}
 			}
 			pc = in.Imm
 		case isa.OpRet:
-			v, err := r.pop(sp)
-			if err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			v, ok := r.pop(tlb)
+			if !ok {
+				if v, err = r.popMiss(tlb); err != nil {
+					break loop
+				}
 			}
 			pc = v
 
 		case isa.OpEnter:
 			// Push caller FP — the frame-chain pointer lives in
 			// simulated stack memory from here on.
-			if err := r.push(sp, limit, r[isa.FP]); err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			if !r.push(tlb, limit, r[isa.FP]) {
+				if err = r.pushMiss(tlb, limit, r[isa.FP]); err != nil {
+					break loop
+				}
 			}
 			r[isa.FP] = r[isa.SP]
 			r[isa.SP] -= in.Imm
 			if r[isa.SP] < limit || r[isa.SP] > r[isa.FP] {
-				st.Kind, st.Fault = Faulted, overflow(r[isa.SP], limit)
+				err = overflow(r[isa.SP], limit)
 				break loop
 			}
 		case isa.OpLeave:
 			r[isa.SP] = r[isa.FP]
-			v, err := r.pop(sp)
-			if err != nil {
-				st.Kind, st.Fault = Faulted, err
-				break loop
+			v, ok := r.pop(tlb)
+			if !ok {
+				if v, err = r.popMiss(tlb); err != nil {
+					break loop
+				}
 			}
 			r[isa.FP] = v
 
@@ -321,6 +343,7 @@ loop:
 			r.spill(rf, pc)
 			res := env.Builtin(in.Imm, [4]uint32{r[1], r[2], r[3], r[4]})
 			pc = r.load(rf)
+			tlb.Sync(sp)
 			switch res.Ctl {
 			case CtlReturn:
 				r[0] = res.Ret
@@ -355,27 +378,49 @@ loop:
 			panic(fmt.Sprintf("vm: illegal instruction %v at %#08x", in.Op, pc-isa.InstrBytes))
 		}
 	}
+	if err != nil {
+		st.Kind, st.Fault = Faulted, err
+	}
 	r.spill(rf, pc)
 	st.Instrs = n
 	return st
 }
 
-// push is the one stack-push path (push, call, enter): sp -= 4, then
-// mem32[sp] = v. SP moves before the store, so a faulting push leaves it
+// push is the hit path of the one stack push (push, call, enter):
+// sp -= 4, then mem32[sp] = v. It reports false, having stored nothing,
+// if the push overflows or its word misses the TLB; pushMiss then
+// finishes it. SP moves before the store, so a faulting push leaves it
 // lowered.
-func (r *regs) push(sp *vmem.Space, limit, v uint32) error {
+func (r *regs) push(tlb *vmem.TLB, limit, v uint32) bool {
 	s := r[isa.SP] - 4
 	r[isa.SP] = s
+	return s >= limit && tlb.SetWord(s, v)
+}
+
+// pushMiss finishes a push that push could not complete.
+func (r *regs) pushMiss(tlb *vmem.TLB, limit, v uint32) error {
+	s := r[isa.SP]
 	if s < limit {
 		return overflow(s, limit)
 	}
-	return sp.Store32(s, v)
+	return tlb.Store32(s, v)
 }
 
-// pop is the one stack-pop path (pop, ret, leave): v = mem32[sp], then
-// sp += 4. A faulting pop leaves SP unchanged.
-func (r *regs) pop(sp *vmem.Space) (uint32, error) {
-	v, err := sp.Load32(r[isa.SP])
+// pop is the hit path of the one stack pop (pop, ret, leave):
+// v = mem32[sp], then sp += 4. It reports false, with SP unchanged, if
+// the word misses the TLB; popMiss then finishes it.
+func (r *regs) pop(tlb *vmem.TLB) (uint32, bool) {
+	v, ok := tlb.Word(r[isa.SP])
+	if ok {
+		r[isa.SP] += 4
+	}
+	return v, ok
+}
+
+// popMiss finishes a pop that pop could not complete. A faulting pop
+// leaves SP unchanged.
+func (r *regs) popMiss(tlb *vmem.TLB) (uint32, error) {
+	v, err := tlb.Load32(r[isa.SP])
 	if err != nil {
 		return 0, err
 	}

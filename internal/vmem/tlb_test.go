@@ -273,6 +273,170 @@ func TestTLBDifferential(t *testing.T) {
 	}
 }
 
+// fuzzPages are the pages FuzzTLB touches: eight iso-address pages, two
+// to a TLB entry, and the last page of the space, where words wrap.
+var fuzzPages = [...]uint32{
+	layout.IsoBase>>layout.PageShift + 0, layout.IsoBase>>layout.PageShift + 1,
+	layout.IsoBase>>layout.PageShift + 2, layout.IsoBase>>layout.PageShift + 3,
+	layout.IsoBase>>layout.PageShift + 4, layout.IsoBase>>layout.PageShift + 5,
+	layout.IsoBase>>layout.PageShift + 6, layout.IsoBase>>layout.PageShift + 7,
+	1<<(32-layout.PageShift) - 1,
+}
+
+// threadLoad32 and threadStore32 access a word the way the interpreter
+// does: the inlined hit path first, then the TLB's miss path. A nil TLB
+// stands for the space's own accessors.
+func threadLoad32(s *Space, tlb *TLB, a Addr) (uint32, error) {
+	if tlb == nil {
+		return s.Load32(a)
+	}
+	if v, ok := tlb.Word(a); ok {
+		return v, nil
+	}
+	return tlb.Load32(a)
+}
+
+func threadStore32(s *Space, tlb *TLB, a Addr, v uint32) error {
+	if tlb == nil {
+		return s.Store32(a, v)
+	}
+	if tlb.SetWord(a, v) {
+		return nil
+	}
+	return tlb.Store32(a, v)
+}
+
+// FuzzTLB runs a fuzzer-chosen tape of Mmap, Munmap, Write and word and
+// byte accesses over two spaces. Each access goes through the space's
+// own accessors or through one of two thread TLBs, synced to the space
+// it reads right before the access as vm.Run does, so a TLB meets
+// unmappings from other accessors, several generations and a move to
+// the other space. A tape op may also reset a thread TLB, as the
+// scheduler does when a thread leaves the run queue. Every value and
+// fault must match a byte-map reference model of each space, and the
+// pages must agree byte for byte at the end.
+func FuzzTLB(f *testing.F) {
+	// Back page 0 through TLB 1, read it, unmap and remap it through
+	// the space, and read it through the TLB again.
+	f.Add([]byte{0, 0, 0, 0, 3, 1, 0, 8, 1, 2, 3, 4, 2, 1, 0, 8, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 8})
+	// Two pages sharing an entry, through both TLBs and both spaces.
+	f.Add([]byte{0, 0, 0, 0, 0, 4, 4, 0, 3, 2, 4, 12, 9, 9, 9, 9, 3, 6, 4, 12, 7, 7, 7, 7, 2, 2, 0, 12, 2, 6, 4, 12, 7, 1, 0, 0, 2, 1, 4, 12})
+	// Words and bytes at the end of a page and of the space.
+	f.Add([]byte{0, 0, 8, 0, 3, 1, 8, 5, 1, 2, 3, 4, 2, 2, 8, 5, 4, 1, 8, 1, 5, 2, 8, 1, 0xff, 6, 0, 8, 1, 5})
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		spaces := [2]*Space{NewSpace(), NewSpace()}
+		refs := [2]*refSpace{
+			{mapped: map[uint32]bool{}, mem: map[uint32]byte{}},
+			{mapped: map[uint32]bool{}, mem: map[uint32]byte{}},
+		}
+		var tlbs [2]TLB
+		i := 0
+		next := func() byte {
+			if i >= len(tape) {
+				i++
+				return 0
+			}
+			i++
+			return tape[i-1]
+		}
+		for step := 0; i < len(tape); step++ {
+			op, who := next()%8, next()
+			s, ref := spaces[who>>2&1], refs[who>>2&1]
+			var tlb *TLB
+			if w := who & 3; w == 1 || w == 2 {
+				tlb = &tlbs[w-1]
+				tlb.Sync(s)
+			}
+			pi := fuzzPages[int(next())%len(fuzzPages)]
+			var in uint32
+			switch o := uint32(next()); o % 4 {
+			case 0: // near the start of the page
+				in = o >> 2
+			case 1: // near its end, so words cross or wrap
+				in = layout.PageSize - 1 - o>>2
+			default:
+				in = (o<<8 | uint32(next())) % layout.PageSize
+			}
+			a := Addr(pi<<layout.PageShift + in)
+			var got, want any
+			var gotErr, wantErr error
+			switch op {
+			case 0, 1:
+				a, n := Addr(pi<<layout.PageShift), (1+int(in)%3)*layout.PageSize
+				if op == 0 {
+					gotErr, wantErr = s.Mmap(a, n), ref.mapping(a, n, OpMap)
+				} else {
+					gotErr, wantErr = s.Munmap(a, n), ref.mapping(a, n, OpUnmap)
+				}
+			case 2:
+				var v uint32
+				v, gotErr = threadLoad32(s, tlb, a)
+				p, err := ref.read(a, 4)
+				got, want, wantErr = v, uint32(0), err
+				if err == nil {
+					want = binary.LittleEndian.Uint32(p)
+				}
+			case 3:
+				v := binary.LittleEndian.Uint32([]byte{next(), next(), next(), next()})
+				gotErr = threadStore32(s, tlb, a, v)
+				wantErr = ref.write(a, binary.LittleEndian.AppendUint32(nil, v))
+			case 4:
+				var b byte
+				if tlb != nil {
+					b, gotErr = tlb.Load8(a)
+				} else {
+					b, gotErr = s.Load8(a)
+				}
+				p, err := ref.read(a, 1)
+				got, want, wantErr = b, byte(0), err
+				if err == nil {
+					want = p[0]
+				}
+			case 5:
+				v := next()
+				if tlb != nil {
+					gotErr = tlb.Store8(a, v)
+				} else {
+					gotErr = s.Store8(a, v)
+				}
+				wantErr = ref.write(a, []byte{v})
+			case 6:
+				p := make([]byte, next()%16)
+				for k := range p {
+					p[k] = next()
+				}
+				gotErr, wantErr = s.Write(a, p), ref.write(a, p)
+			case 7:
+				if tlb != nil {
+					tlb.Reset()
+				}
+			}
+			if !reflect.DeepEqual(gotErr, wantErr) {
+				t.Fatalf("step %d op %d at %#x: error %v, want %v", step, op, a, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d op %d at %#x: value %v, want %v", step, op, a, got, want)
+			}
+		}
+		for k, s := range spaces {
+			for _, pi := range fuzzPages {
+				a := Addr(pi << layout.PageShift)
+				if s.IsMapped(a, layout.PageSize) != refs[k].mapped[pi] {
+					t.Fatalf("space %d page %#x: mapped=%v, want %v", k, pi, !refs[k].mapped[pi], refs[k].mapped[pi])
+				}
+				if !refs[k].mapped[pi] {
+					continue
+				}
+				got, err := s.ReadBytes(a, layout.PageSize)
+				want, _ := refs[k].read(a, layout.PageSize)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("space %d page %#x differs from the model (%v)", k, pi, err)
+				}
+			}
+		}
+	})
+}
+
 // TestAccessorsAllocateNothing pins the word and byte accessors at zero
 // host allocations on a backed page.
 func TestAccessorsAllocateNothing(t *testing.T) {
@@ -302,14 +466,20 @@ func TestAccessorsAllocateNothing(t *testing.T) {
 }
 
 // accessCase is an address pattern a word benchmark cycles through.
+// Access i goes to addrs[i%len(addrs)] through tlbs[i%len(tlbs)], synced
+// first as vm.Run does at a thread switch, or through the Space's own
+// accessors if tlbs is empty.
 type accessCase struct {
 	name  string
 	addrs []Addr
+	tlbs  []*TLB
 }
 
 // accessCases returns a space with backed pages and the patterns to
-// benchmark on it: one page for "hit", and two pages that share a TLB
-// entry for "miss", so every access misses and then fills the entry.
+// benchmark on it: one page for "hit"; two pages that share a TLB entry
+// for "miss", so every access misses and then fills the entry; and the
+// same two pages through two thread TLBs taking turns for "switch",
+// where every access hits its own thread's TLB.
 func accessCases(b *testing.B) (*Space, []accessCase) {
 	s := NewSpace()
 	base := Addr(layout.IsoBase)
@@ -321,9 +491,11 @@ func accessCases(b *testing.B) (*Space, []accessCase) {
 			b.Fatal(err)
 		}
 	}
+	shared := []Addr{base + 64, base + tlbSize*layout.PageSize + 64}
 	return s, []accessCase{
-		{"hit", []Addr{base + 64}},
-		{"miss", []Addr{base + 64, base + tlbSize*layout.PageSize + 64}},
+		{name: "hit", addrs: []Addr{base + 64}},
+		{name: "miss", addrs: shared},
+		{name: "switch", addrs: shared, tlbs: []*TLB{new(TLB), new(TLB)}},
 	}
 }
 
@@ -335,7 +507,16 @@ func BenchmarkLoad32(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var sum uint32
 			for i := 0; b.Loop(); i++ {
-				v, err := s.Load32(c.addrs[i%len(c.addrs)])
+				a := c.addrs[i%len(c.addrs)]
+				var v uint32
+				var err error
+				if c.tlbs == nil {
+					v, err = s.Load32(a)
+				} else {
+					t := c.tlbs[i%len(c.tlbs)]
+					t.Sync(s)
+					v, err = threadLoad32(s, t, a)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -351,7 +532,16 @@ func BenchmarkStore32(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; b.Loop(); i++ {
-				if err := s.Store32(c.addrs[i%len(c.addrs)], uint32(i)); err != nil {
+				a := c.addrs[i%len(c.addrs)]
+				var err error
+				if c.tlbs == nil {
+					err = s.Store32(a, uint32(i))
+				} else {
+					t := c.tlbs[i%len(c.tlbs)]
+					t.Sync(s)
+					err = threadStore32(s, t, a, uint32(i))
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

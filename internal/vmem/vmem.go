@@ -12,7 +12,6 @@
 package vmem
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/layout"
@@ -73,41 +72,35 @@ type page [layout.PageSize]byte
 // it out, which is why its fragments are read-only.
 var zeroPage page
 
-// tlbSize is the number of entries in a Space's software TLB, a power
-// of two. Four entries hold a thread's stack page and the data pages it
-// walks; more measured no faster and cost heap on thousand-node clusters.
-// Every thread's stack top lies at the same offset of its slot, so the
-// stack-top pages of all threads map to one entry and a thread switch
-// misses there. A 16-entry hashed TLB was tried as well: it left misses
-// at about 1.4 per dispatch and made the interpreter no faster.
+// tlbSize is the number of entries in a TLB, a power of two. Four
+// entries hold a thread's stack page and the data pages it walks; more
+// measured no faster and cost heap on thousand-node clusters. Every
+// thread's stack top lies at the same offset of its slot, so the
+// stack-top pages of all threads map to one entry: that is why each
+// resident thread keeps its own TLB rather than sharing the Space's.
+// With per-thread TLBs, pm2perf recover misses 0.011 times per
+// dispatch (1.49 with one TLB per Space).
 const tlbSize = 4
-
-// tlbEntry caches the host page behind page index pi. A nil pg is an
-// empty entry.
-type tlbEntry struct {
-	pi uint32
-	pg *page
-}
 
 // Space is one node's simulated virtual address space. It has no
 // locking: a Space belongs to exactly one node, every access happens
 // inside that node's event lane, and the parallel kernel never runs
 // two events of one lane concurrently (see internal/simtime) — the
 // space is lane-affine state, like the scheduler and the slot table.
-// That includes reads: Load32 and Load8 fill the TLB.
+// That includes reads: Load32 and Load8 fill the Space's own TLB.
 //
-// The TLB is a direct-mapped cache in front of pages for the word and
-// byte accessors. It holds only host-backed pages, never an untouched
-// one, so the first write to a page still allocates and ReadAliases
-// still hands out the shared zero page. It stays coherent because a
-// backed page is never replaced while it is mapped — Mmap refuses
+// A backed page is never replaced while it is mapped — Mmap refuses
 // overlap and Write only fills a nil page — so the one thing that can
-// stale an entry is Munmap, which clears every entry in its range.
+// stale a TLB entry is Munmap, which bumps gen: every TLB synced to an
+// older generation flushes at its next Sync.
 type Space struct {
 	// pages holds every mapped page; a nil value is a mapped page that
 	// has never been written and reads as zeros.
 	pages map[uint32]*page
-	tlb   [tlbSize]tlbEntry
+	// gen counts Munmap calls (see TLB.Sync).
+	gen uint64
+	// tlb serves the Space's own word and byte accessors.
+	tlb TLB
 	// mappedBytes counts currently mapped memory, for accounting tests.
 	mappedBytes uint64
 }
@@ -181,11 +174,8 @@ func (s *Space) Munmap(addr Addr, n int) error {
 	for i := 0; i < npages; i++ {
 		delete(s.pages, first+uint32(i))
 	}
-	for i := range s.tlb {
-		if s.tlb[i].pi-first < uint32(npages) {
-			s.tlb[i] = tlbEntry{}
-		}
-	}
+	s.gen++
+	s.tlb.Reset()
 	s.mappedBytes -= uint64(n)
 	return nil
 }
@@ -273,66 +263,38 @@ func (s *Space) Write(addr Addr, p []byte) error {
 	return nil
 }
 
-// backedPage returns the host page behind page index pi through the
-// TLB, or nil if pi is unmapped or untouched.
-func (s *Space) backedPage(pi uint32) *page {
-	e := &s.tlb[pi&(tlbSize-1)]
-	if e.pi == pi && e.pg != nil {
-		return e.pg
-	}
-	pg := s.pages[pi]
-	if pg != nil {
-		*e = tlbEntry{pi: pi, pg: pg}
-	}
-	return pg
-}
+// TLBMisses returns how often the Space's own accessors missed their
+// TLB (see TLB.Misses).
+func (s *Space) TLBMisses() uint64 { return s.tlb.misses }
 
 // Load32 reads a little-endian 32-bit word at addr.
 func (s *Space) Load32(addr Addr) (uint32, error) {
-	if in := int(addr) & (layout.PageSize - 1); in <= layout.PageSize-4 {
-		if pg := s.backedPage(pageIndex(addr)); pg != nil {
-			return binary.LittleEndian.Uint32(pg[in:]), nil
-		}
+	s.tlb.Sync(s)
+	if v, ok := s.tlb.Word(addr); ok {
+		return v, nil
 	}
-	var buf [4]byte
-	if err := s.Read(addr, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
+	return s.tlb.Load32(addr)
 }
 
 // Store32 writes a little-endian 32-bit word at addr.
 func (s *Space) Store32(addr Addr, v uint32) error {
-	if in := int(addr) & (layout.PageSize - 1); in <= layout.PageSize-4 {
-		if pg := s.backedPage(pageIndex(addr)); pg != nil {
-			binary.LittleEndian.PutUint32(pg[in:], v)
-			return nil
-		}
+	s.tlb.Sync(s)
+	if s.tlb.SetWord(addr, v) {
+		return nil
 	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return s.Write(addr, buf[:])
+	return s.tlb.Store32(addr, v)
 }
 
 // Load8 reads one byte at addr.
 func (s *Space) Load8(addr Addr) (byte, error) {
-	if pg := s.backedPage(pageIndex(addr)); pg != nil {
-		return pg[int(addr)&(layout.PageSize-1)], nil
-	}
-	var buf [1]byte
-	if err := s.Read(addr, buf[:]); err != nil {
-		return 0, err
-	}
-	return buf[0], nil
+	s.tlb.Sync(s)
+	return s.tlb.Load8(addr)
 }
 
 // Store8 writes one byte at addr.
 func (s *Space) Store8(addr Addr, v byte) error {
-	if pg := s.backedPage(pageIndex(addr)); pg != nil {
-		pg[int(addr)&(layout.PageSize-1)] = v
-		return nil
-	}
-	return s.Write(addr, []byte{v})
+	s.tlb.Sync(s)
+	return s.tlb.Store8(addr, v)
 }
 
 // ReadBytes returns a fresh copy of [addr, addr+n).
