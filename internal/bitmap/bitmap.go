@@ -82,6 +82,33 @@ func (b *Bitmap) TestRun(i, n int) bool {
 	return true
 }
 
+// AnyInRun reports whether any bit in [i, i+n) is 1. It tests whole
+// words under edge masks, so checking a short run costs one or two word
+// loads instead of a run-sized mask. Like Test it panics when the run
+// reaches outside the map; an empty run (n <= 0) holds no set bit.
+func (b *Bitmap) AnyInRun(i, n int) bool {
+	if n <= 0 {
+		return false
+	}
+	b.check(i)
+	b.check(i + n - 1)
+	first, last := i/wordBits, (i+n-1)/wordBits
+	lo := ^uint64(0) << (uint(i) % wordBits)
+	hi := ^uint64(0) >> (wordBits - 1 - uint(i+n-1)%wordBits)
+	if first == last {
+		return b.words[first]&lo&hi != 0
+	}
+	if b.words[first]&lo != 0 || b.words[last]&hi != 0 {
+		return true
+	}
+	for _, w := range b.words[first+1 : last] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	c := 0
@@ -227,6 +254,15 @@ func (b *Bitmap) Equal(other *Bitmap) bool {
 		}
 	}
 	return true
+}
+
+// CopyFrom overwrites b with the bits of other, reusing b's backing
+// words. The maps must have equal size.
+func (b *Bitmap) CopyFrom(other *Bitmap) {
+	if b.n != other.n {
+		panic("bitmap: size mismatch in CopyFrom")
+	}
+	copy(b.words, other.words)
 }
 
 // Clone returns a deep copy of b.

@@ -324,6 +324,63 @@ func TestRunHelpers(t *testing.T) {
 	}
 }
 
+// TestAnyInRunMatchesBitLoop: the word-wise AnyInRun agrees with a
+// bit-by-bit loop on every run of a 200-bit map (four words, the last
+// one partial) — runs inside one word, runs crossing one or two word
+// boundaries, and runs ending at the map's last bit — over sparse maps
+// that leave most runs empty.
+func TestAnyInRunMatchesBitLoop(t *testing.T) {
+	const n = 200
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		b := New(n)
+		for k := r.Intn(4); k > 0; k-- {
+			b.Set(r.Intn(n))
+		}
+		for i := 0; i < n; i++ {
+			for l := 0; i+l <= n; l++ {
+				want := false
+				for k := i; k < i+l; k++ {
+					want = want || b.Test(k)
+				}
+				if got := b.AnyInRun(i, l); got != want {
+					t.Fatalf("%v: AnyInRun(%d, %d) = %v, want %v", b, i, l, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestAnyInRunOutOfRangePanics(t *testing.T) {
+	b := New(100)
+	for _, run := range [][2]int{{-1, 2}, {99, 2}, {100, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AnyInRun(%d, %d) did not panic", run[0], run[1])
+				}
+			}()
+			b.AnyInRun(run[0], run[1])
+		}()
+	}
+}
+
+func TestCopyFrom(t *testing.T) {
+	a, b := New(130), New(130)
+	a.SetRun(60, 10)
+	b.Set(129)
+	b.CopyFrom(a)
+	if !b.Equal(a) {
+		t.Fatalf("CopyFrom: %v, want %v", b, a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyFrom across sizes did not panic")
+		}
+	}()
+	b.CopyFrom(New(64))
+}
+
 func TestStringForms(t *testing.T) {
 	b := New(8)
 	b.Set(1)

@@ -89,18 +89,21 @@ func (j *Journal) RestoreVersion(v uint64) {
 	j.Truncate()
 }
 
-// WordsSince returns the indices of every word dirtied after version
-// since, sorted ascending (the deterministic wire order). ok is false
-// when the journal cannot answer — since predates the truncation floor
-// or lies in the future — and the caller must ship the full map.
-func (j *Journal) WordsSince(since uint64) (words []int, ok bool) {
+// AppendWordsSince appends to dst the indices of every word dirtied
+// after version since, sorted ascending (the deterministic wire order),
+// and returns the extended slice; a server that reuses dst answers a
+// delta request without allocating. ok is false — and dst comes back
+// unchanged — when the journal cannot answer: since predates the
+// truncation floor or lies in the future, and the caller must ship the
+// full map.
+func (j *Journal) AppendWordsSince(dst []int, since uint64) (words []int, ok bool) {
 	if since < j.floor || since > j.version {
-		return nil, false
+		return dst, false
 	}
 	for _, d := range j.dirty {
 		if d.version > since {
-			words = append(words, d.word)
+			dst = append(dst, d.word)
 		}
 	}
-	return words, true
+	return dst, true
 }

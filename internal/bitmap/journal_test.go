@@ -54,7 +54,7 @@ func TestWordDeltaRoundTrip(t *testing.T) {
 	mutate(100, 130, true) // spans three words
 	mutate(1000, 20, false)
 
-	words, ok := j.WordsSince(base)
+	words, ok := j.AppendWordsSince(nil, base)
 	if !ok {
 		t.Fatal("journal truncated unexpectedly")
 	}
@@ -71,7 +71,7 @@ func TestJournalVersioningAndOrder(t *testing.T) {
 	if j.Version() != 0 {
 		t.Fatalf("fresh journal version = %d", j.Version())
 	}
-	if words, ok := j.WordsSince(0); !ok || len(words) != 0 {
+	if words, ok := j.AppendWordsSince(nil, 0); !ok || len(words) != 0 {
 		t.Fatalf("pristine journal: words=%v ok=%v", words, ok)
 	}
 	j.NoteBits(200, 1) // word 3
@@ -80,23 +80,23 @@ func TestJournalVersioningAndOrder(t *testing.T) {
 	if j.Version() != 3 {
 		t.Fatalf("version = %d after 3 mutations", j.Version())
 	}
-	words, ok := j.WordsSince(0)
+	words, ok := j.AppendWordsSince(nil, 0)
 	if !ok || len(words) != 3 || words[0] != 0 || words[1] != 1 || words[2] != 3 {
-		t.Fatalf("WordsSince(0) = %v ok=%v, want sorted [0 1 3]", words, ok)
+		t.Fatalf("AppendWordsSince(nil, 0) = %v ok=%v, want sorted [0 1 3]", words, ok)
 	}
 	// Mid-stream query sees only the later mutations.
-	words, ok = j.WordsSince(1)
+	words, ok = j.AppendWordsSince(nil, 1)
 	if !ok || len(words) != 2 || words[0] != 0 || words[1] != 1 {
-		t.Fatalf("WordsSince(1) = %v ok=%v", words, ok)
+		t.Fatalf("AppendWordsSince(nil, 1) = %v ok=%v", words, ok)
 	}
 	// A re-dirtied word reports its latest version.
 	j.NoteBits(200, 1)
-	words, ok = j.WordsSince(3)
+	words, ok = j.AppendWordsSince(nil, 3)
 	if !ok || len(words) != 1 || words[0] != 3 {
-		t.Fatalf("WordsSince(3) = %v ok=%v", words, ok)
+		t.Fatalf("AppendWordsSince(nil, 3) = %v ok=%v", words, ok)
 	}
 	// The future is unanswerable.
-	if _, ok := j.WordsSince(j.Version() + 1); ok {
+	if _, ok := j.AppendWordsSince(nil, j.Version()+1); ok {
 		t.Fatal("journal answered a future version")
 	}
 	// Zero-length mutations change nothing.
@@ -113,15 +113,15 @@ func TestJournalTruncation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		j.NoteBits(i*wordBits, 1) // 5 distinct words overflow cap 4
 	}
-	if _, ok := j.WordsSince(base); ok {
+	if _, ok := j.AppendWordsSince(nil, base); ok {
 		t.Fatal("truncated journal still answered a pre-truncation version")
 	}
 	// After truncation the journal resyncs from the current version.
 	now := j.Version()
 	j.NoteBits(0, 1)
-	words, ok := j.WordsSince(now)
+	words, ok := j.AppendWordsSince(nil, now)
 	if !ok || len(words) != 1 || words[0] != 0 {
-		t.Fatalf("post-truncation WordsSince = %v ok=%v", words, ok)
+		t.Fatalf("post-truncation AppendWordsSince = %v ok=%v", words, ok)
 	}
 }
 
@@ -167,7 +167,7 @@ func (r *refJournal) wordsSince(since uint64) ([]int, bool) {
 }
 
 // FuzzJournal runs a fuzzer-chosen tape of NoteBits, Truncate,
-// RestoreVersion and WordsSince against refJournal, with a small
+// RestoreVersion and AppendWordsSince against refJournal, with a small
 // capacity so mutations spanning several words overflow it midway. After
 // every op the version and the answer to every query version (from 0 to
 // one past the current version) must agree.
@@ -210,10 +210,16 @@ func FuzzJournal(f *testing.F) {
 				t.Fatalf("op %d: version %d, reference %d", i, j.Version(), ref.version)
 			}
 			for since := uint64(0); since <= ref.version+1; since++ {
-				got, ok := j.WordsSince(since)
+				got, ok := j.AppendWordsSince(nil, since)
 				want, wantOK := ref.wordsSince(since)
 				if ok != wantOK || !slices.Equal(got, want) {
-					t.Fatalf("op %d: WordsSince(%d) = %v %v, reference %v %v", i, since, got, ok, want, wantOK)
+					t.Fatalf("op %d: AppendWordsSince(nil, %d) = %v %v, reference %v %v", i, since, got, ok, want, wantOK)
+				}
+				// Appending into a non-empty dst keeps its prefix.
+				prefix := []int{-1, -2}
+				got, ok = j.AppendWordsSince(prefix, since)
+				if ok != wantOK || !slices.Equal(got[:len(prefix)], []int{-1, -2}) || !slices.Equal(got[len(prefix):], want) {
+					t.Fatalf("op %d: AppendWordsSince(%v, %d) = %v %v, reference %v %v", i, prefix, since, got, ok, want, wantOK)
 				}
 			}
 		}
@@ -235,9 +241,12 @@ func BenchmarkJournalWordsSince(b *testing.B) {
 	for w := 0; w < 64; w++ {
 		j.NoteBits(w*wordBits, 1)
 	}
+	// The delta server's form: appending into a reused scratch slice.
+	var words []int
 	for b.Loop() {
-		if words, ok := j.WordsSince(0); !ok || len(words) != 64 {
-			b.Fatalf("WordsSince = %d words, ok=%v", len(words), ok)
+		var ok bool
+		if words, ok = j.AppendWordsSince(words[:0], 0); !ok || len(words) != 64 {
+			b.Fatalf("AppendWordsSince = %d words, ok=%v", len(words), ok)
 		}
 	}
 	reportPerWord(b, 64)

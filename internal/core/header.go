@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/layout"
@@ -71,13 +72,11 @@ func ReadSlotHeader(sp *vmem.Space, base Addr) (SlotHeader, error) {
 // readSlotHeader loads and validates the header at base.
 func readSlotHeader(sp *vmem.Space, base Addr) (SlotHeader, error) {
 	var h SlotHeader
-	buf, err := sp.ReadBytes(base, SlotHeaderSize)
-	if err != nil {
+	var buf [SlotHeaderSize]byte
+	if err := sp.Read(base, buf[:]); err != nil {
 		return h, err
 	}
-	w := func(off int) uint32 {
-		return uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
-	}
+	w := func(off int) uint32 { return binary.LittleEndian.Uint32(buf[off:]) }
 	if w(hdrMagic) != SlotMagic {
 		return h, fmt.Errorf("core: bad slot magic %#x at %#08x", w(hdrMagic), base)
 	}
@@ -97,13 +96,8 @@ func (h *SlotHeader) Write(sp *vmem.Space) error { return h.write(sp) }
 
 // write stores the header back to simulated memory.
 func (h *SlotHeader) write(sp *vmem.Space) error {
-	buf := make([]byte, SlotHeaderSize)
-	put := func(off int, v uint32) {
-		buf[off] = byte(v)
-		buf[off+1] = byte(v >> 8)
-		buf[off+2] = byte(v >> 16)
-		buf[off+3] = byte(v >> 24)
-	}
+	var buf [SlotHeaderSize]byte
+	put := func(off int, v uint32) { binary.LittleEndian.PutUint32(buf[off:], v) }
 	put(hdrMagic, SlotMagic)
 	put(hdrPrev, h.Prev)
 	put(hdrNext, h.Next)
@@ -111,7 +105,7 @@ func (h *SlotHeader) write(sp *vmem.Space) error {
 	put(hdrKind, uint32(h.Kind))
 	put(hdrFreeHead, h.FreeHead)
 	put(hdrUsed, h.Used)
-	return sp.Write(h.Base, buf)
+	return sp.Write(h.Base, buf[:])
 }
 
 // Block header layout. Every block (free or live) starts with a 16-byte
@@ -150,13 +144,11 @@ func (b *blockHeader) payload() Addr { return b.addr + BlockHeaderSize }
 
 func readBlock(sp *vmem.Space, addr Addr) (blockHeader, error) {
 	var b blockHeader
-	buf, err := sp.ReadBytes(addr, BlockHeaderSize)
-	if err != nil {
+	var buf [BlockHeaderSize]byte
+	if err := sp.Read(addr, buf[:]); err != nil {
 		return b, err
 	}
-	w := func(off int) uint32 {
-		return uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
-	}
+	w := func(off int) uint32 { return binary.LittleEndian.Uint32(buf[off:]) }
 	b.addr = addr
 	b.size = w(blkSize)
 	b.flags = w(blkFlags)
@@ -166,18 +158,13 @@ func readBlock(sp *vmem.Space, addr Addr) (blockHeader, error) {
 }
 
 func (b *blockHeader) write(sp *vmem.Space) error {
-	buf := make([]byte, BlockHeaderSize)
-	put := func(off int, v uint32) {
-		buf[off] = byte(v)
-		buf[off+1] = byte(v >> 8)
-		buf[off+2] = byte(v >> 16)
-		buf[off+3] = byte(v >> 24)
-	}
+	var buf [BlockHeaderSize]byte
+	put := func(off int, v uint32) { binary.LittleEndian.PutUint32(buf[off:], v) }
 	put(blkSize, b.size)
 	put(blkFlags, b.flags)
 	put(blkPrevFree, b.prevFree)
 	put(blkNextFree, b.nextFree)
-	return sp.Write(b.addr, buf)
+	return sp.Write(b.addr, buf[:])
 }
 
 // writeFooter stores the free block's size in its last word.

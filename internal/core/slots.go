@@ -397,24 +397,18 @@ func (ns *NodeSlots) SellIntersection(start, n int) ([][2]int, error) {
 // CanBuyRun reports whether BuyRun of [start,start+n) would succeed: no
 // slot in the run is already owned by this node.
 func (ns *NodeSlots) CanBuyRun(start, n int) bool {
-	return !ns.bm.Intersects(runMask(start, n))
+	return !ns.bm.AnyInRun(start, n)
 }
 
 // BuyRun marks [start,start+n) as owned+free after purchasing the slots
 // from other nodes.
 func (ns *NodeSlots) BuyRun(start, n int) error {
-	if ns.bm.Intersects(runMask(start, n)) {
+	if ns.bm.AnyInRun(start, n) {
 		return fmt.Errorf("core: BuyRun [%d,%d): overlap with owned slots", start, start+n)
 	}
 	ns.bm.SetRun(start, n)
 	ns.changed(start, n)
 	return nil
-}
-
-func runMask(start, n int) *bitmap.Bitmap {
-	m := bitmap.New(layout.SlotCount)
-	m.SetRun(start, n)
-	return m
 }
 
 // SurrenderAll hands every owned free slot to a defragmentation

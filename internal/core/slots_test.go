@@ -240,6 +240,53 @@ func TestBuyRunRejectsOverlap(t *testing.T) {
 	}
 }
 
+// buyRunFixture is node 0 of 128 round-robin nodes: it owns slots 0
+// and 128, so the run [40,100) — which crosses a bitmap word boundary —
+// is all purchasable.
+func buyRunFixture() *NodeSlots {
+	return NewNodeSlots(vmem.NewSpace(), NopCharger{}, NodeConfig{
+		NodeID: 0, NumNodes: 128, Dist: RoundRobin{},
+	})
+}
+
+// TestBuyRunAllocations: CanBuyRun and BuyRun test the run word-wise
+// instead of building a run-sized mask, so a purchase allocates nothing
+// on the host.
+func TestBuyRunAllocations(t *testing.T) {
+	ns := buyRunFixture()
+	if !ns.CanBuyRun(40, 60) || ns.CanBuyRun(100, 30) {
+		t.Fatal("CanBuyRun disagrees with the round-robin ownership")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ns.CanBuyRun(40, 60) }); allocs != 0 {
+		t.Errorf("CanBuyRun: %.1f allocations per call, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ns.BuyRun(40, 60); err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.SellRun(40, 60); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("BuyRun+SellRun: %.1f allocations per pair, want 0", allocs)
+	}
+}
+
+// BenchmarkBuyRun measures one purchase of a 60-slot run crossing a
+// word boundary, paired with the sale that undoes it.
+func BenchmarkBuyRun(b *testing.B) {
+	ns := buyRunFixture()
+	for b.Loop() {
+		if err := ns.BuyRun(40, 60); err != nil {
+			b.Fatal(err)
+		}
+		if err := ns.SellRun(40, 60); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestSellRunEvictsCachedMapping(t *testing.T) {
 	a := newSlots(t, 0, 1, RoundRobin{}, 4)
 	idx, _ := a.AcquireOne()

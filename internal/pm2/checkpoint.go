@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -409,17 +410,22 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		return nil, fmt.Errorf("pm2: checkpoint carries %d node states for %d nodes", len(ck.NodeStates), len(c.nodes))
 	}
 
+	// A sealed checkpoint can still carry images no runtime produced:
+	// the digest guards against accidental corruption, not against a
+	// crafted or re-sealed file. Validate everything before the first
+	// mutation, so a bad image is an error instead of a panic halfway
+	// through installing it.
+	bms, err := checkRestoreImages(ck)
+	if err != nil {
+		return nil, err
+	}
 	c.eng.RestoreClock(ck.Now, ck.Seq, ck.Step)
 	c.stats = cloneStats(ck.Stats)
 	c.log.Restore(ck.Trace)
 	for i, n := range c.nodes {
 		st := ck.NodeStates[i]
 		n.actor.RestoreBusy(st.Busy)
-		bm, err := bitmap.FromBytes(layout.SlotCount, st.Bitmap)
-		if err != nil {
-			return nil, fmt.Errorf("pm2: node %d checkpoint bitmap: %v", i, err)
-		}
-		if err := n.slots.RestoreBitmap(bm); err != nil {
+		if err := n.slots.RestoreBitmap(bms[i]); err != nil {
 			return nil, err
 		}
 		n.sched.RestoreStats(st.Created, st.Finished, st.Faulted, st.Dispatches, st.Instrs)
@@ -465,6 +471,92 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		}
 	}
 	return c, nil
+}
+
+// checkRestoreImages decodes every node bitmap of ck and checks every
+// thread image against what installGroups assumes, without touching any
+// state. A slot may back one thread group only, and never one that a
+// node bitmap lists as free.
+func checkRestoreImages(ck *Checkpoint) ([]*bitmap.Bitmap, error) {
+	bms := make([]*bitmap.Bitmap, len(ck.NodeStates))
+	claimed := bitmap.New(layout.SlotCount)
+	for i, st := range ck.NodeStates {
+		bm, err := bitmap.FromBytes(layout.SlotCount, st.Bitmap)
+		if err != nil {
+			return nil, fmt.Errorf("pm2: node %d checkpoint bitmap: %v", i, err)
+		}
+		bms[i] = bm
+		claimed.Or(bm)
+	}
+	for i, st := range ck.NodeStates {
+		for _, th := range st.Threads {
+			if err := checkThreadImage(th.Image, claimed); err != nil {
+				return nil, fmt.Errorf("pm2: node %d image of thread %#x: %v", i, th.TID, err)
+			}
+		}
+	}
+	return bms, nil
+}
+
+var errImageTruncated = errors.New("image truncated")
+
+// checkThreadImage validates one packThreadImage record: the pack mode,
+// a bounded group count, slot-aligned groups inside the iso-address
+// area whose slots nothing else claims (they are marked in claimed),
+// valid slot kinds, spans inside their group, and no bytes past the
+// last group.
+func checkThreadImage(img []byte, claimed *bitmap.Bitmap) error {
+	in := madeleine.FromBytes(img)
+	in.U32() // descriptor: Thaw validates it after the install
+	in.U64() // migration start stamp
+	mode := PackMode(in.U32())
+	nGroups := int(in.U32())
+	switch {
+	case in.Err() != nil:
+		return errImageTruncated
+	case mode != PackUsed && mode != PackWhole:
+		return fmt.Errorf("bad pack mode %d", mode)
+	case nGroups > layout.SlotCount:
+		return fmt.Errorf("%d slot groups", nGroups)
+	}
+	for g := 0; g < nGroups; g++ {
+		base := Addr(in.U32())
+		nSlots := int(in.U32())
+		kind := core.SlotKind(in.U32())
+		nSpans := int(in.U32())
+		if in.Err() != nil {
+			return errImageTruncated
+		}
+		if !layout.InIsoArea(base) || !layout.SlotAligned(base) {
+			return fmt.Errorf("group base %#08x is not a slot in the iso-address area", base)
+		}
+		first := layout.SlotIndex(base)
+		if nSlots == 0 || first+nSlots > layout.SlotCount {
+			return fmt.Errorf("group at %#08x spans %d slots", base, nSlots)
+		}
+		if claimed.AnyInRun(first, nSlots) {
+			return fmt.Errorf("group at %#08x claims a slot that is free or already claimed", base)
+		}
+		claimed.SetRun(first, nSlots)
+		if kind != core.KindStack && kind != core.KindData {
+			return fmt.Errorf("group at %#08x has bad slot kind %d", base, kind)
+		}
+		size := nSlots * layout.SlotSize
+		for sp := 0; sp < nSpans; sp++ {
+			off := in.U32()
+			data := in.BytesSection()
+			if in.Err() != nil {
+				return errImageTruncated
+			}
+			if int(off)+len(data) > size {
+				return fmt.Errorf("span [%d,+%d) outside the %d-byte group at %#08x", off, len(data), size, base)
+			}
+		}
+	}
+	if in.Remaining() != 0 {
+		return fmt.Errorf("%d trailing bytes", in.Remaining())
+	}
+	return nil
 }
 
 // cloneStats deep-copies a Stats value so neither side aliases the

@@ -66,6 +66,25 @@ type deltaPeerView struct {
 	bm      *bitmap.Bitmap
 }
 
+// deltaPeerCall is the initiator's per-peer half of a delta round: what
+// the request asks for, fixed when the round starts (a retried attempt
+// re-sends the same request), and the request and reply callbacks,
+// bound once so a round allocates no closures.
+type deltaPeerCall struct {
+	known   bool
+	version uint64
+	build   func(*madeleine.Buffer)
+	reply   func(*madeleine.Buffer)
+}
+
+// deltaRound is the initiator's in-flight delta gather. A node runs one
+// negotiation round at a time, so one record per node carries it.
+type deltaRound struct {
+	k, round    int
+	done        func(bool)
+	outstanding int
+}
+
 // gatherDelta runs one incremental gather round: every peer is asked
 // for its bitmap changes since the cached version, the replies patch the
 // cached views and global OR, and the purchase is planned on the result.
@@ -73,6 +92,12 @@ func (n *Node) gatherDelta(k, round int, done func(bool)) {
 	if n.deltaPeers == nil {
 		n.deltaPeers = make([]deltaPeerView, n.c.Nodes())
 		n.deltaOr = bitmap.New(layout.SlotCount)
+	}
+	if n.deltaCalls == nil {
+		n.bindDeltaCalls()
+	}
+	if n.deltaRound.done != nil {
+		panic(fmt.Sprintf("pm2: node %d started a delta round with one in flight", n.id))
 	}
 	outstanding := 0
 	for i := 0; i < n.c.Nodes(); i++ {
@@ -84,33 +109,51 @@ func (n *Node) gatherDelta(k, round int, done func(bool)) {
 		n.planAndBuyDelta(k, round, done)
 		return
 	}
-	for i := 0; i < n.c.Nodes(); i++ {
-		if i == n.id || !n.c.nodeAlive(i) {
+	n.deltaRound = deltaRound{k: k, round: round, done: done, outstanding: outstanding}
+	for p := 0; p < n.c.Nodes(); p++ {
+		if p == n.id || !n.c.nodeAlive(p) {
 			continue
 		}
-		p := i
-		known, version := n.deltaPeers[p].known, n.deltaPeers[p].version
-		n.gatherCall(p, chBitmapDelta, func(b *madeleine.Buffer) {
+		call := &n.deltaCalls[p]
+		call.known, call.version = n.deltaPeers[p].known, n.deltaPeers[p].version
+		// A peer whose retries run out just retires: the round plans on
+		// its cached view as-is. If the peer's bitmap moved meanwhile,
+		// any purchase planned on the stale view is declined and
+		// retried as usual.
+		n.gatherCall(p, chBitmapDelta, call.build, call.reply, n.deltaPeerDoneFn)
+	}
+}
+
+// bindDeltaCalls binds the per-peer request and reply callbacks of the
+// delta round once per node.
+func (n *Node) bindDeltaCalls() {
+	n.deltaCalls = make([]deltaPeerCall, n.c.Nodes())
+	n.deltaPeerDoneFn = n.deltaPeerDone
+	for p := range n.deltaCalls {
+		call := &n.deltaCalls[p]
+		call.build = func(b *madeleine.Buffer) {
 			flag := uint32(0)
-			if known {
+			if call.known {
 				flag = 1
 			}
-			b.PackU32(flag).PackU64(version)
-		}, func(reply *madeleine.Buffer) {
+			b.PackU32(flag).PackU64(call.version)
+		}
+		call.reply = func(reply *madeleine.Buffer) {
 			n.applyDeltaReply(p, reply)
-			outstanding--
-			if outstanding == 0 {
-				n.planAndBuyDelta(k, round, done)
-			}
-		}, func() {
-			// Retries exhausted: plan on the cached view as-is. If the
-			// peer's bitmap moved meanwhile, any purchase planned on the
-			// stale view is declined and retried as usual.
-			outstanding--
-			if outstanding == 0 {
-				n.planAndBuyDelta(k, round, done)
-			}
-		})
+			n.deltaPeerDone()
+		}
+	}
+}
+
+// deltaPeerDone retires one peer of the in-flight round and plans the
+// purchase once every peer answered or ran out of retries.
+func (n *Node) deltaPeerDone() {
+	r := &n.deltaRound
+	r.outstanding--
+	if r.outstanding == 0 {
+		k, round, done := r.k, r.round, r.done
+		*r = deltaRound{}
+		n.planAndBuyDelta(k, round, done)
 	}
 }
 
@@ -137,8 +180,7 @@ func (n *Node) applyDeltaReply(p int, reply *madeleine.Buffer) {
 			if w < 0 || w >= view.bm.Words() {
 				panic(fmt.Sprintf("pm2: delta word %d from node %d out of range", w, p))
 			}
-			view.bm.SetWord(w, v)
-			n.patchGlobalWord(w)
+			n.patchViewWord(view.bm, w, v)
 		}
 		n.mergeCharge(count * deltaWordWireBytes)
 	case deltaReplyFull:
@@ -163,6 +205,24 @@ func (n *Node) applyDeltaReply(p int, reply *madeleine.Buffer) {
 	view.version = ver
 	if n.deltaReplyHook != nil {
 		n.deltaReplyHook(p, status)
+	}
+}
+
+// patchViewWord stores a delta word into a cached view and patches the
+// cached global OR at the cost of what changed: an unchanged word costs
+// nothing, a word that only gained bits is ORed in directly, and only a
+// word that lost bits is recomputed across every view — another, stale
+// view may still hold a cleared bit, so clearing it outright could drop
+// a slot the global view must still show.
+func (n *Node) patchViewWord(bm *bitmap.Bitmap, w int, v uint64) {
+	prev := bm.Word(w)
+	bm.SetWord(w, v)
+	switch {
+	case v == prev:
+	case prev&^v == 0:
+		n.deltaOr.SetWord(w, n.deltaOr.Word(w)|v)
+	default:
+		n.patchGlobalWord(w)
 	}
 }
 
@@ -206,16 +266,22 @@ func (n *Node) forgetDeltaPeer(p int) {
 func (n *Node) planAndBuyDelta(k, round int, done func(bool)) {
 	// First-fit search over the global map (step 2d).
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
-	own := n.slots.Bitmap().Clone()
-	global := n.deltaOr.Clone()
-	global.Or(own)
-	maps := make([]*bitmap.Bitmap, n.c.Nodes())
-	maps[n.id] = own
-	for p := range n.deltaPeers {
-		if p != n.id {
-			maps[p] = n.deltaPeers[p].bm
-		}
+	// The plan reads the live own bitmap and one scratch global map:
+	// planOn only reads its inputs and returns before anything mutates
+	// them, and the scratch is this node's lane-affine state.
+	own := n.slots.Bitmap()
+	if n.deltaPlan == nil {
+		n.deltaPlan = bitmap.New(layout.SlotCount)
+		n.deltaMaps = make([]*bitmap.Bitmap, n.c.Nodes())
 	}
+	global := n.deltaPlan
+	global.CopyFrom(n.deltaOr)
+	global.Or(own)
+	maps := n.deltaMaps
+	for p := range n.deltaPeers {
+		maps[p] = n.deltaPeers[p].bm
+	}
+	maps[n.id] = own
 	plan, ok := n.planOn(global, maps, k)
 	if !ok {
 		done(false)
@@ -244,7 +310,11 @@ func (n *Node) onBitmapDeltaCall(src int, req *madeleine.Call) {
 	}
 	ver := n.journal.Version()
 	if known == 1 {
-		if words, ok := n.journal.WordsSince(since); ok {
+		// The reply is packed synchronously inside req.Reply, so the
+		// word list can live in node scratch.
+		words, ok := n.journal.AppendWordsSince(n.deltaWords[:0], since)
+		n.deltaWords = words
+		if ok {
 			if len(words) == 0 {
 				req.Reply(func(b *madeleine.Buffer) {
 					b.PackU32(deltaReplyUnchanged).PackU64(ver)

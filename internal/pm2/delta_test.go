@@ -1,10 +1,12 @@
 package pm2
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bitmap"
 	"repro/internal/layout"
+	"repro/internal/madeleine"
 	"repro/internal/progs"
 	"repro/internal/simtime"
 )
@@ -138,7 +140,7 @@ func overflowJournal(t *testing.T, c *Cluster) {
 	if !done {
 		t.Fatal("journal overflow setup never ran")
 	}
-	if _, ok := n1.journal.WordsSince(0); ok {
+	if _, ok := n1.journal.AppendWordsSince(nil, 0); ok {
 		t.Fatal("journal did not truncate under overflow")
 	}
 }
@@ -297,4 +299,128 @@ func TestDeltaGatherSeesDefragInstalls(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// deltaWordsReply builds a chBitmapDelta word-delta reply carrying the
+// given (word index, value) pairs, as onBitmapDeltaCall packs it.
+func deltaWordsReply(ver uint64, words ...[2]uint64) []byte {
+	b := madeleine.NewBuffer().PackU32(deltaReplyWords).PackU64(ver).PackU32(uint32(len(words)))
+	for _, w := range words {
+		b.PackU32(uint32(w[0])).PackU64(w[1])
+	}
+	return b.Bytes()
+}
+
+// TestApplyDeltaReplyPatchesExactly drives applyDeltaReply with the
+// four kinds of delta word the additive patch tells apart, and after
+// each one compares the cached global OR with the OR of the views
+// computed from scratch:
+//   - a word that only adds bits (ORed in directly);
+//   - a word that clears a bit only this view held (the bit must go);
+//   - a word that clears a bit another, stale view still holds (the bit
+//     must stay);
+//   - an unchanged word (nothing to patch).
+func TestApplyDeltaReplyPatchesExactly(t *testing.T) {
+	c := New(Config{Nodes: 4, Gather: GatherDelta}, progs.NewImage())
+	if !negotiateSync(t, c, 0, 3) {
+		t.Fatal("warm-up negotiation failed")
+	}
+	// Word 100 holds slots 6400..6463; under the 4-node round robin,
+	// node 1 owns free slots 6401, 6405, ... and node 2 owns 6402, ...
+	const w = 100
+	bit := func(slot int) uint64 { return 1 << uint(slot-w*64) }
+	c.At(0, func(n *Node) {
+		view1, view2 := n.deltaPeers[1].bm, n.deltaPeers[2].bm
+		if view1.Word(w) == 0 || view2.Word(w) == 0 || view1.Word(w)&view2.Word(w) != 0 {
+			t.Fatalf("views 1 and 2 do not own disjoint slots in word %d", w)
+		}
+		steps := []struct {
+			name    string
+			peer    int
+			value   uint64
+			slot    int
+			wantSet bool
+		}{
+			// View 2 goes stale: it gains slot 6401, which view 1 holds.
+			{"add-only", 2, view2.Word(w) | bit(6401), 6401, true},
+			// View 1 drops slot 6405, which no other view holds.
+			{"clear sole holder", 1, view1.Word(w) &^ bit(6405), 6405, false},
+			// View 1 drops slot 6401; stale view 2 still holds it.
+			{"clear shared bit", 1, view1.Word(w) &^ bit(6405) &^ bit(6401), 6401, true},
+			{"unchanged", 2, view2.Word(w) | bit(6401), 6401, true},
+		}
+		for i, st := range steps {
+			n.applyDeltaReply(st.peer, madeleine.FromBytes(deltaWordsReply(uint64(100+i), [2]uint64{w, st.value})))
+			if got := n.deltaPeers[st.peer].bm.Word(w); got != st.value {
+				t.Errorf("%s: view %d word = %#x, want %#x", st.name, st.peer, got, st.value)
+			}
+			if got := n.deltaOr.Test(st.slot); got != st.wantSet {
+				t.Errorf("%s: global OR has slot %d = %v, want %v", st.name, st.slot, got, st.wantSet)
+			}
+			checkDeltaOrCoherent(t, n)
+		}
+	})
+	c.Run(0)
+}
+
+// TestWarmDeltaNegotiationHostBytes gates the host memory a warm
+// delta-gather negotiation allocates on a 16-node cluster. A warm round
+// allocates little beyond its wire messages: the plan runs on node
+// scratch, purchases test runs word-wise, headers are coded on the stack
+// and the round's callbacks are bound once. Measured: 7,967 bytes
+// (26,573 before the plan scratch, word-wise run checks and bound
+// callbacks); the ceiling is 1.5× that.
+func TestWarmDeltaNegotiationHostBytes(t *testing.T) {
+	c := New(Config{Nodes: 16, Gather: GatherDelta}, progs.NewImage())
+	// The first negotiation is first contact: full maps become views.
+	if !negotiateSync(t, c, 0, 3) {
+		t.Fatal("cold negotiation failed")
+	}
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if !negotiateSync(t, c, 0, 3) {
+			t.Fatalf("warm negotiation %d failed", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("%d host bytes per warm 16-node delta negotiation", per)
+	const ceiling = 12 << 10
+	if per > ceiling {
+		t.Fatalf("a warm 16-node delta negotiation allocates %d host bytes, ceiling %d", per, ceiling)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkApplyDelta measures folding one typical word-delta reply —
+// two words — into a cached view and the global OR. The replies
+// alternate between clearing one bit in each word (recomputed across
+// the views) and setting it back (ORed in directly), as sales and
+// purchases alternate in a negotiating cluster.
+func BenchmarkApplyDelta(b *testing.B) {
+	c := New(Config{Nodes: 64, Gather: GatherDelta}, progs.NewImage())
+	ok := false
+	c.At(0, func(n *Node) { n.negotiate(3, func(got bool) { ok = got }) })
+	c.Run(0)
+	if !ok {
+		b.Fatal("warm-up negotiation failed")
+	}
+	c.At(0, func(n *Node) {
+		view := n.deltaPeers[1].bm
+		w1, w2 := 100, 101
+		v1, v2 := view.Word(w1), view.Word(w2)
+		low := func(v uint64) uint64 { return v & -v }
+		replies := [2][]byte{
+			deltaWordsReply(1, [2]uint64{uint64(w1), v1 &^ low(v1)}, [2]uint64{uint64(w2), v2 &^ low(v2)}),
+			deltaWordsReply(2, [2]uint64{uint64(w1), v1}, [2]uint64{uint64(w2), v2}),
+		}
+		for i := 0; b.Loop(); i++ {
+			n.applyDeltaReply(1, madeleine.FromBytes(replies[i&1]))
+		}
+	})
+	c.Run(0)
 }

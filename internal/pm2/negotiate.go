@@ -260,7 +260,17 @@ func (n *Node) onGatherTreeCall(src int, req *madeleine.Call) {
 // Stats.GatherMergedBytes — the merge term the delta gather attacks.
 func (n *Node) mergeCharge(bytes int) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(bytes))
-	n.actor.Commit(func() { n.c.stats.GatherMergedBytes += uint64(bytes) })
+	n.mergedPending += uint64(bytes)
+	n.actor.Commit(n.commitMergedFn)
+}
+
+// commitMerged adds the merged bytes charged since the last commit to
+// Stats.GatherMergedBytes. Under the parallel kernel several merges of
+// one window queue a commit each; the first moves them all, the rest
+// add zero, so the total is exact in any commit order.
+func (n *Node) commitMerged() {
+	n.c.stats.GatherMergedBytes += n.mergedPending
+	n.mergedPending = 0
 }
 
 // unpackBitmap decodes a gathered bitmap reply.

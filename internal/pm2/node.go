@@ -94,6 +94,19 @@ type Node struct {
 	journal    *bitmap.Journal
 	deltaPeers []deltaPeerView
 	deltaOr    *bitmap.Bitmap
+	// Delta-gather scratch, reused every round so a warm round
+	// allocates only what crosses the wire (see planAndBuyDelta and
+	// onBitmapDeltaCall): the plan's global map, the per-node map
+	// slice handed to the planner, and the served journal words.
+	deltaPlan  *bitmap.Bitmap
+	deltaMaps  []*bitmap.Bitmap
+	deltaWords []int
+	// deltaCalls and deltaRound are the initiator's per-peer callbacks
+	// and in-flight round (see gatherDelta); deltaPeerDoneFn is
+	// n.deltaPeerDone, bound once.
+	deltaCalls      []deltaPeerCall
+	deltaRound      deltaRound
+	deltaPeerDoneFn func()
 
 	// buyHook, when non-nil, runs before onBuyCall processes a request;
 	// returning true declines the batch outright. Test-only seam for
@@ -121,6 +134,12 @@ type Node struct {
 	// pumpFn is n.pump, bound once so that kick posts a quantum without
 	// allocating a closure.
 	pumpFn func()
+
+	// mergedPending holds the merged bytes charged since the last
+	// commitMerged; commitMergedFn is n.commitMerged, bound once so a
+	// merge charge commits without allocating a closure.
+	mergedPending  uint64
+	commitMergedFn func()
 }
 
 func newNode(c *Cluster, id int) *Node {
@@ -132,6 +151,7 @@ func newNode(c *Cluster, id int) *Node {
 		regPtrs: make(map[uint32]map[uint32]Addr),
 	}
 	n.pumpFn = n.pump
+	n.commitMergedFn = n.commitMerged
 	n.ep = madeleine.Attach(c.nw, id, n.actor)
 	n.ep.SetPool(c.bufPool)
 	n.slots = core.NewNodeSlots(n.space, n.actor, core.NodeConfig{

@@ -261,6 +261,58 @@ func TestRestoreRejectsUnknownConfig(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsTruncatedThreadImage: a thread image cut short and
+// re-sealed with Encode passes the digest check, so the restore itself
+// must refuse it — with an error, never a panic while installing it. An
+// image with bytes past its last group is refused the same way.
+func TestRestoreRejectsTruncatedThreadImage(t *testing.T) {
+	sys := NewSystem()
+	sys.RegisterExamples()
+	cl := sys.Boot(Config{Nodes: 2})
+	cl.Spawn(0, "p4", 1000)
+	cl.RunForMicros(500)
+	data, err := cl.CheckpointBytes()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	edits := []struct {
+		name string
+		edit func([]byte) []byte
+		want string
+	}{
+		{"cut 1", func(img []byte) []byte { return img[:len(img)-1] }, "image truncated"},
+		{"cut 8", func(img []byte) []byte { return img[:len(img)-8] }, "image truncated"},
+		{"cut 20", func(img []byte) []byte { return img[:len(img)-20] }, "image truncated"},
+		{"trailing", func(img []byte) []byte { return append(img, 0, 0, 0, 0) }, "trailing bytes"},
+	}
+	for _, tc := range edits {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := ipm2.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := false
+			for i := range ck.NodeStates {
+				if th := ck.NodeStates[i].Threads; len(th) > 0 {
+					th[0].Image = tc.edit(append([]byte(nil), th[0].Image...))
+					edited = true
+					break
+				}
+			}
+			if !edited {
+				t.Fatal("the checkpoint holds no thread image")
+			}
+			sealed := ck.Encode()
+			if _, err := ipm2.DecodeCheckpoint(sealed); err != nil {
+				t.Fatalf("re-sealed checkpoint does not decode: %v", err)
+			}
+			if _, err := sys.Restore(sealed); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestFaultConfig pins the public fault surface: a crash plan through
 // Config.Faults plus an attached balancer detects the death, evacuates
 // the victim's thread and reclaims its slots, all visible in Stats.
