@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitmap"
@@ -437,7 +438,7 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		n.ep.NIC().RestoreSentCounters(st.Sent, st.SentBytes, st.Dropped)
 
 		d := n
-		var thawErr error
+		var restoreErr error
 		d.actor.Mute(func() {
 			for _, th := range st.Threads {
 				inner := madeleine.FromBytes(th.Image)
@@ -445,20 +446,23 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 				_ = inner.U64() // migration start stamp, unused here
 				mode := PackMode(inner.U32())
 				nGroups := int(inner.U32())
-				d.installGroups(inner, mode, nGroups, false)
+				if _, err := d.installGroups(inner, mode, nGroups, false); err != nil {
+					restoreErr = fmt.Errorf("pm2: restoring thread %#x on node %d: %v", th.TID, i, err)
+					return
+				}
 				t, err := d.sched.Thaw(desc)
 				if err != nil {
-					thawErr = fmt.Errorf("pm2: restoring thread %#x on node %d: %v", th.TID, i, err)
+					restoreErr = fmt.Errorf("pm2: restoring thread %#x on node %d: %v", th.TID, i, err)
 					return
 				}
 				if t.TID != th.TID {
-					thawErr = fmt.Errorf("pm2: node %d image for thread %#x thawed as %#x", i, th.TID, t.TID)
+					restoreErr = fmt.Errorf("pm2: node %d image for thread %#x thawed as %#x", i, th.TID, t.TID)
 					return
 				}
 			}
 		})
-		if thawErr != nil {
-			return nil, thawErr
+		if restoreErr != nil {
+			return nil, restoreErr
 		}
 		n.kick()
 	}
@@ -686,6 +690,21 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		return nil
 	}
+	// field returns the rest of the next line after prefix. The node
+	// bitmap and thread image lines carry kilobytes to megabytes of hex,
+	// which they take whole: fmt.Sscanf would spend most of a decode
+	// scanning them, and would ignore trailing text.
+	field := func(prefix string) (string, error) {
+		line, err := next()
+		if err != nil {
+			return "", err
+		}
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok || rest == "" {
+			return "", fmt.Errorf("pm2: checkpoint line %d: want %q, got %.64q", pos, prefix+"...", line)
+		}
+		return rest, nil
+	}
 
 	v2 := false
 	if line, err := next(); err != nil {
@@ -744,8 +763,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("pm2: checkpoint node records out of order: want %d, got %d", i, rank)
 		}
 		st.Busy = simtime.Time(busy)
-		var bmHex string
-		if err := expect("bitmap %s", &bmHex); err != nil {
+		bmHex, err := field("bitmap ")
+		if err != nil {
 			return nil, err
 		}
 		if st.Bitmap, err = hex.DecodeString(bmHex); err != nil {
@@ -770,13 +789,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			return nil, err
 		}
 		for k := 0; k < nThreads; k++ {
-			var (
-				th     CheckpointThread
-				imgHex string
-			)
-			if err := expect("thread tid=%d image=%s", &th.TID, &imgHex); err != nil {
+			var th CheckpointThread
+			rest, err := field("thread tid=")
+			if err != nil {
 				return nil, err
 			}
+			tidText, imgHex, ok := strings.Cut(rest, " image=")
+			tid, perr := strconv.ParseUint(tidText, 10, 32)
+			if !ok || perr != nil || imgHex == "" {
+				return nil, fmt.Errorf("pm2: checkpoint line %d: want \"thread tid=<tid> image=<hex>\", got %.64q", pos, lines[pos-1])
+			}
+			th.TID = uint32(tid)
 			if th.Image, err = hex.DecodeString(imgHex); err != nil {
 				return nil, fmt.Errorf("pm2: checkpoint thread %#x image: %v", th.TID, err)
 			}

@@ -1,6 +1,8 @@
 package pm2
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -187,6 +189,61 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte("pm2ckpt v9\ndigest 0000000000000000\n")); err == nil {
 		t.Fatal("foreign version accepted")
+	}
+}
+
+// TestCheckpointDecodeRejectsBadHexLines: the node bitmap and thread
+// image lines are decoded without fmt.Sscanf, and must still refuse a
+// missing field, a bad hex digit, an odd hex length, trailing text and a
+// negative tid — each in an otherwise valid, correctly sealed image.
+func TestCheckpointDecodeRejectsBadHexLines(t *testing.T) {
+	data, _ := runCheckpointed(t, Config{Nodes: 2}, 2*simtime.Millisecond)
+	body := string(data[:bytes.LastIndex(data, []byte("\ndigest "))+1])
+	lines := strings.SplitAfter(body, "\n")
+	// line returns the index of the first line with prefix.
+	line := func(prefix string) int {
+		for i, l := range lines {
+			if strings.HasPrefix(l, prefix) {
+				return i
+			}
+		}
+		t.Fatalf("the checkpoint has no %q line", prefix)
+		return 0
+	}
+	bm, th := line("bitmap "), line("thread ")
+	tid, img, _ := strings.Cut(strings.TrimSuffix(lines[th], "\n"), " image=")
+	cases := []struct {
+		name string
+		at   int
+		text string
+		want string
+	}{
+		{"bitmap missing", bm, "bitmap", `want "bitmap ..."`},
+		{"bitmap empty", bm, "bitmap ", `want "bitmap ..."`},
+		{"bitmap bad digit", bm, "bitmap g" + lines[bm][len("bitmap x"):len(lines[bm])-1], "invalid byte"},
+		{"bitmap odd length", bm, lines[bm][:len(lines[bm])-2], "odd length"},
+		{"bitmap trailing token", bm, lines[bm][:len(lines[bm])-1] + " 00", "invalid byte"},
+		{"thread image missing", th, tid, `want "thread tid=<tid> image=<hex>"`},
+		{"thread tid missing", th, "thread image=" + img, `want "thread tid=..."`},
+		{"thread bad digit", th, tid + " image=" + img[:len(img)-1] + "z", "invalid byte"},
+		{"thread odd length", th, tid + " image=" + img[:len(img)-1], "odd length"},
+		{"thread trailing token", th, tid + " image=" + img + " extra", "invalid byte"},
+		{"thread negative tid", th, "thread tid=-1 image=" + img, `want "thread tid=<tid> image=<hex>"`},
+	}
+	seal := func(body string) []byte {
+		return fmt.Appendf([]byte(body), "digest %016x\n", fnvSum([]byte(body)))
+	}
+	if _, err := DecodeCheckpoint(seal(body)); err != nil {
+		t.Fatalf("resealed pristine checkpoint rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			edited := append([]string(nil), lines...)
+			edited[tc.at] = tc.text + "\n"
+			if _, err := DecodeCheckpoint(seal(strings.Join(edited, ""))); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

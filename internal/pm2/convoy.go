@@ -116,7 +116,11 @@ func (n *Node) onConvoyMsg(src int, msg *madeleine.Buffer) {
 		start := simtime.Time(inner.U64())
 		mode := PackMode(inner.U32())
 		nGroups := int(inner.U32())
-		installed += n.installGroups(inner, mode, nGroups, true)
+		got, err := n.installGroups(inner, mode, nGroups, true)
+		if err != nil {
+			panic(err)
+		}
+		installed += got
 		if inner.Err() != nil {
 			panic("pm2: corrupt convoy message")
 		}

@@ -396,7 +396,9 @@ func (n *Node) recoverConvoy(body []byte, declared simtime.Time, zeroCopy bool) 
 		_ = inner.U64() // pack-time stamp; latency is measured from declaration
 		mode := PackMode(inner.U32())
 		nGroups := int(inner.U32())
-		n.installGroups(inner, mode, nGroups, zeroCopy)
+		if _, err := n.installGroups(inner, mode, nGroups, zeroCopy); err != nil {
+			panic(err)
+		}
 		if inner.Err() != nil {
 			panic("pm2: corrupt evacuation convoy")
 		}

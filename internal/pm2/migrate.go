@@ -1,6 +1,7 @@
 package pm2
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -158,11 +159,18 @@ func freshPageBytes(touched map[Addr]bool, lo, hi Addr) int {
 	return fresh
 }
 
+// errCorruptMigration reports a thread record whose span list ends early.
+var errCorruptMigration = errors.New("pm2: corrupt migration message")
+
 // installGroups unpacks and installs nGroups slot groups of one thread
 // record from inner, charging copy (or DMA-setup) and first-touch costs,
-// and returns the payload bytes installed. Shared by the single-thread and
-// convoy receive paths.
-func (n *Node) installGroups(inner *madeleine.Buffer, mode PackMode, nGroups int, zeroCopy bool) int {
+// and returns the payload bytes installed. Shared by the single-thread,
+// convoy and evacuation receive paths, which panic on its error — a
+// runtime-built record never fails — and by the checkpoint restore,
+// which returns it: a re-sealed checkpoint can carry a group whose
+// contents no runtime produced. A failed install leaves the node half
+// built.
+func (n *Node) installGroups(inner *madeleine.Buffer, mode PackMode, nGroups int, zeroCopy bool) (int, error) {
 	model := n.c.cfg.Model
 	installed := 0
 	if n.touchScratch == nil {
@@ -178,7 +186,7 @@ func (n *Node) installGroups(inner *madeleine.Buffer, mode PackMode, nGroups int
 		// node (paper step 3) — at the same virtual addresses. The
 		// iso-address discipline guarantees this cannot collide.
 		if err := n.slots.Install(layout.SlotIndex(base), nSlots); err != nil {
-			panic(fmt.Sprintf("pm2: iso-address collision installing %#08x on node %d: %v", base, n.id, err))
+			return installed, fmt.Errorf("pm2: iso-address collision installing %#08x on node %d: %v", base, n.id, err)
 		}
 
 		// First-touch accounting is per page, not per span: the kernel
@@ -194,10 +202,10 @@ func (n *Node) installGroups(inner *madeleine.Buffer, mode PackMode, nGroups int
 			off := inner.U32()
 			data := inner.BytesSection()
 			if inner.Err() != nil {
-				panic("pm2: corrupt migration message")
+				return installed, errCorruptMigration
 			}
 			if err := n.space.Write(base+Addr(off), data); err != nil {
-				panic(err)
+				return installed, err
 			}
 			if zeroCopy {
 				n.actor.Charge(model.DmaSetup(1))
@@ -212,11 +220,11 @@ func (n *Node) installGroups(inner *madeleine.Buffer, mode PackMode, nGroups int
 		}
 		if mode == PackUsed && kind == core.KindData {
 			if err := core.RebuildFreeList(n.space, base, n.spanScratch); err != nil {
-				panic(err)
+				return installed, err
 			}
 		}
 	}
-	return installed
+	return installed, nil
 }
 
 // onMigrateMsg is the destination half.
@@ -228,9 +236,12 @@ func (n *Node) onMigrateMsg(src int, msg *madeleine.Buffer) {
 	mode := PackMode(inner.U32())
 	nGroups := int(inner.U32())
 
-	installed := n.installGroups(inner, mode, nGroups, false)
+	installed, err := n.installGroups(inner, mode, nGroups, false)
+	if err != nil {
+		panic(err)
+	}
 	if inner.Err() != nil {
-		panic("pm2: corrupt migration message")
+		panic(errCorruptMigration)
 	}
 
 	// Thread execution is resumed (paper step 3): thaw from memory only.

@@ -13,7 +13,7 @@ type tlbEntry struct {
 	pg  *page
 }
 
-// TLB is a direct-mapped software TLB in front of one Space's page map:
+// TLB is a direct-mapped software TLB in front of one Space's chunk map:
 // the Space owns one for its own accessors, and every resident thread
 // owns one for the interpreter. It holds only host-backed pages, never
 // an untouched one, so the first write to a page still allocates and
@@ -29,7 +29,7 @@ type TLB struct {
 	e   [tlbSize]tlbEntry
 	sp  *Space
 	gen uint64
-	// misses counts lookups in the page map, which each fill an entry
+	// misses counts lookups in the chunk map, which each fill an entry
 	// when the page is backed. Only the miss path touches it.
 	misses uint64
 }
@@ -62,7 +62,7 @@ func (t *TLB) Entries() int {
 }
 
 // Misses returns the number of accesses that missed t and looked the
-// page up in the page map.
+// page up in the chunk map.
 func (t *TLB) Misses() uint64 { return t.misses }
 
 // Word is the hit path of Load32: the word at addr if its page is in t
@@ -92,8 +92,10 @@ func (t *TLB) SetWord(addr Addr, v uint32) bool {
 	return true
 }
 
-// page returns the host page behind addr, from t or with one page-map
-// lookup that fills t, or nil if the page is unmapped or untouched.
+// page returns the host page behind addr, from t or with one chunk-map
+// lookup that fills t, or nil if the page is unmapped or untouched. An
+// unmapped page has a nil host page too, so the miss path needs no
+// look at the chunk's mapped bits.
 func (t *TLB) page(addr Addr) *page {
 	pi := pageIndex(addr)
 	e := &t.e[pi&(tlbSize-1)]
@@ -101,7 +103,11 @@ func (t *TLB) page(addr Addr) *page {
 		return e.pg
 	}
 	t.misses++
-	pg := t.sp.pages[pi]
+	c := t.sp.chunks[pi>>chunkShift]
+	if c == nil {
+		return nil
+	}
+	pg := c.pg[pi&(layout.PagesPerSlot-1)]
 	if pg != nil {
 		*e = tlbEntry{tag: pi + 1, pg: pg}
 	}

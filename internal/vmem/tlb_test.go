@@ -61,14 +61,22 @@ func TestMunmapInvalidatesTLB(t *testing.T) {
 	}
 }
 
-// refSpace is a byte-granular reference model of Space: a set of mapped
-// page indices and the bytes written into them.
+// refSpace is a per-page reference model of Space: a set of mapped page
+// indices and, for each mapped page written since it was mapped, its
+// bytes — so a page is in mem exactly when Space backs it.
 type refSpace struct {
 	mapped map[uint32]bool
-	mem    map[uint32]byte
+	mem    map[uint32]*page
+}
+
+func newRefSpace() *refSpace {
+	return &refSpace{mapped: map[uint32]bool{}, mem: map[uint32]*page{}}
 }
 
 func (r *refSpace) checkRange(addr Addr, n int, op FaultOp) error {
+	if n < 0 {
+		return &Fault{Addr: addr, Op: op, Why: "negative length"}
+	}
 	if uint64(addr)+uint64(n) > 1<<32 {
 		return &Fault{Addr: addr, Op: op, Why: "range wraps address space"}
 	}
@@ -94,8 +102,14 @@ func (r *refSpace) read(addr Addr, n int) ([]byte, error) {
 		return nil, err
 	}
 	p := make([]byte, n)
-	for i := range p {
-		p[i] = r.mem[uint32(addr)+uint32(i)]
+	for off := 0; off < n; {
+		a := uint32(addr) + uint32(off)
+		in := a & (layout.PageSize - 1)
+		k := min(n-off, layout.PageSize-int(in))
+		if pg := r.mem[a>>layout.PageShift]; pg != nil {
+			copy(p[off:off+k], pg[in:])
+		}
+		off += k
 	}
 	return p, nil
 }
@@ -107,8 +121,14 @@ func (r *refSpace) write(addr Addr, p []byte) error {
 	if err := r.hole(addr, len(p), OpWrite); err != nil {
 		return err
 	}
-	for i, b := range p {
-		r.mem[uint32(addr)+uint32(i)] = b
+	for off := 0; off < len(p); {
+		a := uint32(addr) + uint32(off)
+		pg := r.mem[a>>layout.PageShift]
+		if pg == nil {
+			pg = new(page)
+			r.mem[a>>layout.PageShift] = pg
+		}
+		off += copy(pg[a&(layout.PageSize-1):], p[off:])
 	}
 	return nil
 }
@@ -136,11 +156,7 @@ func (r *refSpace) mapping(addr Addr, n int, op FaultOp) error {
 	}
 	for i := 0; i < n/layout.PageSize; i++ {
 		r.mapped[first+uint32(i)] = op == OpMap
-	}
-	for a := range r.mem {
-		if a>>layout.PageShift-first < uint32(n/layout.PageSize) {
-			delete(r.mem, a)
-		}
+		delete(r.mem, first+uint32(i))
 	}
 	return nil
 }
@@ -161,7 +177,7 @@ func TestTLBDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		s := NewSpace()
-		ref := &refSpace{mapped: map[uint32]bool{}, mem: map[uint32]byte{}}
+		ref := newRefSpace()
 		addr := func() Addr {
 			pi := pool[rng.IntN(len(pool))]
 			var in uint32
@@ -325,10 +341,7 @@ func FuzzTLB(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 0, 3, 1, 8, 5, 1, 2, 3, 4, 2, 2, 8, 5, 4, 1, 8, 1, 5, 2, 8, 1, 0xff, 6, 0, 8, 1, 5})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		spaces := [2]*Space{NewSpace(), NewSpace()}
-		refs := [2]*refSpace{
-			{mapped: map[uint32]bool{}, mem: map[uint32]byte{}},
-			{mapped: map[uint32]bool{}, mem: map[uint32]byte{}},
-		}
+		refs := [2]*refSpace{newRefSpace(), newRefSpace()}
 		var tlbs [2]TLB
 		i := 0
 		next := func() byte {

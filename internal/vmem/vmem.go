@@ -4,15 +4,17 @@
 // Portable Go gives no control over the placement of goroutine stacks or heap
 // objects, so the paper's central mechanism — re-installing a thread's memory
 // at the very same virtual addresses on another node — cannot be expressed on
-// the Go runtime directly. Instead every node owns a Space: a sparse,
-// page-granular map from simulated addresses to byte pages, with mmap-like
-// mapping at caller-chosen addresses and hard faults on unmapped access.
+// the Go runtime directly. Instead every node owns a Space: a sparse map
+// from simulated addresses to byte pages, kept per 64 KB slot, with
+// page-granular mmap-like mapping at caller-chosen addresses and hard
+// faults on unmapped access.
 // "Segmentation fault" is a first-class, catchable outcome, exactly as in the
 // paper's Figures 2, 4 and 9.
 package vmem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/layout"
 )
@@ -89,34 +91,129 @@ const tlbSize = 4
 // space is lane-affine state, like the scheduler and the slot table.
 // That includes reads: Load32 and Load8 fill the Space's own TLB.
 //
+// Mapped memory is tracked per 64 KB chunk — one iso-address slot of
+// layout.PagesPerSlot pages, the unit the runtime reserves, owns and
+// migrates — not per page: the chunk map holds one entry for every
+// chunk with at least one mapped page, so a range operation does one
+// map lookup per chunk it crosses. A chunk marks its mapped pages in a
+// bitmask and holds the host page behind each; a mapped page whose
+// host page is nil has never been written and reads as zeros, and an
+// unmapped page always has a nil host page. A chunk emptied by Munmap
+// leaves the map and becomes the Space's one spare, which the next
+// Mmap of a fresh chunk reuses, so slot map/unmap churn allocates
+// nothing.
+//
 // A backed page is never replaced while it is mapped — Mmap refuses
 // overlap and Write only fills a nil page — so the one thing that can
 // stale a TLB entry is Munmap, which bumps gen: every TLB synced to an
 // older generation flushes at its next Sync.
 type Space struct {
-	// pages holds every mapped page; a nil value is a mapped page that
-	// has never been written and reads as zeros.
-	pages map[uint32]*page
+	// chunks holds every chunk with a mapped page, keyed by page
+	// index >> chunkShift.
+	chunks map[uint32]*chunk
+	// spare is the last chunk Munmap emptied, or nil.
+	spare *chunk
+	// npages counts currently mapped pages.
+	npages int
 	// gen counts Munmap calls (see TLB.Sync).
 	gen uint64
 	// tlb serves the Space's own word and byte accessors.
 	tlb TLB
-	// mappedBytes counts currently mapped memory, for accounting tests.
-	mappedBytes uint64
+}
+
+// chunkShift is log2 of the pages in a chunk: one slot's worth.
+const chunkShift = layout.SlotShift - layout.PageShift
+
+// chunk is the mapping state of one slot-sized run of pages: bit i of
+// mapped is set if page i is mapped, and pg[i] is its host page — nil
+// if it is unmapped or has never been written.
+type chunk struct {
+	pg     [layout.PagesPerSlot]*page
+	mapped uint16
+}
+
+// The mapped bitmask must have a bit for every page of a chunk.
+const _ = uint16(1<<layout.PagesPerSlot - 1)
+
+// chunkMask returns the bits of chunk ci that pages [first, end) cover.
+func chunkMask(ci, first, end uint32) uint16 {
+	lo := max(first, ci<<chunkShift) - ci<<chunkShift
+	hi := min(end, (ci+1)<<chunkShift) - ci<<chunkShift
+	return uint16(uint32(1)<<hi - uint32(1)<<lo)
 }
 
 // NewSpace returns an empty address space: no page is mapped.
 func NewSpace() *Space {
-	return &Space{pages: make(map[uint32]*page)}
+	return &Space{chunks: make(map[uint32]*chunk)}
 }
 
 // MappedBytes returns the number of currently mapped bytes.
-func (s *Space) MappedBytes() uint64 { return s.mappedBytes }
+func (s *Space) MappedBytes() uint64 { return uint64(s.npages) * layout.PageSize }
 
 // MappedPages returns the number of currently mapped pages.
-func (s *Space) MappedPages() int { return len(s.pages) }
+func (s *Space) MappedPages() int { return s.npages }
 
 func pageIndex(a Addr) uint32 { return uint32(a) >> layout.PageShift }
+
+// pageRange returns the pages [first, end) that [addr, addr+n) touches;
+// n must be positive and the range must not wrap.
+func pageRange(addr Addr, n int) (first, end uint32) {
+	return pageIndex(addr), pageIndex(addr+Addr(n-1)) + 1
+}
+
+// find returns the first page of [first, end) that is mapped if want
+// is true, or unmapped if it is false; end if there is none.
+func (s *Space) find(first, end uint32, want bool) uint32 {
+	for ci := first >> chunkShift; ci<<chunkShift < end; ci++ {
+		var have uint16
+		if c := s.chunks[ci]; c != nil {
+			have = c.mapped
+		}
+		if !want {
+			have = ^have
+		}
+		if hit := have & chunkMask(ci, first, end); hit != 0 {
+			return ci<<chunkShift + uint32(bits.TrailingZeros16(hit))
+		}
+	}
+	return end
+}
+
+// pageWalk looks up the pages of a range in ascending order with one
+// map lookup per chunk crossed.
+type pageWalk struct {
+	s  *Space
+	ci uint32 // index of c, or noChunk before the first lookup
+	c  *chunk
+}
+
+// noChunk is no chunk's index: a 32-bit address has 16-bit chunk indices.
+const noChunk = ^uint32(0)
+
+// slot returns the host-page slot of page pi, or nil if pi is unmapped.
+func (w *pageWalk) slot(pi uint32) **page {
+	if ci := pi >> chunkShift; ci != w.ci {
+		w.ci, w.c = ci, w.s.chunks[ci]
+	}
+	bit := pi & (layout.PagesPerSlot - 1)
+	if w.c == nil || w.c.mapped>>bit&1 == 0 {
+		return nil
+	}
+	return &w.c.pg[bit]
+}
+
+// read returns the page holding a for reading: the shared zero page if
+// it is mapped but untouched.
+func (w *pageWalk) read(a Addr) (*page, error) {
+	p := w.slot(pageIndex(a))
+	if p == nil {
+		return nil, &Fault{Addr: a, Op: OpRead, Why: "unmapped page"}
+	}
+	if *p == nil {
+		return &zeroPage, nil
+	}
+	return *p, nil
+}
 
 // checkRange validates an [addr, addr+n) range against 32-bit wraparound.
 func checkRange(addr Addr, n int, op FaultOp) error {
@@ -141,17 +238,25 @@ func (s *Space) Mmap(addr Addr, n int) error {
 	if !layout.PageAligned(addr) || n%layout.PageSize != 0 {
 		return &Fault{Addr: addr, Op: OpMap, Why: fmt.Sprintf("misaligned mapping of %d bytes", n)}
 	}
-	npages := n / layout.PageSize
-	first := pageIndex(addr)
-	for i := 0; i < npages; i++ {
-		if _, ok := s.pages[first+uint32(i)]; ok {
-			return &Fault{Addr: addr + Addr(i*layout.PageSize), Op: OpMap, Why: "page already mapped"}
+	if n == 0 {
+		return nil
+	}
+	first, end := pageRange(addr, n)
+	if pi := s.find(first, end, true); pi != end {
+		return &Fault{Addr: Addr(pi) << layout.PageShift, Op: OpMap, Why: "page already mapped"}
+	}
+	for ci := first >> chunkShift; ci<<chunkShift < end; ci++ {
+		c := s.chunks[ci]
+		if c == nil {
+			c, s.spare = s.spare, nil
+			if c == nil {
+				c = new(chunk)
+			}
+			s.chunks[ci] = c
 		}
+		c.mapped |= chunkMask(ci, first, end)
 	}
-	for i := 0; i < npages; i++ {
-		s.pages[first+uint32(i)] = nil
-	}
-	s.mappedBytes += uint64(n)
+	s.npages += int(end - first)
 	return nil
 }
 
@@ -164,19 +269,26 @@ func (s *Space) Munmap(addr Addr, n int) error {
 	if !layout.PageAligned(addr) || n%layout.PageSize != 0 {
 		return &Fault{Addr: addr, Op: OpUnmap, Why: fmt.Sprintf("misaligned unmapping of %d bytes", n)}
 	}
-	npages := n / layout.PageSize
-	first := pageIndex(addr)
-	for i := 0; i < npages; i++ {
-		if _, ok := s.pages[first+uint32(i)]; !ok {
-			return &Fault{Addr: addr + Addr(i*layout.PageSize), Op: OpUnmap, Why: "page not mapped"}
+	if n > 0 {
+		first, end := pageRange(addr, n)
+		if pi := s.find(first, end, false); pi != end {
+			return &Fault{Addr: Addr(pi) << layout.PageShift, Op: OpUnmap, Why: "page not mapped"}
 		}
-	}
-	for i := 0; i < npages; i++ {
-		delete(s.pages, first+uint32(i))
+		for ci := first >> chunkShift; ci<<chunkShift < end; ci++ {
+			c, m := s.chunks[ci], chunkMask(ci, first, end)
+			c.mapped &^= m
+			for ; m != 0; m &= m - 1 {
+				c.pg[bits.TrailingZeros16(m)] = nil
+			}
+			if c.mapped == 0 {
+				delete(s.chunks, ci)
+				s.spare = c
+			}
+		}
+		s.npages -= int(end - first)
 	}
 	s.gen++
 	s.tlb.Reset()
-	s.mappedBytes -= uint64(n)
 	return nil
 }
 
@@ -188,25 +300,8 @@ func (s *Space) IsMapped(addr Addr, n int) bool {
 	if uint64(addr)+uint64(n) > 1<<32 {
 		return false
 	}
-	for pi := pageIndex(addr); pi <= pageIndex(addr+Addr(n-1)); pi++ {
-		if _, ok := s.pages[pi]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// readPage returns the page holding a for reading: the shared zero page
-// if it is mapped but untouched.
-func (s *Space) readPage(a Addr) (*page, error) {
-	pg, ok := s.pages[pageIndex(a)]
-	if !ok {
-		return nil, &Fault{Addr: a, Op: OpRead, Why: "unmapped page"}
-	}
-	if pg == nil {
-		return &zeroPage, nil
-	}
-	return pg, nil
+	first, end := pageRange(addr, n)
+	return s.find(first, end, false) == end
 }
 
 // Read copies len(p) bytes from [addr, ...) into p, faulting if any byte is
@@ -215,15 +310,14 @@ func (s *Space) Read(addr Addr, p []byte) error {
 	if err := checkRange(addr, len(p), OpRead); err != nil {
 		return err
 	}
-	off := 0
-	for off < len(p) {
-		pg, err := s.readPage(addr + Addr(off))
+	w := pageWalk{s: s, ci: noChunk}
+	for off := 0; off < len(p); {
+		pg, err := w.read(addr + Addr(off))
 		if err != nil {
 			return err
 		}
 		in := int(addr+Addr(off)) & (layout.PageSize - 1)
-		n := copy(p[off:], pg[in:])
-		off += n
+		off += copy(p[off:], pg[in:])
 	}
 	return nil
 }
@@ -239,26 +333,18 @@ func (s *Space) Write(addr Addr, p []byte) error {
 	}
 	// Validate the full range before mutating anything, so a faulting
 	// write has no partial effect.
-	for pi := pageIndex(addr); pi <= pageIndex(addr+Addr(len(p)-1)); pi++ {
-		if _, ok := s.pages[pi]; !ok {
-			fa := Addr(pi) << layout.PageShift
-			if fa < addr {
-				fa = addr
-			}
-			return &Fault{Addr: fa, Op: OpWrite, Why: "unmapped page"}
-		}
+	first, end := pageRange(addr, len(p))
+	if pi := s.find(first, end, false); pi != end {
+		return &Fault{Addr: max(Addr(pi)<<layout.PageShift, addr), Op: OpWrite, Why: "unmapped page"}
 	}
-	off := 0
-	for off < len(p) {
-		pi := pageIndex(addr + Addr(off))
-		pg := s.pages[pi]
-		if pg == nil {
-			pg = new(page)
-			s.pages[pi] = pg
+	w := pageWalk{s: s, ci: noChunk}
+	for off := 0; off < len(p); {
+		slot := w.slot(pageIndex(addr + Addr(off)))
+		if *slot == nil {
+			*slot = new(page)
 		}
 		in := int(addr+Addr(off)) & (layout.PageSize - 1)
-		n := copy(pg[in:], p[off:])
-		off += n
+		off += copy((*slot)[in:], p[off:])
 	}
 	return nil
 }
@@ -318,9 +404,9 @@ func (s *Space) ReadAliases(addr Addr, n int) ([][]byte, error) {
 		return nil, err
 	}
 	var out [][]byte
-	off := 0
-	for off < n {
-		pg, err := s.readPage(addr + Addr(off))
+	w := pageWalk{s: s, ci: noChunk}
+	for off := 0; off < n; {
+		pg, err := w.read(addr + Addr(off))
 		if err != nil {
 			return nil, err
 		}

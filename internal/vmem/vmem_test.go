@@ -2,6 +2,10 @@ package vmem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -454,5 +458,331 @@ func TestWriteNeverReachesZeroPage(t *testing.T) {
 	}
 	if &after[0][0] == &zeroPage[0] || after[0][0] != 0xEE {
 		t.Fatal("written page still aliases the zero page")
+	}
+}
+
+// fuzzChunks are the chunks FuzzSpace works in: three consecutive
+// iso-address slots, so ranges straddle chunk boundaries, and the last
+// slot of the space, where ranges wrap.
+var fuzzChunks = [...]uint32{
+	layout.IsoBase >> layout.SlotShift, layout.IsoBase>>layout.SlotShift + 1,
+	layout.IsoBase>>layout.SlotShift + 2, 1<<(32-layout.SlotShift) - 1,
+}
+
+// spaceTape decodes FuzzSpace's tape; reads past its end yield zeros.
+type spaceTape struct {
+	b []byte
+	i int
+}
+
+func (p *spaceTape) next() byte {
+	p.i++
+	if p.i > len(p.b) {
+		return 0
+	}
+	return p.b[p.i-1]
+}
+
+// span decodes a mapping range: one or two whole slots, a run that
+// straddles a chunk boundary, a run inside one chunk, or any run of up
+// to 24 pages; now and then misaligned, empty or negative.
+func (p *spaceTape) span() (Addr, int) {
+	c, k := uint64(fuzzChunks[int(p.next())%len(fuzzChunks)])<<chunkShift, uint64(p.next())
+	var first, pages uint64
+	switch k % 4 {
+	case 0:
+		first, pages = c, layout.PagesPerSlot*(1+k>>2%2)
+	case 1:
+		first, pages = c+layout.PagesPerSlot-1-k>>2%4, 2+k>>4%8
+	case 2:
+		first, pages = c+k>>2%layout.PagesPerSlot, 1+k>>6
+	default:
+		first, pages = c+uint64(p.next())%(3*layout.PagesPerSlot), uint64(p.next())%25
+	}
+	a, n := Addr(first<<layout.PageShift), int(pages)*layout.PageSize
+	switch b := p.next(); b % 16 {
+	case 0:
+		n += int(b >> 4)
+	case 1:
+		a += Addr(b >> 4)
+	case 2:
+		n = -n
+	}
+	return a, n
+}
+
+// access decodes a byte address in or just past a fuzz chunk and a
+// length that is short, or now and then spans up to three pages.
+func (p *spaceTape) access() (Addr, int) {
+	pi := uint32(fuzzChunks[int(p.next())%len(fuzzChunks)])<<chunkShift + uint32(p.next())%(2*layout.PagesPerSlot)
+	var in uint32
+	switch o := uint32(p.next()); o % 4 {
+	case 0: // near the start of the page
+		in = o >> 2
+	case 1: // near its end, so accesses cross pages, chunks or the space end
+		in = layout.PageSize - 1 - o>>2
+	default:
+		in = (o<<8 | uint32(p.next())) % layout.PageSize
+	}
+	n := int(p.next())
+	if n&0x80 != 0 {
+		n = (n & 0x7f) * 97
+	} else {
+		n %= 24
+	}
+	return Addr(pi<<layout.PageShift + in), n
+}
+
+// FuzzSpace runs a fuzzer-chosen tape of Mmap and Munmap calls — whole
+// slots, partial chunks and runs across chunk boundaries — interleaved
+// with every accessor, against the per-page reference model of
+// tlb_test.go. Every value, every byte and every fault must match the
+// model, MappedPages and MappedBytes must agree with it after every
+// step, and a failed call must leave the pages it names unchanged,
+// down to which of them are backed by host memory. A thread TLB is
+// synced to the space across Munmap calls as vm.Run does, and neither
+// it nor the space's own TLB may ever hold a page that is unmapped or
+// still demand-zero.
+func FuzzSpace(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		tape := make([]byte, 160)
+		for i := range tape {
+			tape[i] = byte(rng.Uint32())
+		}
+		f.Add(tape)
+	}
+	// Map a slot, store into it, unmap and map it again, and read the
+	// stored word back as zeros.
+	f.Add([]byte{0, 0, 0, 0, 3, 0, 0, 0x20, 4, 7, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0x20, 4})
+	// Map two slots, write across their boundary, unmap the first
+	// slot's last page, read across the hole and past it, then fail to
+	// unmap the two pages around the boundary and read the second again.
+	f.Add([]byte{0, 0, 4, 0, 3, 0, 15, 1, 8, 0x40, 1, 0, 62, 0, 2, 0, 15, 1, 8, 2, 0, 16, 0, 4, 1, 0, 1, 0, 2, 0, 16, 0, 4})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := NewSpace()
+		ref := newRefSpace()
+		var tlb TLB
+		// pages returns the page indices [a, a+n) touches, clipped to
+		// the space; none if n <= 0.
+		pages := func(a Addr, n int) (uint32, uint32) {
+			if n <= 0 {
+				return 0, 0
+			}
+			end := min(uint64(a)+uint64(n)-1, 1<<32-1)
+			return pageIndex(a), uint32(end>>layout.PageShift) + 1
+		}
+		// agree checks pages [first, end) against the model: mapped or
+		// not, every byte, and backed by a host page or by the shared
+		// zero page.
+		agree := func(step int, first, end uint32) {
+			for pi := first; pi != end; pi++ {
+				a := Addr(pi << layout.PageShift)
+				if s.IsMapped(a, layout.PageSize) != ref.mapped[pi] {
+					t.Fatalf("step %d: page %#x mapped=%v, want %v", step, pi, !ref.mapped[pi], ref.mapped[pi])
+				}
+				if !ref.mapped[pi] {
+					continue
+				}
+				frags, err := s.ReadAliases(a, layout.PageSize)
+				want, _ := ref.read(a, layout.PageSize)
+				if err != nil || len(frags) != 1 || !bytes.Equal(frags[0], want) {
+					t.Fatalf("step %d: page %#x differs from the model (%v)", step, pi, err)
+				}
+				if backed := ref.mem[pi] != nil; (&frags[0][0] == &zeroPage[0]) == backed {
+					t.Fatalf("step %d: page %#x backed=%v, want %v", step, pi, !backed, backed)
+				}
+			}
+		}
+		// checkTLB requires every entry of a TLB synced to s to hold the
+		// space's own host page behind a mapped, backed page.
+		checkTLB := func(step int, tl *TLB) {
+			if tl.sp != s {
+				return
+			}
+			tl.Sync(s)
+			for _, e := range tl.e {
+				if e.tag == 0 {
+					continue
+				}
+				pi := e.tag - 1
+				if !ref.mapped[pi] || ref.mem[pi] == nil || s.chunks[pi>>chunkShift].pg[pi&(layout.PagesPerSlot-1)] != e.pg {
+					t.Fatalf("step %d: TLB holds page %#x (mapped=%v backed=%v)", step, pi, ref.mapped[pi], ref.mem[pi] != nil)
+				}
+			}
+		}
+		p := &spaceTape{b: b}
+		for step := 0; p.i < len(p.b); step++ {
+			code := p.next()
+			var th *TLB // nil stands for the space's own accessors
+			if code&0x80 != 0 {
+				th = &tlb
+				th.Sync(s)
+			}
+			var a Addr
+			var n int
+			var got, want any
+			var gotErr, wantErr error
+			switch op := code % 11; op {
+			case 0, 1:
+				a, n = p.span()
+				if op == 0 {
+					gotErr, wantErr = s.Mmap(a, n), ref.mapping(a, n, OpMap)
+				} else {
+					gotErr, wantErr = s.Munmap(a, n), ref.mapping(a, n, OpUnmap)
+				}
+			case 2:
+				a, n = p.access()
+				q := make([]byte, n)
+				gotErr = s.Read(a, q)
+				r, err := ref.read(a, n)
+				if wantErr = err; err == nil {
+					got, want = q, r
+				}
+			case 3:
+				a, n = p.access()
+				q := make([]byte, n)
+				for k, v := 0, p.next(); k < n; k++ {
+					q[k] = v + byte(k)
+				}
+				gotErr, wantErr = s.Write(a, q), ref.write(a, q)
+			case 4:
+				a, _ = p.access()
+				n = 4
+				v, err := threadLoad32(s, th, a)
+				r, rerr := ref.read(a, 4)
+				got, want, gotErr, wantErr = v, uint32(0), err, rerr
+				if rerr == nil {
+					want = binary.LittleEndian.Uint32(r)
+				}
+			case 5:
+				a, _ = p.access()
+				n = 4
+				v := binary.LittleEndian.Uint32([]byte{p.next(), p.next(), p.next(), p.next()})
+				gotErr = threadStore32(s, th, a, v)
+				wantErr = ref.write(a, binary.LittleEndian.AppendUint32(nil, v))
+			case 6:
+				a, _ = p.access()
+				n = 1
+				var v byte
+				if th != nil {
+					v, gotErr = th.Load8(a)
+				} else {
+					v, gotErr = s.Load8(a)
+				}
+				r, err := ref.read(a, 1)
+				got, want, wantErr = v, byte(0), err
+				if err == nil {
+					want = r[0]
+				}
+			case 7:
+				a, _ = p.access()
+				n = 1
+				v := p.next()
+				if th != nil {
+					gotErr = th.Store8(a, v)
+				} else {
+					gotErr = s.Store8(a, v)
+				}
+				wantErr = ref.write(a, []byte{v})
+			case 8:
+				if p.next()%2 == 0 {
+					a, n = p.span()
+				} else {
+					a, n = p.access()
+				}
+				got = s.IsMapped(a, n)
+				want = n == 0 || n > 0 && ref.checkRange(a, n, OpRead) == nil && ref.hole(a, n, OpRead) == nil
+			case 9:
+				a, n = p.access()
+				frags, err := s.ReadAliases(a, n)
+				gotErr = err
+				r, rerr := ref.read(a, n)
+				if wantErr = rerr; err == nil && rerr == nil {
+					got, want = bytes.Join(frags, nil), r
+				}
+			case 10:
+				tlb.Reset()
+			}
+			if !reflect.DeepEqual(gotErr, wantErr) {
+				t.Fatalf("step %d op %d at %#x+%d: error %v, want %v", step, code%11, a, n, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d op %d at %#x+%d: value %v, want %v", step, code%11, a, n, got, want)
+			}
+			if gotErr != nil {
+				first, end := pages(a, n)
+				agree(step, first, end)
+			}
+			mapped := 0
+			for _, m := range ref.mapped {
+				if m {
+					mapped++
+				}
+			}
+			if s.MappedPages() != mapped || s.MappedBytes() != uint64(mapped)*layout.PageSize {
+				t.Fatalf("step %d: %d pages, %d bytes mapped, want %d pages", step, s.MappedPages(), s.MappedBytes(), mapped)
+			}
+			checkTLB(step, &tlb)
+			checkTLB(step, &s.tlb)
+		}
+		for _, c := range fuzzChunks {
+			first := c << chunkShift
+			agree(-1, first, min(first+2*layout.PagesPerSlot, 1<<(32-layout.PageShift)))
+		}
+	})
+}
+
+// TestSpaceBookkeepingBytesPerSlot bounds the host memory a Space spends
+// on each mapped and touched slot beyond the slot's backed page: the
+// chunk map's entry and the chunk itself. The first heap measurement of
+// a process also sees the runtime's own start-up garbage go, so the
+// space is built twice and measured the second time.
+func TestSpaceBookkeepingBytesPerSlot(t *testing.T) {
+	const slots = 256
+	heapDelta := func() int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := NewSpace()
+		for i := 0; i < slots; i++ {
+			a := layout.SlotBase(i)
+			if err := s.Mmap(a, layout.SlotSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Store32(a, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	heapDelta()
+	perSlot := (heapDelta() - slots*layout.PageSize) / slots
+	t.Logf("%d host bytes of bookkeeping per mapped slot", perSlot)
+	if perSlot > 256 {
+		t.Fatalf("a mapped slot costs %d host bytes beyond its page, want at most 256", perSlot)
+	}
+}
+
+// BenchmarkMmapSlot maps a 64 KB slot, backs one of its pages with a
+// word store and unmaps it again — the churn of thread creation and
+// migration on one node.
+func BenchmarkMmapSlot(b *testing.B) {
+	s := NewSpace()
+	base := Addr(layout.IsoBase)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := s.Mmap(base, layout.SlotSize); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Store32(base+8, 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Munmap(base, layout.SlotSize); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

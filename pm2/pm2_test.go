@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/madeleine"
 	ipm2 "repro/internal/pm2"
 )
 
@@ -311,6 +313,67 @@ func TestRestoreRejectsTruncatedThreadImage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreRejectsBadSlotMagic: a thread image whose used-mode data
+// group carries a slot header with a flipped magic is well formed, so it
+// passes the structural image checks once re-sealed; the install itself
+// finds the bad header when it rebuilds the group's free list. The
+// restore must refuse it with that error, never panic.
+func TestRestoreRejectsBadSlotMagic(t *testing.T) {
+	sys := NewSystem()
+	sys.RegisterExamples()
+	cl := sys.Boot(Config{Nodes: 2})
+	cl.Spawn(0, "p4", 1000)
+	cl.RunForMicros(500)
+	data, err := cl.CheckpointBytes()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	ck, err := ipm2.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := false
+	for i := range ck.NodeStates {
+		for _, th := range ck.NodeStates[i].Threads {
+			if !edited {
+				edited = flipSlotMagic(th.Image)
+			}
+		}
+	}
+	if !edited {
+		t.Fatal("the checkpoint holds no used-mode data group")
+	}
+	if _, err := sys.Restore(ck.Encode()); err == nil || !strings.Contains(err.Error(), "bad slot magic") {
+		t.Fatalf("error = %v, want a bad slot magic", err)
+	}
+}
+
+// flipSlotMagic flips the first byte of the slot-header magic of the
+// first used-mode data group in a thread image, in place, and reports
+// whether the image has one.
+func flipSlotMagic(img []byte) bool {
+	in := madeleine.FromBytes(img)
+	in.U32() // descriptor
+	in.U64() // migration start stamp
+	mode := ipm2.PackMode(in.U32())
+	nGroups := int(in.U32())
+	for g := 0; g < nGroups && in.Err() == nil; g++ {
+		in.U32() // base
+		in.U32() // slot count
+		kind := core.SlotKind(in.U32())
+		nSpans := int(in.U32())
+		for sp := 0; sp < nSpans && in.Err() == nil; sp++ {
+			off := in.U32()
+			data := in.BytesSection()
+			if mode == ipm2.PackUsed && kind == core.KindData && off == 0 && len(data) >= core.SlotHeaderSize {
+				data[0] ^= 0xff
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestFaultConfig pins the public fault surface: a crash plan through
