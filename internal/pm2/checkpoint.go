@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/layout"
-	"repro/internal/madeleine"
 	"repro/internal/marcel"
 	"repro/internal/simtime"
 )
@@ -314,15 +312,8 @@ func (c *Cluster) parkSweep() {
 		if len(ts) == 0 {
 			continue
 		}
-		d.actor.Mute(func() {
-			for _, t := range ts {
-				if err := d.sched.Freeze(t); err != nil {
-					panic(fmt.Sprintf("pm2: freezing thread %#x for checkpoint: %v", t.TID, err))
-				}
-				d.sched.Detach(t)
-				d.parked = append(d.parked, t)
-			}
-		})
+		d.actor.Mute(func() { d.freezeDetach(ts, "checkpoint") })
+		d.parked = append(d.parked, ts...)
 	}
 }
 
@@ -441,22 +432,12 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		var restoreErr error
 		d.actor.Mute(func() {
 			for _, th := range st.Threads {
-				inner := madeleine.FromBytes(th.Image)
-				desc := Addr(inner.U32())
-				_ = inner.U64() // migration start stamp, unused here
-				mode := PackMode(inner.U32())
-				nGroups := int(inner.U32())
-				if _, err := d.installGroups(inner, mode, nGroups, false); err != nil {
-					restoreErr = fmt.Errorf("pm2: restoring thread %#x on node %d: %v", th.TID, i, err)
-					return
+				t, _, err := d.installThread(th.Image)
+				if err == nil && t.TID != th.TID {
+					err = fmt.Errorf("image thawed as thread %#x", t.TID)
 				}
-				t, err := d.sched.Thaw(desc)
 				if err != nil {
 					restoreErr = fmt.Errorf("pm2: restoring thread %#x on node %d: %v", th.TID, i, err)
-					return
-				}
-				if t.TID != th.TID {
-					restoreErr = fmt.Errorf("pm2: node %d image for thread %#x thawed as %#x", i, th.TID, t.TID)
 					return
 				}
 			}
@@ -477,10 +458,9 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 	return c, nil
 }
 
-// checkRestoreImages decodes every node bitmap of ck and checks every
-// thread image against what installGroups assumes, without touching any
-// state. A slot may back one thread group only, and never one that a
-// node bitmap lists as free.
+// checkRestoreImages decodes every node bitmap and every thread image of
+// ck without touching any node. A slot may back one thread group only,
+// and never one that a node bitmap lists as free.
 func checkRestoreImages(ck *Checkpoint) ([]*bitmap.Bitmap, error) {
 	bms := make([]*bitmap.Bitmap, len(ck.NodeStates))
 	claimed := bitmap.New(layout.SlotCount)
@@ -492,75 +472,15 @@ func checkRestoreImages(ck *Checkpoint) ([]*bitmap.Bitmap, error) {
 		bms[i] = bm
 		claimed.Or(bm)
 	}
+	var im threadImage
 	for i, st := range ck.NodeStates {
 		for _, th := range st.Threads {
-			if err := checkThreadImage(th.Image, claimed); err != nil {
+			if err := im.decodeAll(th.Image, claimed); err != nil {
 				return nil, fmt.Errorf("pm2: node %d image of thread %#x: %v", i, th.TID, err)
 			}
 		}
 	}
 	return bms, nil
-}
-
-var errImageTruncated = errors.New("image truncated")
-
-// checkThreadImage validates one packThreadImage record: the pack mode,
-// a bounded group count, slot-aligned groups inside the iso-address
-// area whose slots nothing else claims (they are marked in claimed),
-// valid slot kinds, spans inside their group, and no bytes past the
-// last group.
-func checkThreadImage(img []byte, claimed *bitmap.Bitmap) error {
-	in := madeleine.FromBytes(img)
-	in.U32() // descriptor: Thaw validates it after the install
-	in.U64() // migration start stamp
-	mode := PackMode(in.U32())
-	nGroups := int(in.U32())
-	switch {
-	case in.Err() != nil:
-		return errImageTruncated
-	case mode != PackUsed && mode != PackWhole:
-		return fmt.Errorf("bad pack mode %d", mode)
-	case nGroups > layout.SlotCount:
-		return fmt.Errorf("%d slot groups", nGroups)
-	}
-	for g := 0; g < nGroups; g++ {
-		base := Addr(in.U32())
-		nSlots := int(in.U32())
-		kind := core.SlotKind(in.U32())
-		nSpans := int(in.U32())
-		if in.Err() != nil {
-			return errImageTruncated
-		}
-		if !layout.InIsoArea(base) || !layout.SlotAligned(base) {
-			return fmt.Errorf("group base %#08x is not a slot in the iso-address area", base)
-		}
-		first := layout.SlotIndex(base)
-		if nSlots == 0 || first+nSlots > layout.SlotCount {
-			return fmt.Errorf("group at %#08x spans %d slots", base, nSlots)
-		}
-		if claimed.AnyInRun(first, nSlots) {
-			return fmt.Errorf("group at %#08x claims a slot that is free or already claimed", base)
-		}
-		claimed.SetRun(first, nSlots)
-		if kind != core.KindStack && kind != core.KindData {
-			return fmt.Errorf("group at %#08x has bad slot kind %d", base, kind)
-		}
-		size := nSlots * layout.SlotSize
-		for sp := 0; sp < nSpans; sp++ {
-			off := in.U32()
-			data := in.BytesSection()
-			if in.Err() != nil {
-				return errImageTruncated
-			}
-			if int(off)+len(data) > size {
-				return fmt.Errorf("span [%d,+%d) outside the %d-byte group at %#08x", off, len(data), size, base)
-			}
-		}
-	}
-	if in.Remaining() != 0 {
-		return fmt.Errorf("%d trailing bytes", in.Remaining())
-	}
-	return nil
 }
 
 // cloneStats deep-copies a Stats value so neither side aliases the

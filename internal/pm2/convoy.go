@@ -1,12 +1,8 @@
 package pm2
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/madeleine"
 	"repro/internal/marcel"
-	"repro/internal/simtime"
 )
 
 // The zero-copy scatter-gather migration pipeline (Config.Convoy).
@@ -35,20 +31,11 @@ import (
 // take the copying single-thread path and every golden trace stays
 // byte-identical.
 
-// Convoy wire format (body of a chConvoy message):
-//
-//	k u32 | k× thread record (see packThreadImage)
-
 // convoyMigrateOut packs the already-frozen, detached threads into one
 // convoy message for dest. Must run on the node's actor.
 func (n *Node) convoyMigrateOut(ts []*marcel.Thread, dest int) {
-	start := n.actor.Now()
 	buf := n.c.bufPool.Get()
-	buf.PackU32(uint32(len(ts)))
-	var groups []core.SlotGroup
-	for _, t := range ts {
-		groups = append(groups, n.packThreadImage(buf, t, start, true)...)
-	}
+	groups := n.packConvoy(buf, ts, n.actor.Now(), true)
 	// Send first (the gather consumes the page aliases), then set the
 	// source areas free — the bits change on no node (paper step 1).
 	n.ep.SendBodyZeroCopy(dest, chConvoy, buf)
@@ -88,12 +75,7 @@ func (n *Node) MigrateBatch(tids []uint32, dest int) int {
 	if len(ts) == 0 {
 		return 0
 	}
-	for _, t := range ts {
-		if err := n.sched.Freeze(t); err != nil {
-			panic(fmt.Sprintf("pm2: freezing thread %#x for convoy: %v", t.TID, err))
-		}
-		n.sched.Detach(t)
-	}
+	n.freezeDetach(ts, "convoy")
 	n.convoyMigrateOut(ts, dest)
 	return len(ts)
 }
@@ -103,41 +85,7 @@ func (n *Node) MigrateBatch(tids []uint32, dest int) int {
 // handler is one receive event — the convoy pays one express header and
 // one receive overhead however many threads it carries.
 func (n *Node) onConvoyMsg(src int, msg *madeleine.Buffer) {
-	inner := madeleine.FromBytes(msg.BytesSection())
-	k := int(inner.U32())
-	if inner.Err() != nil || k <= 0 {
-		panic("pm2: corrupt convoy message")
-	}
-	descs := make([]Addr, 0, k)
-	starts := make([]simtime.Time, 0, k)
-	installed := 0
-	for i := 0; i < k; i++ {
-		desc := Addr(inner.U32())
-		start := simtime.Time(inner.U64())
-		mode := PackMode(inner.U32())
-		nGroups := int(inner.U32())
-		got, err := n.installGroups(inner, mode, nGroups, true)
-		if err != nil {
-			panic(err)
-		}
-		installed += got
-		if inner.Err() != nil {
-			panic("pm2: corrupt convoy message")
-		}
-		descs = append(descs, desc)
-		starts = append(starts, start)
-	}
-
-	// All slot groups are in place: resume every thread (paper step 3),
-	// then run the scheduler once for the whole batch.
-	lats := make([]simtime.Time, len(descs))
-	for i, desc := range descs {
-		if _, err := n.sched.Thaw(desc); err != nil {
-			panic(fmt.Sprintf("pm2: thawing convoy thread on node %d: %v", n.id, err))
-		}
-		lats[i] = n.actor.Now() - starts[i]
-	}
-	n.kick()
+	lats, installed := n.installConvoy(msg.BytesSection(), true)
 	n.actor.Commit(func() {
 		for _, lat := range lats {
 			n.c.stats.Migrations++

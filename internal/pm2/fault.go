@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/bitmap"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/layout"
-	"repro/internal/madeleine"
 	"repro/internal/marcel"
 	"repro/internal/simtime"
 )
@@ -332,35 +330,24 @@ func (c *Cluster) evacuate(d *Node, live []int, declared simtime.Time) int {
 		return 0
 	}
 	// Zero-copy record layout when the convoy pipeline is on, the
-	// paper-faithful copying charges otherwise. Either way the wire
-	// format is packThreadImage's, so the install side is the convoy
-	// receive path reused verbatim.
+	// paper-faithful copying charges otherwise. Either way the body is
+	// packConvoy's, installed by installConvoy like a convoy arrival.
 	zeroCopy := c.cfg.Convoy
-	byDest := make(map[int][]*marcel.Thread, len(live))
-	order := make([]int, 0, len(live))
+	batches := make([][]*marcel.Thread, len(live))
 	for k, t := range residents {
-		dest := live[k%len(live)]
-		if byDest[dest] == nil {
-			order = append(order, dest)
-		}
-		byDest[dest] = append(byDest[dest], t)
+		batches[k%len(live)] = append(batches[k%len(live)], t)
 	}
 
 	at := c.eng.Now() + simtime.Time(c.cfg.Model.WireLatencyNs)*simtime.Nanosecond
-	for _, dest := range order {
-		ts := byDest[dest]
+	for j, ts := range batches {
+		if len(ts) == 0 {
+			break // fewer residents than survivors
+		}
 		var body []byte
 		d.actor.Mute(func() {
+			d.freezeDetach(ts, "evacuation")
 			buf := c.bufPool.Get()
-			buf.PackU32(uint32(len(ts)))
-			var groups []core.SlotGroup
-			for _, t := range ts {
-				if err := d.sched.Freeze(t); err != nil {
-					panic(fmt.Sprintf("pm2: freezing thread %#x for evacuation: %v", t.TID, err))
-				}
-				d.sched.Detach(t)
-				groups = append(groups, d.packThreadImage(buf, t, declared, zeroCopy)...)
-			}
+			groups := d.packConvoy(buf, ts, declared, zeroCopy)
 			// Bytes gathers the borrowed page aliases into the wire
 			// body; copy it out before the buffer returns to the pool
 			// (the pool reuses the backing array).
@@ -368,9 +355,9 @@ func (c *Cluster) evacuate(d *Node, live []int, declared simtime.Time) int {
 			c.bufPool.Put(buf)
 			d.evictGroups(groups)
 		})
-		node := c.nodes[dest]
+		node := c.nodes[live[j]]
 		node.actor.Post(at, func() {
-			node.recoverConvoy(body, declared, zeroCopy)
+			node.recoverConvoy(body, zeroCopy)
 		})
 	}
 	return len(residents)
@@ -381,37 +368,12 @@ func (c *Cluster) evacuate(d *Node, live []int, declared simtime.Time) int {
 // then the threads thaw in freeze order and the scheduler is kicked
 // once. A thread that was blocked on the dead node thaws runnable:
 // whatever it was waiting for lived on a node that no longer exists, so
-// it resumes with whatever result its waker had not yet delivered.
-func (n *Node) recoverConvoy(body []byte, declared simtime.Time, zeroCopy bool) {
-	model := n.c.cfg.Model
-	n.actor.Charge(model.Recv(len(body)))
-	inner := madeleine.FromBytes(body)
-	k := int(inner.U32())
-	if inner.Err() != nil || k <= 0 {
-		panic("pm2: corrupt evacuation convoy")
-	}
-	descs := make([]Addr, 0, k)
-	for i := 0; i < k; i++ {
-		desc := Addr(inner.U32())
-		_ = inner.U64() // pack-time stamp; latency is measured from declaration
-		mode := PackMode(inner.U32())
-		nGroups := int(inner.U32())
-		if _, err := n.installGroups(inner, mode, nGroups, zeroCopy); err != nil {
-			panic(err)
-		}
-		if inner.Err() != nil {
-			panic("pm2: corrupt evacuation convoy")
-		}
-		descs = append(descs, desc)
-	}
-	lats := make([]simtime.Time, len(descs))
-	for i, desc := range descs {
-		if _, err := n.sched.Thaw(desc); err != nil {
-			panic(fmt.Sprintf("pm2: thawing evacuated thread on node %d: %v", n.id, err))
-		}
-		lats[i] = n.actor.Now() - declared
-	}
-	n.kick()
+// it resumes with whatever result its waker had not yet delivered. The
+// records carry the declaration instant as their start stamp, so the
+// latencies are measured from there.
+func (n *Node) recoverConvoy(body []byte, zeroCopy bool) {
+	n.actor.Charge(n.c.cfg.Model.Recv(len(body)))
+	lats, _ := n.installConvoy(body, zeroCopy)
 	n.actor.Commit(func() {
 		n.c.stats.EvacuationLatencies = append(n.c.stats.EvacuationLatencies, lats...)
 	})

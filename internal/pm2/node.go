@@ -120,10 +120,10 @@ type Node struct {
 	deltaReplyHook func(peer int, status uint32)
 
 	// Migration-install scratch state, reused across messages so the
-	// receive path stops allocating per group (see installGroups): the
-	// first-touch page set and the span list handed to RebuildFreeList.
+	// receive path stops allocating per record (see image.go): the
+	// decoded record and the first-touch page set.
+	img          threadImage
 	touchScratch map[Addr]bool
-	spanScratch  []core.Span
 
 	// parked holds threads a checkpoint capture froze and detached, in
 	// capture order — the order Resume (and a restore) re-enqueues

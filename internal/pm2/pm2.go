@@ -309,6 +309,9 @@ func (cfg Config) Validate() error {
 	if cfg.HeartbeatMisses < 0 {
 		return fmt.Errorf("pm2: negative heartbeat-miss threshold %d", cfg.HeartbeatMisses)
 	}
+	if cfg.Pack != PackUsed && cfg.Pack != PackWhole {
+		return fmt.Errorf("pm2: unknown pack mode %d", cfg.Pack)
+	}
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		if err := validateFaultPlan(cfg.Faults, cfg); err != nil {
 			return err

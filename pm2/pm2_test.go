@@ -1,11 +1,17 @@
 package pm2
 
 import (
+	"bytes"
+	"encoding/binary"
 	"flag"
+	"fmt"
+	"hash/fnv"
+	"math/bits"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/madeleine"
 	ipm2 "repro/internal/pm2"
 )
@@ -228,7 +234,9 @@ func TestPublicCheckpointRestore(t *testing.T) {
 // TestRestoreRejectsUnknownConfig: a correctly sealed pm2ckpt whose
 // config line names a strategy this build does not know — including the
 // removed "batched" gather and "optimistic" arbiter — is refused with an
-// error, never a panic.
+// error, never a panic. So is an unknown pack mode: a cluster restored
+// with one would stamp it on every migration record, and the receiver's
+// image decoder refuses it with a panic at the first migration.
 func TestRestoreRejectsUnknownConfig(t *testing.T) {
 	sys := NewSystem()
 	sys.RegisterExamples()
@@ -248,6 +256,7 @@ func TestRestoreRejectsUnknownConfig(t *testing.T) {
 		{"arbiter=optimistic", func(ck *ipm2.Checkpoint) { ck.Arbiter = "optimistic" }, `unknown arbiter "optimistic" (have [global sharded])`},
 		{"arbiter=bogus", func(ck *ipm2.Checkpoint) { ck.Arbiter = "bogus" }, "unknown arbiter"},
 		{"dist=bogus", func(ck *ipm2.Checkpoint) { ck.Dist = "bogus" }, "unknown distribution"},
+		{"pack=5", func(ck *ipm2.Checkpoint) { ck.Pack = 5 }, "unknown pack mode 5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,7 +275,8 @@ func TestRestoreRejectsUnknownConfig(t *testing.T) {
 // TestRestoreRejectsTruncatedThreadImage: a thread image cut short and
 // re-sealed with Encode passes the digest check, so the restore itself
 // must refuse it — with an error, never a panic while installing it. An
-// image with bytes past its last group is refused the same way.
+// image with bytes past its last group is refused the same way, and so
+// is one that breaks any other check of the image decoder.
 func TestRestoreRejectsTruncatedThreadImage(t *testing.T) {
 	sys := NewSystem()
 	sys.RegisterExamples()
@@ -286,6 +296,22 @@ func TestRestoreRejectsTruncatedThreadImage(t *testing.T) {
 		{"cut 8", func(img []byte) []byte { return img[:len(img)-8] }, "image truncated"},
 		{"cut 20", func(img []byte) []byte { return img[:len(img)-20] }, "image truncated"},
 		{"trailing", func(img []byte) []byte { return append(img, 0, 0, 0, 0) }, "trailing bytes"},
+		{"pack mode", func(img []byte) []byte { return putU32(img, imgMode, 7) }, "bad pack mode 7"},
+		{"group count", func(img []byte) []byte { return putU32(img, imgNGroups, uint32(layout.SlotCount)+1) }, "slot groups"},
+		{"base below iso area", func(img []byte) []byte { return putU32(img, imgBase, 0) }, "not a slot in the iso-address area"},
+		{"base past iso area", func(img []byte) []byte { return putU32(img, imgBase, uint32(layout.IsoEnd)) }, "not a slot in the iso-address area"},
+		{"base unaligned", func(img []byte) []byte { return putU32(img, imgBase, getU32(img, imgBase)+layout.PageSize) }, "not a slot in the iso-address area"},
+		{"zero slots", func(img []byte) []byte { return putU32(img, imgNSlots, 0) }, "spans 0 slots"},
+		{"slots past the end", func(img []byte) []byte { return putU32(img, imgNSlots, uint32(layout.SlotCount)+1) }, "spans 57345 slots"},
+		{"slot kind", func(img []byte) []byte { return putU32(img, imgKind, 9) }, "bad slot kind 9"},
+		{"span outside group", func(img []byte) []byte {
+			return putU32(img, imgSpanOff, getU32(img, imgNSlots)*layout.SlotSize)
+		}, "outside the"},
+		{"group twice", func(img []byte) []byte {
+			end := firstGroupEnd(img)
+			dup := append(append(append([]byte(nil), img[:end]...), img[imgBase:end]...), img[end:]...)
+			return putU32(dup, imgNGroups, getU32(img, imgNGroups)+1)
+		}, "claims a slot that is free or already claimed"},
 	}
 	for _, tc := range edits {
 		t.Run(tc.name, func(t *testing.T) {
@@ -313,6 +339,138 @@ func TestRestoreRejectsTruncatedThreadImage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Byte offsets of the thread-image fields the rejection tests edit: the
+// record header, then the first group's header and its first span.
+const (
+	imgMode    = 12
+	imgNGroups = 16
+	imgBase    = 20
+	imgNSlots  = 24
+	imgKind    = 28
+	imgSpanOff = 36
+)
+
+func getU32(img []byte, off int) uint32 { return binary.LittleEndian.Uint32(img[off:]) }
+
+func putU32(img []byte, off int, v uint32) []byte {
+	binary.LittleEndian.PutUint32(img[off:], v)
+	return img
+}
+
+// firstGroupEnd returns the byte offset just past the first slot group
+// of a thread image.
+func firstGroupEnd(img []byte) int {
+	in := madeleine.FromBytes(img[imgBase:])
+	in.U32() // base
+	in.U32() // slot count
+	in.U32() // kind
+	nSpans := int(in.U32())
+	for sp := 0; sp < nSpans; sp++ {
+		in.U32() // offset
+		in.BytesSection()
+	}
+	return len(img) - in.Remaining()
+}
+
+// captureTwoNodes runs p4 on a 2-node cluster for 500 µs and returns the
+// system and the checkpoint bytes captured there.
+func captureTwoNodes(t testing.TB) (*System, []byte) {
+	t.Helper()
+	sys := NewSystem()
+	sys.RegisterExamples()
+	cl := sys.Boot(Config{Nodes: 2})
+	cl.Spawn(0, "p4", 1000)
+	cl.RunForMicros(500)
+	data, err := cl.CheckpointBytes()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	return sys, data
+}
+
+// TestRestoreRejectsClaimedSlot: the restore's cross-image check. A
+// re-sealed checkpoint whose thread image claims a slot another image
+// already holds, or a slot a node bitmap lists as free, is refused with
+// an error before anything is installed.
+func TestRestoreRejectsClaimedSlot(t *testing.T) {
+	sys, data := captureTwoNodes(t)
+	cases := []struct {
+		name string
+		edit func(ck *ipm2.Checkpoint, st *ipm2.CheckpointNode) error
+	}{
+		{"two images", func(ck *ipm2.Checkpoint, st *ipm2.CheckpointNode) error {
+			twin := st.Threads[0]
+			twin.TID++
+			twin.Image = append([]byte(nil), twin.Image...)
+			st.Threads = append(st.Threads, twin)
+			return nil
+		}},
+		{"listed free", func(ck *ipm2.Checkpoint, st *ipm2.CheckpointNode) error {
+			for _, other := range ck.NodeStates {
+				for i, b := range other.Bitmap {
+					if b != 0 {
+						slot := 8*i + bits.TrailingZeros8(b)
+						putU32(st.Threads[0].Image, imgBase, uint32(layout.SlotBase(slot)))
+						putU32(st.Threads[0].Image, imgNSlots, 1)
+						return nil
+					}
+				}
+			}
+			return fmt.Errorf("no node bitmap lists a free slot")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := ipm2.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st *ipm2.CheckpointNode
+			for i := range ck.NodeStates {
+				if len(ck.NodeStates[i].Threads) > 0 {
+					st = &ck.NodeStates[i]
+					break
+				}
+			}
+			if st == nil {
+				t.Fatal("the checkpoint holds no thread image")
+			}
+			if err := tc.edit(ck, st); err != nil {
+				t.Fatal(err)
+			}
+			want := "claims a slot that is free or already claimed"
+			if _, err := sys.Restore(ck.Encode()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// FuzzRestore: System.Restore returns a cluster or an error for any
+// input, never a panic. Each input is tried as it is and, so the fuzzer
+// reaches the checks behind the digest, re-sealed: its body gets a fresh
+// digest trailer, and whatever DecodeCheckpoint makes of that is
+// encoded again and restored.
+func FuzzRestore(f *testing.F) {
+	sys, data := captureTwoNodes(f)
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sys.Restore(data)
+		body := data
+		if i := bytes.LastIndex(data, []byte("\ndigest ")); i >= 0 {
+			body = data[:i+1]
+		}
+		h := fnv.New64a()
+		h.Write(body)
+		sealed := fmt.Appendf(append([]byte(nil), body...), "digest %016x\n", h.Sum64())
+		ck, err := ipm2.DecodeCheckpoint(sealed)
+		if err != nil {
+			return
+		}
+		sys.Restore(ck.Encode())
+	})
 }
 
 // TestRestoreRejectsBadSlotMagic: a thread image whose used-mode data
