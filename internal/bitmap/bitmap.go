@@ -58,10 +58,63 @@ func (b *Bitmap) Test(i int) bool {
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// SetRun sets bits [i, i+n) to 1.
+// SetRun sets bits [i, i+n) to 1, a word at a time under edge masks.
+// Like Set it panics when the run reaches outside the map; an empty run
+// (n <= 0) sets nothing.
 func (b *Bitmap) SetRun(i, n int) {
-	for k := i; k < i+n; k++ {
-		b.Set(k)
+	if n <= 0 {
+		return
+	}
+	b.check(i)
+	b.check(i + n - 1)
+	first, last := i/wordBits, (i+n-1)/wordBits
+	lo := ^uint64(0) << (uint(i) % wordBits)
+	hi := ^uint64(0) >> (wordBits - 1 - uint(i+n-1)%wordBits)
+	if first == last {
+		b.words[first] |= lo & hi
+		return
+	}
+	b.words[first] |= lo
+	for w := first + 1; w < last; w++ {
+		b.words[w] = ^uint64(0)
+	}
+	b.words[last] |= hi
+}
+
+// SetEvery sets bits first, first+stride, first+2·stride, … below Len, a
+// word at a time when the stride fits in a word: every word then ORs in
+// the stride's one-word pattern (bits 0, stride, 2·stride, …) shifted to
+// its first such bit, and that offset steps back by 64 mod stride from
+// one word to the next.
+func (b *Bitmap) SetEvery(first, stride int) {
+	if first < 0 || stride <= 0 {
+		panic(fmt.Sprintf("bitmap: SetEvery(%d, %d)", first, stride))
+	}
+	if first >= b.n {
+		return
+	}
+	if stride > wordBits {
+		for i := first; i < b.n; i += stride {
+			b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+		}
+		return
+	}
+	var pat uint64
+	for k := 0; k < wordBits; k += stride {
+		pat |= 1 << uint(k)
+	}
+	w, off := first/wordBits, first%wordBits
+	b.words[w] |= pat << uint(off)
+	off %= stride
+	step := wordBits % stride
+	for w++; w < len(b.words); w++ {
+		if off -= step; off < 0 {
+			off += stride
+		}
+		b.words[w] |= pat << uint(off)
+	}
+	if tail := b.n % wordBits; tail != 0 {
+		b.words[len(b.words)-1] &= 1<<uint(tail) - 1
 	}
 }
 

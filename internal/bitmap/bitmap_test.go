@@ -457,3 +457,39 @@ func BenchmarkOrBytes(b *testing.B) {
 	}
 	reportPerWord(b, dst.Words())
 }
+
+// TestWordWiseSettersMatchPerBit: SetRun and SetEvery write whole words
+// under masks; on a map whose length is not a multiple of 64 they must
+// set exactly the bits the one-bit-at-a-time loops set, on top of what
+// the map already holds, and never a bit past its length.
+func TestWordWiseSettersMatchPerBit(t *testing.T) {
+	const n = 200
+	base := New(n)
+	for i := 0; i < n; i += 7 {
+		base.Set(i)
+	}
+	for i := 0; i < n; i++ {
+		for k := 0; i+k <= n; k++ {
+			got, want := base.Clone(), base.Clone()
+			got.SetRun(i, k)
+			for j := i; j < i+k; j++ {
+				want.Set(j)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("SetRun(%d, %d) = %v, want %v", i, k, got, want)
+			}
+		}
+	}
+	for stride := 1; stride <= n+1; stride++ {
+		for first := 0; first <= n; first++ {
+			got, want := base.Clone(), base.Clone()
+			got.SetEvery(first, stride)
+			for j := first; j < n; j += stride {
+				want.Set(j)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("SetEvery(%d, %d) = %v, want %v", first, stride, got, want)
+			}
+		}
+	}
+}

@@ -55,11 +55,7 @@ type Distribution interface {
 type RoundRobin struct{}
 
 // Mark implements Distribution.
-func (RoundRobin) Mark(bm *bitmap.Bitmap, node, p int) {
-	for i := node; i < layout.SlotCount; i += p {
-		bm.Set(i)
-	}
-}
+func (RoundRobin) Mark(bm *bitmap.Bitmap, node, p int) { bm.SetEvery(node, p) }
 
 // Name implements Distribution.
 func (RoundRobin) Name() string { return "round-robin" }

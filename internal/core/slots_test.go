@@ -58,6 +58,67 @@ func TestDistributions(t *testing.T) {
 	}
 }
 
+// TestDistributionMarksMatchPerBit: Mark writes whole words (SetEvery,
+// SetRun); for every node of clusters whose size divides a word, does
+// not, or exceeds one, each distribution must mark exactly the slots a
+// one-bit-at-a-time loop over its definition marks.
+func TestDistributionMarksMatchPerBit(t *testing.T) {
+	perBit := map[string]func(bm *bitmap.Bitmap, node, p int){
+		"round-robin": func(bm *bitmap.Bitmap, node, p int) {
+			for i := node; i < layout.SlotCount; i += p {
+				bm.Set(i)
+			}
+		},
+		"block-cyclic(8)": func(bm *bitmap.Bitmap, node, p int) {
+			for i := node * 8; i < layout.SlotCount; i += p * 8 {
+				for j := i; j < min(i+8, layout.SlotCount); j++ {
+					bm.Set(j)
+				}
+			}
+		},
+		"partition": func(bm *bitmap.Bitmap, node, p int) {
+			for i := 0; i < layout.SlotCount; i++ {
+				if min(i/(layout.SlotCount/p), p-1) == node {
+					bm.Set(i)
+				}
+			}
+		},
+	}
+	empty := bitmap.New(layout.SlotCount)
+	got, want := bitmap.New(layout.SlotCount), bitmap.New(layout.SlotCount)
+	for _, dist := range []Distribution{RoundRobin{}, BlockCyclic{K: 8}, Partition{}} {
+		ref := perBit[dist.Name()]
+		for _, p := range []int{1, 2, 3, 7, 64, 65, 1024, 4096} {
+			// The partition reference scans the whole area: check every
+			// node of the small clusters and a spread of the large ones.
+			step := 1
+			if dist.Name() == "partition" && p > 65 {
+				step = p / 16
+			}
+			for node := 0; node < p; node += step {
+				got.CopyFrom(empty)
+				want.CopyFrom(empty)
+				dist.Mark(got, node, p)
+				ref(want, node, p)
+				if !got.Equal(want) {
+					t.Fatalf("%s p=%d node %d: Mark sets %d slots, per-bit reference %d",
+						dist.Name(), p, node, got.Count(), want.Count())
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRoundRobinMark measures building one node's initial ownership
+// bitmap under the paper's round-robin distribution in a 2-node cluster
+// — the per-node share of every cluster setup and restore.
+func BenchmarkRoundRobinMark(b *testing.B) {
+	bm := bitmap.New(layout.SlotCount)
+	for b.Loop() {
+		RoundRobin{}.Mark(bm, 1, 2)
+	}
+}
+
 func TestRoundRobinNeverHasContiguousPair(t *testing.T) {
 	// The property behind the paper's "every multi-slot allocation
 	// negotiates under round-robin" observation (§5).

@@ -26,10 +26,11 @@ import (
 // the global lock's guarantee, reached only when contention demands it
 // (see escalate).
 //
-// A node still runs its *own* negotiations one at a time (a local queue
-// replaces the global one), which keeps the give-back accounting and
-// retry invariants intact; the parallelism is across initiators, which
-// is where the contention was.
+// A node still runs its *own* negotiations one at a time: one running
+// record plus a FIFO of waiting ones (Node.neg, Node.negWaiting) replace
+// the global queue, which keeps the give-back accounting and retry
+// invariants intact; the parallelism is across initiators, which is
+// where the contention was.
 
 // ArbiterMode selects the negotiation concurrency scheme.
 type ArbiterMode int
@@ -84,30 +85,41 @@ func negotiationBackoff(round int) simtime.Time {
 	return negotiationBackoffBase << uint(round)
 }
 
-// startLocalNegotiation runs fn now, or queues it behind this node's
-// negotiation in flight. The sharded arbiter drops the global queue on
-// node 0; this local queue preserves the invariant the retry path
-// relies on — one negotiation per node at a time, so give-backs of one
-// round can never interleave with another round's gather.
-func (n *Node) startLocalNegotiation(fn func()) {
-	if n.negBusy {
-		n.negQueue = append(n.negQueue, fn)
-		return
-	}
-	n.negBusy = true
-	fn()
+// Lock manager (system-wide critical section), hosted on node 0.
+
+func (n *Node) acquireLock(granted func()) {
+	n.ep.Call(0, chLock, nil, func(*madeleine.Buffer) { granted() })
 }
 
-// finishLocalNegotiation releases the local slot and starts the next
-// queued negotiation, if any.
-func (n *Node) finishLocalNegotiation() {
-	if len(n.negQueue) > 0 {
-		next := n.negQueue[0]
-		n.negQueue = n.negQueue[:copy(n.negQueue, n.negQueue[1:])]
-		next()
+func (n *Node) releaseLock() {
+	n.ep.Send(0, chUnlock, nil)
+}
+
+// onLockCall queues or grants the global lock (node 0 only).
+func (n *Node) onLockCall(src int, req *madeleine.Call) {
+	if n.id != 0 {
+		panic("pm2: lock request at non-manager node")
+	}
+	if n.lockHeld {
+		n.lockQueue = append(n.lockQueue, req)
 		return
 	}
-	n.negBusy = false
+	n.lockHeld = true
+	req.Reply(nil)
+}
+
+// onUnlockMsg releases the lock and grants the next waiter (node 0 only).
+func (n *Node) onUnlockMsg(src int, _ *madeleine.Buffer) {
+	if !n.lockHeld {
+		panic("pm2: unlock without lock")
+	}
+	if len(n.lockQueue) > 0 {
+		next := n.lockQueue[0]
+		n.lockQueue = n.lockQueue[:copy(n.lockQueue, n.lockQueue[1:])]
+		next.Reply(nil)
+		return
+	}
+	n.lockHeld = false
 }
 
 // homeOrigin returns where this node starts its run search under the
@@ -124,13 +136,14 @@ func (n *Node) homeOrigin() int {
 // and re-runs the round budget holding them. No other negotiation can
 // buy a slot meanwhile, so the escalated rounds race only local
 // allocations, as under the global lock. While escalated, withRunLocks
-// is a pass-through and releaseRunLocks keeps the shards; negotiate
-// releases them once, when the negotiation finishes.
-func (n *Node) escalate(k int, done func(bool)) {
-	n.withRunLocks(0, layout.SlotCount, func() {
-		n.escalated = true
-		n.negotiateRound(k, 0, done)
-	}, func() { done(false) })
+// is a pass-through and releaseRunLocks keeps the shards; finish
+// releases them once, when the negotiation ends.
+func (g *negotiation) escalate() {
+	g.withRunLocks(0, layout.SlotCount, func() {
+		g.escalated = true
+		g.round = 0
+		g.run()
+	}, func() { g.finish(false) })
 }
 
 // withRunLocks acquires the shard locks covering the planned run and
@@ -147,8 +160,9 @@ func (n *Node) escalate(k int, done func(bool)) {
 // backoff). A grant that outruns the timeout is released the moment it
 // arrives — a manager's lock must never be parked with a waiter that
 // walked away.
-func (n *Node) withRunLocks(start, count int, then, fail func()) {
-	if n.c.cfg.Arbiter != ArbiterSharded || n.escalated {
+func (g *negotiation) withRunLocks(start, count int, then, fail func()) {
+	n := g.n
+	if n.c.cfg.Arbiter != ArbiterSharded || g.escalated {
 		then()
 		return
 	}
@@ -164,10 +178,10 @@ func (n *Node) withRunLocks(start, count int, then, fail func()) {
 		n.callRPC(mgr, chShardLock, func(b *madeleine.Buffer) {
 			b.PackU32(uint32(s))
 		}, func(*madeleine.Buffer) {
-			n.heldShards = append(n.heldShards, s)
+			g.held = append(g.held, s)
 			acquire(i + 1)
 		}, func() {
-			n.releaseRunLocks()
+			g.releaseRunLocks()
 			fail()
 		}, func(*madeleine.Buffer) {
 			n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) {
@@ -178,21 +192,22 @@ func (n *Node) withRunLocks(start, count int, then, fail func()) {
 	acquire(0)
 }
 
-// releaseRunLocks releases every shard lock this node's negotiation
-// holds (one-way, like the global unlock). No-op when none are held,
-// and while escalated: an escalated negotiation keeps every shard until
-// it finishes.
-func (n *Node) releaseRunLocks() {
-	if n.escalated {
+// releaseRunLocks releases every shard lock the negotiation holds
+// (one-way, like the global unlock). No-op when none are held, and while
+// escalated: an escalated negotiation keeps every shard until it
+// finishes.
+func (g *negotiation) releaseRunLocks() {
+	if g.escalated {
 		return
 	}
-	for _, s := range n.heldShards {
+	n := g.n
+	for _, s := range g.held {
 		shard := s
 		n.ep.Send(n.c.shardManager(shard), chShardUnlock, func(b *madeleine.Buffer) {
 			b.PackU32(uint32(shard))
 		})
 	}
-	n.heldShards = n.heldShards[:0]
+	g.held = g.held[:0]
 }
 
 // onShardLockCall queues or grants one shard's lock (manager rank only).

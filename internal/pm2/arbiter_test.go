@@ -29,13 +29,19 @@ func freeSlotTotal(c *Cluster) int {
 	return total
 }
 
-// shardsIdle reports an error unless every shard manager ended idle and
-// no node's negotiation still holds (or is escalated over) any shard.
-func shardsIdle(c *Cluster) error {
+// negotiationsDrained reports an error unless every negotiation ended:
+// no node runs or queues one, so none still holds a shard, is escalated
+// or waits on a give-back; every shard manager is idle; and node 0's
+// global lock is neither held nor queued.
+func negotiationsDrained(c *Cluster) error {
 	for i := 0; i < c.Nodes(); i++ {
 		n := c.Node(i)
-		if len(n.heldShards) != 0 || n.escalated {
-			return fmt.Errorf("node %d still holds shards %v (escalated=%v)", i, n.heldShards, n.escalated)
+		if g := n.neg; g != nil {
+			return fmt.Errorf("node %d still runs a negotiation: k=%d round=%d held=%v escalated=%v give-backs=%d outstanding=%d",
+				i, g.k, g.round, g.held, g.escalated, g.giveBacks, g.outstanding)
+		}
+		if len(n.negWaiting) != 0 {
+			return fmt.Errorf("node %d still queues %d negotiation(s)", i, len(n.negWaiting))
 		}
 		for s, held := range n.shardHeld {
 			if held {
@@ -47,6 +53,9 @@ func shardsIdle(c *Cluster) error {
 				return fmt.Errorf("manager %d still queues %d waiter(s) on shard %d", i, len(q), s)
 			}
 		}
+	}
+	if mgr := c.Node(0); mgr.lockHeld || len(mgr.lockQueue) != 0 {
+		return fmt.Errorf("global lock not idle: held=%v queue=%d", mgr.lockHeld, len(mgr.lockQueue))
 	}
 	return nil
 }
@@ -135,6 +144,9 @@ func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				if err := negotiationsDrained(c); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
 				if got := freeSlotTotal(c); got != layout.SlotCount {
 					t.Fatalf("%s: owned-free total %d, want %d", name, got, layout.SlotCount)
 				}
@@ -170,23 +182,25 @@ func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 	for _, id := range []int{1, 2, 3} {
 		nid := id
 		c.At(nid, func(n *Node) {
-			n.withRunLocks(2*shardSize+10*nid, 5, func() {
+			g := &negotiation{n: n}
+			g.withRunLocks(2*shardSize+10*nid, 5, func() {
 				order = append(order, nid)
-				n.releaseRunLocks()
+				g.releaseRunLocks()
 			}, func() { panic("unexpected shard-lock failure") })
 		})
 	}
 	c.At(0, func(n *Node) {
-		n.withRunLocks(5*shardSize, 3, func() {
+		g := &negotiation{n: n}
+		g.withRunLocks(5*shardSize, 3, func() {
 			order = append(order, 0)
-			n.releaseRunLocks()
+			g.releaseRunLocks()
 		}, func() { panic("unexpected shard-lock failure") })
 	})
 	c.Run(0)
 	if len(order) != 4 {
 		t.Fatalf("grants = %v, want all four negotiations granted", order)
 	}
-	if err := shardsIdle(c); err != nil {
+	if err := negotiationsDrained(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,20 +216,25 @@ func TestShardLockSpanningRuns(t *testing.T) {
 	// Node 1 spans shards 3-4; node 2 spans shards 4-5: both need shard
 	// 4, so they serialize despite distinct shard sets.
 	c.At(1, func(n *Node) {
-		n.withRunLocks(4*shardSize-2, 4, func() {
+		g := &negotiation{n: n}
+		g.withRunLocks(4*shardSize-2, 4, func() {
 			order = append(order, 1)
-			n.releaseRunLocks()
+			g.releaseRunLocks()
 		}, func() { panic("unexpected shard-lock failure") })
 	})
 	c.At(2, func(n *Node) {
-		n.withRunLocks(5*shardSize-2, 4, func() {
+		g := &negotiation{n: n}
+		g.withRunLocks(5*shardSize-2, 4, func() {
 			order = append(order, 2)
-			n.releaseRunLocks()
+			g.releaseRunLocks()
 		}, func() { panic("unexpected shard-lock failure") })
 	})
 	c.Run(0)
 	if len(order) != 2 {
 		t.Fatalf("grants = %v, want both spanning negotiations granted", order)
+	}
+	if err := negotiationsDrained(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -243,9 +262,8 @@ func TestLocalNegotiationQueue(t *testing.T) {
 	if len(done) != 2 || done[0] != 1 || done[1] != 2 {
 		t.Fatalf("completion order %v, want [1 2]", done)
 	}
-	n0 := c.Node(0)
-	if n0.negBusy || len(n0.negQueue) != 0 {
-		t.Fatalf("local queue not drained: busy=%v queue=%d", n0.negBusy, len(n0.negQueue))
+	if err := negotiationsDrained(c); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -276,6 +294,9 @@ func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
+		if err := negotiationsDrained(c); err != nil {
+			t.Fatalf("%s: %v", gather, err)
+		}
 		if got := freeSlotTotal(c); got != layout.SlotCount {
 			t.Fatalf("%s: owned-free total %d, want %d", gather, got, layout.SlotCount)
 		}
@@ -302,7 +323,7 @@ func TestShardedEscalationSucceedsWhereGlobalGivesUp(t *testing.T) {
 				declines++
 				return true
 			}
-			heldAtAccept = append([]int(nil), n0.heldShards...)
+			heldAtAccept = append([]int(nil), n0.neg.held...)
 			return false
 		}
 		ok := negotiateSync(t, c, 0, 2)
@@ -325,7 +346,7 @@ func TestShardedEscalationSucceedsWhereGlobalGivesUp(t *testing.T) {
 		if st := c.Stats(); st.NegotiationFailures != 0 || st.NegotiationRetries != maxNegotiationRounds {
 			t.Fatalf("sharded: failures=%d retries=%d, want 0/%d", st.NegotiationFailures, st.NegotiationRetries, maxNegotiationRounds)
 		}
-		if err := shardsIdle(c); err != nil {
+		if err := negotiationsDrained(c); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.CheckInvariants(); err != nil {
@@ -346,7 +367,7 @@ func TestConcurrentEscalations(t *testing.T) {
 		c := New(Config{Nodes: nodes, Gather: gather, Arbiter: ArbiterSharded}, progs.NewImage())
 		for i := 0; i < nodes; i++ {
 			c.Node(i).buyHook = func(src int, giveBack bool) bool {
-				return !giveBack && !c.Node(src).escalated
+				return !giveBack && !c.Node(src).neg.escalated
 			}
 		}
 		succeeded := 0
@@ -372,7 +393,7 @@ func TestConcurrentEscalations(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
-		if err := shardsIdle(c); err != nil {
+		if err := negotiationsDrained(c); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
 	}

@@ -59,17 +59,18 @@ const (
 )
 
 // deltaPeerView is the initiator's cached knowledge of one peer: the
-// last-seen bitmap and the version it corresponds to.
+// last-seen bitmap, nil before first contact, and the version it
+// corresponds to.
 type deltaPeerView struct {
-	known   bool
 	version uint64
 	bm      *bitmap.Bitmap
 }
 
 // deltaPeerCall is the initiator's per-peer half of a delta round: what
 // the request asks for, fixed when the round starts (a retried attempt
-// re-sends the same request), and the request and reply callbacks,
-// bound once so a round allocates no closures.
+// re-sends the same request, and its reply is judged against it), and
+// the request and reply callbacks, bound once so a round allocates no
+// closures.
 type deltaPeerCall struct {
 	known   bool
 	version uint64
@@ -77,18 +78,13 @@ type deltaPeerCall struct {
 	reply   func(*madeleine.Buffer)
 }
 
-// deltaRound is the initiator's in-flight delta gather. A node runs one
-// negotiation round at a time, so one record per node carries it.
-type deltaRound struct {
-	k, round    int
-	done        func(bool)
-	outstanding int
-}
-
 // gatherDelta runs one incremental gather round: every peer is asked
 // for its bitmap changes since the cached version, the replies patch the
 // cached views and global OR, and the purchase is planned on the result.
-func (n *Node) gatherDelta(k, round int, done func(bool)) {
+// The round's outstanding-peer count lives on the negotiation record,
+// which the bound reply callbacks reach as the node's running one.
+func (g *negotiation) gatherDelta() {
+	n := g.n
 	if n.deltaPeers == nil {
 		n.deltaPeers = make([]deltaPeerView, n.c.Nodes())
 		n.deltaOr = bitmap.New(layout.SlotCount)
@@ -96,26 +92,24 @@ func (n *Node) gatherDelta(k, round int, done func(bool)) {
 	if n.deltaCalls == nil {
 		n.bindDeltaCalls()
 	}
-	if n.deltaRound.done != nil {
+	if g.outstanding != 0 {
 		panic(fmt.Sprintf("pm2: node %d started a delta round with one in flight", n.id))
 	}
-	outstanding := 0
 	for i := 0; i < n.c.Nodes(); i++ {
 		if i != n.id && n.c.nodeAlive(i) {
-			outstanding++
+			g.outstanding++
 		}
 	}
-	if outstanding == 0 {
-		n.planAndBuyDelta(k, round, done)
+	if g.outstanding == 0 {
+		g.planAndBuy(n.deltaView())
 		return
 	}
-	n.deltaRound = deltaRound{k: k, round: round, done: done, outstanding: outstanding}
 	for p := 0; p < n.c.Nodes(); p++ {
 		if p == n.id || !n.c.nodeAlive(p) {
 			continue
 		}
 		call := &n.deltaCalls[p]
-		call.known, call.version = n.deltaPeers[p].known, n.deltaPeers[p].version
+		call.known, call.version = n.deltaPeers[p].bm != nil, n.deltaPeers[p].version
 		// A peer whose retries run out just retires: the round plans on
 		// its cached view as-is. If the peer's bitmap moved meanwhile,
 		// any purchase planned on the stale view is declined and
@@ -139,38 +133,45 @@ func (n *Node) bindDeltaCalls() {
 			b.PackU32(flag).PackU64(call.version)
 		}
 		call.reply = func(reply *madeleine.Buffer) {
-			n.applyDeltaReply(p, reply)
+			n.applyDeltaReply(p, call.known, reply)
 			n.deltaPeerDone()
 		}
 	}
 }
 
-// deltaPeerDone retires one peer of the in-flight round and plans the
-// purchase once every peer answered or ran out of retries.
+// deltaPeerDone retires one peer of the running negotiation's delta
+// round and plans the purchase once every peer answered or ran out of
+// retries.
 func (n *Node) deltaPeerDone() {
-	r := &n.deltaRound
-	r.outstanding--
-	if r.outstanding == 0 {
-		k, round, done := r.k, r.round, r.done
-		*r = deltaRound{}
-		n.planAndBuyDelta(k, round, done)
+	g := n.neg
+	g.outstanding--
+	if g.outstanding == 0 {
+		g.planAndBuy(n.deltaView())
 	}
 }
 
 // applyDeltaReply folds one peer's reply into the cached view and the
 // cached global OR, charging merge cost on the bytes actually shipped.
-func (n *Node) applyDeltaReply(p int, reply *madeleine.Buffer) {
+// known is what the request asked: whether it named a cached version.
+// A suspicion or rejoin can drop that view while the request is in
+// flight; its reply then answers a version this node no longer holds,
+// so it is discarded and the round plans without that peer, as after a
+// miss — the next round re-contacts it from scratch.
+func (n *Node) applyDeltaReply(p int, known bool, reply *madeleine.Buffer) {
+	view := &n.deltaPeers[p]
+	if known && view.bm == nil {
+		return
+	}
 	status := reply.U32()
 	ver := reply.U64()
-	view := &n.deltaPeers[p]
 	switch status {
 	case deltaReplyUnchanged:
-		if view.bm == nil {
+		if !known {
 			panic(fmt.Sprintf("pm2: node %d claims unchanged on first contact", p))
 		}
 		// The cached view is current; nothing to merge.
 	case deltaReplyWords:
-		if view.bm == nil {
+		if !known {
 			panic(fmt.Sprintf("pm2: node %d sent a delta on first contact", p))
 		}
 		count := int(reply.U32())
@@ -201,7 +202,6 @@ func (n *Node) applyDeltaReply(p int, reply *madeleine.Buffer) {
 	if reply.Err() != nil {
 		panic("pm2: corrupt delta-gather reply")
 	}
-	view.known = true
 	view.version = ver
 	if n.deltaReplyHook != nil {
 		n.deltaReplyHook(p, status)
@@ -258,17 +258,15 @@ func (n *Node) forgetDeltaPeer(p int) {
 	}
 }
 
-// planAndBuyDelta plans the purchase on the cached global view — own
-// bitmap merged fresh, it is local and always current — and executes it
-// through the same per-owner purchase path as the sequential gather, so
-// declines and give-backs retry identically (and the retry's
-// re-gather ships only the deltas the failed round caused).
-func (n *Node) planAndBuyDelta(k, round int, done func(bool)) {
-	// First-fit search over the global map (step 2d).
-	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
-	// The plan reads the live own bitmap and one scratch global map:
-	// planOn only reads its inputs and returns before anything mutates
-	// them, and the scratch is this node's lane-affine state.
+// deltaView returns the delta round's planning inputs: the cached global
+// view with the own bitmap merged fresh (it is local and always
+// current), and the per-node maps. The purchase then runs through the
+// same path as the sequential gather's, so declines and give-backs retry
+// identically (and the retry's re-gather ships only the deltas the
+// failed round caused). The view lives in node scratch: the planner only
+// reads its inputs and returns before anything mutates them, and the
+// scratch is this node's lane-affine state.
+func (n *Node) deltaView() (*bitmap.Bitmap, []*bitmap.Bitmap) {
 	own := n.slots.Bitmap()
 	if n.deltaPlan == nil {
 		n.deltaPlan = bitmap.New(layout.SlotCount)
@@ -282,18 +280,7 @@ func (n *Node) planAndBuyDelta(k, round int, done func(bool)) {
 		maps[p] = n.deltaPeers[p].bm
 	}
 	maps[n.id] = own
-	plan, ok := n.planOn(global, maps, k)
-	if !ok {
-		done(false)
-		return
-	}
-	n.withRunLocks(plan.Start, plan.N, func() {
-		n.executePurchase(k, round, plan, done)
-	}, func() {
-		// A shard manager timed out: nothing was secured, re-plan after
-		// the usual backoff.
-		n.retryAfterReturns(k, round, nil, done)
-	})
+	return global, maps
 }
 
 // onBitmapDeltaCall serves the incremental gather: answer with nothing,

@@ -86,9 +86,6 @@ func TestDeltaGatherTracksRemoteChanges(t *testing.T) {
 	if st.NegotiationRetries == 0 {
 		t.Fatal("the declined purchase did not register a retry")
 	}
-	if got := c.Node(0).pendingGiveBacks; got != 0 {
-		t.Fatalf("%d give-backs still pending after the negotiation", got)
-	}
 	if c.Node(0).Slots().Bitmap().FindRun(3) < 0 {
 		t.Fatal("initiator holds no contiguous 3-run after the retry")
 	}
@@ -234,6 +231,9 @@ func TestDeltaGatherCachedOrCoherent(t *testing.T) {
 					t.Fatalf("workers=%d: node %d's negotiation never completed", workers, id)
 				}
 			}
+			if err := negotiationsDrained(c); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
 		}
 		contend(0, 2, 3)
 		contend(0, 2, 3)
@@ -350,7 +350,7 @@ func TestApplyDeltaReplyPatchesExactly(t *testing.T) {
 			{"unchanged", 2, view2.Word(w) | bit(6401), 6401, true},
 		}
 		for i, st := range steps {
-			n.applyDeltaReply(st.peer, madeleine.FromBytes(deltaWordsReply(uint64(100+i), [2]uint64{w, st.value})))
+			n.applyDeltaReply(st.peer, true, madeleine.FromBytes(deltaWordsReply(uint64(100+i), [2]uint64{w, st.value})))
 			if got := n.deltaPeers[st.peer].bm.Word(w); got != st.value {
 				t.Errorf("%s: view %d word = %#x, want %#x", st.name, st.peer, got, st.value)
 			}
@@ -396,6 +396,30 @@ func TestWarmDeltaNegotiationHostBytes(t *testing.T) {
 	}
 }
 
+// BenchmarkWarmDeltaNegotiation measures one warm delta-gather
+// negotiation for 3 slots on a 16-node cluster, driven to completion —
+// the setup of TestWarmDeltaNegotiationHostBytes — in host ns and
+// allocations per negotiation.
+func BenchmarkWarmDeltaNegotiation(b *testing.B) {
+	c := New(Config{Nodes: 16, Gather: GatherDelta}, progs.NewImage())
+	ok := false
+	n0 := c.Node(0)
+	done := func(got bool) { ok = got }
+	negotiate := func() {
+		ok = false
+		c.At(0, func(*Node) { n0.negotiate(3, done) })
+		c.Run(0)
+		if !ok {
+			b.Fatal("negotiation failed")
+		}
+	}
+	negotiate() // first contact: full maps become views
+	b.ReportAllocs()
+	for b.Loop() {
+		negotiate()
+	}
+}
+
 // BenchmarkApplyDelta measures folding one typical word-delta reply —
 // two words — into a cached view and the global OR. The replies
 // alternate between clearing one bit in each word (recomputed across
@@ -419,7 +443,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 			deltaWordsReply(2, [2]uint64{uint64(w1), v1}, [2]uint64{uint64(w2), v2}),
 		}
 		for i := 0; b.Loop(); i++ {
-			n.applyDeltaReply(1, madeleine.FromBytes(replies[i&1]))
+			n.applyDeltaReply(1, true, madeleine.FromBytes(replies[i&1]))
 		}
 	})
 	c.Run(0)

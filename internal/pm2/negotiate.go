@@ -8,6 +8,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/madeleine"
 	"repro/internal/policy"
+	"repro/internal/simtime"
 )
 
 // The negotiation protocol (paper §4.4, step 2). When a node cannot satisfy
@@ -44,90 +45,151 @@ const (
 	opRangeBuy uint32 = 2 // buy the owner's intersection with a run
 )
 
-// negotiate acquires n contiguous slots into this node's bitmap and calls
+// negotiation is one run of the protocol, kept as data: what it buys,
+// how far it got, and everything it holds until it finishes. Every
+// protocol step takes the record, so the state of a node's negotiation
+// can be inspected at any instant instead of being captured in closures.
+type negotiation struct {
+	n     *Node
+	k     int          // slots wanted
+	round int          // attempt within the current round budget
+	start simtime.Time // when negotiate was called
+	done  func(bool)
+	// escalated marks a sharded negotiation that holds every shard until
+	// it finishes (see escalate); held lists the shards its current
+	// round has locked.
+	escalated bool
+	held      []int
+	// giveBacks counts give-back Calls whose reply has not yet arrived;
+	// a new round must never start before it drops to zero.
+	giveBacks int
+	// outstanding counts the peers of the in-flight delta round that
+	// have neither answered nor run out of retries (see gatherDelta).
+	outstanding int
+}
+
+// negotiate acquires k contiguous slots into this node's bitmap and calls
 // done(true), or done(false) if the cluster is out of contiguous space.
 func (n *Node) negotiate(k int, done func(bool)) {
-	start := n.actor.Now()
-	finish := func(ok bool) {
-		lat := n.actor.Now() - start
-		n.actor.Commit(func() {
-			n.c.stats.Negotiations++
-			if ok {
-				// Only successful negotiations enter the latency series the
-				// percentiles summarize; a failure (round exhaustion, cluster
-				// out of contiguous space) is counted on its own instead of
-				// skewing the p50/p95/p99 columns.
-				n.c.stats.NegotiationLatencies = append(n.c.stats.NegotiationLatencies, lat)
-			} else {
-				n.c.stats.NegotiationFailures++
-			}
-		})
-		done(ok)
-	}
+	g := &negotiation{n: n, k: k, start: n.actor.Now(), done: done}
 	if n.c.cfg.Arbiter == ArbiterGlobal {
-		// With a timeout configured, an unreachable lock manager fails
-		// the negotiation instead of hanging this thread forever.
-		n.acquireLockOr(func() {
-			n.negotiateRound(k, 0, func(ok bool) {
-				n.releaseLock()
-				finish(ok)
-			})
-		}, func() { finish(false) })
+		// Every negotiation asks for the system-wide lock at once. With a
+		// timeout configured, an unreachable lock manager fails the
+		// negotiation instead of hanging this thread forever.
+		n.acquireLockOr(g.begin, func() { g.report(false) })
 		return
 	}
 	// Sharded arbiter: no system-wide section. The node's own
-	// negotiations still run one at a time through the local queue;
-	// shard locking happens per round, after planning, and an escalated
-	// negotiation releases every shard here — see arbiter.go.
-	n.startLocalNegotiation(func() {
-		n.negotiateRound(k, 0, func(ok bool) {
-			if n.escalated {
-				n.escalated = false
-				n.releaseRunLocks()
-			}
-			n.finishLocalNegotiation()
-			finish(ok)
-		})
-	})
+	// negotiations still run one at a time, in FIFO order; shard locking
+	// happens per round, after planning, and an escalated negotiation
+	// releases every shard when it finishes — see arbiter.go.
+	if n.neg != nil {
+		n.negWaiting = append(n.negWaiting, g)
+		return
+	}
+	g.begin()
 }
 
-// negotiateRound runs one gather/plan/buy attempt under the configured
-// gather strategy.
-func (n *Node) negotiateRound(k, round int, done func(bool)) {
-	if n.pendingGiveBacks > 0 {
+// begin makes g the node's running negotiation and starts its first
+// round. One negotiation per node at a time is the invariant the retry
+// path relies on: give-backs of one round can never interleave with
+// another round's gather.
+func (g *negotiation) begin() {
+	n := g.n
+	if n.neg != nil {
+		panic(fmt.Sprintf("pm2: node %d started a negotiation with one running", n.id))
+	}
+	n.neg = g
+	g.run()
+}
+
+// finish ends the running negotiation: it releases the global lock, or
+// an escalation's shards and the node's slot for the next queued
+// negotiation, then reports ok.
+func (g *negotiation) finish(ok bool) {
+	n := g.n
+	n.neg = nil
+	if n.c.cfg.Arbiter == ArbiterGlobal {
+		n.releaseLock()
+	} else {
+		if g.escalated {
+			g.escalated = false
+			g.releaseRunLocks()
+		}
+		if len(n.negWaiting) > 0 {
+			next := n.negWaiting[0]
+			n.negWaiting = n.negWaiting[:copy(n.negWaiting, n.negWaiting[1:])]
+			next.begin()
+		}
+	}
+	g.report(ok)
+}
+
+// report records the outcome in the negotiation statistics and hands it
+// to the caller.
+func (g *negotiation) report(ok bool) {
+	n := g.n
+	lat := n.actor.Now() - g.start
+	n.actor.Commit(func() {
+		n.c.stats.Negotiations++
+		if ok {
+			// Only successful negotiations enter the latency series the
+			// percentiles summarize; a failure (round exhaustion, cluster
+			// out of contiguous space) is counted on its own instead of
+			// skewing the p50/p95/p99 columns.
+			n.c.stats.NegotiationLatencies = append(n.c.stats.NegotiationLatencies, lat)
+		} else {
+			n.c.stats.NegotiationFailures++
+		}
+	})
+	g.done(ok)
+}
+
+// run runs one gather/plan/buy attempt under the configured gather
+// strategy.
+func (g *negotiation) run() {
+	n := g.n
+	if g.giveBacks > 0 {
 		// A round must see every give-back acknowledged, or its gather
 		// could observe slots still marked sold at their sellers.
-		panic(fmt.Sprintf("pm2: node %d started a negotiation round with %d give-backs in flight", n.id, n.pendingGiveBacks))
+		panic(fmt.Sprintf("pm2: node %d started a negotiation round with %d give-backs in flight", n.id, g.giveBacks))
 	}
-	if round >= maxNegotiationRounds {
-		if n.c.cfg.Arbiter == ArbiterSharded && !n.escalated {
-			n.escalate(k, done)
+	if g.round >= maxNegotiationRounds {
+		if n.c.cfg.Arbiter == ArbiterSharded && !g.escalated {
+			g.escalate()
 			return
 		}
-		done(false)
+		g.finish(false)
 		return
 	}
 	switch n.c.cfg.Gather {
 	case GatherTree:
-		if n.c.anyDown() {
-			// A combining tree routed through a declared-dead interior
-			// node would lose its whole subtree; after a failover the
-			// gather degrades to the flat delta round.
-			n.gatherDelta(k, round, done)
+		if !n.c.anyDown() {
+			g.gatherTree()
 			return
 		}
-		n.gatherTree(k, round, done)
+		// A combining tree routed through a declared-dead interior node
+		// would lose its whole subtree; after a failover the gather
+		// degrades to the flat delta round.
+		g.gatherDelta()
 	case GatherDelta:
-		n.gatherDelta(k, round, done)
+		g.gatherDelta()
 	default:
-		n.gatherSequential(k, round, done)
+		g.gatherSequential()
 	}
+}
+
+// nextRound re-runs the round one attempt further.
+func (g *negotiation) nextRound() {
+	g.round++
+	g.run()
 }
 
 // gatherSequential is the paper's step 2b verbatim: one bitmap Call per
 // peer, each waiting for the previous reply. Every golden trace pins its
 // event sequence.
-func (n *Node) gatherSequential(k, round int, done func(bool)) {
+func (g *negotiation) gatherSequential() {
+	n := g.n
 	maps := make([]*bitmap.Bitmap, n.c.Nodes())
 	maps[n.id] = n.slots.Bitmap().Clone()
 
@@ -140,7 +202,7 @@ func (n *Node) gatherSequential(k, round int, done func(bool)) {
 	var gatherNext func(i int)
 	gatherNext = func(i int) {
 		if i == len(order) {
-			n.planAndBuy(k, round, maps, done)
+			g.planAndBuy(core.GlobalOr(maps), maps)
 			return
 		}
 		peer := order[i]
@@ -162,34 +224,38 @@ func (n *Node) gatherSequential(k, round int, done func(bool)) {
 // at this node: each child returns the OR of its whole subtree, so the
 // initiator receives O(log n) messages. The merged map has no per-slot
 // ownership, so the purchase proceeds as a range buy (planAndBuyRange).
-func (n *Node) gatherTree(k, round int, done func(bool)) {
-	global := n.slots.Bitmap().Clone()
-	children := treeChildren(n.id, n.id, n.c.Nodes())
+func (g *negotiation) gatherTree() {
+	global := g.n.slots.Bitmap().Clone()
+	g.n.gatherSubtree(g.n.id, global, func() { g.planAndBuyRange(global) })
+}
+
+// gatherSubtree ORs the subtree maps of this node's children in the
+// combining tree rooted at root into merged, then calls then. A child
+// whose retries run out contributes nothing: its whole subtree is
+// missing from the merge, at the initiator and at a relay alike.
+func (n *Node) gatherSubtree(root int, merged *bitmap.Bitmap, then func()) {
+	children := treeChildren(n.id, root, n.c.Nodes())
 	if len(children) == 0 {
-		n.planAndBuyRange(k, round, global, done)
+		then()
 		return
 	}
 	outstanding := len(children)
+	retire := func() {
+		outstanding--
+		if outstanding == 0 {
+			then()
+		}
+	}
 	for _, child := range children {
-		n.gatherCallScaled(child, chGatherTree, treeDeadlineScale(child, n.id, n.c.Nodes()), func(b *madeleine.Buffer) {
-			b.PackU32(uint32(n.id)) // tree root
-		}, func(reply *madeleine.Buffer) {
-			if err := global.OrBytes(reply.BytesSection()); err != nil {
+		n.gatherCallScaled(child, chGatherTree, treeDeadlineScale(child, root, n.c.Nodes()), func(b *madeleine.Buffer) {
+			b.PackU32(uint32(root))
+		}, func(sub *madeleine.Buffer) {
+			if err := merged.OrBytes(sub.BytesSection()); err != nil {
 				panic(fmt.Sprintf("pm2: bad subtree bitmap: %v", err))
 			}
 			n.mergeCharge(layout.BitmapBytes)
-			outstanding--
-			if outstanding == 0 {
-				n.planAndBuyRange(k, round, global, done)
-			}
-		}, func() {
-			// Retries exhausted: the whole subtree contributes nothing
-			// to this round's view.
-			outstanding--
-			if outstanding == 0 {
-				n.planAndBuyRange(k, round, global, done)
-			}
-		})
+			retire()
+		}, retire)
 	}
 }
 
@@ -221,38 +287,11 @@ func (n *Node) onGatherTreeCall(src int, req *madeleine.Call) {
 		panic("pm2: corrupt tree-gather request")
 	}
 	merged := n.slots.Bitmap().Clone()
-	reply := func() {
+	n.gatherSubtree(root, merged, func() {
 		raw := merged.Bytes()
 		n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
 		req.Reply(func(b *madeleine.Buffer) { b.PackBytes(raw) })
-	}
-	children := treeChildren(n.id, root, n.c.Nodes())
-	if len(children) == 0 {
-		reply()
-		return
-	}
-	outstanding := len(children)
-	for _, child := range children {
-		n.gatherCallScaled(child, chGatherTree, treeDeadlineScale(child, root, n.c.Nodes()), func(b *madeleine.Buffer) {
-			b.PackU32(uint32(root))
-		}, func(sub *madeleine.Buffer) {
-			if err := merged.OrBytes(sub.BytesSection()); err != nil {
-				panic(fmt.Sprintf("pm2: bad subtree bitmap: %v", err))
-			}
-			n.mergeCharge(layout.BitmapBytes)
-			outstanding--
-			if outstanding == 0 {
-				reply()
-			}
-		}, func() {
-			// Retries exhausted: forward the merge without this subtree,
-			// exactly as the initiator would.
-			outstanding--
-			if outstanding == 0 {
-				reply()
-			}
-		})
-	}
+	})
 }
 
 // mergeCharge charges the cost of folding bytes of gathered bitmap
@@ -286,25 +325,26 @@ func (n *Node) unpackBitmap(peer int, reply *madeleine.Buffer) *bitmap.Bitmap {
 // enumerates before ranking them fewest-owners-first.
 const purchaseCandidates = 4
 
-// planAndBuy computes the purchase and executes it (paper steps 2c–2e).
+// planAndBuy plans the purchase on a gathered global view and the
+// per-node maps it was merged from, and executes it (paper steps 2c–2e)
+// — the common tail of the per-peer-map gathers (sequential, delta).
 // With PreBuySlots configured, a larger run is tried first, "to pre-buy
 // slots in prevision of foreseeable large allocation requests" (§4.4).
-func (n *Node) planAndBuy(k, round int, maps []*bitmap.Bitmap, done func(bool)) {
+func (g *negotiation) planAndBuy(global *bitmap.Bitmap, maps []*bitmap.Bitmap) {
+	n := g.n
 	// First-fit search over the global map (step 2d).
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
-	plan, ok := n.planOn(core.GlobalOr(maps), maps, k)
+	plan, ok := n.planOn(global, maps, g.k)
 	if !ok {
-		done(false)
+		g.finish(false)
 		return
 	}
-	n.withRunLocks(plan.Start, plan.N, func() {
-		n.executePurchase(k, round, plan, done)
-	}, func() {
-		// A shard manager timed out: nothing was secured, re-plan after
-		// the usual backoff.
-		n.retryAfterReturns(k, round, nil, done)
-	})
+	g.withRunLocks(plan.Start, plan.N, func() { g.executePurchase(plan) }, g.retryUnsecured)
 }
+
+// retryUnsecured re-plans after a shard manager timed out: nothing was
+// secured, so the round retries after the usual backoff.
+func (g *negotiation) retryUnsecured() { g.retryAfterReturns(nil) }
 
 // planOn chooses the purchase plan on a prepared global view,
 // preferring the PreBuySlots-padded run when one exists.
@@ -334,9 +374,9 @@ func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (cor
 
 // executePurchase carries out a planned purchase (paper step 2e): one
 // atomic purchase message per seller, the initiator-side race check, and
-// the give-back/retry path on any decline. Shared by the per-peer-map
-// gathers (sequential, delta).
-func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)) {
+// the give-back/retry path on any decline.
+func (g *negotiation) executePurchase(plan core.Purchase) {
+	n := g.n
 	// Group the shares by owner: one purchase message per seller node
 	// (paper 2e sends one updated bitmap back to each owner, not one
 	// message per slot run).
@@ -349,6 +389,17 @@ func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)
 		byNode[sh.Node] = append(byNode[sh.Node], sh)
 	}
 
+	// giveBack returns the shares of the first secured sellers straight
+	// back, and only once every give-back has been acknowledged retries
+	// with fresh bitmaps — re-gathering earlier could observe the
+	// returned slots at neither party.
+	giveBack := func(secured int) {
+		var returns []pendingReturn
+		for _, seller := range order[:secured] {
+			returns = append(returns, pendingReturn{seller: seller, shares: byNode[seller]})
+		}
+		g.retryAfterReturns(returns)
+	}
 	var buyNext func(i int)
 	buyNext = func(i int) {
 		if i == len(order) {
@@ -358,11 +409,7 @@ func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)
 			// which case the run is broken — give every secured share
 			// back and retry with fresh bitmaps.
 			if !n.ownShareIntact(plan) {
-				var returns []pendingReturn
-				for _, seller := range order {
-					returns = append(returns, pendingReturn{seller: seller, shares: byNode[seller]})
-				}
-				n.retryAfterReturns(k, round, returns, done)
+				giveBack(len(order))
 				return
 			}
 			// Mark the bought slots ours (paper 2d: "mark these slots
@@ -372,25 +419,14 @@ func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)
 					panic(fmt.Sprintf("pm2: recording purchase: %v", err))
 				}
 			}
-			n.releaseRunLocks()
-			done(true)
+			g.releaseRunLocks()
+			g.finish(true)
 			return
 		}
 		seller := order[i]
 		shares := byNode[seller]
-		declined := func() {
-			// The owner allocated some of those slots since the
-			// gather: give already-secured shares straight back to
-			// their sellers, and only once every give-back has been
-			// acknowledged retry with fresh bitmaps — re-gathering
-			// earlier could observe the returned slots at neither
-			// party.
-			var returns []pendingReturn
-			for j := 0; j < i; j++ {
-				returns = append(returns, pendingReturn{seller: order[j], shares: byNode[order[j]]})
-			}
-			n.retryAfterReturns(k, round, returns, done)
-		}
+		// The owner allocated some of those slots since the gather.
+		declined := func() { giveBack(i) }
 		n.callRPC(seller, chBuy, func(b *madeleine.Buffer) {
 			b.PackU32(opPurchase)
 			packShares(b, shares)
@@ -445,20 +481,19 @@ type pendingReturn struct {
 // initiators whose runs collided re-plan at different virtual times
 // instead of re-colliding in lockstep, and the attempt count of any
 // race is reproducible run to run.
-func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done func(bool)) {
+func (g *negotiation) retryAfterReturns(returns []pendingReturn) {
+	n := g.n
 	n.actor.Commit(func() { n.c.stats.NegotiationRetries++ })
-	n.releaseRunLocks()
+	g.releaseRunLocks()
 	retry := func() {
 		if n.c.cfg.Arbiter == ArbiterGlobal {
 			// Under the system-wide lock a retry can only be racing a
 			// local allocation, which is finite: re-issue immediately,
 			// keeping the paper-faithful path (and its goldens) intact.
-			n.negotiateRound(k, round+1, done)
+			g.nextRound()
 			return
 		}
-		n.actor.Post(n.actor.Now()+negotiationBackoff(round), func() {
-			n.negotiateRound(k, round+1, done)
-		})
+		n.actor.Post(n.actor.Now()+negotiationBackoff(g.round), g.nextRound)
 	}
 	if len(returns) == 0 {
 		retry()
@@ -466,7 +501,7 @@ func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done fun
 	}
 	outstanding := len(returns)
 	for _, r := range returns {
-		n.returnSlots(r.seller, r.shares, func() {
+		g.returnSlots(r.seller, r.shares, func() {
 			outstanding--
 			if outstanding == 0 {
 				retry()
@@ -480,7 +515,8 @@ func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done fun
 // is asked to sell its intersection with the chosen run. If the sold
 // pieces plus our own free slots cover the run, the purchase stands;
 // otherwise everything sold is given back and the round retries.
-func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, done func(bool)) {
+func (g *negotiation) planAndBuyRange(global *bitmap.Bitmap) {
+	n := g.n
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	// The merged map has no per-slot ownership, so fewest-owners ranking
 	// is impossible here; the sharded arbiter still searches from the
@@ -495,20 +531,15 @@ func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, done func(bo
 		}
 		return global.FindRun(size)
 	}
-	size := 0
-	start := -1
+	start, size := -1, 0
 	if pre := n.c.cfg.PreBuySlots; pre > 0 {
-		if s := find(k + pre); s >= 0 {
-			start, size = s, k+pre
-		}
+		start, size = find(g.k+pre), g.k+pre
 	}
 	if start < 0 {
-		if s := find(k); s >= 0 {
-			start, size = s, k
-		}
+		start, size = find(g.k), g.k
 	}
 	if start < 0 {
-		done(false)
+		g.finish(false)
 		return
 	}
 
@@ -538,8 +569,8 @@ func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, done func(bo
 					}
 				}
 			}
-			n.releaseRunLocks()
-			done(true)
+			g.releaseRunLocks()
+			g.finish(true)
 			return
 		}
 		// Some owner allocated part of the run since the gather: give
@@ -550,57 +581,48 @@ func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, done func(bo
 				returns = append(returns, pendingReturn{seller: peer, shares: sold[peer]})
 			}
 		}
-		n.retryAfterReturns(k, round, returns, done)
+		g.retryAfterReturns(returns)
 	}
-	n.withRunLocks(start, size, func() {
+	g.withRunLocks(start, size, func() {
 		if len(peers) == 0 {
 			complete()
 			return
 		}
 		outstanding := len(peers)
-		for _, peer := range peers {
-			p := peer
+		retire := func() {
+			outstanding--
+			if outstanding == 0 {
+				complete()
+			}
+		}
+		for _, p := range peers {
 			n.callRPC(p, chBuy, func(b *madeleine.Buffer) {
 				b.PackU32(opRangeBuy)
 				b.PackU32(uint32(start)).PackU32(uint32(size))
 			}, func(reply *madeleine.Buffer) {
-				count := int(reply.U32())
-				for i := 0; i < count; i++ {
-					s := int(reply.U32())
-					c := int(reply.U32())
-					sold[p] = append(sold[p], core.SellerShare{Node: p, Start: s, N: c})
-				}
-				outstanding--
-				if outstanding == 0 {
-					complete()
-				}
-			}, func() {
-				// Timeout reads as zero runs sold; the coverage check in
-				// complete() handles any shortfall.
-				outstanding--
-				if outstanding == 0 {
-					complete()
-				}
-			}, func(reply *madeleine.Buffer) {
-				// The peer did sell after all, to a buyer that already
-				// counted it as zero: return the orphaned runs at once.
-				count := int(reply.U32())
-				var orphans []core.SellerShare
-				for i := 0; i < count; i++ {
-					s := int(reply.U32())
-					c := int(reply.U32())
-					orphans = append(orphans, core.SellerShare{Node: p, Start: s, N: c})
-				}
-				if len(orphans) > 0 {
+				sold[p] = unpackSold(p, reply)
+				retire()
+			}, retire, func(reply *madeleine.Buffer) {
+				// A timeout read as zero runs sold (the coverage check in
+				// complete handles the shortfall), but the peer did sell
+				// after all: return the orphaned runs at once.
+				if orphans := unpackSold(p, reply); len(orphans) > 0 {
 					n.compGiveBack(p, orphans)
 				}
 			})
 		}
-	}, func() {
-		// A shard manager timed out: nothing was secured, re-plan after
-		// the usual backoff.
-		n.retryAfterReturns(k, round, nil, done)
-	})
+	}, g.retryUnsecured)
+}
+
+// unpackSold decodes a range purchase's reply: the runs peer p sold.
+func unpackSold(p int, reply *madeleine.Buffer) (sold []core.SellerShare) {
+	count := int(reply.U32())
+	for i := 0; i < count; i++ {
+		s := int(reply.U32())
+		c := int(reply.U32())
+		sold = append(sold, core.SellerShare{Node: p, Start: s, N: c})
+	}
+	return sold
 }
 
 func packShares(b *madeleine.Buffer, shares []core.SellerShare) {
@@ -619,14 +641,15 @@ func packShares(b *madeleine.Buffer, shares []core.SellerShare) {
 // non-collided slots out of circulation until the next defragmentation —
 // a bounded loss in an already-pathological race, and strictly better
 // than the crash it replaces.
-func (n *Node) returnSlots(seller int, shares []core.SellerShare, done func()) {
-	n.pendingGiveBacks++
+func (g *negotiation) returnSlots(seller int, shares []core.SellerShare, done func()) {
+	n := g.n
+	g.giveBacks++
 	n.callRPC(seller, chBuy, func(b *madeleine.Buffer) {
 		b.PackU32(opGiveBack)
 		packShares(b, shares)
 	}, func(reply *madeleine.Buffer) {
 		_ = reply.U32()
-		n.pendingGiveBacks--
+		g.giveBacks--
 		done()
 	}, func() {
 		// Timeout reads as acknowledged: the give-back either executed
@@ -634,7 +657,7 @@ func (n *Node) returnSlots(seller int, shares []core.SellerShare, done func()) {
 		// which parks the slots at neither party — the same bounded loss
 		// as a declined give-back, and strictly better than blocking the
 		// next round forever on an unreachable seller.
-		n.pendingGiveBacks--
+		g.giveBacks--
 		done()
 	}, func(reply *madeleine.Buffer) {
 		// Late ack after the timeout already advanced the round: the
@@ -731,41 +754,4 @@ func (n *Node) onBuyCall(src int, req *madeleine.Call) {
 		}
 	}
 	req.Reply(func(b *madeleine.Buffer) { b.PackU32(1) })
-}
-
-// Lock manager (system-wide critical section), hosted on node 0.
-
-func (n *Node) acquireLock(granted func()) {
-	n.ep.Call(0, chLock, nil, func(*madeleine.Buffer) { granted() })
-}
-
-func (n *Node) releaseLock() {
-	n.ep.Send(0, chUnlock, nil)
-}
-
-// onLockCall queues or grants the global lock (node 0 only).
-func (n *Node) onLockCall(src int, req *madeleine.Call) {
-	if n.id != 0 {
-		panic("pm2: lock request at non-manager node")
-	}
-	if n.lockHeld {
-		n.lockQueue = append(n.lockQueue, req)
-		return
-	}
-	n.lockHeld = true
-	req.Reply(nil)
-}
-
-// onUnlockMsg releases the lock and grants the next waiter (node 0 only).
-func (n *Node) onUnlockMsg(src int, _ *madeleine.Buffer) {
-	if !n.lockHeld {
-		panic("pm2: unlock without lock")
-	}
-	if len(n.lockQueue) > 0 {
-		next := n.lockQueue[0]
-		n.lockQueue = n.lockQueue[:copy(n.lockQueue, n.lockQueue[1:])]
-		next.Reply(nil)
-		return
-	}
-	n.lockHeld = false
 }

@@ -65,24 +65,17 @@ type Node struct {
 	lockHeld  bool
 	lockQueue []*madeleine.Call
 
-	// Sharded-arbiter state. shardHeld/shardQueue are the manager half
-	// for shards with shard mod n == id (allocated lazily on first
-	// lock); heldShards lists the shards this node's own in-flight
-	// negotiation has locked, and escalated marks that negotiation as
-	// holding every shard until it finishes. negBusy/negQueue serialize
-	// this node's own negotiations, replacing the global queue on node 0
-	// (see arbiter.go).
+	// Shard-manager state of the sharded arbiter, for shards with
+	// shard mod n == id (allocated lazily on first lock).
 	shardHeld  map[int]bool
 	shardQueue map[int][]*madeleine.Call
-	heldShards []int
-	escalated  bool
-	negBusy    bool
-	negQueue   []func()
 
-	// pendingGiveBacks counts give-back Calls whose reply has not yet
-	// arrived; a new negotiation round must never start before it drops
-	// to zero (see negotiateRound).
-	pendingGiveBacks int
+	// neg is the negotiation running its protocol on this node (past the
+	// global lock, or this node's turn under the sharded arbiter), and
+	// negWaiting the sharded arbiter's FIFO of negotiations queued
+	// behind it (see negotiate.go).
+	neg        *negotiation
+	negWaiting []*negotiation
 
 	// Delta-gather state (GatherDelta, and GatherTree's post-failover
 	// fallback; see delta.go).
@@ -95,17 +88,15 @@ type Node struct {
 	deltaPeers []deltaPeerView
 	deltaOr    *bitmap.Bitmap
 	// Delta-gather scratch, reused every round so a warm round
-	// allocates only what crosses the wire (see planAndBuyDelta and
+	// allocates only what crosses the wire (see deltaView and
 	// onBitmapDeltaCall): the plan's global map, the per-node map
 	// slice handed to the planner, and the served journal words.
 	deltaPlan  *bitmap.Bitmap
 	deltaMaps  []*bitmap.Bitmap
 	deltaWords []int
-	// deltaCalls and deltaRound are the initiator's per-peer callbacks
-	// and in-flight round (see gatherDelta); deltaPeerDoneFn is
-	// n.deltaPeerDone, bound once.
+	// deltaCalls are the initiator's per-peer requests and callbacks
+	// (see gatherDelta); deltaPeerDoneFn is n.deltaPeerDone, bound once.
 	deltaCalls      []deltaPeerCall
-	deltaRound      deltaRound
 	deltaPeerDoneFn func()
 
 	// buyHook, when non-nil, runs before onBuyCall processes a request;

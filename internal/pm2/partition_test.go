@@ -184,3 +184,63 @@ func TestSlowNodeTimesOutButLives(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPartitionRejoinDuringDeltaRound pins a rejoin that lands while the
+// rejoiner's own delta round is in flight. Rejoin drops every cached
+// view the rejoiner holds, but the round's requests were fixed when it
+// started — "known, since version v" — and a timed-out request is
+// re-sent as it was. Each reply must be judged against what its request
+// asked, not against the now-empty view: a reply to a view dropped after
+// its request was sent is discarded and the peer counts like a miss. The
+// sweep starts node 2's negotiation every 100 µs across the whole
+// partition window, under the sharded arbiter whose rounds run without
+// the global lock.
+func TestPartitionRejoinDuringDeltaRound(t *testing.T) {
+	const (
+		nodes  = 4
+		victim = 2
+		tick   = simtime.Millisecond
+	)
+	spec := fmt.Sprintf("partition:%d-0@30000..34000;partition:%d-1@30000..34000;partition:%d-3@30000..34000",
+		victim, victim, victim)
+	rejoins := 0
+	for at := 30000; at <= 34000; at += 100 {
+		c := New(Config{
+			Nodes:      nodes,
+			Gather:     GatherDelta,
+			Arbiter:    ArbiterSharded,
+			RPCTimeout: -1,
+			Faults:     mustPlan(t, spec),
+		}, progs.NewImage())
+		for i := 0; i < 2; i++ {
+			if !negotiateSync(t, c, victim, 2) {
+				t.Fatalf("start %d µs: warm-up negotiation %d failed", at, i)
+			}
+		}
+		tickHeartbeats(c, tick, 40)
+		fired := false
+		c.Engine().At(simtime.Time(at)*simtime.Microsecond, func() {
+			c.At(victim, func(n *Node) {
+				n.negotiate(2, func(bool) {
+					fired = true
+					checkDeltaOrCoherent(t, n)
+				})
+			})
+		})
+		c.Run(0)
+		if !fired {
+			t.Fatalf("start %d µs: the negotiation never completed", at)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("start %d µs: %v", at, err)
+		}
+		checkDeltaOrCoherent(t, c.Node(victim))
+		if err := negotiationsDrained(c); err != nil {
+			t.Fatalf("start %d µs: %v", at, err)
+		}
+		rejoins += int(c.Stats().Rejoins)
+	}
+	if rejoins == 0 {
+		t.Fatal("no rejoin in the sweep — the partition never blew the lease")
+	}
+}
