@@ -313,6 +313,19 @@ type Handler func(src int, msg *Buffer)
 // retain the Call and reply later, once local events complete.
 type CallHandler func(src int, req *Call)
 
+// Waiter receives the reply to request id, the id CallDL returned.
+type Waiter interface{ Reply(id uint32, msg *Buffer) }
+
+// replyFunc adapts a plain reply continuation to Waiter.
+type replyFunc func(*Buffer)
+
+// Reply runs f on the reply; a nil f drops it.
+func (f replyFunc) Reply(_ uint32, msg *Buffer) {
+	if f != nil {
+		f(msg)
+	}
+}
+
 // Call is a pending inbound request awaiting a reply.
 type Call struct {
 	ep    *Endpoint
@@ -351,15 +364,10 @@ type Endpoint struct {
 	actor    *ActorT
 	handlers map[uint32]Handler
 	calls    map[uint32]CallHandler
-	pending  map[uint32]func(*Buffer)
-	// canceled tombstones requests whose initiator gave up waiting
-	// (Cancel): a late reply to one is silently dropped instead of
-	// panicking as an unknown-request reply.
-	canceled map[uint32]bool
-	nextReq  uint32
-	// expired counts deadline requests this endpoint discarded on
-	// arrival — the receiver-side half of the RPC-timeout discipline.
-	expired uint64
+	// pending maps each request whose reply has not arrived to its
+	// waiter, which handles the reply even once it stopped waiting.
+	pending map[uint32]Waiter
+	nextReq uint32
 	// pool recycles outgoing buffers; nil means plain allocation.
 	pool *Pool
 }
@@ -370,8 +378,7 @@ func Attach(nw *bip.Network, id int, actor *ActorT) *Endpoint {
 		actor:    actor,
 		handlers: make(map[uint32]Handler),
 		calls:    make(map[uint32]CallHandler),
-		pending:  make(map[uint32]func(*Buffer)),
-		canceled: make(map[uint32]bool),
+		pending:  make(map[uint32]Waiter),
 	}
 	ep.nic = nw.Attach(id, actor, ep.dispatch)
 	return ep
@@ -456,38 +463,25 @@ func (ep *Endpoint) sendBody(dst int, ch uint32, body *Buffer, zeroCopy bool) {
 // Call issues a request on channel ch to node dst; done runs on this node's
 // actor when the reply arrives.
 func (ep *Endpoint) Call(dst int, ch uint32, build func(*Buffer), done func(*Buffer)) {
-	ep.nextReq++
-	id := ep.nextReq
-	ep.pending[id] = done
-	out := ep.pool.Get()
-	out.PackU32(kindCall)
-	out.PackU32(ch)
-	out.PackU32(id)
-	if build != nil {
-		build(out)
-	}
-	ep.nic.Send(dst, ch, out.Bytes())
-	ep.pool.Put(out)
+	ep.CallDL(dst, ch, 0, build, replyFunc(done))
 }
 
 // CallDL is Call with a virtual-time delivery deadline: the receiver
-// discards the request unanswered if it arrives after deadline. The
-// returned request id lets the initiator Cancel its half of the wait
-// when its own timer fires. A deadline of 0 means none — the envelope
-// degrades to a plain Call, byte-identical on the wire.
-func (ep *Endpoint) CallDL(dst int, ch uint32, deadline simtime.Time, build func(*Buffer), done func(*Buffer)) uint32 {
-	if deadline == 0 {
-		ep.Call(dst, ch, build, done)
-		return ep.nextReq
-	}
+// discards the request unanswered if it arrives after deadline. w gets
+// the reply with the returned request id, so a waiter that retried can
+// tell a late reply to an earlier request from the one it waits for. A
+// deadline of 0 means none — the envelope degrades to a plain Call,
+// byte-identical on the wire.
+func (ep *Endpoint) CallDL(dst int, ch uint32, deadline simtime.Time, build func(*Buffer), w Waiter) uint32 {
 	ep.nextReq++
 	id := ep.nextReq
-	ep.pending[id] = done
+	ep.pending[id] = w
 	out := ep.pool.Get()
-	out.PackU32(kindCallDL)
-	out.PackU32(ch)
-	out.PackU32(id)
-	out.PackU64(uint64(deadline))
+	if deadline == 0 {
+		out.PackU32(kindCall).PackU32(ch).PackU32(id)
+	} else {
+		out.PackU32(kindCallDL).PackU32(ch).PackU32(id).PackU64(uint64(deadline))
+	}
 	if build != nil {
 		build(out)
 	}
@@ -495,23 +489,6 @@ func (ep *Endpoint) CallDL(dst int, ch uint32, deadline simtime.Time, build func
 	ep.pool.Put(out)
 	return id
 }
-
-// Cancel abandons the wait for request id: the pending continuation is
-// dropped and the id tombstoned, so a reply that still arrives (the
-// request executed, but its reply was delayed past the initiator's
-// patience) is discarded instead of faulting dispatch. Canceling an
-// id that is no longer pending (the reply already ran) is a no-op.
-func (ep *Endpoint) Cancel(id uint32) {
-	if _, ok := ep.pending[id]; !ok {
-		return
-	}
-	delete(ep.pending, id)
-	ep.canceled[id] = true
-}
-
-// ExpiredRequests reports how many deadline requests this endpoint
-// discarded on arrival.
-func (ep *Endpoint) ExpiredRequests() uint64 { return ep.expired }
 
 func (ep *Endpoint) dispatch(src int, _ uint32, payload []byte) {
 	msg := FromBytes(payload)
@@ -526,16 +503,12 @@ func (ep *Endpoint) dispatch(src int, _ uint32, payload []byte) {
 	case kindCall, kindCallDL:
 		ch := msg.U32()
 		reqID := msg.U32()
-		if kind == kindCallDL {
-			deadline := simtime.Time(msg.U64())
-			if ep.actor.Now() > deadline {
-				// The initiator has already timed out this request:
-				// executing it now could double-apply a retried
-				// operation. Store-and-forward delays (partitions) are
-				// exactly the case this guards.
-				ep.expired++
-				return
-			}
+		if kind == kindCallDL && ep.actor.Now() > simtime.Time(msg.U64()) {
+			// The initiator has already timed out this request:
+			// executing it now could double-apply a retried operation.
+			// Store-and-forward delays (partitions) are exactly the case
+			// this guards.
+			return
 		}
 		h, ok := ep.calls[ch]
 		if !ok {
@@ -544,20 +517,12 @@ func (ep *Endpoint) dispatch(src int, _ uint32, payload []byte) {
 		h(src, &Call{ep: ep, src: src, reqID: reqID, Msg: msg})
 	case kindReply:
 		reqID := msg.U32()
-		done, ok := ep.pending[reqID]
+		w, ok := ep.pending[reqID]
 		if !ok {
-			if ep.canceled[reqID] {
-				// A reply outran its initiator's patience: the wait was
-				// canceled, drop the orphan and retire the tombstone.
-				delete(ep.canceled, reqID)
-				return
-			}
 			panic(fmt.Sprintf("madeleine: node %d: reply for unknown request %d", ep.ID(), reqID))
 		}
 		delete(ep.pending, reqID)
-		if done != nil {
-			done(msg)
-		}
+		w.Reply(reqID, msg)
 	default:
 		panic(fmt.Sprintf("madeleine: bad envelope kind %d", kind))
 	}

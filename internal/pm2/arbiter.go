@@ -155,11 +155,8 @@ func (g *negotiation) escalate() {
 // lower one, so it completes and unblocks the rest.
 //
 // With a timeout configured, an unreachable shard manager fails the
-// acquisition instead of hanging the negotiation: the shards already
-// held are released and fail runs (the caller re-plans after a
-// backoff). A grant that outruns the timeout is released the moment it
-// arrives — a manager's lock must never be parked with a waiter that
-// walked away.
+// acquisition: the shards already held are released and fail runs (the
+// caller re-plans after a backoff). A late grant is released at once.
 func (g *negotiation) withRunLocks(start, count int, then, fail func()) {
 	n := g.n
 	if n.c.cfg.Arbiter != ArbiterSharded || g.escalated {
@@ -175,19 +172,19 @@ func (g *negotiation) withRunLocks(start, count int, then, fail func()) {
 		}
 		s := shards[i]
 		mgr := n.c.shardManager(s)
-		n.callRPC(mgr, chShardLock, func(b *madeleine.Buffer) {
+		n.exchange(call{kind: claimCall, dst: mgr, ch: chShardLock, build: func(b *madeleine.Buffer) {
 			b.PackU32(uint32(s))
-		}, func(*madeleine.Buffer) {
+		}, reply: func(*madeleine.Buffer) {
 			g.held = append(g.held, s)
 			acquire(i + 1)
-		}, func() {
+		}, timeout: func() {
 			g.releaseRunLocks()
 			fail()
-		}, func(*madeleine.Buffer) {
+		}, late: func(*madeleine.Buffer) {
 			n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) {
 				b.PackU32(uint32(s))
 			})
-		})
+		}})
 	}
 	acquire(0)
 }

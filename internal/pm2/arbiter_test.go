@@ -29,37 +29,6 @@ func freeSlotTotal(c *Cluster) int {
 	return total
 }
 
-// negotiationsDrained reports an error unless every negotiation ended:
-// no node runs or queues one, so none still holds a shard, is escalated
-// or waits on a give-back; every shard manager is idle; and node 0's
-// global lock is neither held nor queued.
-func negotiationsDrained(c *Cluster) error {
-	for i := 0; i < c.Nodes(); i++ {
-		n := c.Node(i)
-		if g := n.neg; g != nil {
-			return fmt.Errorf("node %d still runs a negotiation: k=%d round=%d held=%v escalated=%v give-backs=%d outstanding=%d",
-				i, g.k, g.round, g.held, g.escalated, g.giveBacks, g.outstanding)
-		}
-		if len(n.negWaiting) != 0 {
-			return fmt.Errorf("node %d still queues %d negotiation(s)", i, len(n.negWaiting))
-		}
-		for s, held := range n.shardHeld {
-			if held {
-				return fmt.Errorf("manager %d still marks shard %d held", i, s)
-			}
-		}
-		for s, q := range n.shardQueue {
-			if len(q) != 0 {
-				return fmt.Errorf("manager %d still queues %d waiter(s) on shard %d", i, len(q), s)
-			}
-		}
-	}
-	if mgr := c.Node(0); mgr.lockHeld || len(mgr.lockQueue) != 0 {
-		return fmt.Errorf("global lock not idle: held=%v queue=%d", mgr.lockHeld, len(mgr.lockQueue))
-	}
-	return nil
-}
-
 // TestParseArbiterMode: the two arbiters parse under their names and
 // aliases; the removed optimistic arbiter's names are unknown.
 func TestParseArbiterMode(t *testing.T) {
@@ -144,7 +113,7 @@ func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if err := negotiationsDrained(c); err != nil {
+				if err := c.CheckDrained(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if got := freeSlotTotal(c); got != layout.SlotCount {
@@ -200,7 +169,7 @@ func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 	if len(order) != 4 {
 		t.Fatalf("grants = %v, want all four negotiations granted", order)
 	}
-	if err := negotiationsDrained(c); err != nil {
+	if err := c.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +202,7 @@ func TestShardLockSpanningRuns(t *testing.T) {
 	if len(order) != 2 {
 		t.Fatalf("grants = %v, want both spanning negotiations granted", order)
 	}
-	if err := negotiationsDrained(c); err != nil {
+	if err := c.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -262,7 +231,7 @@ func TestLocalNegotiationQueue(t *testing.T) {
 	if len(done) != 2 || done[0] != 1 || done[1] != 2 {
 		t.Fatalf("completion order %v, want [1 2]", done)
 	}
-	if err := negotiationsDrained(c); err != nil {
+	if err := c.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -294,7 +263,7 @@ func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
-		if err := negotiationsDrained(c); err != nil {
+		if err := c.CheckDrained(); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
 		if got := freeSlotTotal(c); got != layout.SlotCount {
@@ -346,7 +315,7 @@ func TestShardedEscalationSucceedsWhereGlobalGivesUp(t *testing.T) {
 		if st := c.Stats(); st.NegotiationFailures != 0 || st.NegotiationRetries != maxNegotiationRounds {
 			t.Fatalf("sharded: failures=%d retries=%d, want 0/%d", st.NegotiationFailures, st.NegotiationRetries, maxNegotiationRounds)
 		}
-		if err := negotiationsDrained(c); err != nil {
+		if err := c.CheckDrained(); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.CheckInvariants(); err != nil {
@@ -393,7 +362,7 @@ func TestConcurrentEscalations(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
-		if err := negotiationsDrained(c); err != nil {
+		if err := c.CheckDrained(); err != nil {
 			t.Fatalf("%s: %v", gather, err)
 		}
 	}

@@ -69,13 +69,12 @@ type deltaPeerView struct {
 // deltaPeerCall is the initiator's per-peer half of a delta round: what
 // the request asks for, fixed when the round starts (a retried attempt
 // re-sends the same request, and its reply is judged against it), and
-// the request and reply callbacks, bound once so a round allocates no
-// closures.
+// the call record with its callbacks, bound once so a round allocates
+// neither closures nor records.
 type deltaPeerCall struct {
 	known   bool
 	version uint64
-	build   func(*madeleine.Buffer)
-	reply   func(*madeleine.Buffer)
+	rpc     call
 }
 
 // gatherDelta runs one incremental gather round: every peer is asked
@@ -108,45 +107,40 @@ func (g *negotiation) gatherDelta() {
 		if p == n.id || !n.c.nodeAlive(p) {
 			continue
 		}
-		call := &n.deltaCalls[p]
-		call.known, call.version = n.deltaPeers[p].bm != nil, n.deltaPeers[p].version
+		pc := &n.deltaCalls[p]
+		pc.known, pc.version = n.deltaPeers[p].bm != nil, n.deltaPeers[p].version
 		// A peer whose retries run out just retires: the round plans on
 		// its cached view as-is. If the peer's bitmap moved meanwhile,
 		// any purchase planned on the stale view is declined and
 		// retried as usual.
-		n.gatherCall(p, chBitmapDelta, call.build, call.reply, n.deltaPeerDoneFn)
+		pc.rpc.start()
 	}
 }
 
-// bindDeltaCalls binds the per-peer request and reply callbacks of the
-// delta round once per node.
+// bindDeltaCalls binds the per-peer call records of the delta round
+// once per node. A peer that answered or ran out of retries retires from
+// the running negotiation's round; the last one plans the purchase.
 func (n *Node) bindDeltaCalls() {
 	n.deltaCalls = make([]deltaPeerCall, n.c.Nodes())
-	n.deltaPeerDoneFn = n.deltaPeerDone
-	for p := range n.deltaCalls {
-		call := &n.deltaCalls[p]
-		call.build = func(b *madeleine.Buffer) {
-			flag := uint32(0)
-			if call.known {
-				flag = 1
-			}
-			b.PackU32(flag).PackU64(call.version)
-		}
-		call.reply = func(reply *madeleine.Buffer) {
-			n.applyDeltaReply(p, call.known, reply)
-			n.deltaPeerDone()
+	done := func() {
+		g := n.neg
+		g.outstanding--
+		if g.outstanding == 0 {
+			g.planAndBuy(n.deltaView())
 		}
 	}
-}
-
-// deltaPeerDone retires one peer of the running negotiation's delta
-// round and plans the purchase once every peer answered or ran out of
-// retries.
-func (n *Node) deltaPeerDone() {
-	g := n.neg
-	g.outstanding--
-	if g.outstanding == 0 {
-		g.planAndBuy(n.deltaView())
+	for p := range n.deltaCalls {
+		pc := &n.deltaCalls[p]
+		pc.rpc = call{n: n, kind: gatherCall, dst: p, ch: chBitmapDelta, reuse: true, timeout: done, build: func(b *madeleine.Buffer) {
+			flag := uint32(0)
+			if pc.known {
+				flag = 1
+			}
+			b.PackU32(flag).PackU64(pc.version)
+		}, reply: func(reply *madeleine.Buffer) {
+			n.applyDeltaReply(p, pc.known, reply)
+			done()
+		}}
 	}
 }
 

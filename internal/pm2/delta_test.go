@@ -231,7 +231,7 @@ func TestDeltaGatherCachedOrCoherent(t *testing.T) {
 					t.Fatalf("workers=%d: node %d's negotiation never completed", workers, id)
 				}
 			}
-			if err := negotiationsDrained(c); err != nil {
+			if err := c.CheckDrained(); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 		}

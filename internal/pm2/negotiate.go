@@ -206,16 +206,16 @@ func (g *negotiation) gatherSequential() {
 			return
 		}
 		peer := order[i]
-		n.gatherCall(peer, chBitmap, nil, func(reply *madeleine.Buffer) {
+		n.exchange(call{kind: gatherCall, dst: peer, ch: chBitmap, reply: func(reply *madeleine.Buffer) {
 			maps[peer] = n.unpackBitmap(peer, reply)
 			// Merging this bitmap into the global OR (step 2c is
 			// incremental).
 			n.mergeCharge(layout.BitmapBytes)
 			gatherNext(i + 1)
-		}, func() {
+		}, timeout: func() {
 			// Retries exhausted: plan without this peer's slots.
 			gatherNext(i + 1)
-		})
+		}})
 	}
 	gatherNext(0)
 }
@@ -247,15 +247,16 @@ func (n *Node) gatherSubtree(root int, merged *bitmap.Bitmap, then func()) {
 		}
 	}
 	for _, child := range children {
-		n.gatherCallScaled(child, chGatherTree, treeDeadlineScale(child, root, n.c.Nodes()), func(b *madeleine.Buffer) {
-			b.PackU32(uint32(root))
-		}, func(sub *madeleine.Buffer) {
-			if err := merged.OrBytes(sub.BytesSection()); err != nil {
-				panic(fmt.Sprintf("pm2: bad subtree bitmap: %v", err))
-			}
-			n.mergeCharge(layout.BitmapBytes)
-			retire()
-		}, retire)
+		n.exchange(call{kind: gatherCall, dst: child, ch: chGatherTree,
+			patience: n.c.cfg.RPCTimeout * simtime.Time(treeDeadlineScale(child, root, n.c.Nodes())),
+			build:    func(b *madeleine.Buffer) { b.PackU32(uint32(root)) },
+			reply: func(sub *madeleine.Buffer) {
+				if err := merged.OrBytes(sub.BytesSection()); err != nil {
+					panic(fmt.Sprintf("pm2: bad subtree bitmap: %v", err))
+				}
+				n.mergeCharge(layout.BitmapBytes)
+				retire()
+			}, timeout: retire})
 	}
 }
 
@@ -389,11 +390,11 @@ func (g *negotiation) executePurchase(plan core.Purchase) {
 		byNode[sh.Node] = append(byNode[sh.Node], sh)
 	}
 
-	// giveBack returns the shares of the first secured sellers straight
-	// back, and only once every give-back has been acknowledged retries
-	// with fresh bitmaps — re-gathering earlier could observe the
+	// returnSecured gives the shares of the first secured sellers
+	// straight back, and only once every give-back has been acknowledged
+	// retries with fresh bitmaps — re-gathering earlier could observe the
 	// returned slots at neither party.
-	giveBack := func(secured int) {
+	returnSecured := func(secured int) {
 		var returns []pendingReturn
 		for _, seller := range order[:secured] {
 			returns = append(returns, pendingReturn{seller: seller, shares: byNode[seller]})
@@ -409,7 +410,7 @@ func (g *negotiation) executePurchase(plan core.Purchase) {
 			// which case the run is broken — give every secured share
 			// back and retry with fresh bitmaps.
 			if !n.ownShareIntact(plan) {
-				giveBack(len(order))
+				returnSecured(len(order))
 				return
 			}
 			// Mark the bought slots ours (paper 2d: "mark these slots
@@ -426,24 +427,24 @@ func (g *negotiation) executePurchase(plan core.Purchase) {
 		seller := order[i]
 		shares := byNode[seller]
 		// The owner allocated some of those slots since the gather.
-		declined := func() { giveBack(i) }
-		n.callRPC(seller, chBuy, func(b *madeleine.Buffer) {
+		declined := func() { returnSecured(i) }
+		n.exchange(call{kind: claimCall, dst: seller, ch: chBuy, build: func(b *madeleine.Buffer) {
 			b.PackU32(opPurchase)
 			packShares(b, shares)
-		}, func(reply *madeleine.Buffer) {
+		}, reply: func(reply *madeleine.Buffer) {
 			if reply.U32() == 1 {
 				buyNext(i + 1)
 				return
 			}
 			declined()
-		}, declined, func(reply *madeleine.Buffer) {
+		}, timeout: declined, late: func(reply *madeleine.Buffer) {
 			// A timeout reads as a decline, so an acceptance arriving
 			// after it leaves the shares sold to a buyer that already
 			// re-planned without them: return the orphans at once.
 			if reply.U32() == 1 {
-				n.compGiveBack(seller, shares)
+				n.giveBack(seller, shares, func() {})
 			}
-		})
+		}})
 	}
 	buyNext(0)
 }
@@ -499,11 +500,11 @@ func (g *negotiation) retryAfterReturns(returns []pendingReturn) {
 		retry()
 		return
 	}
-	outstanding := len(returns)
+	g.giveBacks += len(returns)
 	for _, r := range returns {
-		g.returnSlots(r.seller, r.shares, func() {
-			outstanding--
-			if outstanding == 0 {
+		n.giveBack(r.seller, r.shares, func() {
+			g.giveBacks--
+			if g.giveBacks == 0 {
 				retry()
 			}
 		})
@@ -596,20 +597,20 @@ func (g *negotiation) planAndBuyRange(global *bitmap.Bitmap) {
 			}
 		}
 		for _, p := range peers {
-			n.callRPC(p, chBuy, func(b *madeleine.Buffer) {
+			n.exchange(call{kind: claimCall, dst: p, ch: chBuy, build: func(b *madeleine.Buffer) {
 				b.PackU32(opRangeBuy)
 				b.PackU32(uint32(start)).PackU32(uint32(size))
-			}, func(reply *madeleine.Buffer) {
+			}, reply: func(reply *madeleine.Buffer) {
 				sold[p] = unpackSold(p, reply)
 				retire()
-			}, retire, func(reply *madeleine.Buffer) {
+			}, timeout: retire, late: func(reply *madeleine.Buffer) {
 				// A timeout read as zero runs sold (the coverage check in
 				// complete handles the shortfall), but the peer did sell
 				// after all: return the orphaned runs at once.
 				if orphans := unpackSold(p, reply); len(orphans) > 0 {
-					n.compGiveBack(p, orphans)
+					n.giveBack(p, orphans, func() {})
 				}
-			})
+			}})
 		}
 	}, g.retryUnsecured)
 }
@@ -632,38 +633,21 @@ func packShares(b *madeleine.Buffer, shares []core.SellerShare) {
 	}
 }
 
-// returnSlots gives secured (but not yet recorded) shares back to their
-// original owner after a failed round; done runs when the owner has
-// acknowledged. If the owner declines the give-back (it re-acquired some
-// of those slots in the meantime), we simply drop our claim: the owner
-// keeps whatever it holds, and claiming the rest ourselves could
-// double-own the collided slots. A declined give-back can park the
-// non-collided slots out of circulation until the next defragmentation —
-// a bounded loss in an already-pathological race, and strictly better
-// than the crash it replaces.
-func (g *negotiation) returnSlots(seller int, shares []core.SellerShare, done func()) {
-	n := g.n
-	g.giveBacks++
-	n.callRPC(seller, chBuy, func(b *madeleine.Buffer) {
+// giveBack returns shares to seller: after a failed round, or after a
+// purchase whose acceptance arrived past its timeout (the buyer already
+// re-planned without them). done runs once the seller acknowledged or
+// the call timed out. A timeout reads as acknowledged: the give-back
+// either executed (its late ack is dropped) or was discarded on arrival.
+// That, or a declined give-back (the owner re-acquired some of those
+// slots meanwhile, and claiming the rest could double-own the collided
+// ones), parks the slots at neither party until the next
+// defragmentation — a bounded loss in an already-pathological race, and
+// strictly better than blocking the next round on an unreachable seller.
+func (n *Node) giveBack(seller int, shares []core.SellerShare, done func()) {
+	n.exchange(call{kind: giveBackCall, dst: seller, ch: chBuy, build: func(b *madeleine.Buffer) {
 		b.PackU32(opGiveBack)
 		packShares(b, shares)
-	}, func(reply *madeleine.Buffer) {
-		_ = reply.U32()
-		g.giveBacks--
-		done()
-	}, func() {
-		// Timeout reads as acknowledged: the give-back either executed
-		// (its late ack is ignored below) or was discarded at arrival,
-		// which parks the slots at neither party — the same bounded loss
-		// as a declined give-back, and strictly better than blocking the
-		// next round forever on an unreachable seller.
-		g.giveBacks--
-		done()
-	}, func(reply *madeleine.Buffer) {
-		// Late ack after the timeout already advanced the round: the
-		// slots are back with their owner, nothing more to do.
-		_ = reply.U32()
-	})
+	}, reply: func(*madeleine.Buffer) { done() }, timeout: done})
 }
 
 // onBitmapCall serves a gather request: serialize and return our bitmap.

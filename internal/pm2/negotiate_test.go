@@ -21,7 +21,7 @@ func negotiateSync(t *testing.T, c *Cluster, id, k int) bool {
 	if !fired {
 		t.Fatal("negotiation never completed")
 	}
-	if err := negotiationsDrained(c); err != nil {
+	if err := c.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 	return ok
@@ -284,7 +284,7 @@ func TestLockManagerFIFO(t *testing.T) {
 			t.Fatalf("grant order = %v, want %v (FIFO by arrival)", grants, want)
 		}
 	}
-	if err := negotiationsDrained(c); err != nil {
+	if err := c.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }

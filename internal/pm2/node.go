@@ -94,10 +94,10 @@ type Node struct {
 	deltaPlan  *bitmap.Bitmap
 	deltaMaps  []*bitmap.Bitmap
 	deltaWords []int
-	// deltaCalls are the initiator's per-peer requests and callbacks
-	// (see gatherDelta); deltaPeerDoneFn is n.deltaPeerDone, bound once.
-	deltaCalls      []deltaPeerCall
-	deltaPeerDoneFn func()
+	// deltaCalls are the initiator's per-peer call records (delta.go).
+	deltaCalls []deltaPeerCall
+	// calls counts call records neither answered nor out of attempts.
+	calls int
 
 	// buyHook, when non-nil, runs before onBuyCall processes a request;
 	// returning true declines the batch outright. Test-only seam for

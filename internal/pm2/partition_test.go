@@ -235,7 +235,7 @@ func TestPartitionRejoinDuringDeltaRound(t *testing.T) {
 			t.Fatalf("start %d µs: %v", at, err)
 		}
 		checkDeltaOrCoherent(t, c.Node(victim))
-		if err := negotiationsDrained(c); err != nil {
+		if err := c.CheckDrained(); err != nil {
 			t.Fatalf("start %d µs: %v", at, err)
 		}
 		rejoins += int(c.Stats().Rejoins)

@@ -130,15 +130,13 @@ type Config struct {
 	// Default 2. Only consulted when Faults is set.
 	HeartbeatMisses int
 	// RPCTimeout is the virtual-time deadline for every protocol exchange
-	// that awaits a remote reply — gather requests, purchase and lock
-	// traffic, the remote-spawn LRPC. Zero (the default) means infinite:
-	// no timers, no envelope changes, every trace byte-identical to a
-	// build without the deadline layer. When set, a timed-out wait counts
-	// Stats.RPCTimeouts and retries with deterministic capped backoff or
-	// fails gracefully, and heartbeat failure detection splits into
-	// suspected (routed around, reversible) vs declared dead (evacuated) —
-	// see rpc.go and fault.go. Any negative value selects the cost-model
-	// default (DefaultRPCTimeout, about two bitmap-sized round trips).
+	// that awaits a remote reply (gathers, purchases, locks, remote
+	// spawns). Zero (the default) means infinite: no timers, no envelope
+	// changes, byte-identical traces. When set, a timed-out wait counts
+	// Stats.RPCTimeouts and retries, falls back or fails (rpc.go), and
+	// heartbeat detection splits into suspected (routed around,
+	// reversible) vs declared dead (evacuated; fault.go). Any negative
+	// value selects the cost-model default (DefaultRPCTimeout).
 	RPCTimeout simtime.Time
 	// Workers sets the simulation kernel's worker count. The default (0
 	// or 1) is the exact serial executor; >1 runs node lanes on a worker
@@ -566,6 +564,28 @@ func (c *Cluster) CheckInvariants() error {
 	for _, n := range c.nodes {
 		if err := n.checkThreads(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// CheckDrained reports an error unless every remote operation ended: no
+// node runs or queues a negotiation, holds a lock (waiters queue only
+// behind a holder) or waits on a call record's reply. It is not part of
+// CheckInvariants: with RPCTimeout 0 a wait on an unreachable peer
+// hangs by design.
+func (c *Cluster) CheckDrained() error {
+	for i, n := range c.nodes {
+		switch g := n.neg; {
+		case g != nil:
+			return fmt.Errorf("pm2: node %d still runs a negotiation: k=%d round=%d held=%v escalated=%v give-backs=%d outstanding=%d",
+				i, g.k, g.round, g.held, g.escalated, g.giveBacks, g.outstanding)
+		case len(n.negWaiting) != 0:
+			return fmt.Errorf("pm2: node %d still queues %d negotiation(s)", i, len(n.negWaiting))
+		case len(n.shardHeld) != 0 || n.lockHeld:
+			return fmt.Errorf("pm2: manager %d still holds shard locks %v, global lock %v", i, n.shardHeld, n.lockHeld)
+		case n.calls != 0:
+			return fmt.Errorf("pm2: node %d still waits on %d call(s)", i, n.calls)
 		}
 	}
 	return nil

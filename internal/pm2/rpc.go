@@ -1,7 +1,6 @@
 package pm2
 
 import (
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/layout"
 	"repro/internal/madeleine"
@@ -12,136 +11,175 @@ import (
 // protocol assumes a reliable interconnect: every Call blocks its
 // continuation until the reply arrives, so a partition or a crashed
 // peer hangs the initiator forever. With a timeout configured, every
-// protocol exchange that awaits a remote reply arms a zero-charge
-// virtual-time timer on the initiator's own lane; at expiry the
-// initiator stops waiting, counts Stats.RPCTimeouts, and either
-// retries with deterministic exponential backoff (idempotent gather
-// requests), falls back (remote spawn), or fails the operation
-// gracefully (purchases, locks).
+// protocol exchange that awaits a remote reply is a call record with a
+// zero-charge virtual-time timer on the initiator's own lane. A reply
+// in time stops the timer; at expiry the initiator stops waiting,
+// counts Stats.RPCTimeouts, and applies the call's policy (callKind).
 //
-// Two hazards shape the per-channel policies:
+// A partition-delayed *request* must not execute after its initiator
+// timed out and moved on — a retried purchase would then apply twice —
+// so deadline requests carry their expiry on the wire (madeleine
+// kindCallDL) and the receiver discards late arrivals unanswered. A
+// request that *did* execute, but whose reply outran the initiator's
+// patience, leaves remote state behind: the record keeps receiving its
+// late replies, and a claim compensates them.
 //
-//   - A partition-delayed *request* must not execute after its
-//     initiator timed out and moved on — a retried purchase would then
-//     apply twice. Deadline requests carry their expiry on the wire
-//     (madeleine kindCallDL) and the receiver discards late arrivals
-//     unanswered.
-//   - A request that *did* execute, whose reply outran the initiator's
-//     patience, leaves dangling remote state. Non-idempotent channels
-//     therefore keep their reply handler armed past the timeout and
-//     compensate: a late purchase acceptance is given straight back, a
-//     late lock grant released immediately. Idempotent channels simply
-//     cancel the wait (madeleine tombstones the orphan reply).
-//
-// With RPCTimeout == 0 every helper degrades to the plain ep.Call —
+// With RPCTimeout == 0 every exchange is the plain ep.Call — no record,
 // no timer, no envelope change, byte-identical traces.
 
 const (
 	// rpcMaxAttempts bounds an idempotent request's tries: the initial
 	// send plus retries, each preceded by a doubling backoff.
 	rpcMaxAttempts = 3
-	// rpcBackoffBase and rpcBackoffCap shape the retry backoff, the
-	// same 25 µs-doubling style as negotiationBackoff.
+	// rpcBackoffBase and rpcBackoffCap shape the deterministic retry
+	// backoff: 25 µs doubling per retry, as negotiationBackoff, capped.
 	rpcBackoffBase = 25 * simtime.Microsecond
 	rpcBackoffCap  = 400 * simtime.Microsecond
 )
 
-// rpcBackoff returns the deterministic delay before retry number
-// try+1 of a timed-out idempotent request.
-func rpcBackoff(try int) simtime.Time {
-	d := rpcBackoffBase << uint(try)
-	if d > rpcBackoffCap {
-		return rpcBackoffCap
-	}
-	return d
-}
-
 // DefaultRPCTimeout derives the timeout from the cost model: twice the
-// round trip of the heaviest common exchange (a small request shipping
-// a full bitmap back), so a healthy reply always beats the timer with
-// margin while a partitioned peer is abandoned within a few round
-// trips.
+// round trip of a small request shipping a full bitmap back, so a
+// healthy reply beats the timer with margin while a partitioned peer
+// is abandoned within a few round trips.
 func DefaultRPCTimeout(m *cost.Model) simtime.Time {
 	return 2 * m.RoundTrip(128, layout.BitmapBytes)
 }
 
-// callRPC issues one deadline-guarded Call. done runs on a reply
-// inside the deadline; timedOut runs at expiry. late, when non-nil,
-// receives a reply that arrives after expiry — the compensation hook
-// for non-idempotent requests; when nil the wait is canceled at expiry
-// and a late reply is dropped by the endpoint's tombstone. With
-// RPCTimeout == 0 this is exactly ep.Call and timedOut/late never run.
-func (n *Node) callRPC(dst int, ch uint32, build func(*madeleine.Buffer), done func(*madeleine.Buffer), timedOut func(), late func(*madeleine.Buffer)) {
-	n.callRPCWithin(n.c.cfg.RPCTimeout, dst, ch, build, done, timedOut, late)
+// callKind is a call's policy at expiry and for late replies.
+type callKind uint8
+
+const (
+	// gatherCall is an idempotent bitmap read: it backs off and
+	// retries, then misses — the caller plans without that peer.
+	gatherCall callKind = iota
+	// spawnCall moves on to the next live, unsuspected rank; once none
+	// is left the caller gets tid 0, like a local creation failure.
+	spawnCall
+	// claimCall is a purchase, lock or shard lock: expiry fails it, and
+	// the late handler undoes a late grant. Other kinds drop late replies.
+	claimCall
+	// giveBackCall reads expiry as acknowledged.
+	giveBackCall
+)
+
+// call is one deadline-guarded remote exchange, across all its
+// attempts. It is the madeleine.Waiter of every request it sends.
+type call struct {
+	n    *Node
+	kind callKind
+	dst  int
+	ch   uint32
+	// patience is the deadline of one attempt; 0 means RPCTimeout.
+	patience simtime.Time
+	tries    int
+	// id is the request of the attempt in flight, 0 while none is: a
+	// reply to any other id is late.
+	id    uint32
+	timer simtime.Timer
+	// fire is c.onTimer, bound once. reuse marks a record a node keeps
+	// across rounds (the delta gather's per-peer calls).
+	fire    func()
+	reuse   bool
+	build   func(*madeleine.Buffer)
+	reply   func(*madeleine.Buffer)
+	timeout func()
+	late    func(*madeleine.Buffer)
 }
 
-// callRPCWithin is callRPC with an explicit patience. The tree gather
-// widens the deadline of a call to an interior relay, whose reply nests
-// its own children's deadlines and retries — see treeDeadlineScale.
-func (n *Node) callRPCWithin(timeout simtime.Time, dst int, ch uint32, build func(*madeleine.Buffer), done func(*madeleine.Buffer), timedOut func(), late func(*madeleine.Buffer)) {
-	if timeout == 0 {
-		n.ep.Call(dst, ch, build, done)
-		return
-	}
-	deadline := n.actor.Now() + timeout
-	answered := false
-	expired := false
-	id := n.ep.CallDL(dst, ch, deadline, build, func(reply *madeleine.Buffer) {
-		if expired {
-			if late != nil {
-				late(reply)
-			}
-			return
-		}
-		answered = true
-		done(reply)
-	})
-	n.actor.Post(deadline, func() {
-		if answered {
-			return
-		}
-		expired = true
-		if late == nil {
-			n.ep.Cancel(id)
-		}
-		n.actor.Commit(func() { n.c.stats.RPCTimeouts++ })
-		timedOut()
-	})
-}
-
-// gatherCall issues one idempotent gather request (chBitmap,
-// chGatherTree, chBitmapDelta) with deadline and backoff retries; miss
-// runs once the retry budget is exhausted, and the caller skips the
-// unresponsive rank — safe for planning, which then simply does not
-// see that peer's free slots. Replies that arrive after a timeout are
-// dropped: the retry (or the next round's gather) re-reads the peer.
-func (n *Node) gatherCall(dst int, ch uint32, build func(*madeleine.Buffer), done func(*madeleine.Buffer), miss func()) {
-	n.gatherCallScaled(dst, ch, 1, build, done, miss)
-}
-
-// gatherCallScaled is gatherCall with the per-attempt deadline widened
-// by an integer factor. The combining tree uses it for calls to interior
-// relays: a relay cannot reply before its own children's retry budgets
-// resolve, so a flat deadline at every level would expire at the parent
-// first and cascade the loss of one unreachable leaf into the loss of
-// every subtree above it.
-func (n *Node) gatherCallScaled(dst int, ch uint32, scale int, build func(*madeleine.Buffer), done func(*madeleine.Buffer), miss func()) {
+// exchange issues a fresh call; with RPCTimeout 0 it builds no record.
+func (n *Node) exchange(c call) {
 	if n.c.cfg.RPCTimeout == 0 {
-		n.ep.Call(dst, ch, build, done)
+		n.ep.Call(c.dst, c.ch, c.build, c.reply)
 		return
 	}
-	timeout := n.c.cfg.RPCTimeout * simtime.Time(scale)
-	var attempt func(try int)
-	attempt = func(try int) {
-		n.callRPCWithin(timeout, dst, ch, build, done, func() {
-			if try+1 >= rpcMaxAttempts {
-				miss()
+	rec := c
+	rec.n = n
+	rec.start()
+}
+
+// start issues the first attempt of a fresh or resolved record.
+func (c *call) start() {
+	n := c.n
+	if n.c.cfg.RPCTimeout == 0 {
+		n.ep.Call(c.dst, c.ch, c.build, c.reply)
+		return
+	}
+	if c.patience == 0 {
+		c.patience = n.c.cfg.RPCTimeout
+	}
+	if c.fire == nil {
+		c.fire = c.onTimer
+	}
+	n.calls++
+	c.tries = 0
+	c.send()
+}
+
+func (c *call) send() {
+	n := c.n
+	c.tries++
+	deadline := n.actor.Now() + c.patience
+	c.id = n.ep.CallDL(c.dst, c.ch, deadline, c.build, c)
+	c.timer = n.actor.PostTimer(deadline, c.fire)
+}
+
+// Reply implements madeleine.Waiter: the attempt in flight answers the
+// call and stops its timer; any other reply is late.
+func (c *call) Reply(id uint32, msg *madeleine.Buffer) {
+	if id != c.id {
+		if c.kind == claimCall {
+			c.late(msg)
+		}
+		return
+	}
+	c.id = 0
+	c.timer.Stop()
+	reply := c.reply
+	c.resolve()
+	reply(msg)
+}
+
+// resolve ends a waiting call. The endpoint still maps the requests of
+// expired attempts to the record, for late replies that may never come,
+// so a one-off record lets go of the closures it no longer needs.
+func (c *call) resolve() {
+	c.n.calls--
+	if !c.reuse {
+		c.build, c.reply, c.timeout = nil, nil, nil
+	}
+}
+
+// onTimer runs at an attempt's deadline, or sends a gather's retry when
+// its backoff ends (no attempt in flight).
+func (c *call) onTimer() {
+	if c.id == 0 {
+		c.send()
+		return
+	}
+	n := c.n
+	c.id = 0
+	n.actor.Commit(func() { n.c.stats.RPCTimeouts++ })
+	switch c.kind {
+	case gatherCall:
+		if c.tries < rpcMaxAttempts {
+			backoff := min(rpcBackoffBase<<uint(c.tries-1), rpcBackoffCap)
+			c.timer = n.actor.PostTimer(n.actor.Now()+backoff, c.fire)
+			return
+		}
+	case spawnCall:
+		// Fall back to the next rank after this one that is neither us
+		// nor dead or suspected, trying at most every other rank once.
+		for k, nodes := 1, n.c.Nodes(); k < nodes && c.tries < nodes-1; k++ {
+			if next := (c.dst + k) % nodes; next != n.id && n.c.nodeAlive(next) {
+				c.dst = next
+				c.send()
 				return
 			}
-			n.actor.Post(n.actor.Now()+rpcBackoff(try), func() { attempt(try + 1) })
-		}, nil)
+		}
 	}
-	attempt(0)
+	timeout := c.timeout
+	c.resolve()
+	timeout()
 }
 
 // acquireLockOr is acquireLock with a timeout continuation for the
@@ -151,81 +189,30 @@ func (n *Node) gatherCallScaled(dst int, ch uint32, scale int, build func(*madel
 // held by a waiter that walked away.
 func (n *Node) acquireLockOr(granted, timedOut func()) {
 	if n.c.cfg.RPCTimeout == 0 {
-		n.acquireLock(granted)
+		n.acquireLock(granted) // builds no late handler either
 		return
 	}
-	n.callRPCWithin(n.lockPatience(), 0, chLock, nil,
-		func(*madeleine.Buffer) { granted() },
-		timedOut,
-		func(*madeleine.Buffer) { n.releaseLock() })
+	n.exchange(call{kind: claimCall, dst: 0, ch: chLock, patience: n.lockPatience(),
+		reply:   func(*madeleine.Buffer) { granted() },
+		timeout: timedOut,
+		late:    func(*madeleine.Buffer) { n.releaseLock() }})
 }
 
 // lockPatience is the deadline for the system-wide lock acquisition.
-// Unlike a gather, a lock request legitimately queues: up to Nodes-1
-// earlier holders may each burn up to Nodes × rpcMaxAttempts gather
-// deadlines routing around unreachable peers before releasing, so the
-// flat RPC deadline would read healthy contention as a dead manager
-// and fail negotiations that merely queued. Quadratic in the cluster
-// size, the wait is still bounded and deterministic when the manager
-// really is unreachable.
+// A lock request legitimately queues: up to Nodes-1 earlier holders may
+// each burn Nodes × rpcMaxAttempts gather deadlines routing around
+// unreachable peers, so the flat deadline would read contention as a
+// dead manager. Quadratic in the cluster size, the wait stays bounded.
 func (n *Node) lockPatience() simtime.Time {
 	nodes := simtime.Time(n.c.Nodes())
 	return n.c.cfg.RPCTimeout * rpcMaxAttempts * nodes * nodes
 }
 
-// compGiveBack returns shares a seller sold to a purchase whose reply
-// arrived after the initiator's timeout: the initiator already treated
-// the purchase as declined and re-planned, so the orphaned shares go
-// straight back. Unlike returnSlots this rides outside the round's
-// give-back accounting (the round that bought them is long gone). A
-// decline — or a timeout of the give-back itself — parks the slots at
-// neither party until the next defragmentation: a bounded loss in an
-// already-pathological race.
-func (n *Node) compGiveBack(seller int, shares []core.SellerShare) {
-	n.callRPC(seller, chBuy, func(b *madeleine.Buffer) {
-		b.PackU32(opGiveBack)
-		packShares(b, shares)
-	}, func(*madeleine.Buffer) {}, func() {}, nil)
-}
-
-// spawnRemote issues the remote thread-creation LRPC. With a timeout
-// configured, an unresponsive destination is abandoned and the spawn
-// falls back to further live, unsuspected ranks; exhaustion reports
-// tid 0 to the caller, like a local creation failure.
+// spawnRemote issues the remote thread-creation LRPC; done gets the new
+// thread's tid, or 0 once a timed-out spawn ran out of live ranks.
 func (n *Node) spawnRemote(dest int, entry, arg uint32, done func(tid uint32)) {
-	pack := func(b *madeleine.Buffer) { b.PackU32(entry).PackU32(arg) }
-	reply := func(r *madeleine.Buffer) { done(r.U32()) }
-	if n.c.cfg.RPCTimeout == 0 {
-		n.ep.Call(dest, chSpawn, pack, reply)
-		return
-	}
-	tried := 0
-	var attempt func(d int)
-	attempt = func(d int) {
-		n.callRPC(d, chSpawn, pack, reply, func() {
-			tried++
-			next := n.c.nextSpawnFallback(d, n.id)
-			if tried >= n.c.Nodes()-1 || next < 0 {
-				done(0)
-				return
-			}
-			attempt(next)
-		}, nil)
-	}
-	attempt(dest)
-}
-
-// nextSpawnFallback returns the first rank after a timed-out spawn
-// destination that is neither the requester, declared dead, nor
-// suspected — the next candidate for the LRPC — or -1 when none
-// remains.
-func (c *Cluster) nextSpawnFallback(after, self int) int {
-	for k := 1; k < c.Nodes(); k++ {
-		cand := (after + k) % c.Nodes()
-		if cand == self || !c.nodeAlive(cand) {
-			continue
-		}
-		return cand
-	}
-	return -1
+	n.exchange(call{kind: spawnCall, dst: dest, ch: chSpawn,
+		build:   func(b *madeleine.Buffer) { b.PackU32(entry).PackU32(arg) },
+		reply:   func(r *madeleine.Buffer) { done(r.U32()) },
+		timeout: func() { done(0) }})
 }

@@ -16,7 +16,10 @@ import (
 // layer actually fired against the unreachable rank), and a canonical
 // trace that is byte-identical across worker counts 1, 2 and 4 — per
 // arbiter and per gather mode, since a negotiation runs mid-window and
-// its wire pattern legitimately differs between those.
+// its wire pattern legitimately differs between those. After the drain
+// nothing waits on a reply, and since an answered call's deadline timer
+// is stopped, the run ends with its last real event at 34 ms instead of
+// at the deadline of an answered lock request.
 func TestPartitionTraceIdentity(t *testing.T) {
 	for _, arb := range []string{"", "sharded"} {
 		for _, gather := range []string{"", "tree", "delta"} {
@@ -29,6 +32,9 @@ func TestPartitionTraceIdentity(t *testing.T) {
 				}
 				if err := res.Verify(); err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Drained != nil {
+					t.Fatalf("%s: %v", name, res.Drained)
 				}
 				if res.Stats.Evacuations != 0 {
 					t.Fatalf("%s: %d evacuations of a live partitioned node", name, res.Stats.Evacuations)
@@ -51,6 +57,9 @@ func TestPartitionTraceIdentity(t *testing.T) {
 			}
 			if !strings.Contains(want, "[suspect]") || !strings.Contains(want, "[rejoin]") {
 				t.Fatalf("arb=%q gather=%q: no suspicion lifecycle in the trace:\n%s", arb, gather, want)
+			}
+			if end := "end virtual=34000.000us "; !strings.Contains(want, end) {
+				t.Fatalf("arb=%q gather=%q: the drain does not end at %q:\n%s", arb, gather, end, want)
 			}
 		}
 	}

@@ -47,6 +47,10 @@ type Result struct {
 	// Result is the partial measurement up to the cutoff. Only runs
 	// with Spec.AllowSaturated reach callers in this state.
 	Saturated bool
+	// Drained is the cluster's CheckDrained verdict after the run: nil
+	// when no negotiation, lock or call record was left waiting. Not
+	// checked for saturated runs, which stop with work in flight.
+	Drained error
 
 	expects []expectation
 }
@@ -320,6 +324,9 @@ func finish(spec Spec, d *Driver, cl *ipm2.Cluster, rec *recorder) (*Result, err
 		Steps:         cl.Engine().Steps(),
 		Saturated:     saturated,
 		expects:       d.expects,
+	}
+	if !saturated {
+		res.Drained = cl.CheckDrained()
 	}
 	threads := make([]string, spec.Nodes)
 	res.ThreadsLeft = make([]int, spec.Nodes)

@@ -19,12 +19,16 @@ package simtime
 
 // event is one scheduled closure. When actor is non-nil the event was
 // posted through Actor.Post and the busy-clock prologue/epilogue runs
-// around fn without a wrapper closure.
+// around fn without a wrapper closure. idx is the event's position in
+// its lane heap, -1 once popped or removed; gen counts the struct's
+// recycles, so a Timer handle outliving its event stops nothing.
 type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	actor *Actor
+	idx   int
+	gen   uint32
 }
 
 // eventLess is the one ordering in the kernel: earliest time first,
@@ -103,7 +107,7 @@ func (l *lane) PeekNextEventTime() (Time, uint64) {
 // recycle it (immediately in serial execution, at commit time in a
 // parallel window).
 func (l *lane) ProcessNextEvent() *event {
-	ev := l.pop()
+	ev := l.remove(0)
 	l.exec(ev)
 	return ev
 }
@@ -138,7 +142,7 @@ func (l *lane) alloc(at Time, seq uint64, fn func(), a *Actor) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.actor = at, seq, fn, a
+	ev.at, ev.seq, ev.fn, ev.actor, ev.idx = at, seq, fn, a, -1
 	return ev
 }
 
@@ -146,26 +150,32 @@ func (l *lane) alloc(at Time, seq uint64, fn func(), a *Actor) *event {
 // closure so it does not pin captured state.
 func (l *lane) recycle(ev *event) {
 	ev.fn, ev.actor = nil, nil
+	ev.gen++
 	l.free = append(l.free, ev)
 }
 
 // push inserts ev into the lane heap.
 func (l *lane) push(ev *event) {
+	ev.idx = len(l.heap)
 	l.heap = append(l.heap, ev)
-	l.siftUp(len(l.heap) - 1)
+	l.siftUp(ev.idx)
 }
 
-// pop removes and returns the lane's earliest event.
-func (l *lane) pop() *event {
+// remove takes the event at heap position i out of the lane heap;
+// remove(0) pops the lane's earliest event.
+func (l *lane) remove(i int) *event {
 	h := l.heap
-	ev := h[0]
+	ev := h[i]
 	last := len(h) - 1
-	h[0] = h[last]
+	h[i] = h[last]
+	h[i].idx = i
 	h[last] = nil
 	l.heap = h[:last]
-	if last > 0 {
-		l.siftDown(0)
+	if i < last {
+		l.siftUp(i)
+		l.siftDown(i)
 	}
+	ev.idx = -1
 	return ev
 }
 
@@ -177,6 +187,7 @@ func (l *lane) siftUp(i int) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
+		h[i].idx, h[p].idx = i, p
 		i = p
 	}
 }
@@ -196,6 +207,7 @@ func (l *lane) siftDown(i int) {
 			return
 		}
 		h[i], h[least] = h[least], h[i]
+		h[i].idx, h[least].idx = i, least
 		i = least
 	}
 }

@@ -110,7 +110,7 @@ type WindowStats struct {
 func (e *Engine) WindowStats() WindowStats { return e.wstats }
 
 // postLocal queues a same-lane descendant during a parallel window.
-func (l *lane) postLocal(at Time, fn func(), a *Actor) {
+func (l *lane) postLocal(at Time, fn func(), a *Actor) *event {
 	if at < l.now {
 		at = l.now
 	}
@@ -118,6 +118,7 @@ func (l *lane) postLocal(at Time, fn func(), a *Actor) {
 	ev := l.alloc(at, tempSeqBase+l.tempSeq, fn, a)
 	l.push(ev)
 	l.pushes = append(l.pushes, pushEntry{ev: ev})
+	return ev
 }
 
 // runParallel is the window loop behind Run and RunUntil for workers > 1.
@@ -245,7 +246,7 @@ func (l *lane) runLaneWindow(boundAt Time, boundSeq uint64) {
 		if at, seq := l.PeekNextEventTime(); !keyLess(at, seq, boundAt, boundSeq) {
 			return
 		}
-		ev := l.pop()
+		ev := l.remove(0)
 		l.recs = append(l.recs, execRec{ev: ev, pushLo: len(l.pushes), comLo: len(l.commits)})
 		ri := len(l.recs) - 1
 		l.exec(ev)

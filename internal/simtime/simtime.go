@@ -124,7 +124,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // on lane l. Serial contexts only (including barriers and the commit
 // phase's deferred delivery); parallel windows record pushes per lane
 // instead (parallel.go).
-func (e *Engine) schedule(l *lane, t Time, fn func(), a *Actor) {
+func (e *Engine) schedule(l *lane, t Time, fn func(), a *Actor) *event {
 	if e.inCommit {
 		panic("simtime: scheduling from a commit closure (commits are state application only)")
 	}
@@ -135,9 +135,10 @@ func (e *Engine) schedule(l *lane, t Time, fn func(), a *Actor) {
 	ev := l.alloc(t, e.seq, fn, a)
 	l.push(ev)
 	e.nPending++
-	if l.heap[0] == ev && l != e.stepping {
+	if ev.idx == 0 && l != e.stepping {
 		e.mergeFix(l)
 	}
+	return ev
 }
 
 // Step executes the earliest pending event across all lanes, advancing
@@ -158,7 +159,7 @@ func (e *Engine) Step() bool {
 	if l == nil {
 		return false
 	}
-	ev := l.pop()
+	ev := l.remove(0)
 	e.nPending--
 	e.now = ev.at
 	e.nSteps++
@@ -265,17 +266,59 @@ func (a *Actor) Now() Time {
 // this actor's own executing handlers (self-posts, quantum pumps, timer
 // continuations). Cross-actor messages sent from inside a handler go
 // through PostTo on the sending actor.
-func (a *Actor) Post(at Time, fn func()) {
-	e := a.eng
-	if e.inWindow {
-		l := a.lane
-		if !l.executing {
-			panic("simtime: Post to " + a.name + " from a parallel window it is not part of (use PostTo from the sending actor)")
-		}
-		l.postLocal(at, fn, a)
-		return
+func (a *Actor) Post(at Time, fn func()) { a.PostTimer(at, fn) }
+
+// PostTimer is Post returning a handle that can stop the event. Neither
+// allocates once the lane's free list is warm.
+func (a *Actor) PostTimer(at Time, fn func()) Timer {
+	var ev *event
+	if a.eng.inWindow {
+		a.ownLane("Post to", " (use PostTo from the sending actor)")
+		ev = a.lane.postLocal(at, fn, a)
+	} else {
+		ev = a.eng.schedule(a.lane, at, fn, a)
 	}
-	e.schedule(a.lane, at, fn, a)
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// ownLane panics unless the actor's lane runs in the current parallel
+// window: only its own handlers may touch the lane.
+func (a *Actor) ownLane(op, hint string) {
+	if !a.lane.executing {
+		panic("simtime: " + op + " " + a.name + " from a parallel window it is not part of" + hint)
+	}
+}
+
+// Timer is a handle on one event posted by PostTimer.
+type Timer struct {
+	ev  *event
+	gen uint32 // ev.gen when posted
+}
+
+// Stop removes the timer's event from its lane if it is still pending,
+// and reports whether it did. A stopped event runs nothing: it leaves
+// Pending at once and never moves Now, Steps or its actor's busy clock.
+// A timer that already ran or was stopped stops nothing, even once its
+// event struct is recycled. In a parallel window only the timer's own
+// actor may stop it.
+func (t Timer) Stop() bool {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen || ev.idx < 0 {
+		return false
+	}
+	a, i := ev.actor, ev.idx
+	l, e := a.lane, a.eng
+	if e.inWindow {
+		a.ownLane("Stop on", "")
+	}
+	l.recycle(l.remove(i))
+	if !e.inWindow { // a window recounts its pending events from the heaps
+		e.nPending--
+		if i == 0 && l != e.stepping {
+			e.mergeFix(l)
+		}
+	}
+	return true
 }
 
 // PostAfter schedules fn on the actor d after the current virtual time.
@@ -322,11 +365,8 @@ func (a *Actor) PostTo(dst *Actor, at Time, fn func()) {
 // values to record captured at execution time.
 func (a *Actor) Commit(fn func()) {
 	if a.eng.inWindow {
-		l := a.lane
-		if !l.executing {
-			panic("simtime: Commit on " + a.name + " from a parallel window it is not part of")
-		}
-		l.commits = append(l.commits, fn)
+		a.ownLane("Commit on", "")
+		a.lane.commits = append(a.lane.commits, fn)
 		return
 	}
 	fn()
