@@ -11,14 +11,43 @@ package bip
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/simtime"
 )
 
 // Handler receives a delivered message on the destination node's actor.
-// The payload is owned by the receiver.
+// The payload is lent to the receiver: it may keep reading it after the
+// handler returns, and hands it back with NIC.Release once it no longer
+// does. A payload that is never released is simply garbage-collected.
 type Handler func(src int, tag uint32, payload []byte)
+
+// Wire bodies of up to 1<<maxBodyShift bytes are recycled through the
+// network's free lists, one per power-of-two size class from
+// 1<<minBodyShift up. The largest class holds a slot-bitmap reply
+// (layout.BitmapBytes, 7 KB, plus its envelope): every negotiation
+// message fits. Larger bodies are thread images and convoys, which
+// install copies into simulated memory anyway; pooling them would keep
+// the peak of in-flight migrations alive after a run.
+const (
+	minBodyShift = 6
+	maxBodyShift = 13
+	bodyClasses  = maxBodyShift - minBodyShift + 1
+)
+
+// bodyClass returns the size class of an n-byte body, or -1 when n is
+// too large to pool.
+func bodyClass(n int) int {
+	if n > 1<<maxBodyShift {
+		return -1
+	}
+	if n <= 1<<minBodyShift {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minBodyShift
+}
 
 // Stats aggregates traffic counters for a network.
 type Stats struct {
@@ -44,6 +73,104 @@ type Network struct {
 	model  *cost.Model
 	nics   []*NIC
 	faults FaultPolicy
+
+	// mu guards the free lists: under the parallel executor a body and
+	// its delivery record are taken on the sender's lane and given back
+	// on the receiver's.
+	mu       sync.Mutex
+	bodies   [bodyClasses][][]byte
+	transits []*transit
+}
+
+// Release hands a delivered payload back to the network, once the
+// receiver no longer reads it or any slice of it. Bodies too large to
+// pool are left to the garbage collector. A poison build overwrites
+// every released body, so a reader that kept an alias sees garbage.
+func (n *NIC) Release(payload []byte) {
+	c := cap(payload)
+	class := bodyClass(c)
+	if class < 0 || c != 1<<(class+minBodyShift) {
+		return
+	}
+	body := payload[:c]
+	if Poison {
+		for i := range body {
+			body[i] = poisonByte
+		}
+	}
+	nw := n.net
+	nw.mu.Lock()
+	nw.bodies[class] = append(nw.bodies[class], body)
+	nw.mu.Unlock()
+}
+
+// poisonByte fills released bodies in a poison build.
+const poisonByte = 0xA5
+
+// transit is one message in flight to dst. Records are recycled
+// through the network's free list; run is the record's deliver method,
+// bound once when the record is made, so posting a delivery allocates
+// nothing.
+type transit struct {
+	dst      *NIC
+	src      int
+	tag      uint32
+	cpuBytes int
+	body     []byte
+	run      func()
+}
+
+// carry gathers segs into a body from the free list of its size class
+// and wraps it in a transit record for dst.
+func (nw *Network) carry(dst *NIC, src int, tag uint32, segs [][]byte, total, cpuBytes int) *transit {
+	class := bodyClass(total)
+	var body []byte
+	var d *transit
+	nw.mu.Lock()
+	if class >= 0 {
+		if k := len(nw.bodies[class]); k > 0 {
+			body = nw.bodies[class][k-1]
+			nw.bodies[class] = nw.bodies[class][:k-1]
+		}
+	}
+	if k := len(nw.transits); k > 0 {
+		d = nw.transits[k-1]
+		nw.transits = nw.transits[:k-1]
+	}
+	nw.mu.Unlock()
+	switch {
+	case body != nil:
+	case class < 0:
+		body = make([]byte, 0, total)
+	default:
+		body = make([]byte, 0, 1<<(class+minBodyShift))
+	}
+	body = body[:0]
+	for _, s := range segs {
+		body = append(body, s...)
+	}
+	if d == nil {
+		d = &transit{}
+		d.run = d.deliver
+	}
+	d.dst, d.src, d.tag, d.cpuBytes, d.body = dst, src, tag, cpuBytes, body
+	return d
+}
+
+// deliver charges the receive overhead (none on loopback) and runs the
+// receiver's handler. The record goes back to the free list first, so
+// the handler's own sends can reuse it.
+func (d *transit) deliver() {
+	dst, src, tag, body := d.dst, d.src, d.tag, d.body
+	if src != dst.id {
+		dst.actor.Charge(dst.net.model.Recv(d.cpuBytes))
+	}
+	d.body = nil
+	nw := dst.net
+	nw.mu.Lock()
+	nw.transits = append(nw.transits, d)
+	nw.mu.Unlock()
+	dst.handler(src, tag, body)
 }
 
 // SetFaults installs a fault policy consulted on every remote send.
@@ -162,21 +289,11 @@ func (n *NIC) sendGathered(dst int, tag uint32, segs [][]byte, cpuBytes int) {
 	n.sent++
 	n.sentBytes += uint64(total)
 
-	// Gather once: this is the single host-side copy of the data path,
-	// and it doubles as the delivery body (the receiver owns it).
-	body := make([]byte, 0, total)
-	for _, s := range segs {
-		body = append(body, s...)
-	}
-
 	m := nw.model
 	if dst == n.id {
 		// Loopback: no NIC/wire involved, just a local queue hop.
 		n.actor.Charge(m.Send(cpuBytes) / 4)
-		src := n.id
-		n.actor.Post(n.actor.Now(), func() {
-			n.handler(src, tag, body)
-		})
+		n.actor.Post(n.actor.Now(), nw.carry(n, n.id, tag, segs, total, cpuBytes).run)
 		return
 	}
 
@@ -196,7 +313,8 @@ func (n *NIC) sendGathered(dst int, tag uint32, segs [][]byte, cpuBytes int) {
 	// it, and a delivery landing on a crashed node is dropped on the
 	// floor. The link was still occupied either way — linkFreeAt keeps
 	// the fault-free serialization point so the sender's own timing
-	// never depends on the fate of the message.
+	// never depends on the fate of the message. A dropped message is
+	// decided before it is gathered, so it takes no body and no record.
 	if nw.faults != nil {
 		var drop bool
 		arrive, drop = nw.faults.Adjust(n.id, dst, start, arrive)
@@ -206,15 +324,14 @@ func (n *NIC) sendGathered(dst int, tag uint32, segs [][]byte, cpuBytes int) {
 		}
 	}
 
+	// Gather once: this is the single host-side copy of the data path,
+	// and it doubles as the delivery body (lent to the receiver).
+	//
 	// Cross-lane delivery: PostTo buffers the arrival on the sending lane
 	// during a parallel window and the commit phase delivers it in serial
 	// merge order. The wire latency floor (cost.Model.WireLatencyNs) is
 	// the executor's conservative horizon, so arrive always lands at or
 	// beyond the window bound.
 	dstNIC := nw.nics[dst]
-	src := n.id
-	n.actor.PostTo(dstNIC.actor, arrive, func() {
-		dstNIC.actor.Charge(m.Recv(cpuBytes))
-		dstNIC.handler(src, tag, body)
-	})
+	n.actor.PostTo(dstNIC.actor, arrive, nw.carry(dstNIC, n.id, tag, segs, total, cpuBytes).run)
 }

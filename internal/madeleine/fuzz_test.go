@@ -89,7 +89,7 @@ func FuzzBufferRoundTrip(f *testing.F) {
 		// The segment view must concatenate to exactly the materialized
 		// stream (bip.SendV gathers segments; Bytes() flattens).
 		var gathered []byte
-		for _, seg := range b.segments() {
+		for _, seg := range b.appendSegments(nil) {
 			gathered = append(gathered, seg...)
 		}
 		wire := b.Bytes()

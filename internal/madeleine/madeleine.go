@@ -45,6 +45,9 @@ type Buffer struct {
 	// at values are non-decreasing; refLen caches their total size.
 	refs   []bufRef
 	refLen int
+	// dead marks an inbound buffer its endpoint released, in a poison
+	// build: unpacking from it panics.
+	dead bool
 }
 
 type bufRef struct {
@@ -71,19 +74,16 @@ func (b *Buffer) flatten() {
 		return
 	}
 	out := make([]byte, 0, b.Len())
-	for _, seg := range b.segments() {
+	for _, seg := range b.appendSegments(nil) {
 		out = append(out, seg...)
 	}
 	b.data, b.refs, b.refLen = out, b.refs[:0], 0
 }
 
-// segments returns the message as an ordered span list — the inline
-// stream split around the borrowed sections — without materializing.
-func (b *Buffer) segments() [][]byte {
-	if len(b.refs) == 0 {
-		return [][]byte{b.data}
-	}
-	out := make([][]byte, 0, 2*len(b.refs)+1)
+// appendSegments appends the message to out as an ordered span list —
+// the inline stream split around the borrowed sections — without
+// materializing it.
+func (b *Buffer) appendSegments(out [][]byte) [][]byte {
 	prev := 0
 	for _, r := range b.refs {
 		if r.at > prev {
@@ -195,8 +195,17 @@ func (b *Buffer) fail() {
 	}
 }
 
+// checkLive panics on an inbound buffer its endpoint has released, in a
+// poison build; otherwise it compiles to nothing.
+func (b *Buffer) checkLive() {
+	if bip.Poison && b.dead {
+		panic("madeleine: unpack from a released message")
+	}
+}
+
 // U32 consumes a 32-bit word.
 func (b *Buffer) U32() uint32 {
+	b.checkLive()
 	b.flatten()
 	if b.err != nil || b.off+4 > len(b.data) {
 		b.fail()
@@ -209,6 +218,7 @@ func (b *Buffer) U32() uint32 {
 
 // U64 consumes a 64-bit word.
 func (b *Buffer) U64() uint64 {
+	b.checkLive()
 	b.flatten()
 	if b.err != nil || b.off+8 > len(b.data) {
 		b.fail()
@@ -239,9 +249,10 @@ func (b *Buffer) String() string { return string(b.BytesSection()) }
 // Pool recycles pack Buffers so the hot messaging paths (migration
 // packing, envelope assembly) stop allocating a fresh Buffer — and a fresh
 // backing array — per message. A nil *Pool is valid and degrades to plain
-// allocation, so callers never need to branch. Only *outgoing* buffers may
-// be pooled: inbound dispatch buffers can be retained by handlers (pending
-// Calls keep their request message alive).
+// allocation, so callers never need to branch. It holds *outgoing*
+// buffers only: inbound buffers live on their endpoint's own free list,
+// because the endpoint, not the handler, decides when one is released
+// (see Endpoint).
 type Pool struct {
 	mu   sync.Mutex
 	free []*Buffer
@@ -334,31 +345,49 @@ type Call struct {
 	// Msg is the request payload.
 	Msg  *Buffer
 	done bool
+	// serving is set while the call handler runs: a reply sent then
+	// leaves the release to dispatch, once the handler returns.
+	serving bool
 }
 
 // Src returns the requesting node.
 func (c *Call) Src() int { return c.src }
 
 // Reply sends the response payload back to the requester. It must be called
-// exactly once, from the receiving node's actor.
+// exactly once, from the receiving node's actor. Replying releases the
+// call and its request: neither may be used afterwards.
 func (c *Call) Reply(build func(*Buffer)) {
 	if c.done {
 		panic("madeleine: double reply")
 	}
 	c.done = true
-	out := c.ep.pool.Get()
+	ep := c.ep
+	out := ep.pool.Get()
 	out.PackU32(kindReply)
 	out.PackU32(c.reqID)
 	if build != nil {
 		build(out)
 	}
-	c.ep.nic.Send(c.src, 0, out.Bytes())
-	c.ep.pool.Put(out)
+	ep.nic.Send(c.src, 0, out.Bytes())
+	ep.pool.Put(out)
+	if !c.serving {
+		ep.releaseCall(c)
+	}
 }
 
 // Endpoint is a node's Madeleine port: tagged one-way messages plus a
 // request/reply discipline. All callbacks run on the node's CPU actor, in
 // virtual time.
+//
+// Inbound messages reuse their host memory. A message — its wire body
+// and the Buffer over it — belongs to its handler until the handler
+// returns, and is then released: the body goes back to the network and
+// the Buffer to the endpoint. A request is released with its Call: when
+// the handler returns if it replied in place, otherwise when its Reply
+// is sent. A handler must therefore copy whatever it keeps of a message
+// (BytesSection aliases the body), and drop its Call once it replied.
+// The free lists are lane-affine — only the node's own actor takes and
+// returns handles — so they need no lock.
 type Endpoint struct {
 	nic      *bip.NIC
 	actor    *ActorT
@@ -370,7 +399,16 @@ type Endpoint struct {
 	nextReq uint32
 	// pool recycles outgoing buffers; nil means plain allocation.
 	pool *Pool
+	// freeBufs and freeCalls are the released inbound Buffers and Calls.
+	freeBufs  []*Buffer
+	freeCalls []*Call
 }
+
+// spanScratch is how many spans sendBody lists on the stack; a longer
+// list, such as a migration's page fragments, is allocated for that
+// send alone. An endpoint-held scratch would keep every node's longest
+// list alive.
+const spanScratch = 8
 
 // Attach creates node id's endpoint on the network, bound to its CPU actor.
 func Attach(nw *bip.Network, id int, actor *ActorT) *Endpoint {
@@ -451,7 +489,8 @@ func (ep *Endpoint) sendBody(dst int, ch uint32, body *Buffer, zeroCopy bool) {
 	env.PackU32(kindOneway)
 	env.PackU32(ch)
 	env.PackU32(uint32(body.Len()))
-	segs := append([][]byte{env.Bytes()}, body.segments()...)
+	var scratch [spanScratch][]byte
+	segs := body.appendSegments(append(scratch[:0], env.data))
 	cpuBytes := env.Len() + body.Len()
 	if zeroCopy {
 		cpuBytes = env.Len() + body.InlineLen()
@@ -491,7 +530,7 @@ func (ep *Endpoint) CallDL(dst int, ch uint32, deadline simtime.Time, build func
 }
 
 func (ep *Endpoint) dispatch(src int, _ uint32, payload []byte) {
-	msg := FromBytes(payload)
+	msg := ep.inbound(payload)
 	switch kind := msg.U32(); kind {
 	case kindOneway:
 		ch := msg.U32()
@@ -508,13 +547,19 @@ func (ep *Endpoint) dispatch(src int, _ uint32, payload []byte) {
 			// executing it now could double-apply a retried operation.
 			// Store-and-forward delays (partitions) are exactly the case
 			// this guards.
-			return
+			break
 		}
 		h, ok := ep.calls[ch]
 		if !ok {
 			panic(fmt.Sprintf("madeleine: node %d: no call handler for channel %d", ep.ID(), ch))
 		}
-		h(src, &Call{ep: ep, src: src, reqID: reqID, Msg: msg})
+		c := ep.newCall(src, reqID, msg)
+		h(src, c)
+		c.serving = false
+		if c.done {
+			ep.releaseCall(c)
+		}
+		return
 	case kindReply:
 		reqID := msg.U32()
 		w, ok := ep.pending[reqID]
@@ -525,5 +570,54 @@ func (ep *Endpoint) dispatch(src int, _ uint32, payload []byte) {
 		w.Reply(reqID, msg)
 	default:
 		panic(fmt.Sprintf("madeleine: bad envelope kind %d", kind))
+	}
+	ep.release(msg)
+}
+
+// inbound returns an unpack buffer over a delivered wire body.
+func (ep *Endpoint) inbound(payload []byte) *Buffer {
+	n := len(ep.freeBufs)
+	if n == 0 {
+		return FromBytes(payload)
+	}
+	b := ep.freeBufs[n-1]
+	ep.freeBufs = ep.freeBufs[:n-1]
+	b.data = payload
+	return b
+}
+
+// release hands an inbound message's body back to the network and
+// keeps its buffer for the next message; a poison build retires the
+// buffer instead.
+func (ep *Endpoint) release(msg *Buffer) {
+	ep.nic.Release(msg.data)
+	*msg = Buffer{dead: bip.Poison}
+	if !bip.Poison {
+		ep.freeBufs = append(ep.freeBufs, msg)
+	}
+}
+
+// newCall wraps an inbound request for its handler.
+func (ep *Endpoint) newCall(src int, reqID uint32, msg *Buffer) *Call {
+	var c *Call
+	if n := len(ep.freeCalls); n > 0 {
+		c = ep.freeCalls[n-1]
+		ep.freeCalls = ep.freeCalls[:n-1]
+	} else {
+		c = &Call{ep: ep}
+	}
+	c.src, c.reqID, c.Msg, c.done, c.serving = src, reqID, msg, false, true
+	return c
+}
+
+// releaseCall releases an answered call and its request. The call
+// stays done on the free list, so a stale Reply panics until the call
+// is reused; a poison build never reuses it, so a stale Reply always
+// panics.
+func (ep *Endpoint) releaseCall(c *Call) {
+	ep.release(c.Msg)
+	c.Msg = nil
+	if !bip.Poison {
+		ep.freeCalls = append(ep.freeCalls, c)
 	}
 }

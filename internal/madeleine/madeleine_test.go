@@ -101,7 +101,7 @@ type pair struct {
 	act [2]*simtime.Actor
 }
 
-func newPair(t *testing.T) *pair {
+func newPair(t testing.TB) *pair {
 	t.Helper()
 	p := &pair{eng: simtime.NewEngine()}
 	nw := bip.NewNetwork(p.eng, cost.Default(), 2)
