@@ -21,8 +21,8 @@
 //	pm2bench -fig scenarios -policy work-stealing
 //	pm2bench -fig scenarios -arbiter sharded
 //	pm2bench -fig serve        # serving workload: per-cohort SLO + saturation knee
-//	pm2bench -fig scale        # kernel scaling: 64/256/1024/4096 nodes × worker pool × gather burst
-//	pm2bench -fig scale -workers 1,8 -cpuprofile scale.pprof
+//	pm2bench -fig scale        # kernel throughput: 64/256/1024/4096 nodes, ring hops + gather bursts
+//	pm2bench -fig scale -cpuprofile scale.pprof
 //	pm2bench -fig scale -nodes 4096 -gather tree   # one size, one gather column
 //
 // The scale figure is the only one whose wall-clock columns measure the
@@ -43,8 +43,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -64,7 +62,6 @@ func main() {
 	trials := flag.Int("trials", 3, "trials per Figure 11 point")
 	seed := flag.Uint64("seed", 1, "workload seed for -fig scenarios")
 	reportDir := flag.String("report", "", "also write each gated figure's report to DIR/BENCH_<figure>.txt")
-	workers := flag.String("workers", "1,4,8", "comma-separated kernel worker counts for -fig scale (must start at 1, the serial reference)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
@@ -163,7 +160,7 @@ func main() {
 		ablations()
 		scenarios(pols, *seed, cfg)
 		report(serveFig(servePolicy, *seed))
-		report(scaleFig(*workers, scaleNodes, scaleGathers))
+		report(scaleFig(scaleNodes, scaleGathers))
 	case "5":
 		layoutFig()
 	case "11a":
@@ -189,7 +186,7 @@ func main() {
 	case "serve":
 		report(serveFig(servePolicy, *seed))
 	case "scale":
-		report(scaleFig(*workers, scaleNodes, scaleGathers))
+		report(scaleFig(scaleNodes, scaleGathers))
 	default:
 		fmt.Fprintf(os.Stderr, "pm2bench: unknown figure %q\n", *fig)
 		os.Exit(2)
@@ -573,71 +570,30 @@ func serveFig(polName string, seed uint64) []bench.Row {
 	return report.Rows()
 }
 
-// scaleFig prints the kernel-scaling figure: the lane-decomposed event
-// kernel executing the ring-hop workload at 64/256/1024/4096 nodes,
-// serially and on a worker pool, plus one negotiation burst per gather
-// strategy at every size. The virtual columns are exact (and asserted
-// identical at every worker count inside bench.Scale); wall-clock and
-// events/sec measure the host machine.
-func scaleFig(workerList string, nodeCounts []int, gathers []pm2.GatherMode) []bench.Row {
-	var workerCounts []int
-	for _, part := range strings.Split(workerList, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 {
-			fmt.Fprintf(os.Stderr, "pm2bench: bad -workers list %q\n", workerList)
-			os.Exit(2)
-		}
-		workerCounts = append(workerCounts, w)
-	}
-	if len(workerCounts) == 0 || workerCounts[0] != 1 {
-		fmt.Fprintln(os.Stderr, "pm2bench: -workers must start at 1 (the serial reference run)")
-		os.Exit(2)
-	}
-	header("Extension: kernel scaling — per-node event lanes × worker pool (ring-hop workload)")
-	report := bench.Scale(nodeCounts, workerCounts, 16, 2000, gathers)
-	fmt.Printf("%6s %8s %10s %12s %11s  %8s %10s %14s %8s\n",
-		"nodes", "threads", "events", "migrations", "virtual µs", "workers", "wall ms", "events/sec", "speedup")
+// scaleFig prints the kernel-throughput figure: the serial event kernel
+// executing the ring-hop workload at 64/256/1024/4096 nodes, plus one
+// negotiation burst per gather strategy at every size. The virtual
+// columns are exact; wall-clock and events/sec measure the host.
+func scaleFig(nodeCounts []int, gathers []pm2.GatherMode) []bench.Row {
+	header("Extension: kernel throughput — one event heap (ring-hop workload)")
+	report := bench.Scale(nodeCounts, 16, 2000, gathers)
+	fmt.Printf("%6s %8s %10s %12s %11s  %10s %14s\n",
+		"nodes", "threads", "events", "migrations", "virtual µs", "wall ms", "events/sec")
 	for _, cl := range report.Clusters {
-		for i, r := range cl.Runs {
-			nodes, threads := fmt.Sprint(cl.Nodes), fmt.Sprint(cl.Threads)
-			events, migs, vus := fmt.Sprint(cl.Events), fmt.Sprint(cl.Migrations), fmt.Sprintf("%.1f", cl.VirtualMicros)
-			if i > 0 {
-				// The virtual columns are identical by construction; print
-				// them once per cluster so the table reads as one sweep.
-				nodes, threads, events, migs, vus = "", "", "", "", ""
-			}
-			fmt.Printf("%6s %8s %10s %12s %11s  %8d %10.1f %14.0f %7.2fx\n",
-				nodes, threads, events, migs, vus, r.Workers, r.WallMs, r.EventsPerSec, r.Speedup)
-		}
+		fmt.Printf("%6d %8d %10d %12d %11.1f  %10.1f %14.0f\n",
+			cl.Nodes, cl.Threads, cl.Events, cl.Migrations, cl.VirtualMicros, cl.WallMs, cl.EventsPerSec)
 	}
 	fmt.Println("\ngather burst: 8 initiators × 3-slot runs per cluster (every request is remote under round-robin striping)")
-	fmt.Printf("%6s %-10s %9s %6s %6s %11s %11s  %8s %10s %8s\n",
-		"nodes", "gather", "events", "negos", "fails", "merged B", "virtual µs", "workers", "wall ms", "speedup")
+	fmt.Printf("%6s %-10s %9s %6s %6s %11s %11s  %10s\n",
+		"nodes", "gather", "events", "negos", "fails", "merged B", "virtual µs", "wall ms")
 	for _, cl := range report.Clusters {
 		for _, g := range cl.Gathers {
-			for i, r := range g.Runs {
-				nodes, name := fmt.Sprint(cl.Nodes), g.Gather
-				events, negos, fails := fmt.Sprint(g.Events), fmt.Sprint(g.Negotiations), fmt.Sprint(g.Failures)
-				merged, vus := fmt.Sprint(g.MergedBytes), fmt.Sprintf("%.1f", g.VirtualMicros)
-				if i > 0 {
-					nodes, name, events, negos, fails, merged, vus = "", "", "", "", "", "", ""
-				}
-				fmt.Printf("%6s %-10s %9s %6s %6s %11s %11s  %8d %10.1f %7.2fx\n",
-					nodes, name, events, negos, fails, merged, vus, r.Workers, r.WallMs, r.Speedup)
-			}
+			fmt.Printf("%6d %-10s %9d %6d %6d %11d %11.1f  %10.1f\n",
+				cl.Nodes, g.Gather, g.Events, g.Negotiations, g.Failures, g.MergedBytes, g.VirtualMicros, g.WallMs)
 		}
 	}
 
 	fmt.Printf("\nevents slope: %.1f events/node (virtual, exact — the CI-gated quantity)\n", report.EventsSlopePerNode)
-	fmt.Println("(every worker count replays the same event order: the virtual columns are")
-	fmt.Println(" asserted bit-identical to the serial run before a row is printed; speedup is")
-	fmt.Println(" bounded by how many lanes have work inside one wire-latency window)")
-	if report.MaxProcs <= 1 {
-		fmt.Println("(GOMAXPROCS=1: the worker pool cannot run lanes concurrently on this host —")
-		fmt.Println(" wall-clock speedups are meaningless here; parity is carried by the exact")
-		fmt.Println(" virtual columns alone)")
-	} else {
-		fmt.Printf("(GOMAXPROCS=%d: wall-clock speedups measure this host and stay informational)\n", report.MaxProcs)
-	}
+	fmt.Println("(wall ms and events/sec measure this host and stay informational)")
 	return report.Rows()
 }

@@ -119,7 +119,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pm2load: -checkpoint needs -checkpoint-at <µs> to know when to capture")
 			os.Exit(2)
 		case cfg.Faults != "":
-			fmt.Fprintln(os.Stderr, "pm2load: -checkpoint does not compose with -fault (crash barriers are scheduled closures a checkpoint cannot carry)")
+			fmt.Fprintln(os.Stderr, "pm2load: -checkpoint does not compose with -fault (crash events are scheduled closures a checkpoint cannot carry)")
 			os.Exit(2)
 		}
 	}

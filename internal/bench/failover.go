@@ -106,7 +106,7 @@ func failoverRun(k int, convoy bool) (detectionMicros, evacMicros float64, recla
 	for i := 0; i < k; i++ {
 		c.Spawn(victim, "worker", 30_000)
 	}
-	// The heartbeat rounds a load balancer would drive: one ambient tick
+	// The heartbeat rounds a load balancer would drive: one engine tick
 	// per millisecond, enough of them to outlive any batch size.
 	for i := 1; i <= 64; i++ {
 		c.Engine().At(simtime.Time(i*failoverTickMicros)*simtime.Microsecond, c.HeartbeatTick)

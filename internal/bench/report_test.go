@@ -108,7 +108,6 @@ func TestReadRowsRejects(t *testing.T) {
 // back, carry bit-identical values, one figure per file.
 func TestReportRowsRoundTrip(t *testing.T) {
 	odd := 0.1 + 0.2 // no short decimal form
-	runs := []ScaleWorkerRun{{Workers: 1, WallMs: odd}, {Workers: 4, WallMs: 1e-9}}
 	for _, rows := range [][]Row{
 		NegotiationReport{
 			"sequential": {ColdSlopeMicrosPerNode: 170.95518279569896, WarmSlopeMicrosPerNode: odd, ColdMergedBytes: 451584, WarmMergedBytes: 903168},
@@ -121,9 +120,9 @@ func TestReportRowsRoundTrip(t *testing.T) {
 		FailoverReport{DetectionMicros: 1000, Points: []FailoverRow{{K: 16, EvacLegacyMicros: 134.501, EvacConvoyMicros: odd, ReclaimedSlots: 14319}}}.Rows(),
 		PartitionReport{RejoinMicros: 7000, Points: []PartitionRow{{K: 1, RPCTimeouts: 3, NegotiationMicros: odd}},
 			SlowPoints: []PartitionSlowRow{{Factor: 50, RPCTimeouts: 3, NegotiationMicros: 1348.523}}}.Rows(),
-		ScaleReport{Hops: 16, Spin: 2000, MaxProcs: 8, EventsSlopePerNode: 280.5, Clusters: []ScaleClusterReport{{
-			Nodes: 4096, Threads: 2048, Events: 1 << 40, Migrations: 32768, VirtualMicros: odd, Runs: runs,
-			Gathers: []ScaleGatherReport{{Gather: "tree", Events: 2048, Negotiations: 8, MergedBytes: 3612672, VirtualMicros: 14701.285, Runs: runs}},
+		ScaleReport{Hops: 16, Spin: 2000, EventsSlopePerNode: 280.5, Clusters: []ScaleClusterReport{{
+			Nodes: 4096, Threads: 2048, Events: 1 << 40, Migrations: 32768, VirtualMicros: odd, WallMs: odd,
+			Gathers: []ScaleGatherReport{{Gather: "tree", Events: 2048, Negotiations: 8, MergedBytes: 3612672, VirtualMicros: 14701.285, WallMs: 1e-9}},
 		}}}.Rows(),
 	} {
 		dir := t.TempDir()

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/asm"
@@ -10,19 +9,16 @@ import (
 	"repro/internal/progs"
 )
 
-// The kernel-scaling measurement behind `pm2bench -fig scale`: how many
-// events per second the lane-decomposed kernel executes at
-// 64/256/1024/4096 nodes, serially and on a worker pool. The workload
-// is a ring of compute-and-hop threads — every thread spins locally,
-// migrates to (self+1) mod nodes, and repeats — so every lane has
-// private work between cross-lane messages and the conservative windows
-// have real width. Each cluster size also runs a negotiation burst per
+// The kernel-throughput measurement behind `pm2bench -fig scale`: how
+// many events per second the serial event kernel executes at
+// 64/256/1024/4096 nodes. The workload is a ring of compute-and-hop
+// threads — every thread spins locally, migrates to (self+1) mod nodes,
+// and repeats. Each cluster size also runs a negotiation burst per
 // gather strategy (the per-gather columns): ring-hop threads never
-// negotiate, so the burst is what exercises the §4.4 protocol — and
-// every gather runs under the parallel kernel too. Virtual quantities (events, migrations,
-// negotiations, merged bytes, virtual time) are exact and identical at
-// any worker count; they are what benchcheck gates. Wall-clock figures
-// are the machine-dependent payoff and stay informational.
+// negotiate, so the burst is what exercises the §4.4 protocol. Virtual
+// quantities (events, migrations, negotiations, merged bytes, virtual
+// time) are exact; they are what benchcheck gates. Wall-clock figures
+// measure the host and stay informational.
 
 // ringHopSrc spins r2 iterations, hops to the next node round-robin,
 // and repeats r1 times.
@@ -57,25 +53,12 @@ done:
     halt
 `
 
-// ScaleWorkerRun is one worker count's execution of a cluster's
-// workload. Wall-clock and derived throughput are informational (they
-// measure the machine); the virtual outcome is asserted identical to
-// the serial run before the row is emitted.
-type ScaleWorkerRun struct {
-	Workers      int
-	WallMs       float64
-	EventsPerSec float64
-	// Speedup is serial wall-clock over this run's wall-clock.
-	Speedup float64
-}
-
 // ScaleGatherReport is one gather strategy's negotiation burst on one
 // cluster size: a fresh cluster, eight initiators spread around the
 // ring, each asking for a multi-slot run it cannot satisfy locally
 // (round-robin striping owns every nodes-th slot, so any contiguous
-// k ≥ 2 is remote). The virtual quantities are exact and identical at
-// every worker count — the gate that pins "every gather composes with
-// the parallel kernel" in CI; the per-worker runs are informational.
+// k ≥ 2 is remote). The virtual quantities are exact; the wall-clock
+// is informational.
 type ScaleGatherReport struct {
 	Gather string
 	Events uint64
@@ -86,21 +69,22 @@ type ScaleGatherReport struct {
 	Failures      int
 	MergedBytes   uint64
 	VirtualMicros float64
-	Runs          []ScaleWorkerRun
+	WallMs        float64
 }
 
 // ScaleClusterReport is one cluster size's entry: the exact virtual
-// quantities (CI-gated) and the per-worker wall-clock runs, plus one
+// quantities (CI-gated) and the drain's wall-clock, plus one
 // negotiation-burst row per gather strategy.
 type ScaleClusterReport struct {
 	Nodes   int
 	Threads int
 	// Events is the total kernel events executed draining the workload —
-	// an exact virtual quantity, identical at every worker count.
+	// an exact virtual quantity.
 	Events        uint64
 	Migrations    int
 	VirtualMicros float64
-	Runs          []ScaleWorkerRun
+	WallMs        float64
+	EventsPerSec  float64
 	Gathers       []ScaleGatherReport
 }
 
@@ -110,12 +94,6 @@ type ScaleClusterReport struct {
 type ScaleReport struct {
 	Hops int
 	Spin int
-	// MaxProcs records runtime.GOMAXPROCS at measurement time. On a
-	// single-core runner the worker pool cannot physically run lanes
-	// concurrently, so wall-clock speedups are meaningless there — the
-	// parity guarantee is carried entirely by the exact virtual
-	// quantities.
-	MaxProcs int
 	// EventsSlopePerNode is the least-squares slope of total events
 	// against cluster size.
 	EventsSlopePerNode float64
@@ -127,20 +105,13 @@ type ScaleReport struct {
 // count, events, migrations and virtual clock, plus each gather burst's
 // events, negotiations, failures, merged bytes and virtual clock. They
 // are deterministic counts, so any drift is a kernel behavior change,
-// not noise. Scale already asserts every worker count reproduces the
-// serial run, so one exact row covers all worker counts; the wall-clock
-// columns measure the host and ride along as context.
+// not noise. The wall-clock rows measure the host and ride along as
+// context.
 func (r ScaleReport) Rows() []Row {
 	rows := []Row{
 		{"scale", "hops", float64(r.Hops), "count", Exact},
 		{"scale", "spin", float64(r.Spin), "count", Exact},
-		{"scale", "maxprocs", float64(r.MaxProcs), "count", Info},
 		{"scale", "events_slope", r.EventsSlopePerNode, "events/node", Info},
-	}
-	runs := func(prefix string, runs []ScaleWorkerRun) {
-		for _, w := range runs {
-			rows = append(rows, Row{"scale", fmt.Sprintf("%sw%d.wall", prefix, w.Workers), w.WallMs, "ms", Info})
-		}
 	}
 	for _, cl := range r.Clusters {
 		n := fmt.Sprintf("n%d.", cl.Nodes)
@@ -148,8 +119,8 @@ func (r ScaleReport) Rows() []Row {
 			Row{"scale", n + "threads", float64(cl.Threads), "count", Exact},
 			Row{"scale", n + "events", float64(cl.Events), "count", Exact},
 			Row{"scale", n + "migrations", float64(cl.Migrations), "count", Exact},
-			Row{"scale", n + "virtual", cl.VirtualMicros, "us", Exact})
-		runs(n, cl.Runs)
+			Row{"scale", n + "virtual", cl.VirtualMicros, "us", Exact},
+			Row{"scale", n + "wall", cl.WallMs, "ms", Info})
 		for _, g := range cl.Gathers {
 			ng := n + g.Gather + "."
 			rows = append(rows,
@@ -157,8 +128,8 @@ func (r ScaleReport) Rows() []Row {
 				Row{"scale", ng + "negotiations", float64(g.Negotiations), "count", Exact},
 				Row{"scale", ng + "failures", float64(g.Failures), "count", Exact},
 				Row{"scale", ng + "merged", float64(g.MergedBytes), "B", Exact},
-				Row{"scale", ng + "virtual", g.VirtualMicros, "us", Exact})
-			runs(ng, g.Runs)
+				Row{"scale", ng + "virtual", g.VirtualMicros, "us", Exact},
+				Row{"scale", ng + "wall", g.WallMs, "ms", Info})
 		}
 	}
 	return rows
@@ -166,8 +137,7 @@ func (r ScaleReport) Rows() []Row {
 
 // scaleThreads is the thread count for a given cluster size: one ring
 // thread per two nodes keeps total virtual work linear in the cluster
-// while leaving every other lane free to serve migrations in, so
-// windows always have both busy and idle lanes.
+// while leaving every other node free to serve migrations in.
 func scaleThreads(nodes int) int {
 	t := nodes / 2
 	if t < 1 {
@@ -179,16 +149,14 @@ func scaleThreads(nodes int) int {
 // scaleCluster builds a cluster with the ring-hop workload queued:
 // construction (image assembly, slot mmaps, thread creation) stays
 // outside the timed region, which measures only the event drain.
-func scaleCluster(nodes, workers, hops, spin int) *pm2.Cluster {
+func scaleCluster(nodes, hops, spin int) *pm2.Cluster {
 	im := progs.NewImage()
 	asm.MustAssemble(im, ringHopSrc)
 	c := pm2.New(pm2.Config{
 		Nodes: nodes,
 		// A larger quantum gives each kernel event more simulated
-		// instructions, matching the profile of a compute-bound cluster
-		// and giving the worker pool meaningful work per event.
+		// instructions, matching the profile of a compute-bound cluster.
 		Quantum: 256,
-		Workers: workers,
 	}, im)
 	threads := scaleThreads(nodes)
 	for i := 0; i < threads; i++ {
@@ -212,8 +180,8 @@ func scaleCluster(nodes, workers, hops, spin int) *pm2.Cluster {
 
 // scaleRun drains the ring-hop workload on a fresh cluster and returns
 // the exact virtual outcome plus the wall-clock the drain took.
-func scaleRun(nodes, workers, hops, spin int) (events uint64, migrations int, virtualMicros float64, wall time.Duration) {
-	c := scaleCluster(nodes, workers, hops, spin)
+func scaleRun(nodes, hops, spin int) (events uint64, migrations int, virtualMicros float64, wall time.Duration) {
+	c := scaleCluster(nodes, hops, spin)
 	start := time.Now()
 	c.Run(0)
 	wall = time.Since(start)
@@ -233,11 +201,10 @@ const (
 // scaleGatherRun drains one gather strategy's negotiation burst on a
 // fresh cluster and returns the exact virtual outcome plus the
 // wall-clock the drain took.
-func scaleGatherRun(nodes, workers int, gather pm2.GatherMode) (events uint64, negos, fails int, merged uint64, virtualMicros float64, wall time.Duration) {
+func scaleGatherRun(nodes int, gather pm2.GatherMode) (events uint64, negos, fails int, merged uint64, virtualMicros float64, wall time.Duration) {
 	c := pm2.New(pm2.Config{
 		Nodes:   nodes,
 		Quantum: 256,
-		Workers: workers,
 		Gather:  gather,
 	}, progs.NewImage())
 	inits := scaleGatherInitiators
@@ -258,58 +225,23 @@ func scaleGatherRun(nodes, workers int, gather pm2.GatherMode) (events uint64, n
 		st.GatherMergedBytes, c.Now().Micros(), wall
 }
 
-// Scale measures the kernel at each cluster size under each worker
-// count: the ring-hop drain, then one negotiation burst per requested
-// gather strategy. The serial run of every workload is the reference:
-// any worker count that produces different virtual quantities panics,
-// so the report can never show a speedup bought with divergence.
-func Scale(nodeCounts, workerCounts []int, hops, spin int, gathers []pm2.GatherMode) ScaleReport {
-	rep := ScaleReport{Hops: hops, Spin: spin, MaxProcs: runtime.GOMAXPROCS(0)}
+// Scale measures the kernel at each cluster size: the ring-hop drain,
+// then one negotiation burst per requested gather strategy.
+func Scale(nodeCounts []int, hops, spin int, gathers []pm2.GatherMode) ScaleReport {
+	rep := ScaleReport{Hops: hops, Spin: spin}
 	var sx, sy, sxx, sxy float64
 	for _, nodes := range nodeCounts {
 		cl := ScaleClusterReport{Nodes: nodes, Threads: scaleThreads(nodes)}
-		var serialWall time.Duration
-		for i, workers := range workerCounts {
-			events, migs, vus, wall := scaleRun(nodes, workers, hops, spin)
-			if i == 0 {
-				if workers != 1 {
-					panic("bench: scale worker counts must start at 1 (the serial reference)")
-				}
-				cl.Events, cl.Migrations, cl.VirtualMicros = events, migs, vus
-				serialWall = wall
-			} else if events != cl.Events || migs != cl.Migrations || vus != cl.VirtualMicros {
-				panic(fmt.Sprintf("bench: scale n=%d workers=%d diverged from serial: events %d/%d migrations %d/%d virtual %.3f/%.3f",
-					nodes, workers, events, cl.Events, migs, cl.Migrations, vus, cl.VirtualMicros))
-			}
-			run := ScaleWorkerRun{Workers: workers, WallMs: float64(wall.Microseconds()) / 1000}
-			if wall > 0 {
-				run.EventsPerSec = float64(events) / wall.Seconds()
-				run.Speedup = float64(serialWall) / float64(wall)
-			}
-			cl.Runs = append(cl.Runs, run)
+		var wall time.Duration
+		cl.Events, cl.Migrations, cl.VirtualMicros, wall = scaleRun(nodes, hops, spin)
+		cl.WallMs = float64(wall.Microseconds()) / 1000
+		if wall > 0 {
+			cl.EventsPerSec = float64(cl.Events) / wall.Seconds()
 		}
 		for _, gm := range gathers {
 			gr := ScaleGatherReport{Gather: gm.String()}
-			var gatherSerialWall time.Duration
-			for i, workers := range workerCounts {
-				events, negos, fails, merged, vus, wall := scaleGatherRun(nodes, workers, gm)
-				if i == 0 {
-					gr.Events, gr.Negotiations, gr.Failures = events, negos, fails
-					gr.MergedBytes, gr.VirtualMicros = merged, vus
-					gatherSerialWall = wall
-				} else if events != gr.Events || negos != gr.Negotiations || fails != gr.Failures ||
-					merged != gr.MergedBytes || vus != gr.VirtualMicros {
-					panic(fmt.Sprintf("bench: scale n=%d gather=%v workers=%d diverged from serial: events %d/%d negotiations %d/%d failures %d/%d merged %d/%d virtual %.3f/%.3f",
-						nodes, gm, workers, events, gr.Events, negos, gr.Negotiations,
-						fails, gr.Failures, merged, gr.MergedBytes, vus, gr.VirtualMicros))
-				}
-				run := ScaleWorkerRun{Workers: workers, WallMs: float64(wall.Microseconds()) / 1000}
-				if wall > 0 {
-					run.EventsPerSec = float64(events) / wall.Seconds()
-					run.Speedup = float64(gatherSerialWall) / float64(wall)
-				}
-				gr.Runs = append(gr.Runs, run)
-			}
+			gr.Events, gr.Negotiations, gr.Failures, gr.MergedBytes, gr.VirtualMicros, wall = scaleGatherRun(nodes, gm)
+			gr.WallMs = float64(wall.Microseconds()) / 1000
 			cl.Gathers = append(cl.Gathers, gr)
 		}
 		rep.Clusters = append(rep.Clusters, cl)

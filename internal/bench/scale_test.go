@@ -7,16 +7,14 @@ import (
 )
 
 // TestScaleDeterministic pins the scale figure's virtual quantities at
-// small sizes: Scale itself asserts every worker count reproduces the
-// serial run exactly (it panics on divergence) — for the ring-hop drain
-// and for every gather burst — so a passing run is the identity proof;
-// here we additionally require the workloads to exercise the kernel and
-// the event count to scale linearly with the cluster.
+// small sizes: two runs report identical virtual columns, the workloads
+// exercise the kernel, and the event count scales linearly with the
+// cluster.
 func TestScaleDeterministic(t *testing.T) {
 	gathers := []pm2.GatherMode{pm2.GatherSequential, pm2.GatherTree, pm2.GatherDelta}
-	rep := Scale([]int{8, 16}, []int{1, 2, 4}, 4, 200, gathers)
-	if rep.MaxProcs < 1 {
-		t.Errorf("MaxProcs = %d, want >= 1", rep.MaxProcs)
+	rep := Scale([]int{8, 16}, 4, 200, gathers)
+	if again := Scale([]int{8, 16}, 4, 200, gathers); !sameVirtual(rep, again) {
+		t.Fatalf("two runs disagree:\n%+v\n%+v", rep, again)
 	}
 	for _, cl := range rep.Clusters {
 		if cl.Migrations != cl.Threads*rep.Hops {
@@ -46,24 +44,17 @@ func TestScaleDeterministic(t *testing.T) {
 	}
 }
 
-// TestScaleWindowShape pins that the ring-hop workload actually
-// decomposes into wide windows — the structural parallelism the figure
-// measures. The schedule is deterministic, so the window accounting is
-// an exact quantity: with one ring thread per two nodes and spin far
-// longer than the horizon, every busy lane participates in every
-// window.
-func TestScaleWindowShape(t *testing.T) {
-	c := scaleCluster(64, 8, 16, 2000)
-	c.Run(0)
-	ws := c.Engine().WindowStats()
-	if ws.ParallelWindows == 0 {
-		t.Fatal("no parallel windows formed")
+// sameVirtual reports whether two scale reports agree on every exact
+// row, leaving out the wall-clock ones.
+func sameVirtual(a, b ScaleReport) bool {
+	ra, rb := a.Rows(), b.Rows()
+	if len(ra) != len(rb) {
+		return false
 	}
-	mean := float64(ws.Participants) / float64(ws.ParallelWindows)
-	if mean < 16 {
-		t.Errorf("mean participants per window = %.1f, want >= 16 (of 32 busy lanes)", mean)
+	for i := range ra {
+		if ra[i].Gate == Exact && ra[i] != rb[i] {
+			return false
+		}
 	}
-	if ws.ParallelEvents+ws.SingleLaneWindows == 0 {
-		t.Error("no events executed inside windows")
-	}
+	return true
 }

@@ -12,7 +12,6 @@ package bip
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/simtime"
@@ -74,10 +73,6 @@ type Network struct {
 	nics   []*NIC
 	faults FaultPolicy
 
-	// mu guards the free lists: under the parallel executor a body and
-	// its delivery record are taken on the sender's lane and given back
-	// on the receiver's.
-	mu       sync.Mutex
 	bodies   [bodyClasses][][]byte
 	transits []*transit
 }
@@ -99,9 +94,7 @@ func (n *NIC) Release(payload []byte) {
 		}
 	}
 	nw := n.net
-	nw.mu.Lock()
 	nw.bodies[class] = append(nw.bodies[class], body)
-	nw.mu.Unlock()
 }
 
 // poisonByte fills released bodies in a poison build.
@@ -126,7 +119,6 @@ func (nw *Network) carry(dst *NIC, src int, tag uint32, segs [][]byte, total, cp
 	class := bodyClass(total)
 	var body []byte
 	var d *transit
-	nw.mu.Lock()
 	if class >= 0 {
 		if k := len(nw.bodies[class]); k > 0 {
 			body = nw.bodies[class][k-1]
@@ -137,7 +129,6 @@ func (nw *Network) carry(dst *NIC, src int, tag uint32, segs [][]byte, total, cp
 		d = nw.transits[k-1]
 		nw.transits = nw.transits[:k-1]
 	}
-	nw.mu.Unlock()
 	switch {
 	case body != nil:
 	case class < 0:
@@ -166,10 +157,7 @@ func (d *transit) deliver() {
 		dst.actor.Charge(dst.net.model.Recv(d.cpuBytes))
 	}
 	d.body = nil
-	nw := dst.net
-	nw.mu.Lock()
-	nw.transits = append(nw.transits, d)
-	nw.mu.Unlock()
+	dst.net.transits = append(dst.net.transits, d)
 	dst.handler(src, tag, body)
 }
 
@@ -190,9 +178,6 @@ func NewNetwork(eng *simtime.Engine, model *cost.Model, n int) *Network {
 func (nw *Network) Size() int { return len(nw.nics) }
 
 // Stats returns the traffic counters, summed over the per-NIC tallies.
-// Each NIC counts its own sends (lane-affine under the parallel
-// executor); the sum is order-independent, so it is identical at any
-// worker count.
 func (nw *Network) Stats() Stats {
 	var s Stats
 	for _, nic := range nw.nics {
@@ -228,8 +213,7 @@ type NIC struct {
 	// transmission; later sends serialize behind it.
 	linkFreeAt simtime.Time
 	// sent / sentBytes / dropped are this NIC's outbound traffic
-	// counters, mutated only from the owning node's handlers
-	// (lane-affine) and summed by Network.Stats.
+	// counters, summed by Network.Stats.
 	sent      uint64
 	sentBytes uint64
 	dropped   uint64
@@ -326,12 +310,6 @@ func (n *NIC) sendGathered(dst int, tag uint32, segs [][]byte, cpuBytes int) {
 
 	// Gather once: this is the single host-side copy of the data path,
 	// and it doubles as the delivery body (lent to the receiver).
-	//
-	// Cross-lane delivery: PostTo buffers the arrival on the sending lane
-	// during a parallel window and the commit phase delivers it in serial
-	// merge order. The wire latency floor (cost.Model.WireLatencyNs) is
-	// the executor's conservative horizon, so arrive always lands at or
-	// beyond the window bound.
 	dstNIC := nw.nics[dst]
-	n.actor.PostTo(dstNIC.actor, arrive, nw.carry(dstNIC, n.id, tag, segs, total, cpuBytes).run)
+	dstNIC.actor.Post(arrive, nw.carry(dstNIC, n.id, tag, segs, total, cpuBytes).run)
 }

@@ -3,12 +3,12 @@
 // slow links. A Plan is a deterministic schedule of such events,
 // parsed from a compact textual spec; State is the runtime view the
 // network layer consults on every send (bip.Network.SetFaults) and the
-// runtime consults when it gates a dead node's lane.
+// runtime consults when it gates a dead node's scheduler.
 //
 // Semantics:
 //
-//   - crash:N@T — node N fail-stops at virtual time T. Its lane drains
-//     to a tombstone (the runtime executes nothing on it after T) and
+//   - crash:N@T — node N fail-stops at virtual time T. Its queued events
+//     drain to a tombstone (the runtime executes nothing on it after T) and
 //     every message that would arrive at or after T is dropped. The
 //     node's memory remains readable by the simulator, which is what
 //     lets the heartbeat-detection path evacuate its resident threads.
@@ -344,7 +344,7 @@ func (s *State) Crashed(n int, t simtime.Time) bool {
 
 // Partitioned reports whether a partition window separating nodes a
 // and b is open at time t. Like every State query it is a pure
-// function of the plan, so it may be consulted from any lane.
+// function of the plan, so it may be consulted from any node.
 func (s *State) Partitioned(a, b int, t simtime.Time) bool {
 	for _, ev := range s.plan.Events {
 		if ev.Kind == Partition && t >= ev.At && t < ev.Until &&

@@ -254,21 +254,14 @@ func (b *Balancer) execute(mv policy.Move) {
 				batch = append(batch, t.TID)
 			}
 		}
-		// b.moves is balancer-shared state mutated from a node handler:
-		// count locally, commit in merge order.
 		if convoy && len(batch) > 1 {
-			moved := n.MigrateBatch(batch, mv.Dst)
-			n.Actor().Commit(func() { b.moves += moved })
+			b.moves += n.MigrateBatch(batch, mv.Dst)
 			return
 		}
-		moved := 0
 		for _, tid := range batch {
 			if n.Scheduler().RequestMigration(tid, mv.Dst) {
-				moved++
+				b.moves++
 			}
-		}
-		if moved > 0 {
-			n.Actor().Commit(func() { b.moves += moved })
 		}
 	})
 }

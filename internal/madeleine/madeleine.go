@@ -386,8 +386,8 @@ func (c *Call) Reply(build func(*Buffer)) {
 // the handler returns if it replied in place, otherwise when its Reply
 // is sent. A handler must therefore copy whatever it keeps of a message
 // (BytesSection aliases the body), and drop its Call once it replied.
-// The free lists are lane-affine — only the node's own actor takes and
-// returns handles — so they need no lock.
+// The free lists need no lock: the kernel runs every event on one
+// goroutine.
 type Endpoint struct {
 	nic      *bip.NIC
 	actor    *ActorT

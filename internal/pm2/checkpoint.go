@@ -48,7 +48,7 @@ import (
 // replayed identically by Resume and RestoreCluster.
 //
 // Refused configurations, all diagnosed with errors: a cluster with an
-// installed fault plan (crash barriers are scheduled closures), the
+// installed fault plan (crash events are scheduled closures), the
 // relocation baseline (host-side pointer registries), any node that
 // used the non-migratable pm2_malloc heap, and threads still blocked
 // on another thread once the engine drains (a joiner whose joinee was
@@ -70,9 +70,6 @@ import (
 type Checkpoint struct {
 	// Structural identity of the configuration the capture was taken
 	// under; RestoreCluster refuses a configuration that differs.
-	// Workers deliberately absent: the parallel kernel is trace-
-	// equivalent by construction, so a checkpoint taken at Workers=1
-	// restores fine under Workers=4 and vice versa.
 	Nodes           int
 	Policy          string
 	Arbiter         string
@@ -190,7 +187,7 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		return nil, fmt.Errorf("pm2: checkpoint requires the iso-address policy; relocated stacks keep host-side pointer registries no image captures")
 	}
 	if c.faults != nil {
-		return nil, fmt.Errorf("pm2: checkpoint does not compose with an installed fault plan (crash barriers are scheduled closures)")
+		return nil, fmt.Errorf("pm2: checkpoint does not compose with an installed fault plan (crash events are scheduled closures)")
 	}
 	// An active balancer would reschedule itself forever and defeat the
 	// drain below. A registered one (SetBalancer) is paused instead: its
@@ -346,16 +343,15 @@ func (c *Cluster) Resume() {
 // a checkpoint into it. cfg must be structurally identical to the
 // configuration the checkpoint was taken under (node count, policy,
 // arbiter, gather, distribution, convoy, pack mode, heartbeat lease);
-// Workers and cost-model choices are free, and so is RPCTimeout — like
-// Workers it must simply match between two restores whose continuations
-// are to be compared. The returned cluster is running — its next Run
-// continues the checkpointed execution, byte-identical to Resume on the
-// original.
+// cost-model choices are free, and so is RPCTimeout — it must simply
+// match between two restores whose continuations are to be compared.
+// The returned cluster is running — its next Run continues the
+// checkpointed execution, byte-identical to Resume on the original.
 //
 // cfg.Faults composes with a restore as long as every event lies
 // strictly after the checkpoint clock: the restart-and-refail
 // experiment. Events at or before ck.Now are rejected — their crash
-// barriers could never fire (the restored clock is already past them),
+// events could never fire (the restored clock is already past them),
 // and a partition or slow window that straddles the capture instant
 // describes a network state the checkpoint, taken on a quiescent
 // healthy cluster, cannot contain.
@@ -370,8 +366,8 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		}
 	}
 	// The plan is installed after the clock restore below, not through
-	// NewChecked: installation schedules one ambient barrier per crash
-	// event, and RestoreClock refuses a non-empty engine.
+	// NewChecked: installation schedules one engine event per crash,
+	// and RestoreClock refuses a non-empty engine.
 	cfg.Faults = nil
 	c, err := NewChecked(cfg, im)
 	if err != nil {

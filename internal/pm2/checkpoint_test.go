@@ -37,54 +37,39 @@ func runCheckpointed(t *testing.T, cfg Config, checkpointAt simtime.Time) ([]byt
 
 // TestCheckpointRoundTrip is the headline property: checkpoint →
 // encode → decode → restore → run yields a byte-identical trace to
-// resuming the original cluster in place, under the serial and the
-// parallel kernel, with the worker counts freely mixed between the
-// capture side and the restore side.
+// resuming the original cluster in place.
 func TestCheckpointRoundTrip(t *testing.T) {
-	base := Config{Nodes: 4}
+	cfg := Config{Nodes: 4}
 	const at = 3 * simtime.Millisecond
-	traces := map[int]string{}
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		data, resumed := runCheckpointed(t, cfg, at)
+	data, resumed := runCheckpointed(t, cfg, at)
 
-		ck, err := DecodeCheckpoint(data)
-		if err != nil {
-			t.Fatalf("workers=%d: decode: %v", workers, err)
-		}
-		if len(ck.NodeStates) != 4 {
-			t.Fatalf("workers=%d: %d node states", workers, len(ck.NodeStates))
-		}
-		parked := 0
-		for _, st := range ck.NodeStates {
-			parked += len(st.Threads)
-		}
-		if parked == 0 {
-			t.Fatalf("workers=%d: workload drained before the checkpoint; nothing captured", workers)
-		}
-		// Restore under the OTHER worker count: the checkpoint is
-		// kernel-agnostic by design.
-		rcfg := base
-		rcfg.Workers = 5 - workers
-		rc, err := RestoreCluster(rcfg, progs.NewImage(), ck)
-		if err != nil {
-			t.Fatalf("workers=%d: restore: %v", workers, err)
-		}
-		rc.Run(0)
-		if err := rc.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d: after restored run: %v", workers, err)
-		}
-		if got := rc.Trace().String(); got != resumed {
-			t.Fatalf("workers=%d: restored continuation diverges from in-place resume:\n--- resumed\n%s\n--- restored\n%s", workers, resumed, got)
-		}
-		if finished := strings.Count(resumed, "finished on node"); finished != 8 {
-			t.Fatalf("workers=%d: %d workers finished, want 8:\n%s", workers, finished, resumed)
-		}
-		traces[workers] = resumed
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	if traces[1] != traces[4] {
-		t.Fatal("checkpointed trace differs between workers 1 and 4")
+	if len(ck.NodeStates) != 4 {
+		t.Fatalf("%d node states", len(ck.NodeStates))
+	}
+	parked := 0
+	for _, st := range ck.NodeStates {
+		parked += len(st.Threads)
+	}
+	if parked == 0 {
+		t.Fatal("workload drained before the checkpoint; nothing captured")
+	}
+	rc, err := RestoreCluster(cfg, progs.NewImage(), ck)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rc.Run(0)
+	if err := rc.CheckInvariants(); err != nil {
+		t.Fatalf("after restored run: %v", err)
+	}
+	if got := rc.Trace().String(); got != resumed {
+		t.Fatalf("restored continuation diverges from in-place resume:\n--- resumed\n%s\n--- restored\n%s", resumed, got)
+	}
+	if finished := strings.Count(resumed, "finished on node"); finished != 8 {
+		t.Fatalf("%d workers finished, want 8:\n%s", finished, resumed)
 	}
 }
 

@@ -86,12 +86,8 @@ func (n *Node) MigrateBatch(tids []uint32, dest int) int {
 // one receive overhead however many threads it carries.
 func (n *Node) onConvoyMsg(src int, msg *madeleine.Buffer) {
 	lats, installed := n.installConvoy(msg.BytesSection(), true)
-	n.actor.Commit(func() {
-		for _, lat := range lats {
-			n.c.stats.Migrations++
-			n.c.stats.MigrationLatencies = append(n.c.stats.MigrationLatencies, lat)
-		}
-		n.c.stats.Convoys++
-		n.c.stats.MigratedBytes += uint64(installed)
-	})
+	n.c.stats.Migrations += len(lats)
+	n.c.stats.MigrationLatencies = append(n.c.stats.MigrationLatencies, lats...)
+	n.c.stats.Convoys++
+	n.c.stats.MigratedBytes += uint64(installed)
 }

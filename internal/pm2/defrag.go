@@ -109,7 +109,7 @@ func (n *Node) defragScatter(maps []*bitmap.Bitmap, done func()) {
 	scatter = func(i int) {
 		if i == len(order) {
 			n.releaseLock()
-			n.actor.Commit(func() { n.c.stats.Defragmentations++ })
+			n.c.stats.Defragmentations++
 			if done != nil {
 				done()
 			}

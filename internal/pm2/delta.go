@@ -259,7 +259,7 @@ func (n *Node) forgetDeltaPeer(p int) {
 // identically (and the retry's re-gather ships only the deltas the
 // failed round caused). The view lives in node scratch: the planner only
 // reads its inputs and returns before anything mutates them, and the
-// scratch is this node's lane-affine state.
+// scratch belongs to this node alone.
 func (n *Node) deltaView() (*bitmap.Bitmap, []*bitmap.Bitmap) {
 	own := n.slots.Bitmap()
 	if n.deltaPlan == nil {

@@ -98,18 +98,30 @@ func TestDeltaGatherTracksRemoteChanges(t *testing.T) {
 // TestDeltaGatherJournalTruncationFallsBack: when a peer mutates more
 // distinct bitmap words than its journal holds between two contacts,
 // the journal truncates and the next request is served a full map — a
-// bandwidth fallback that must leave the outcome correct. The scenario
-// runs at workers 1 and 4 with identical merged-byte accounting: the
-// truncation fallback is initiator-lane state, so it composes with the
-// parallel kernel like everything else.
+// bandwidth fallback that must leave the outcome correct.
 func TestDeltaGatherJournalTruncationFallsBack(t *testing.T) {
-	warmByWorkers := make(map[int]uint64)
-	for _, workers := range []int{1, 4} {
-		warmByWorkers[workers] = deltaTruncationWarmBytes(t, workers)
+	c := New(Config{Nodes: 4, Gather: GatherDelta}, progs.NewImage())
+	if !negotiateSync(t, c, 0, 2) {
+		t.Fatal("first negotiation failed")
 	}
-	if warmByWorkers[1] != warmByWorkers[4] {
-		t.Fatalf("truncation-fallback merged bytes deviate across worker counts: workers=1 %d, workers=4 %d",
-			warmByWorkers[1], warmByWorkers[4])
+	merged0 := c.Stats().GatherMergedBytes
+
+	overflowJournal(t, c)
+
+	if !negotiateSync(t, c, 0, 2) {
+		t.Fatal("negotiation after truncation failed")
+	}
+	// Node 1 must have served a full 7 KB map again; the other peers
+	// shipped deltas or nothing.
+	warm := c.Stats().GatherMergedBytes - merged0
+	if warm < uint64(layout.BitmapBytes) {
+		t.Fatalf("post-truncation round merged only %d bytes — no full-map fallback", warm)
+	}
+	if warm >= uint64(2*layout.BitmapBytes) {
+		t.Fatalf("post-truncation round merged %d bytes — more than one full map", warm)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -143,127 +155,94 @@ func overflowJournal(t *testing.T, c *Cluster) {
 	}
 }
 
-func deltaTruncationWarmBytes(t *testing.T, workers int) uint64 {
-	t.Helper()
-	c := New(Config{Nodes: 4, Gather: GatherDelta, Workers: workers}, progs.NewImage())
-	if !negotiateSync(t, c, 0, 2) {
-		t.Fatal("first negotiation failed")
-	}
-	merged0 := c.Stats().GatherMergedBytes
-
-	overflowJournal(t, c)
-
-	if !negotiateSync(t, c, 0, 2) {
-		t.Fatal("negotiation after truncation failed")
-	}
-	// Node 1 must have served a full 7 KB map again; the other peers
-	// shipped deltas or nothing.
-	warm := c.Stats().GatherMergedBytes - merged0
-	if warm < uint64(layout.BitmapBytes) {
-		t.Fatalf("post-truncation round merged only %d bytes — no full-map fallback", warm)
-	}
-	if warm >= uint64(2*layout.BitmapBytes) {
-		t.Fatalf("post-truncation round merged %d bytes — more than one full map", warm)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	return warm
-}
-
 // TestDeltaGatherCachedOrCoherent: the cached global OR is patched word
 // by word, never rebuilt, so it must equal the from-scratch OR of the
 // cached peer views after every reply and every negotiation. Initiators
 // contend on the global lock around a journal overflow, so the run
 // covers all four reply kinds — first contact, word delta, unchanged and
-// the truncation full map decoded over a cached view — at workers 1 and
-// 2. Dropping a view (suspicion, rejoin, reclaim) must leave the OR
+// the truncation full map decoded over a cached view. Dropping a view (suspicion, rejoin, reclaim) must leave the OR
 // coherent too.
 func TestDeltaGatherCachedOrCoherent(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		c := New(Config{Nodes: 4, Gather: GatherDelta, Workers: workers}, progs.NewImage())
-		// kinds[i] tallies node i's replies by kind; each node's hook
-		// runs on its own lane, so the tallies need no lock.
-		const (
-			firstContact = iota
-			words
-			unchanged
-			truncation
-		)
-		kinds := make([][4]int, c.Nodes())
-		for i := 0; i < c.Nodes(); i++ {
-			n := c.Node(i)
-			fullSeen := make([]bool, c.Nodes())
-			n.deltaReplyHook = func(p int, status uint32) {
-				switch status {
-				case deltaReplyFull:
-					if fullSeen[p] {
-						kinds[n.id][truncation]++
-					} else {
-						kinds[n.id][firstContact]++
-					}
-					fullSeen[p] = true
-				case deltaReplyWords:
-					kinds[n.id][words]++
-				case deltaReplyUnchanged:
-					kinds[n.id][unchanged]++
+	c := New(Config{Nodes: 4, Gather: GatherDelta}, progs.NewImage())
+	// kinds[i] tallies node i's replies by kind.
+	const (
+		firstContact = iota
+		words
+		unchanged
+		truncation
+	)
+	kinds := make([][4]int, c.Nodes())
+	for i := 0; i < c.Nodes(); i++ {
+		n := c.Node(i)
+		fullSeen := make([]bool, c.Nodes())
+		n.deltaReplyHook = func(p int, status uint32) {
+			switch status {
+			case deltaReplyFull:
+				if fullSeen[p] {
+					kinds[n.id][truncation]++
+				} else {
+					kinds[n.id][firstContact]++
 				}
-				checkDeltaOrCoherent(t, n)
-			}
-		}
-		contend := func(initiators ...int) {
-			t.Helper()
-			// One flag per initiator: the callbacks run on their own lanes.
-			completed := make([]bool, c.Nodes())
-			for _, id := range initiators {
-				c.At(id, func(n *Node) {
-					n.negotiate(2, func(ok bool) {
-						if !ok {
-							t.Errorf("workers=%d: node %d's negotiation failed", workers, n.id)
-						}
-						checkDeltaOrCoherent(t, n)
-						completed[n.id] = true
-					})
-				})
-			}
-			c.Run(0)
-			for _, id := range initiators {
-				if !completed[id] {
-					t.Fatalf("workers=%d: node %d's negotiation never completed", workers, id)
-				}
-			}
-			if err := c.CheckDrained(); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-		}
-		contend(0, 2, 3)
-		contend(0, 2, 3)
-		overflowJournal(t, c)
-		contend(0, 2, 3)
-		contend(0, 2, 3)
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var total [4]int
-		for _, k := range kinds {
-			for i, x := range k {
-				total[i] += x
-			}
-		}
-		t.Logf("workers=%d: first-contact, word-delta, unchanged, truncation replies: %v", workers, total)
-		for i, name := range []string{"first-contact", "word-delta", "unchanged", "truncation"} {
-			if total[i] == 0 {
-				t.Errorf("workers=%d: no %s reply exercised (tallies %v)", workers, name, total)
-			}
-		}
-		for _, id := range []int{0, 2, 3} {
-			n := c.Node(id)
-			n.forgetDeltaPeer(1)
-			if n.deltaPeers[1].bm != nil {
-				t.Fatalf("node %d still caches node 1's view", id)
+				fullSeen[p] = true
+			case deltaReplyWords:
+				kinds[n.id][words]++
+			case deltaReplyUnchanged:
+				kinds[n.id][unchanged]++
 			}
 			checkDeltaOrCoherent(t, n)
 		}
+	}
+	contend := func(initiators ...int) {
+		t.Helper()
+		completed := make([]bool, c.Nodes())
+		for _, id := range initiators {
+			c.At(id, func(n *Node) {
+				n.negotiate(2, func(ok bool) {
+					if !ok {
+						t.Errorf("node %d's negotiation failed", n.id)
+					}
+					checkDeltaOrCoherent(t, n)
+					completed[n.id] = true
+				})
+			})
+		}
+		c.Run(0)
+		for _, id := range initiators {
+			if !completed[id] {
+				t.Fatalf("node %d's negotiation never completed", id)
+			}
+		}
+		if err := c.CheckDrained(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contend(0, 2, 3)
+	contend(0, 2, 3)
+	overflowJournal(t, c)
+	contend(0, 2, 3)
+	contend(0, 2, 3)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var total [4]int
+	for _, k := range kinds {
+		for i, x := range k {
+			total[i] += x
+		}
+	}
+	t.Logf("first-contact, word-delta, unchanged, truncation replies: %v", total)
+	for i, name := range []string{"first-contact", "word-delta", "unchanged", "truncation"} {
+		if total[i] == 0 {
+			t.Errorf("no %s reply exercised (tallies %v)", name, total)
+		}
+	}
+	for _, id := range []int{0, 2, 3} {
+		n := c.Node(id)
+		n.forgetDeltaPeer(1)
+		if n.deltaPeers[1].bm != nil {
+			t.Fatalf("node %d still caches node 1's view", id)
+		}
+		checkDeltaOrCoherent(t, n)
 	}
 }
 

@@ -35,10 +35,11 @@ func tickHeartbeats(c *Cluster, period simtime.Time, rounds int) {
 // expires after two missed heartbeats, every thread resident on the dead
 // node is evacuated with zero TID loss, the dead rank's slots are
 // reclaimed by the survivors, and a post-failover negotiation that must
-// cross the reclaimed range succeeds — under both arbiters, with traces
-// byte-identical between the serial and parallel kernels. The tree
+// cross the reclaimed range succeeds — under both arbiters. The tree
 // gather runs the post-failover negotiation through its flat delta
-// fallback.
+// fallback. The deprecated Config.Workers is set to 1 and 4 and the
+// traces must be byte-identical: the kernel ignores the field, which is
+// what the pm2perf ring workload that still sets it relies on.
 func TestFailoverKillOneOf16(t *testing.T) {
 	const (
 		nodes   = 16

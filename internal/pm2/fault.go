@@ -17,9 +17,8 @@ import (
 // crash, partition and slow-node events in virtual time:
 //
 //   - a crash is fail-stop with a recoverable image: at the crash instant
-//     the node's scheduler pump is gated off (its lane drains to a
-//     tombstone — already-queued events still fire but dispatch no
-//     further work), and every message whose delivery would land on the
+//     the node's scheduler pump is gated off (its queued events drain
+//     to a tombstone — they still fire but dispatch no further work), and every message whose delivery would land on the
 //     dead node is dropped at the wire (bip.FaultPolicy). The node's
 //     simulated memory stays readable, which is what makes evacuation
 //     possible: the survivors recover the resident thread images over
@@ -64,8 +63,8 @@ import (
 // preserved exactly, goldens included.
 
 // InstallFaults installs a failure plan on a cluster that has not run
-// yet: the wire-level fault policy is attached and one ambient crash
-// barrier is scheduled per crash event. Clusters built with Config.Faults
+// yet: the wire-level fault policy is attached and one engine event is
+// scheduled per crash. Clusters built with Config.Faults
 // get this implicitly; it is exported for drivers that build the cluster
 // first and decide the plan afterwards (the scenario harness).
 func (c *Cluster) InstallFaults(plan *fault.Plan) error {
@@ -86,8 +85,8 @@ func (c *Cluster) InstallFaults(plan *fault.Plan) error {
 	c.nw.SetFaults(c.faults)
 	for _, ev := range plan.Crashes() {
 		node := ev.Node
-		// The barrier was scheduled before any workload event at the
-		// same instant, so it runs first: nothing dispatched at the
+		// The crash event was scheduled before any workload event at
+		// the same instant, so it runs first: nothing dispatched at the
 		// crash time starts on the dead node.
 		c.eng.At(ev.At, func() { c.nodes[node].dead = true })
 	}
@@ -160,10 +159,10 @@ func (c *Cluster) shardManager(s int) int {
 	return m
 }
 
-// HeartbeatTick runs one failure-detection round. Ambient contexts only
-// (the balancer round, a test driver) — suspicion, rejoin and
-// declaration are barriers that touch every lane's state. No-op on a
-// healthy cluster.
+// HeartbeatTick runs one failure-detection round, from an engine event
+// outside any node's handler (the balancer round, a test driver):
+// suspicion, rejoin and declaration touch every node's state. No-op on
+// a healthy cluster.
 //
 // With RPCTimeout unset the seed's one-stage detection runs verbatim:
 // every undeclared crashed node accrues a missed heartbeat, and
@@ -230,7 +229,7 @@ func (c *Cluster) HeartbeatTick() {
 // routing to it, and every survivor's cached delta view of it is dropped
 // so no purchase is planned on slots only an unreachable peer could
 // sell. Nothing is evacuated or reclaimed — the node may be alive behind
-// a partition, still running its threads. Runs as an ambient barrier.
+// a partition, still running its threads. Runs outside any node's handler.
 func (c *Cluster) suspect(i int, now simtime.Time) {
 	c.suspected[i] = true
 	c.suspectedAt[i] = now
@@ -253,7 +252,7 @@ func (c *Cluster) suspect(i int, now simtime.Time) {
 // stale while it was unreachable, and i's own view of the whole cluster
 // went stale behind the partition. The next gather
 // resyncs from ground truth — the delta gather through its full-map
-// first-contact fallback. Runs as an ambient barrier.
+// first-contact fallback. Runs outside any node's handler.
 func (c *Cluster) rejoin(i int, now simtime.Time) {
 	c.suspected[i] = false
 	c.nSuspected--
@@ -278,7 +277,7 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 
 // declareDead expires node i's lease: the placement engine stops routing
 // to it, its resident threads are evacuated to the survivors as convoys,
-// and its owned-free slots are reclaimed. Runs as an ambient barrier.
+// and its owned-free slots are reclaimed. Runs outside any node's handler.
 func (c *Cluster) declareDead(i int, now simtime.Time) {
 	if c.suspected != nil && c.suspected[i] {
 		// Graduating from suspected to declared dead: the permanent
@@ -374,9 +373,7 @@ func (c *Cluster) evacuate(d *Node, live []int, declared simtime.Time) int {
 func (n *Node) recoverConvoy(body []byte, zeroCopy bool) {
 	n.actor.Charge(n.c.cfg.Model.Recv(len(body)))
 	lats, _ := n.installConvoy(body, zeroCopy)
-	n.actor.Commit(func() {
-		n.c.stats.EvacuationLatencies = append(n.c.stats.EvacuationLatencies, lats...)
-	})
+	n.c.stats.EvacuationLatencies = append(n.c.stats.EvacuationLatencies, lats...)
 }
 
 // reclaim surrenders the dead rank's owned-free slots and deals the

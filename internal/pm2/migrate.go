@@ -75,10 +75,7 @@ func (n *Node) onMigrateMsg(src int, msg *madeleine.Buffer) {
 	}
 	n.kick()
 
-	lat := n.actor.Now() - n.img.start
-	n.actor.Commit(func() {
-		n.c.stats.Migrations++
-		n.c.stats.MigratedBytes += uint64(installed)
-		n.c.stats.MigrationLatencies = append(n.c.stats.MigrationLatencies, lat)
-	})
+	n.c.stats.Migrations++
+	n.c.stats.MigratedBytes += uint64(installed)
+	n.c.stats.MigrationLatencies = append(n.c.stats.MigrationLatencies, n.actor.Now()-n.img.start)
 }

@@ -129,19 +129,16 @@ func (g *negotiation) finish(ok bool) {
 // to the caller.
 func (g *negotiation) report(ok bool) {
 	n := g.n
-	lat := n.actor.Now() - g.start
-	n.actor.Commit(func() {
-		n.c.stats.Negotiations++
-		if ok {
-			// Only successful negotiations enter the latency series the
-			// percentiles summarize; a failure (round exhaustion, cluster
-			// out of contiguous space) is counted on its own instead of
-			// skewing the p50/p95/p99 columns.
-			n.c.stats.NegotiationLatencies = append(n.c.stats.NegotiationLatencies, lat)
-		} else {
-			n.c.stats.NegotiationFailures++
-		}
-	})
+	n.c.stats.Negotiations++
+	if ok {
+		// Only successful negotiations enter the latency series the
+		// percentiles summarize; a failure (round exhaustion, cluster
+		// out of contiguous space) is counted on its own instead of
+		// skewing the p50/p95/p99 columns.
+		n.c.stats.NegotiationLatencies = append(n.c.stats.NegotiationLatencies, n.actor.Now()-g.start)
+	} else {
+		n.c.stats.NegotiationFailures++
+	}
 	g.done(ok)
 }
 
@@ -300,17 +297,7 @@ func (n *Node) onGatherTreeCall(src int, req *madeleine.Call) {
 // Stats.GatherMergedBytes — the merge term the delta gather attacks.
 func (n *Node) mergeCharge(bytes int) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(bytes))
-	n.mergedPending += uint64(bytes)
-	n.actor.Commit(n.commitMergedFn)
-}
-
-// commitMerged adds the merged bytes charged since the last commit to
-// Stats.GatherMergedBytes. Under the parallel kernel several merges of
-// one window queue a commit each; the first moves them all, the rest
-// add zero, so the total is exact in any commit order.
-func (n *Node) commitMerged() {
-	n.c.stats.GatherMergedBytes += n.mergedPending
-	n.mergedPending = 0
+	n.c.stats.GatherMergedBytes += uint64(bytes)
 }
 
 // unpackBitmap decodes a gathered bitmap reply.
@@ -484,7 +471,7 @@ type pendingReturn struct {
 // race is reproducible run to run.
 func (g *negotiation) retryAfterReturns(returns []pendingReturn) {
 	n := g.n
-	n.actor.Commit(func() { n.c.stats.NegotiationRetries++ })
+	n.c.stats.NegotiationRetries++
 	g.releaseRunLocks()
 	retry := func() {
 		if n.c.cfg.Arbiter == ArbiterGlobal {

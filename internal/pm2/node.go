@@ -51,9 +51,9 @@ type Node struct {
 	pumpPosted bool
 
 	// dead marks a crashed node (fault plan, see fault.go): the
-	// scheduler pump is gated off, so events already queued on the lane
+	// scheduler pump is gated off, so events already queued for the node
 	// still fire but dispatch no further thread execution. Set by the
-	// ambient crash barrier InstallFaults schedules.
+	// crash event InstallFaults schedules.
 	dead bool
 
 	// Registered-pointer tables for the relocation baseline (§2):
@@ -125,12 +125,6 @@ type Node struct {
 	// pumpFn is n.pump, bound once so that kick posts a quantum without
 	// allocating a closure.
 	pumpFn func()
-
-	// mergedPending holds the merged bytes charged since the last
-	// commitMerged; commitMergedFn is n.commitMerged, bound once so a
-	// merge charge commits without allocating a closure.
-	mergedPending  uint64
-	commitMergedFn func()
 }
 
 func newNode(c *Cluster, id int) *Node {
@@ -142,7 +136,6 @@ func newNode(c *Cluster, id int) *Node {
 		regPtrs: make(map[uint32]map[uint32]Addr),
 	}
 	n.pumpFn = n.pump
-	n.commitMergedFn = n.commitMerged
 	n.ep = madeleine.Attach(c.nw, id, n.actor)
 	n.ep.SetPool(c.bufPool)
 	n.slots = core.NewNodeSlots(n.space, n.actor, core.NodeConfig{
@@ -161,8 +154,7 @@ func newNode(c *Cluster, id int) *Node {
 	n.sched.SetHooks(marcel.Hooks{
 		Exit: func(t *marcel.Thread) {
 			delete(n.regPtrs, t.TID)
-			tid, at := t.TID, n.actor.Now()
-			n.actor.Commit(func() { c.noteCohortExit(tid, at) })
+			c.noteCohortExit(t.TID, n.actor.Now())
 		},
 		Fault:   n.onFault,
 		Migrate: n.migrateOut,
@@ -260,19 +252,14 @@ func (n *Node) pump() {
 	}
 }
 
-// onFault reports a dying thread the way the paper's traces do. The
-// trace writes commit in merge order so the log bytes match a serial
-// run at any worker count.
+// onFault reports a dying thread the way the paper's traces do.
 func (n *Node) onFault(t *marcel.Thread, err error) {
-	tid := t.TID
-	n.actor.Commit(func() {
-		n.c.log.Flush(n.id)
-		if vmem.IsSegfault(err) {
-			n.c.log.Raw("Segmentation fault")
-		} else {
-			n.c.log.Raw(fmt.Sprintf("thread %#x killed: %v", tid, err))
-		}
-	})
+	n.c.log.Flush(n.id)
+	if vmem.IsSegfault(err) {
+		n.c.log.Raw("Segmentation fault")
+	} else {
+		n.c.log.Raw(fmt.Sprintf("thread %#x killed: %v", t.TID, err))
+	}
 	delete(n.regPtrs, t.TID)
 }
 
@@ -315,9 +302,7 @@ func (n *Node) Builtin(id uint32, args [4]uint32) vm.BuiltinResult {
 				Node: n.id, Size: args[0], Iso: false,
 				Latency: n.actor.Now() - start, OK: err == nil,
 			}
-			n.actor.Commit(func() {
-				n.c.allocSamples = append(n.c.allocSamples, sample)
-			})
+			n.c.allocSamples = append(n.c.allocSamples, sample)
 		}
 		if err != nil {
 			return vm.BuiltinResult{Ctl: vm.CtlReturn, Ret: 0}
@@ -442,9 +427,7 @@ func (n *Node) doIsomalloc(t *marcel.Thread, size uint32) vm.BuiltinResult {
 			sample := AllocSample{
 				Node: n.id, Size: size, Iso: true, Latency: latency, OK: ok,
 			}
-			n.actor.Commit(func() {
-				n.c.allocSamples = append(n.c.allocSamples, sample)
-			})
+			n.c.allocSamples = append(n.c.allocSamples, sample)
 		}
 	}
 	ar := n.sched.Arena(t)
@@ -484,7 +467,7 @@ func (n *Node) doPrintf(args [4]uint32) vm.BuiltinResult {
 		return vm.BuiltinResult{Ctl: vm.CtlFault, Err: err}
 	}
 	n.actor.Charge(n.c.cfg.Model.Probes(len(text)))
-	n.actor.Commit(func() { n.c.log.Printf(n.id, text) })
+	n.c.log.Printf(n.id, text)
 	return vm.BuiltinResult{Ctl: vm.CtlReturn}
 }
 

@@ -24,63 +24,55 @@ func TestPartitionSuspectRejoinNoEvacuation(t *testing.T) {
 	)
 	spec := fmt.Sprintf("partition:%d-0@2000..6000;partition:%d-1@2000..6000;partition:%d-3@2000..6000",
 		victim, victim, victim)
-	traces := map[int]string{}
-	for _, workers := range []int{1, 4} {
-		cfg := Config{
-			Nodes:      nodes,
-			Workers:    workers,
-			RPCTimeout: -1, // cost-model default: two-stage detection on
-			Faults:     mustPlan(t, spec),
-		}
-		c := New(cfg, progs.NewImage())
-		for i := 0; i < 2*nodes; i++ {
-			c.Spawn(i%nodes, "worker", 20_000)
-		}
-		tickHeartbeats(c, tick, 40)
-		c.Run(0)
-
-		if c.NodeDown(victim) {
-			t.Fatal("live partitioned node declared dead")
-		}
-		s := c.Stats()
-		if s.Evacuations != 0 || s.EvacuatedThreads != 0 {
-			t.Fatalf("evacuations = %d (threads %d), want 0 — the node is alive",
-				s.Evacuations, s.EvacuatedThreads)
-		}
-		if s.Suspicions != 1 || s.Rejoins != 1 {
-			t.Fatalf("suspicions = %d, rejoins = %d, want 1 and 1", s.Suspicions, s.Rejoins)
-		}
-		// Window 2000..6000 with 1 ms ticks and a 2-miss lease: misses
-		// at 2 ms and 3 ms suspect the node at 3 ms; the first round
-		// after the heal, 6 ms, clears it — 3 ms spent suspected.
-		if len(s.RejoinLatencies) != 1 || s.RejoinLatencies[0] != 3*tick {
-			t.Fatalf("rejoin latencies = %v, want [%v]", s.RejoinLatencies, 3*tick)
-		}
-		finished := 0
-		for _, line := range c.Trace().Lines() {
-			if strings.Contains(line, "finished on node") {
-				finished++
-			}
-		}
-		if finished != 2*nodes {
-			t.Fatalf("%d workers finished, want %d:\n%s", finished, 2*nodes, c.Trace().String())
-		}
-		out := c.Trace().String()
-		for _, want := range []string{
-			fmt.Sprintf("[suspect] node %d suspected", victim),
-			fmt.Sprintf("[rejoin] node %d rejoined", victim),
-		} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("trace lacks %q:\n%s", want, out)
-			}
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		traces[workers] = out
+	cfg := Config{
+		Nodes:      nodes,
+		RPCTimeout: -1, // cost-model default: two-stage detection on
+		Faults:     mustPlan(t, spec),
 	}
-	if traces[1] != traces[4] {
-		t.Fatal("suspicion lifecycle trace differs between the serial and parallel kernels")
+	c := New(cfg, progs.NewImage())
+	for i := 0; i < 2*nodes; i++ {
+		c.Spawn(i%nodes, "worker", 20_000)
+	}
+	tickHeartbeats(c, tick, 40)
+	c.Run(0)
+
+	if c.NodeDown(victim) {
+		t.Fatal("live partitioned node declared dead")
+	}
+	s := c.Stats()
+	if s.Evacuations != 0 || s.EvacuatedThreads != 0 {
+		t.Fatalf("evacuations = %d (threads %d), want 0 — the node is alive",
+			s.Evacuations, s.EvacuatedThreads)
+	}
+	if s.Suspicions != 1 || s.Rejoins != 1 {
+		t.Fatalf("suspicions = %d, rejoins = %d, want 1 and 1", s.Suspicions, s.Rejoins)
+	}
+	// Window 2000..6000 with 1 ms ticks and a 2-miss lease: misses
+	// at 2 ms and 3 ms suspect the node at 3 ms; the first round
+	// after the heal, 6 ms, clears it — 3 ms spent suspected.
+	if len(s.RejoinLatencies) != 1 || s.RejoinLatencies[0] != 3*tick {
+		t.Fatalf("rejoin latencies = %v, want [%v]", s.RejoinLatencies, 3*tick)
+	}
+	finished := 0
+	for _, line := range c.Trace().Lines() {
+		if strings.Contains(line, "finished on node") {
+			finished++
+		}
+	}
+	if finished != 2*nodes {
+		t.Fatalf("%d workers finished, want %d:\n%s", finished, 2*nodes, c.Trace().String())
+	}
+	out := c.Trace().String()
+	for _, want := range []string{
+		fmt.Sprintf("[suspect] node %d suspected", victim),
+		fmt.Sprintf("[rejoin] node %d rejoined", victim),
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("trace lacks %q:\n%s", want, out)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

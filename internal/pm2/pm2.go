@@ -138,12 +138,12 @@ type Config struct {
 	// reversible) vs declared dead (evacuated; fault.go). Any negative
 	// value selects the cost-model default (DefaultRPCTimeout).
 	RPCTimeout simtime.Time
-	// Workers sets the simulation kernel's worker count. The default (0
-	// or 1) is the exact serial executor; >1 runs node lanes on a worker
-	// pool under the conservative time-window scheme, with all traces,
-	// stats and goldens bit-identical to the serial run (the window
-	// horizon is Model.WireLatencyNs, the cross-node latency floor).
-	// Every gather strategy composes with Workers > 1.
+	// Workers is ignored: the simulation kernel is one serial event
+	// heap.
+	//
+	// Deprecated: only the pm2perf ring workload still sets it, and
+	// TestFailoverKillOneOf16 pins that it changes no trace. ROADMAP
+	// item 11 deletes it together with that setting and those subtests.
 	Workers int
 }
 
@@ -298,9 +298,6 @@ func (cfg Config) Validate() error {
 	if cfg.Nodes <= 0 {
 		return fmt.Errorf("pm2: cluster needs at least one node (Nodes = %d)", cfg.Nodes)
 	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("pm2: negative kernel worker count %d", cfg.Workers)
-	}
 	if cfg.PreBuySlots < 0 {
 		return fmt.Errorf("pm2: negative pre-buy slot count %d", cfg.PreBuySlots)
 	}
@@ -329,8 +326,7 @@ func New(cfg Config, im *isa.Image) *Cluster {
 }
 
 // NewChecked builds a cluster over the (sealed) program image. Any
-// configuration that passes Validate builds and runs: in particular,
-// every gather strategy composes with every worker count.
+// configuration that passes Validate builds and runs.
 func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -365,9 +361,6 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 		eng: simtime.NewEngine(),
 		im:  im,
 		log: trace.New(),
-	}
-	if cfg.Workers > 1 {
-		c.eng.SetParallel(cfg.Workers, simtime.Time(cfg.Model.WireLatencyNs))
 	}
 	c.pol = policy.NewEngine(cfg.Placement, cfg.Nodes)
 	c.shardMap = core.NewShardMap(layout.SlotCount, arbiterShards)
@@ -479,8 +472,7 @@ func (c *Cluster) spawn(i int, prog string, arg uint32, sample int) {
 	}
 	c.At(i, func(n *Node) {
 		if th, err := n.sched.Create(entry, arg); err == nil {
-			tid, at := th.TID, n.actor.Now()
-			n.actor.Commit(func() { c.noteCohortPlaced(sample, n.id, tid, at) })
+			c.noteCohortPlaced(sample, n.id, th.TID, n.actor.Now())
 			n.kick()
 			return
 		}
@@ -488,8 +480,7 @@ func (c *Cluster) spawn(i int, prog string, arg uint32, sample int) {
 			if tid == 0 {
 				panic(fmt.Sprintf("pm2: spawn %s on node %d: cluster out of slots", prog, i))
 			}
-			at := n.actor.Now()
-			n.actor.Commit(func() { c.noteCohortPlaced(sample, n.id, tid, at) })
+			c.noteCohortPlaced(sample, n.id, tid, n.actor.Now())
 			n.kick()
 		})
 	})

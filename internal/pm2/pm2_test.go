@@ -461,3 +461,27 @@ func TestManyThreadsStress(t *testing.T) {
 }
 
 func slotCountForTest() int { return 57344 }
+
+// TestConfigValidate pins the construction-time validation contract:
+// structural errors are reported by NewChecked (and Validate) instead of
+// a panic, and every gather builds.
+func TestConfigValidate(t *testing.T) {
+	bad := []Config{
+		{Nodes: 0},
+		{Nodes: -3},
+		{Nodes: 4, PreBuySlots: -1},
+	}
+	for _, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate(%+v): expected an error", cfg)
+		}
+		if _, err := NewChecked(cfg, progs.NewImage()); err == nil {
+			t.Errorf("NewChecked(%+v): expected an error", cfg)
+		}
+	}
+	for _, gather := range []GatherMode{GatherTree, GatherDelta} {
+		if _, err := NewChecked(Config{Nodes: 4, Gather: gather}, progs.NewImage()); err != nil {
+			t.Fatalf("%v gather: %v", gather, err)
+		}
+	}
+}

@@ -219,9 +219,6 @@ func (n *Node) onRelocMigrateMsg(src int, msg *madeleine.Buffer) {
 	}
 	n.kick()
 
-	lat := n.actor.Now() - start
-	n.actor.Commit(func() {
-		n.c.stats.Migrations++
-		n.c.stats.MigrationLatencies = append(n.c.stats.MigrationLatencies, lat)
-	})
+	n.c.stats.Migrations++
+	n.c.stats.MigrationLatencies = append(n.c.stats.MigrationLatencies, n.actor.Now()-start)
 }

@@ -12,7 +12,7 @@ import (
 // continuation until the reply arrives, so a partition or a crashed
 // peer hangs the initiator forever. With a timeout configured, every
 // protocol exchange that awaits a remote reply is a call record with a
-// zero-charge virtual-time timer on the initiator's own lane. A reply
+// zero-charge virtual-time timer on the initiator's own actor. A reply
 // in time stops the timer; at expiry the initiator stops waiting,
 // counts Stats.RPCTimeouts, and applies the call's policy (callKind).
 //
@@ -158,7 +158,7 @@ func (c *call) onTimer() {
 	}
 	n := c.n
 	c.id = 0
-	n.actor.Commit(func() { n.c.stats.RPCTimeouts++ })
+	n.c.stats.RPCTimeouts++
 	switch c.kind {
 	case gatherCall:
 		if c.tries < rpcMaxAttempts {

@@ -25,8 +25,8 @@ func captureCheckpoint(t *testing.T) *ipm2.Checkpoint {
 
 // TestReplayFromCheckpoint pins the checkpoint-bound replay path: a
 // serve request stream continued from a capture verifies, and two
-// replays of the same (stream, checkpoint) pair — and the same pair
-// under the parallel kernel — produce byte-identical canonical traces.
+// replays of the same (stream, checkpoint) pair produce byte-identical
+// canonical traces.
 func TestReplayFromCheckpoint(t *testing.T) {
 	ck := captureCheckpoint(t)
 	sp := serve.DeriveSpec(7, 4)
@@ -43,16 +43,12 @@ func TestReplayFromCheckpoint(t *testing.T) {
 	if err := first.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		s := spec
-		s.Workers = workers
-		again, err := ReplayFromCheckpoint(s, reqs, captureCheckpoint(t))
-		if err != nil {
-			t.Fatalf("workers=%d: replay from checkpoint: %v", workers, err)
-		}
-		if again.TraceString() != first.TraceString() {
-			t.Fatalf("workers=%d: replay trace diverged from first run", workers)
-		}
+	again, err := ReplayFromCheckpoint(spec, reqs, captureCheckpoint(t))
+	if err != nil {
+		t.Fatalf("second replay from checkpoint: %v", err)
+	}
+	if again.TraceString() != first.TraceString() {
+		t.Fatal("replay trace diverged from first run")
 	}
 }
 

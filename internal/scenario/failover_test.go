@@ -10,34 +10,30 @@ import (
 
 // TestFailoverTraceIdentity pins the failover acceptance property at the
 // harness level: on a 16-node cluster losing one node mid-run, the
-// canonical trace is byte-identical across worker counts 1, 2 and 4 and
-// across both negotiation arbiters — node death, lease-expiry
-// detection, convoy evacuation and slot reclaim are all deterministic,
-// and none of them consults the arbiter (the workload never negotiates).
+// canonical trace is byte-identical across both negotiation arbiters —
+// node death, lease-expiry detection, convoy evacuation and slot
+// reclaim are all deterministic, and none of them consults the arbiter
+// (the workload never negotiates).
 func TestFailoverTraceIdentity(t *testing.T) {
 	var want string
 	for _, arb := range []string{"", "sharded"} {
-		for _, workers := range []int{1, 2, 4} {
-			name := fmt.Sprintf("arb=%q workers=%d", arb, workers)
-			res, err := Run(Spec{Scenario: "failover", Nodes: 16, Arbiter: arb, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := res.Verify(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got := res.TraceString()
-			// Compare the body below the header: the header names the
-			// arbiter and would legitimately differ... except it does not —
-			// Spec.Arbiter is not part of the recorded header line, so the
-			// full trace must match.
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("%s: trace deviates from the first run:\ngot:\n%s\nwant:\n%s", name, got, want)
-			}
+		name := fmt.Sprintf("arb=%q", arb)
+		res, err := Run(Spec{Scenario: "failover", Nodes: 16, Arbiter: arb})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := res.Verify(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := res.TraceString()
+		// Spec.Arbiter is not part of the recorded header line, so the
+		// full trace must match.
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("%s: trace deviates from the first run:\ngot:\n%s\nwant:\n%s", name, got, want)
 		}
 	}
 	if !strings.Contains(want, "declared dead") {

@@ -108,6 +108,20 @@ func TestSpecRejectsRemovedArbiter(t *testing.T) {
 	}
 }
 
+// TestInvalidSpec: a spec naming an unknown gather strategy or arbiter
+// surfaces as an error from the harness, not a panic.
+func TestInvalidSpec(t *testing.T) {
+	for _, spec := range []Spec{
+		{Scenario: "negostress", Gather: "bogus"},
+		{Scenario: "negostress", Arbiter: "bogus"},
+	} {
+		_, err := Run(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Fatalf("gather %q arbiter %q: error = %v, want an unknown-name error", spec.Gather, spec.Arbiter, err)
+		}
+	}
+}
+
 // TestNegoStressAcrossGatherStrategies runs the negotiation-heavy
 // workload under every gather strategy at 4, 16 and 64 nodes and every
 // policy: each run must drain, keep the iso-address invariants, prove

@@ -201,7 +201,6 @@ func ReplayFromCheckpoint(spec Spec, reqs []serve.Request, ck *ipm2.Checkpoint) 
 		Gather:          gather,
 		Arbiter:         arbiter,
 		Placement:       &recordingPolicy{inner: pol, rec: rec},
-		Workers:         spec.Workers,
 		Dist:            dist,
 		Convoy:          ck.Convoy,
 		Pack:            ipm2.PackMode(ck.Pack),
@@ -269,7 +268,6 @@ func run(spec Spec, replay []serve.Request) (*Result, error) {
 		Gather:     gather,
 		Arbiter:    arbiter,
 		Placement:  &recordingPolicy{inner: pol, rec: rec},
-		Workers:    spec.Workers,
 		RPCTimeout: rpcTimeout(spec, gen.RPCTimeout),
 	}, Image())
 	if err != nil {
@@ -343,11 +341,9 @@ func finish(spec Spec, d *Driver, cl *ipm2.Cluster, rec *recorder) (*Result, err
 	return res, nil
 }
 
-// recorder accumulates the canonical trace. Appends happen from ambient
-// (barrier) events and from the node handlers' commit closures, both of
-// which the kernel runs in deterministic serial merge order at any
-// worker count — so the trace bytes are identical whether the event
-// lanes execute on one goroutine or a pool (see internal/simtime).
+// recorder accumulates the canonical trace. Appends happen from events
+// the kernel runs in its deterministic (at, seq) order, so the trace
+// bytes are a pure function of the spec.
 type recorder struct {
 	lines []string
 }

@@ -48,17 +48,11 @@ type Spec struct {
 	// pm2.ParseArbiterMode); empty selects the paper-faithful global
 	// lock on node 0.
 	Arbiter string
-	// Workers is the simulation kernel's worker count (pm2.Config.Workers):
-	// 0 or 1 is the exact serial executor, >1 runs node lanes on a worker
-	// pool. Traces and stats are bit-identical at any worker count, so
-	// Workers is not part of the trace header — the same golden pins every
-	// setting. Composes with every gather strategy and arbiter.
-	Workers int
 	// RPCTimeoutMicros overrides the partial-failure deadline layer
 	// (pm2.Config.RPCTimeout): > 0 is a deadline in virtual µs, < 0
 	// selects the cost-model default, and 0 defers to the generator's
-	// own setting (off for every generator except partition). Like
-	// Workers it is not part of the trace header.
+	// own setting (off for every generator except partition). It is not
+	// part of the trace header.
 	RPCTimeoutMicros int64
 	// MaxSteps overrides the engine step budget (default 10M). The
 	// saturation sweep sets a small budget so past-knee runs cut off

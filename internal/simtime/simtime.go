@@ -5,14 +5,9 @@
 // than 75 µs, slot negotiations of a few hundred µs) taken on a 1999 PoPC
 // cluster. We reproduce those measurements in virtual time: nodes are actors
 // with private busy clocks, every simulated operation charges a calibrated
-// cost, and network messages are future events. Every actor owns a private
-// event lane (lane.go) and the engine merges lanes in earliest-(at, seq)
-// order, so execution is deterministic: equal seeds yield bit-identical
-// event orders and timings. By default the merge runs on one goroutine;
-// SetParallel enables the conservative time-window executor (parallel.go),
-// which runs lanes on a worker pool while keeping handler state lane-affine
-// and shared-state updates commit-ordered — results are bit-identical at
-// any worker count.
+// cost, and network messages are future events. One goroutine pops one
+// binary min-heap of events in (at, seq) order, so execution is
+// deterministic: equal seeds yield bit-identical event orders and timings.
 package simtime
 
 import "fmt"
@@ -34,47 +29,50 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // String formats the time as microseconds, the natural unit of the paper.
 func (t Time) String() string { return fmt.Sprintf("%.3fµs", t.Micros()) }
 
-// Engine is a deterministic discrete-event scheduler over per-actor event
-// lanes. Scheduling and stepping happen on the driving goroutine; during a
-// parallel window (SetParallel) worker goroutines execute their own lanes
-// only, and everything cross-lane is applied in merge order by the commit
-// phase — so all observable state evolves exactly as in a serial run.
-type Engine struct {
-	now      Time
-	seq      uint64
-	nSteps   uint64
-	nPending int
-	// lanes[0] is the ambient lane: events scheduled through Engine.At
-	// (drivers, balancers, public cluster API) rather than on an actor.
-	// Ambient events may touch any lane's state, so the parallel
-	// executor treats them as barriers.
-	ambient *lane
-	lanes   []*lane
-	// cal is the calendar merge over non-empty lanes by head-event key
-	// (lane.go).
-	cal calendar
-	// stepping is the lane whose event Step is executing; its calendar
-	// position is fixed once, after the event returns.
-	stepping *lane
+// event is one scheduled closure. When actor is non-nil the event was
+// posted through Actor.Post and the busy-clock prologue/epilogue runs
+// around fn without a wrapper closure. idx is the event's position in
+// the engine heap, -1 once it runs or is stopped; gen counts the
+// struct's recycles, so a Timer handle outliving its event stops
+// nothing.
+type event struct {
+	at    Time
+	seq   uint64
+	fn    func()
+	actor *Actor
+	idx   int
+	gen   uint32
+}
 
-	// Parallel execution configuration and window state (parallel.go).
-	workers       int
-	horizon       Time
-	inWindow      bool
-	windowBoundAt Time
-	inCommit      bool
-	participants  []*lane
-	cursorHeap    []*lane
-	deferred      []pushEntry
-	wstats        WindowStats
+// eventLess is the one ordering in the kernel: earliest time first,
+// scheduling order among ties. Sequence numbers are unique, so the
+// order is total.
+func eventLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// Engine is a deterministic discrete-event scheduler: one binary
+// min-heap of events ordered by eventLess, popped on the driving
+// goroutine. Event structs are recycled through a free list, so the
+// steady state allocates nothing per event (pinned by
+// TestKernelStepAllocations).
+type Engine struct {
+	now    Time
+	seq    uint64
+	nSteps uint64
+	heap   []*event
+	free   []*event
+	// running is the event Step is executing while it still sits at
+	// the heap root; the handler's first post takes the root from it.
+	running  *event
+	stepping bool
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.ambient = e.newLane()
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -83,7 +81,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.nSteps }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.nPending }
+func (e *Engine) Pending() int {
+	if e.running != nil {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // Clock returns the engine's full clock state — current virtual time,
 // last assigned sequence number and executed step count — for
@@ -99,89 +102,105 @@ func (e *Engine) Clock() (now Time, seq, steps uint64) {
 // fresh engine. It must be called before any events are scheduled
 // (restore-time state installation only).
 func (e *Engine) RestoreClock(now Time, seq, steps uint64) {
-	if e.nPending != 0 {
+	if e.Pending() != 0 {
 		panic("simtime: RestoreClock with pending events")
 	}
 	e.now, e.seq, e.nSteps = now, seq, steps
 }
 
-// At schedules fn to run at absolute virtual time t, on the ambient lane.
-// Times in the past are clamped to Now; ties run in scheduling order.
-// Ambient events are cross-lane by nature (they may read or mutate any
-// node's state), so scheduling one from inside a parallel window is a
-// bug: post to an actor instead, or schedule before/after the window.
-func (e *Engine) At(t Time, fn func()) {
-	if e.inWindow {
-		panic("simtime: Engine.At during a parallel window (ambient events are barriers; post to an actor instead)")
-	}
-	e.schedule(e.ambient, t, fn, nil)
+// WindowStats is the accounting of the windowed parallel executor, which
+// no longer exists.
+//
+// Deprecated: the engine is serial and Engine.WindowStats always returns
+// the zero value. ROADMAP item 11 deletes both, together with the
+// pm2perf probes that still read them.
+type WindowStats struct {
+	AmbientSteps      uint64
+	SingleLaneWindows uint64
+	ParallelWindows   uint64
+	ParallelEvents    uint64
+	Participants      uint64
 }
+
+// WindowStats returns the zero value.
+//
+// Deprecated: see type WindowStats.
+func (e *Engine) WindowStats() WindowStats { return WindowStats{} }
+
+// At schedules fn to run at absolute virtual time t. Times in the past
+// are clamped to Now; ties run in scheduling order.
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, nil) }
 
 // After schedules fn to run d after the current virtual time.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// schedule assigns the next global sequence number and queues the event
-// on lane l. Serial contexts only (including barriers and the commit
-// phase's deferred delivery); parallel windows record pushes per lane
-// instead (parallel.go).
-func (e *Engine) schedule(l *lane, t Time, fn func(), a *Actor) *event {
-	if e.inCommit {
-		panic("simtime: scheduling from a commit closure (commits are state application only)")
-	}
+// schedule assigns the next sequence number and queues the event. While
+// Step's event still holds the root, the new event takes its place with
+// one sift-down instead of a sift-up now and a pop later.
+func (e *Engine) schedule(t Time, fn func(), a *Actor) *event {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := l.alloc(t, e.seq, fn, a)
-	l.push(ev)
-	e.nPending++
-	if ev.idx == 0 && l != e.stepping {
-		e.mergeFix(l)
+	ev := e.alloc(t, e.seq, fn, a)
+	if e.running != nil {
+		e.running = nil
+		ev.idx = 0
+		e.heap[0] = ev
+		e.siftDown(0)
+		return ev
 	}
+	ev.idx = len(e.heap)
+	e.heap = append(e.heap, ev)
+	e.siftUp(ev.idx)
 	return ev
 }
 
-// Step executes the earliest pending event across all lanes, advancing
-// Now to its timestamp. It reports whether an event was executed.
+// Step executes the earliest pending event, advancing Now to its
+// timestamp. It reports whether an event was executed.
 //
-// The popped lane's calendar position is fixed once, after the event
-// runs, instead of on the pop and again when the handler posts the
-// lane's next event (a quantum pump posts one per step). Meanwhile its
-// bucket entry keeps the popped key, which is <= every other key, and
-// the cached minimum is cleared, so nothing may read the merge while a
-// handler runs: a handler that steps the engine panics, and so does
-// every Step after a handler panicked.
+// The event stays at the heap root while its handler runs: the handler's
+// first post replaces it there (a quantum pump posts one per step), and
+// Step pops it only if the handler posted nothing. A handler that steps
+// the engine panics, and so does every Step after a handler panicked.
 func (e *Engine) Step() bool {
-	if e.stepping != nil {
+	if e.stepping {
 		panic("simtime: Step from inside a running event")
 	}
-	l := e.minLane()
-	if l == nil {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ev := l.remove(0)
-	e.nPending--
+	ev := e.heap[0]
+	ev.idx = -1
 	e.now = ev.at
 	e.nSteps++
-	e.cal.min = nil
-	e.stepping = l
-	l.exec(ev)
-	e.stepping = nil
-	e.mergeFix(l)
-	l.recycle(ev)
+	e.running = ev
+	e.stepping = true
+	if a := ev.actor; a != nil {
+		start := ev.at
+		if a.busyUntil > start {
+			start = a.busyUntil
+		}
+		a.localNow = start
+		a.inside = true
+		ev.fn()
+		a.inside = false
+		a.busyUntil = a.localNow
+	} else {
+		ev.fn()
+	}
+	e.stepping = false
+	if e.running != nil {
+		e.running = nil
+		e.remove(0)
+	}
+	e.recycle(ev)
 	return true
 }
 
 // Run executes events until the queue is empty or the step limit is hit.
 // A limit of 0 means no limit. It returns the number of events executed.
-// With SetParallel(workers > 1) the events run window-by-window; a window
-// is committed whole, so a saturated run may overshoot the limit by the
-// tail of its last window (drained runs are unaffected, and execute the
-// exact serial event sequence).
 func (e *Engine) Run(limit uint64) uint64 {
-	if e.workers > 1 {
-		return e.runParallel(limit, 0, false)
-	}
 	var n uint64
 	for limit == 0 || n < limit {
 		if !e.Step() {
@@ -195,26 +214,92 @@ func (e *Engine) Run(limit uint64) uint64 {
 // RunUntil executes events with timestamps <= deadline and then advances
 // Now to deadline (if the queue drained earlier).
 func (e *Engine) RunUntil(deadline Time) {
-	if e.workers > 1 {
-		e.runParallel(0, deadline, true)
-	} else {
-		for l := e.minLane(); l != nil && l.heap[0].at <= deadline; l = e.minLane() {
-			e.Step()
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
+// alloc takes an event struct from the free list (or the heap of last
+// resort: Go's) and initializes it.
+func (e *Engine) alloc(at Time, seq uint64, fn func(), a *Actor) *event {
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at, ev.seq, ev.fn, ev.actor = at, seq, fn, a
+	return ev
+}
+
+// recycle returns a finished event to the free list, dropping its
+// closure so it does not pin captured state.
+func (e *Engine) recycle(ev *event) {
+	ev.fn, ev.actor = nil, nil
+	ev.gen++
+	e.free = append(e.free, ev)
+}
+
+// remove takes the event at heap position i out of the heap.
+func (e *Engine) remove(i int) *event {
+	h := e.heap
+	ev := h[i]
+	last := len(h) - 1
+	h[i] = h[last]
+	h[i].idx = i
+	h[last] = nil
+	e.heap = h[:last]
+	if i < last {
+		e.siftUp(i)
+		e.siftDown(i)
+	}
+	ev.idx = -1
+	return ev
+}
+
+func (e *Engine) siftUp(i int) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		h[i].idx, h[p].idx = i, p
+		i = p
+	}
+}
+
+func (e *Engine) siftDown(i int) {
+	h := e.heap
+	n := len(h)
+	for {
+		least := i
+		if c := 2*i + 1; c < n && eventLess(h[c], h[least]) {
+			least = c
+		}
+		if c := 2*i + 2; c < n && eventLess(h[c], h[least]) {
+			least = c
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		h[i].idx, h[least].idx = i, least
+		i = least
+	}
+}
+
 // Actor models a sequential resource (a node's CPU): events destined for the
 // actor serialize on its busy clock, and handlers charge virtual time for
-// the work they model. Each actor owns one event lane; all of the actor's
-// state is lane-affine, mutated only by its own handlers (or by ambient
-// events, which the parallel executor runs as barriers).
+// the work they model.
 type Actor struct {
 	eng  *Engine
-	lane *lane
 	name string
 	// busyUntil is the first instant at which the actor is free.
 	busyUntil Time
@@ -223,10 +308,10 @@ type Actor struct {
 	inside   bool
 }
 
-// NewActor returns an actor bound to engine eng, owning a fresh lane. The
-// name is used in panics and debugging output only.
+// NewActor returns an actor bound to engine eng. The name is used in
+// panics and debugging output only.
 func NewActor(eng *Engine, name string) *Actor {
-	return &Actor{eng: eng, lane: eng.newLane(), name: name}
+	return &Actor{eng: eng, name: name}
 }
 
 // Name returns the actor's debug name.
@@ -235,25 +320,14 @@ func (a *Actor) Name() string { return a.name }
 // Engine returns the engine the actor is bound to.
 func (a *Actor) Engine() *Engine { return a.eng }
 
-// base returns the actor's view of the serial clock: the lane-local clock
-// while the lane executes inside a parallel window (where Engine.Now is
-// frozen at the window start), the engine clock otherwise (where the two
-// agree).
-func (a *Actor) base() Time {
-	if a.lane.executing {
-		return a.lane.now
-	}
-	return a.eng.now
-}
-
 // Now returns the actor-local clock: inside a handler this includes time
 // charged so far; outside it is the instant the actor becomes free.
 func (a *Actor) Now() Time {
 	if a.inside {
 		return a.localNow
 	}
-	if b := a.base(); a.busyUntil <= b {
-		return b
+	if now := a.eng.now; a.busyUntil <= now {
+		return now
 	}
 	return a.busyUntil
 }
@@ -261,32 +335,13 @@ func (a *Actor) Now() Time {
 // Post schedules fn on the actor at or after absolute time at. If the actor
 // is still busy at that instant the handler is delayed until it frees up, so
 // handlers on one actor never overlap in virtual time.
-//
-// During a parallel window, Post is lane-local: it may only be called from
-// this actor's own executing handlers (self-posts, quantum pumps, timer
-// continuations). Cross-actor messages sent from inside a handler go
-// through PostTo on the sending actor.
-func (a *Actor) Post(at Time, fn func()) { a.PostTimer(at, fn) }
+func (a *Actor) Post(at Time, fn func()) { a.eng.schedule(at, fn, a) }
 
 // PostTimer is Post returning a handle that can stop the event. Neither
-// allocates once the lane's free list is warm.
+// allocates once the engine's free list is warm.
 func (a *Actor) PostTimer(at Time, fn func()) Timer {
-	var ev *event
-	if a.eng.inWindow {
-		a.ownLane("Post to", " (use PostTo from the sending actor)")
-		ev = a.lane.postLocal(at, fn, a)
-	} else {
-		ev = a.eng.schedule(a.lane, at, fn, a)
-	}
+	ev := a.eng.schedule(at, fn, a)
 	return Timer{ev: ev, gen: ev.gen}
-}
-
-// ownLane panics unless the actor's lane runs in the current parallel
-// window: only its own handlers may touch the lane.
-func (a *Actor) ownLane(op, hint string) {
-	if !a.lane.executing {
-		panic("simtime: " + op + " " + a.name + " from a parallel window it is not part of" + hint)
-	}
 }
 
 // Timer is a handle on one event posted by PostTimer.
@@ -295,82 +350,23 @@ type Timer struct {
 	gen uint32 // ev.gen when posted
 }
 
-// Stop removes the timer's event from its lane if it is still pending,
+// Stop removes the timer's event from the queue if it is still pending,
 // and reports whether it did. A stopped event runs nothing: it leaves
 // Pending at once and never moves Now, Steps or its actor's busy clock.
 // A timer that already ran or was stopped stops nothing, even once its
-// event struct is recycled. In a parallel window only the timer's own
-// actor may stop it.
+// event struct is recycled.
 func (t Timer) Stop() bool {
 	ev := t.ev
 	if ev == nil || ev.gen != t.gen || ev.idx < 0 {
 		return false
 	}
-	a, i := ev.actor, ev.idx
-	l, e := a.lane, a.eng
-	if e.inWindow {
-		a.ownLane("Stop on", "")
-	}
-	l.recycle(l.remove(i))
-	if !e.inWindow { // a window recounts its pending events from the heaps
-		e.nPending--
-		if i == 0 && l != e.stepping {
-			e.mergeFix(l)
-		}
-	}
+	e := ev.actor.eng
+	e.recycle(e.remove(ev.idx))
 	return true
 }
 
 // PostAfter schedules fn on the actor d after the current virtual time.
-func (a *Actor) PostAfter(d Time, fn func()) {
-	if a.lane.executing {
-		a.Post(a.lane.now+d, fn)
-		return
-	}
-	a.Post(a.eng.now+d, fn)
-}
-
-// PostTo schedules fn on actor dst at absolute time at, from a handler
-// running on actor a — the cross-lane message primitive (network
-// delivery). Serially it is identical to dst.Post(at, fn). During a
-// parallel window the event is buffered on the sending lane and delivered
-// by the commit phase with its serial-equivalent sequence number; at must
-// then lie at or beyond the window bound, which the conservative horizon
-// (the minimum cross-lane message latency) guarantees for any
-// latency-respecting model.
-func (a *Actor) PostTo(dst *Actor, at Time, fn func()) {
-	e := a.eng
-	if !e.inWindow || dst.lane == a.lane {
-		dst.Post(at, fn)
-		return
-	}
-	l := a.lane
-	if !l.executing {
-		panic("simtime: PostTo from " + a.name + " outside its own executing handler")
-	}
-	if at < e.windowBoundAt {
-		panic("simtime: PostTo from " + a.name + " to " + dst.name +
-			" inside the safe horizon — cross-lane latency below the configured window bound")
-	}
-	ev := l.alloc(at, 0, fn, dst)
-	l.pushes = append(l.pushes, pushEntry{ev: ev, dst: dst.lane})
-}
-
-// Commit runs fn in serial merge order: immediately when execution is
-// already serial (the default, barriers, setup code), or deferred to the
-// window's commit phase when the actor's lane is executing in parallel —
-// where all commit closures apply in the exact (at, seq) order of the
-// events that issued them. Handlers wrap their mutations of cluster-shared
-// state (stats series, trace log, cohort accounting) in Commit, with the
-// values to record captured at execution time.
-func (a *Actor) Commit(fn func()) {
-	if a.eng.inWindow {
-		a.ownLane("Commit on", "")
-		a.lane.commits = append(a.lane.commits, fn)
-		return
-	}
-	fn()
-}
+func (a *Actor) PostAfter(d Time, fn func()) { a.Post(a.eng.now+d, fn) }
 
 // BusyUntil returns the first instant at which the actor is free — the
 // busy-clock state a checkpoint captures. Meaningful outside handlers
@@ -396,12 +392,8 @@ func (a *Actor) RestoreBusy(t Time) {
 // shared with charged handlers) without advancing the busy clock.
 // Checkpoint capture and restore use it — the captured busy clocks
 // already include every charge of the quiesce itself, so replaying the
-// installation must cost nothing. Callable from serial contexts only
-// (barriers, setup code), never from inside a parallel window.
+// installation must cost nothing.
 func (a *Actor) Mute(fn func()) {
-	if a.eng.inWindow {
-		panic("simtime: Mute on " + a.name + " during a parallel window")
-	}
 	savedInside, savedLocal := a.inside, a.localNow
 	free := a.Now()
 	a.inside = true

@@ -14,15 +14,12 @@ type timerRun struct {
 	log     []string
 }
 
-// timerWorkload runs four actors whose first handlers start inside one
-// window. Each handler posts a timer far in the future plus a short one,
-// and a same-lane descendant then stops the far timer — from inside the
-// window at workers > 1 — and tries to stop the short one after it ran.
-// Without timers the same handlers run with the timer calls left out.
-func timerWorkload(t *testing.T, workers int, timers bool) timerRun {
-	const horizon = 10 * Microsecond
+// timerWorkload runs four actors. Each first handler posts a timer far
+// in the future plus a short one, and a descendant then stops the far
+// timer and tries to stop the short one after it ran. Without timers
+// the same handlers run with the timer calls left out.
+func timerWorkload(t *testing.T, timers bool) timerRun {
 	e := NewEngine()
-	e.SetParallel(workers, horizon)
 	actors := make([]*Actor, 4)
 	var log []string
 	for i := range actors {
@@ -35,7 +32,7 @@ func timerWorkload(t *testing.T, workers int, timers bool) timerRun {
 			if timers {
 				far = a.PostTimer(a.Now()+Millisecond, func() {
 					a.Charge(Microsecond)
-					a.Commit(func() { log = append(log, fmt.Sprintf("n%d: stopped timer fired", i)) })
+					log = append(log, fmt.Sprintf("n%d: stopped timer fired", i))
 				})
 				short = a.PostTimer(a.Now()+Microsecond, func() {})
 			}
@@ -49,8 +46,7 @@ func timerWorkload(t *testing.T, workers int, timers bool) timerRun {
 						t.Errorf("n%d: Stop of a stopped or fired timer stopped something", i)
 					}
 				}
-				at := a.Now()
-				a.Commit(func() { log = append(log, fmt.Sprintf("n%d@%v", i, at)) })
+				log = append(log, fmt.Sprintf("n%d@%v", i, a.Now()))
 			})
 		})
 	}
@@ -66,26 +62,23 @@ func timerWorkload(t *testing.T, workers int, timers bool) timerRun {
 		r.busy = append(r.busy, a.BusyUntil())
 	}
 	if e.Pending() != 0 {
-		t.Fatalf("workers=%d: %d events pending after the drain", workers, e.Pending())
+		t.Fatalf("%d events pending after the drain", e.Pending())
 	}
 	return r
 }
 
 // TestTimerStopRunsNothing: a stopped timer leaves Pending when stopped
-// and never moves Now, Steps or its actor's busy clock, serially and
-// inside parallel windows alike; a handle on an event that already ran,
-// or whose struct was recycled for another event, stops nothing.
+// and never moves Now, Steps or its actor's busy clock; a handle on an
+// event that already ran, or whose struct was recycled for another
+// event, stops nothing.
 func TestTimerStopRunsNothing(t *testing.T) {
-	want := timerWorkload(t, 1, false)
-	for _, workers := range []int{1, 2, 4} {
-		got := timerWorkload(t, workers, true)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("workers=%d: stopped timers left a trace\n got %+v\nwant %+v", workers, got, want)
-		}
+	want := timerWorkload(t, false)
+	if got := timerWorkload(t, true); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stopped timers left a trace\n got %+v\nwant %+v", got, want)
 	}
 
-	// Stopping a lane's head re-keys the lane in the merge: b's event
-	// must still run before a's next one.
+	// Stopping the earliest event re-sorts the heap: b's event must
+	// still run before a's next one.
 	e := NewEngine()
 	a, b := NewActor(e, "a"), NewActor(e, "b")
 	ran := ""
@@ -93,7 +86,7 @@ func TestTimerStopRunsNothing(t *testing.T) {
 	a.Post(200, func() { ran += "kept " })
 	b.Post(150, func() { ran += "b " })
 	if !tm.Stop() || e.Pending() != 2 {
-		t.Fatalf("stopping the lane head: pending=%d, want 2", e.Pending())
+		t.Fatalf("stopping the earliest event: pending=%d, want 2", e.Pending())
 	}
 	first := a.PostTimer(300, func() { ran += "first " })
 	e.Run(0)

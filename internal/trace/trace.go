@@ -10,12 +10,10 @@ import (
 	"strings"
 )
 
-// Log accumulates cluster output. It has no locking of its own: under
-// the parallel kernel every append reaches it through an ambient event
-// or an Actor.Commit closure, both of which internal/simtime runs on
-// the driving goroutine in deterministic merge order — so the log is
-// effectively lane-confined and its bytes are identical at any worker
-// count.
+// Log accumulates cluster output. It has no locking of its own: every
+// append comes from an event internal/simtime runs on the driving
+// goroutine in its deterministic (at, seq) order, so the log's bytes
+// are a pure function of the run.
 type Log struct {
 	lines   []string
 	partial map[int]*strings.Builder

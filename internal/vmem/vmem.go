@@ -85,11 +85,10 @@ var zeroPage page
 const tlbSize = 4
 
 // Space is one node's simulated virtual address space. It has no
-// locking: a Space belongs to exactly one node, every access happens
-// inside that node's event lane, and the parallel kernel never runs
-// two events of one lane concurrently (see internal/simtime) — the
-// space is lane-affine state, like the scheduler and the slot table.
-// That includes reads: Load32 and Load8 fill the Space's own TLB.
+// locking: a Space belongs to exactly one node, and every access
+// happens inside an event of the one-goroutine kernel (see
+// internal/simtime). That includes reads: Load32 and Load8 fill the
+// Space's own TLB.
 //
 // Mapped memory is tracked per 64 KB chunk — one iso-address slot of
 // layout.PagesPerSlot pages, the unit the runtime reserves, owns and
