@@ -608,7 +608,7 @@ func SlotCacheAblation(churn int) []CacheRow {
 	for _, withCache := range []bool{true, false} {
 		cfg := pm2.Config{Nodes: 1}
 		if !withCache {
-			cfg.NoCache = true
+			cfg.CacheCap = -1
 		}
 		c := pm2.New(cfg, progs.NewImage())
 		entry, _ := c.Image().EntryOf("pingpong")

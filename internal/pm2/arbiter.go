@@ -20,17 +20,14 @@ import (
 // and releases. Disjoint negotiations hold disjoint shard sets and
 // proceed in parallel.
 //
-// A sharded negotiation that exhausts its rounds does not give up: it
-// escalates once, taking every shard in the same ascending order, and
-// re-runs its round budget on a view no other negotiation can change —
-// the global lock's guarantee, reached only when contention demands it
-// (see escalate).
-//
-// A node still runs its *own* negotiations one at a time: one running
-// record plus a FIFO of waiting ones (Node.neg, Node.negWaiting) replace
-// the global queue, which keeps the give-back accounting and retry
-// invariants intact; the parallelism is across initiators, which is
-// where the contention was.
+// A sharded negotiation that exhausts its rounds, or whose lock-free
+// view shows no run, escalates once: it takes every shard in the same
+// order and re-runs its round budget on a view no other negotiation can
+// change. The global arbiter is that escalated state from the first
+// round. Either way negotiation.whole marks a holder of the whole slot
+// space (the keys Cluster.whole lists), which a defragmentation takes
+// too. A node still runs its own negotiations one at a time (Node.neg,
+// Node.negWaiting); the parallelism is across initiators.
 
 // ArbiterMode selects the negotiation concurrency scheme.
 type ArbiterMode int
@@ -85,41 +82,142 @@ func negotiationBackoff(round int) simtime.Time {
 	return negotiationBackoffBase << uint(round)
 }
 
-// Lock manager (system-wide critical section), hosted on node 0.
+// The lock service: every manager rank keeps one FIFO lock table
+// (Node.locks). Shard s is key s, on chShardLock/chShardUnlock; the
+// system-wide section is sectionKey, managed by node 0 on chLock/chUnlock.
 
-func (n *Node) acquireLock(granted func()) {
-	n.ep.Call(0, chLock, nil, func(*madeleine.Buffer) { granted() })
+// sectionKey is the lock-table key of the system-wide critical section.
+const sectionKey = arbiterShards
+
+// grant takes key for req's sender, or queues req behind the holder. A
+// held key is in the table, with its waiters in arrival order.
+func (n *Node) grant(key int, req *madeleine.Call) {
+	if q, held := n.locks[key]; held {
+		n.locks[key] = append(q, req)
+		return
+	}
+	if n.locks == nil {
+		n.locks = make(map[int][]*madeleine.Call)
+	}
+	n.locks[key] = nil
+	req.Reply(nil)
 }
 
-func (n *Node) releaseLock() {
-	n.ep.Send(0, chUnlock, nil)
+// release hands key to its first waiter, or frees it. It reports false
+// if key is not held here.
+func (n *Node) release(key int) bool {
+	q, held := n.locks[key]
+	if len(q) > 0 {
+		n.locks[key] = q[1:]
+		q[0].Reply(nil)
+	} else {
+		delete(n.locks, key)
+	}
+	return held
 }
 
-// onLockCall queues or grants the global lock (node 0 only).
+// lockManager returns the live manager rank of key: node 0 for the
+// section; for a shard, its shard-mod-n owner, rerouted past
+// declared-dead ranks so the sharded arbiter survives a failover.
+func (c *Cluster) lockManager(key int) int {
+	if key == sectionKey {
+		return 0
+	}
+	m := c.shardMap.Manager(key, c.Nodes())
+	if c.down != nil && c.down[m] {
+		m = c.pol.NextLive(m)
+	}
+	return m
+}
+
+// lock claims key at its manager: granted runs once this node holds
+// it, timedOut if it was not granted by the deadline. A late grant is
+// unlocked at once at the manager that granted it.
+func (n *Node) lock(key int, granted, timedOut func()) {
+	mgr := n.c.lockManager(key)
+	c := call{kind: claimCall, dst: mgr, ch: chShardLock,
+		build:   func(b *madeleine.Buffer) { b.PackU32(uint32(key)) },
+		reply:   func(*madeleine.Buffer) { granted() },
+		timeout: timedOut,
+		late:    func(*madeleine.Buffer) { n.unlock(mgr, key) }}
+	if key == sectionKey {
+		c.ch, c.build, c.patience = chLock, nil, n.lockPatience()
+	}
+	n.exchange(c)
+}
+
+// lockEach takes keys one at a time, in ascending order, appending each
+// to *held as it is granted, then calls then. Every holder uses this
+// canonical order, which is the deadlock-freedom argument: the holder of
+// the highest contended key never waits on a lower one, so it completes
+// and unblocks the rest. A manager that misses its deadline fails the
+// acquisition: every key in *held is unlocked and fail runs.
+func (n *Node) lockEach(keys []int, held *[]int, then, fail func()) {
+	if len(keys) == 0 {
+		then()
+		return
+	}
+	n.lock(keys[0], func() {
+		*held = append(*held, keys[0])
+		n.lockEach(keys[1:], held, then, fail)
+	}, func() {
+		n.unlockAll(held)
+		fail()
+	})
+}
+
+// unlockAll unlocks every key in *held at its manager (one-way) and
+// empties *held.
+func (n *Node) unlockAll(held *[]int) {
+	for _, key := range *held {
+		n.unlock(n.c.lockManager(key), key)
+	}
+	*held = (*held)[:0]
+}
+
+// unlock releases key at its manager mgr (one-way).
+func (n *Node) unlock(mgr, key int) {
+	if key == sectionKey {
+		n.ep.Send(mgr, chUnlock, nil)
+		return
+	}
+	n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) { b.PackU32(uint32(key)) })
+}
+
+// onLockCall queues or grants the system-wide section (node 0 only).
 func (n *Node) onLockCall(src int, req *madeleine.Call) {
 	if n.id != 0 {
 		panic("pm2: lock request at non-manager node")
 	}
-	if n.lockHeld {
-		n.lockQueue = append(n.lockQueue, req)
-		return
-	}
-	n.lockHeld = true
-	req.Reply(nil)
+	n.grant(sectionKey, req)
 }
 
-// onUnlockMsg releases the lock and grants the next waiter (node 0 only).
+// onUnlockMsg releases the section to its next waiter (node 0 only).
 func (n *Node) onUnlockMsg(src int, _ *madeleine.Buffer) {
-	if !n.lockHeld {
+	if !n.release(sectionKey) {
 		panic("pm2: unlock without lock")
 	}
-	if len(n.lockQueue) > 0 {
-		next := n.lockQueue[0]
-		n.lockQueue = n.lockQueue[:copy(n.lockQueue, n.lockQueue[1:])]
-		next.Reply(nil)
-		return
+}
+
+// onShardLockCall queues or grants one shard (manager rank only).
+func (n *Node) onShardLockCall(src int, req *madeleine.Call) {
+	s := int(req.Msg.U32())
+	if req.Msg.Err() != nil || s < 0 || s >= n.c.shardMap.Shards() {
+		panic(fmt.Sprintf("pm2: corrupt shard-lock request for shard %d", s))
 	}
-	n.lockHeld = false
+	if n.c.lockManager(s) != n.id {
+		panic(fmt.Sprintf("pm2: shard %d lock request at non-manager node %d", s, n.id))
+	}
+	n.grant(s, req)
+}
+
+// onShardUnlockMsg releases one shard to its next waiter (manager rank
+// only).
+func (n *Node) onShardUnlockMsg(src int, msg *madeleine.Buffer) {
+	s := int(msg.U32())
+	if msg.Err() != nil || s >= n.c.shardMap.Shards() || !n.release(s) {
+		panic(fmt.Sprintf("pm2: unlock of unheld shard %d at node %d", s, n.id))
+	}
 }
 
 // homeOrigin returns where this node starts its run search under the
@@ -131,115 +229,24 @@ func (n *Node) homeOrigin() int {
 	return n.id * (layout.SlotCount / n.c.Nodes())
 }
 
-// escalate is a sharded negotiation's answer to round exhaustion: it
-// takes every shard, in the ascending order withRunLocks always uses,
-// and re-runs the round budget holding them. No other negotiation can
-// buy a slot meanwhile, so the escalated rounds race only local
-// allocations, as under the global lock. While escalated, withRunLocks
-// is a pass-through and releaseRunLocks keeps the shards; finish
-// releases them once, when the negotiation ends.
+// escalate takes the whole slot space and re-runs the round budget
+// holding it: no other negotiation or defragmentation can change the
+// space meanwhile, so the escalated rounds race only local allocations.
 func (g *negotiation) escalate() {
-	g.withRunLocks(0, layout.SlotCount, func() {
-		g.escalated = true
+	g.n.lockEach(g.n.c.whole, &g.held, func() {
+		g.whole = true
 		g.round = 0
 		g.run()
 	}, func() { g.finish(false) })
 }
 
-// withRunLocks acquires the shard locks covering the planned run and
-// then calls then. Under the global arbiter, or while this node's
-// negotiation holds every shard (escalate), it is a pass-through.
-// Shards are acquired strictly one at a time in ascending order — the
-// canonical order every initiator uses, which is the deadlock-freedom
-// argument: the holder of the highest contended shard never waits on a
-// lower one, so it completes and unblocks the rest.
-//
-// With a timeout configured, an unreachable shard manager fails the
-// acquisition: the shards already held are released and fail runs (the
-// caller re-plans after a backoff). A late grant is released at once.
+// withRunLocks takes the shards covering the planned run and then calls
+// then, or fail if a shard manager is unreachable (see lockEach). A
+// holder of the whole slot space passes straight through.
 func (g *negotiation) withRunLocks(start, count int, then, fail func()) {
-	n := g.n
-	if n.c.cfg.Arbiter != ArbiterSharded || g.escalated {
+	if g.whole {
 		then()
 		return
 	}
-	shards := n.c.shardMap.ShardsOfRun(start, count)
-	var acquire func(i int)
-	acquire = func(i int) {
-		if i == len(shards) {
-			then()
-			return
-		}
-		s := shards[i]
-		mgr := n.c.shardManager(s)
-		n.exchange(call{kind: claimCall, dst: mgr, ch: chShardLock, build: func(b *madeleine.Buffer) {
-			b.PackU32(uint32(s))
-		}, reply: func(*madeleine.Buffer) {
-			g.held = append(g.held, s)
-			acquire(i + 1)
-		}, timeout: func() {
-			g.releaseRunLocks()
-			fail()
-		}, late: func(*madeleine.Buffer) {
-			n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) {
-				b.PackU32(uint32(s))
-			})
-		}})
-	}
-	acquire(0)
-}
-
-// releaseRunLocks releases every shard lock the negotiation holds
-// (one-way, like the global unlock). No-op when none are held, and while
-// escalated: an escalated negotiation keeps every shard until it
-// finishes.
-func (g *negotiation) releaseRunLocks() {
-	if g.escalated {
-		return
-	}
-	n := g.n
-	for _, s := range g.held {
-		shard := s
-		n.ep.Send(n.c.shardManager(shard), chShardUnlock, func(b *madeleine.Buffer) {
-			b.PackU32(uint32(shard))
-		})
-	}
-	g.held = g.held[:0]
-}
-
-// onShardLockCall queues or grants one shard's lock (manager rank only).
-func (n *Node) onShardLockCall(src int, req *madeleine.Call) {
-	s := int(req.Msg.U32())
-	if req.Msg.Err() != nil || s < 0 || s >= n.c.shardMap.Shards() {
-		panic(fmt.Sprintf("pm2: corrupt shard-lock request for shard %d", s))
-	}
-	if n.c.shardManager(s) != n.id {
-		panic(fmt.Sprintf("pm2: shard %d lock request at non-manager node %d", s, n.id))
-	}
-	if n.shardHeld == nil {
-		n.shardHeld = make(map[int]bool)
-		n.shardQueue = make(map[int][]*madeleine.Call)
-	}
-	if n.shardHeld[s] {
-		n.shardQueue[s] = append(n.shardQueue[s], req)
-		return
-	}
-	n.shardHeld[s] = true
-	req.Reply(nil)
-}
-
-// onShardUnlockMsg releases one shard and grants the next waiter in
-// FIFO order (manager rank only).
-func (n *Node) onShardUnlockMsg(src int, msg *madeleine.Buffer) {
-	s := int(msg.U32())
-	if msg.Err() != nil || n.shardHeld == nil || !n.shardHeld[s] {
-		panic(fmt.Sprintf("pm2: unlock of unheld shard %d at node %d", s, n.id))
-	}
-	if q := n.shardQueue[s]; len(q) > 0 {
-		next := q[0]
-		n.shardQueue[s] = q[:copy(q, q[1:])]
-		next.Reply(nil)
-		return
-	}
-	delete(n.shardHeld, s)
+	g.n.lockEach(g.n.c.shardMap.ShardsOfRun(start, count), &g.held, then, fail)
 }

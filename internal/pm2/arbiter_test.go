@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/progs"
+	"repro/internal/simtime"
 )
 
 // ownershipFingerprint captures every node's slot bitmap.
@@ -154,7 +155,7 @@ func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 			g := &negotiation{n: n}
 			g.withRunLocks(2*shardSize+10*nid, 5, func() {
 				order = append(order, nid)
-				g.releaseRunLocks()
+				n.unlockAll(&g.held)
 			}, func() { panic("unexpected shard-lock failure") })
 		})
 	}
@@ -162,7 +163,7 @@ func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
 		g := &negotiation{n: n}
 		g.withRunLocks(5*shardSize, 3, func() {
 			order = append(order, 0)
-			g.releaseRunLocks()
+			n.unlockAll(&g.held)
 		}, func() { panic("unexpected shard-lock failure") })
 	})
 	c.Run(0)
@@ -188,14 +189,14 @@ func TestShardLockSpanningRuns(t *testing.T) {
 		g := &negotiation{n: n}
 		g.withRunLocks(4*shardSize-2, 4, func() {
 			order = append(order, 1)
-			g.releaseRunLocks()
+			n.unlockAll(&g.held)
 		}, func() { panic("unexpected shard-lock failure") })
 	})
 	c.At(2, func(n *Node) {
 		g := &negotiation{n: n}
 		g.withRunLocks(5*shardSize-2, 4, func() {
 			order = append(order, 2)
-			g.releaseRunLocks()
+			n.unlockAll(&g.held)
 		}, func() { panic("unexpected shard-lock failure") })
 	})
 	c.Run(0)
@@ -236,6 +237,31 @@ func TestLocalNegotiationQueue(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueuedNegotiationLeavesLatencyAlone: a negotiation's latency is
+// stamped before the next one queued on its node starts, so the
+// successor's start-up charges stay out of it. Node 0 negotiating 2
+// slots on 4 nodes reads the same latency alone and with a second
+// negotiation queued behind it.
+func TestQueuedNegotiationLeavesLatencyAlone(t *testing.T) {
+	latency := func(queued bool) simtime.Time {
+		c := New(Config{Nodes: 4, Arbiter: ArbiterSharded}, progs.NewImage())
+		c.At(0, func(n *Node) {
+			n.negotiate(2, func(bool) {})
+			if queued {
+				n.negotiate(2, func(bool) {})
+			}
+		})
+		c.Run(0)
+		if err := c.CheckDrained(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats().NegotiationLatencies[0]
+	}
+	if alone, behind := latency(false), latency(true); alone != behind {
+		t.Fatalf("latency %v alone, %v with a negotiation queued behind it", alone, behind)
 	}
 }
 
@@ -336,7 +362,7 @@ func TestConcurrentEscalations(t *testing.T) {
 		c := New(Config{Nodes: nodes, Gather: gather, Arbiter: ArbiterSharded}, progs.NewImage())
 		for i := 0; i < nodes; i++ {
 			c.Node(i).buyHook = func(src int, giveBack bool) bool {
-				return !giveBack && !c.Node(src).neg.escalated
+				return !giveBack && !c.Node(src).neg.whole
 			}
 		}
 		succeeded := 0

@@ -17,15 +17,16 @@ import (
 //
 // Protocol, race-free by ownership transfer:
 //
-//  1. the coordinator enters the system-wide critical section;
+//  1. the coordinator takes the arbiter's whole slot space (the
+//     system-wide section, or every shard; see lockEach);
 //  2. it gathers every node's bitmap with surrender semantics — the reply
 //     hands over all the node's free slots, leaving it with none (a node
 //     that needs a slot meanwhile falls into the negotiation path, which
-//     blocks on the same lock until the defragmentation completes);
+//     waits on the same locks until the defragmentation completes);
 //  3. core.PlanDefrag splits the pooled free slots into per-node
 //     contiguous ranges sized by what each node surrendered;
 //  4. the new bitmaps are scattered and installed;
-//  5. the critical section is released.
+//  5. the locks are released.
 
 // Service channels for defragmentation.
 const (
@@ -35,12 +36,12 @@ const (
 
 // Defragment triggers a global slot restructuring, coordinated by node
 // coord. done (may be nil) runs on the coordinator when the protocol has
-// completed.
+// completed, or gave up on a lock deadline (not counted in Stats).
 func (c *Cluster) Defragment(coord int, done func()) {
 	c.At(coord, func(n *Node) { n.defragment(done) })
 }
 
-// DefragmentSync runs Defragment and drives the engine until it completes.
+// DefragmentSync runs Defragment and drives the engine until it ends.
 func (c *Cluster) DefragmentSync(coord int) {
 	fin := false
 	c.Defragment(coord, func() { fin = true })
@@ -52,8 +53,12 @@ func (c *Cluster) DefragmentSync(coord int) {
 }
 
 func (n *Node) defragment(done func()) {
+	if done == nil {
+		done = func() {}
+	}
 	model := n.c.cfg.Model
-	n.acquireLock(func() {
+	held := new([]int)
+	n.lockEach(n.c.whole, held, func() {
 		maps := make([]*bitmap.Bitmap, n.c.Nodes())
 		maps[n.id] = n.slots.SurrenderAll()
 
@@ -73,7 +78,7 @@ func (n *Node) defragment(done func()) {
 		var gather func(i int)
 		gather = func(i int) {
 			if i == len(order) {
-				n.defragScatter(maps, done)
+				n.defragScatter(maps, held, done)
 				return
 			}
 			peer := order[i]
@@ -88,10 +93,10 @@ func (n *Node) defragment(done func()) {
 			})
 		}
 		gather(0)
-	})
+	}, done)
 }
 
-func (n *Node) defragScatter(maps []*bitmap.Bitmap, done func()) {
+func (n *Node) defragScatter(maps []*bitmap.Bitmap, held *[]int, done func()) {
 	model := n.c.cfg.Model
 	n.actor.Charge(model.BitmapScan(layout.BitmapBytes * len(maps)))
 	newMaps := core.PlanDefrag(maps)
@@ -108,11 +113,9 @@ func (n *Node) defragScatter(maps []*bitmap.Bitmap, done func()) {
 	var scatter func(i int)
 	scatter = func(i int) {
 		if i == len(order) {
-			n.releaseLock()
+			n.unlockAll(held)
 			n.c.stats.Defragmentations++
-			if done != nil {
-				done()
-			}
+			done()
 			return
 		}
 		peer := order[i]
@@ -147,6 +150,6 @@ func (n *Node) onInstallCall(src int, req *madeleine.Call) {
 	}
 	// Threads that blocked on an empty bitmap can be retried now; they
 	// are woken by their negotiation callbacks, which serialize behind
-	// the same lock.
+	// the same locks.
 	req.Reply(nil)
 }

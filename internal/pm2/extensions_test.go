@@ -169,3 +169,43 @@ main:
 		t.Fatalf("with pre-buy: %d negotiations, want 1", with)
 	}
 }
+
+// TestDefragmentExcludesNegotiations: a defragmentation takes the
+// arbiter's whole slot space, so a negotiation that overlaps it waits
+// for it instead of failing on the surrendered (empty) bitmaps, or
+// buying slots that the replacement bitmaps then hand to someone else.
+// Node 0 defragments at t=0 while ranks 1–3 each negotiate 3 slots,
+// starting anywhere from before the defragmentation to after it.
+func TestDefragmentExcludesNegotiations(t *testing.T) {
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
+		for start := simtime.Time(0); start <= 3000*simtime.Microsecond; start += 50 * simtime.Microsecond {
+			c := New(Config{Nodes: 4, Gather: GatherDelta, Arbiter: arb}, progs.NewImage())
+			c.Defragment(0, nil)
+			succeeded := 0
+			c.Engine().At(start, func() {
+				for i := 1; i < 4; i++ {
+					c.At(i, func(n *Node) {
+						n.negotiate(3, func(ok bool) {
+							if ok {
+								succeeded++
+							}
+						})
+					})
+				}
+			})
+			c.Run(0)
+			if succeeded != 3 {
+				t.Fatalf("%s, start %v: %d of 3 negotiations succeeded on a free cluster", arb, start, succeeded)
+			}
+			if got := freeSlotTotal(c); got != layout.SlotCount {
+				t.Fatalf("%s, start %v: owned-free total %d, want %d", arb, start, got, layout.SlotCount)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("%s, start %v: %v", arb, start, err)
+			}
+			if err := c.CheckDrained(); err != nil {
+				t.Fatalf("%s, start %v: %v", arb, start, err)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package pm2
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
@@ -55,11 +56,15 @@ type negotiation struct {
 	round int          // attempt within the current round budget
 	start simtime.Time // when negotiate was called
 	done  func(bool)
-	// escalated marks a sharded negotiation that holds every shard until
-	// it finishes (see escalate); held lists the shards its current
-	// round has locked.
-	escalated bool
-	held      []int
+	// whole marks a negotiation that holds the whole slot space until it
+	// finishes: the section under the global arbiter, every shard once
+	// a sharded negotiation escalated. held lists the lock keys it holds.
+	whole bool
+	held  []int
+	// plan is the purchase in flight, and sellers its shares grouped by
+	// seller (see executePurchase).
+	plan    core.Purchase
+	sellers []core.SellerShare
 	// giveBacks counts give-back Calls whose reply has not yet arrived;
 	// a new round must never start before it drops to zero.
 	giveBacks int
@@ -73,16 +78,20 @@ type negotiation struct {
 func (n *Node) negotiate(k int, done func(bool)) {
 	g := &negotiation{n: n, k: k, start: n.actor.Now(), done: done}
 	if n.c.cfg.Arbiter == ArbiterGlobal {
-		// Every negotiation asks for the system-wide lock at once. With a
-		// timeout configured, an unreachable lock manager fails the
-		// negotiation instead of hanging this thread forever.
-		n.acquireLockOr(g.begin, func() { g.report(false) })
+		// Every negotiation holds the system-wide section from its first
+		// round. With a timeout configured, an unreachable lock manager
+		// fails the negotiation instead of hanging this thread forever.
+		n.lockEach(n.c.whole, &g.held, func() {
+			g.whole = true
+			g.begin()
+		}, func() {
+			g.record(false)
+			done(false)
+		})
 		return
 	}
-	// Sharded arbiter: no system-wide section. The node's own
-	// negotiations still run one at a time, in FIFO order; shard locking
-	// happens per round, after planning, and an escalated negotiation
-	// releases every shard when it finishes — see arbiter.go.
+	// Sharded arbiter: the node's own negotiations run one at a time, in
+	// FIFO order; shards are locked per round, after planning.
 	if n.neg != nil {
 		n.negWaiting = append(n.negWaiting, g)
 		return
@@ -103,31 +112,24 @@ func (g *negotiation) begin() {
 	g.run()
 }
 
-// finish ends the running negotiation: it releases the global lock, or
-// an escalation's shards and the node's slot for the next queued
-// negotiation, then reports ok.
+// finish ends the running negotiation: it releases its keys, records the
+// outcome (before the node's next queued negotiation starts, whose
+// charges are not this one's latency), and hands ok to the caller.
 func (g *negotiation) finish(ok bool) {
 	n := g.n
 	n.neg = nil
-	if n.c.cfg.Arbiter == ArbiterGlobal {
-		n.releaseLock()
-	} else {
-		if g.escalated {
-			g.escalated = false
-			g.releaseRunLocks()
-		}
-		if len(n.negWaiting) > 0 {
-			next := n.negWaiting[0]
-			n.negWaiting = n.negWaiting[:copy(n.negWaiting, n.negWaiting[1:])]
-			next.begin()
-		}
+	n.unlockAll(&g.held)
+	g.record(ok)
+	if len(n.negWaiting) > 0 {
+		next := n.negWaiting[0]
+		n.negWaiting = n.negWaiting[:copy(n.negWaiting, n.negWaiting[1:])]
+		next.begin()
 	}
-	g.report(ok)
+	g.done(ok)
 }
 
-// report records the outcome in the negotiation statistics and hands it
-// to the caller.
-func (g *negotiation) report(ok bool) {
+// record counts the outcome in the negotiation statistics.
+func (g *negotiation) record(ok bool) {
 	n := g.n
 	n.c.stats.Negotiations++
 	if ok {
@@ -139,7 +141,6 @@ func (g *negotiation) report(ok bool) {
 	} else {
 		n.c.stats.NegotiationFailures++
 	}
-	g.done(ok)
 }
 
 // run runs one gather/plan/buy attempt under the configured gather
@@ -152,11 +153,7 @@ func (g *negotiation) run() {
 		panic(fmt.Sprintf("pm2: node %d started a negotiation round with %d give-backs in flight", n.id, g.giveBacks))
 	}
 	if g.round >= maxNegotiationRounds {
-		if n.c.cfg.Arbiter == ArbiterSharded && !g.escalated {
-			g.escalate()
-			return
-		}
-		g.finish(false)
+		g.giveUp()
 		return
 	}
 	switch n.c.cfg.Gather {
@@ -174,6 +171,17 @@ func (g *negotiation) run() {
 	default:
 		g.gatherSequential()
 	}
+}
+
+// giveUp ends a spent round budget, or a round whose view has no run.
+// Only a view taken holding the whole slot space is authoritative: a
+// negotiation that holds it fails, any other escalates.
+func (g *negotiation) giveUp() {
+	if g.whole {
+		g.finish(false)
+		return
+	}
+	g.escalate()
 }
 
 // nextRound re-runs the round one attempt further.
@@ -324,7 +332,7 @@ func (g *negotiation) planAndBuy(global *bitmap.Bitmap, maps []*bitmap.Bitmap) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	plan, ok := n.planOn(global, maps, g.k)
 	if !ok {
-		g.finish(false)
+		g.giveUp()
 		return
 	}
 	g.withRunLocks(plan.Start, plan.N, func() { g.executePurchase(plan) }, g.retryUnsecured)
@@ -362,78 +370,86 @@ func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (cor
 
 // executePurchase carries out a planned purchase (paper step 2e): one
 // atomic purchase message per seller, the initiator-side race check, and
-// the give-back/retry path on any decline.
+// the give-back/retry path on any decline. Paper 2e sends each owner one
+// message, so the shares are grouped by seller, in plan order, into a
+// fresh slice: a late acceptance's give-back keeps its shares, and the
+// purchase is recorded in the order of plan.Sellers.
 func (g *negotiation) executePurchase(plan core.Purchase) {
-	n := g.n
-	// Group the shares by owner: one purchase message per seller node
-	// (paper 2e sends one updated bitmap back to each owner, not one
-	// message per slot run).
-	order := make([]int, 0, len(plan.Sellers))
-	byNode := make(map[int][]core.SellerShare)
-	for _, sh := range plan.Sellers {
-		if _, seen := byNode[sh.Node]; !seen {
-			order = append(order, sh.Node)
-		}
-		byNode[sh.Node] = append(byNode[sh.Node], sh)
+	g.plan, g.sellers = plan, slices.Clone(plan.Sellers)
+	first := func(sh core.SellerShare) int {
+		return slices.IndexFunc(plan.Sellers, func(o core.SellerShare) bool { return o.Node == sh.Node })
 	}
+	slices.SortStableFunc(g.sellers, func(a, b core.SellerShare) int { return first(a) - first(b) })
+	g.buyFrom(0)
+}
 
-	// returnSecured gives the shares of the first secured sellers
-	// straight back, and only once every give-back has been acknowledged
-	// retries with fresh bitmaps — re-gathering earlier could observe the
-	// returned slots at neither party.
-	returnSecured := func(secured int) {
-		var returns []pendingReturn
-		for _, seller := range order[:secured] {
-			returns = append(returns, pendingReturn{seller: seller, shares: byNode[seller]})
-		}
-		g.retryAfterReturns(returns)
-	}
-	var buyNext func(i int)
-	buyNext = func(i int) {
-		if i == len(order) {
-			// All shares secured. Re-validate our own contribution to
-			// the run before recording it: a racing local allocation
-			// may have consumed one of our slots during the gather, in
-			// which case the run is broken — give every secured share
-			// back and retry with fresh bitmaps.
-			if !n.ownShareIntact(plan) {
-				returnSecured(len(order))
-				return
-			}
-			// Mark the bought slots ours (paper 2d: "mark these slots
-			// with 1 in the bitmap of the requesting node").
-			for _, sh := range plan.Sellers {
-				if err := n.slots.BuyRun(sh.Start, sh.N); err != nil {
-					panic(fmt.Sprintf("pm2: recording purchase: %v", err))
-				}
-			}
-			g.releaseRunLocks()
-			g.finish(true)
+// buyFrom buys the shares of the seller whose group starts at
+// g.sellers[i], then those of the sellers after it, and records the
+// purchase once every share is secured.
+func (g *negotiation) buyFrom(i int) {
+	n := g.n
+	if i == len(g.sellers) {
+		// All shares secured. Re-validate our own contribution to the
+		// run before recording it: a racing local allocation may have
+		// consumed one of our slots during the gather, in which case the
+		// run is broken — give every secured share back and retry with
+		// fresh bitmaps.
+		if !n.ownShareIntact(g.plan) {
+			g.returnSecured(i)
 			return
 		}
-		seller := order[i]
-		shares := byNode[seller]
-		// The owner allocated some of those slots since the gather.
-		declined := func() { returnSecured(i) }
-		n.exchange(call{kind: claimCall, dst: seller, ch: chBuy, build: func(b *madeleine.Buffer) {
-			b.PackU32(opPurchase)
-			packShares(b, shares)
-		}, reply: func(reply *madeleine.Buffer) {
-			if reply.U32() == 1 {
-				buyNext(i + 1)
-				return
+		// Mark the bought slots ours (paper 2d: "mark these slots with 1
+		// in the bitmap of the requesting node").
+		for _, sh := range g.plan.Sellers {
+			if err := n.slots.BuyRun(sh.Start, sh.N); err != nil {
+				panic(fmt.Sprintf("pm2: recording purchase: %v", err))
 			}
-			declined()
-		}, timeout: declined, late: func(reply *madeleine.Buffer) {
-			// A timeout reads as a decline, so an acceptance arriving
-			// after it leaves the shares sold to a buyer that already
-			// re-planned without them: return the orphans at once.
-			if reply.U32() == 1 {
-				n.giveBack(seller, shares, func() {})
-			}
-		}})
+		}
+		g.finish(true)
+		return
 	}
-	buyNext(0)
+	end := g.sellerEnd(i)
+	seller, shares := g.sellers[i].Node, g.sellers[i:end]
+	// The owner allocated some of those slots since the gather.
+	declined := func() { g.returnSecured(i) }
+	n.exchange(call{kind: claimCall, dst: seller, ch: chBuy, build: func(b *madeleine.Buffer) {
+		b.PackU32(opPurchase)
+		packShares(b, shares)
+	}, reply: func(reply *madeleine.Buffer) {
+		if reply.U32() == 1 {
+			g.buyFrom(end)
+			return
+		}
+		declined()
+	}, timeout: declined, late: func(reply *madeleine.Buffer) {
+		// A timeout reads as a decline, so an acceptance arriving after
+		// it leaves the shares sold to a buyer that already re-planned
+		// without them: return the orphans at once.
+		if reply.U32() == 1 {
+			n.giveBack(seller, shares, func() {})
+		}
+	}})
+}
+
+// sellerEnd returns the end of the seller group starting at g.sellers[i].
+func (g *negotiation) sellerEnd(i int) int {
+	end := i + 1
+	for end < len(g.sellers) && g.sellers[end].Node == g.sellers[i].Node {
+		end++
+	}
+	return end
+}
+
+// returnSecured gives the shares of g.sellers[:secured] straight back,
+// one give-back per seller, and retries with fresh bitmaps only once
+// every give-back has been acknowledged — re-gathering earlier could
+// observe the returned slots at neither party.
+func (g *negotiation) returnSecured(secured int) {
+	var returns []pendingReturn
+	for i := 0; i < secured; i = g.sellerEnd(i) {
+		returns = append(returns, pendingReturn{seller: g.sellers[i].Node, shares: g.sellers[i:g.sellerEnd(i)]})
+	}
+	g.retryAfterReturns(returns)
 }
 
 // ownShareIntact reports whether every slot of the planned run that the
@@ -472,7 +488,9 @@ type pendingReturn struct {
 func (g *negotiation) retryAfterReturns(returns []pendingReturn) {
 	n := g.n
 	n.c.stats.NegotiationRetries++
-	g.releaseRunLocks()
+	if !g.whole {
+		n.unlockAll(&g.held)
+	}
 	retry := func() {
 		if n.c.cfg.Arbiter == ArbiterGlobal {
 			// Under the system-wide lock a retry can only be racing a
@@ -527,7 +545,7 @@ func (g *negotiation) planAndBuyRange(global *bitmap.Bitmap) {
 		start, size = find(g.k), g.k
 	}
 	if start < 0 {
-		g.finish(false)
+		g.giveUp()
 		return
 	}
 
@@ -557,7 +575,6 @@ func (g *negotiation) planAndBuyRange(global *bitmap.Bitmap) {
 					}
 				}
 			}
-			g.releaseRunLocks()
 			g.finish(true)
 			return
 		}

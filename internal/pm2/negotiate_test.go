@@ -250,29 +250,32 @@ func TestGiveBackDeclineDoesNotCrash(t *testing.T) {
 	}
 }
 
-// TestLockManagerFIFO: contending acquisitions are granted strictly in
-// arrival order by the node-0 lock manager.
+// TestLockManagerFIFO: contending acquisitions of the system-wide
+// section are granted strictly in arrival order by its manager, node 0.
 func TestLockManagerFIFO(t *testing.T) {
 	c := New(Config{Nodes: 5}, progs.NewImage())
 	var grants []int
+	held := make([][]int, 5)
+	take := func(n *Node, then func()) {
+		n.lock(sectionKey, func() {
+			held[n.id] = append(held[n.id], sectionKey)
+			grants = append(grants, n.id)
+			then()
+		}, func() { t.Errorf("node %d: lock timed out", n.id) })
+	}
 	// Node 1 takes the lock at t=0 and sits on it; nodes 2, 3, 4
 	// request while it is held, in a scattered order.
-	c.At(1, func(n *Node) {
-		n.acquireLock(func() { grants = append(grants, 1) })
-	})
+	c.At(1, func(n *Node) { take(n, func() {}) })
 	for i, at := range map[int]simtime.Time{3: 10, 2: 20, 4: 30} {
 		i, at := i, at
 		c.Engine().At(at*simtime.Microsecond, func() {
 			c.At(i, func(n *Node) {
-				n.acquireLock(func() {
-					grants = append(grants, n.id)
-					n.releaseLock()
-				})
+				take(n, func() { n.unlockAll(&held[n.id]) })
 			})
 		})
 	}
 	c.Engine().At(100*simtime.Microsecond, func() {
-		c.At(1, func(n *Node) { n.releaseLock() })
+		c.At(1, func(n *Node) { n.unlockAll(&held[1]) })
 	})
 	c.Run(0)
 	want := []int{1, 3, 2, 4}

@@ -61,14 +61,9 @@ type Node struct {
 	regPtrs map[uint32]map[uint32]Addr
 	nextKey uint32
 
-	// lock manager state (only used on node 0, Config.Arbiter global).
-	lockHeld  bool
-	lockQueue []*madeleine.Call
-
-	// Shard-manager state of the sharded arbiter, for shards with
-	// shard mod n == id (allocated lazily on first lock).
-	shardHeld  map[int]bool
-	shardQueue map[int][]*madeleine.Call
+	// locks is the lock table of the keys this rank manages: a held key
+	// maps to its waiters (arbiter.go).
+	locks map[int][]*madeleine.Call
 
 	// neg is the negotiation running its protocol on this node (past the
 	// global lock, or this node's turn under the sharded arbiter), and

@@ -73,7 +73,8 @@ type Config struct {
 	// Dist is the initial slot distribution (default round-robin, as in
 	// the paper's experiments).
 	Dist core.Distribution
-	// CacheCap bounds the per-node mmapped-slot cache (default 8).
+	// CacheCap bounds the per-node mmapped-slot cache (default 8); a
+	// negative value disables the cache (ablation A1).
 	CacheCap int
 	// Quantum is the scheduling quantum in instructions (default 64).
 	Quantum int64
@@ -83,8 +84,6 @@ type Config struct {
 	Pack PackMode
 	// Policy selects the migration mechanism (default PolicyIso).
 	Policy MigrationPolicy
-	// NoCache disables the slot cache entirely (ablation A1).
-	NoCache bool
 	// RecordAllocs makes the runtime sample the virtual-time latency of
 	// every pm2_isomalloc and malloc call (the Figure 11 measurement).
 	RecordAllocs bool
@@ -258,8 +257,10 @@ type Cluster struct {
 	log   *trace.Log
 	pol   *policy.Engine
 	stats Stats
-	// shardMap partitions the slot space for the sharded arbiter.
+	// shardMap partitions the slot space for the sharded arbiter; whole
+	// lists the lock keys covering all of it (section or every shard).
 	shardMap core.ShardMap
+	whole    []int
 	// allocSamples records allocation latencies when cfg.RecordAllocs.
 	allocSamples []AllocSample
 	// bufPool recycles outgoing Madeleine buffers across all of the
@@ -342,8 +343,7 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	}
 	if cfg.CacheCap == 0 {
 		cfg.CacheCap = 8
-	}
-	if cfg.NoCache {
+	} else if cfg.CacheCap < 0 {
 		cfg.CacheCap = 0
 	}
 	if cfg.Placement == nil {
@@ -364,6 +364,10 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	}
 	c.pol = policy.NewEngine(cfg.Placement, cfg.Nodes)
 	c.shardMap = core.NewShardMap(layout.SlotCount, arbiterShards)
+	c.whole = []int{sectionKey}
+	if cfg.Arbiter == ArbiterSharded {
+		c.whole = c.shardMap.ShardsOfRun(0, layout.SlotCount)
+	}
 	c.bufPool = madeleine.NewPool()
 	c.nw = bip.NewNetwork(c.eng, cfg.Model, cfg.Nodes)
 	c.nodes = make([]*Node, cfg.Nodes)
@@ -569,12 +573,12 @@ func (c *Cluster) CheckDrained() error {
 	for i, n := range c.nodes {
 		switch g := n.neg; {
 		case g != nil:
-			return fmt.Errorf("pm2: node %d still runs a negotiation: k=%d round=%d held=%v escalated=%v give-backs=%d outstanding=%d",
-				i, g.k, g.round, g.held, g.escalated, g.giveBacks, g.outstanding)
+			return fmt.Errorf("pm2: node %d still runs a negotiation: k=%d round=%d held=%v whole=%v give-backs=%d outstanding=%d",
+				i, g.k, g.round, g.held, g.whole, g.giveBacks, g.outstanding)
 		case len(n.negWaiting) != 0:
 			return fmt.Errorf("pm2: node %d still queues %d negotiation(s)", i, len(n.negWaiting))
-		case len(n.shardHeld) != 0 || n.lockHeld:
-			return fmt.Errorf("pm2: manager %d still holds shard locks %v, global lock %v", i, n.shardHeld, n.lockHeld)
+		case len(n.locks) != 0:
+			return fmt.Errorf("pm2: manager %d still holds %d lock(s)", i, len(n.locks))
 		case n.calls != 0:
 			return fmt.Errorf("pm2: node %d still waits on %d call(s)", i, n.calls)
 		}

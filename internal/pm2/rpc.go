@@ -55,7 +55,7 @@ const (
 	// spawnCall moves on to the next live, unsuspected rank; once none
 	// is left the caller gets tid 0, like a local creation failure.
 	spawnCall
-	// claimCall is a purchase, lock or shard lock: expiry fails it, and
+	// claimCall is a purchase or a lock: expiry fails it, and
 	// the late handler undoes a late grant. Other kinds drop late replies.
 	claimCall
 	// giveBackCall reads expiry as acknowledged.
@@ -182,23 +182,7 @@ func (c *call) onTimer() {
 	timeout()
 }
 
-// acquireLockOr is acquireLock with a timeout continuation for the
-// negotiation path: expiry abandons the negotiation (the caller counts
-// a failure) instead of hanging it. A grant that outruns the timeout is
-// released immediately — the system-wide section must never be left
-// held by a waiter that walked away.
-func (n *Node) acquireLockOr(granted, timedOut func()) {
-	if n.c.cfg.RPCTimeout == 0 {
-		n.acquireLock(granted) // builds no late handler either
-		return
-	}
-	n.exchange(call{kind: claimCall, dst: 0, ch: chLock, patience: n.lockPatience(),
-		reply:   func(*madeleine.Buffer) { granted() },
-		timeout: timedOut,
-		late:    func(*madeleine.Buffer) { n.releaseLock() }})
-}
-
-// lockPatience is the deadline for the system-wide lock acquisition.
+// lockPatience is the deadline for taking the system-wide section.
 // A lock request legitimately queues: up to Nodes-1 earlier holders may
 // each burn Nodes × rpcMaxAttempts gather deadlines routing around
 // unreachable peers, so the flat deadline would read contention as a

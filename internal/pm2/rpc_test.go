@@ -104,12 +104,16 @@ func TestLateReplyTimeoutCompensates(t *testing.T) {
 		// Node 2 holds the global lock past node 1's whole patience.
 		hold := c.Node(1).lockPatience() + simtime.Millisecond
 		c.At(2, func(n *Node) {
-			n.acquireLock(func() { n.actor.PostAfter(hold, n.releaseLock) })
+			var held []int
+			n.lock(sectionKey, func() {
+				held = append(held, sectionKey)
+				n.actor.PostAfter(hold, func() { n.unlockAll(&held) })
+			}, func() { t.Error("node 2: lock timed out") })
 		})
 		granted, timedOut := false, false
 		c.Engine().At(10*simtime.Microsecond, func() {
 			c.At(1, func(n *Node) {
-				n.acquireLockOr(func() { granted = true }, func() { timedOut = true })
+				n.lock(sectionKey, func() { granted = true }, func() { timedOut = true })
 			})
 		})
 		c.Run(0)

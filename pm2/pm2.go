@@ -215,10 +215,6 @@ func (c Config) toInternal() (ipm2.Config, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
-	if c.SlotCache < 0 {
-		cfg.NoCache = true
-		cfg.CacheCap = 0
-	}
 	if c.WholeSlotPack {
 		cfg.Pack = ipm2.PackWhole
 	}
