@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/layout"
 	"repro/internal/vmem"
 )
 
@@ -117,6 +118,23 @@ func checkGroupBlocks(sp *vmem.Space, h *SlotHeader) error {
 	if len(onList) != len(physFree) {
 		return fmt.Errorf("core: group %#08x: %d blocks on free list, %d physically free",
 			h.Base, len(onList), len(physFree))
+	}
+	return nil
+}
+
+// CheckCache validates the mmapped free-slot cache: every cached slot
+// is owned and free, still mapped, and holds no host page.
+func (ns *NodeSlots) CheckCache() error {
+	for _, idx := range ns.cacheOrder {
+		base := layout.SlotBase(idx)
+		switch {
+		case !ns.bm.Test(idx):
+			return fmt.Errorf("core: cached slot %d is not owned and free", idx)
+		case !ns.space.IsMapped(base, layout.SlotSize):
+			return fmt.Errorf("core: cached slot %d is not mapped", idx)
+		case ns.space.BackedPages(base, layout.SlotSize) != 0:
+			return fmt.Errorf("core: cached slot %d holds %d host pages", idx, ns.space.BackedPages(base, layout.SlotSize))
+		}
 	}
 	return nil
 }

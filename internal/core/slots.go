@@ -121,7 +121,8 @@ type NodeConfig struct {
 	NumNodes int
 	Dist     Distribution
 	// CacheCap is the maximum number of free slots kept mmapped (the
-	// paper's §6 optimization). 0 disables the cache.
+	// paper's §6 optimization). 0 disables the cache. A cached slot
+	// keeps its mapping but no host memory (see Release).
 	CacheCap int
 	Model    *cost.Model
 }
@@ -239,9 +240,10 @@ func (ns *NodeSlots) AcquireOne() (int, error) {
 		ns.stats.Acquired++
 		ns.stats.CacheHits++
 		ns.ch.Charge(ns.cfg.Model.Probes(1))
-		// Handed out with stale contents, like real mmap reuse under
-		// MAP_UNINITIALIZED: the block layer rewrites all metadata and
-		// malloc semantics promise nothing about block bodies.
+		// Release discarded the slot's pages, so it is handed out
+		// demand-zero, like a fresh mmap: the block layer rewrites all
+		// metadata and malloc semantics promise nothing about block
+		// bodies.
 		return idx, nil
 	}
 	ns.ch.Charge(ns.cfg.Model.Probes(1))
@@ -313,7 +315,10 @@ func (ns *NodeSlots) AcquireAt(start, n int) error {
 
 // Release returns a run of slots to this node (thread released or died
 // here; paper: released slots go to the node the thread is visiting). The
-// memory is unmapped unless the single-slot cache has room.
+// memory is unmapped unless the single-slot cache has room. A cached
+// slot stays mapped — its reuse saves the mmap charge — but its host
+// pages are discarded: free slots hold no host memory. The discard is
+// host bookkeeping and charges nothing.
 func (ns *NodeSlots) Release(start, n int) error {
 	if ns.bm.TestRun(start, 1) {
 		return fmt.Errorf("core: Release [%d,%d): slot already free", start, start+n)
@@ -324,7 +329,7 @@ func (ns *NodeSlots) Release(start, n int) error {
 	if n == 1 && len(ns.cacheOrder) < ns.cfg.CacheCap {
 		ns.cached[start] = true
 		ns.cacheOrder = append(ns.cacheOrder, start)
-		return nil
+		return ns.space.Discard(layout.SlotBase(start), layout.SlotSize)
 	}
 	return ns.munmapSlots(start, n)
 }
@@ -333,8 +338,24 @@ func (ns *NodeSlots) Release(start, n int) error {
 // is untouched: the slots still belong to the migrating thread (paper §4.2:
 // "the bitmaps do not undergo any change on thread migration").
 func (ns *NodeSlots) Evict(start, n int) error {
+	ns.ChargeEvict(n)
+	return ns.UnmapEvicted(start, n)
+}
+
+// ChargeEvict charges and counts the munmap of an n-slot Evict without
+// unmapping anything. A sender whose message borrows the run's pages
+// (vmem.Space.ReadAliases) but whose cost model unmaps before the send
+// charges with it first, sends, and then calls UnmapEvicted: the send
+// gathers live pages, and virtual time sees the munmap first.
+func (ns *NodeSlots) ChargeEvict(n int) {
 	ns.stats.Evicted += uint64(n)
-	return ns.munmapSlots(start, n)
+	ns.stats.Munmaps++
+	ns.ch.Charge(ns.cfg.Model.Munmap(n * layout.PagesPerSlot))
+}
+
+// UnmapEvicted unmaps the slot run whose munmap ChargeEvict charged.
+func (ns *NodeSlots) UnmapEvicted(start, n int) error {
+	return ns.space.Munmap(layout.SlotBase(start), n*layout.SlotSize)
 }
 
 // Install maps a thread-owned slot run on migration arrival. The iso-address
@@ -456,7 +477,7 @@ func (ns *NodeSlots) RestoreBitmap(bm *bitmap.Bitmap) error {
 }
 
 // DropCache unmaps all cached free slots (used by ablation benchmarks to
-// simulate a cold slot cache).
+// simulate a cold slot cache, and by checkpoint capture).
 func (ns *NodeSlots) DropCache() {
 	for _, idx := range ns.cacheOrder {
 		delete(ns.cached, idx)

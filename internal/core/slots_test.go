@@ -197,6 +197,53 @@ func TestSlotCacheAvoidsMmap(t *testing.T) {
 	}
 }
 
+// TestCachedSlotHoldsNoPage: a slot released into the cache stays
+// mapped but gives its host pages to the space's free list, so it is
+// handed out again reading zeros; CheckCache fails on a cached slot
+// that holds a page.
+func TestCachedSlotHoldsNoPage(t *testing.T) {
+	pages := vmem.NewPages(4)
+	ns := NewNodeSlots(vmem.NewSpaceOn(pages), NopCharger{}, NodeConfig{NodeID: 0, NumNodes: 1, CacheCap: 4})
+	idx, err := ns.AcquireOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := layout.SlotBase(idx)
+	if err := ns.Space().Store32(base+layout.PageSize, 0xCAFE); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Release(idx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := ns.Space().BackedPages(base, layout.SlotSize); got != 0 {
+		t.Fatalf("a cached slot holds %d host pages, want 0", got)
+	}
+	if err := ns.CheckCache(); err != nil {
+		t.Fatal(err)
+	}
+	if !vmem.Poison && pages.Len() != 1 {
+		t.Fatalf("the free list holds %d pages, want the slot's one", pages.Len())
+	}
+	if st := ns.Stats(); st.Munmaps != 0 {
+		t.Fatalf("caching a slot unmapped it: %+v", st)
+	}
+	if _, err := ns.AcquireOne(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := ns.Space().Load32(base + layout.PageSize); err != nil || v != 0 {
+		t.Fatalf("a reused cached slot reads %#x, %v, want 0", v, err)
+	}
+	if err := ns.Release(idx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Space().Store32(base, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.CheckCache(); err == nil {
+		t.Fatal("CheckCache accepts a cached slot that holds a host page")
+	}
+}
+
 func TestCacheCapRespected(t *testing.T) {
 	ns := newSlots(t, 0, 1, RoundRobin{}, 2)
 	var idxs []int

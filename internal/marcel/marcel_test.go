@@ -147,10 +147,15 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10 && f.s.RunOne(); i++ {
+	// One quantum runs the thread up to its yield, where it parks
+	// still resident; r6 holds the isomalloc address. Running it on
+	// would halt it and release the slot that holds the word.
+	if !f.s.RunOne() {
+		t.Fatal("no thread dispatched")
 	}
-	// After the yield the thread is still resident; r6 holds the
-	// isomalloc address.
+	if f.s.Threads() != 1 {
+		t.Fatalf("%d threads resident after the yield, want 1", f.s.Threads())
+	}
 	addr := th.Regs.R[6]
 	v, err := f.ns.Space().Load32(addr)
 	if err != nil || v != 0xCAFE {

@@ -319,10 +319,13 @@ func TestMigrationAllocationGuard(t *testing.T) {
 // slot maps 16 pages, but only the pages its shipped spans land on take
 // host memory. Marginal runtime.MemStats.TotalAlloc per null ping-pong
 // hop, long run minus short run, was ≈66.7 KB on both the copying and
-// the convoy path with eager pages, ≈9.4 KB with demand-zero pages, and
-// is ≈8.8 KB now that messages below 8 KB reuse their wire bodies,
-// buffers and calls; the ceiling, 1.5× that, fails as soon as an install
-// backs a whole slot again.
+// the convoy path with eager pages, ≈9.4 KB with demand-zero pages,
+// ≈8.8 KB once messages below 8 KB reused their wire bodies, buffers and
+// calls, and is ≈0.55 KB now that an install backs its pages from the
+// ones the source's Evict returned to the cluster's free list; the
+// ceiling, 1.5× that, fails as soon as an install allocates a page
+// again. A poison build retires released pages, so it does not check
+// the ceiling.
 func TestMigrationHostBytesGuard(t *testing.T) {
 	totalAlloc := func(hops int, convoy bool) uint64 {
 		var before, after runtime.MemStats
@@ -340,11 +343,11 @@ func TestMigrationHostBytesGuard(t *testing.T) {
 		}
 		return best
 	}
-	const ceiling = 13000
+	const ceiling = 546 * 3 / 2
 	for _, convoy := range []bool{false, true} {
 		got := perHop(convoy)
 		t.Logf("convoy=%v: %.0f host bytes/hop", convoy, got)
-		if got > ceiling {
+		if got > ceiling && !vmem.Poison {
 			t.Fatalf("convoy=%v: %.0f host bytes/hop, ceiling %d", convoy, got, ceiling)
 		}
 	}

@@ -59,12 +59,23 @@ func (n *Node) evictGroups(groups []core.SlotGroup) {
 	}
 }
 
+// isoMigrateOut is the copying path. Its pack charged the memcpy of the
+// image into the buffer, so the source munmaps precede the send in
+// virtual time; host-side the buffer borrows the pages until the send
+// gathers them, so they are unmapped only then.
 func (n *Node) isoMigrateOut(t *marcel.Thread, dest int) {
 	buf := n.c.bufPool.Get()
 	groups := n.packThreadImage(buf, t, n.actor.Now(), false)
-	n.evictGroups(groups)
+	for _, g := range groups {
+		n.slots.ChargeEvict(g.NSlots)
+	}
 	n.ep.SendBody(dest, chMigrate, buf)
 	n.c.bufPool.Put(buf)
+	for _, g := range groups {
+		if err := n.slots.UnmapEvicted(layout.SlotIndex(g.Base), g.NSlots); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // onMigrateMsg is the destination half.

@@ -127,7 +127,7 @@ func newNode(c *Cluster, id int) *Node {
 		c:       c,
 		id:      id,
 		actor:   simtime.NewActor(c.eng, fmt.Sprintf("node%d", id)),
-		space:   vmem.NewSpace(),
+		space:   vmem.NewSpaceOn(c.pages),
 		regPtrs: make(map[uint32]map[uint32]Addr),
 	}
 	n.pumpFn = n.pump

@@ -24,6 +24,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/simtime"
 	"repro/internal/trace"
+	"repro/internal/vmem"
 )
 
 // PackMode selects how slot contents travel during migration.
@@ -267,6 +268,10 @@ type Cluster struct {
 	// cluster's endpoints and the migration packers. Per-cluster (not
 	// global) so reuse statistics are deterministic per run.
 	bufPool *madeleine.Pool
+	// pages is the free list of host pages every node's address space
+	// shares, so the pages one node unmaps back the next install
+	// anywhere (see hostPageBound).
+	pages *vmem.Pages
 	// cohortByTID maps a live tagged thread to its CohortSample index so
 	// the exit hook can stamp its completion (see slo.go). Lazily
 	// allocated on the first SpawnCohort.
@@ -315,6 +320,14 @@ func (cfg Config) Validate() error {
 	}
 	return nil
 }
+
+// hostPageBound is the most 4 KB host pages a cluster keeps on its free
+// list (Cluster.pages). A larger list recycles more of a migration
+// burst's pages but holds more heap once the cluster is idle; at 16
+// pages, 64 KB, no pm2perf workload ends with a larger live heap than
+// it had without the list (EXPERIMENTS.md, "Free slots hold no host
+// memory", has the sweep).
+const hostPageBound = 16
 
 // New builds a cluster over the (sealed) program image, panicking on an
 // invalid configuration. NewChecked is the error-returning variant.
@@ -369,6 +382,7 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 		c.whole = c.shardMap.ShardsOfRun(0, layout.SlotCount)
 	}
 	c.bufPool = madeleine.NewPool()
+	c.pages = vmem.NewPages(hostPageBound)
 	c.nw = bip.NewNetwork(c.eng, cfg.Model, cfg.Nodes)
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -534,7 +548,8 @@ func (c *Cluster) Now() simtime.Time { return c.eng.Now() }
 
 // CheckInvariants validates the cluster-wide iso-address discipline:
 // no slot is owned-free by two nodes, no iso slot is mapped in two address
-// spaces, and every resident thread's arena passes its structural checks.
+// spaces, no cached free slot holds a host page, and every resident
+// thread's arena passes its structural checks.
 func (c *Cluster) CheckInvariants() error {
 	maps := make([]*bitmap.Bitmap, len(c.nodes))
 	for i, n := range c.nodes {
@@ -557,6 +572,9 @@ func (c *Cluster) CheckInvariants() error {
 		}
 	}
 	for _, n := range c.nodes {
+		if err := n.slots.CheckCache(); err != nil {
+			return fmt.Errorf("node %d: %w", n.id, err)
+		}
 		if err := n.checkThreads(); err != nil {
 			return err
 		}

@@ -72,7 +72,13 @@ func (n *Node) relocMigrateOut(t *marcel.Thread, dest int) {
 		}
 		n.actor.Charge(n.c.cfg.Model.Memcpy(int(s.Len)))
 		buf.PackU32(s.Off)
-		buf.PackBytesVec(frags)
+		// Copied, not borrowed: the slot is released before the send.
+		buf.PackBytesAppend(func(dst []byte) []byte {
+			for _, f := range frags {
+				dst = append(dst, f...)
+			}
+			return dst
+		})
 	}
 
 	// The old stack area returns to this node: under relocation there is

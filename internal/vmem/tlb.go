@@ -16,14 +16,14 @@ type tlbEntry struct {
 // TLB is a direct-mapped software TLB in front of one Space's chunk map:
 // the Space owns one for its own accessors, and every resident thread
 // owns one for the interpreter. It holds only host-backed pages, never
-// an untouched one, so the first write to a page still allocates and
+// an untouched one, so the first write to a page still backs it and
 // ReadAliases still hands out the shared zero page; Read and Write stay
 // the only source of faults.
 //
 // A TLB must be synced to the Space it reads (Sync) before an access
-// and again whenever the Space may have unmapped memory since: Munmap
-// bumps the Space's generation, and Sync flushes a TLB whose
-// generation or Space differs. The zero value is an empty TLB synced
+// and again whenever the Space may have unmapped or discarded memory
+// since: Munmap and Discard bump the Space's generation, and Sync
+// flushes a TLB whose generation or Space differs. The zero value is an empty TLB synced
 // to no Space.
 type TLB struct {
 	e   [tlbSize]tlbEntry

@@ -13,7 +13,8 @@ import (
 
 // TestMunmapInvalidatesTLB: a page cached by a store, unmapped and mapped
 // again at the same address must read as zeros, and the next store must
-// back it with a fresh page rather than write into the unmapped one.
+// back it with a fresh page rather than write into the unmapped one,
+// which keeps its bytes (or, in a poison build, the poison fill).
 func TestMunmapInvalidatesTLB(t *testing.T) {
 	s := NewSpace()
 	base := Addr(layout.IsoBase)
@@ -46,8 +47,12 @@ func TestMunmapInvalidatesTLB(t *testing.T) {
 	if err := s.Store32(base+8, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(old[0][8:]); got != 0xCAFEF00D {
-		t.Fatalf("store after remap wrote into the unmapped page (it now holds %#x)", got)
+	want := uint32(0xCAFEF00D)
+	if Poison {
+		want = 0x01010101 * poisonByte
+	}
+	if got := binary.LittleEndian.Uint32(old[0][8:]); got != want {
+		t.Fatalf("store after remap wrote into the unmapped page (it now holds %#x, want %#x)", got, want)
 	}
 	now, err := s.ReadAliases(base, layout.PageSize)
 	if err != nil {
@@ -138,8 +143,11 @@ func (r *refSpace) mapping(addr Addr, n int, op FaultOp) error {
 		return err
 	}
 	verb := "mapping"
-	if op == OpUnmap {
+	switch op {
+	case OpUnmap:
 		verb = "unmapping"
+	case OpDiscard:
+		verb = "discard"
 	}
 	if !layout.PageAligned(addr) || n%layout.PageSize != 0 {
 		return &Fault{Addr: addr, Op: op, Why: fmt.Sprintf("misaligned %s of %d bytes", verb, n)}
@@ -148,14 +156,16 @@ func (r *refSpace) mapping(addr Addr, n int, op FaultOp) error {
 	for i := 0; i < n/layout.PageSize; i++ {
 		if r.mapped[first+uint32(i)] == (op == OpMap) {
 			why := "page already mapped"
-			if op == OpUnmap {
+			if op != OpMap {
 				why = "page not mapped"
 			}
 			return &Fault{Addr: addr + Addr(i*layout.PageSize), Op: op, Why: why}
 		}
 	}
 	for i := 0; i < n/layout.PageSize; i++ {
-		r.mapped[first+uint32(i)] = op == OpMap
+		if op != OpDiscard {
+			r.mapped[first+uint32(i)] = op == OpMap
+		}
 		delete(r.mem, first+uint32(i))
 	}
 	return nil

@@ -31,6 +31,7 @@ const (
 	OpWrite
 	OpMap
 	OpUnmap
+	OpDiscard
 )
 
 func (op FaultOp) String() string {
@@ -43,6 +44,8 @@ func (op FaultOp) String() string {
 		return "mmap"
 	case OpUnmap:
 		return "munmap"
+	case OpDiscard:
+		return "discard"
 	}
 	return "?"
 }
@@ -100,21 +103,24 @@ const tlbSize = 4
 // unmapped page always has a nil host page. A chunk emptied by Munmap
 // leaves the map and becomes the Space's one spare, which the next
 // Mmap of a fresh chunk reuses, so slot map/unmap churn allocates
-// nothing.
+// nothing. Host pages come from and go back to the cluster's Pages
+// list, if the Space has one.
 //
 // A backed page is never replaced while it is mapped — Mmap refuses
-// overlap and Write only fills a nil page — so the one thing that can
-// stale a TLB entry is Munmap, which bumps gen: every TLB synced to an
-// older generation flushes at its next Sync.
+// overlap and Write only fills a nil page — so the only things that can
+// stale a TLB entry are Munmap and Discard, which bump gen: every TLB
+// synced to an older generation flushes at its next Sync.
 type Space struct {
 	// chunks holds every chunk with a mapped page, keyed by page
 	// index >> chunkShift.
 	chunks map[uint32]*chunk
 	// spare is the last chunk Munmap emptied, or nil.
 	spare *chunk
+	// pages recycles host pages; nil allocates every page afresh.
+	pages *Pages
 	// npages counts currently mapped pages.
 	npages int
-	// gen counts Munmap calls (see TLB.Sync).
+	// gen counts Munmap and Discard calls (see TLB.Sync).
 	gen uint64
 	// tlb serves the Space's own word and byte accessors.
 	tlb TLB
@@ -141,9 +147,14 @@ func chunkMask(ci, first, end uint32) uint16 {
 	return uint16(uint32(1)<<hi - uint32(1)<<lo)
 }
 
-// NewSpace returns an empty address space: no page is mapped.
-func NewSpace() *Space {
-	return &Space{chunks: make(map[uint32]*chunk)}
+// NewSpace returns an empty address space: no page is mapped. Its host
+// pages are allocated afresh and left to the Go collector.
+func NewSpace() *Space { return NewSpaceOn(nil) }
+
+// NewSpaceOn is NewSpace over the free list pages, which other Spaces
+// may share; nil is NewSpace.
+func NewSpaceOn(pages *Pages) *Space {
+	return &Space{chunks: make(map[uint32]*chunk), pages: pages}
 }
 
 // MappedBytes returns the number of currently mapped bytes.
@@ -262,33 +273,77 @@ func (s *Space) Mmap(addr Addr, n int) error {
 // Munmap unmaps the page-aligned range [addr, addr+n). Every page in the
 // range must currently be mapped.
 func (s *Space) Munmap(addr Addr, n int) error {
-	if err := checkRange(addr, n, OpUnmap); err != nil {
+	return s.release(addr, n, OpUnmap)
+}
+
+// Discard drops the host pages behind the page-aligned range
+// [addr, addr+n) but keeps it mapped: the range reads as zeros again,
+// as after a fresh Mmap, and takes no host memory until it is written.
+// Every page in the range must currently be mapped. It is what an
+// madvise(MADV_DONTNEED) does to a cached free slot.
+func (s *Space) Discard(addr Addr, n int) error {
+	return s.release(addr, n, OpDiscard)
+}
+
+// release is Munmap (op OpUnmap) or Discard (OpDiscard): it drops the
+// range's host pages into the free list, unmaps the range for Munmap,
+// and flushes every TLB synced to s.
+func (s *Space) release(addr Addr, n int, op FaultOp) error {
+	if err := checkRange(addr, n, op); err != nil {
 		return err
 	}
 	if !layout.PageAligned(addr) || n%layout.PageSize != 0 {
-		return &Fault{Addr: addr, Op: OpUnmap, Why: fmt.Sprintf("misaligned unmapping of %d bytes", n)}
+		verb := "unmapping"
+		if op == OpDiscard {
+			verb = "discard"
+		}
+		return &Fault{Addr: addr, Op: op, Why: fmt.Sprintf("misaligned %s of %d bytes", verb, n)}
 	}
 	if n > 0 {
 		first, end := pageRange(addr, n)
 		if pi := s.find(first, end, false); pi != end {
-			return &Fault{Addr: Addr(pi) << layout.PageShift, Op: OpUnmap, Why: "page not mapped"}
+			return &Fault{Addr: Addr(pi) << layout.PageShift, Op: op, Why: "page not mapped"}
 		}
 		for ci := first >> chunkShift; ci<<chunkShift < end; ci++ {
 			c, m := s.chunks[ci], chunkMask(ci, first, end)
-			c.mapped &^= m
-			for ; m != 0; m &= m - 1 {
-				c.pg[bits.TrailingZeros16(m)] = nil
+			for b := m; b != 0; b &= b - 1 {
+				if pg := &c.pg[bits.TrailingZeros16(b)]; *pg != nil {
+					s.pages.put(*pg)
+					*pg = nil
+				}
 			}
-			if c.mapped == 0 {
+			if op == OpDiscard {
+				continue
+			}
+			if c.mapped &^= m; c.mapped == 0 {
 				delete(s.chunks, ci)
 				s.spare = c
 			}
 		}
-		s.npages -= int(end - first)
+		if op == OpUnmap {
+			s.npages -= int(end - first)
+		}
 	}
 	s.gen++
 	s.tlb.Reset()
 	return nil
+}
+
+// BackedPages returns the number of pages of [addr, addr+n) that hold
+// a host page: mapped and written since they were mapped or discarded.
+func (s *Space) BackedPages(addr Addr, n int) int {
+	if n <= 0 || uint64(addr)+uint64(n) > 1<<32 {
+		return 0
+	}
+	first, end := pageRange(addr, n)
+	w := pageWalk{s: s, ci: noChunk}
+	backed := 0
+	for pi := first; pi < end; pi++ {
+		if p := w.slot(pi); p != nil && *p != nil {
+			backed++
+		}
+	}
+	return backed
 }
 
 // IsMapped reports whether every byte of [addr, addr+n) is mapped.
@@ -322,7 +377,9 @@ func (s *Space) Read(addr Addr, p []byte) error {
 }
 
 // Write copies p into simulated memory at addr, faulting if any byte is
-// unmapped. The first write to a page allocates its host memory.
+// unmapped. The first write to a page backs it with a host page from
+// the free list, zeroed where the write does not cover it, or with a
+// fresh one.
 func (s *Space) Write(addr Addr, p []byte) error {
 	if err := checkRange(addr, len(p), OpWrite); err != nil {
 		return err
@@ -339,10 +396,10 @@ func (s *Space) Write(addr Addr, p []byte) error {
 	w := pageWalk{s: s, ci: noChunk}
 	for off := 0; off < len(p); {
 		slot := w.slot(pageIndex(addr + Addr(off)))
-		if *slot == nil {
-			*slot = new(page)
-		}
 		in := int(addr+Addr(off)) & (layout.PageSize - 1)
+		if *slot == nil {
+			*slot = s.pages.take(in, min(in+len(p)-off, layout.PageSize))
+		}
 		off += copy((*slot)[in:], p[off:])
 	}
 	return nil
@@ -396,8 +453,11 @@ func (s *Space) ReadBytes(addr Addr, n int) ([]byte, error) {
 // migration packer hands these to the NIC's gather list. The fragments
 // are read-only: an untouched page surfaces as the shared zero page,
 // which every space aliases. They are only valid until the range is
-// written or unmapped; callers must consume them (or copy) before
-// releasing the pages.
+// written, unmapped or discarded: a released page goes back to the
+// free list, where the next Write anywhere in the cluster may reuse
+// it, so callers must consume them (or copy) before releasing the
+// pages. A poison build overwrites every released page to catch a
+// caller that does not.
 func (s *Space) ReadAliases(addr Addr, n int) ([][]byte, error) {
 	if err := checkRange(addr, n, OpRead); err != nil {
 		return nil, err

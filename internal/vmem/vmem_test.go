@@ -533,16 +533,18 @@ func (p *spaceTape) access() (Addr, int) {
 	return Addr(pi<<layout.PageShift + in), n
 }
 
-// FuzzSpace runs a fuzzer-chosen tape of Mmap and Munmap calls — whole
-// slots, partial chunks and runs across chunk boundaries — interleaved
-// with every accessor, against the per-page reference model of
-// tlb_test.go. Every value, every byte and every fault must match the
+// FuzzSpace runs a fuzzer-chosen tape of Mmap, Munmap and Discard
+// calls — whole slots, partial chunks and runs across chunk boundaries
+// — interleaved with every accessor, against the per-page reference
+// model of tlb_test.go. The space recycles its pages through a small
+// free list, so a partial write often lands on a page that held other
+// bytes. Every value, every byte and every fault must match the
 // model, MappedPages and MappedBytes must agree with it after every
 // step, and a failed call must leave the pages it names unchanged,
 // down to which of them are backed by host memory. A thread TLB is
-// synced to the space across Munmap calls as vm.Run does, and neither
-// it nor the space's own TLB may ever hold a page that is unmapped or
-// still demand-zero.
+// synced to the space across Munmap and Discard calls as vm.Run does,
+// and neither it nor the space's own TLB may ever hold a page that is
+// unmapped or demand-zero, as a discarded page is.
 func FuzzSpace(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
@@ -555,12 +557,15 @@ func FuzzSpace(f *testing.F) {
 	// Map a slot, store into it, unmap and map it again, and read the
 	// stored word back as zeros.
 	f.Add([]byte{0, 0, 0, 0, 3, 0, 0, 0x20, 4, 7, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0x20, 4})
+	// Map a slot, store into it, discard it and read zeros, then write
+	// two bytes, which recycle the discarded page, and read around them.
+	f.Add([]byte{0, 0, 0, 0, 3, 0, 0, 0x20, 4, 7, 11, 0, 0, 0, 2, 0, 0, 0x20, 4, 3, 0, 0, 0x20, 2, 9, 2, 0, 0, 0x20, 4})
 	// Map two slots, write across their boundary, unmap the first
 	// slot's last page, read across the hole and past it, then fail to
 	// unmap the two pages around the boundary and read the second again.
 	f.Add([]byte{0, 0, 4, 0, 3, 0, 15, 1, 8, 0x40, 1, 0, 62, 0, 2, 0, 15, 1, 8, 2, 0, 16, 0, 4, 1, 0, 1, 0, 2, 0, 16, 0, 4})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s := NewSpace()
+		s := NewSpaceOn(NewPages(2))
 		ref := newRefSpace()
 		var tlb TLB
 		// pages returns the page indices [a, a+n) touches, clipped to
@@ -623,7 +628,7 @@ func FuzzSpace(f *testing.F) {
 			var n int
 			var got, want any
 			var gotErr, wantErr error
-			switch op := code % 11; op {
+			switch op := code % 12; op {
 			case 0, 1:
 				a, n = p.span()
 				if op == 0 {
@@ -703,12 +708,15 @@ func FuzzSpace(f *testing.F) {
 				}
 			case 10:
 				tlb.Reset()
+			case 11:
+				a, n = p.span()
+				gotErr, wantErr = s.Discard(a, n), ref.mapping(a, n, OpDiscard)
 			}
 			if !reflect.DeepEqual(gotErr, wantErr) {
-				t.Fatalf("step %d op %d at %#x+%d: error %v, want %v", step, code%11, a, n, gotErr, wantErr)
+				t.Fatalf("step %d op %d at %#x+%d: error %v, want %v", step, code%12, a, n, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d op %d at %#x+%d: value %v, want %v", step, code%11, a, n, got, want)
+				t.Fatalf("step %d op %d at %#x+%d: value %v, want %v", step, code%12, a, n, got, want)
 			}
 			if gotErr != nil {
 				first, end := pages(a, n)
