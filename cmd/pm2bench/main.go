@@ -31,10 +31,11 @@
 // profiles of whatever figure runs.
 //
 // -report DIR writes DIR/BENCH_<figure>.txt for each gated figure that
-// runs (migration, negotiation, failover, partition, serve, scale);
-// `benchcheck ci DIR` holds them against the committed baselines. The
-// cluster flags are pm2.BindFlags's; of them only -nodes, -policy,
-// -gather and -arbiter configure a figure, and the rest are refused.
+// runs (migration, negotiation, contention, failover, partition, serve,
+// scale); `benchcheck ci DIR` holds them against the committed
+// baselines. The cluster flags are pm2.BindFlags's; of them only -nodes,
+// -policy, -gather and -arbiter configure a figure, and the rest are
+// refused.
 package main
 
 import (
@@ -153,7 +154,7 @@ func main() {
 		fig11b(*trials)
 		report(migration())
 		report(negotiation())
-		contention(arbiters)
+		report(contention(arbiters))
 		report(failover())
 		report(partitionFig())
 		create()
@@ -172,7 +173,7 @@ func main() {
 	case "negotiation":
 		report(negotiation())
 	case "contention":
-		contention(arbiters)
+		report(contention(arbiters))
 	case "failover":
 		report(failover())
 	case "partition":
@@ -399,20 +400,23 @@ func printGatherTable(counts []int, rows map[pm2.GatherMode][]bench.NegotiationR
 // a multi-slot negotiation in the same instant under each arbiter. The
 // delta gather keeps the gather term identical across arbiters, so the
 // spread between the rows is purely the concurrency scheme.
-func contention(arbs []pm2.ArbiterMode) {
+func contention(arbs []pm2.ArbiterMode) []bench.Row {
 	header("Extension: concurrent initiators × negotiation arbiter (3-slot allocs, delta gather)")
 	fmt.Printf("%6s %6s %-12s %4s %8s %14s %10s %10s %10s %10s\n",
 		"nodes", "inits", "arbiter", "ok", "retries", "makespan µs", "negos/ms", "p50 µs", "p95 µs", "p99 µs")
+	var table bench.ContentionTable
 	for _, nm := range []struct{ nodes, inits int }{{4, 4}, {16, 4}, {16, 8}, {16, 16}, {64, 16}, {64, 32}} {
 		for _, r := range bench.Contention(nm.nodes, nm.inits, arbs, pm2.GatherDelta) {
 			fmt.Printf("%6d %6d %-12s %4d %8d %14.1f %10.2f %10.1f %10.1f %10.1f\n",
 				r.Nodes, r.Initiators, r.Arbiter, r.Succeeded, r.Retries,
 				r.MakespanMicros, r.ThroughputPerMs, r.P50, r.P95, r.P99)
+			table = append(table, r)
 		}
 	}
 	fmt.Println("\n(the global arbiter serializes every negotiation through node 0's lock, so its")
 	fmt.Println(" makespan grows with the initiator count; the sharded arbiter locks only the")
 	fmt.Println(" shards a planned run touches, so disjoint negotiations overlap)")
+	return table.Rows()
 }
 
 // failover prints the fail-stop recovery figure: one node of four dies

@@ -460,17 +460,36 @@ type ContentionRow struct {
 	P50, P95, P99 float64
 }
 
+// ContentionTable is the contention figure: one row per arbiter at each
+// measured nodes × initiators point.
+type ContentionTable []ContentionRow
+
+// Rows states the contention figure's gates: the makespan, p50 and p99
+// of every arbiter at every point are deterministic virtual quantities,
+// held exact.
+func (t ContentionTable) Rows() []Row {
+	rows := make([]Row, 0, 3*len(t))
+	for _, r := range t {
+		key := fmt.Sprintf("n%d.i%d.%s.", r.Nodes, r.Initiators, r.Arbiter)
+		rows = append(rows,
+			Row{"contention", key + "makespan", r.MakespanMicros, "us", Exact},
+			Row{"contention", key + "p50", r.P50, "us", Exact},
+			Row{"contention", key + "p99", r.P99, "us", Exact})
+	}
+	return rows
+}
+
 // Contention measures the negotiation protocol under concurrent
 // initiators: m nodes (evenly spread over the cluster) each start a
 // 3-slot negotiation in the same instant, once per arbiter scheme. The
 // global arbiter serializes all of them through the node-0 lock, so its
 // makespan grows with m; the sharded arbiter lets disjoint
 // negotiations overlap — the figure it exists for.
-func Contention(nodes, m int, arbiters []pm2.ArbiterMode, gather pm2.GatherMode) []ContentionRow {
+func Contention(nodes, m int, arbiters []pm2.ArbiterMode, gather pm2.GatherMode) ContentionTable {
 	if m > nodes {
 		m = nodes
 	}
-	rows := make([]ContentionRow, 0, len(arbiters))
+	rows := make(ContentionTable, 0, len(arbiters))
 	for _, arb := range arbiters {
 		c := pm2.New(pm2.Config{Nodes: nodes, Gather: gather, Arbiter: arb}, progs.NewImage())
 		succeeded := 0

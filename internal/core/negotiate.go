@@ -61,93 +61,25 @@ func PlanPurchaseOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, n, requester i
 	if start < 0 {
 		return Purchase{}, false
 	}
-	return purchaseAt(maps, start, n, requester), true
+	return PurchaseAt(maps, start, n, requester, false), true
 }
 
-// PlanCandidatesOn enumerates up to max candidate purchases of n
-// contiguous slots, scanning the global map from slot origin and
-// wrapping past the end — one candidate per maximal free region, in
-// scan order. The sharded arbiter uses it to pick among runs by
-// seller count (fewest-owners-first) instead of committing to the
-// first fit, and the per-node origin spreads concurrent initiators
-// over disjoint regions of the slot space so their shard sets rarely
-// collide.
-//
-// Unlike PlanPurchaseOn, the maps here were gathered without any lock,
-// so the snapshots may be mutually torn: a slot sold mid-gather can
-// appear owned by both its old and its new owner. Ownership is
-// therefore resolved loosely (deterministically preferring the
-// requester's own authoritative map, then the lowest rank) — a wrong
-// attribution surfaces as a purchase decline and a retried round,
-// never as double ownership, because only the current owner will sell.
-func PlanCandidatesOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, n, requester, origin, max int) []Purchase {
+// PurchaseAt splits the chosen run [start, start+n) into per-owner
+// seller shares (paper step 2d–2e). Strictly, every free slot has
+// exactly one owner, and a duplicate is a broken invariant that panics:
+// the maps were gathered holding the whole slot space. Loosely, the maps
+// may have been gathered without that lock, so the snapshots may be
+// mutually torn: a slot sold mid-gather can appear owned by both its old
+// and its new owner. A duplicate then resolves deterministically to the
+// requester's own authoritative map, then to the lowest rank; a wrong
+// attribution surfaces as a purchase decline and a retried round, never
+// as double ownership, because only the current owner will sell.
+func PurchaseAt(maps []*bitmap.Bitmap, start, n, requester int, loose bool) Purchase {
 	checkPlanArgs(maps, n, requester)
-	if max < 1 {
-		max = 1
+	owner := ownerOf
+	if loose {
+		owner = func(maps []*bitmap.Bitmap, i int) int { return ownerOfLoose(maps, i, requester) }
 	}
-	if origin < 0 || origin >= global.Len() {
-		origin = 0
-	}
-	var out []Purchase
-	scan := func(from, limit int) {
-		i := from
-		for len(out) < max {
-			s := global.FindRunFrom(i, n)
-			if s < 0 || s >= limit {
-				return
-			}
-			out = append(out, purchaseAtLoose(maps, s, n, requester))
-			// One candidate per maximal free region: skip to the end of
-			// the region containing s before searching again.
-			e := s + n
-			for e < global.Len() && global.Test(e) {
-				e++
-			}
-			i = e + 1
-		}
-	}
-	scan(origin, global.Len())
-	if len(out) < max && origin > 0 {
-		scan(0, origin)
-	}
-	return out
-}
-
-// Owners returns the number of distinct sellers the purchase buys from.
-func (p Purchase) Owners() int {
-	seen := make(map[int]bool, len(p.Sellers))
-	for _, sh := range p.Sellers {
-		seen[sh.Node] = true
-	}
-	return len(seen)
-}
-
-func checkPlanArgs(maps []*bitmap.Bitmap, n, requester int) {
-	if n <= 0 {
-		panic("core: PlanPurchase with non-positive run")
-	}
-	if requester < 0 || requester >= len(maps) || maps[requester] == nil {
-		panic(fmt.Sprintf("core: requester %d out of range", requester))
-	}
-}
-
-// purchaseAt splits the chosen run [start, start+n) into per-owner
-// seller shares (paper step 2d–2e), with the strict single-owner
-// invariant of a lock-protected gather.
-func purchaseAt(maps []*bitmap.Bitmap, start, n, requester int) Purchase {
-	return splitRun(maps, start, n, requester, ownerOf)
-}
-
-// purchaseAtLoose is purchaseAt over possibly-torn unlocked snapshots:
-// duplicate apparent owners resolve to the requester's own map first
-// (it is local, hence authoritative), then to the lowest rank.
-func purchaseAtLoose(maps []*bitmap.Bitmap, start, n, requester int) Purchase {
-	return splitRun(maps, start, n, requester, func(maps []*bitmap.Bitmap, i int) int {
-		return ownerOfLoose(maps, i, requester)
-	})
-}
-
-func splitRun(maps []*bitmap.Bitmap, start, n, requester int, owner func([]*bitmap.Bitmap, int) int) Purchase {
 	p := Purchase{Start: start, N: n}
 	for i := start; i < start+n; {
 		o := owner(maps, i)
@@ -161,6 +93,15 @@ func splitRun(maps []*bitmap.Bitmap, start, n, requester int, owner func([]*bitm
 		i = j
 	}
 	return p
+}
+
+func checkPlanArgs(maps []*bitmap.Bitmap, n, requester int) {
+	if n <= 0 {
+		panic("core: PlanPurchase with non-positive run")
+	}
+	if requester < 0 || requester >= len(maps) || maps[requester] == nil {
+		panic(fmt.Sprintf("core: requester %d out of range", requester))
+	}
 }
 
 // ownerOfLoose returns a node whose bitmap has slot i set, preferring

@@ -134,47 +134,40 @@ func TestCheckSingleOwnership(t *testing.T) {
 	}
 }
 
-func TestPlanCandidatesOn(t *testing.T) {
-	// Three free regions: [0,4) owned by nodes 0/1 alternating, [10,13)
-	// owned solely by node 2, [20,22) owned by node 0.
+// TestPurchaseAt splits one run both ways. On torn maps (slot 0 shown
+// at nodes 1 and 2, slot 1 at the requester and node 2) the loose split
+// resolves a duplicate to the requester, then to the lowest rank, and
+// the strict split panics. On clean maps the two splits agree.
+func TestPurchaseAt(t *testing.T) {
 	maps := []*bitmap.Bitmap{bitmap.New(64), bitmap.New(64), bitmap.New(64)}
-	maps[0].Set(0)
-	maps[1].Set(1)
-	maps[0].Set(2)
-	maps[1].Set(3)
-	maps[2].SetRun(10, 3)
-	maps[0].SetRun(20, 2)
-	global := bitmap.New(64)
-	for _, m := range maps {
-		global.Or(m)
-	}
+	maps[1].Set(0)
+	maps[2].Set(0)
+	maps[0].Set(1)
+	maps[2].Set(1)
+	maps[2].SetRun(2, 2)
 
-	cands := PlanCandidatesOn(global, maps, 2, 0, 0, 8)
-	if len(cands) != 3 {
-		t.Fatalf("candidates = %d, want one per free region", len(cands))
+	p := PurchaseAt(maps, 0, 4, 0, true)
+	want := []SellerShare{{Node: 1, Start: 0, N: 1}, {Node: 2, Start: 2, N: 2}}
+	if p.Start != 0 || p.N != 4 || len(p.Sellers) != 2 || p.Sellers[0] != want[0] || p.Sellers[1] != want[1] {
+		t.Fatalf("loose split = %+v, want sellers %+v", p, want)
 	}
-	if cands[0].Start != 0 || cands[1].Start != 10 || cands[2].Start != 20 {
-		t.Fatalf("candidate starts = %d,%d,%d, want 0,10,20", cands[0].Start, cands[1].Start, cands[2].Start)
-	}
-	if cands[0].Owners() != 1 || cands[1].Owners() != 1 || cands[2].Owners() != 0 {
-		t.Fatalf("owner counts = %d,%d,%d", cands[0].Owners(), cands[1].Owners(), cands[2].Owners())
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("strict split of torn maps did not panic")
+			}
+		}()
+		PurchaseAt(maps, 0, 4, 0, false)
+	}()
 
-	// Origin mid-space: the forward scan finds the regions at and past
-	// the origin first (the tail of [10,13) is too short for a run), and
-	// the wrap revisits the space before the origin — including the
-	// origin's own region from its start, where a full run does fit.
-	wrapped := PlanCandidatesOn(global, maps, 2, 0, 12, 8)
-	starts := make([]int, len(wrapped))
-	for i, c := range wrapped {
-		starts[i] = c.Start
+	clean := rrMaps(3)
+	strict, loose := PurchaseAt(clean, 5, 4, 1, false), PurchaseAt(clean, 5, 4, 1, true)
+	if len(strict.Sellers) != 3 || len(loose.Sellers) != 3 {
+		t.Fatalf("clean splits = %+v and %+v, want 3 sellers each", strict, loose)
 	}
-	if len(starts) != 3 || starts[0] != 20 || starts[1] != 0 || starts[2] != 10 {
-		t.Fatalf("wrapped candidate starts = %v, want [20 0 10]", starts)
-	}
-
-	// The max bound truncates in scan order.
-	if one := PlanCandidatesOn(global, maps, 2, 0, 0, 1); len(one) != 1 || one[0].Start != 0 {
-		t.Fatalf("bounded candidates wrong: %+v", one)
+	for i := range strict.Sellers {
+		if strict.Sellers[i] != loose.Sellers[i] {
+			t.Fatalf("clean splits differ: %+v vs %+v", strict, loose)
+		}
 	}
 }

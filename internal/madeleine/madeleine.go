@@ -73,11 +73,18 @@ func (b *Buffer) flatten() {
 	if len(b.refs) == 0 {
 		return
 	}
+	b.data, b.refs, b.refLen = b.CopyBytes(), b.refs[:0], 0
+}
+
+// CopyBytes returns the whole message, borrowed sections included, in
+// one new slice the caller owns. Unlike Bytes it leaves the buffer as it
+// is, so its backing array stays pooled and is copied from only once.
+func (b *Buffer) CopyBytes() []byte {
 	out := make([]byte, 0, b.Len())
 	for _, seg := range b.appendSegments(nil) {
 		out = append(out, seg...)
 	}
-	b.data, b.refs, b.refLen = out, b.refs[:0], 0
+	return out
 }
 
 // appendSegments appends the message to out as an ordered span list —

@@ -53,6 +53,43 @@ func TestPackBytesAppendMatchesPackBytes(t *testing.T) {
 	}
 }
 
+// TestCopyBytesOwnsItsResult: CopyBytes gathers inline words and
+// borrowed sections into the wire layout Bytes would produce, but into a
+// slice of its own. Reusing the pooled buffer, or changing the borrowed
+// memory, after Put leaves the copy as it was, and the buffer keeps its
+// pooled backing array instead of a flattened one.
+func TestCopyBytesOwnsItsResult(t *testing.T) {
+	pool := NewPool()
+	buf := pool.Get()
+	page := []byte("borrowed page")
+	frags := [][]byte{[]byte("frag-one "), []byte("frag-two")}
+	buf.PackU32(7).PackBytesRef(page).PackString("inline").PackBytesVec(frags).PackU64(9)
+	inline := buf.InlineLen()
+
+	want := NewBuffer()
+	want.PackU32(7).PackBytes(page).PackString("inline").PackBytes([]byte("frag-one frag-two")).PackU64(9)
+	got := buf.CopyBytes()
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("CopyBytes = %q, want %q", got, want.Bytes())
+	}
+	if buf.InlineLen() != inline || buf.Len() != len(got) {
+		t.Fatalf("CopyBytes flattened the buffer: inline %d→%d", inline, buf.InlineLen())
+	}
+	kept := append([]byte(nil), got...)
+
+	pool.Put(buf)
+	again := pool.Get()
+	if again != buf {
+		t.Fatal("the pool did not hand the buffer back")
+	}
+	again.PackBytes(bytes.Repeat([]byte{0xEE}, len(got)))
+	copy(page, "overwritten!!")
+	copy(frags[0], "XXXXXXXXX")
+	if !bytes.Equal(got, kept) {
+		t.Fatalf("the copy changed after Put: %q, want %q", got, kept)
+	}
+}
+
 func TestBufferUnderflowIsSticky(t *testing.T) {
 	r := FromBytes([]byte{1, 2})
 	if got := r.U32(); got != 0 {

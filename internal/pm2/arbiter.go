@@ -26,8 +26,14 @@ import (
 // change. The global arbiter is that escalated state from the first
 // round. Either way negotiation.whole marks a holder of the whole slot
 // space (the keys Cluster.whole lists), which a defragmentation takes
-// too. A node still runs its own negotiations one at a time (Node.neg,
-// Node.negWaiting); the parallelism is across initiators.
+// too. A whole holder races no other negotiation, so it plans the
+// paper's way: first fit from slot 0, a strict split of the run among
+// its owners, and an immediate retry. Any other negotiation searches
+// from its home origin, splits loosely and backs off (negotiate.go).
+// Beyond that, the arbiters differ only at the entry: a global
+// negotiation takes the section first, a sharded one queues behind its
+// node's running negotiation (Node.neg, Node.negWaiting); the
+// parallelism is across initiators.
 
 // ArbiterMode selects the negotiation concurrency scheme.
 type ArbiterMode int
@@ -96,11 +102,16 @@ func (n *Node) grant(key int, req *madeleine.Call) {
 		n.locks[key] = append(q, req)
 		return
 	}
+	n.hold(key)
+	req.Reply(nil)
+}
+
+// hold enters key in the lock table, held and with no waiters.
+func (n *Node) hold(key int) {
 	if n.locks == nil {
 		n.locks = make(map[int][]*madeleine.Call)
 	}
 	n.locks[key] = nil
-	req.Reply(nil)
 }
 
 // release hands key to its first waiter, or frees it. It reports false
@@ -131,13 +142,21 @@ func (c *Cluster) lockManager(key int) int {
 }
 
 // lock claims key at its manager: granted runs once this node holds
-// it, timedOut if it was not granted by the deadline. A late grant is
-// unlocked at once at the manager that granted it.
+// it, timedOut if it was not granted by the deadline. The node records
+// the granting rank, and unlockAll unlocks there even if lockManager has
+// since rerouted the key. A late grant is unlocked at once at the
+// manager that granted it.
 func (n *Node) lock(key int, granted, timedOut func()) {
 	mgr := n.c.lockManager(key)
 	c := call{kind: claimCall, dst: mgr, ch: chShardLock,
-		build:   func(b *madeleine.Buffer) { b.PackU32(uint32(key)) },
-		reply:   func(*madeleine.Buffer) { granted() },
+		build: func(b *madeleine.Buffer) { b.PackU32(uint32(key)) },
+		reply: func(*madeleine.Buffer) {
+			if n.grantedBy == nil {
+				n.grantedBy = make(map[int]int)
+			}
+			n.grantedBy[key] = mgr
+			granted()
+		},
 		timeout: timedOut,
 		late:    func(*madeleine.Buffer) { n.unlock(mgr, key) }}
 	if key == sectionKey {
@@ -166,22 +185,51 @@ func (n *Node) lockEach(keys []int, held *[]int, then, fail func()) {
 	})
 }
 
-// unlockAll unlocks every key in *held at its manager (one-way) and
-// empties *held.
+// unlockAll unlocks every key in *held at the manager that granted it
+// (one-way) and empties *held.
 func (n *Node) unlockAll(held *[]int) {
 	for _, key := range *held {
-		n.unlock(n.c.lockManager(key), key)
+		mgr := n.grantedBy[key]
+		delete(n.grantedBy, key)
+		n.unlock(mgr, key)
 	}
 	*held = (*held)[:0]
 }
 
-// unlock releases key at its manager mgr (one-way).
+// unlock releases key at its manager mgr (one-way). An unlock addressed
+// to a declared-dead rank is dropped: its table went with it.
 func (n *Node) unlock(mgr, key int) {
+	if n.c.NodeDown(mgr) {
+		return
+	}
 	if key == sectionKey {
 		n.ep.Send(mgr, chUnlock, nil)
 		return
 	}
 	n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) { b.PackU32(uint32(key)) })
+}
+
+// rerouteLocks hands declared-dead rank d's lock table over. Its table
+// is cleared, and every key a survivor holds from d is seeded, held by
+// that survivor, at the key's new manager (lockManager now routes past
+// d), before anyone else can be granted it there. The survivor unlocks
+// it there too. d's waiters time out at their deadlines. Node 0 cannot
+// crash, so only shard keys move. Runs outside any node's handler.
+func (c *Cluster) rerouteLocks(d *Node) {
+	d.locks = nil
+	for _, n := range c.nodes {
+		for key, mgr := range n.grantedBy {
+			if mgr != d.id || c.NodeDown(n.id) {
+				continue
+			}
+			m := c.nodes[c.lockManager(key)]
+			if _, held := m.locks[key]; held {
+				panic(fmt.Sprintf("pm2: rerouted key %d already held at node %d", key, m.id))
+			}
+			m.hold(key)
+			n.grantedBy[key] = m.id
+		}
+	}
 }
 
 // onLockCall queues or grants the system-wide section (node 0 only).
@@ -220,8 +268,9 @@ func (n *Node) onShardUnlockMsg(src int, msg *madeleine.Buffer) {
 	}
 }
 
-// homeOrigin returns where this node starts its run search under the
-// sharded arbiter: the slot space divided into per-rank home regions.
+// homeOrigin returns where this node starts a run search that does not
+// hold the whole slot space: the slot space divided into per-rank home
+// regions.
 // Concurrent initiators therefore plan in disjoint regions, and so lock
 // disjoint shard sets, while the wrap-around keeps every slot reachable
 // when a home region is exhausted.

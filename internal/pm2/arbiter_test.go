@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/layout"
 	"repro/internal/progs"
 	"repro/internal/simtime"
@@ -298,54 +299,106 @@ func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
 	}
 }
 
-// TestShardedEscalationSucceedsWhereGlobalGivesUp: a seller declines
-// exactly maxNegotiationRounds purchases and then accepts. The global
-// arbiter has spent its budget and gives up; the sharded arbiter
-// escalates, and its escalated round — holding every shard, in
-// ascending order — buys the run. Every shard is released afterwards.
+// TestFindRunWrapsPastHomeOrigin: a negotiation that does not hold the
+// whole slot space searches first fit from its node's home origin; the
+// tail of the region under the origin is too short, so it takes the
+// next region. With nothing past the origin it wraps back to slot 0,
+// and reaches the origin's own region from its start. A holder of the
+// whole space searches from slot 0.
+func TestFindRunWrapsPastHomeOrigin(t *testing.T) {
+	c := New(Config{Nodes: 4, Arbiter: ArbiterSharded}, progs.NewImage())
+	g := &negotiation{n: c.Node(2)}
+	origin := g.n.homeOrigin()
+	global := bitmap.New(layout.SlotCount)
+	global.SetRun(100, 2)
+	global.SetRun(origin-2, 3)
+	global.SetRun(origin+1000, 2)
+	for _, step := range []struct {
+		whole bool
+		clear int
+		want  int
+	}{
+		{false, -1, origin + 1000},
+		{true, -1, 100},
+		{false, origin + 1000, 100},
+		{false, 100, origin - 2},
+	} {
+		if step.clear >= 0 {
+			global.ClearRun(step.clear, 2)
+		}
+		g.whole = step.whole
+		if got := g.findRun(global, 2); got != step.want {
+			t.Fatalf("whole=%v, region at %d cleared: run at %d, want %d", step.whole, step.clear, got, step.want)
+		}
+	}
+}
+
+// TestShardedEscalationSucceedsWhereGlobalGivesUp: the seller, node 0,
+// declines maxNegotiationRounds+1 purchases of node 1 and then accepts.
+// The global arbiter has spent its budget and gives up; the sharded
+// arbiter escalates, and its escalated rounds — holding every shard, in
+// ascending order — buy the run. Holding the whole slot space, those
+// rounds follow the paper: the declined one is re-issued at once, as
+// under the global arbiter, with no backoff, and the run is planned
+// first fit from slot 0, not from node 1's home origin. Both the
+// per-map purchase (sequential gather) and the tree gather's range buy
+// are covered. Every shard is released afterwards.
 func TestShardedEscalationSucceedsWhereGlobalGivesUp(t *testing.T) {
 	const shards = arbiterShards
-	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
-		c := New(Config{Nodes: 2, Arbiter: arb}, progs.NewImage())
-		n0 := c.Node(0)
-		declines := 0
-		var heldAtAccept []int
-		c.Node(1).buyHook = func(src int, giveBack bool) bool {
-			if giveBack {
+	for _, gather := range []GatherMode{GatherSequential, GatherTree} {
+		var globalGap simtime.Time
+		for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
+			c := New(Config{Nodes: 2, Gather: gather, Arbiter: arb}, progs.NewImage())
+			n1 := c.Node(1)
+			if n1.homeOrigin() == 0 {
+				t.Fatal("node 1 searches from slot 0 anyway")
+			}
+			var asked []simtime.Time
+			var heldAtAccept []int
+			c.Node(0).buyHook = func(src int, giveBack bool) bool {
+				if giveBack {
+					return false
+				}
+				asked = append(asked, c.Now())
+				if len(asked) <= maxNegotiationRounds+1 {
+					return true
+				}
+				heldAtAccept = append([]int(nil), n1.neg.held...)
 				return false
 			}
-			if declines < maxNegotiationRounds {
-				declines++
-				return true
+			ok := negotiateSync(t, c, 1, 2)
+			if arb == ArbiterGlobal {
+				if ok || len(asked) != maxNegotiationRounds {
+					t.Fatalf("%s global: ok=%v after %d purchases, want a failure after %d", gather, ok, len(asked), maxNegotiationRounds)
+				}
+				globalGap = asked[1] - asked[0]
+				continue
 			}
-			heldAtAccept = append([]int(nil), n0.neg.held...)
-			return false
-		}
-		ok := negotiateSync(t, c, 0, 2)
-		if arb == ArbiterGlobal {
-			if ok {
-				t.Fatal("global: negotiation succeeded past its round budget")
+			if !ok {
+				t.Fatalf("%s sharded: escalated negotiation failed", gather)
 			}
-			continue
-		}
-		if !ok {
-			t.Fatal("sharded: escalated negotiation failed")
-		}
-		want := make([]int, shards)
-		for i := range want {
-			want[i] = i
-		}
-		if !reflect.DeepEqual(heldAtAccept, want) {
-			t.Fatalf("sharded: shards held during the escalated round = %v, want %v", heldAtAccept, want)
-		}
-		if st := c.Stats(); st.NegotiationFailures != 0 || st.NegotiationRetries != maxNegotiationRounds {
-			t.Fatalf("sharded: failures=%d retries=%d, want 0/%d", st.NegotiationFailures, st.NegotiationRetries, maxNegotiationRounds)
-		}
-		if err := c.CheckDrained(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
+			want := make([]int, shards)
+			for i := range want {
+				want[i] = i
+			}
+			if !reflect.DeepEqual(heldAtAccept, want) {
+				t.Fatalf("%s sharded: shards held during the escalated round = %v, want %v", gather, heldAtAccept, want)
+			}
+			if gap := asked[maxNegotiationRounds+1] - asked[maxNegotiationRounds]; gap != globalGap {
+				t.Fatalf("%s sharded: escalated retry asked again after %v, want %v (no backoff)", gather, gap, globalGap)
+			}
+			if !n1.Slots().Bitmap().Test(0) || c.Node(0).Slots().Bitmap().Test(0) {
+				t.Fatalf("%s sharded: escalated purchase did not buy slot 0: planned away from first fit", gather)
+			}
+			if st := c.Stats(); st.NegotiationFailures != 0 || st.NegotiationRetries != maxNegotiationRounds+1 {
+				t.Fatalf("%s sharded: failures=%d retries=%d, want 0/%d", gather, st.NegotiationFailures, st.NegotiationRetries, maxNegotiationRounds+1)
+			}
+			if err := c.CheckDrained(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -244,7 +244,7 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 			for _, t := range d.parked {
 				buf := c.bufPool.Get()
 				d.packThreadImage(buf, t, 0, false)
-				img := append([]byte(nil), buf.Bytes()...)
+				img := buf.CopyBytes()
 				c.bufPool.Put(buf)
 				st.Threads = append(st.Threads, CheckpointThread{TID: t.TID, Image: img})
 			}

@@ -230,3 +230,79 @@ func TestFaultPlanConfigValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestLockTableSurvivesItsManager: node 2 negotiates 3 slots, whose run
+// lies in shard 10, managed by node 1 of 3, and node 1 crashes at every
+// instant of the window in which node 2 holds the shard or is about to
+// unlock it. Declaring node 1 dead reroutes shard 10 to node 2; the
+// holder must still unlock the key it holds, wherever its table now
+// lives, and the dead rank must keep no table. Under both arbiters the
+// negotiation succeeds and the cluster ends consistent and drained.
+func TestLockTableSurvivesItsManager(t *testing.T) {
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
+		for at := 360; at <= 400; at += 5 {
+			c := New(Config{Nodes: 3, Arbiter: arb, RPCTimeout: -1,
+				Faults: mustPlan(t, fmt.Sprintf("crash:1@%d", at))}, progs.NewImage())
+			tickHeartbeats(c, 20*simtime.Microsecond, 200)
+			ok := false
+			c.At(2, func(n *Node) { n.negotiate(3, func(r bool) { ok = r }) })
+			c.Run(0)
+			if !c.NodeDown(1) {
+				t.Fatalf("%s, crash@%d: node 1 never declared dead", arb, at)
+			}
+			if !ok {
+				t.Errorf("%s, crash@%d: negotiation failed", arb, at)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Errorf("%s, crash@%d: %v", arb, at, err)
+			}
+			if err := c.CheckDrained(); err != nil {
+				t.Errorf("%s, crash@%d: %v", arb, at, err)
+			}
+		}
+	}
+}
+
+// TestReroutedLockKeepsItsHolder: node 2 holds shard 10, granted by its
+// manager, node 1, when node 1 crashes. Once node 1 is declared dead the
+// shard is managed by node 2 itself, and node 0 asks for it there. Node
+// 0 must not be granted the shard before node 2 unlocks it.
+func TestReroutedLockKeepsItsHolder(t *testing.T) {
+	const shard = 10
+	c := New(Config{Nodes: 3, Arbiter: ArbiterSharded, RPCTimeout: -1,
+		Faults: mustPlan(t, "crash:1@100")}, progs.NewImage())
+	if m := c.lockManager(shard); m != 1 {
+		t.Fatalf("shard %d managed by node %d, want node 1", shard, m)
+	}
+	tickHeartbeats(c, 20*simtime.Microsecond, 20)
+	var held []int
+	c.At(2, func(n *Node) {
+		n.lockEach([]int{shard}, &held, func() {}, func() { t.Error("node 2: shard lock failed") })
+	})
+	var unlockedAt, grantedAt simtime.Time
+	c.Engine().At(400*simtime.Microsecond, func() {
+		if !c.NodeDown(1) || c.lockManager(shard) != 2 {
+			t.Fatalf("at 400 µs: node 1 down=%v, shard %d managed by %d; want node 2", c.NodeDown(1), shard, c.lockManager(shard))
+		}
+		c.At(0, func(n *Node) {
+			var mine []int
+			n.lockEach([]int{shard}, &mine, func() {
+				grantedAt = n.actor.Now()
+				n.unlockAll(&mine)
+			}, func() { t.Error("node 0: shard lock failed") })
+		})
+	})
+	c.Engine().At(600*simtime.Microsecond, func() {
+		c.At(2, func(n *Node) {
+			unlockedAt = n.actor.Now()
+			n.unlockAll(&held)
+		})
+	})
+	c.Run(0)
+	if grantedAt == 0 || grantedAt < unlockedAt {
+		t.Fatalf("node 0 granted shard %d at %v, node 2 unlocked it at %v", shard, grantedAt, unlockedAt)
+	}
+	if err := c.CheckDrained(); err != nil {
+		t.Fatal(err)
+	}
+}

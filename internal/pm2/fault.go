@@ -265,8 +265,9 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 }
 
 // declareDead expires node i's lease: the placement engine stops routing
-// to it, its resident threads are evacuated to the survivors as convoys,
-// and its owned-free slots are reclaimed. Runs outside any node's handler.
+// to it, the keys it managed move to their new managers, its resident
+// threads are evacuated to the survivors as convoys, and its owned-free
+// slots are reclaimed. Runs outside any node's handler.
 func (c *Cluster) declareDead(i int, now simtime.Time) {
 	if c.suspected != nil && c.suspected[i] {
 		// Graduating from suspected to declared dead: the permanent
@@ -294,6 +295,7 @@ func (c *Cluster) declareDead(i int, now simtime.Time) {
 		panic("pm2: every node declared dead") // rank 0 cannot crash
 	}
 
+	c.rerouteLocks(d)
 	evacuated := c.evacuate(d, live, now)
 	reclaimed := c.reclaim(d, live)
 
@@ -336,10 +338,11 @@ func (c *Cluster) evacuate(d *Node, live []int, declared simtime.Time) int {
 			d.freezeDetach(ts, "evacuation")
 			buf := c.bufPool.Get()
 			groups := d.packConvoy(buf, ts, declared, zeroCopy)
-			// Bytes gathers the borrowed page aliases into the wire
-			// body; copy it out before the buffer returns to the pool
-			// (the pool reuses the backing array).
-			body = append([]byte(nil), buf.Bytes()...)
+			// Gather the inline stream and the borrowed page aliases
+			// into a body of our own before the buffer returns to the
+			// pool (the pool reuses the backing array) and the pages
+			// are evicted.
+			body = buf.CopyBytes()
 			c.bufPool.Put(buf)
 			d.evictGroups(groups)
 		})

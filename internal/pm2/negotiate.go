@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/madeleine"
-	"repro/internal/policy"
 	"repro/internal/simtime"
 )
 
@@ -317,55 +316,52 @@ func (n *Node) unpackBitmap(peer int, reply *madeleine.Buffer) *bitmap.Bitmap {
 	return bm
 }
 
-// purchaseCandidates bounds how many runs the sharded planner
-// enumerates before ranking them fewest-owners-first.
-const purchaseCandidates = 4
-
 // planAndBuy plans the purchase on a gathered global view and the
 // per-node maps it was merged from, and executes it (paper steps 2c–2e)
 // — the common tail of the per-peer-map gathers (sequential, delta).
-// With PreBuySlots configured, a larger run is tried first, "to pre-buy
-// slots in prevision of foreseeable large allocation requests" (§4.4).
+// Only a view taken holding the whole slot space is split strictly;
+// any other may be torn (see core.PurchaseAt).
 func (g *negotiation) planAndBuy(global *bitmap.Bitmap, maps []*bitmap.Bitmap) {
-	n := g.n
-	// First-fit search over the global map (step 2d).
-	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
-	plan, ok := n.planOn(global, maps, g.k)
-	if !ok {
+	start, size := g.planRun(global)
+	if start < 0 {
 		g.giveUp()
 		return
 	}
-	g.withRunLocks(plan.Start, plan.N, func() { g.executePurchase(plan) }, g.retryUnsecured)
+	plan := core.PurchaseAt(maps, start, size, g.n.id, !g.whole)
+	g.withRunLocks(start, size, func() { g.executePurchase(plan) }, g.retryUnsecured)
 }
 
 // retryUnsecured re-plans after a shard manager timed out: nothing was
 // secured, so the round retries after the usual backoff.
 func (g *negotiation) retryUnsecured() { g.retryAfterReturns(nil) }
 
-// planOn chooses the purchase plan on a prepared global view,
-// preferring the PreBuySlots-padded run when one exists.
-func (n *Node) planOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (core.Purchase, bool) {
+// planRun first-fit searches the global view for the run to buy (step
+// 2d) and returns its start, or -1, and its size. With PreBuySlots
+// configured, a larger run is tried first, "to pre-buy slots in
+// prevision of foreseeable large allocation requests" (§4.4).
+func (g *negotiation) planRun(global *bitmap.Bitmap) (start, size int) {
+	n := g.n
+	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	if pre := n.c.cfg.PreBuySlots; pre > 0 {
-		if plan, ok := n.planRun(global, maps, k+pre); ok {
-			return plan, true
+		if start := g.findRun(global, g.k+pre); start >= 0 {
+			return start, g.k + pre
 		}
 	}
-	return n.planRun(global, maps, k)
+	return g.findRun(global, g.k), g.k
 }
 
-// planRun plans one purchase of k slots. The global arbiter keeps the
-// paper's first fit verbatim; the sharded arbiter searches from this
-// node's home origin and ranks a handful of candidate runs
-// fewest-owners-first through the cost model (internal/policy).
-func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (core.Purchase, bool) {
-	if n.c.cfg.Arbiter == ArbiterGlobal {
-		return core.PlanPurchaseOn(global, maps, k, n.id)
+// findRun is the first-fit search for size free slots. A holder of the
+// whole slot space races no other negotiation, so it searches the
+// paper's way, from slot 0. Any other searches from its node's home
+// origin and wraps back to slot 0, which keeps concurrent initiators in
+// disjoint regions, and so on disjoint shard sets.
+func (g *negotiation) findRun(global *bitmap.Bitmap, size int) int {
+	if !g.whole {
+		if start := global.FindRunFrom(g.n.homeOrigin(), size); start >= 0 {
+			return start
+		}
 	}
-	cands := core.PlanCandidatesOn(global, maps, k, n.id, n.homeOrigin(), purchaseCandidates)
-	if len(cands) == 0 {
-		return core.Purchase{}, false
-	}
-	return cands[policy.CheapestPurchase(cands, n.c.cfg.Model)], true
+	return global.FindRun(size)
 }
 
 // executePurchase carries out a planned purchase (paper step 2e): one
@@ -492,9 +488,9 @@ func (g *negotiation) retryAfterReturns(returns []pendingReturn) {
 		n.unlockAll(&g.held)
 	}
 	retry := func() {
-		if n.c.cfg.Arbiter == ArbiterGlobal {
-			// Under the system-wide lock a retry can only be racing a
-			// local allocation, which is finite: re-issue immediately,
+		if g.whole {
+			// Holding the whole slot space, a retry can only be racing
+			// a local allocation, which is finite: re-issue at once,
 			// keeping the paper-faithful path (and its goldens) intact.
 			g.nextRound()
 			return
@@ -523,27 +519,7 @@ func (g *negotiation) retryAfterReturns(returns []pendingReturn) {
 // otherwise everything sold is given back and the round retries.
 func (g *negotiation) planAndBuyRange(global *bitmap.Bitmap) {
 	n := g.n
-	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
-	// The merged map has no per-slot ownership, so fewest-owners ranking
-	// is impossible here; the sharded arbiter still searches from the
-	// node's home origin (wrapping) to keep concurrent initiators in
-	// disjoint regions.
-	find := func(size int) int {
-		if n.c.cfg.Arbiter == ArbiterGlobal {
-			return global.FindRun(size)
-		}
-		if s := global.FindRunFrom(n.homeOrigin(), size); s >= 0 {
-			return s
-		}
-		return global.FindRun(size)
-	}
-	start, size := -1, 0
-	if pre := n.c.cfg.PreBuySlots; pre > 0 {
-		start, size = find(g.k+pre), g.k+pre
-	}
-	if start < 0 {
-		start, size = find(g.k), g.k
-	}
+	start, size := g.planRun(global)
 	if start < 0 {
 		g.giveUp()
 		return

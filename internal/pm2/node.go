@@ -62,8 +62,10 @@ type Node struct {
 	nextKey uint32
 
 	// locks is the lock table of the keys this rank manages: a held key
-	// maps to its waiters (arbiter.go).
-	locks map[int][]*madeleine.Call
+	// maps to its waiters (arbiter.go). grantedBy maps each key this
+	// node holds to the manager rank that granted it.
+	locks     map[int][]*madeleine.Call
+	grantedBy map[int]int
 
 	// neg is the negotiation running its protocol on this node (past the
 	// global lock, or this node's turn under the sharded arbiter), and

@@ -583,8 +583,9 @@ func (c *Cluster) CheckInvariants() error {
 }
 
 // CheckDrained reports an error unless every remote operation ended: no
-// node runs or queues a negotiation, holds a lock (waiters queue only
-// behind a holder) or waits on a call record's reply. It is not part of
+// node runs or queues a negotiation, holds a lock, has one in its lock
+// table (waiters queue only behind a holder, and a declared-dead rank
+// keeps no table) or waits on a call record's reply. It is not part of
 // CheckInvariants: with RPCTimeout 0 a wait on an unreachable peer
 // hangs by design.
 func (c *Cluster) CheckDrained() error {
@@ -595,8 +596,12 @@ func (c *Cluster) CheckDrained() error {
 				i, g.k, g.round, g.held, g.whole, g.giveBacks, g.outstanding)
 		case len(n.negWaiting) != 0:
 			return fmt.Errorf("pm2: node %d still queues %d negotiation(s)", i, len(n.negWaiting))
+		case len(n.locks) != 0 && c.NodeDown(i):
+			return fmt.Errorf("pm2: declared-dead rank %d still has %d lock-table entries", i, len(n.locks))
 		case len(n.locks) != 0:
 			return fmt.Errorf("pm2: manager %d still holds %d lock(s)", i, len(n.locks))
+		case len(n.grantedBy) != 0:
+			return fmt.Errorf("pm2: node %d still holds %d lock(s)", i, len(n.grantedBy))
 		case n.calls != 0:
 			return fmt.Errorf("pm2: node %d still waits on %d call(s)", i, n.calls)
 		}

@@ -120,11 +120,13 @@ func TestGoldenTracesDeltaGather(t *testing.T) {
 }
 
 // TestGoldenTracesArbiters pins the contention-heavy workload under the
-// sharded negotiation arbiter at 16 nodes: the shard lock order and the
-// deterministic retry backoff must be byte-identically reproducible
-// under every policy. (The global-arbiter goldens above are untouched by
-// the arbiter machinery — it is fully off under the paper-faithful
-// default.)
+// sharded negotiation arbiter at 16 nodes: the home-origin first fit,
+// the loose split, the shard lock order and the deterministic retry
+// backoff must be byte-identically reproducible under every policy.
+// (The goldens above run the global arbiter, whose negotiations hold
+// the whole slot space from their first round: they pin the
+// whole-space rules, which are the paper's first fit from slot 0 and
+// immediate retry.)
 func TestGoldenTracesArbiters(t *testing.T) {
 	for _, p := range policy.Names() {
 		name := fmt.Sprintf("contend_%s_sharded_n16", p)
