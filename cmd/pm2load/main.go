@@ -44,7 +44,7 @@
 // becomes suspicion-based — a live partitioned node is routed around,
 // never evacuated, and rejoins on heal. -checkpoint/-checkpoint-at
 // capture the cluster to a pm2ckpt file mid-run and continue (an
-// attached balancer's round state rides along in a v2 section);
+// attached balancer's round state rides along);
 // -restore boots from such a file and runs it to completion, printing a
 // trace byte-identical to the capturing run's (the checkpoint carries
 // configuration and workload, so -restore takes no program argument and

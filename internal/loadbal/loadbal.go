@@ -108,7 +108,7 @@ func attach(c *pm2.Cluster, cfg Config) *Balancer {
 }
 
 // AttachFromCheckpoint reattaches a balancer on a restored cluster from
-// the round state a pm2ckpt v2 image carries. Config fields left at
+// the round state a pm2ckpt image carries. Config fields left at
 // their zero value are filled from the capture, so the common call is
 // AttachFromCheckpoint(c, Config{}, *ck.Balancer); the skipped round
 // the capture paused is rescheduled at max(NextRoundAt, now), exactly

@@ -95,36 +95,69 @@ func negotiationBackoff(round int) simtime.Time {
 // sectionKey is the lock-table key of the system-wide critical section.
 const sectionKey = arbiterShards
 
+// lockEntry is a held key in a manager's lock table: the holder rank
+// and the waiters queued behind it, in arrival order.
+type lockEntry struct {
+	holder  int
+	waiters []*madeleine.Call
+}
+
 // grant takes key for req's sender, or queues req behind the holder. A
-// held key is in the table, with its waiters in arrival order.
+// request from a declared-dead rank (sent before its crash, delivered
+// after) is answered, so its call is released, but takes nothing: the
+// reply is dropped at the wire and the rank could never unlock.
 func (n *Node) grant(key int, req *madeleine.Call) {
-	if q, held := n.locks[key]; held {
-		n.locks[key] = append(q, req)
+	if n.c.NodeDown(req.Src()) {
+		req.Reply(nil)
 		return
 	}
-	n.hold(key)
+	if e, held := n.locks[key]; held {
+		e.waiters = append(e.waiters, req)
+		return
+	}
+	n.hold(key, req.Src())
 	req.Reply(nil)
 }
 
-// hold enters key in the lock table, held and with no waiters.
-func (n *Node) hold(key int) {
+// hold enters key in the lock table, held by holder and with no waiters.
+func (n *Node) hold(key, holder int) {
 	if n.locks == nil {
-		n.locks = make(map[int][]*madeleine.Call)
+		n.locks = make(map[int]*lockEntry)
 	}
-	n.locks[key] = nil
+	n.locks[key] = &lockEntry{holder: holder}
 }
 
-// release hands key to its first waiter, or frees it. It reports false
-// if key is not held here.
-func (n *Node) release(key int) bool {
-	q, held := n.locks[key]
-	if len(q) > 0 {
-		n.locks[key] = q[1:]
-		q[0].Reply(nil)
-	} else {
-		delete(n.locks, key)
+// release hands key to its first waiter from a rank not declared dead,
+// or frees it. A dead waiter is answered, so its call is released, and
+// passed over: the reply is dropped at the wire, and a key handed to it
+// would be held by no one.
+func (n *Node) release(key int) {
+	e := n.locks[key]
+	for len(e.waiters) > 0 {
+		w := e.waiters[0]
+		e.waiters = e.waiters[1:]
+		w.Reply(nil)
+		if !n.c.NodeDown(w.Src()) {
+			e.holder = w.Src()
+			return
+		}
 	}
-	return held
+	delete(n.locks, key)
+}
+
+// unlockFrom releases key on src's unlock, and reports false if src
+// does not hold key here. An unlock from a declared-dead rank is
+// dropped: rerouteLocks released what that rank held, and an unlock it
+// sent before its crash may arrive after the key was handed on.
+func (n *Node) unlockFrom(src, key int) bool {
+	if n.c.NodeDown(src) {
+		return true
+	}
+	if e, held := n.locks[key]; !held || e.holder != src {
+		return false
+	}
+	n.release(key)
+	return true
 }
 
 // lockManager returns the live manager rank of key: node 0 for the
@@ -209,12 +242,16 @@ func (n *Node) unlock(mgr, key int) {
 	n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) { b.PackU32(uint32(key)) })
 }
 
-// rerouteLocks hands declared-dead rank d's lock table over. Its table
+// rerouteLocks hands declared-dead rank d's locks over. Its own table
 // is cleared, and every key a survivor holds from d is seeded, held by
 // that survivor, at the key's new manager (lockManager now routes past
 // d), before anyone else can be granted it there. The survivor unlocks
-// it there too. d's waiters time out at their deadlines. Node 0 cannot
-// crash, so only shard keys move. Runs outside any node's handler.
+// it there too. Every key d holds at a live manager is released there,
+// on the manager's actor and in key order, if d still holds it then:
+// d's own unlock is dropped at the wire, or by unlockFrom if it arrives
+// after now. d's waiters time out at their deadlines. Node 0
+// cannot crash, so only shard keys move. Runs outside any node's
+// handler.
 func (c *Cluster) rerouteLocks(d *Node) {
 	d.locks = nil
 	for _, n := range c.nodes {
@@ -226,8 +263,25 @@ func (c *Cluster) rerouteLocks(d *Node) {
 			if _, held := m.locks[key]; held {
 				panic(fmt.Sprintf("pm2: rerouted key %d already held at node %d", key, m.id))
 			}
-			m.hold(key)
+			m.hold(key, n.id)
 			n.grantedBy[key] = m.id
+		}
+	}
+	for _, m := range c.nodes {
+		var keys []int
+		for key := 0; key <= sectionKey && !c.NodeDown(m.id); key++ {
+			if e, held := m.locks[key]; held && e.holder == d.id {
+				keys = append(keys, key)
+			}
+		}
+		if len(keys) > 0 {
+			c.At(m.id, func(m *Node) {
+				for _, key := range keys {
+					if e, held := m.locks[key]; held && e.holder == d.id {
+						m.release(key)
+					}
+				}
+			})
 		}
 	}
 }
@@ -242,8 +296,8 @@ func (n *Node) onLockCall(src int, req *madeleine.Call) {
 
 // onUnlockMsg releases the section to its next waiter (node 0 only).
 func (n *Node) onUnlockMsg(src int, _ *madeleine.Buffer) {
-	if !n.release(sectionKey) {
-		panic("pm2: unlock without lock")
+	if !n.unlockFrom(src, sectionKey) {
+		panic(fmt.Sprintf("pm2: section unlock from non-holder %d", src))
 	}
 }
 
@@ -263,8 +317,8 @@ func (n *Node) onShardLockCall(src int, req *madeleine.Call) {
 // only).
 func (n *Node) onShardUnlockMsg(src int, msg *madeleine.Buffer) {
 	s := int(msg.U32())
-	if msg.Err() != nil || s >= n.c.shardMap.Shards() || !n.release(s) {
-		panic(fmt.Sprintf("pm2: unlock of unheld shard %d at node %d", s, n.id))
+	if msg.Err() != nil || s >= n.c.shardMap.Shards() || !n.unlockFrom(src, s) {
+		panic(fmt.Sprintf("pm2: unlock of shard %d at node %d from non-holder %d", s, n.id, src))
 	}
 }
 

@@ -2,12 +2,10 @@ package pm2
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"strconv"
-	"strings"
+	"io"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
@@ -20,8 +18,8 @@ import (
 // Cluster checkpoint/restore.
 //
 // A checkpoint is the cluster's complete virtual-time state at a
-// quiescent instant, serialized to the digest-sealed "pm2ckpt v1" text
-// format: the engine clock, every node's busy horizon, slot bitmap,
+// quiescent instant, serialized to the digest-sealed "pm2ckpt v3"
+// image: the engine clock, every node's busy horizon, slot bitmap,
 // scheduler counters and NIC tallies, every resident thread's slot
 // image (the same wire encoding migration uses — iso-addressing makes
 // the bytes valid on any node, including a future one), the cluster
@@ -57,12 +55,11 @@ import (
 // calls, and the ids never influence timing or traces.
 //
 // An attached load balancer that registered through SetBalancer is no
-// obstacle: it is paused for the drain and its round state rides an
-// optional trailing section that upgrades the image to "pm2ckpt v2"
-// (v1 images stay valid and unchanged). And while a capture refuses an
-// installed fault plan, a *restore* accepts a fresh one whose events
-// all lie after the checkpoint clock — the restart-and-refail
-// experiment (see RestoreCluster).
+// obstacle: it is paused for the drain and its round state rides the
+// image's Balancer field. And while a capture refuses an installed
+// fault plan, a *restore* accepts a fresh one whose events all lie
+// after the checkpoint clock — the restart-and-refail experiment (see
+// RestoreCluster).
 
 // Checkpoint is a captured cluster state (see the package comment
 // above). Build one with Cluster.Checkpoint, serialize with Encode,
@@ -91,14 +88,7 @@ type Checkpoint struct {
 
 	// Balancer is the attached balancer's round state — nil when no
 	// balancer had registered (SetBalancer) or it was idle at capture.
-	// Its presence is what upgrades the serialization to "pm2ckpt v2";
-	// captures without it stay byte-identical v1.
 	Balancer *BalancerCheckpoint
-	// MissedBeats is each rank's consecutive-heartbeat-miss counter at
-	// capture, carried alongside Balancer (all zeros today: a capture
-	// refuses an installed fault plan, so the counters cannot have
-	// moved — they are serialized so a v2 reader never has to guess).
-	MissedBeats []int
 }
 
 // BalancerCheckpoint is the round state of an attached periodic load
@@ -145,8 +135,8 @@ type BalancerCheckpointer interface {
 // cooperation. Without a registration, Checkpoint on a cluster with an
 // active periodic balancer fails the quiesce budget (the balancer keeps
 // scheduling rounds); with it, the balancer is paused, its round state
-// rides the checkpoint's v2 section, and both continuations resume the
-// cadence identically.
+// rides the checkpoint's Balancer field, and both continuations resume
+// the cadence identically.
 func (c *Cluster) SetBalancer(b BalancerCheckpointer) { c.balancer = b }
 
 // CheckpointNode is one rank's share of a checkpoint.
@@ -219,18 +209,15 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		Convoy:          c.cfg.Convoy,
 		Pack:            int(c.cfg.Pack),
 		HeartbeatMisses: c.cfg.HeartbeatMisses,
-		Stats:           cloneStats(c.stats),
+		Stats:           c.stats.clone(),
 		Trace:           c.log.Lines(),
 	}
 	ck.Now, ck.Seq, ck.Step = c.eng.Clock()
 	if c.pausedBalancer != nil && c.pausedBalancer.NextRoundAt > 0 {
-		// Only a balancer with a round actually pending upgrades the
-		// image to v2; a drained one restores drained, and the capture
-		// bytes stay v1 exactly as before balancers were capturable.
+		// Only a balancer with a round actually pending is carried; a
+		// drained one restores drained.
 		bc := *c.pausedBalancer
 		ck.Balancer = &bc
-		ck.MissedBeats = make([]int, c.cfg.Nodes)
-		copy(ck.MissedBeats, c.missedBeats)
 	}
 
 	for _, n := range c.nodes {
@@ -341,12 +328,12 @@ func (c *Cluster) Resume() {
 
 // RestoreCluster builds a fresh cluster over cfg and im and reinstates
 // a checkpoint into it. cfg must be structurally identical to the
-// configuration the checkpoint was taken under (node count, policy,
-// arbiter, gather, distribution, convoy, pack mode, heartbeat lease);
-// cost-model choices are free, and so is RPCTimeout — it must simply
-// match between two restores whose continuations are to be compared.
-// The returned cluster is running — its next Run continues the
-// checkpointed execution, byte-identical to Resume on the original.
+// configuration the checkpoint was taken under (ck.Config: node count,
+// policy, arbiter, gather, distribution, convoy, pack mode, heartbeat
+// lease); cost-model choices are free, and so is RPCTimeout — it must
+// simply match between two restores whose continuations are to be
+// compared. The returned cluster is running — its next Run continues
+// the checkpointed execution, byte-identical to Resume on the original.
 //
 // cfg.Faults composes with a restore as long as every event lies
 // strictly after the checkpoint clock: the restart-and-refail
@@ -356,6 +343,10 @@ func (c *Cluster) Resume() {
 // describes a network state the checkpoint, taken on a quiescent
 // healthy cluster, cannot contain.
 func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error) {
+	want, err := ck.Config()
+	if err != nil {
+		return nil, err
+	}
 	refail := cfg.Faults
 	if !refail.Empty() {
 		for _, ev := range refail.Events {
@@ -378,22 +369,22 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 	}
 	rc := c.cfg // post-default values
 	switch {
-	case rc.Nodes != ck.Nodes:
-		return nil, mismatch("node count", rc.Nodes, ck.Nodes)
-	case rc.Policy.String() != ck.Policy:
-		return nil, mismatch("migration policy", rc.Policy, ck.Policy)
-	case rc.Arbiter.String() != ck.Arbiter:
-		return nil, mismatch("arbiter", rc.Arbiter, ck.Arbiter)
-	case rc.Gather.String() != ck.Gather:
-		return nil, mismatch("gather strategy", rc.Gather, ck.Gather)
-	case rc.Dist.Name() != ck.Dist:
-		return nil, mismatch("slot distribution", rc.Dist.Name(), ck.Dist)
-	case rc.Convoy != ck.Convoy:
-		return nil, mismatch("convoy pipeline", rc.Convoy, ck.Convoy)
-	case int(rc.Pack) != ck.Pack:
-		return nil, mismatch("pack mode", rc.Pack, PackMode(ck.Pack))
-	case rc.HeartbeatMisses != ck.HeartbeatMisses:
-		return nil, mismatch("heartbeat lease", rc.HeartbeatMisses, ck.HeartbeatMisses)
+	case rc.Nodes != want.Nodes:
+		return nil, mismatch("node count", rc.Nodes, want.Nodes)
+	case rc.Policy != want.Policy:
+		return nil, mismatch("migration policy", rc.Policy, want.Policy)
+	case rc.Arbiter != want.Arbiter:
+		return nil, mismatch("arbiter", rc.Arbiter, want.Arbiter)
+	case rc.Gather != want.Gather:
+		return nil, mismatch("gather strategy", rc.Gather, want.Gather)
+	case rc.Dist.Name() != want.Dist.Name():
+		return nil, mismatch("slot distribution", rc.Dist.Name(), want.Dist.Name())
+	case rc.Convoy != want.Convoy:
+		return nil, mismatch("convoy pipeline", rc.Convoy, want.Convoy)
+	case rc.Pack != want.Pack:
+		return nil, mismatch("pack mode", rc.Pack, want.Pack)
+	case rc.HeartbeatMisses != want.HeartbeatMisses:
+		return nil, mismatch("heartbeat lease", rc.HeartbeatMisses, want.HeartbeatMisses)
 	case len(ck.NodeStates) != len(c.nodes):
 		return nil, fmt.Errorf("pm2: checkpoint carries %d node states for %d nodes", len(ck.NodeStates), len(c.nodes))
 	}
@@ -408,7 +399,7 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		return nil, err
 	}
 	c.eng.RestoreClock(ck.Now, ck.Seq, ck.Step)
-	c.stats = cloneStats(ck.Stats)
+	c.stats = ck.Stats.clone()
 	c.log.Restore(ck.Trace)
 	for i, n := range c.nodes {
 		st := ck.NodeStates[i]
@@ -447,9 +438,6 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		if err := c.InstallFaults(refail); err != nil {
 			return nil, err
 		}
-		if len(ck.MissedBeats) == len(c.missedBeats) {
-			copy(c.missedBeats, ck.MissedBeats)
-		}
 	}
 	return c, nil
 }
@@ -479,33 +467,17 @@ func checkRestoreImages(ck *Checkpoint) ([]*bitmap.Bitmap, error) {
 	return bms, nil
 }
 
-// cloneStats deep-copies a Stats value so neither side aliases the
-// other's slices.
-func cloneStats(s Stats) Stats {
-	s.MigrationLatencies = append([]simtime.Time(nil), s.MigrationLatencies...)
-	s.NegotiationLatencies = append([]simtime.Time(nil), s.NegotiationLatencies...)
-	s.EvacuationLatencies = append([]simtime.Time(nil), s.EvacuationLatencies...)
-	s.DetectionLatencies = append([]simtime.Time(nil), s.DetectionLatencies...)
-	s.CohortSamples = append([]CohortSample(nil), s.CohortSamples...)
-	return s
-}
-
-// --- pm2ckpt v1 wire format ---------------------------------------------
+// --- the pm2ckpt v3 image ----------------------------------------------
 //
-// Line-oriented text, sealed by a trailing FNV-1a-64 digest over every
-// byte that precedes the digest line. Trace lines are carried verbatim
-// behind a ">" sentinel. The format is versioned by its first line;
-// DecodeCheckpoint rejects unknown versions, truncation and any byte
-// flip (the digest covers the whole body).
+// Three parts: the magic line, the Checkpoint as one encoding/json
+// document (byte fields in base64), and a "digest %016x" line carrying
+// the FNV-1a-64 of every byte before it. DecodeCheckpoint verifies the
+// seal, decodes strictly (no unknown field, nothing after the
+// document) and checks the node count before anything is sized by it.
+// The seal guards against accidental corruption only; RestoreCluster
+// validates every bitmap and thread image before installing any.
 
-const (
-	ckptMagic = "pm2ckpt v1"
-	// ckptMagicV2 marks an image carrying the optional balancer section
-	// (one "balancer" line and one "missedbeats" line after the node
-	// records). Everything before it is v1-identical, and v1 images —
-	// no balancer at capture — still encode and decode unchanged.
-	ckptMagicV2 = "pm2ckpt v2"
-)
+const ckptMagic = "pm2ckpt v3\n"
 
 func fnvSum(data []byte) uint64 {
 	h := fnv.New64a()
@@ -513,252 +485,99 @@ func fnvSum(data []byte) uint64 {
 	return h.Sum64()
 }
 
+// sealOf returns the digest line that seals body.
+func sealOf(body []byte) string { return fmt.Sprintf("digest %016x\n", fnvSum(body)) }
+
 // Digest returns the seal a serialization of this checkpoint carries —
 // what trace headers and replay tools record to name the state they
 // started from.
-func (ck *Checkpoint) Digest() uint64 { return fnvSum(ck.body()) }
+func (ck *Checkpoint) Digest() uint64 { return fnvSum(ck.unsealed()) }
 
 // Encode serializes the checkpoint, digest-sealed.
 func (ck *Checkpoint) Encode() []byte {
-	body := ck.body()
-	return append(body, fmt.Sprintf("digest %016x\n", fnvSum(body))...)
+	b := ck.unsealed()
+	return append(b, sealOf(b)...)
 }
 
-func (ck *Checkpoint) body() []byte {
-	var b bytes.Buffer
-	magic := ckptMagic
-	if ck.Balancer != nil {
-		magic = ckptMagicV2
-	}
-	fmt.Fprintf(&b, "%s\n", magic)
-	fmt.Fprintf(&b, "config nodes=%d policy=%s arbiter=%s gather=%s dist=%s convoy=%t pack=%d heartbeat-misses=%d\n",
-		ck.Nodes, ck.Policy, ck.Arbiter, ck.Gather, ck.Dist, ck.Convoy, ck.Pack, ck.HeartbeatMisses)
-	fmt.Fprintf(&b, "clock now=%d seq=%d steps=%d\n", int64(ck.Now), ck.Seq, ck.Step)
-	stats, err := json.Marshal(ck.Stats)
+// unsealed returns the image up to its digest line.
+func (ck *Checkpoint) unsealed() []byte {
+	doc, err := json.Marshal(ck)
 	if err != nil {
-		panic(fmt.Sprintf("pm2: encoding checkpoint stats: %v", err))
+		panic(fmt.Sprintf("pm2: encoding checkpoint: %v", err))
 	}
-	fmt.Fprintf(&b, "stats %s\n", stats)
-	fmt.Fprintf(&b, "trace %d\n", len(ck.Trace))
-	for _, line := range ck.Trace {
-		fmt.Fprintf(&b, ">%s\n", line)
-	}
-	for i, st := range ck.NodeStates {
-		fmt.Fprintf(&b, "node %d busy=%d nextseq=%d created=%d finished=%d faulted=%d dispatches=%d instrs=%d sent=%d sentbytes=%d dropped=%d journal=%d\n",
-			i, int64(st.Busy), st.NextSeq, st.Created, st.Finished, st.Faulted, st.Dispatches, st.Instrs,
-			st.Sent, st.SentBytes, st.Dropped, st.Journal)
-		fmt.Fprintf(&b, "bitmap %s\n", hex.EncodeToString(st.Bitmap))
-		b.WriteString("exited")
-		for _, tid := range st.Exited {
-			fmt.Fprintf(&b, " %d", tid)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "threads %d\n", len(st.Threads))
-		for _, th := range st.Threads {
-			fmt.Fprintf(&b, "thread tid=%d image=%s\n", th.TID, hex.EncodeToString(th.Image))
-		}
-	}
-	if bc := ck.Balancer; bc != nil {
-		fmt.Fprintf(&b, "balancer period=%d next=%d staleafter=%d keepalive=%d threshold=%d maxmoves=%d rounds=%d moves=%d\n",
-			int64(bc.Period), int64(bc.NextRoundAt), int64(bc.StaleAfter), int64(bc.KeepAliveUntil),
-			bc.Threshold, bc.MaxMoves, bc.Rounds, bc.Moves)
-		b.WriteString("missedbeats")
-		for _, m := range ck.MissedBeats {
-			fmt.Fprintf(&b, " %d", m)
-		}
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
+	b := make([]byte, 0, len(ckptMagic)+len(doc)+len("\ndigest 0123456789abcdef\n"))
+	b = append(b, ckptMagic...)
+	b = append(b, doc...)
+	return append(b, '\n')
 }
 
-// DecodeCheckpoint parses and digest-verifies a pm2ckpt v1 or v2
-// serialization.
+// DecodeCheckpoint verifies and parses a pm2ckpt v3 image.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	idx := bytes.LastIndex(data, []byte("\ndigest "))
 	if idx < 0 {
 		return nil, fmt.Errorf("pm2: checkpoint has no digest trailer (truncated?)")
 	}
-	body := data[:idx+1]
-	var want uint64
-	if _, err := fmt.Sscanf(string(data[idx+1:]), "digest %x", &want); err != nil {
-		return nil, fmt.Errorf("pm2: unreadable checkpoint digest trailer: %v", err)
+	body, trailer := data[:idx+1], data[idx+1:]
+	if seal := sealOf(body); string(trailer) != seal {
+		return nil, fmt.Errorf("pm2: checkpoint digest mismatch: trailer %.26q, contents seal as %q (corrupt or truncated)", trailer, seal)
 	}
-	if got := fnvSum(body); got != want {
-		return nil, fmt.Errorf("pm2: checkpoint digest mismatch: computed %016x, sealed %016x (corrupt or truncated)", got, want)
+	doc, ok := bytes.CutPrefix(body, []byte(ckptMagic))
+	if !ok {
+		first, _, _ := bytes.Cut(body, []byte("\n"))
+		return nil, fmt.Errorf("pm2: not a %s image (starts %.32q)", ckptMagic[:len(ckptMagic)-1], first)
 	}
-
-	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
-	pos := 0
-	next := func() (string, error) {
-		if pos >= len(lines) {
-			return "", fmt.Errorf("pm2: checkpoint ends early at line %d", pos+1)
-		}
-		pos++
-		return lines[pos-1], nil
-	}
-	expect := func(format string, args ...any) error {
-		line, err := next()
-		if err != nil {
-			return err
-		}
-		if n, err := fmt.Sscanf(line, format, args...); err != nil || n != len(args) {
-			return fmt.Errorf("pm2: checkpoint line %d: want %q, got %q", pos, format, line)
-		}
-		return nil
-	}
-	// field returns the rest of the next line after prefix. The node
-	// bitmap and thread image lines carry kilobytes to megabytes of hex,
-	// which they take whole: fmt.Sscanf would spend most of a decode
-	// scanning them, and would ignore trailing text.
-	field := func(prefix string) (string, error) {
-		line, err := next()
-		if err != nil {
-			return "", err
-		}
-		rest, ok := strings.CutPrefix(line, prefix)
-		if !ok || rest == "" {
-			return "", fmt.Errorf("pm2: checkpoint line %d: want %q, got %.64q", pos, prefix+"...", line)
-		}
-		return rest, nil
-	}
-
-	v2 := false
-	if line, err := next(); err != nil {
-		return nil, err
-	} else if line == ckptMagicV2 {
-		v2 = true
-	} else if line != ckptMagic {
-		return nil, fmt.Errorf("pm2: not a %s file (starts %q)", ckptMagic, line)
-	}
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.DisallowUnknownFields()
 	ck := &Checkpoint{}
-	if err := expect("config nodes=%d policy=%s arbiter=%s gather=%s dist=%s convoy=%t pack=%d heartbeat-misses=%d",
-		&ck.Nodes, &ck.Policy, &ck.Arbiter, &ck.Gather, &ck.Dist, &ck.Convoy, &ck.Pack, &ck.HeartbeatMisses); err != nil {
-		return nil, err
+	if err := dec.Decode(ck); err != nil {
+		return nil, fmt.Errorf("pm2: checkpoint: %v", err)
 	}
-	var now int64
-	if err := expect("clock now=%d seq=%d steps=%d", &now, &ck.Seq, &ck.Step); err != nil {
-		return nil, err
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("pm2: checkpoint: data after the document")
 	}
-	ck.Now = simtime.Time(now)
-	statsLine, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if !strings.HasPrefix(statsLine, "stats ") {
-		return nil, fmt.Errorf("pm2: checkpoint line %d: want stats, got %q", pos, statsLine)
-	}
-	if err := json.Unmarshal([]byte(statsLine[len("stats "):]), &ck.Stats); err != nil {
-		return nil, fmt.Errorf("pm2: checkpoint stats: %v", err)
-	}
-	var nTrace int
-	if err := expect("trace %d", &nTrace); err != nil {
-		return nil, err
-	}
-	for i := 0; i < nTrace; i++ {
-		line, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasPrefix(line, ">") {
-			return nil, fmt.Errorf("pm2: checkpoint line %d: want trace line, got %q", pos, line)
-		}
-		ck.Trace = append(ck.Trace, line[1:])
-	}
-	for i := 0; i < ck.Nodes; i++ {
-		var (
-			rank int
-			busy int64
-			st   CheckpointNode
-		)
-		if err := expect("node %d busy=%d nextseq=%d created=%d finished=%d faulted=%d dispatches=%d instrs=%d sent=%d sentbytes=%d dropped=%d journal=%d",
-			&rank, &busy, &st.NextSeq, &st.Created, &st.Finished, &st.Faulted, &st.Dispatches, &st.Instrs,
-			&st.Sent, &st.SentBytes, &st.Dropped, &st.Journal); err != nil {
-			return nil, err
-		}
-		if rank != i {
-			return nil, fmt.Errorf("pm2: checkpoint node records out of order: want %d, got %d", i, rank)
-		}
-		st.Busy = simtime.Time(busy)
-		bmHex, err := field("bitmap ")
-		if err != nil {
-			return nil, err
-		}
-		if st.Bitmap, err = hex.DecodeString(bmHex); err != nil {
-			return nil, fmt.Errorf("pm2: checkpoint node %d bitmap: %v", i, err)
-		}
-		exLine, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if exLine != "exited" && !strings.HasPrefix(exLine, "exited ") {
-			return nil, fmt.Errorf("pm2: checkpoint line %d: want exited, got %q", pos, exLine)
-		}
-		for _, f := range strings.Fields(exLine)[1:] {
-			var tid uint32
-			if _, err := fmt.Sscanf(f, "%d", &tid); err != nil {
-				return nil, fmt.Errorf("pm2: checkpoint node %d exited tid %q: %v", i, f, err)
-			}
-			st.Exited = append(st.Exited, tid)
-		}
-		var nThreads int
-		if err := expect("threads %d", &nThreads); err != nil {
-			return nil, err
-		}
-		for k := 0; k < nThreads; k++ {
-			var th CheckpointThread
-			rest, err := field("thread tid=")
-			if err != nil {
-				return nil, err
-			}
-			tidText, imgHex, ok := strings.Cut(rest, " image=")
-			tid, perr := strconv.ParseUint(tidText, 10, 32)
-			if !ok || perr != nil || imgHex == "" {
-				return nil, fmt.Errorf("pm2: checkpoint line %d: want \"thread tid=<tid> image=<hex>\", got %.64q", pos, lines[pos-1])
-			}
-			th.TID = uint32(tid)
-			if th.Image, err = hex.DecodeString(imgHex); err != nil {
-				return nil, fmt.Errorf("pm2: checkpoint thread %#x image: %v", th.TID, err)
-			}
-			st.Threads = append(st.Threads, th)
-		}
-		ck.NodeStates = append(ck.NodeStates, st)
-	}
-	if v2 {
-		bc := &BalancerCheckpoint{}
-		var period, nextAt, stale, keep int64
-		if err := expect("balancer period=%d next=%d staleafter=%d keepalive=%d threshold=%d maxmoves=%d rounds=%d moves=%d",
-			&period, &nextAt, &stale, &keep, &bc.Threshold, &bc.MaxMoves, &bc.Rounds, &bc.Moves); err != nil {
-			return nil, err
-		}
-		bc.Period, bc.NextRoundAt = simtime.Time(period), simtime.Time(nextAt)
-		bc.StaleAfter, bc.KeepAliveUntil = simtime.Time(stale), simtime.Time(keep)
-		ck.Balancer = bc
-		mbLine, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if mbLine != "missedbeats" && !strings.HasPrefix(mbLine, "missedbeats ") {
-			return nil, fmt.Errorf("pm2: checkpoint line %d: want missedbeats, got %q", pos, mbLine)
-		}
-		for _, f := range strings.Fields(mbLine)[1:] {
-			var m int
-			if _, err := fmt.Sscanf(f, "%d", &m); err != nil {
-				return nil, fmt.Errorf("pm2: checkpoint missedbeats %q: %v", f, err)
-			}
-			ck.MissedBeats = append(ck.MissedBeats, m)
-		}
-	}
-	if pos != len(lines) {
-		return nil, fmt.Errorf("pm2: %d trailing checkpoint lines after node records", len(lines)-pos)
+	switch {
+	case ck.Nodes < 1:
+		return nil, fmt.Errorf("pm2: checkpoint of %d nodes", ck.Nodes)
+	case len(ck.NodeStates) != ck.Nodes:
+		return nil, fmt.Errorf("pm2: checkpoint carries %d node states for %d nodes", len(ck.NodeStates), ck.Nodes)
 	}
 	return ck, nil
 }
 
-// DistFromName resolves a Distribution.Name() string — the form a
-// checkpoint records — back to the distribution it names, so a restorer
-// can rebuild Config.Dist from the capture instead of asking the
-// operator to re-specify it.
-func DistFromName(s string) (core.Distribution, error) {
+// Config returns the structural configuration the checkpoint was taken
+// under — everything RestoreCluster requires to match. Cost model,
+// placement, RPCTimeout and faults are left for the caller to set.
+func (ck *Checkpoint) Config() (Config, error) {
+	if ck.Policy != PolicyIso.String() {
+		return Config{}, fmt.Errorf("pm2: checkpoint taken under the %q policy; only %s clusters are captured", ck.Policy, PolicyIso)
+	}
+	dist, err := distFromName(ck.Dist)
+	if err != nil {
+		return Config{}, err
+	}
+	gather, err := ParseGatherMode(ck.Gather)
+	if err != nil {
+		return Config{}, err
+	}
+	arbiter, err := ParseArbiterMode(ck.Arbiter)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Nodes:           ck.Nodes,
+		Policy:          PolicyIso,
+		Dist:            dist,
+		Gather:          gather,
+		Arbiter:         arbiter,
+		Convoy:          ck.Convoy,
+		Pack:            PackMode(ck.Pack),
+		HeartbeatMisses: ck.HeartbeatMisses,
+	}, nil
+}
+
+// distFromName resolves a Distribution.Name() string — the form a
+// checkpoint records — back to the distribution it names.
+func distFromName(s string) (core.Distribution, error) {
 	switch {
 	case s == "round-robin":
 		return core.RoundRobin{}, nil

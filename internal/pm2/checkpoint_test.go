@@ -177,56 +177,116 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCheckpointDecodeRejectsBadHexLines: the node bitmap and thread
-// image lines are decoded without fmt.Sscanf, and must still refuse a
-// missing field, a bad hex digit, an odd hex length, trailing text and a
-// negative tid — each in an otherwise valid, correctly sealed image.
-func TestCheckpointDecodeRejectsBadHexLines(t *testing.T) {
+// reseal returns body sealed with its own digest trailer: an image
+// that passes the seal whatever the body says.
+func reseal(body string) []byte { return []byte(body + sealOf([]byte(body))) }
+
+// TestCheckpointDecodeRejectsResealedImages: the seal guards against
+// accidental corruption only, so DecodeCheckpoint must refuse a
+// malformed document behind a valid seal with an error: unknown
+// fields, wrong types, bad base64 in a bitmap or a thread image, a
+// node count that disagrees with the node states (a huge one included,
+// which must be refused before anything is sized by it), data after
+// the document, and the retired v1/v2 headers.
+func TestCheckpointDecodeRejectsResealedImages(t *testing.T) {
 	data, _ := runCheckpointed(t, Config{Nodes: 2}, 2*simtime.Millisecond)
 	body := string(data[:bytes.LastIndex(data, []byte("\ndigest "))+1])
-	lines := strings.SplitAfter(body, "\n")
-	// line returns the index of the first line with prefix.
-	line := func(prefix string) int {
-		for i, l := range lines {
-			if strings.HasPrefix(l, prefix) {
-				return i
-			}
-		}
-		t.Fatalf("the checkpoint has no %q line", prefix)
-		return 0
-	}
-	bm, th := line("bitmap "), line("thread ")
-	tid, img, _ := strings.Cut(strings.TrimSuffix(lines[th], "\n"), " image=")
-	cases := []struct {
-		name string
-		at   int
-		text string
-		want string
-	}{
-		{"bitmap missing", bm, "bitmap", `want "bitmap ..."`},
-		{"bitmap empty", bm, "bitmap ", `want "bitmap ..."`},
-		{"bitmap bad digit", bm, "bitmap g" + lines[bm][len("bitmap x"):len(lines[bm])-1], "invalid byte"},
-		{"bitmap odd length", bm, lines[bm][:len(lines[bm])-2], "odd length"},
-		{"bitmap trailing token", bm, lines[bm][:len(lines[bm])-1] + " 00", "invalid byte"},
-		{"thread image missing", th, tid, `want "thread tid=<tid> image=<hex>"`},
-		{"thread tid missing", th, "thread image=" + img, `want "thread tid=..."`},
-		{"thread bad digit", th, tid + " image=" + img[:len(img)-1] + "z", "invalid byte"},
-		{"thread odd length", th, tid + " image=" + img[:len(img)-1], "odd length"},
-		{"thread trailing token", th, tid + " image=" + img + " extra", "invalid byte"},
-		{"thread negative tid", th, "thread tid=-1 image=" + img, `want "thread tid=<tid> image=<hex>"`},
-	}
-	seal := func(body string) []byte {
-		return fmt.Appendf([]byte(body), "digest %016x\n", fnvSum([]byte(body)))
-	}
-	if _, err := DecodeCheckpoint(seal(body)); err != nil {
+	doc := strings.TrimSuffix(strings.TrimPrefix(body, ckptMagic), "\n")
+	if _, err := DecodeCheckpoint(reseal(body)); err != nil {
 		t.Fatalf("resealed pristine checkpoint rejected: %v", err)
+	}
+	// field returns the offset just past the first `"name":"` in doc.
+	field := func(name string) int {
+		i := strings.Index(doc, `"`+name+`":"`)
+		if i < 0 {
+			t.Fatalf("the checkpoint has no %s string", name)
+		}
+		return i + len(name) + 4
+	}
+	bm, img := field("Bitmap"), field("Image")
+	end := func(at int) int { return at + strings.IndexByte(doc[at:], '"') }
+	edit := func(at, to int, text string) string { return doc[:at] + text + doc[to:] }
+	cases := []struct {
+		name, body, want string
+	}{
+		{"unknown field", ckptMagic + `{"Bogus":1,` + doc[1:] + "\n", `unknown field "Bogus"`},
+		{"unknown node field", ckptMagic + edit(bm-len(`"Bitmap":"`), bm-len(`"Bitmap":"`), `"Bogus":1,`) + "\n", `unknown field "Bogus"`},
+		{"wrong type", ckptMagic + strings.Replace(doc, `"Nodes":2`, `"Nodes":"2"`, 1) + "\n", "cannot unmarshal string"},
+		{"bitmap bad base64", ckptMagic + edit(bm, bm+1, "!") + "\n", "illegal base64"},
+		{"bitmap truncated base64", ckptMagic + edit(end(bm)-1, end(bm), "") + "\n", "illegal base64"},
+		{"bitmap trailing text", ckptMagic + edit(end(bm), end(bm), " 00") + "\n", "illegal base64"},
+		{"thread bad base64", ckptMagic + edit(img, img+1, "*") + "\n", "illegal base64"},
+		{"thread truncated base64", ckptMagic + edit(end(img)-1, end(img), "") + "\n", "illegal base64"},
+		{"thread negative tid", ckptMagic + strings.Replace(doc, `"TID":`, `"TID":-`, 1) + "\n", "cannot unmarshal number -"},
+		{"nodes above node states", ckptMagic + strings.Replace(doc, `"Nodes":2`, `"Nodes":3`, 1) + "\n", "2 node states for 3 nodes"},
+		{"huge nodes without node states", ckptMagic + `{"Nodes":1000000000,"NodeStates":null}` + "\n", "0 node states for 1000000000 nodes"},
+		{"zero nodes", ckptMagic + `{"Nodes":0}` + "\n", "checkpoint of 0 nodes"},
+		{"null document", ckptMagic + "null\n", "checkpoint of 0 nodes"},
+		{"trailing document", ckptMagic + doc + "\n{}\n", "data after the document"},
+		{"trailing text", ckptMagic + doc + " x\n", "data after the document"},
+		{"v1 header", strings.Replace(body, ckptMagic, "pm2ckpt v1\n", 1), `not a pm2ckpt v3 image (starts "pm2ckpt v1")`},
+		{"v2 header", strings.Replace(body, ckptMagic, "pm2ckpt v2\n", 1), `not a pm2ckpt v3 image (starts "pm2ckpt v2")`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			edited := append([]string(nil), lines...)
-			edited[tc.at] = tc.text + "\n"
-			if _, err := DecodeCheckpoint(seal(strings.Join(edited, ""))); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := DecodeCheckpoint(reseal(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// stubBalancer is a registered balancer with a round pending at next.
+type stubBalancer struct{ next simtime.Time }
+
+func (b stubBalancer) CheckpointPause() BalancerCheckpoint {
+	return BalancerCheckpoint{Period: 2 * simtime.Millisecond, NextRoundAt: b.next, Threshold: 2, MaxMoves: 1, Rounds: 3, Moves: 4}
+}
+
+func (stubBalancer) CheckpointResume(BalancerCheckpoint) {}
+
+// TestCheckpointImageRoundTrip: for a plain capture, one carrying a
+// balancer's round state and the capture a restart-and-refail restore
+// starts from, decoding and re-encoding an image gives it back byte for
+// byte, and its trailer carries Digest() — the two properties the
+// benchmark's checkpoint check asserts.
+func TestCheckpointImageRoundTrip(t *testing.T) {
+	plain, _ := runCheckpointed(t, Config{Nodes: 4}, 3*simtime.Millisecond)
+	refail, _ := runCheckpointed(t, Config{Nodes: 2, RPCTimeout: -1}, 2*simtime.Millisecond)
+	c := New(Config{Nodes: 2}, progs.NewImage())
+	c.Spawn(0, "worker", 20_000)
+	c.Engine().RunUntil(simtime.Millisecond)
+	c.SetBalancer(stubBalancer{next: 2 * simtime.Millisecond})
+	bck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bck.Balancer == nil {
+		t.Fatal("the balancer capture carries no balancer")
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"plain", plain}, {"balancer", bck.Encode()}, {"refail", refail}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := DecodeCheckpoint(tc.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ck.Encode(); !bytes.Equal(got, tc.data) {
+				t.Fatalf("Encode(Decode(image)) differs: %d bytes against %d", len(got), len(tc.data))
+			}
+			if !bytes.HasSuffix(tc.data, fmt.Appendf(nil, "digest %016x\n", ck.Digest())) {
+				t.Fatal("the trailer does not carry Digest()")
+			}
+			if tc.name == "balancer" && (ck.Balancer == nil || *ck.Balancer != *bck.Balancer) {
+				t.Fatalf("balancer state %+v, captured %+v", ck.Balancer, bck.Balancer)
+			}
+			if tc.name == "refail" {
+				cfg := Config{Nodes: 2, RPCTimeout: -1, Faults: mustPlan(t, fmt.Sprintf("crash:1@%d", (ck.Now+simtime.Millisecond)/simtime.Microsecond))}
+				if _, err := RestoreCluster(cfg, progs.NewImage(), ck); err != nil {
+					t.Fatalf("refail restore: %v", err)
+				}
 			}
 		})
 	}

@@ -263,6 +263,183 @@ func TestLockTableSurvivesItsManager(t *testing.T) {
 	}
 }
 
+// TestLockHeldByCrashedRankIsReleased: nodes 1 and 2 each negotiate 3
+// slots, and node 1 crashes at every instant of the window in which it
+// holds a key at a live manager (a shard at node 2, or the section at
+// node 0) or waits for one. The crashed holder's unlock is dropped at
+// the wire, so declaring it dead must release every key it holds at a
+// live manager, and never hand a key to a waiter that rank queued.
+// Under both arbiters node 2's negotiation succeeds and the cluster
+// ends consistent and drained.
+func TestLockHeldByCrashedRankIsReleased(t *testing.T) {
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded} {
+		for at := 360; at <= 410; at += 5 {
+			c := New(Config{Nodes: 3, Arbiter: arb, RPCTimeout: -1,
+				Faults: mustPlan(t, fmt.Sprintf("crash:1@%d", at))}, progs.NewImage())
+			tickHeartbeats(c, 20*simtime.Microsecond, 200)
+			ok := false
+			c.At(1, func(n *Node) { n.negotiate(3, func(bool) {}) })
+			c.At(2, func(n *Node) { n.negotiate(3, func(r bool) { ok = r }) })
+			c.Run(0)
+			if !c.NodeDown(1) {
+				t.Fatalf("%s, crash@%d: node 1 never declared dead", arb, at)
+			}
+			if !ok {
+				t.Errorf("%s, crash@%d: node 2's negotiation failed", arb, at)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Errorf("%s, crash@%d: %v", arb, at, err)
+			}
+			if err := c.CheckDrained(); err != nil {
+				t.Errorf("%s, crash@%d: %v", arb, at, err)
+			}
+		}
+	}
+}
+
+// TestReleaseSkipsDeadWaiter: node 1 queues for the section behind
+// node 2 and crashes. Once node 1 is declared dead, node 2's unlock must
+// pass over it — a grant to node 1 would be dropped at the wire and
+// leave the section held by no one — and node 0 is granted it next.
+func TestReleaseSkipsDeadWaiter(t *testing.T) {
+	c := New(Config{Nodes: 3, RPCTimeout: -1, Faults: mustPlan(t, "crash:1@100")}, progs.NewImage())
+	tickHeartbeats(c, 20*simtime.Microsecond, 20)
+	var held2, held1 []int
+	c.At(2, func(n *Node) {
+		n.lockEach([]int{sectionKey}, &held2, func() {}, func() { t.Error("node 2: section lock failed") })
+	})
+	c.Engine().At(20*simtime.Microsecond, func() {
+		c.At(1, func(n *Node) {
+			n.lockEach([]int{sectionKey}, &held1, func() { t.Error("node 1 granted the section") }, func() {})
+		})
+	})
+	granted := false
+	c.Engine().At(600*simtime.Microsecond, func() {
+		if !c.NodeDown(1) {
+			t.Fatal("node 1 not declared dead by 600 µs")
+		}
+		c.At(2, func(n *Node) { n.unlockAll(&held2) })
+		c.At(0, func(n *Node) {
+			var mine []int
+			n.lockEach([]int{sectionKey}, &mine, func() {
+				granted = true
+				n.unlockAll(&mine)
+			}, func() { t.Error("node 0: section lock failed") })
+		})
+	})
+	c.Run(0)
+	if !granted {
+		t.Fatal("node 0 never granted the section")
+	}
+	if err := c.CheckDrained(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleUnlockFromDeadHolderIsDropped: on 4 nodes, node 1 holds a
+// key (the section at node 0, or shard 3 at node 3), node 2 queues for
+// it, and node 1 sends its unlock at 250 µs, just before it crashes at
+// 300 µs. The unlock reaches the manager only after node 1 is declared
+// dead at 340 µs: a partition holds it until 2,000 µs, or a slow window
+// stretches its 9 µs wire time 200-fold. Declaring node 1 dead hands the
+// key to node 2, so the late unlock must not release it again: the
+// fourth node, asking at 4,500 µs, is granted the key only once node 2
+// unlocks it at 5,000 µs.
+func TestStaleUnlockFromDeadHolderIsDropped(t *testing.T) {
+	for _, key := range []int{sectionKey, 3} {
+		mgr, asker := 0, 3
+		if key != sectionKey {
+			mgr, asker = 3, 0
+		}
+		for _, delay := range []string{fmt.Sprintf("partition:1-%d@200..2000", mgr), "slow:1x200@240..260"} {
+			plan := "crash:1@300;" + delay
+			c := New(Config{Nodes: 4, Faults: mustPlan(t, plan)}, progs.NewImage())
+			if got := c.lockManager(key); got != mgr {
+				t.Fatalf("key %d managed by node %d, want %d", key, got, mgr)
+			}
+			tickHeartbeats(c, 20*simtime.Microsecond, 20)
+			us := func(v int) simtime.Time { return simtime.Time(v) * simtime.Microsecond }
+			var held1, held2, held3 []int
+			var unlocked2, askerGranted simtime.Time
+			c.At(1, func(n *Node) { n.lockEach([]int{key}, &held1, func() {}, func() {}) })
+			c.Engine().At(us(20), func() {
+				c.At(2, func(n *Node) {
+					n.lockEach([]int{key}, &held2, func() {
+						n.actor.PostAfter(us(5000)-c.Engine().Now(), func() {
+							unlocked2 = c.Engine().Now()
+							n.unlockAll(&held2)
+						})
+					}, func() { t.Error("node 2: lock failed") })
+				})
+			})
+			c.Engine().At(us(250), func() {
+				if len(held1) != 1 {
+					t.Errorf("key %d, %s: node 1 holds %v at 250 µs", key, delay, held1)
+				}
+				c.At(1, func(n *Node) { n.unlockAll(&held1) })
+			})
+			c.Engine().At(us(4500), func() {
+				c.At(asker, func(n *Node) {
+					n.lockEach([]int{key}, &held3, func() {
+						askerGranted = c.Engine().Now()
+						n.unlockAll(&held3)
+					}, func() { t.Error("asker: lock failed") })
+				})
+			})
+			c.Run(0)
+			if !c.NodeDown(1) {
+				t.Fatalf("key %d, %s: node 1 never declared dead", key, delay)
+			}
+			if unlocked2 == 0 || askerGranted < unlocked2 {
+				t.Errorf("key %d, %s: node %d granted at %v, node 2 unlocked at %v",
+					key, delay, asker, askerGranted, unlocked2)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Errorf("key %d, %s: %v", key, delay, err)
+			}
+			if err := c.CheckDrained(); err != nil {
+				t.Errorf("key %d, %s: %v", key, delay, err)
+			}
+		}
+	}
+}
+
+// TestLateLockRequestFromDeadRankTakesNothing: node 1 asks node 0 for
+// the section at 250 µs, crashes at 300 µs and is declared dead at
+// 340 µs, and a partition holds its request until 2,000 µs. The free
+// section must not be entered as held by the dead rank, which could
+// never unlock it: node 3, asking at 2,500 µs, is granted it, and the
+// cluster ends drained.
+func TestLateLockRequestFromDeadRankTakesNothing(t *testing.T) {
+	c := New(Config{Nodes: 4, Faults: mustPlan(t, "crash:1@300;partition:0-1@200..2000")}, progs.NewImage())
+	tickHeartbeats(c, 20*simtime.Microsecond, 20)
+	var held1, held3 []int
+	c.Engine().At(250*simtime.Microsecond, func() {
+		c.At(1, func(n *Node) {
+			n.lockEach([]int{sectionKey}, &held1, func() { t.Error("node 1 granted the section") }, func() {})
+		})
+	})
+	granted := false
+	c.Engine().At(2500*simtime.Microsecond, func() {
+		c.At(3, func(n *Node) {
+			n.lockEach([]int{sectionKey}, &held3, func() {
+				granted = true
+				n.unlockAll(&held3)
+			}, func() { t.Error("node 3: section lock failed") })
+		})
+	})
+	c.Run(0)
+	if !c.NodeDown(1) {
+		t.Fatal("node 1 never declared dead")
+	}
+	if !granted {
+		t.Error("node 3 never granted the section")
+	}
+	if err := c.CheckDrained(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestReroutedLockKeepsItsHolder: node 2 holds shard 10, granted by its
 // manager, node 1, when node 1 crashes. Once node 1 is declared dead the
 // shard is managed by node 2 itself, and node 0 asks for it there. Node

@@ -62,9 +62,9 @@ type Node struct {
 	nextKey uint32
 
 	// locks is the lock table of the keys this rank manages: a held key
-	// maps to its waiters (arbiter.go). grantedBy maps each key this
-	// node holds to the manager rank that granted it.
-	locks     map[int][]*madeleine.Call
+	// maps to its holder and waiters (arbiter.go). grantedBy maps each
+	// key this node holds to the manager rank that granted it.
+	locks     map[int]*lockEntry
 	grantedBy map[int]int
 
 	// neg is the negotiation running its protocol on this node (past the

@@ -241,6 +241,17 @@ type Stats struct {
 	Net bip.Stats
 }
 
+// clone deep-copies s, so neither copy aliases the other's slices.
+func (s Stats) clone() Stats {
+	s.MigrationLatencies = append([]simtime.Time(nil), s.MigrationLatencies...)
+	s.NegotiationLatencies = append([]simtime.Time(nil), s.NegotiationLatencies...)
+	s.EvacuationLatencies = append([]simtime.Time(nil), s.EvacuationLatencies...)
+	s.DetectionLatencies = append([]simtime.Time(nil), s.DetectionLatencies...)
+	s.RejoinLatencies = append([]simtime.Time(nil), s.RejoinLatencies...)
+	s.CohortSamples = append([]CohortSample(nil), s.CohortSamples...)
+	return s
+}
+
 // AvgMigrationMicros returns the mean end-to-end migration latency.
 func (s Stats) AvgMigrationMicros() float64 { return avgMicros(s.MigrationLatencies) }
 
@@ -445,14 +456,8 @@ func (c *Cluster) AllocSamples() []AllocSample {
 
 // Stats returns a copy of the aggregate measurements.
 func (c *Cluster) Stats() Stats {
-	s := c.stats
+	s := c.stats.clone()
 	s.Net = c.nw.Stats()
-	s.MigrationLatencies = append([]simtime.Time(nil), c.stats.MigrationLatencies...)
-	s.NegotiationLatencies = append([]simtime.Time(nil), c.stats.NegotiationLatencies...)
-	s.CohortSamples = append([]CohortSample(nil), c.stats.CohortSamples...)
-	s.EvacuationLatencies = append([]simtime.Time(nil), c.stats.EvacuationLatencies...)
-	s.DetectionLatencies = append([]simtime.Time(nil), c.stats.DetectionLatencies...)
-	s.RejoinLatencies = append([]simtime.Time(nil), c.stats.RejoinLatencies...)
 	return s
 }
 

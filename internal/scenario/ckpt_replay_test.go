@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 
 	ipm2 "repro/internal/pm2"
@@ -63,5 +64,36 @@ func TestReplayFromCheckpointRejectsMismatch(t *testing.T) {
 	}
 	if _, err := ReplayFromCheckpoint(Spec{Nodes: 8, Seed: sp.Seed}, reqs, ck); err == nil {
 		t.Fatal("8-node replay of a 4-node checkpoint accepted")
+	}
+}
+
+// TestReplayRejectsBadRequests: a request naming a program the harness
+// image lacks, or a preferred node outside the cluster, is an error from
+// Replay and ReplayFromCheckpoint before anything is scheduled, never a
+// panic mid-run.
+func TestReplayRejectsBadRequests(t *testing.T) {
+	ck := captureCheckpoint(t)
+	good := serve.Request{At: 10 * simtime.Microsecond, Cohort: "api", Prog: "worker", Arg: 100}
+	cases := []struct {
+		name string
+		edit func(*serve.Request)
+		want string
+	}{
+		{"unknown program", func(q *serve.Request) { q.Prog = "bogus" }, `unknown program "bogus"`},
+		{"pref outside the cluster", func(q *serve.Request) { q.Pref = 99 }, "pref 99 outside 4 nodes"},
+		{"negative pref", func(q *serve.Request) { q.Pref = -1 }, "pref -1 outside 4 nodes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := good
+			tc.edit(&bad)
+			reqs := []serve.Request{good, bad}
+			if _, err := Replay(Spec{Nodes: 4, Seed: 1}, reqs); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Replay: error = %v, want %q", err, tc.want)
+			}
+			if _, err := ReplayFromCheckpoint(Spec{Nodes: 4, Seed: 1}, reqs, ck); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ReplayFromCheckpoint: error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

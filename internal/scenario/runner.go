@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/isa"
 	"repro/internal/loadbal"
 	ipm2 "repro/internal/pm2"
 	"repro/internal/policy"
@@ -190,23 +191,21 @@ func ReplayFromCheckpoint(spec Spec, reqs []serve.Request, ck *ipm2.Checkpoint) 
 		return nil, err
 	}
 	spec.Arbiter = arbiter.String()
-	dist, err := ipm2.DistFromName(ck.Dist)
+	cfg, err := ck.Config()
 	if err != nil {
 		return nil, err
 	}
 
+	im := Image()
+	if err := checkRequests(reqs, spec.Nodes, im); err != nil {
+		return nil, err
+	}
+
 	rec := &recorder{}
-	cl, err := ipm2.RestoreCluster(ipm2.Config{
-		Nodes:           spec.Nodes,
-		Gather:          gather,
-		Arbiter:         arbiter,
-		Placement:       &recordingPolicy{inner: pol, rec: rec},
-		Dist:            dist,
-		Convoy:          ck.Convoy,
-		Pack:            ipm2.PackMode(ck.Pack),
-		HeartbeatMisses: ck.HeartbeatMisses,
-		RPCTimeout:      rpcTimeout(spec, 0),
-	}, Image(), ck)
+	cfg.Nodes, cfg.Gather, cfg.Arbiter = spec.Nodes, gather, arbiter
+	cfg.Placement = &recordingPolicy{inner: pol, rec: rec}
+	cfg.RPCTimeout = rpcTimeout(spec, 0)
+	cl, err := ipm2.RestoreCluster(cfg, im, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -220,6 +219,20 @@ func ReplayFromCheckpoint(spec Spec, reqs []serve.Request, ck *ipm2.Checkpoint) 
 	}
 	d.scheduleRequests(shifted)
 	return finish(spec, d, cl, rec)
+}
+
+// checkRequests refuses a replay stream the run could not schedule: a
+// program the image lacks, or a preferred node outside the cluster.
+func checkRequests(reqs []serve.Request, nodes int, im *isa.Image) error {
+	for i, q := range reqs {
+		if _, ok := im.EntryOf(q.Prog); !ok {
+			return fmt.Errorf("scenario: request %d: unknown program %q", i+1, q.Prog)
+		}
+		if q.Pref < 0 || q.Pref >= nodes {
+			return fmt.Errorf("scenario: request %d: pref %d outside %d nodes", i+1, q.Pref, nodes)
+		}
+	}
+	return nil
 }
 
 // rpcTimeout resolves the deadline-layer setting for a run: an explicit
@@ -261,6 +274,10 @@ func run(spec Spec, replay []serve.Request) (*Result, error) {
 		return nil, err
 	}
 	spec.Arbiter = arbiter.String()
+	im := Image()
+	if err := checkRequests(replay, spec.Nodes, im); err != nil {
+		return nil, err
+	}
 
 	rec := &recorder{}
 	cl, err := ipm2.NewChecked(ipm2.Config{
@@ -269,7 +286,7 @@ func run(spec Spec, replay []serve.Request) (*Result, error) {
 		Arbiter:    arbiter,
 		Placement:  &recordingPolicy{inner: pol, rec: rec},
 		RPCTimeout: rpcTimeout(spec, gen.RPCTimeout),
-	}, Image())
+	}, im)
 	if err != nil {
 		return nil, err
 	}

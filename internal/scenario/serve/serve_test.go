@@ -186,15 +186,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(strings.NewReader(future)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: want version error, got %v", err)
 	}
-	// A v1 file — no ckpt line — must still decode, with no checkpoint binding.
+	// A v1 file — no ckpt line — is an older format, refused too.
 	v1 := strings.Replace(good, fmt.Sprintf("pm2serve-trace v%d", TraceVersion), "pm2serve-trace v1", 1)
 	v1 = strings.Replace(v1, "ckpt 0000000000000000\n", "", 1)
-	old, err := Decode(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 trace rejected: %v", err)
-	}
-	if old.CkptDigest != 0 {
-		t.Fatalf("v1 trace decoded with ckpt digest %016x, want 0", old.CkptDigest)
+	if _, err := Decode(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("v1 trace: want version error, got %v", err)
 	}
 	// Truncation must be refused.
 	if _, err := Decode(strings.NewReader(good[:len(good)/2])); err == nil {
@@ -204,6 +200,98 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(strings.NewReader("hello world\n")); err == nil {
 		t.Fatal("garbage header accepted")
 	}
+}
+
+// sealTrace renders a trace file around header lines and req lines,
+// with the digest the req lines hash to, so only the header is at fault.
+func sealTrace(header string, reqs ...Request) string {
+	tr := &Trace{Requests: reqs}
+	var b strings.Builder
+	b.WriteString(header)
+	for _, r := range reqs {
+		b.WriteString(reqLine(r))
+	}
+	fmt.Fprintf(&b, "digest %016x\n", tr.Digest())
+	return b.String()
+}
+
+const traceHeader = "pm2serve-trace v2\npolicy negotiation\nnodes %d\nseed 1\ngather delta\narbiter global\nckpt 0000000000000000\nrequests %d\n"
+
+// TestDecodeRejectsHugeRequestCount: the request count is untrusted, so
+// a count far beyond the lines that follow is an error, and nothing is
+// sized by it first.
+func TestDecodeRejectsHugeRequestCount(t *testing.T) {
+	in := sealTrace(fmt.Sprintf(traceHeader, 4, uint64(1)<<62))
+	if _, err := Decode(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "request 1") {
+		t.Fatalf("want an error at the first request line, got %v", err)
+	}
+}
+
+// TestDecodeRejectsPrefOutsideCluster: a request's preferred node must
+// be a rank of the trace's cluster, and the cluster must have a node.
+func TestDecodeRejectsPrefOutsideCluster(t *testing.T) {
+	req := Request{At: 10, Cohort: "api", Prog: "worker", Arg: 100, Pref: 99}
+	if _, err := Decode(strings.NewReader(sealTrace(fmt.Sprintf(traceHeader, 4, 1), req))); err == nil || !strings.Contains(err.Error(), "pref 99 outside 4 nodes") {
+		t.Fatalf("pref 99 on 4 nodes: got %v", err)
+	}
+	req.Pref = 0
+	for _, nodes := range []int{0, -3} {
+		if _, err := Decode(strings.NewReader(sealTrace(fmt.Sprintf(traceHeader, nodes, 1), req))); err == nil || !strings.Contains(err.Error(), "bad nodes") {
+			t.Fatalf("nodes %d: got %v", nodes, err)
+		}
+	}
+	req.Pref = 3
+	if _, err := Decode(strings.NewReader(sealTrace(fmt.Sprintf(traceHeader, 4, 1), req))); err != nil {
+		t.Fatalf("pref 3 on 4 nodes rejected: %v", err)
+	}
+}
+
+// TestDecodeAcceptsOnlyTraceVersion: the header must name exactly
+// TraceVersion; a negative, older or newer one is refused.
+func TestDecodeAcceptsOnlyTraceVersion(t *testing.T) {
+	good := sealTrace(fmt.Sprintf(traceHeader, 4, 0))
+	if _, err := Decode(strings.NewReader(good)); err != nil {
+		t.Fatalf("empty v%d trace rejected: %v", TraceVersion, err)
+	}
+	for _, v := range []string{"v-3", "v1", "v3", "v02", "v2 extra"} {
+		in := strings.Replace(good, "pm2serve-trace v2", "pm2serve-trace "+v, 1)
+		if _, err := Decode(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("header %q: want a version error, got %v", v, err)
+		}
+	}
+}
+
+// FuzzTraceDecode: Decode returns a trace or an error for any input,
+// never a panic, and a trace it returns encodes to a file that decodes
+// to the same trace.
+func FuzzTraceDecode(f *testing.F) {
+	reqs, err := DeriveSpec(1, 4).Synthesize(4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := (&Trace{Policy: "negotiation", Nodes: 4, Seed: 1, Gather: "delta", Arbiter: "global", Requests: reqs[:8]}).Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(sealTrace(fmt.Sprintf(traceHeader, 4, uint64(1)<<62)))
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Decode(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.Encode(&out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(&out)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("re-encoded trace decodes differently:\n%+v\n%+v", again, tr)
+		}
+	})
 }
 
 // TestValidate covers the spec guards.

@@ -10,10 +10,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// TraceVersion is the current trace-file format version. Decoders reject
-// anything newer; bumping it is a deliberate format change. v2 added the
-// ckpt line binding a trace to the pm2ckpt image it was recorded
-// against; v1 files still decode, with no checkpoint binding.
+// TraceVersion is the trace-file format version. Decode accepts exactly
+// this one; bumping it is a deliberate format change. v2 added the ckpt
+// line binding a trace to the pm2ckpt image it was recorded against.
 const TraceVersion = 2
 
 // Trace is a recorded serving workload: the harness parameters it was
@@ -29,8 +28,8 @@ type Trace struct {
 	Arbiter string
 	// CkptDigest binds the trace to a pm2ckpt checkpoint image: the
 	// checkpoint's sealed FNV-1a digest, or 0 when the trace replays on
-	// a freshly booted cluster (the v1 behavior). A replay that starts
-	// from a checkpoint must present an image with this exact digest.
+	// a freshly booted cluster. A replay that starts from a checkpoint
+	// must present an image with this exact digest.
 	CkptDigest uint64
 	Requests   []Request
 }
@@ -85,8 +84,9 @@ func (t *Trace) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode parses a trace file, validating the version header, the
-// request count, and the stream digest.
+// Decode parses a trace file, validating the version header, the node
+// count, every request's preferred node, the request count and the
+// stream digest. Nothing is sized by a count before its lines are read.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -104,12 +104,8 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading trace header: %w", err)
 	}
-	var version int
-	if _, err := fmt.Sscanf(hdr, "pm2serve-trace v%d", &version); err != nil {
-		return nil, fmt.Errorf("serve: not a serve trace (header %q)", hdr)
-	}
-	if version > TraceVersion {
-		return nil, fmt.Errorf("serve: trace version %d is newer than supported v%d", version, TraceVersion)
+	if want := fmt.Sprintf("pm2serve-trace v%d", TraceVersion); hdr != want {
+		return nil, fmt.Errorf("serve: unsupported trace version (header %.40q, want %q)", hdr, want)
 	}
 
 	t := &Trace{}
@@ -132,8 +128,8 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.Nodes, err = strconv.Atoi(v); err != nil {
-		return nil, fmt.Errorf("serve: bad nodes %q: %w", v, err)
+	if t.Nodes, err = strconv.Atoi(v); err != nil || t.Nodes < 1 {
+		return nil, fmt.Errorf("serve: bad nodes %q", v)
 	}
 	if v, err = field("seed"); err != nil {
 		return nil, err
@@ -147,13 +143,11 @@ func Decode(r io.Reader) (*Trace, error) {
 	if t.Arbiter, err = field("arbiter"); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		if v, err = field("ckpt"); err != nil {
-			return nil, err
-		}
-		if t.CkptDigest, err = strconv.ParseUint(v, 16, 64); err != nil {
-			return nil, fmt.Errorf("serve: bad ckpt digest %q: %w", v, err)
-		}
+	if v, err = field("ckpt"); err != nil {
+		return nil, err
+	}
+	if t.CkptDigest, err = strconv.ParseUint(v, 16, 64); err != nil {
+		return nil, fmt.Errorf("serve: bad ckpt digest %q: %w", v, err)
 	}
 	if v, err = field("requests"); err != nil {
 		return nil, err
@@ -162,13 +156,15 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("serve: bad request count %q", v)
 	}
 
-	t.Requests = make([]Request, 0, count)
 	for i := 0; i < count; i++ {
 		l, err := line()
 		if err != nil {
 			return nil, fmt.Errorf("serve: reading request %d/%d: %w", i+1, count, err)
 		}
 		req, err := parseReq(l)
+		if err == nil && req.Pref >= t.Nodes {
+			err = fmt.Errorf("pref %d outside %d nodes", req.Pref, t.Nodes)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: request %d: %w", i+1, err)
 		}

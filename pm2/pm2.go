@@ -68,10 +68,10 @@
 // partitioned-but-alive node is routed around but never evacuated, and
 // rejoins cleanly when the partition heals.
 //
-// Orthogonally, CheckpointBytes serializes a quiescent cluster to the
-// digest-sealed "pm2ckpt" format (v1, or v2 when a paused balancer's
-// round state rides along) and System.Restore boots a new cluster from
-// it whose continuation is byte-identical to resuming the original —
+// Orthogonally, CheckpointBytes serializes a quiescent cluster to a
+// digest-sealed "pm2ckpt v3" image (with a paused balancer's round
+// state when one rides along) and System.Restore boots a new cluster
+// from it whose continuation is byte-identical to resuming the original —
 // the pm2load -checkpoint/-restore flags from the command line. A
 // restore composes with a fresh fault plan whose events lie after the
 // checkpoint clock: the restart-and-refail experiment.
@@ -474,10 +474,11 @@ func (c *Cluster) AttachBalancer(periodMicros int64) (stop func()) {
 
 // CheckpointBytes drives the cluster to a quiescent instant — every
 // runnable thread parked, every in-flight message landed — and returns
-// its complete state serialized in the digest-sealed "pm2ckpt" text
-// format (v2 when an attached balancer's round state rides along). The cluster is left parked: call Resume to continue it in
-// place, or feed the bytes to System.Restore (here or in another
-// process) for a continuation byte-identical to resuming the original.
+// its complete state as a digest-sealed "pm2ckpt v3" image, with the
+// round state of an attached balancer when one is pending. The cluster
+// is left parked: call Resume to continue it in place, or feed the
+// bytes to System.Restore (here or in another process) for a
+// continuation byte-identical to resuming the original.
 // Refused, with an error: clusters with a fault plan installed, the
 // relocation baseline, and clusters whose threads used the
 // non-migratable pm2_malloc heap.
@@ -504,33 +505,17 @@ func (s *System) Restore(data []byte) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist, err := ipm2.DistFromName(ck.Dist)
+	cfg, err := ck.Config()
 	if err != nil {
 		return nil, err
 	}
-	gather, err := ipm2.ParseGatherMode(ck.Gather)
+	inner, err := ipm2.RestoreCluster(cfg, s.im, ck)
 	if err != nil {
 		return nil, err
 	}
-	arbiter, err := ipm2.ParseArbiterMode(ck.Arbiter)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := ipm2.RestoreCluster(ipm2.Config{
-		Nodes:           ck.Nodes,
-		Dist:            dist,
-		Gather:          gather,
-		Arbiter:         arbiter,
-		Convoy:          ck.Convoy,
-		Pack:            ipm2.PackMode(ck.Pack),
-		HeartbeatMisses: ck.HeartbeatMisses,
-	}, s.im, ck)
-	if err != nil {
-		return nil, err
-	}
-	// A pm2ckpt v2 image carries the round state of the balancer the
-	// capture paused; reattach it so the restored continuation keeps
-	// the cadence (and the Rounds/Moves accounting) the original had.
+	// Reattach the balancer the capture paused, so the restored
+	// continuation keeps the cadence (and the Rounds/Moves accounting)
+	// the original had.
 	if ck.Balancer != nil {
 		loadbal.AttachFromCheckpoint(inner, loadbal.Config{}, *ck.Balancer)
 	}
