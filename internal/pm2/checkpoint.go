@@ -239,7 +239,7 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		// Derived gather state is rebuilt, not serialized: clear it on
 		// the live cluster so the in-process continuation re-learns it
 		// exactly like a restored one.
-		d.deltaPeers, d.deltaOr = nil, nil
+		d.dropViews()
 		if d.journal != nil {
 			st.Journal = d.journal.Version()
 			d.journal.Truncate()

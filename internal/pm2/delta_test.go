@@ -2,6 +2,7 @@ package pm2
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bip"
@@ -192,35 +193,11 @@ func TestDeltaGatherCachedOrCoherent(t *testing.T) {
 			checkDeltaOrCoherent(t, n)
 		}
 	}
-	contend := func(initiators ...int) {
-		t.Helper()
-		completed := make([]bool, c.Nodes())
-		for _, id := range initiators {
-			c.At(id, func(n *Node) {
-				n.negotiate(2, func(ok bool) {
-					if !ok {
-						t.Errorf("node %d's negotiation failed", n.id)
-					}
-					checkDeltaOrCoherent(t, n)
-					completed[n.id] = true
-				})
-			})
-		}
-		c.Run(0)
-		for _, id := range initiators {
-			if !completed[id] {
-				t.Fatalf("node %d's negotiation never completed", id)
-			}
-		}
-		if err := c.CheckDrained(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	contend(0, 2, 3)
-	contend(0, 2, 3)
+	contend(t, c, 0, 2, 3)
+	contend(t, c, 0, 2, 3)
 	overflowJournal(t, c)
-	contend(0, 2, 3)
-	contend(0, 2, 3)
+	contend(t, c, 0, 2, 3)
+	contend(t, c, 0, 2, 3)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +216,37 @@ func TestDeltaGatherCachedOrCoherent(t *testing.T) {
 	for _, id := range []int{0, 2, 3} {
 		n := c.Node(id)
 		n.forgetDeltaPeer(1)
-		if n.deltaPeers[1].bm != nil {
+		if n.deltaPeers[1] != nil {
 			t.Fatalf("node %d still caches node 1's view", id)
 		}
 		checkDeltaOrCoherent(t, n)
+	}
+}
+
+// contend starts a 2-slot negotiation at every initiator at once, so
+// they queue on the arbiter, and runs c until all of them completed.
+func contend(t *testing.T, c *Cluster, initiators ...int) {
+	t.Helper()
+	completed := make([]bool, c.Nodes())
+	for _, id := range initiators {
+		c.At(id, func(n *Node) {
+			n.negotiate(2, func(ok bool) {
+				if !ok {
+					t.Errorf("node %d's negotiation failed", n.id)
+				}
+				checkDeltaOrCoherent(t, n)
+				completed[n.id] = true
+			})
+		})
+	}
+	c.Run(0)
+	for _, id := range initiators {
+		if !completed[id] {
+			t.Fatalf("node %d's negotiation never completed", id)
+		}
+	}
+	if err := c.CheckDrained(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -252,7 +256,7 @@ func checkDeltaOrCoherent(t *testing.T, n *Node) {
 	t.Helper()
 	want := bitmap.New(layout.SlotCount)
 	for q, v := range n.deltaPeers {
-		if q != n.id && v.bm != nil {
+		if q != n.id && v != nil {
 			want.Or(v.bm)
 		}
 	}
@@ -459,4 +463,210 @@ func BenchmarkApplyDelta(b *testing.B) {
 		}
 	})
 	c.Run(0)
+}
+
+// TestDeltaViewsShareSnapshots: initiators whose cached views of a rank
+// stand at the same version share one map. Eight of sixteen nodes
+// contend twice on the global lock, so each next initiator gathers
+// rank p at the version the previous one left it; no two same-version
+// views may hold separate copies, and there are no more distinct view
+// maps than distinct (rank, version) pairs.
+func TestDeltaViewsShareSnapshots(t *testing.T) {
+	c := New(Config{Nodes: 16, Gather: GatherDelta}, progs.NewImage())
+	initiators := []int{0, 2, 4, 6, 8, 10, 12, 14}
+	contend(t, c, initiators...)
+	contend(t, c, initiators...)
+	type key struct {
+		rank    int
+		version uint64
+	}
+	byKey := make(map[key]*bitmap.Bitmap)
+	maps := make(map[*bitmap.Bitmap]bool)
+	views := 0
+	for _, id := range initiators {
+		for p, v := range c.Node(id).deltaPeers {
+			if v == nil {
+				continue
+			}
+			views++
+			k := key{p, v.version}
+			if bm, ok := byKey[k]; ok && bm != v.bm {
+				t.Errorf("nodes hold two copies of node %d's map at version %d", p, v.version)
+			}
+			byKey[k] = v.bm
+			maps[v.bm] = true
+		}
+	}
+	t.Logf("%d views, %d distinct (rank, version) pairs, %d distinct maps", views, len(byKey), len(maps))
+	if len(maps) > len(byKey) {
+		t.Errorf("%d distinct view maps for %d (rank, version) pairs", len(maps), len(byKey))
+	}
+	if len(maps) >= views {
+		t.Errorf("no view shares its map: %d maps for %d views", len(maps), views)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaSnapshotsReleased: every path that drops cached views
+// releases their snapshots — suspicion, rejoin, the reclaim of a
+// declared-dead rank and checkpoint capture — and leaves each
+// snapshot's reference count equal to the views on it
+// (Cluster.CheckInvariants).
+func TestDeltaSnapshotsReleased(t *testing.T) {
+	// The slow window installs the fault state and slows nothing.
+	c := New(Config{Nodes: 8, Gather: GatherDelta, Faults: mustPlan(t, "slow:7x1@0..1")}, progs.NewImage())
+	initiators := []int{0, 2, 4, 6}
+	check := func(step string, dropped int) {
+		t.Helper()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+		if dropped < 0 {
+			return
+		}
+		if s := c.snaps.latest[dropped]; s != nil {
+			t.Fatalf("after %s: the table still keeps node %d's snapshot at version %d", step, dropped, s.version)
+		}
+		for _, n := range c.nodes {
+			if n.deltaPeers != nil && n.deltaPeers[dropped] != nil {
+				t.Fatalf("after %s: node %d still views node %d", step, n.id, dropped)
+			}
+		}
+	}
+	contend(t, c, initiators...)
+	contend(t, c, initiators...)
+	check("the warm-up", -1)
+	now := c.Engine().Now()
+	c.suspect(5, now)
+	check("suspecting node 5", 5)
+	c.rejoin(5, now)
+	check("node 5's rejoin", 5)
+	c.suspect(2, now)
+	c.rejoin(2, now)
+	for p, v := range c.Node(2).deltaPeers {
+		if v != nil {
+			t.Fatalf("rejoined node 2 still views node %d", p)
+		}
+	}
+	check("node 2's rejoin", 2)
+	contend(t, c, initiators...)
+	c.declareDead(3, now)
+	c.Run(0)
+	check("reclaiming node 3", 3)
+
+	// Capture needs a cluster without a fault plan.
+	c = New(Config{Nodes: 8, Gather: GatherDelta}, progs.NewImage())
+	contend(t, c, initiators...)
+	if _, err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpoint capture", -1)
+	for p, s := range c.snaps.latest {
+		if s != nil {
+			t.Fatalf("after checkpoint capture the table keeps node %d's snapshot", p)
+		}
+	}
+	for _, id := range initiators {
+		for p, v := range c.Node(id).deltaPeers {
+			if v != nil {
+				t.Fatalf("after checkpoint capture node %d still views node %d", id, p)
+			}
+		}
+	}
+}
+
+// TestSharedVersionDisagreementPanics: one (rank, version) pair names
+// one map, so a reply at the version of the table's snapshot that
+// disagrees with it is a protocol violation. Node 2 publishes node 1's
+// map at a synthetic version; node 0 then receives a word delta or a
+// full map at that version that differs in one bit, and must panic
+// instead of adopting either copy.
+func TestSharedVersionDisagreementPanics(t *testing.T) {
+	const (
+		ver = 1000
+		w   = 100
+	)
+	for _, full := range []bool{false, true} {
+		c := New(Config{Nodes: 4, Gather: GatherDelta}, progs.NewImage())
+		contend(t, c, 0, 2)
+		n0, n2 := c.Node(0), c.Node(2)
+		truth := n2.deltaPeers[1].bm.Clone()
+		truth.SetWord(w, truth.Word(w)^1)
+		wrong := truth.Clone()
+		wrong.SetWord(w, wrong.Word(w)^2)
+		reply := func(bm *bitmap.Bitmap) *madeleine.Buffer {
+			if full {
+				return madeleine.FromBytes(madeleine.NewBuffer().PackU32(deltaReplyFull).PackU64(ver).PackBytes(bm.Bytes()).Bytes())
+			}
+			return madeleine.FromBytes(deltaWordsReply(ver, [2]uint64{w, bm.Word(w)}))
+		}
+		n2.actor.Mute(func() { n2.applyDeltaReply(1, true, reply(truth)) })
+		if s := c.snaps.at(1, ver); s == nil || !s.bm.Equal(truth) {
+			t.Fatalf("full=%v: node 2's reply published no snapshot at version %d", full, ver)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "disagrees with its shared snapshot") {
+					t.Errorf("full=%v: a disagreeing reply at a shared version gave %v, want a disagreement panic", full, r)
+				}
+			}()
+			n0.actor.Mute(func() { n0.applyDeltaReply(1, true, reply(wrong)) })
+		}()
+	}
+}
+
+// TestApplyDeltaReplyAllocations gates a warm word-delta reply at zero
+// host allocations, both when it patches a view its node holds alone
+// and when it adopts the snapshot another node published at the same
+// version. In the shared case node 2 applies each reply first, copying
+// the shared view the two nodes held into a snapshot from the free
+// list, and node 0 then adopts it and releases the old one.
+func TestApplyDeltaReplyAllocations(t *testing.T) {
+	if bip.Poison {
+		t.Skip("poison build: released snapshots are retired, so every copy allocates")
+	}
+	c := New(Config{Nodes: 4, Gather: GatherDelta}, progs.NewImage())
+	contend(t, c, 0, 2)
+	n0, n2 := c.Node(0), c.Node(2)
+	const w = 100
+	v := n0.deltaPeers[1].bm.Word(w)
+	low := v & -v
+	// Versions far above any the cluster reached, so no real snapshot
+	// stands at them.
+	const ver = 1 << 40
+	replies := [2][]byte{
+		deltaWordsReply(ver, [2]uint64{w, v &^ low}),
+		deltaWordsReply(ver+1, [2]uint64{w, v}),
+	}
+	var buf madeleine.Buffer
+	apply := func(n *Node, reply []byte) {
+		buf = *madeleine.FromBytes(reply)
+		n.actor.Mute(func() { n.applyDeltaReply(1, true, &buf) })
+	}
+	i := 0
+	sole := testing.AllocsPerRun(100, func() {
+		apply(n0, replies[i&1])
+		i++
+	})
+	if refs := n0.deltaPeers[1].refs; refs != 1 {
+		t.Fatalf("node 0's view of node 1 has %d holders, want it alone", refs)
+	}
+	shared := testing.AllocsPerRun(100, func() {
+		apply(n2, replies[i&1])
+		apply(n0, replies[i&1])
+		i++
+	})
+	if n0.deltaPeers[1] != n2.deltaPeers[1] {
+		t.Fatal("node 0 did not adopt node 2's snapshot")
+	}
+	t.Logf("allocations per reply: %.1f sole-held, %.1f per copy and shared hit", sole, shared)
+	if sole != 0 || shared != 0 {
+		t.Fatalf("warm word-delta replies allocate: %.1f sole-held, %.1f per copy and shared hit, want 0", sole, shared)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

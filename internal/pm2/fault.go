@@ -256,10 +256,7 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 		}
 		n.forgetDeltaPeer(i)
 	}
-	if r.deltaPeers != nil {
-		r.deltaPeers = make([]deltaPeerView, c.Nodes())
-		r.deltaOr = bitmap.New(layout.SlotCount)
-	}
+	r.dropViews()
 	c.log.Raw(fmt.Sprintf("[rejoin] node %d rejoined at t=%dus (suspicion cleared)",
 		i, now/simtime.Microsecond))
 }

@@ -78,11 +78,12 @@ type Node struct {
 	// fallback; see delta.go).
 	// journal is the server half: the version stamp and bounded
 	// dirty-word journal of this node's own bitmap. deltaPeers and
-	// deltaOr are the initiator half: the cached last-seen map+version
-	// per peer and the cached global OR of those views, both allocated
-	// lazily on the node's first negotiation.
+	// deltaOr are the initiator half: the cached view of each peer, a
+	// shared snapshot of its map at the last-seen version (nil before
+	// first contact), and the cached global OR of those views, both
+	// allocated lazily on the node's first negotiation.
 	journal    *bitmap.Journal
-	deltaPeers []deltaPeerView
+	deltaPeers []*viewSnap
 	deltaOr    *bitmap.Bitmap
 	// Delta-gather scratch, reused every round so a warm round
 	// allocates only what crosses the wire (see deltaView and

@@ -283,6 +283,9 @@ type Cluster struct {
 	// shares, so the pages one node unmaps back the next install
 	// anywhere (see hostPageBound).
 	pages *vmem.Pages
+	// snaps holds the delta gather's shared view snapshots (delta.go),
+	// nil under the sequential gather, which caches no views.
+	snaps *viewSnaps
 	// cohortByTID maps a live tagged thread to its CohortSample index so
 	// the exit hook can stamp its completion (see slo.go). Lazily
 	// allocated on the first SpawnCohort.
@@ -394,6 +397,9 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	}
 	c.bufPool = madeleine.NewPool()
 	c.pages = vmem.NewPages(hostPageBound)
+	if cfg.Gather != GatherSequential {
+		c.snaps = newViewSnaps(cfg.Nodes)
+	}
 	c.nw = bip.NewNetwork(c.eng, cfg.Model, cfg.Nodes)
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -582,6 +588,42 @@ func (c *Cluster) CheckInvariants() error {
 		}
 		if err := n.checkThreads(); err != nil {
 			return err
+		}
+	}
+	return c.checkViewSnaps()
+}
+
+// checkViewSnaps checks the delta gather's snapshot counts: every view
+// points at a live snapshot of its own rank, each snapshot's refs equal
+// the views pointing at it, and the table holds only such snapshots.
+func (c *Cluster) checkViewSnaps() error {
+	if c.snaps == nil {
+		return nil
+	}
+	held := make(map[*viewSnap]int)
+	for _, n := range c.nodes {
+		for p, s := range n.deltaPeers {
+			switch {
+			case s == nil:
+				continue
+			case s.released:
+				return fmt.Errorf("pm2: node %d's view of node %d points at a released snapshot", n.id, p)
+			case s.rank != p:
+				return fmt.Errorf("pm2: node %d's view of node %d points at a snapshot of node %d", n.id, p, s.rank)
+			}
+			held[s]++
+		}
+	}
+	for _, n := range c.nodes {
+		for p, s := range n.deltaPeers {
+			if s != nil && s.refs != held[s] {
+				return fmt.Errorf("pm2: node %d's snapshot at version %d counts %d references, %d views hold it", p, s.version, s.refs, held[s])
+			}
+		}
+	}
+	for p, s := range c.snaps.latest {
+		if s != nil && (s.rank != p || held[s] == 0) {
+			return fmt.Errorf("pm2: the snapshot table's entry for node %d (node %d at version %d) is held by no view", p, s.rank, s.version)
 		}
 	}
 	return nil
