@@ -80,7 +80,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
 		switch f.Name {
-		case "dist", "fault", "rpc-timeout", "heartbeat-misses", "convoy":
+		case "dist", "fault", "rpc-timeout", "convoy":
 			fmt.Fprintf(os.Stderr, "pm2bench: -%s does not apply to the figures\n", f.Name)
 			os.Exit(2)
 		}

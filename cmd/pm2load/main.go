@@ -24,9 +24,8 @@
 //	pm2load -restore run.ckpt
 //
 // The cluster flags (-nodes, -dist, -policy, -gather, -arbiter, -fault,
-// -rpc-timeout, -heartbeat-misses, -convoy) are bound by pm2.BindFlags,
-// shared with pm2trace and pm2bench; a bad value exits 2 with a
-// one-line message. -policy selects the placement policy (negotiation |
+// -rpc-timeout, -convoy) are bound by pm2.BindFlags, shared with
+// pm2trace and pm2bench; a bad value exits 2 with a one-line message. -policy selects the placement policy (negotiation |
 // round-robin | work-stealing); -mech selects the migration mechanism
 // (iso | relocate); -gather the §4.4 bitmap-gather strategy (sequential
 // | tree | delta); -arbiter the negotiation concurrency scheme (global |

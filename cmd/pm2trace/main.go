@@ -9,14 +9,16 @@
 //	pm2trace record [flags] -o <file>   # record a serving workload trace
 //	pm2trace replay [flags] -i <file>   # replay it byte-identically
 //
-// record -checkpoint <ckpt> binds the trace to a pm2ckpt image (its
-// digest lands in the v2 trace header); replay of such a trace requires
-// -checkpoint with the same image and continues it from its captured
-// instant instead of a fresh boot.
+// A trace file is a sealed pm2serve-trace v3 image: a magic line, the
+// trace as one JSON document and an FNV-1a digest line, the format of
+// pm2ckpt images too. record -checkpoint <ckpt> binds the trace to a
+// pm2ckpt image (its digest lands in the trace's CkptDigest member);
+// replay of such a trace requires -checkpoint with the same image and
+// continues it from its captured instant instead of a fresh boot.
 //
 // The cluster flags (-nodes, -dist, -policy, -gather, -arbiter, -fault,
-// -rpc-timeout, -heartbeat-misses, -convoy) are the ones pm2.BindFlags
-// binds for every front end. -fault installs a fault plan (crash /
+// -rpc-timeout, -convoy) are the ones pm2.BindFlags binds for every
+// front end. -fault installs a fault plan (crash /
 // partition / slow events) and drives millisecond heartbeat rounds past
 // its horizon; -rpc-timeout arms the partial-failure deadline layer
 // ("auto" or µs). The summary then reports RPC timeouts, suspicions,
@@ -201,23 +203,23 @@ func recordCmd(args []string) {
 	out := fs.String("o", "", "output trace file (required)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	scale := fs.Float64("scale", 1, "arrival-rate multiplier")
-	ckpt := fs.String("checkpoint", "", "pm2ckpt file the trace continues from (binds its digest into the header)")
+	ckpt := fs.String("checkpoint", "", "pm2ckpt file the trace continues from (binds its digest into the trace)")
 	fs.Parse(args)
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "usage: pm2trace record -o <file> [-nodes n] [-seed s] [-policy p] [-gather g] [-arbiter a] [-scale x] [-checkpoint f]")
 		os.Exit(2)
 	}
-	// A trace header records only the cluster size, placement, gather
-	// and arbiter; the other cluster flags have nowhere to go.
+	// A trace records only the cluster size, placement, gather and
+	// arbiter; the other cluster flags have nowhere to go.
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "dist", "fault", "rpc-timeout", "heartbeat-misses", "convoy":
+		case "dist", "fault", "rpc-timeout", "convoy":
 			fmt.Fprintf(os.Stderr, "pm2trace: -%s does not apply to record\n", f.Name)
 			os.Exit(2)
 		}
 	})
 	// The binder canonicalizes the harness parameters exactly as a live
-	// run would, so the recorded header matches the replayed run's.
+	// run would, so the recorded parameters match the replayed run's.
 	cfg, err := clusterFlags()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
@@ -246,16 +248,7 @@ func recordCmd(args []string) {
 		}
 		tr.CkptDigest = ck.Digest()
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
-		os.Exit(1)
-	}
-	if err := tr.Encode(f); err != nil {
-		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(*out, tr.Encode(), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
 		os.Exit(1)
 	}
@@ -277,13 +270,12 @@ func replayCmd(args []string) {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*in)
+	data, err := os.ReadFile(*in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
 		os.Exit(1)
 	}
-	tr, err := serve.Decode(f)
-	f.Close()
+	tr, err := serve.Decode(data)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pm2trace: %v\n", err)
 		os.Exit(1)

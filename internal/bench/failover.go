@@ -29,7 +29,7 @@ type FailoverRow struct {
 // FailoverReport is the gated side of the failover figure.
 type FailoverReport struct {
 	// DetectionMicros is the crash-to-declaration latency: the lease
-	// period times Config.HeartbeatMisses, independent of k.
+	// period times the two-round heartbeat lease, independent of k.
 	DetectionMicros float64
 	Points          []FailoverRow
 }

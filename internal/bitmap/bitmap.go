@@ -408,6 +408,21 @@ func (b *Bitmap) Load(data []byte, changed func(word int)) error {
 	return nil
 }
 
+// EqualBytes reports whether the serialization produced by Bytes holds
+// exactly the bits of b, comparing word by word without decoding into
+// a map. It returns an error for a payload Load would reject.
+func (b *Bitmap) EqualBytes(data []byte) (bool, error) {
+	if err := checkPayload(b.n, data); err != nil {
+		return false, err
+	}
+	for i, w := range b.words {
+		if wordAt(data, i) != w {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // FromBytes reconstructs an n-bit bitmap from the serialization produced by
 // Bytes. It returns an error if the payload is the wrong length or sets
 // bits beyond n.

@@ -203,6 +203,9 @@ func TestDecodersRejectPaddingBits(t *testing.T) {
 	if err := b.Load(bad, nil); err == nil {
 		t.Error("Load accepted padding bits beyond n")
 	}
+	if _, err := b.EqualBytes(bad); err == nil {
+		t.Error("EqualBytes accepted padding bits beyond n")
+	}
 	if b.Count() != 0 {
 		t.Fatalf("a rejected payload changed the map: %s", b)
 	}
@@ -211,6 +214,35 @@ func TestDecodersRejectPaddingBits(t *testing.T) {
 	got, err := FromBytes(10, []byte{0xff, 0x03})
 	if err != nil || !got.Equal(full) || got.Count() != 10 {
 		t.Fatalf("FromBytes(full 10-bit map) = %v, %v", got, err)
+	}
+}
+
+// TestEqualBytes: EqualBytes agrees with decoding and Equal for every
+// single-bit difference, on word-aligned and ragged sizes, and refuses a
+// payload of the wrong length.
+func TestEqualBytes(t *testing.T) {
+	for _, n := range []int{1, 9, 64, 70, 200} {
+		b := New(n)
+		for i := 0; i < n; i += 3 {
+			b.Set(i)
+		}
+		if eq, err := b.EqualBytes(b.Bytes()); err != nil || !eq {
+			t.Fatalf("n=%d: EqualBytes(own bytes) = %v, %v", n, eq, err)
+		}
+		for i := 0; i < n; i++ {
+			o := b.Clone()
+			if o.Test(i) {
+				o.Clear(i)
+			} else {
+				o.Set(i)
+			}
+			if eq, err := b.EqualBytes(o.Bytes()); err != nil || eq {
+				t.Fatalf("n=%d: EqualBytes missed a difference at bit %d (%v, %v)", n, i, eq, err)
+			}
+		}
+		if _, err := b.EqualBytes(append(b.Bytes(), 0)); err == nil {
+			t.Fatalf("n=%d: EqualBytes accepted a long payload", n)
+		}
 	}
 }
 

@@ -14,6 +14,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/bitmap"
 	"repro/internal/cost"
@@ -44,8 +46,27 @@ type Distribution interface {
 	// p-node cluster. It touches only those slots, so building one
 	// node's bitmap costs O(owned slots), not O(SlotCount).
 	Mark(bm *bitmap.Bitmap, node, p int)
-	// Name identifies the distribution in stats and benchmarks.
+	// Name identifies the distribution in stats, benchmarks and
+	// checkpoints; ParseDistribution is its exact inverse.
 	Name() string
+}
+
+// ParseDistribution returns the distribution a Name() string names:
+// "round-robin", "partition" or "block-cyclic:K" with K a positive
+// decimal written without sign or leading zeros.
+func ParseDistribution(s string) (Distribution, error) {
+	switch s {
+	case "round-robin":
+		return RoundRobin{}, nil
+	case "partition":
+		return Partition{}, nil
+	}
+	if ks, ok := strings.CutPrefix(s, "block-cyclic:"); ok {
+		if k, err := strconv.Atoi(ks); err == nil && k > 0 && strconv.Itoa(k) == ks {
+			return BlockCyclic{K: k}, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown distribution %q (want round-robin, block-cyclic:K with K ≥ 1, or partition)", s)
 }
 
 // RoundRobin is the paper's default: slot i belongs to node i mod p. Simple,
@@ -76,7 +97,7 @@ func (d BlockCyclic) Mark(bm *bitmap.Bitmap, node, p int) {
 }
 
 // Name implements Distribution.
-func (d BlockCyclic) Name() string { return fmt.Sprintf("block-cyclic(%d)", d.K) }
+func (d BlockCyclic) Name() string { return "block-cyclic:" + strconv.Itoa(d.K) }
 
 // Partition splits the iso-address area into p contiguous sub-areas, one per
 // node ("an extreme choice ... not advisable if the heap of the container

@@ -58,6 +58,23 @@ func TestDistributions(t *testing.T) {
 	}
 }
 
+// TestParseDistributionInvertsName: ParseDistribution(d.Name()) is d
+// for every distribution, and a spelling Name never writes is refused.
+func TestParseDistributionInvertsName(t *testing.T) {
+	for _, d := range []Distribution{RoundRobin{}, Partition{}, BlockCyclic{K: 1}, BlockCyclic{K: 8}, BlockCyclic{K: 1 << 62}} {
+		if got, err := ParseDistribution(d.Name()); err != nil || got != d {
+			t.Errorf("ParseDistribution(%q) = %v, %v; want %v", d.Name(), got, err, d)
+		}
+	}
+	for _, bad := range []string{"", "rr", "nope", "block-cyclic(4)", "block-cyclic(4)junk", "block-cyclic( 4)",
+		"block-cyclic:", "block-cyclic:0", "block-cyclic:-4", "block-cyclic:+4", "block-cyclic:04", "block-cyclic: 4",
+		"block-cyclic:4junk", "block-cyclic:99999999999999999999", "partition "} {
+		if d, err := ParseDistribution(bad); err == nil {
+			t.Errorf("ParseDistribution(%q) accepted as %v", bad, d)
+		}
+	}
+}
+
 // TestDistributionMarksMatchPerBit: Mark writes whole words (SetEvery,
 // SetRun); for every node of clusters whose size divides a word, does
 // not, or exceeds one, each distribution must mark exactly the slots a
@@ -69,7 +86,7 @@ func TestDistributionMarksMatchPerBit(t *testing.T) {
 				bm.Set(i)
 			}
 		},
-		"block-cyclic(8)": func(bm *bitmap.Bitmap, node, p int) {
+		"block-cyclic:8": func(bm *bitmap.Bitmap, node, p int) {
 			for i := node * 8; i < layout.SlotCount; i += p * 8 {
 				for j := i; j < min(i+8, layout.SlotCount); j++ {
 					bm.Set(j)

@@ -12,9 +12,9 @@ import (
 
 // TestBalancerDetectsNodeDeath exercises the piggybacked failure
 // detector end to end: the balancer's periodic round is the heartbeat,
-// so a crashed node's lease expires after HeartbeatMisses silent
-// rounds, the cluster evacuates its threads, and the balancer keeps
-// redistributing the survivors' load afterwards.
+// so a crashed node's lease expires after two silent rounds, the
+// cluster evacuates its threads, and the balancer keeps redistributing
+// the survivors' load afterwards.
 func TestBalancerDetectsNodeDeath(t *testing.T) {
 	plan, err := fault.Parse("crash:2@5000")
 	if err != nil {

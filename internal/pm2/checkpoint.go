@@ -1,17 +1,14 @@
 package pm2
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/layout"
 	"repro/internal/marcel"
+	"repro/internal/seal"
 	"repro/internal/simtime"
 )
 
@@ -67,14 +64,13 @@ import (
 type Checkpoint struct {
 	// Structural identity of the configuration the capture was taken
 	// under; RestoreCluster refuses a configuration that differs.
-	Nodes           int
-	Policy          string
-	Arbiter         string
-	Gather          string
-	Dist            string
-	Convoy          bool
-	Pack            int
-	HeartbeatMisses int
+	Nodes   int
+	Policy  string
+	Arbiter string
+	Gather  string
+	Dist    string
+	Convoy  bool
+	Pack    int
 
 	// Engine clock at the quiescent instant.
 	Now  simtime.Time
@@ -201,16 +197,15 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 	}
 
 	ck := &Checkpoint{
-		Nodes:           c.cfg.Nodes,
-		Policy:          c.cfg.Policy.String(),
-		Arbiter:         c.cfg.Arbiter.String(),
-		Gather:          c.cfg.Gather.String(),
-		Dist:            c.cfg.Dist.Name(),
-		Convoy:          c.cfg.Convoy,
-		Pack:            int(c.cfg.Pack),
-		HeartbeatMisses: c.cfg.HeartbeatMisses,
-		Stats:           c.stats.clone(),
-		Trace:           c.log.Lines(),
+		Nodes:   c.cfg.Nodes,
+		Policy:  c.cfg.Policy.String(),
+		Arbiter: c.cfg.Arbiter.String(),
+		Gather:  c.cfg.Gather.String(),
+		Dist:    c.cfg.Dist.Name(),
+		Convoy:  c.cfg.Convoy,
+		Pack:    int(c.cfg.Pack),
+		Stats:   c.stats.clone(),
+		Trace:   c.log.Lines(),
 	}
 	ck.Now, ck.Seq, ck.Step = c.eng.Clock()
 	if c.pausedBalancer != nil && c.pausedBalancer.NextRoundAt > 0 {
@@ -329,10 +324,9 @@ func (c *Cluster) Resume() {
 // RestoreCluster builds a fresh cluster over cfg and im and reinstates
 // a checkpoint into it. cfg must be structurally identical to the
 // configuration the checkpoint was taken under (ck.Config: node count,
-// policy, arbiter, gather, distribution, convoy, pack mode, heartbeat
-// lease); cost-model choices are free, and so is RPCTimeout — it must
-// simply match between two restores whose continuations are to be
-// compared. The returned cluster is running — its next Run continues
+// policy, arbiter, gather, distribution, convoy, pack mode); cost-model
+// choices are free, and so is RPCTimeout — it must simply match between
+// two restores whose continuations are to be compared. The returned cluster is running — its next Run continues
 // the checkpointed execution, byte-identical to Resume on the original.
 //
 // cfg.Faults composes with a restore as long as every event lies
@@ -383,8 +377,6 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 		return nil, mismatch("convoy pipeline", rc.Convoy, want.Convoy)
 	case rc.Pack != want.Pack:
 		return nil, mismatch("pack mode", rc.Pack, want.Pack)
-	case rc.HeartbeatMisses != want.HeartbeatMisses:
-		return nil, mismatch("heartbeat lease", rc.HeartbeatMisses, want.HeartbeatMisses)
 	case len(ck.NodeStates) != len(c.nodes):
 		return nil, fmt.Errorf("pm2: checkpoint carries %d node states for %d nodes", len(ck.NodeStates), len(c.nodes))
 	}
@@ -469,71 +461,27 @@ func checkRestoreImages(ck *Checkpoint) ([]*bitmap.Bitmap, error) {
 
 // --- the pm2ckpt v3 image ----------------------------------------------
 //
-// Three parts: the magic line, the Checkpoint as one encoding/json
-// document (byte fields in base64), and a "digest %016x" line carrying
-// the FNV-1a-64 of every byte before it. DecodeCheckpoint verifies the
-// seal, decodes strictly (no unknown field, nothing after the
-// document) and checks the node count before anything is sized by it.
-// The seal guards against accidental corruption only; RestoreCluster
-// validates every bitmap and thread image before installing any.
+// The Checkpoint sealed by internal/seal: the magic line, the
+// Checkpoint as one encoding/json document (byte fields in base64), and
+// the FNV-1a digest line. DecodeCheckpoint checks the node count before
+// anything is sized by it; RestoreCluster validates every bitmap and
+// thread image before installing any.
 
-const ckptMagic = "pm2ckpt v3\n"
-
-func fnvSum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
-
-// sealOf returns the digest line that seals body.
-func sealOf(body []byte) string { return fmt.Sprintf("digest %016x\n", fnvSum(body)) }
+const ckptMagic = "pm2ckpt v3"
 
 // Digest returns the seal a serialization of this checkpoint carries —
 // what trace headers and replay tools record to name the state they
 // started from.
-func (ck *Checkpoint) Digest() uint64 { return fnvSum(ck.unsealed()) }
+func (ck *Checkpoint) Digest() uint64 { return seal.Digest(ckptMagic, ck) }
 
 // Encode serializes the checkpoint, digest-sealed.
-func (ck *Checkpoint) Encode() []byte {
-	b := ck.unsealed()
-	return append(b, sealOf(b)...)
-}
-
-// unsealed returns the image up to its digest line.
-func (ck *Checkpoint) unsealed() []byte {
-	doc, err := json.Marshal(ck)
-	if err != nil {
-		panic(fmt.Sprintf("pm2: encoding checkpoint: %v", err))
-	}
-	b := make([]byte, 0, len(ckptMagic)+len(doc)+len("\ndigest 0123456789abcdef\n"))
-	b = append(b, ckptMagic...)
-	b = append(b, doc...)
-	return append(b, '\n')
-}
+func (ck *Checkpoint) Encode() []byte { return seal.Encode(ckptMagic, ck) }
 
 // DecodeCheckpoint verifies and parses a pm2ckpt v3 image.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	idx := bytes.LastIndex(data, []byte("\ndigest "))
-	if idx < 0 {
-		return nil, fmt.Errorf("pm2: checkpoint has no digest trailer (truncated?)")
-	}
-	body, trailer := data[:idx+1], data[idx+1:]
-	if seal := sealOf(body); string(trailer) != seal {
-		return nil, fmt.Errorf("pm2: checkpoint digest mismatch: trailer %.26q, contents seal as %q (corrupt or truncated)", trailer, seal)
-	}
-	doc, ok := bytes.CutPrefix(body, []byte(ckptMagic))
-	if !ok {
-		first, _, _ := bytes.Cut(body, []byte("\n"))
-		return nil, fmt.Errorf("pm2: not a %s image (starts %.32q)", ckptMagic[:len(ckptMagic)-1], first)
-	}
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.DisallowUnknownFields()
 	ck := &Checkpoint{}
-	if err := dec.Decode(ck); err != nil {
-		return nil, fmt.Errorf("pm2: checkpoint: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("pm2: checkpoint: data after the document")
+	if err := seal.Decode(ckptMagic, data, ck); err != nil {
+		return nil, fmt.Errorf("pm2: checkpoint: %w", err)
 	}
 	switch {
 	case ck.Nodes < 1:
@@ -551,9 +499,9 @@ func (ck *Checkpoint) Config() (Config, error) {
 	if ck.Policy != PolicyIso.String() {
 		return Config{}, fmt.Errorf("pm2: checkpoint taken under the %q policy; only %s clusters are captured", ck.Policy, PolicyIso)
 	}
-	dist, err := distFromName(ck.Dist)
+	dist, err := core.ParseDistribution(ck.Dist)
 	if err != nil {
-		return Config{}, err
+		return Config{}, fmt.Errorf("pm2: checkpoint: %w", err)
 	}
 	gather, err := ParseGatherMode(ck.Gather)
 	if err != nil {
@@ -564,30 +512,12 @@ func (ck *Checkpoint) Config() (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Nodes:           ck.Nodes,
-		Policy:          PolicyIso,
-		Dist:            dist,
-		Gather:          gather,
-		Arbiter:         arbiter,
-		Convoy:          ck.Convoy,
-		Pack:            PackMode(ck.Pack),
-		HeartbeatMisses: ck.HeartbeatMisses,
+		Nodes:   ck.Nodes,
+		Policy:  PolicyIso,
+		Dist:    dist,
+		Gather:  gather,
+		Arbiter: arbiter,
+		Convoy:  ck.Convoy,
+		Pack:    PackMode(ck.Pack),
 	}, nil
-}
-
-// distFromName resolves a Distribution.Name() string — the form a
-// checkpoint records — back to the distribution it names.
-func distFromName(s string) (core.Distribution, error) {
-	switch {
-	case s == "round-robin":
-		return core.RoundRobin{}, nil
-	case s == "partition":
-		return core.Partition{}, nil
-	default:
-		var k int
-		if _, err := fmt.Sscanf(s, "block-cyclic(%d)", &k); err == nil && k > 0 {
-			return core.BlockCyclic{K: k}, nil
-		}
-	}
-	return nil, fmt.Errorf("pm2: unknown distribution %q in checkpoint", s)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/fault"
 	"repro/internal/progs"
+	"repro/internal/seal"
 	"repro/internal/simtime"
 )
 
@@ -179,7 +180,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 
 // reseal returns body sealed with its own digest trailer: an image
 // that passes the seal whatever the body says.
-func reseal(body string) []byte { return []byte(body + sealOf([]byte(body))) }
+func reseal(body string) []byte { return seal.Seal([]byte(body)) }
 
 // TestCheckpointDecodeRejectsResealedImages: the seal guards against
 // accidental corruption only, so DecodeCheckpoint must refuse a
@@ -191,7 +192,8 @@ func reseal(body string) []byte { return []byte(body + sealOf([]byte(body))) }
 func TestCheckpointDecodeRejectsResealedImages(t *testing.T) {
 	data, _ := runCheckpointed(t, Config{Nodes: 2}, 2*simtime.Millisecond)
 	body := string(data[:bytes.LastIndex(data, []byte("\ndigest "))+1])
-	doc := strings.TrimSuffix(strings.TrimPrefix(body, ckptMagic), "\n")
+	head := ckptMagic + "\n"
+	doc := strings.TrimSuffix(strings.TrimPrefix(body, head), "\n")
 	if _, err := DecodeCheckpoint(reseal(body)); err != nil {
 		t.Fatalf("resealed pristine checkpoint rejected: %v", err)
 	}
@@ -209,23 +211,23 @@ func TestCheckpointDecodeRejectsResealedImages(t *testing.T) {
 	cases := []struct {
 		name, body, want string
 	}{
-		{"unknown field", ckptMagic + `{"Bogus":1,` + doc[1:] + "\n", `unknown field "Bogus"`},
-		{"unknown node field", ckptMagic + edit(bm-len(`"Bitmap":"`), bm-len(`"Bitmap":"`), `"Bogus":1,`) + "\n", `unknown field "Bogus"`},
-		{"wrong type", ckptMagic + strings.Replace(doc, `"Nodes":2`, `"Nodes":"2"`, 1) + "\n", "cannot unmarshal string"},
-		{"bitmap bad base64", ckptMagic + edit(bm, bm+1, "!") + "\n", "illegal base64"},
-		{"bitmap truncated base64", ckptMagic + edit(end(bm)-1, end(bm), "") + "\n", "illegal base64"},
-		{"bitmap trailing text", ckptMagic + edit(end(bm), end(bm), " 00") + "\n", "illegal base64"},
-		{"thread bad base64", ckptMagic + edit(img, img+1, "*") + "\n", "illegal base64"},
-		{"thread truncated base64", ckptMagic + edit(end(img)-1, end(img), "") + "\n", "illegal base64"},
-		{"thread negative tid", ckptMagic + strings.Replace(doc, `"TID":`, `"TID":-`, 1) + "\n", "cannot unmarshal number -"},
-		{"nodes above node states", ckptMagic + strings.Replace(doc, `"Nodes":2`, `"Nodes":3`, 1) + "\n", "2 node states for 3 nodes"},
-		{"huge nodes without node states", ckptMagic + `{"Nodes":1000000000,"NodeStates":null}` + "\n", "0 node states for 1000000000 nodes"},
-		{"zero nodes", ckptMagic + `{"Nodes":0}` + "\n", "checkpoint of 0 nodes"},
-		{"null document", ckptMagic + "null\n", "checkpoint of 0 nodes"},
-		{"trailing document", ckptMagic + doc + "\n{}\n", "data after the document"},
-		{"trailing text", ckptMagic + doc + " x\n", "data after the document"},
-		{"v1 header", strings.Replace(body, ckptMagic, "pm2ckpt v1\n", 1), `not a pm2ckpt v3 image (starts "pm2ckpt v1")`},
-		{"v2 header", strings.Replace(body, ckptMagic, "pm2ckpt v2\n", 1), `not a pm2ckpt v3 image (starts "pm2ckpt v2")`},
+		{"unknown field", head + `{"Bogus":1,` + doc[1:] + "\n", `unknown field "Bogus"`},
+		{"unknown node field", head + edit(bm-len(`"Bitmap":"`), bm-len(`"Bitmap":"`), `"Bogus":1,`) + "\n", `unknown field "Bogus"`},
+		{"wrong type", head + strings.Replace(doc, `"Nodes":2`, `"Nodes":"2"`, 1) + "\n", "cannot unmarshal string"},
+		{"bitmap bad base64", head + edit(bm, bm+1, "!") + "\n", "illegal base64"},
+		{"bitmap truncated base64", head + edit(end(bm)-1, end(bm), "") + "\n", "illegal base64"},
+		{"bitmap trailing text", head + edit(end(bm), end(bm), " 00") + "\n", "illegal base64"},
+		{"thread bad base64", head + edit(img, img+1, "*") + "\n", "illegal base64"},
+		{"thread truncated base64", head + edit(end(img)-1, end(img), "") + "\n", "illegal base64"},
+		{"thread negative tid", head + strings.Replace(doc, `"TID":`, `"TID":-`, 1) + "\n", "cannot unmarshal number -"},
+		{"nodes above node states", head + strings.Replace(doc, `"Nodes":2`, `"Nodes":3`, 1) + "\n", "2 node states for 3 nodes"},
+		{"huge nodes without node states", head + `{"Nodes":1000000000,"NodeStates":null}` + "\n", "0 node states for 1000000000 nodes"},
+		{"zero nodes", head + `{"Nodes":0}` + "\n", "checkpoint of 0 nodes"},
+		{"null document", head + "null\n", "checkpoint of 0 nodes"},
+		{"trailing document", head + doc + "\n{}\n", "data after the document"},
+		{"trailing text", head + doc + " x\n", "data after the document"},
+		{"v1 header", strings.Replace(body, head, "pm2ckpt v1\n", 1), `not a pm2ckpt v3 image (starts "pm2ckpt v1")`},
+		{"v2 header", strings.Replace(body, head, "pm2ckpt v2\n", 1), `not a pm2ckpt v3 image (starts "pm2ckpt v2")`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

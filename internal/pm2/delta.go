@@ -359,9 +359,9 @@ func patchMap(bm *bitmap.Bitmap, patch []deltaWordPatch) {
 
 // applyFullMap moves the view of p to the full map data at version ver:
 // first contact, or the journal truncated past the cached version. A
-// view this node holds alone is decoded over in place; otherwise the map
-// is decoded into a free snapshot, which the table's snapshot at ver, if
-// any, must equal and then replaces.
+// view this node holds alone is decoded over in place. Otherwise the view
+// adopts the table's snapshot at ver, which the shipped bytes must
+// equal, or, when there is none, a free snapshot the map is decoded into.
 func (n *Node) applyFullMap(p int, view *viewSnap, ver uint64, data []byte) {
 	snaps := n.c.snaps
 	shared := snaps.at(p, ver)
@@ -375,17 +375,22 @@ func (n *Node) applyFullMap(p int, view *viewSnap, ver uint64, data []byte) {
 		snaps.latest[p] = view
 		return
 	}
-	s := snaps.take(p, ver)
-	if err := s.bm.Load(data, nil); err != nil {
-		panic(fmt.Sprintf("pm2: bad bitmap from node %d: %v", p, err))
-	}
-	if shared != nil {
-		if !shared.bm.Equal(s.bm) {
+	s := shared
+	if s != nil {
+		// Another initiator published this version: the shipped map
+		// must equal it, and the view adopts it without a copy.
+		eq, err := s.bm.EqualBytes(data)
+		if err != nil {
+			panic(fmt.Sprintf("pm2: bad bitmap from node %d: %v", p, err))
+		}
+		if !eq {
 			panic(fmt.Sprintf("pm2: node %d's map at version %d disagrees with its shared snapshot", p, ver))
 		}
-		snaps.put(s)
-		s = shared
 	} else {
+		s = snaps.take(p, ver)
+		if err := s.bm.Load(data, nil); err != nil {
+			panic(fmt.Sprintf("pm2: bad bitmap from node %d: %v", p, err))
+		}
 		snaps.latest[p] = s
 	}
 	if view == nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/fault"
+	"repro/internal/layout"
 	"repro/internal/progs"
 	"repro/internal/simtime"
 )
@@ -219,7 +220,6 @@ func TestFaultPlanConfigValidation(t *testing.T) {
 	}{
 		{"relocation baseline", Config{Nodes: 4, Policy: PolicyRelocate, Faults: plan}, "iso-address"},
 		{"single node", Config{Nodes: 1, Faults: mustPlan(t, "slow:0x2@0..1000")}, "two nodes"},
-		{"negative lease", Config{Nodes: 4, HeartbeatMisses: -1}, "heartbeat"},
 		{"rank out of range", Config{Nodes: 2, Faults: mustPlan(t, "crash:7@1000")}, "outside"},
 	}
 	for _, tc := range cases {
@@ -481,5 +481,83 @@ func TestReroutedLockKeepsItsHolder(t *testing.T) {
 	}
 	if err := c.CheckDrained(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefragmentationSurvivesACrashedPeer: node 0 defragments a 4-node
+// cluster at t=0 while node 2 crashes at some instant from 1 to 40 µs,
+// and node 1 negotiates 3 slots at 200 µs. The surrender call to node 2
+// times out, so the coordinator plans without node 2 and sends it no
+// install; the defragmentation completes and releases the section, and
+// node 1's negotiation, queued behind it, succeeds. Had the surrender
+// call bypassed the deadline layer, the coordinator would wait for node
+// 2 forever and hold the section: "manager 0 still holds 1 lock(s)".
+func TestDefragmentationSurvivesACrashedPeer(t *testing.T) {
+	for _, at := range []int{1, 5, 10, 15, 20, 25, 30, 35, 40} {
+		c := New(Config{Nodes: 4, RPCTimeout: -1, Faults: mustPlan(t, fmt.Sprintf("crash:2@%d", at))}, progs.NewImage())
+		tickHeartbeats(c, 20*simtime.Microsecond, 200)
+		defragmented, ok := false, false
+		c.Defragment(0, func() { defragmented = true })
+		c.Engine().At(200*simtime.Microsecond, func() {
+			c.At(1, func(n *Node) { n.negotiate(3, func(r bool) { ok = r }) })
+		})
+		c.Run(0)
+		st := c.Stats()
+		switch {
+		case !c.NodeDown(2):
+			t.Errorf("crash@%d: node 2 never declared dead", at)
+		case !defragmented || st.Defragmentations != 1:
+			t.Errorf("crash@%d: defragmentation done=%v, completed %d", at, defragmented, st.Defragmentations)
+		case !ok:
+			t.Errorf("crash@%d: node 1's negotiation failed", at)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("crash@%d: %v", at, err)
+		}
+		if err := c.CheckDrained(); err != nil {
+			t.Errorf("crash@%d: %v", at, err)
+		}
+	}
+}
+
+// TestDefragmentationKeepsSurrenderedSlots: on 4 nodes, node 2 either
+// answers node 0's surrender call only after a partition heals, long
+// past the call's deadline, or surrenders in time and is declared dead
+// before the new distribution is scattered. In the first case the
+// coordinator planned without node 2 and installs its surrendered
+// slots back when the late reply comes; in the second it keeps node
+// 2's planned share. Either way every slot is still owned free by a
+// node when the run drains.
+func TestDefragmentationKeepsSurrenderedSlots(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		dead   bool
+	}{
+		{"partition:2-0@200..3000", false},
+		{"crash:2@260", true},
+	} {
+		c := New(Config{Nodes: 4, RPCTimeout: -1, Faults: mustPlan(t, tc.faults)}, progs.NewImage())
+		if tc.dead {
+			tickHeartbeats(c, 20*simtime.Microsecond, 200)
+		}
+		c.Defragment(0, nil)
+		c.Run(0)
+		switch st := c.Stats(); {
+		case st.Defragmentations != 1:
+			t.Errorf("%s: %d defragmentations completed", tc.faults, st.Defragmentations)
+		case c.NodeDown(2) != tc.dead:
+			t.Errorf("%s: node 2 declared dead = %v", tc.faults, c.NodeDown(2))
+		case !tc.dead && c.Node(2).Slots().OwnedFree() == 0:
+			t.Errorf("%s: node 2's surrendered slots were not installed back", tc.faults)
+		}
+		if got := freeSlotTotal(c); got != layout.SlotCount {
+			t.Errorf("%s: %d of %d slots owned free", tc.faults, got, layout.SlotCount)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", tc.faults, err)
+		}
+		if err := c.CheckDrained(); err != nil {
+			t.Errorf("%s: %v", tc.faults, err)
+		}
 	}
 }

@@ -25,8 +25,8 @@ import (
 //     the interconnect, as a checkpoint-on-peer scheme would.
 //   - detection is a lease piggybacked on the load-report heartbeat: the
 //     balancer's periodic round calls Cluster.HeartbeatTick, a crashed
-//     node misses its report, and Config.HeartbeatMisses consecutive
-//     misses expire the lease — the node is declared dead.
+//     node misses its report, and heartbeatMisses consecutive misses
+//     expire the lease — the node is declared dead.
 //   - declaration triggers evacuation and reclaim (declareDead below):
 //     the dead node's resident threads are frozen in place, convoyed to
 //     the survivors round-robin, and thawed there; the dead rank's
@@ -39,7 +39,7 @@ import (
 // With Config.RPCTimeout set, detection additionally distinguishes
 // *suspected* from *declared dead* (the partial-failure model):
 //
-//   - a node that misses HeartbeatMisses consecutive heartbeats — because
+//   - a node that misses heartbeatMisses consecutive heartbeats — because
 //     it crashed, or because a live partition cut it off from rank 0's
 //     vantage — is suspected: the placement engine and the gather,
 //     purchase and defrag loops route around it (the widened nodeAlive
@@ -148,6 +148,11 @@ func (c *Cluster) nodeAlive(i int) bool {
 // whole subtree.
 func (c *Cluster) anyDown() bool { return c.nDown > 0 || c.nSuspected > 0 }
 
+// heartbeatMisses is the failure detector's lease: the consecutive
+// heartbeat rounds a node may miss before it is declared dead (or, with
+// RPCTimeout set, suspected).
+const heartbeatMisses = 2
+
 // HeartbeatTick runs one failure-detection round, from an engine event
 // outside any node's handler (the balancer round, a test driver):
 // suspicion, rejoin and declaration touch every node's state. No-op on
@@ -155,8 +160,8 @@ func (c *Cluster) anyDown() bool { return c.nDown > 0 || c.nSuspected > 0 }
 //
 // With RPCTimeout unset the seed's one-stage detection runs verbatim:
 // every undeclared crashed node accrues a missed heartbeat, and
-// HeartbeatMisses consecutive misses expire its lease. With it set,
-// detection is two-stage: HeartbeatMisses misses *suspect* the node
+// heartbeatMisses consecutive misses expire its lease. With it set,
+// detection is two-stage: heartbeatMisses misses *suspect* the node
 // (reversible — a healed partition rejoins it), and only a suspected
 // node that stays unresponsive through a second full window and has
 // actually crashed is declared dead. A partitioned-but-alive node is
@@ -176,7 +181,7 @@ func (c *Cluster) HeartbeatTick() {
 				continue
 			}
 			c.missedBeats[i]++
-			if c.missedBeats[i] >= c.cfg.HeartbeatMisses {
+			if c.missedBeats[i] >= heartbeatMisses {
 				c.declareDead(i, now)
 			}
 		}
@@ -200,7 +205,7 @@ func (c *Cluster) HeartbeatTick() {
 		}
 		c.missedBeats[i]++
 		if !c.suspected[i] {
-			if c.missedBeats[i] >= c.cfg.HeartbeatMisses {
+			if c.missedBeats[i] >= heartbeatMisses {
 				c.suspect(i, now)
 			}
 			continue
@@ -208,7 +213,7 @@ func (c *Cluster) HeartbeatTick() {
 		// Confirmation window: a second full lease of silence, and only
 		// an actual crash graduates to declared dead — suspicion caused
 		// by a live partition stays suspicion until the heal rejoins it.
-		if c.missedBeats[i] >= 2*c.cfg.HeartbeatMisses && c.faults.Crashed(i, now) {
+		if c.missedBeats[i] >= 2*heartbeatMisses && c.faults.Crashed(i, now) {
 			c.declareDead(i, now)
 		}
 	}

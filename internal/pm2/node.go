@@ -19,20 +19,23 @@ import (
 // Addr is a simulated virtual address.
 type Addr = layout.Addr
 
-// Madeleine channels used by the runtime services.
+// Madeleine channels used by the runtime services, all of them in one
+// block; Endpoint.Handle and HandleCall panic on a duplicate at boot.
 const (
-	chMigrate uint32 = 1 // one-way: packed thread
-	chSpawn   uint32 = 2 // call: remote thread creation
-	chLock    uint32 = 3 // call to node 0: system-wide critical section
-	chUnlock  uint32 = 4 // one-way to node 0
-	chBitmap  uint32 = 5 // call: gather a node's slot bitmap
-	chBuy     uint32 = 6 // call: purchase a slot run from its owner
-
-	chGatherTree  uint32 = 10 // call: OR-merge and return a binomial subtree's bitmaps
-	chBitmapDelta uint32 = 11 // call: bitmap changes since a cached version (delta gather)
-	chShardLock   uint32 = 12 // call to shard manager: one shard of the sharded arbiter
-	chShardUnlock uint32 = 13 // one-way to shard manager
-	chConvoy      uint32 = 14 // one-way: zero-copy thread convoy (Config.Convoy)
+	chMigrate      uint32 = 1  // one-way: packed thread
+	chSpawn        uint32 = 2  // call: remote thread creation
+	chLock         uint32 = 3  // call to node 0: system-wide critical section
+	chUnlock       uint32 = 4  // one-way to node 0
+	chBitmap       uint32 = 5  // call: gather a node's slot bitmap
+	chBuy          uint32 = 6  // call: purchase a slot run from its owner
+	chRelocMigrate uint32 = 7  // one-way: relocated stack (the relocation baseline)
+	chSurrender    uint32 = 8  // call: return bitmap and give up all free slots (defragmentation)
+	chInstall      uint32 = 9  // call: install a replacement bitmap (defragmentation)
+	chGatherTree   uint32 = 10 // call: OR-merge and return a binomial subtree's bitmaps
+	chBitmapDelta  uint32 = 11 // call: bitmap changes since a cached version (delta gather)
+	chShardLock    uint32 = 12 // call to shard manager: one shard of the sharded arbiter
+	chShardUnlock  uint32 = 13 // one-way to shard manager
+	chConvoy       uint32 = 14 // one-way: zero-copy thread convoy (Config.Convoy)
 )
 
 // Node is one PM2 node: a heavy container process with its own simulated

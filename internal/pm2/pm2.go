@@ -124,11 +124,6 @@ type Config struct {
 	// machinery on any path — every trace stays byte-identical to a
 	// build without the fault layer. Requires PolicyIso and Nodes >= 2.
 	Faults *fault.Plan
-	// HeartbeatMisses is the failure-detection lease: a crashed node is
-	// declared dead after missing this many consecutive heartbeat rounds
-	// (Cluster.HeartbeatTick, driven by the load balancer's period).
-	// Default 2. Only consulted when Faults is set.
-	HeartbeatMisses int
 	// RPCTimeout is the virtual-time deadline for every protocol exchange
 	// that awaits a remote reply (gathers, purchases, locks, remote
 	// spawns). Zero (the default) means infinite: no timers, no envelope
@@ -321,9 +316,6 @@ func (cfg Config) Validate() error {
 	if cfg.PreBuySlots < 0 {
 		return fmt.Errorf("pm2: negative pre-buy slot count %d", cfg.PreBuySlots)
 	}
-	if cfg.HeartbeatMisses < 0 {
-		return fmt.Errorf("pm2: negative heartbeat-miss threshold %d", cfg.HeartbeatMisses)
-	}
 	if cfg.Pack != PackUsed && cfg.Pack != PackWhole {
 		return fmt.Errorf("pm2: unknown pack mode %d", cfg.Pack)
 	}
@@ -375,9 +367,6 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	}
 	if cfg.Placement == nil {
 		cfg.Placement = policy.NewNegotiation()
-	}
-	if cfg.HeartbeatMisses == 0 {
-		cfg.HeartbeatMisses = 2
 	}
 	if cfg.RPCTimeout < 0 {
 		cfg.RPCTimeout = DefaultRPCTimeout(cfg.Model)

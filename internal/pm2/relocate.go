@@ -24,15 +24,6 @@ import (
 // supported by this policy — precisely the limitation that motivates the
 // paper.
 
-const chRelocMigrate uint32 = 7
-
-func init() {
-	// chRelocMigrate must not collide with the service channels.
-	if chRelocMigrate == chMigrate || chRelocMigrate == chBuy {
-		panic("pm2: channel collision")
-	}
-}
-
 func (n *Node) relocMigrateOut(t *marcel.Thread, dest int) {
 	ar := n.sched.Arena(t)
 	groups, err := ar.Groups()

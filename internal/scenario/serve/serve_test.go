@@ -2,10 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/seal"
 )
 
 // TestSynthesizeDeterministic pins the tentpole property: the same
@@ -124,8 +125,9 @@ func TestDiurnalRateModulation(t *testing.T) {
 }
 
 // TestTraceRoundTrip is the record→replay property test: for a spread
-// of seeds and cluster sizes, Encode→Decode must reproduce the exact
-// Trace, and re-encoding the decoded trace must be byte-identical.
+// of seeds and cluster sizes, with and without a checkpoint binding,
+// Decode must reproduce the exact Trace, and Encode(Decode(x)) must
+// give back x byte for byte.
 func TestTraceRoundTrip(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 99, 1 << 40} {
 		for _, nodes := range []int{2, 16, 64} {
@@ -135,156 +137,98 @@ func TestTraceRoundTrip(t *testing.T) {
 			}
 			tr := &Trace{
 				Policy: "work-stealing", Nodes: nodes, Seed: seed,
-				Gather: "delta", Arbiter: "chain", Requests: reqs,
+				Gather: "delta", Arbiter: "chain", CkptDigest: seed * 0x9e3779b97f4a7c15, Requests: reqs,
 			}
-			var buf bytes.Buffer
-			if err := tr.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			first := buf.String()
-			got, err := Decode(strings.NewReader(first))
+			first := tr.Encode()
+			got, err := Decode(first)
 			if err != nil {
 				t.Fatalf("seed=%d nodes=%d: decode: %v", seed, nodes, err)
 			}
 			if !reflect.DeepEqual(got, tr) {
 				t.Fatalf("seed=%d nodes=%d: decoded trace differs from original", seed, nodes)
 			}
-			var buf2 bytes.Buffer
-			if err := got.Encode(&buf2); err != nil {
-				t.Fatal(err)
-			}
-			if buf2.String() != first {
+			if !bytes.Equal(got.Encode(), first) {
 				t.Fatalf("seed=%d nodes=%d: re-encode not byte-identical", seed, nodes)
 			}
 		}
 	}
 }
 
-// TestDecodeRejectsCorruption pins the digest and format guards.
+// resealed returns a trace image around doc with a valid seal, so only
+// the document can be at fault.
+func resealed(doc string) []byte { return seal.Seal([]byte(traceMagic + "\n" + doc + "\n")) }
+
+const oneRequest = `{"Policy":"negotiation","Nodes":4,"Seed":1,"Gather":"delta","Arbiter":"global","CkptDigest":0,` +
+	`"Requests":[{"At":10,"Cohort":"api","Prog":"worker","Arg":100,"Pref":3}]}`
+
+// TestDecodeRejectsCorruption: the seal guards against accidental
+// corruption only, so Decode must refuse a malformed or out-of-range
+// document behind a valid seal with an error, and refuse the retired
+// v2 text format.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	reqs, err := DeriveSpec(1, 4).Synthesize(4)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Decode(resealed(oneRequest)); err != nil {
+		t.Fatalf("resealed pristine trace rejected: %v", err)
 	}
-	tr := &Trace{Policy: "negotiation", Nodes: 4, Seed: 1, Gather: "delta", Arbiter: "chain", Requests: reqs}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
+	v2 := "pm2serve-trace v2\npolicy negotiation\nnodes 4\nseed 1\ngather delta\narbiter global\nckpt 0000000000000000\nrequests 0\n"
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"unknown field", resealed(`{"Bogus":1,` + oneRequest[1:]), `unknown field "Bogus"`},
+		{"wrong type", resealed(strings.Replace(oneRequest, `"Nodes":4`, `"Nodes":"4"`, 1)), "cannot unmarshal string"},
+		{"pref at nodes", resealed(strings.Replace(oneRequest, `"Pref":3`, `"Pref":4`, 1)), "pref 4 outside 4 nodes"},
+		{"negative at", resealed(strings.Replace(oneRequest, `"At":10`, `"At":-10`, 1)), "arrival at -10 ns"},
+		{"arg above uint32", resealed(strings.Replace(oneRequest, `"Arg":100`, `"Arg":4294967296`, 1)), "cannot unmarshal number 4294967296"},
+		{"nodes 0", resealed(`{"Nodes":0}`), "trace of 0 nodes"},
+		{"v2 header", seal.Seal([]byte(v2)), `not a pm2serve-trace v3 image (starts "pm2serve-trace v2")`},
+		{"trailing document", resealed(oneRequest + "\n{}"), "data after the document"},
 	}
-	good := buf.String()
-
-	if _, err := Decode(strings.NewReader(good)); err != nil {
-		t.Fatalf("pristine trace rejected: %v", err)
-	}
-	// Tamper with one request's work size: digest must catch it.
-	tampered := strings.Replace(good, fmt.Sprintf("req %d", int64(reqs[0].At)), fmt.Sprintf("req %d", int64(reqs[0].At)+1), 1)
-	if _, err := Decode(strings.NewReader(tampered)); err == nil || !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("tampered stream: want digest mismatch, got %v", err)
-	}
-	// Future version must be refused.
-	future := strings.Replace(good, fmt.Sprintf("pm2serve-trace v%d", TraceVersion), "pm2serve-trace v99", 1)
-	if _, err := Decode(strings.NewReader(future)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version: want version error, got %v", err)
-	}
-	// A v1 file — no ckpt line — is an older format, refused too.
-	v1 := strings.Replace(good, fmt.Sprintf("pm2serve-trace v%d", TraceVersion), "pm2serve-trace v1", 1)
-	v1 = strings.Replace(v1, "ckpt 0000000000000000\n", "", 1)
-	if _, err := Decode(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("v1 trace: want version error, got %v", err)
-	}
-	// Truncation must be refused.
-	if _, err := Decode(strings.NewReader(good[:len(good)/2])); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
-	// Garbage header.
-	if _, err := Decode(strings.NewReader("hello world\n")); err == nil {
-		t.Fatal("garbage header accepted")
-	}
-}
-
-// sealTrace renders a trace file around header lines and req lines,
-// with the digest the req lines hash to, so only the header is at fault.
-func sealTrace(header string, reqs ...Request) string {
-	tr := &Trace{Requests: reqs}
-	var b strings.Builder
-	b.WriteString(header)
-	for _, r := range reqs {
-		b.WriteString(reqLine(r))
-	}
-	fmt.Fprintf(&b, "digest %016x\n", tr.Digest())
-	return b.String()
-}
-
-const traceHeader = "pm2serve-trace v2\npolicy negotiation\nnodes %d\nseed 1\ngather delta\narbiter global\nckpt 0000000000000000\nrequests %d\n"
-
-// TestDecodeRejectsHugeRequestCount: the request count is untrusted, so
-// a count far beyond the lines that follow is an error, and nothing is
-// sized by it first.
-func TestDecodeRejectsHugeRequestCount(t *testing.T) {
-	in := sealTrace(fmt.Sprintf(traceHeader, 4, uint64(1)<<62))
-	if _, err := Decode(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "request 1") {
-		t.Fatalf("want an error at the first request line, got %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Decode(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
 // TestDecodeRejectsPrefOutsideCluster: a request's preferred node must
 // be a rank of the trace's cluster, and the cluster must have a node.
 func TestDecodeRejectsPrefOutsideCluster(t *testing.T) {
-	req := Request{At: 10, Cohort: "api", Prog: "worker", Arg: 100, Pref: 99}
-	if _, err := Decode(strings.NewReader(sealTrace(fmt.Sprintf(traceHeader, 4, 1), req))); err == nil || !strings.Contains(err.Error(), "pref 99 outside 4 nodes") {
-		t.Fatalf("pref 99 on 4 nodes: got %v", err)
-	}
-	req.Pref = 0
-	for _, nodes := range []int{0, -3} {
-		if _, err := Decode(strings.NewReader(sealTrace(fmt.Sprintf(traceHeader, nodes, 1), req))); err == nil || !strings.Contains(err.Error(), "bad nodes") {
-			t.Fatalf("nodes %d: got %v", nodes, err)
-		}
-	}
-	req.Pref = 3
-	if _, err := Decode(strings.NewReader(sealTrace(fmt.Sprintf(traceHeader, 4, 1), req))); err != nil {
-		t.Fatalf("pref 3 on 4 nodes rejected: %v", err)
-	}
-}
-
-// TestDecodeAcceptsOnlyTraceVersion: the header must name exactly
-// TraceVersion; a negative, older or newer one is refused.
-func TestDecodeAcceptsOnlyTraceVersion(t *testing.T) {
-	good := sealTrace(fmt.Sprintf(traceHeader, 4, 0))
-	if _, err := Decode(strings.NewReader(good)); err != nil {
-		t.Fatalf("empty v%d trace rejected: %v", TraceVersion, err)
-	}
-	for _, v := range []string{"v-3", "v1", "v3", "v02", "v2 extra"} {
-		in := strings.Replace(good, "pm2serve-trace v2", "pm2serve-trace "+v, 1)
-		if _, err := Decode(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "version") {
-			t.Errorf("header %q: want a version error, got %v", v, err)
+	for _, tc := range []struct{ nodes, pref, want string }{
+		{"4", "99", "pref 99 outside 4 nodes"},
+		{"4", "-1", "pref -1 outside 4 nodes"},
+		{"-3", "0", "trace of -3 nodes"},
+	} {
+		doc := strings.Replace(strings.Replace(oneRequest, `"Pref":3`, `"Pref":`+tc.pref, 1), `"Nodes":4`, `"Nodes":`+tc.nodes, 1)
+		if _, err := Decode(resealed(doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("nodes %s, pref %s: error = %v, want %q", tc.nodes, tc.pref, err, tc.want)
 		}
 	}
 }
 
 // FuzzTraceDecode: Decode returns a trace or an error for any input,
-// never a panic, and a trace it returns encodes to a file that decodes
-// to the same trace.
+// never a panic, and a trace it returns encodes to an image that
+// decodes to the same trace. Besides a recorded trace, the seeds are
+// re-sealed documents, which reach the JSON decoder and the range
+// checks behind the seal.
 func FuzzTraceDecode(f *testing.F) {
 	reqs, err := DeriveSpec(1, 4).Synthesize(4)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := (&Trace{Policy: "negotiation", Nodes: 4, Seed: 1, Gather: "delta", Arbiter: "global", Requests: reqs[:8]}).Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add(sealTrace(fmt.Sprintf(traceHeader, 4, uint64(1)<<62)))
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := Decode(strings.NewReader(in))
+	f.Add((&Trace{Policy: "negotiation", Nodes: 4, Seed: 1, Gather: "delta", Arbiter: "global", Requests: reqs[:8]}).Encode())
+	f.Add(resealed(oneRequest))
+	f.Add(resealed(strings.Replace(oneRequest, `"Pref":3`, `"Pref":4`, 1)))
+	f.Add(resealed(strings.Replace(oneRequest, `"Arg":100`, `"Arg":4294967296`, 1)))
+	f.Add(resealed(`{"Nodes":1,"Requests":null}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Decode(in)
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := tr.Encode(&out); err != nil {
-			t.Fatal(err)
-		}
-		again, err := Decode(&out)
+		again, err := Decode(tr.Encode())
 		if err != nil {
 			t.Fatalf("re-encoded trace rejected: %v", err)
 		}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -27,11 +26,7 @@ func TestServeReplayByteIdentical(t *testing.T) {
 		// pm2trace record/replay commands do.
 		tr := &serve.Trace{Policy: p, Nodes: spec.Nodes, Seed: spec.Seed,
 			Gather: live.Spec.Gather, Arbiter: live.Spec.Arbiter, Requests: reqs}
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dec, err := serve.Decode(&buf)
+		dec, err := serve.Decode(tr.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,12 +53,12 @@
 // A fail-stop fault plan (Config.Faults, e.g. "crash:1@3000") crashes
 // nodes at scheduled virtual times. Failure detection is lease-based:
 // heartbeats ride the load balancer's rounds, and a node that misses
-// Config.HeartbeatMisses consecutive rounds (default 2) is declared
-// dead. The declaration triggers recovery: the dying node's resident
-// threads are frozen and evacuated as convoys to the survivors, and the
-// dead rank's iso-address slot range is reclaimed — both without
-// violating the single-ownership invariant. Stats reports Evacuations,
-// EvacuatedThreads and ReclaimedSlots.
+// two consecutive rounds is declared dead. The declaration triggers
+// recovery: the dying node's resident threads are frozen and evacuated
+// as convoys to the survivors, and the dead rank's iso-address slot
+// range is reclaimed — both without violating the single-ownership
+// invariant. Stats reports Evacuations, EvacuatedThreads and
+// ReclaimedSlots.
 //
 // Fault plans also schedule live partitions ("partition:1-2@3000..9000",
 // store-and-forward healing) and slow links ("slow:1x4@3000..9000").
@@ -171,12 +171,6 @@ type Config struct {
 	// heartbeat lease expires — see the package comment. Default "":
 	// no faults, and the failure-detection path is entirely inert.
 	Faults string
-	// HeartbeatMisses is the failure detector's lease: a node that
-	// misses this many consecutive heartbeat rounds is declared dead
-	// (default 2). Heartbeats ride the load balancer's rounds, so
-	// detection requires an attached balancer (or explicit
-	// HeartbeatTick calls on the internal cluster).
-	HeartbeatMisses int
 	// RPCTimeoutMicros arms the partial-failure deadline layer: every
 	// protocol exchange awaiting a remote reply — gather requests,
 	// purchase and lock traffic, the remote-spawn call — is abandoned
@@ -204,13 +198,12 @@ func (c Config) Validate() error {
 // validation path behind Validate, Boot and BindFlags.
 func (c Config) toInternal() (ipm2.Config, error) {
 	cfg := ipm2.Config{
-		Nodes:           c.Nodes,
-		Quantum:         int64(c.Quantum),
-		CacheCap:        c.SlotCache,
-		RecordAllocs:    c.RecordAllocations,
-		PreBuySlots:     c.PreBuySlots,
-		Convoy:          c.Convoy,
-		HeartbeatMisses: c.HeartbeatMisses,
+		Nodes:        c.Nodes,
+		Quantum:      int64(c.Quantum),
+		CacheCap:     c.SlotCache,
+		RecordAllocs: c.RecordAllocations,
+		PreBuySlots:  c.PreBuySlots,
+		Convoy:       c.Convoy,
 	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
@@ -249,11 +242,10 @@ func (c Config) toInternal() (ipm2.Config, error) {
 
 // BindFlags registers the cluster flags every command-line front end
 // shares on fs: -nodes, -dist, -policy, -gather, -arbiter, -fault,
-// -rpc-timeout ("auto", a µs count, or empty for off),
-// -heartbeat-misses and -convoy, each defaulting to the value in
-// defaults. Call the returned function after fs.Parse: it assembles the
-// Config and validates it as Boot would, so a bad value is an error, not
-// a panic. The policy, gather and arbiter names come back canonical.
+// -rpc-timeout ("auto", a µs count, or empty for off) and -convoy,
+// each defaulting to the value in defaults. Call the returned function
+// after fs.Parse: it assembles the Config and validates it as Boot
+// would, so a bad value is an error, not a panic. The policy, gather and arbiter names come back canonical.
 func BindFlags(fs *flag.FlagSet, defaults Config) func() (Config, error) {
 	cfg := defaults
 	fs.IntVar(&cfg.Nodes, "nodes", defaults.Nodes, "cluster size")
@@ -269,7 +261,6 @@ func BindFlags(fs *flag.FlagSet, defaults Config) func() (Config, error) {
 		rpcDefault = strconv.FormatInt(defaults.RPCTimeoutMicros, 10)
 	}
 	rpc := fs.String("rpc-timeout", rpcDefault, `protocol deadline: "auto" = derive from the cost model, an integer = µs of virtual time, "" = off`)
-	fs.IntVar(&cfg.HeartbeatMisses, "heartbeat-misses", defaults.HeartbeatMisses, "failure-detector lease: heartbeat rounds missed before a node is declared dead (0 = default 2)")
 	fs.BoolVar(&cfg.Convoy, "convoy", defaults.Convoy, "zero-copy scatter-gather migration pipeline with thread convoys")
 	return func() (Config, error) {
 		c := cfg
@@ -339,21 +330,13 @@ func ParsePolicy(s string) (string, error) {
 // PolicyNames lists the canonical placement-policy names.
 func PolicyNames() []string { return policy.Names() }
 
-// ParseDistribution resolves a distribution name. Empty means round-robin.
+// ParseDistribution resolves a distribution name (core.ParseDistribution).
+// Empty and "rr" mean round-robin.
 func ParseDistribution(s string) (core.Distribution, error) {
-	switch {
-	case s == "" || s == "round-robin" || s == "rr":
+	if s == "" || s == "rr" {
 		return core.RoundRobin{}, nil
-	case s == "partition":
-		return core.Partition{}, nil
-	case strings.HasPrefix(s, "block-cyclic:"):
-		k, err := strconv.Atoi(strings.TrimPrefix(s, "block-cyclic:"))
-		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("pm2: bad block-cyclic size in %q", s)
-		}
-		return core.BlockCyclic{K: k}, nil
 	}
-	return nil, fmt.Errorf("pm2: unknown distribution %q", s)
+	return core.ParseDistribution(s)
 }
 
 // System holds the replicated SPMD program image under construction.

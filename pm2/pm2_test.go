@@ -573,7 +573,6 @@ func TestBindFlagsRejectsBadValues(t *testing.T) {
 		{"-rpc-timeout", "bogus"},
 		{"-rpc-timeout", "0"},
 		{"-rpc-timeout", "-5"},
-		{"-heartbeat-misses", "-1"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		bound := BindFlags(fs, Config{Nodes: 2})
@@ -590,7 +589,7 @@ func TestBindFlagsRejectsBadValues(t *testing.T) {
 // defaults, and names come back canonical.
 func TestBindFlagsDefaultsAndCanonicalNames(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	bound := BindFlags(fs, Config{Nodes: 4, HeartbeatMisses: 3})
+	bound := BindFlags(fs, Config{Nodes: 4})
 	if err := fs.Parse([]string{"-policy", "rr", "-gather", "incremental", "-arbiter", "shard", "-rpc-timeout", "auto", "-convoy"}); err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +597,7 @@ func TestBindFlagsDefaultsAndCanonicalNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Nodes: 4, HeartbeatMisses: 3, Policy: "round-robin", Gather: "delta", Arbiter: "sharded", RPCTimeoutMicros: -1, Convoy: true}
+	want := Config{Nodes: 4, Policy: "round-robin", Gather: "delta", Arbiter: "sharded", RPCTimeoutMicros: -1, Convoy: true}
 	if cfg != want {
 		t.Fatalf("bound %+v, want %+v", cfg, want)
 	}
